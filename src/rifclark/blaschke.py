@@ -16,9 +16,8 @@ import numpy as np
 
 from . import poly as _poly
 from .errors import IdenticallyZeroSlice
+from .levelset import ZERO_SLICE_REL_TOL
 from .poly import Rif, companion_roots, derivative_coeffs, slice_coeffs
-
-ZERO_SLICE_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)

@@ -53,16 +53,18 @@ class ClarkMeasure:
         return TWO_PI * np.arange(self.grid_n) / self.grid_n
 
 
-def build_measure(phi: Rif, alpha: complex, grid_n: int = 4096, *,
-                  refine_radius: float = 0.0,
-                  spike_refine: bool = True) -> ClarkMeasure:
-    """Construct sigma_alpha on a uniform grid of ``grid_n`` angles."""
-    branches = trace_branches(phi, alpha, grid_n,
-                              refine_radius=refine_radius,
-                              spike_refine=spike_refine)
-    vlines = [l for l in detect_lines(phi, alpha) if l.axis == 1]
+def build_measure(phi: Rif, alpha: complex, grid_n: int = 4096) -> ClarkMeasure:
+    """Construct sigma_alpha on a uniform grid of ``grid_n`` angles.
+
+    At an exceptional alpha the lines are split off exactly, and the
+    remaining branches are left on the uniform grid: spike refinement
+    there would only trade the spectral rule for a trapezoid one.
+    """
+    lines = detect_lines(phi, alpha)
+    branches = trace_branches(phi, alpha, grid_n, spike_refine=not lines)
     return ClarkMeasure(phi=phi, alpha=complex(alpha), grid_n=grid_n,
-                        branches=branches, lines=vlines)
+                        branches=branches,
+                        lines=[l for l in lines if l.axis == 1])
 
 
 def weight_at(phi: Rif, alpha: complex, zeta1, zeta2):
@@ -308,10 +310,9 @@ def measure_from_json(text: str) -> ClarkMeasure:
     theta = TWO_PI * np.arange(N) / N
 
     def carr(pairs):
-        a = np.asarray(pairs, dtype=float)
-        if a.size == 0:
-            return np.empty(0, dtype=complex)
-        return a[:, 0] + 1j * a[:, 1]
+        # a view, not a[:, 0] + 1j * a[:, 1], which loses a -0.0 imaginary part
+        a = np.asarray(pairs, dtype=float).reshape(-1, 2)
+        return np.ascontiguousarray(a).view(complex).reshape(-1)
 
     branches = []
     for rec in obj["branches"]:

@@ -88,9 +88,7 @@ def cmd_analyze(args) -> int:
 
     phi = _load_rif(args)
     alpha = parse_alpha(args.alpha)
-    measure = clark.build_measure(phi, alpha, args.grid,
-                                  refine_radius=args.refine_radius,
-                                  spike_refine=not args.no_spike_refine)
+    measure = clark.build_measure(phi, alpha, args.grid)
     mass = clark.total_mass(measure)
     expected = clark.expected_mass(phi, alpha)
     _write(args.out, clark.measure_to_json(measure))
@@ -329,8 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_poly(p)
     p.add_argument("--alpha", required=True)
     p.add_argument("--grid", type=int, default=4096)
-    p.add_argument("--refine-radius", type=float, default=0.0)
-    p.add_argument("--no-spike-refine", action="store_true")
     p.add_argument("--out", default="measure.json")
     p.set_defaults(func=cmd_analyze)
 

@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import poly as _poly
 from .errors import FitDegenerate, NonConvergent
-from .levelset import _solve_slices, detect_lines, weight_parts
+from .levelset import _solve_slices, assign, detect_lines, weight_parts
 from .poly import Rif
 from .util import TWO_PI
 
@@ -96,11 +95,9 @@ def _dyadic_paths(phi: Rif, alpha: complex, tau: complex, gamma: complex,
         for k in range(1, n_sub + 1):
             pred = 3.0 * hist[-1] - 3.0 * hist[-2] + hist[-3]
             rts = roots[k]
-            cost = np.abs(pred[:, None] - rts[None, :])
-            ri, ci = linear_sum_assignment(cost)
+            ri, ci = assign(np.abs(pred[:, None] - rts[None, :]))
             cur = hist[-1].copy()
-            for a, b in zip(ri, ci):
-                cur[a] = rts[b]
+            cur[ri] = rts[ci]
             path[:, k] = cur
             hist = [hist[-2], hist[-1], cur]
         out[side] = (deltas[dy_mask], path[:, dy_mask])

@@ -15,9 +15,9 @@ line components, and locates boundary singularities of phi.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import poly as _poly
 from .errors import (
@@ -120,6 +120,29 @@ def _weight_tols(phi: Rif, alpha: complex):
 # tracing
 # ---------------------------------------------------------------------------
 
+def assign(cost):
+    """Minimum-total-cost injection for a small (n, m) cost matrix.
+
+    Returns (rows, cols), ascending in rows, pairing min(n, m) rows with
+    distinct columns.  When every row's nearest column is distinct, that
+    map is optimal and is returned directly; otherwise (only near branch
+    collisions) every injection is tried, which suits the few roots of
+    one slice.
+    """
+    cost = np.asarray(cost, dtype=float)
+    n, m = cost.shape
+    if n > m:
+        cols, rows = assign(cost.T)
+        order = rows.argsort()
+        return rows[order], cols[order]
+    rows = np.arange(n)
+    near = cost.argmin(axis=1)
+    if len(set(near.tolist())) < n:
+        cand = np.array(list(permutations(range(m), n)))
+        near = cand[cost[rows, cand].sum(axis=1).argmin()]
+    return rows, near
+
+
 def _match_column(ref, roots, amb_state):
     """Assign roots to branch labels by nearest neighbor.
 
@@ -132,29 +155,24 @@ def _match_column(ref, roots, amb_state):
     if len(roots) == 0:
         return out, False
     cost = np.abs(ref[:, None] - roots[None, :])
-    ri, ci = linear_sum_assignment(cost)
-    used = set()
-    for r, c in zip(ri, ci):
-        out[r] = roots[c]
-        used.add(r)
+    ri, ci = assign(cost)
+    out[ri] = roots[ci]
+    # per-pair checks on Python lists: numpy calls cost more than the
+    # work at a handful of roots, and this runs once per grid node
+    table = cost.tolist()
     ambiguous = False
-    for r, c in zip(ri, ci):
-        d_self = cost[r, c]
-        if len(roots) > 1:
-            others = np.delete(cost[r], c)
-            d_alt = float(np.min(others))
-        else:
-            d_alt = np.inf
+    for r, c in zip(ri.tolist(), ci.tolist()):
+        d_self = table[r][c]
+        d_alt = min(table[r][:c] + table[r][c + 1:], default=np.inf)
         if d_alt < 2.0 * d_self and d_self > amb_state:
             ambiguous = True
-    for b in range(n):
-        if b not in used:
-            # fewer roots than branches: a tangency absorbs a label, so the
-            # nearest root is reused; a far "nearest" root means the value
-            # is genuinely missing and is left for interpolation
-            j = int(np.argmin(cost[b]))
-            if cost[b, j] < 0.5:
-                out[b] = roots[j]
+    for b in set(range(n)) - set(ri.tolist()):
+        # fewer roots than branches: a tangency absorbs a label, so the
+        # nearest root is reused; a far "nearest" root means the value
+        # is genuinely missing and is left for interpolation
+        j = int(cost[b].argmin())
+        if cost[b, j] < 0.5:
+            out[b] = roots[j]
     return out, ambiguous
 
 
@@ -191,7 +209,6 @@ def _chain_match(hcoef, ref, theta_lo, theta_hi, level, max_level):
 
 
 def trace_branches(phi: Rif, alpha: complex, grid_n: int = 4096, *,
-                   refine_radius: float = 0.0,
                    spike_refine: bool = True,
                    collision_levels: int = 3) -> list[Branch]:
     """Trace the graph components of the level set at unimodular alpha.
@@ -204,12 +221,6 @@ def trace_branches(phi: Rif, alpha: complex, grid_n: int = 4096, *,
         Unimodular target value.
     grid_n : int
         Number of uniform angle samples; a power of two, at least 256.
-    refine_radius : float
-        When positive, one extra refinement pass (factor 8) is applied to
-        every grid cell within this angular distance of a singularity
-        coordinate.  Off by default: the uniform grid integrates smooth
-        weights spectrally, and inserting locally refined windows costs a
-        little accuracy for smooth integrands.
     spike_refine : bool
         Adaptively refine around unresolved weight spikes (they appear
         when alpha comes close to an exceptional value and mass starts to
@@ -265,11 +276,8 @@ def trace_branches(phi: Rif, alpha: complex, grid_n: int = 4096, *,
     # wrap-around closure: permutation relative to the seed column
     jump: set[int] = set()
     if n_br > 1:
-        cost = np.abs(ref[:, None] - values[:, seed][None, :])
-        ri, ci = linear_sum_assignment(cost)
-        for r, c in zip(ri, ci):
-            if r != c:
-                jump.add(r)
+        ri, ci = assign(np.abs(ref[:, None] - values[:, seed][None, :]))
+        jump.update(ri[ri != ci].tolist())
 
     filled = [np.nonzero(np.isnan(values[b]))[0] for b in range(n_br)]
     _fill_missing(values, theta)
@@ -303,9 +311,6 @@ def trace_branches(phi: Rif, alpha: complex, grid_n: int = 4096, *,
 
     if spike_refine:
         _refine_spikes(phi, alpha, hcoef, branches, den, num_tol, den_tol)
-    if refine_radius > 0.0:
-        _refine_singular_windows(phi, alpha, hcoef, branches, refine_radius,
-                                 num_tol, den_tol)
     return branches
 
 
@@ -497,39 +502,6 @@ def _attach_extras(branches, extras, fine):
         br.extra_ticks = ticks
         br.extra_values = vals[keep][idx]
         br.extra_weights = wts[keep][idx]
-
-
-def _refine_singular_windows(phi, alpha, hcoef, branches, radius,
-                             num_tol, den_tol):
-    sings = find_singularities(phi)
-    if not sings:
-        return
-    N = branches[0].grid_n
-    fine = N * REFINE_FACTOR ** MAX_SPIKE_LEVELS
-    dtheta = TWO_PI / N
-    cells: set[int] = set()
-    for (tau, _gamma) in sings:
-        t0 = float(np.angle(tau)) % TWO_PI
-        lo = int(np.floor((t0 - radius) / dtheta))
-        hi = int(np.ceil((t0 + radius) / dtheta))
-        for c in range(lo, hi):
-            cells.add(c % N)
-    if not cells:
-        return
-    windows = _group_cells(sorted(cells), N)
-    seeds0 = np.array([br.values for br in branches])
-    extras = []
-    for (c_lo, c_hi) in windows:
-        base = fine // N
-        lo_tick = np.int64(c_lo) * base
-        hi_tick = np.int64(c_hi + 1) * base
-        spacing = base // REFINE_FACTOR
-        ticks = np.arange(lo_tick, hi_tick + spacing, spacing, dtype=np.int64)
-        vals, wts, _ = _solve_window(phi, alpha, hcoef, ticks, fine,
-                                     seeds0[:, c_lo % N].copy(),
-                                     num_tol, den_tol)
-        extras.append((ticks, vals, wts))
-    _attach_extras(branches, extras, fine)
 
 
 # ---------------------------------------------------------------------------

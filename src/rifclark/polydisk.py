@@ -18,6 +18,7 @@ import numpy as np
 
 from . import poly as _poly
 from .errors import RootFindFailure, SingularDenominator, UnstableDenominator
+from .levelset import _polyval_rows
 from .poly import Rif, companion_roots, derivative_coeffs, slice_coeffs, \
     stability_check
 from .util import TWO_PI
@@ -31,7 +32,12 @@ __all__ = [
 
 @dataclass
 class HyperBranch:
-    """One sheet zeta3 = g(zeta1, zeta2) of a level set over the 2-torus."""
+    """One layer of level-set points zeta3 over a grid on the 2-torus.
+
+    Layer b holds the b-th slice root at each grid node, so a layer need
+    not be one continuous sheet; the measure sums over all layers, which
+    is what makes the labels irrelevant.
+    """
 
     alpha: complex
     theta1: np.ndarray
@@ -48,7 +54,8 @@ def build_measure_d(phi: Rif, alpha: complex,
     (min slice-root modulus > 1 + 1e-6); denominators with boundary
     zeros — phi_3 at (1,1,1) for instance — are refused, since the
     absolutely-continuous structure formula breaks down there.
-    Continuation runs along axis 1 first, then down axis 2, row-major.
+    No continuation is run: the layers are the companion roots of each
+    slice, Newton-polished.
     """
     if phi.dim != 3:
         raise ValueError("build_measure_d handles exactly three variables")
@@ -69,38 +76,21 @@ def build_measure_d(phi: Rif, alpha: complex,
     Z1, Z2 = np.meshgrid(zg, zg, indexing="ij")
     pts = np.stack([Z1.ravel(), Z2.ravel()], axis=-1)
     rows = slice_coeffs(h, pts)
-
-    if n_br == 1:
-        vals = (-rows[:, 0] / rows[:, 1]).reshape(1, N, N)
-    else:
-        roots = companion_roots(rows)
-        if any(len(r) != n_br for r in roots):
-            raise RootFindFailure(
-                "a slice dropped degree; the surface is not a clean cover "
-                "of the 2-torus")
-        vals = np.empty((n_br, N, N), dtype=complex)
-        grid_roots = np.array(roots).reshape(N, N, n_br)
-        # first row: 1-D continuation in theta1
-        first = grid_roots[0, 0][np.argsort(np.angle(grid_roots[0, 0]))]
-        row_vals = np.empty((N, n_br), dtype=complex)
-        row_vals[0] = first
-        for i in range(1, N):
-            row_vals[i] = _nearest_perm(row_vals[i - 1], grid_roots[i, 0])
-        vals[:, :, 0] = row_vals.T
-        # remaining: march down axis 2, all columns at once
-        prev = row_vals
-        for j in range(1, N):
-            prev = _nearest_perm_rows(prev, grid_roots[:, j])
-            vals[:, :, j] = prev.T
-        # Newton polish
-        drows = rows[:, 1:] * np.arange(1, rows.shape[1])
-        flat = vals.reshape(n_br, -1)
-        for _ in range(3):
-            f = _eval_rows(rows, flat)
-            fp = _eval_rows(drows, flat)
-            good = np.abs(fp) > 1e-12
-            flat = flat - np.where(good, f / np.where(good, fp, 1.0), 0.0)
-        vals = flat.reshape(n_br, N, N)
+    roots = companion_roots(rows)
+    if any(len(r) != n_br for r in roots):
+        raise RootFindFailure(
+            "a slice dropped degree; the surface is not a clean cover "
+            "of the 2-torus")
+    # the measure sums over all roots of a slice, so layer b simply holds
+    # the b-th companion root, then a few Newton steps polish every layer
+    flat = np.array(roots).T
+    drows = rows[:, 1:] * np.arange(1, rows.shape[1])
+    for _ in range(3):
+        f = _polyval_rows(rows, flat)
+        fp = _polyval_rows(drows, flat)
+        good = np.abs(fp) > 1e-12
+        flat = flat - np.where(good, f / np.where(good, fp, 1.0), 0.0)
+    vals = flat.reshape(n_br, N, N)
 
     hd = derivative_coeffs(h, 3)
     out = []
@@ -112,47 +102,6 @@ def build_measure_d(phi: Rif, alpha: complex,
         out.append(HyperBranch(alpha=complex(alpha), theta1=theta,
                                theta2=theta, values=vals[b],
                                weights=num / den))
-    return out
-
-
-def _eval_rows(rows, w):
-    """rows (M, k+1) per-point coefficients; w (n, M) points."""
-    acc = np.broadcast_to(rows[:, -1], w.shape).copy()
-    for k in range(rows.shape[1] - 2, -1, -1):
-        acc = acc * w + rows[:, k]
-    return acc
-
-
-def _nearest_perm(ref, roots):
-    """Order ``roots`` to match ``ref`` (small root counts, greedy)."""
-    n = len(ref)
-    out = np.empty(n, dtype=complex)
-    used = np.zeros(len(roots), dtype=bool)
-    for a in np.argsort([np.min(np.abs(roots - r)) for r in ref]):
-        d = np.abs(roots - ref[a])
-        d[used] = np.inf
-        j = int(np.argmin(d))
-        out[a] = roots[j]
-        used[j] = True
-    return out
-
-
-def _nearest_perm_rows(prev, roots_rows):
-    """Match each row of roots (N, n) against prev (N, n), vectorized for
-    n = 2 and loop otherwise."""
-    N, n = prev.shape
-    if n == 2:
-        keep = (np.abs(roots_rows[:, 0] - prev[:, 0])
-                + np.abs(roots_rows[:, 1] - prev[:, 1]))
-        swap = (np.abs(roots_rows[:, 1] - prev[:, 0])
-                + np.abs(roots_rows[:, 0] - prev[:, 1]))
-        take_swap = swap < keep
-        out = roots_rows.copy()
-        out[take_swap] = roots_rows[take_swap][:, ::-1]
-        return out
-    out = np.empty_like(prev)
-    for i in range(N):
-        out[i] = _nearest_perm(prev[i], roots_rows[i])
     return out
 
 

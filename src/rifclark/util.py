@@ -56,6 +56,8 @@ def _format_float(x):
         return "Infinity"
     if x == float("-inf"):
         return "-Infinity"
+    if x == 0.0 and np.signbit(x):
+        return "-0.0"  # "%.17g" gives "-0", which JSON reads as integer 0
     return "%.17g" % x
 
 

@@ -151,3 +151,22 @@ def test_mass_identity_random_alpha(t):
     alpha = np.exp(1j * np.pi * t)
     m = clark.build_measure(phi, alpha, 512)
     assert abs(clark.total_mass(m) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("name, alpha", [("fav", 1.0 + 0.0j),
+                                         ("squared", -1.0 + 0.0j)])
+def test_measure_json_reserialization_byte_identical(corpus, name, alpha):
+    # both measures carry -0.0 components, which must survive the trip
+    text = clark.measure_to_json(clark.build_measure(corpus[name], alpha, 512))
+    assert clark.measure_to_json(clark.measure_from_json(text)) == text
+
+
+@pytest.mark.parametrize("name", ["fav", "squared"])
+def test_poisson_exact_at_exceptional_alpha(corpus, name):
+    # the lines are split off exactly, so the uniform rule stays spectral
+    m = clark.build_measure(corpus[name], -1.0 + 0.0j, 1024)
+    rng = np.random.default_rng(5)
+    z = 0.7 * np.sqrt(rng.uniform(size=(20, 2))) \
+        * np.exp(2j * np.pi * rng.uniform(size=(20, 2)))
+    rep = clark.verify_poisson(m, [(a, b) for a, b in z])
+    assert rep.max_rel_err < 1e-12

@@ -165,3 +165,14 @@ def test_module_invocation_with_thread_cap(fav_json, tmp_path):
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "mass 1" in proc.stdout
+
+
+def test_library_imports_leave_scipy_out():
+    code = ("import sys\n"
+            "import rifclark.cli, rifclark.clark, rifclark.contact\n"
+            "import rifclark.embedding, rifclark.polydisk\n"
+            "print('scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -162,3 +164,23 @@ def test_traced_branches_are_unimodular_level_points(t):
     scale = np.max(np.abs(phi.level_coeffs(alpha)))
     assert np.max(np.abs(res)) < 1e-8 * scale
     assert np.min(br.weights) >= 0.0
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_assign_matches_brute_force_minimum(data):
+    n = data.draw(st.integers(1, 5))
+    m = data.draw(st.integers(1, 5))
+    cost = np.array(data.draw(st.lists(
+        st.floats(0.0, 10.0), min_size=n * m, max_size=n * m))).reshape(n, m)
+    rows, cols = levelset.assign(cost)
+    k = min(n, m)
+    assert len(rows) == len(cols) == k
+    assert np.all(np.diff(rows) > 0) and len(set(cols.tolist())) == k
+    if n <= m:
+        best = min(cost[np.arange(n), list(c)].sum()
+                   for c in permutations(range(m), n))
+    else:
+        best = min(cost[list(r), np.arange(m)].sum()
+                   for r in permutations(range(n), m))
+    assert abs(cost[rows, cols].sum() - best) <= 1e-12 * (1.0 + best)

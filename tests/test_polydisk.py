@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from rifclark import catalog, polydisk
+from rifclark import catalog, clark, polydisk
 from rifclark.errors import SingularDenominator, UnstableDenominator
+from rifclark.poly import PolyMD, Rif
 
 
 def closed_form_weight(s, alpha, z1, z2):
@@ -99,3 +100,21 @@ def test_integrate_d_constant():
     branches = polydisk.build_measure_d(phi, 1.0j, 32)
     got = polydisk.integrate_d(branches, lambda a, b, c: 1.0 + 0.0 * a * c)
     assert abs(got - polydisk.total_mass_d(branches)) < 1e-14
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_build_measure_d_mass_several_sheets(k):
+    # denominator s - z1 - z2 - z3^k: k roots in z3 over every slice
+    c = np.zeros((2, 2, k + 1), dtype=complex)
+    c[0, 0, 0] = 3.5
+    c[1, 0, 0] = c[0, 1, 0] = c[0, 0, k] = -1.0
+    phi = Rif(PolyMD(c))
+    alpha = np.exp(0.4j)
+    branches = polydisk.build_measure_d(phi, alpha, 64)
+    assert len(branches) == k
+    for hb in branches:
+        z1 = np.exp(1j * hb.theta1)[:, None]
+        z2 = np.exp(1j * hb.theta2)[None, :]
+        assert np.max(np.abs(phi(z1, z2, hb.values) - alpha)) < 1e-12
+    assert abs(polydisk.total_mass_d(branches)
+               - clark.expected_mass(phi, alpha)) < 1e-10
