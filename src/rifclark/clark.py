@@ -4,10 +4,16 @@ For unimodular alpha the Clark measure sigma_alpha of a RIF phi = q/p is
 the positive measure on the 2-torus with Poisson extension
 (1 - |phi|^2) / |alpha - phi|^2.  It lives on the alpha-level set of
 phi*: weighted arcs along the graph branches plus, for exceptional
-alpha, uniform pieces on full lines.  Horizontal lines T x {tau} are
-traced as constant branches and already carry their weight; vertical
-lines {tau} x T enter as separate uniform terms with the constant
-1/|d phi/d z1| along the line.
+alpha, uniform pieces on full lines.
+
+A ClarkMeasure is one quadrature rule: level-set points ``nodes`` with
+``weights`` (quadrature weight times Clark weight), plus the vertical
+lines {tau} x T, each carrying the constant 1/|d phi/d z1| and
+integrated on the uniform grid.  Horizontal lines T x {tau} are traced
+as constant branches, so they are already among the nodes.  Branch
+labels play no part: every integrator is a weighted sum over blocks of
+nodes, and ``polydisk.build_measure_d`` returns the same structure on
+the tridisk.
 """
 
 from __future__ import annotations
@@ -22,31 +28,50 @@ from .levelset import (
     Branch,
     LineComponent,
     line_constant,
-    trace_branches,
     detect_lines,
     weight_parts,
+    _refine_spikes,
+    _trace,
     _weight_tols,
     MAX_SPIKE_LEVELS,
     REFINE_FACTOR,
 )
-from .poly import PolyMD, Rif
+from .poly import Rif
 from .util import TWO_PI, canonical_json
 
 __all__ = [
     "ClarkMeasure", "build_measure", "weight_at", "line_constant",
-    "integrate", "total_mass", "verify_poisson", "PoissonReport",
-    "herglotz_moments", "herglotz_reconstruct", "HerglotzFunction",
-    "measure_to_json", "measure_from_json",
+    "integrate", "total_mass", "expected_mass", "verify_poisson",
+    "PoissonReport", "herglotz_moments", "herglotz_reconstruct",
+    "HerglotzFunction", "measure_to_json", "measure_from_json",
 ]
+
+# nodes per block of every integrator: bounds the (terms, nodes) matrices
+# of the moment, Gram and Poisson sums
+_BLOCK_NODES = 65536
 
 
 @dataclass
 class ClarkMeasure:
+    """A Clark measure as a quadrature rule on the d-torus.
+
+    ``nodes`` (n, d) are level-set points and ``weights`` (n,) the
+    quadrature weight times the Clark weight there.  ``lines`` are the
+    vertical line components; they enter every integral on the uniform
+    ``grid_n``-point grid.  ``branches`` keeps the labeled branches a
+    2-variable build traced; nothing in the package reads them and they
+    are not serialized.  The field exists only for the benchmark's
+    traced ``queries`` run (bench/workloads.py), which reads it, and
+    goes once the benchmark traces branches itself.
+    """
+
     phi: Rif
     alpha: complex
     grid_n: int
-    branches: list[Branch]
+    nodes: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
     lines: list[LineComponent]  # vertical components only
+    branches: list[Branch] = field(default_factory=list, repr=False)
 
     @property
     def theta(self) -> np.ndarray:
@@ -56,15 +81,54 @@ class ClarkMeasure:
 def build_measure(phi: Rif, alpha: complex, grid_n: int = 4096) -> ClarkMeasure:
     """Construct sigma_alpha on a uniform grid of ``grid_n`` angles.
 
-    At an exceptional alpha the lines are split off exactly, and the
-    remaining branches are left on the uniform grid: spike refinement
-    there would only trade the spectral rule for a trapezoid one.
+    Where a weight spike is narrower than the grid, refined nodes are
+    added; they sit at the same angles on every branch, so one composite
+    trapezoid rule in zeta1 replaces the uniform average.  At an
+    exceptional alpha the lines are split off exactly, and the remaining
+    branches are left on the uniform grid: spike refinement there would
+    only trade the spectral rule for a trapezoid one.
     """
     lines = detect_lines(phi, alpha)
-    branches = trace_branches(phi, alpha, grid_n, spike_refine=not lines)
+    branches, den = _trace(phi, alpha, grid_n)
+    zeta1 = np.exp(1j * branches[0].theta)
+    values = np.array([br.values for br in branches])
+    weights = np.array([br.weights for br in branches])
+    quad = np.full(grid_n, 1.0 / grid_n)
+    extras = None if lines else _refine_spikes(phi, alpha, branches, den)
+    if extras is not None:
+        ticks, extra_values, extra_weights = extras
+        sub = REFINE_FACTOR ** MAX_SPIKE_LEVELS
+        ticks = np.concatenate([np.arange(grid_n, dtype=np.int64) * sub, ticks])
+        order = np.argsort(ticks)
+        theta = TWO_PI * ticks[order].astype(float) / (grid_n * sub)
+        gaps = np.diff(np.concatenate([theta, [theta[0] + TWO_PI]]))
+        quad = (gaps + np.roll(gaps, 1)) / (2.0 * TWO_PI)
+        zeta1 = np.exp(1j * theta)
+        values = np.concatenate([values, extra_values], axis=1)[:, order]
+        weights = np.concatenate([weights, extra_weights], axis=1)[:, order]
+    nodes = np.stack([np.broadcast_to(zeta1, values.shape), values], axis=-1)
     return ClarkMeasure(phi=phi, alpha=complex(alpha), grid_n=grid_n,
-                        branches=branches,
-                        lines=[l for l in lines if l.axis == 1])
+                        nodes=nodes.reshape(-1, 2),
+                        weights=(quad * weights).ravel(),
+                        lines=[l for l in lines if l.axis == 1],
+                        branches=branches)
+
+
+def _blocks(measure: ClarkMeasure):
+    """Yield (nodes, weights) slices of at most _BLOCK_NODES nodes.
+
+    The stored nodes come first, then each vertical line on the uniform
+    grid with weight constant / grid_n per node.
+    """
+    parts = [(measure.nodes, measure.weights)]
+    N = measure.grid_n
+    for line in measure.lines:
+        parts.append((np.stack([np.full(N, complex(line.tau)),
+                                np.exp(1j * measure.theta)], axis=1),
+                      np.full(N, line.constant / N)))
+    for nodes, weights in parts:
+        for lo in range(0, len(weights), _BLOCK_NODES):
+            yield nodes[lo:lo + _BLOCK_NODES], weights[lo:lo + _BLOCK_NODES]
 
 
 def weight_at(phi: Rif, alpha: complex, zeta1, zeta2):
@@ -88,53 +152,17 @@ def weight_at(phi: Rif, alpha: complex, zeta1, zeta2):
         out.reshape(np.shape(num))
 
 
-def _merged_nodes(branch: Branch):
-    """Branch samples merged with refined extras, plus quadrature weights.
-
-    Returns (zeta1, values, weights, quad) with quad summing to 1.  With
-    no extras the quadrature is the plain uniform average, which for
-    periodic smooth integrands is spectrally accurate; extras switch the
-    affected branch to a composite trapezoid rule.
-    """
-    N = branch.grid_n
-    if branch.extra_ticks.size == 0:
-        zeta1 = np.exp(1j * branch.theta)
-        quad = np.full(N, 1.0 / N)
-        return zeta1, branch.values, branch.weights, quad
-    sub = REFINE_FACTOR ** MAX_SPIKE_LEVELS
-    ticks = np.concatenate([np.arange(N, dtype=np.int64) * sub,
-                            branch.extra_ticks])
-    vals = np.concatenate([branch.values, branch.extra_values])
-    wts = np.concatenate([branch.weights, branch.extra_weights])
-    order = np.argsort(ticks)
-    ticks, vals, wts = ticks[order], vals[order], wts[order]
-    theta = TWO_PI * ticks.astype(float) / (N * sub)
-    gaps = np.diff(np.concatenate([theta, [theta[0] + TWO_PI]]))
-    quad = (gaps + np.roll(gaps, 1)) / (2.0 * TWO_PI)
-    return np.exp(1j * theta), vals, wts, quad
-
-
 def integrate(measure: ClarkMeasure, f) -> complex:
-    """Integrate f(zeta1, zeta2) against the measure.
+    """Integrate f(zeta1, zeta2[, zeta3]) against the measure.
 
-    ``f`` must accept equal-shaped complex arrays and evaluate
-    elementwise.
+    ``f`` takes one complex array per torus coordinate, all of one
+    shape, and must evaluate elementwise.
     """
-    total = 0.0 + 0.0j
-    for br in measure.branches:
-        zeta1, vals, wts, quad = _merged_nodes(br)
-        total += np.sum(quad * wts * f(zeta1, vals))
-    if measure.lines:
-        zg = np.exp(1j * measure.theta)
-        for line in measure.lines:
-            tau = np.full_like(zg, line.tau)
-            total += line.constant * np.mean(f(tau, zg))
-    return complex(total)
+    return complex(sum(np.sum(w * f(*z.T)) for z, w in _blocks(measure)))
 
 
 def total_mass(measure: ClarkMeasure) -> float:
-    mass = integrate(measure, lambda z1, z2: np.ones_like(z1, dtype=float))
-    return float(np.real(mass))
+    return float(sum(np.sum(w) for _, w in _blocks(measure)))
 
 
 def expected_mass(phi: Rif, alpha: complex) -> float:
@@ -179,13 +207,17 @@ def verify_poisson(measure: ClarkMeasure, points,
     lhs = (1.0 - np.abs(vals) ** 2) / dist ** 2
 
     def poisson_factor(z, w):
-        return (1.0 - np.abs(w) ** 2) / np.abs(z - w) ** 2
+        # (points,) x (nodes,) -> (points, nodes)
+        return (1.0 - np.abs(w[:, None]) ** 2) / np.abs(z - w[:, None]) ** 2
 
     rhs = np.zeros(len(pts))
-    for k, (z1, z2) in enumerate(pts):
-        rhs[k] = np.real(integrate(
-            measure,
-            lambda a, b: poisson_factor(a, z1) * poisson_factor(b, z2)))
+    for z, w in _blocks(measure):
+        # 4 points at a time: the (points, nodes) temporaries stay a few
+        # MB, below what building the measure took, whatever the count
+        for lo in range(0, len(pts), 4):
+            p = pts[lo:lo + 4]
+            rhs[lo:lo + 4] += (poisson_factor(z[:, 0], p[:, 0])
+                               * poisson_factor(z[:, 1], p[:, 1])) @ w
     abs_err = np.abs(lhs - rhs)
     rel_err = abs_err / np.abs(lhs)
     return PoissonReport(points=pts, lhs=lhs, rhs=rhs, abs_err=abs_err,
@@ -200,19 +232,15 @@ def herglotz_moments(measure: ClarkMeasure, max_degree: int) -> np.ndarray:
     """Moment table c[j, k] = integral of conj(zeta1)^j conj(zeta2)^k."""
     D = max_degree
     C = np.zeros((D + 1, D + 1), dtype=complex)
-    for br in measure.branches:
-        zeta1, vals, wts, quad = _merged_nodes(br)
-        A = np.ones((D + 1, len(zeta1)), dtype=complex)
-        B = np.ones_like(A)
-        cz, cg = np.conj(zeta1), np.conj(vals)
+    for z, w in _blocks(measure):
+        A = np.empty((D + 1, len(w)), dtype=complex)
+        B = np.empty_like(A)
+        A[0], B[0] = w, 1.0
+        cz, cg = np.conj(z[:, 0]), np.conj(z[:, 1])
         for j in range(1, D + 1):
             A[j] = A[j - 1] * cz
             B[j] = B[j - 1] * cg
-        C += (A * (quad * wts)) @ B.T
-    for line in measure.lines:
-        # uniform in zeta2: only the k = 0 moments survive
-        tau_pow = np.conj(line.tau) ** np.arange(D + 1)
-        C[:, 0] += line.constant * tau_pow
+        C += A @ B.T
     return C
 
 
@@ -275,19 +303,8 @@ def measure_to_json(measure: ClarkMeasure) -> str:
             "den": _poly.poly_to_json_obj(measure.phi.den),
         },
         "mass": total_mass(measure),
-        "branches": [
-            {
-                "values": br.values,
-                "weights": br.weights,
-                "jump_index": br.jump_index,
-                "filled": br.filled,
-                "zero_over_zero": br.zero_over_zero,
-                "extra_ticks": br.extra_ticks,
-                "extra_values": br.extra_values,
-                "extra_weights": br.extra_weights,
-            }
-            for br in measure.branches
-        ],
+        "nodes": measure.nodes,
+        "weights": measure.weights,
         "lines": [
             {"axis": line.axis, "tau": complex(line.tau),
              "constant": line.constant}
@@ -298,38 +315,31 @@ def measure_to_json(measure: ClarkMeasure) -> str:
 
 
 def measure_from_json(text: str) -> ClarkMeasure:
+    """Read a measure written by measure_to_json.
+
+    Raises ValueError for anything else, including records without
+    ``nodes`` and ``weights`` such as the older per-branch format.
+    """
     import json
 
     obj = json.loads(text)
     if obj.get("type") != "clark_measure":
         raise ValueError("not a serialized Clark measure")
+    if "nodes" not in obj or "weights" not in obj:
+        raise ValueError("Clark measure record has no nodes and weights; "
+                         "per-branch records are no longer read")
     den = _poly.poly_from_json_obj(obj["rif"]["den"])
     phi = Rif(den, degrees=tuple(obj["rif"]["degrees"]))
-    alpha = complex(*obj["alpha"])
-    N = int(obj["grid_n"])
-    theta = TWO_PI * np.arange(N) / N
-
-    def carr(pairs):
-        # a view, not a[:, 0] + 1j * a[:, 1], which loses a -0.0 imaginary part
-        a = np.asarray(pairs, dtype=float).reshape(-1, 2)
-        return np.ascontiguousarray(a).view(complex).reshape(-1)
-
-    branches = []
-    for rec in obj["branches"]:
-        branches.append(Branch(
-            alpha=alpha,
-            theta=theta,
-            values=carr(rec["values"]),
-            weights=np.asarray(rec["weights"], dtype=float),
-            jump_index=rec["jump_index"],
-            filled=np.asarray(rec["filled"], dtype=int),
-            zero_over_zero=np.asarray(rec["zero_over_zero"], dtype=int),
-            extra_ticks=np.asarray(rec["extra_ticks"], dtype=np.int64),
-            extra_values=carr(rec["extra_values"]),
-            extra_weights=np.asarray(rec["extra_weights"], dtype=float),
-        ))
+    weights = np.asarray(obj["weights"], dtype=float)
+    pairs = np.ascontiguousarray(np.asarray(obj["nodes"], dtype=float))
+    if weights.ndim != 1 or pairs.shape != (len(weights), phi.dim, 2):
+        raise ValueError(f"Clark measure record needs one node of {phi.dim} "
+                         "[re, im] pairs per weight")
+    # a view, not re + 1j * im, which loses a -0.0 imaginary part
+    nodes = pairs.view(complex).reshape(len(weights), phi.dim)
     lines = [LineComponent(axis=int(rec["axis"]), tau=complex(*rec["tau"]),
                            constant=float(rec["constant"]))
              for rec in obj["lines"]]
-    return ClarkMeasure(phi=phi, alpha=alpha, grid_n=N, branches=branches,
-                        lines=lines)
+    return ClarkMeasure(phi=phi, alpha=complex(*obj["alpha"]),
+                        grid_n=int(obj["grid_n"]), nodes=nodes,
+                        weights=weights, lines=lines)

@@ -93,7 +93,7 @@ def cmd_analyze(args) -> int:
     expected = clark.expected_mass(phi, alpha)
     _write(args.out, clark.measure_to_json(measure))
     print(f"alpha {alpha:.17g} grid {args.grid}")
-    print(f"branches {len(measure.branches)} lines {len(measure.lines)}")
+    print(f"nodes {len(measure.weights)} lines {len(measure.lines)}")
     print(f"mass {mass:.17g} expected {expected:.17g} "
           f"gap {abs(mass - expected):.3g}")
     print(f"wrote {args.out}")
@@ -267,9 +267,9 @@ def cmd_tridisk(args) -> int:
         did = True
     if args.build:
         phi = catalog.tridisk_rif(s)
-        branches = polydisk.build_measure_d(phi, alpha, min(args.grid, 256))
-        mass = polydisk.total_mass_d(branches)
-        print(f"built {len(branches)} hyper-branch(es), mass {mass:.12g}")
+        measure = polydisk.build_measure_d(phi, alpha, min(args.grid, 256))
+        mass = polydisk.total_mass_d(measure)
+        print(f"built {len(measure.weights)} nodes, mass {mass:.12g}")
         did = True
     if not did:
         print("nothing to do: pass --diagonal, --surface, --point or --build",

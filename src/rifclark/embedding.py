@@ -16,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import poly as _poly
-from .clark import ClarkMeasure, _merged_nodes, total_mass
+from .clark import ClarkMeasure, _blocks
 from .errors import DenominatorVanishes
 from .levelset import trace_branches
 from .poly import PolyMD, Rif, companion_roots, trim
-from .util import TWO_PI
 
 
 @dataclass(frozen=True)
@@ -69,18 +68,10 @@ def gram_isometry_check(phi: Rif, alpha: complex, points,
 
     prefac = 1.0 - complex(measure.alpha) * np.conj(phw)
     embedded = np.zeros((M, M), dtype=complex)
-    for br in measure.branches:
-        zeta1, vals, wts, quad = _merged_nodes(br)
+    for z, wq in _blocks(measure):
         F = prefac[:, None] * _szego((w[:, 0][:, None], w[:, 1][:, None]),
-                                     zeta1[None, :], vals[None, :])
-        embedded += (F * (quad * wts)) @ np.conj(F).T
-    if measure.lines:
-        zg = np.exp(1j * measure.theta)
-        for line in measure.lines:
-            F = prefac[:, None] * _szego((w[:, 0][:, None], w[:, 1][:, None]),
-                                         np.full_like(zg, line.tau)[None, :],
-                                         zg[None, :])
-            embedded += (line.constant / len(zg)) * (F @ np.conj(F).T)
+                                     z[None, :, 0], z[None, :, 1])
+        embedded += (F * wq) @ np.conj(F).T
     err = float(np.max(np.abs(model - embedded)))
     return GramReport(sample_points=w, gram_model=model,
                       gram_embedded=embedded, max_abs_error=err)
@@ -125,8 +116,8 @@ def _split_axis1(coeffs):
     return head, tail
 
 
-def conj_rational(phi: Rif, alpha: complex, grid_n: int = 512,
-                  branches=None) -> ConjRational:
+def conj_rational(phi: Rif, alpha: complex,
+                  grid_n: int = 512) -> ConjRational:
     """Build the rational functions agreeing with conj(zeta_j) on the level set.
 
     Raises DenominatorVanishes when a denominator has a root on the
@@ -168,10 +159,8 @@ def conj_rational(phi: Rif, alpha: complex, grid_n: int = 512,
 
     cr = ConjRational(alpha=alpha, r1_num=r1_num, r1_den=r1_den,
                       r2_num=r2_num, r2_den=r2_den, max_residual=(0.0, 0.0))
-    if branches is None:
-        branches = trace_branches(phi, alpha, grid_n, spike_refine=False)
     res1 = res2 = 0.0
-    for br in branches:
+    for br in trace_branches(phi, alpha, grid_n):
         z1 = np.exp(1j * br.theta)
         res1 = max(res1, float(np.max(np.abs(cr.r1(z1, br.values)
                                              - np.conj(z1)))))
@@ -190,13 +179,10 @@ def _torus_moments(measure: ClarkMeasure, S: int) -> np.ndarray:
     """Moment table M[s, t] = integral of zeta1^s zeta2^t, |s|,|t| <= S."""
     exps = np.arange(-S, S + 1)
     M = np.zeros((2 * S + 1, 2 * S + 1), dtype=complex)
-    for br in measure.branches:
-        zeta1, vals, wts, quad = _merged_nodes(br)
-        A = zeta1[None, :] ** exps[:, None]
-        B = vals[None, :] ** exps[:, None]
-        M += (A * (quad * wts)) @ B.T
-    for line in measure.lines:
-        M[:, S] += line.constant * (np.asarray(line.tau) ** exps)
+    for z, w in _blocks(measure):
+        A = z[None, :, 0] ** exps[:, None] * w
+        B = z[None, :, 1] ** exps[:, None]
+        M += A @ B.T
     return M
 
 

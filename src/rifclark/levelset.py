@@ -30,6 +30,7 @@ from .util import TWO_PI, angular_distance, unit_circle_points
 
 REFINE_FACTOR = 8
 MAX_SPIKE_LEVELS = 6
+COLLISION_LEVELS = 3
 ZERO_SLICE_REL_TOL = 1e-10
 UNIMODULAR_TOL = 1e-6
 
@@ -48,10 +49,7 @@ class Branch:
 
     ``theta`` holds N uniformly spaced angles; ``values`` the unimodular
     samples g(e^{i theta}); ``weights`` the Clark branch weight at each
-    node.  ``extra_ticks`` (integer positions on a 8**MAX_SPIKE_LEVELS
-    times finer grid) carry adaptively refined samples near weight spikes
-    or singularities; they are folded into quadrature by the measure
-    integrator.  ``jump_index`` marks the one grid node where branch
+    node.  ``jump_index`` marks the one grid node where branch
     relabeling across the wrap-around is permitted.
     """
 
@@ -64,20 +62,10 @@ class Branch:
                                repr=False)
     zero_over_zero: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=int), repr=False)
-    extra_ticks: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int64), repr=False)
-    extra_values: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=complex), repr=False)
-    extra_weights: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=float), repr=False)
 
     @property
     def grid_n(self) -> int:
         return len(self.theta)
-
-    def extra_theta(self) -> np.ndarray:
-        fine = self.grid_n * REFINE_FACTOR ** MAX_SPIKE_LEVELS
-        return TWO_PI * self.extra_ticks / fine
 
 
 @dataclass(frozen=True)
@@ -208,9 +196,8 @@ def _chain_match(hcoef, ref, theta_lo, theta_hi, level, max_level):
     return cur
 
 
-def trace_branches(phi: Rif, alpha: complex, grid_n: int = 4096, *,
-                   spike_refine: bool = True,
-                   collision_levels: int = 3) -> list[Branch]:
+def trace_branches(phi: Rif, alpha: complex,
+                   grid_n: int = 4096) -> list[Branch]:
     """Trace the graph components of the level set at unimodular alpha.
 
     Parameters
@@ -221,11 +208,12 @@ def trace_branches(phi: Rif, alpha: complex, grid_n: int = 4096, *,
         Unimodular target value.
     grid_n : int
         Number of uniform angle samples; a power of two, at least 256.
-    spike_refine : bool
-        Adaptively refine around unresolved weight spikes (they appear
-        when alpha comes close to an exceptional value and mass starts to
-        pile up along an emerging line).
     """
+    return _trace(phi, alpha, grid_n)[0]
+
+
+def _trace(phi, alpha, grid_n):
+    """trace_branches, plus the (n_branches, grid_n) weight denominators."""
     if phi.dim != 2:
         raise ValueError("trace_branches expects a two-variable inner function")
     if grid_n < 256 or grid_n & (grid_n - 1):
@@ -260,7 +248,7 @@ def trace_branches(phi: Rif, alpha: complex, grid_n: int = 4096, *,
         if ambiguous and n_br > 1:
             prev = (i - 1) % grid_n
             col = _chain_match(hcoef, ref, theta[prev],
-                               theta[prev] + dtheta, 1, collision_levels)
+                               theta[prev] + dtheta, 1, COLLISION_LEVELS)
             col, still = _match_column(col, roots[i], 1e-12)
             if still:
                 gaps = np.abs(col[:, None] - col[None, :])
@@ -296,7 +284,7 @@ def trace_branches(phi: Rif, alpha: complex, grid_n: int = 4096, *,
         zoz |= bad
     _extrapolate_weights(weights, zoz)
 
-    branches = [
+    return [
         Branch(
             alpha=alpha,
             theta=theta,
@@ -307,11 +295,7 @@ def trace_branches(phi: Rif, alpha: complex, grid_n: int = 4096, *,
             zero_over_zero=np.nonzero(zoz[b])[0],
         )
         for b in range(n_br)
-    ]
-
-    if spike_refine:
-        _refine_spikes(phi, alpha, hcoef, branches, den, num_tol, den_tol)
-    return branches
+    ], den
 
 
 def _fill_missing(values, theta):
@@ -408,14 +392,26 @@ def _solve_window(phi, alpha, hcoef, ticks, fine, seeds, num_tol, den_tol):
     return vals, wts, den
 
 
-def _refine_spikes(phi, alpha, hcoef, branches, den, num_tol, den_tol):
-    """Refine cells where a branch weight spike is narrower than the grid."""
+def _refine_spikes(phi, alpha, branches, den):
+    """Refine cells where a branch weight spike is narrower than the grid.
+
+    Spikes appear when alpha comes close to an exceptional value and mass
+    starts to pile up along an emerging line; ``den`` holds the weight
+    denominators of the traced branches, where the spikes show.  Returns
+    None when no spike needs refinement, else (ticks, values, weights):
+    sorted integer positions strictly between base nodes on a grid
+    REFINE_FACTOR ** MAX_SPIKE_LEVELS times finer, shared by every
+    branch, and the (n_branches, len(ticks)) samples and Clark weights
+    there.
+    """
     N = branches[0].grid_n
+    hcoef = phi.level_coeffs(alpha)
+    num_tol, den_tol = _weight_tols(phi, alpha)
+    seeds0 = np.array([br.values for br in branches])
     fine = N * REFINE_FACTOR ** MAX_SPIKE_LEVELS
     dtheta = TWO_PI / N
     cells: set[int] = set()
-    for b, br in enumerate(branches):
-        db = den[b]
+    for db in den:
         med = float(np.median(db))
         if med <= 0.0:
             continue
@@ -430,9 +426,8 @@ def _refine_spikes(phi, alpha, hcoef, branches, den, num_tol, den_tol):
                 for c in range(i - 6, i + 6):
                     cells.add(c % N)
     if not cells:
-        return
+        return None
     windows = _group_cells(sorted(cells), N)
-    seeds0 = np.array([br.values for br in branches])
     extras: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def recurse(lo_tick, hi_tick, level, seeds):
@@ -465,7 +460,12 @@ def _refine_spikes(phi, alpha, hcoef, branches, den, num_tol, den_tol):
         seeds = seeds0[:, c_lo % N].copy()
         recurse(lo_tick, hi_tick, 1, seeds)
 
-    _attach_extras(branches, extras, fine)
+    ticks = np.mod(np.concatenate([t for t, _, _ in extras]), fine)
+    keep = np.nonzero(ticks % (fine // N) != 0)[0]
+    ticks, idx = np.unique(ticks[keep], return_index=True)
+    pick = keep[idx]
+    return (ticks, np.concatenate([v for _, v, _ in extras], axis=1)[:, pick],
+            np.concatenate([w for _, _, w in extras], axis=1)[:, pick])
 
 
 def _group_cells(cells, N):
@@ -485,23 +485,6 @@ def _group_cells(cells, N):
         last = windows.pop()
         windows.insert(0, (last[0] - N, first[1]))
     return windows
-
-
-def _attach_extras(branches, extras, fine):
-    if not extras:
-        return
-    N = branches[0].grid_n
-    base = fine // N
-    all_ticks = np.concatenate([t for t, _, _ in extras])
-    for b, br in enumerate(branches):
-        vals = np.concatenate([v[b] for _, v, _ in extras])
-        wts = np.concatenate([w[b] for _, _, w in extras])
-        ticks = np.mod(all_ticks, fine)
-        keep = np.nonzero(ticks % base != 0)[0]
-        ticks, idx = np.unique(ticks[keep], return_index=True)
-        br.extra_ticks = ticks
-        br.extra_values = vals[keep][idx]
-        br.extra_weights = wts[keep][idx]
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import poly as _poly
+from .clark import ClarkMeasure, total_mass
 from .errors import RootFindFailure, SingularDenominator, UnstableDenominator
 from .levelset import _polyval_rows
 from .poly import Rif, companion_roots, derivative_coeffs, slice_coeffs, \
@@ -24,38 +25,25 @@ from .poly import Rif, companion_roots, derivative_coeffs, slice_coeffs, \
 from .util import TWO_PI
 
 __all__ = [
-    "HyperBranch", "build_measure_d", "integrate_d", "total_mass_d",
+    "build_measure_d", "total_mass_d",
     "tridisk_level", "tridisk_weight", "verify_poisson_d", "PoissonReportD",
     "two_path_witness", "level_surface_rows",
 ]
 
 
-@dataclass
-class HyperBranch:
-    """One layer of level-set points zeta3 over a grid on the 2-torus.
-
-    Layer b holds the b-th slice root at each grid node, so a layer need
-    not be one continuous sheet; the measure sums over all layers, which
-    is what makes the labels irrelevant.
-    """
-
-    alpha: complex
-    theta1: np.ndarray
-    theta2: np.ndarray
-    values: np.ndarray   # (N, N)
-    weights: np.ndarray  # (N, N)
-
-
 def build_measure_d(phi: Rif, alpha: complex,
-                    grid_n: int = 256) -> list[HyperBranch]:
-    """Hyper-branches of the Clark measure of a singularity-free 3-var RIF.
+                    grid_n: int = 256) -> ClarkMeasure:
+    """Clark measure of a singularity-free 3-var RIF on a tensor grid.
 
     Requires the stability certificate to keep a margin off the boundary
     (min slice-root modulus > 1 + 1e-6); denominators with boundary
     zeros — phi_3 at (1,1,1) for instance — are refused, since the
     absolutely-continuous structure formula breaks down there.
-    No continuation is run: the layers are the companion roots of each
-    slice, Newton-polished.
+    No continuation is run: the nodes over each grid point (zeta1, zeta2)
+    are all companion roots zeta3 of its slice, Newton-polished, and the
+    measure sums over them, so no root needs a label.  The nodes are
+    (grid_n**2 * n, 3) with n the degree in z3, weighted by the tensor
+    trapezoid rule times the Clark weight |p| / |d/dz3 (q - alpha p)|.
     """
     if phi.dim != 3:
         raise ValueError("build_measure_d handles exactly three variables")
@@ -81,8 +69,6 @@ def build_measure_d(phi: Rif, alpha: complex,
         raise RootFindFailure(
             "a slice dropped degree; the surface is not a clean cover "
             "of the 2-torus")
-    # the measure sums over all roots of a slice, so layer b simply holds
-    # the b-th companion root, then a few Newton steps polish every layer
     flat = np.array(roots).T
     drows = rows[:, 1:] * np.arange(1, rows.shape[1])
     for _ in range(3):
@@ -90,34 +76,17 @@ def build_measure_d(phi: Rif, alpha: complex,
         fp = _polyval_rows(drows, flat)
         good = np.abs(fp) > 1e-12
         flat = flat - np.where(good, f / np.where(good, fp, 1.0), 0.0)
-    vals = flat.reshape(n_br, N, N)
 
-    hd = derivative_coeffs(h, 3)
-    out = []
-    pden = phi.den
-    for b in range(n_br):
-        zs = [Z1, Z2, vals[b]]
-        num = np.abs(_poly._eval_tensor(pden.coeffs, zs))
-        den = np.abs(_poly._eval_tensor(hd, zs))
-        out.append(HyperBranch(alpha=complex(alpha), theta1=theta,
-                               theta2=theta, values=vals[b],
-                               weights=num / den))
-    return out
+    zs = [np.broadcast_to(pts[:, 0], flat.shape),
+          np.broadcast_to(pts[:, 1], flat.shape), flat]
+    num = np.abs(_poly._eval_tensor(phi.den.coeffs, zs))
+    den = np.abs(_poly._eval_tensor(derivative_coeffs(h, 3), zs))
+    return ClarkMeasure(phi=phi, alpha=complex(alpha), grid_n=N,
+                        nodes=np.stack(zs, axis=-1).reshape(-1, 3),
+                        weights=(num / den).ravel() / (N * N), lines=[])
 
 
-def integrate_d(branches: list[HyperBranch], f) -> complex:
-    """Tensor-trapezoid integration of f(z1, z2, z3) over the hyper-branches."""
-    total = 0.0 + 0.0j
-    for hb in branches:
-        Z1 = np.exp(1j * hb.theta1)[:, None]
-        Z2 = np.exp(1j * hb.theta2)[None, :]
-        total += np.mean(hb.weights * f(Z1, Z2, hb.values))
-    return complex(total)
-
-
-def total_mass_d(branches: list[HyperBranch]) -> float:
-    return float(np.real(integrate_d(
-        branches, lambda a, b, c: np.ones(np.broadcast(a, b, c).shape))))
+total_mass_d = total_mass
 
 
 # ---------------------------------------------------------------------------

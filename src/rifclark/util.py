@@ -61,6 +61,28 @@ def _format_float(x):
     return "%.17g" % x
 
 
+def _format_array(a):
+    """Canonical text of a float or complex array, nested like tolist().
+
+    Same bytes as _format_float on every element (a complex one is
+    [re, im]).  Each row along the first axis is one %-format of a
+    nested template; only rows holding -0.0, NaN or an infinity, which
+    "%.17g" spells differently, go through _format_float.
+    """
+    if a.dtype.kind == "c":
+        a = np.ascontiguousarray(a).view(a.real.dtype).reshape(a.shape + (2,))
+    rows = a.reshape(a.shape[0] if a.ndim else 1, -1)
+    tmpl = "%s"
+    for n in reversed(a.shape[1:]):
+        tmpl = "[" + ",".join([tmpl] * n) + "]"
+    fast = tmpl.replace("%s", "%.17g")
+    text = [fast % tuple(r) for r in rows.tolist()]
+    odd = ~np.isfinite(rows) | ((rows == 0.0) & np.signbit(rows))
+    for i in np.nonzero(odd.any(axis=1))[0].tolist():
+        text[i] = tmpl % tuple(map(_format_float, rows[i].tolist()))
+    return text[0] if a.ndim == 0 else "[" + ",".join(text) + "]"
+
+
 def _canonical(obj, parts):
     if obj is None:
         parts.append("null")
@@ -92,7 +114,10 @@ def _canonical(obj, parts):
             _canonical(obj[key], parts)
         parts.append("}")
     elif isinstance(obj, np.ndarray):
-        _canonical(obj.tolist(), parts)
+        if obj.dtype.kind in "fc" and obj.size:
+            parts.append(_format_array(obj))
+        else:
+            _canonical(obj.tolist(), parts)
     elif isinstance(obj, (list, tuple)):
         parts.append("[")
         for i, item in enumerate(obj):

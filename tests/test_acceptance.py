@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 
 import conftest
-from rifclark import catalog, clark, contact, embedding, levelset, polydisk
+from rifclark import catalog, clark, contact, embedding, polydisk
 
 GEN = np.exp(0.7j)          # a generic alpha for every corpus member
 ALPHAS_8 = [1.0 + 0.0j, -1.0 + 0.0j, 1.0j, -1.0j,
@@ -79,15 +79,13 @@ def test_c2_poisson_identity(corpus, squared):
 def test_c3_closed_form_branch(fav):
     with criterion(3, "closed-form branch and weights at alpha=1"):
         m = cached_measure(fav, "fav", 1.0 + 0.0j, 4096)
-        assert len(m.branches) == 1
-        br = m.branches[0]
-        zeta = np.exp(1j * br.theta)
-        assert np.max(np.abs(br.values - np.conj(zeta))) < 1e-10
-        assert np.max(np.abs(br.weights - (1 - np.cos(br.theta)))) < 1e-8
-        if len(br.extra_ticks):
-            et = br.extra_theta()
-            assert np.max(np.abs(br.extra_values - np.exp(-1j * et))) < 1e-10
-            assert np.max(np.abs(br.extra_weights - (1 - np.cos(et)))) < 1e-8
+        # one branch on the uniform grid, so each weight is the Clark
+        # weight over 4096
+        assert m.nodes.shape == (4096, 2)
+        z1, z2 = m.nodes.T
+        assert np.max(np.abs(z1 - np.exp(1j * m.theta))) < 1e-15
+        assert np.max(np.abs(z2 - np.conj(z1))) < 1e-10
+        assert np.max(np.abs(4096 * m.weights - (1 - np.cos(m.theta)))) < 1e-8
 
 
 def test_c4_exceptional_structure(squared):
@@ -98,13 +96,12 @@ def test_c4_exceptional_structure(squared):
         assert taus == [-1, 1] and all(ln.axis == 1 for ln in m.lines)
         for ln in m.lines:
             assert abs(ln.constant - 0.25) < 1e-8
-        assert len(m.branches) == 2
-        consts = []
-        for br in m.branches:
-            assert np.max(np.abs(br.values - br.values[0])) < 1e-10
-            assert np.max(np.abs(br.weights - 0.25)) < 1e-8
-            consts.append(complex(br.values[0]))
-        assert sorted(round(c.real) for c in consts) == [-1, 1]
+        # two constant branches zeta2 = +-1 on the uniform grid, weight 1/4
+        assert m.nodes.shape == (2 * 4096, 2)
+        z2 = m.nodes[:, 1]
+        for c in (1.0, -1.0):
+            assert np.sum(np.abs(z2 - c) < 1e-10) == 4096
+        assert np.max(np.abs(4096 * m.weights - 0.25)) < 1e-8
         assert abs(clark.total_mass(m) - 1.0) < 1e-12
 
 
@@ -147,11 +144,11 @@ def test_c7_tridisk():
         # general builder against the closed-form weight, s = 4
         phi4 = catalog.tridisk_rif(4.0)
         for alpha in (1.0 + 0.0j, 1.0j, np.exp(0.9j)):
-            br = polydisk.build_measure_d(phi4, alpha, 64)[0]
-            z1 = np.exp(1j * br.theta1)[:, None]
-            z2 = np.exp(1j * br.theta2)[None, :]
+            m = polydisk.build_measure_d(phi4, alpha, 64)
+            assert m.nodes.shape == (64 * 64, 3)
+            z1, z2, _ = m.nodes.T
             w = polydisk.tridisk_weight(4.0, alpha, z1, z2)
-            assert np.max(np.abs(br.weights - w)) < 1e-8
+            assert np.max(np.abs(64 * 64 * m.weights - w)) < 1e-8
 
         rep = polydisk.verify_poisson_d(4.0, np.exp(0.9j),
                                         (0.3 + 0.2j, -0.4j, 0.25), 512)
@@ -187,16 +184,10 @@ def test_c9_support_and_weak_star(corpus, squared):
         for name, phi, alpha in cases:
             h = phi.level_coeffs(alpha)
             scale = np.max(np.abs(h))
-            for br in levelset.trace_branches(phi, alpha, 2048):
-                zeta = np.exp(1j * br.theta)
-                res = np.abs(phi.num(zeta, br.values)
-                             - alpha * phi.den(zeta, br.values))
-                assert np.max(res) < 1e-8 * scale, name
-                if len(br.extra_ticks):
-                    ez = np.exp(1j * br.extra_theta())
-                    res = np.abs(phi.num(ez, br.extra_values)
-                                 - alpha * phi.den(ez, br.extra_values))
-                    assert np.max(res) < 1e-8 * scale, name
+            # every measure node, refined ones included, is a level point
+            z1, z2 = clark.build_measure(phi, alpha, 2048).nodes.T
+            res = np.abs(phi.num(z1, z2) - alpha * phi.den(z1, z2))
+            assert np.max(res) < 1e-8 * scale, name
 
         def f(z1, z2):
             return (np.real(z1 ** 2)

@@ -170,3 +170,71 @@ def test_poisson_exact_at_exceptional_alpha(corpus, name):
         * np.exp(2j * np.pi * rng.uniform(size=(20, 2)))
     rep = clark.verify_poisson(m, [(a, b) for a, b in z])
     assert rep.max_rel_err < 1e-12
+
+
+def test_measure_json_round_trip_with_refined_nodes(squared):
+    m = clark.build_measure(squared, -np.exp(0.05j), 512)
+    assert len(m.weights) > 2 * 512  # spike refinement added nodes
+    text = clark.measure_to_json(m)
+    back = clark.measure_from_json(text)
+    assert clark.measure_to_json(back) == text
+    assert clark.total_mass(back) == clark.total_mass(m)
+
+
+def _drop(*keys):
+    def damage(obj):
+        for key in keys:
+            del obj[key]
+        obj["branches"] = []  # the older per-branch layout
+    return damage
+
+
+def _halve_weights(obj):
+    # 2n nodes would still reshape to n rows of 4 coordinates
+    obj["weights"] = obj["weights"][: len(obj["weights"]) // 2]
+
+
+@pytest.mark.parametrize("damage", [
+    _drop("nodes"), _drop("weights"), _drop("nodes", "weights"),
+    _halve_weights,
+    lambda obj: obj.update(weights=1.0),
+    lambda obj: obj.update(nodes=[node[:1] for node in obj["nodes"]]),
+], ids=["no_nodes", "no_weights", "per_branch", "half_weights",
+        "scalar_weight", "one_coordinate"])
+def test_measure_from_json_rejects_malformed_records(fav_measure_alphai,
+                                                     damage):
+    import json
+
+    obj = json.loads(clark.measure_to_json(fav_measure_alphai))
+    damage(obj)
+    with pytest.raises(ValueError):
+        clark.measure_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("alpha", [-np.exp(0.05j), -1.0 + 0.0j],
+                         ids=["refined", "lines"])
+def test_block_sums_match_pointwise_integrals(squared, monkeypatch, alpha):
+    # the matmul forms against the plain integral, one point or moment at
+    # a time, with blocks far smaller than the measure and more points
+    # than one Poisson pass takes
+    m = clark.build_measure(squared, alpha, 512)
+    pts = [(0.3 + 0.2j, -0.4j), (0.1, 0.5 - 0.1j), (-0.2j, 0.6),
+           (0.45, 0.1 + 0.1j), (-0.5 + 0.3j, -0.2), (0.05, -0.05j)]
+    rhs = clark.verify_poisson(m, pts).rhs
+    C = clark.herglotz_moments(m, 3)
+    monkeypatch.setattr(clark, "_BLOCK_NODES", 300)
+    assert np.allclose(clark.verify_poisson(m, pts).rhs, rhs,
+                       rtol=1e-13, atol=0.0)
+    assert np.allclose(clark.herglotz_moments(m, 3), C, rtol=0.0, atol=1e-14)
+
+    def poisson(z, w):
+        return (1 - abs(w) ** 2) / np.abs(z - w) ** 2
+
+    for (w1, w2), r in zip(pts, rhs):
+        ref = clark.integrate(m, lambda a, b: poisson(a, w1) * poisson(b, w2))
+        assert abs(ref - r) < 1e-13 * abs(r)
+    for j in range(4):
+        for k in range(4):
+            ref = clark.integrate(
+                m, lambda a, b: np.conj(a) ** j * np.conj(b) ** k)
+            assert abs(ref - C[j, k]) < 1e-14

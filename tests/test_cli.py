@@ -43,6 +43,7 @@ def test_analyze_verify_round_trip(fav_json, tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "mass 1" in out
+    assert "nodes 1024 lines 0" in out
     rc = main(["verify", "--measure", mpath, "--points", "5",
                "--tol", "1e-6"])
     assert rc == 0
@@ -106,6 +107,30 @@ def test_reconstruct_round_trip(fav_json, tmp_path, capsys):
     obj = json.loads(open(hpath).read())
     assert obj["sup_error_half_disk"] < 1e-8
     capsys.readouterr()
+
+
+def test_verify_rejects_per_branch_measure_file(fav_json, tmp_path, capsys):
+    mpath = tmp_path / "m.json"
+    main(["analyze", "--poly", fav_json, "--alpha", "i", "--grid", "256",
+          "--out", str(mpath)])
+    capsys.readouterr()
+    obj = json.loads(mpath.read_text())
+    obj["branches"] = [{"values": obj.pop("nodes"),
+                        "weights": obj.pop("weights")}]
+    mpath.write_text(json.dumps(obj))
+    rc = main(["verify", "--measure", str(mpath)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ValueError"
+
+
+def test_tridisk_build_reports_nodes_and_mass(capsys):
+    rc = main(["tridisk", "--s", "4", "--alpha", "i", "--grid", "32",
+               "--build"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "built 1024 nodes, mass " in out
+    assert abs(float(out.split("mass ")[1].split()[0]) - 1.0) < 1e-8
 
 
 def test_tridisk_diagonal_csv(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rifclark import catalog, levelset
+from rifclark import catalog, clark, levelset
 from rifclark.errors import NonConstantDerivative
 
 
@@ -69,7 +69,7 @@ def test_grid_must_be_power_of_two(fav):
 def test_weights_are_nonnegative(fav):
     br = levelset.trace_branches(fav, np.exp(0.3j), 256)[0]
     assert np.min(br.weights) >= 0.0
-    assert np.min(br.extra_weights, initial=0.0) >= 0.0
+    assert np.min(clark.build_measure(fav, np.exp(0.3j), 256).weights) >= 0.0
 
 
 def test_detect_lines_generic_alpha_empty(fav, squared):
@@ -122,15 +122,22 @@ def test_find_singularities(fav, squared, monomial, diagonal):
 
 def test_spike_refinement_adds_extras_near_exceptional(squared):
     alpha = -np.exp(0.05j)
-    br = levelset.trace_branches(squared, alpha, 512)[0]
-    assert len(br.extra_ticks) > 0
-    # extras live strictly between base nodes on the fine grid
-    fine = br.grid_n * levelset.REFINE_FACTOR ** levelset.MAX_SPIKE_LEVELS
-    step = fine // br.grid_n
-    assert np.all(br.extra_ticks % step != 0) or np.all(
-        br.extra_ticks % (fine // br.grid_n) != 0)
-    plain = levelset.trace_branches(squared, alpha, 512, spike_refine=False)[0]
-    assert len(plain.extra_ticks) == 0
+    N = 512
+    m = clark.build_measure(squared, alpha, N)
+    # node positions in units of the base grid spacing
+    pos = np.angle(m.nodes[:, 0]) % (2 * np.pi) * N / (2 * np.pi)
+    base = np.abs(pos - np.round(pos)) < 1e-9
+    assert np.sum(base) == 2 * N
+    assert np.sum(~base) > 0
+    # extras live strictly between base nodes on the fine grid, at the
+    # same angles on both branches
+    ticks = pos[~base] * levelset.REFINE_FACTOR ** levelset.MAX_SPIKE_LEVELS
+    assert np.max(np.abs(ticks - np.round(ticks))) < 1e-6
+    _, counts = np.unique(np.round(ticks), return_counts=True)
+    assert np.all(counts == 2)
+    # labeled branches stay on the uniform grid
+    assert [br.grid_n for br in levelset.trace_branches(squared, alpha, N)] \
+        == [N, N]
 
 
 def test_branch_csv_format(fav, tmp_path):

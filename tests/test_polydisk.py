@@ -61,14 +61,13 @@ def test_family_needs_s_at_least_three():
 def test_build_measure_d_matches_closed_form():
     s, alpha = 4.0, np.exp(0.9j)
     phi = catalog.tridisk_rif(s)
-    branches = polydisk.build_measure_d(phi, alpha, 64)
-    assert len(branches) == 1
-    br = branches[0]
-    z1 = np.exp(1j * br.theta1)[:, None]
-    z2 = np.exp(1j * br.theta2)[None, :]
-    assert np.max(np.abs(br.weights - closed_form_weight(s, alpha, z1, z2))) \
-        < 1e-8
-    assert abs(polydisk.total_mass_d(branches) - 1.0) < 1e-8
+    m = polydisk.build_measure_d(phi, alpha, 64)
+    assert m.nodes.shape == (64 * 64, 3)
+    assert np.max(np.abs(np.abs(m.nodes) - 1.0)) < 1e-12
+    z1, z2, _ = m.nodes.T
+    assert np.max(np.abs(64 * 64 * m.weights
+                         - closed_form_weight(s, alpha, z1, z2))) < 1e-8
+    assert abs(polydisk.total_mass_d(m) - 1.0) < 1e-8
 
 
 def test_build_measure_d_refuses_boundary_stability():
@@ -95,11 +94,11 @@ def test_two_path_witness():
     assert abs(gap - 2.0) < 1e-6
 
 
-def test_integrate_d_constant():
+def test_integrate_constant_on_tridisk_measure():
     phi = catalog.tridisk_rif(5.0)
-    branches = polydisk.build_measure_d(phi, 1.0j, 32)
-    got = polydisk.integrate_d(branches, lambda a, b, c: 1.0 + 0.0 * a * c)
-    assert abs(got - polydisk.total_mass_d(branches)) < 1e-14
+    m = polydisk.build_measure_d(phi, 1.0j, 32)
+    got = clark.integrate(m, lambda a, b, c: 1.0 + 0.0 * a * c)
+    assert abs(got - clark.total_mass(m)) < 1e-14
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -110,11 +109,8 @@ def test_build_measure_d_mass_several_sheets(k):
     c[1, 0, 0] = c[0, 1, 0] = c[0, 0, k] = -1.0
     phi = Rif(PolyMD(c))
     alpha = np.exp(0.4j)
-    branches = polydisk.build_measure_d(phi, alpha, 64)
-    assert len(branches) == k
-    for hb in branches:
-        z1 = np.exp(1j * hb.theta1)[:, None]
-        z2 = np.exp(1j * hb.theta2)[None, :]
-        assert np.max(np.abs(phi(z1, z2, hb.values) - alpha)) < 1e-12
-    assert abs(polydisk.total_mass_d(branches)
+    m = polydisk.build_measure_d(phi, alpha, 64)
+    assert m.nodes.shape == (k * 64 * 64, 3)
+    assert np.max(np.abs(phi(*m.nodes.T) - alpha)) < 1e-12
+    assert abs(polydisk.total_mass_d(m)
                - clark.expected_mass(phi, alpha)) < 1e-10
