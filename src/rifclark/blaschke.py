@@ -70,8 +70,8 @@ def slice_roots(phi: Rif, alpha: complex, zeta_prime,
             f"level polynomial vanishes identically on the slice at "
             f"{tuple(zp)}")
     roots = companion_roots(row[None, :])[0]
-    order = np.argsort(np.angle(roots))
-    roots = roots[order]
+    roots = roots[~np.isnan(roots)]
+    roots = roots[np.argsort(np.angle(roots))]
     n = phi.degrees[-1]
     return SliceRoots(
         zeta_prime=tuple(complex(z) for z in zp),

@@ -82,19 +82,19 @@ def _dyadic_paths(phi: Rif, alpha: complex, tau: complex, gamma: complex,
             raise FitDegenerate(
                 "level polynomial vanished on a slice near the singularity "
                 "(alpha is exceptional)")
-        adm = [r for r in roots[0] if abs(r - gamma) < 1e-3]
-        if not adm:
+        adm = roots[0][np.abs(roots[0] - gamma) < 1e-3]
+        if not adm.size:
             raise ValueError(
                 f"no branch passes through ({tau:.6g}, {gamma:.6g}) at "
                 f"alpha={alpha:.6g}")
-        adm = np.array(sorted(adm, key=lambda r: float(np.angle(r))))
+        adm = adm[np.argsort(np.angle(adm), kind="stable")]
         n_adm = len(adm)
         path = np.empty((n_adm, n_sub + 1), dtype=complex)
         path[:, 0] = adm
         hist = [adm, adm, adm]
         for k in range(1, n_sub + 1):
             pred = 3.0 * hist[-1] - 3.0 * hist[-2] + hist[-3]
-            rts = roots[k]
+            rts = roots[k][~np.isnan(roots[k])]
             ri, ci = assign(np.abs(pred[:, None] - rts[None, :]))
             cur = hist[-1].copy()
             cur[ri] = rts[ci]

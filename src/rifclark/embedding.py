@@ -142,12 +142,11 @@ def conj_rational(phi: Rif, alpha: complex,
         if np.max(np.abs(den_t)) < 1e-14:
             raise DenominatorVanishes(
                 "conjugate-coordinate denominator is identically zero")
-        roots = companion_roots(den_t[None, :])[0]
-        if roots.size and np.min(np.abs(roots)) <= 1.0 + 1e-9:
+        mods = np.abs(companion_roots(den_t[None, :])[0])
+        if np.nanmin(mods, initial=np.inf) <= 1.0 + 1e-9:
             raise DenominatorVanishes(
-                f"denominator root of modulus "
-                f"{float(np.min(np.abs(roots))):.6g} inside the closed disk "
-                "(alpha is exceptional)")
+                f"denominator root of modulus {np.nanmin(mods):.6g} inside "
+                "the closed disk (alpha is exceptional)")
         return num, den_t
 
     n1, d1 = build(p, q)

@@ -6,10 +6,11 @@ polynomial h = q - alpha * p.  Away from finitely many exceptional alpha
 it is the union of n graphs zeta2 = g_j(zeta1) over the circle; at
 exceptional alpha whole lines { tau } x T or T x { tau } join in.
 
-This module traces the graphs over a uniform angle grid (companion-matrix
-roots per slice, nearest-neighbor continuation with collision refinement,
-Newton polish), attaches the branch weights used by Clark measures, finds
-line components, and locates boundary singularities of phi.
+This module traces the graphs over a uniform angle grid (one padded array
+of companion-matrix roots, nearest-neighbor continuation composed as
+arrays with serial matching and collision refinement only at the few
+flagged steps, Newton polish), attaches the branch weights used by Clark
+measures, finds line components, and locates boundary singularities of phi.
 """
 
 from __future__ import annotations
@@ -138,6 +139,7 @@ def _match_column(ref, roots, amb_state):
     (NaN when no root could be assigned) and ambiguous flags labels whose
     assignment another root nearly ties.
     """
+    roots = roots[~np.isnan(roots)]  # a row of padded slice roots
     n = len(ref)
     out = np.full(n, np.nan + 1j * np.nan, dtype=complex)
     if len(roots) == 0:
@@ -146,7 +148,7 @@ def _match_column(ref, roots, amb_state):
     ri, ci = assign(cost)
     out[ri] = roots[ci]
     # per-pair checks on Python lists: numpy calls cost more than the
-    # work at a handful of roots, and this runs once per grid node
+    # work at a handful of roots
     table = cost.tolist()
     ambiguous = False
     for r, c in zip(ri.tolist(), ci.tolist()):
@@ -164,16 +166,59 @@ def _match_column(ref, roots, amb_state):
     return out, ambiguous
 
 
+def _clean_steps(roots, n_br, amb_state):
+    """Nearest-root maps near[a, i] (root a of row i-1 -> root of row i;
+    row L-1 precedes row 0) of padded roots (L, k), and which are clean:
+    both rows hold n_br roots, the map is a permutation and no pair is
+    ambiguous by _match_column's rule, so _match_column returns it."""
+    cur = np.ascontiguousarray(roots.T)  # small axis first: fast reductions
+    full = ~np.isnan(cur[:n_br]).any(axis=0) & np.isnan(cur[n_br:]).all(axis=0)
+    cur = cur[:n_br]
+    dist = np.abs(np.roll(cur, 1, axis=1)[None, :, :] - cur[:, None, :])
+    near = dist.argmin(axis=0)
+    d_self = np.take_along_axis(dist, near[None], axis=0)[0]
+    np.put_along_axis(dist, near[None], np.inf, axis=0)
+    ambiguous = (dist.min(axis=0) < 2.0 * d_self) & (d_self > amb_state)
+    perm = (1 << near).sum(axis=0) == (1 << n_br) - 1
+    return near, full & np.roll(full, 1) & perm & ~ambiguous.any(axis=0)
+
+
+def _continue(roots, n_br, ref, amb_state, serial):
+    """Label padded roots (L, k) along a walk from ref; returns the
+    (n_br, L) values and the last ref.  Row 0 and non-clean steps run
+    ``serial(i, ref) -> (col, ref)``; a doubling scan composes the clean
+    maps, so each clean run is one gather from the row before it."""
+    near, clean = _clean_steps(roots, n_br, amb_state)
+    clean[0] = False
+    comp = np.where(clean, near, np.arange(n_br)[:, None])
+    shift = 1
+    while shift < len(roots):
+        comp[:, shift:] = np.take_along_axis(comp[:, shift:], comp[:, :-shift],
+                                             axis=0)
+        shift *= 2
+    vals = np.empty((n_br, len(roots)), dtype=complex)
+    stops = np.append(np.flatnonzero(~clean), len(roots))
+    for i, end in zip(stops[:-1].tolist(), stops[1:].tolist()):
+        vals[:, i], ref = serial(i, ref)
+        if end > i + 1:
+            # row i is full: its labels as root indices, pulled back to
+            # row 0 through the inverse of the composed map
+            idx = (roots[i, None, :n_br] == ref[:, None]).argmax(axis=1)
+            idx = np.argsort(comp[:, i])[idx]
+            vals[:, i + 1:end] = np.take_along_axis(
+                roots[i + 1:end, :n_br].T, comp[idx, i + 1:end], axis=0)
+            ref = vals[:, end - 1]
+    return vals, ref
+
+
 def _solve_slices(hcoef, zeta):
     rows = slice_coeffs(hcoef, np.asarray(zeta, dtype=complex)[:, None])
     scale = float(np.max(np.abs(hcoef)))
     rowmax = np.max(np.abs(rows), axis=-1)
     zero_rows = rowmax < ZERO_SLICE_REL_TOL * scale
-    safe = rows.copy()
-    safe[zero_rows] = 1.0  # placeholder, roots discarded for zero rows
-    roots = companion_roots(safe)
-    for i in np.nonzero(zero_rows)[0]:
-        roots[i] = np.empty(0, dtype=complex)
+    # zero rows are solved as the constant 1: no roots
+    roots = companion_roots(np.where(zero_rows[:, None],
+                                     np.eye(1, rows.shape[1]), rows))
     return rows, roots, zero_rows
 
 
@@ -227,7 +272,7 @@ def _trace(phi, alpha, grid_n):
     hcoef = phi.level_coeffs(alpha)
     rows, roots, zero_rows = _solve_slices(hcoef, zeta)
 
-    counts = np.array([len(r) for r in roots])
+    counts = np.count_nonzero(~np.isnan(roots), axis=1)
     n_br = int(counts.max()) if counts.size else 0
     if n_br == 0:
         raise IdenticallyZeroSlice(
@@ -235,15 +280,13 @@ def _trace(phi, alpha, grid_n):
     # seed at the first node carrying the full complement of roots
     seed = int(np.argmax(counts == n_br))
 
-    values = np.full((n_br, grid_n), np.nan + 1j * np.nan, dtype=complex)
-    order = np.argsort(np.angle(roots[seed]))
-    values[:, seed] = roots[seed][order]
-
-    ref = values[:, seed].copy()
-    for step in range(1, grid_n):
-        i = (seed + step) % grid_n
+    def serial(j, ref):
+        i = (seed + j) % grid_n
+        if j == 0:
+            col = roots[i, np.argsort(np.angle(roots[i, :n_br]))]
+            return col, col
         if zero_rows[i]:
-            continue
+            return np.nan, ref
         col, ambiguous = _match_column(ref, roots[i], 1e-12)
         if ambiguous and n_br > 1:
             prev = (i - 1) % grid_n
@@ -257,9 +300,11 @@ def _trace(phi, alpha, grid_n):
                     raise ContinuationCollision(
                         f"branches could not be relabeled near theta="
                         f"{theta[i]:.6f}")
-        values[:, i] = col
-        nan = np.isnan(col)
-        ref = np.where(nan, ref, col)
+        return col, np.where(np.isnan(col), ref, col)
+
+    vals, ref = _continue(np.roll(roots, -seed, axis=0), n_br, None, 1e-12,
+                          serial)
+    values = np.roll(vals, seed, axis=1)
 
     # wrap-around closure: permutation relative to the seed column
     jump: set[int] = set()
@@ -365,30 +410,24 @@ def _solve_window(phi, alpha, hcoef, ticks, fine, seeds, num_tol, den_tol):
     zeta = np.exp(1j * theta)
     rows, roots, zero_rows = _solve_slices(hcoef, zeta)
     n_br = len(seeds)
-    vals = np.full((n_br, len(ticks)), np.nan + 1j * np.nan, dtype=complex)
-    ref = seeds.copy()
-    for k in range(len(ticks)):
-        if zero_rows[k]:
-            vals[:, k] = ref
-            continue
-        col, _ = _match_column(ref, roots[k], np.inf)
-        nan = np.isnan(col)
-        col = np.where(nan, ref, col)
-        vals[:, k] = col
-        ref = col
+
+    def serial(k, ref):
+        if not zero_rows[k]:
+            col, _ = _match_column(ref, roots[k], np.inf)
+            ref = np.where(np.isnan(col), ref, col)
+        return ref, ref
+
+    vals = _continue(roots, n_br, seeds, np.inf, serial)[0]
     _newton_polish(rows, vals, zero_rows)
     num, den = weight_parts(phi, alpha, zeta[None, :], vals)
     wts = np.zeros_like(num)
     ok = den > den_tol
     wts[ok] = num[ok] / den[ok]
     zoz = ~ok
-    if np.any(zoz):
-        for b in range(n_br):
-            idx = np.nonzero(zoz[b])[0]
-            good = np.nonzero(~zoz[b])[0]
-            for i in idx:
-                if good.size:
-                    wts[b, i] = wts[b, good[np.argmin(np.abs(good - i))]]
+    # a 0/0 node takes the weight of the nearest good node (lower on ties)
+    for b in np.flatnonzero(zoz.any(axis=1) & ~zoz.all(axis=1)):
+        good, bad = np.flatnonzero(~zoz[b]), np.flatnonzero(zoz[b])
+        wts[b, bad] = wts[b, good[np.abs(good - bad[:, None]).argmin(axis=1)]]
     return vals, wts, den
 
 
@@ -555,7 +594,7 @@ def detect_lines(phi: Rif, alpha: complex,
         pick = min(nonzero, key=lambda c: len(_poly.trim(c)))
         roots = companion_roots(_poly.trim(pick)[None, :])[0]
         taus = []
-        for r in roots:
+        for r in roots[~np.isnan(roots)]:
             if abs(abs(r) - 1.0) >= unimodular_tol:
                 continue
             tau = _polish_common_root(cols, r, scale)
@@ -619,19 +658,16 @@ def find_singularities(phi: Rif, seed_grid: int = 2048,
     _, zg = unit_circle_points(seed_grid)
     tg = TWO_PI * np.arange(seed_grid) / seed_grid
     for axis in (2, 1):
-        if p.coeffs.shape[2 - axis] == 1:
+        if 1 in p.coeffs.shape:
+            # slices that do not vary, or have no roots, give no seeds
             continue
         rows = slice_coeffs(p.coeffs, zg[:, None], axis=axis)
         roots = companion_roots(rows)
-        prox = np.full(seed_grid, np.inf)
-        arg = np.zeros(seed_grid)
-        for i, r in enumerate(roots):
-            if r.size == 0:
-                continue
-            d = np.abs(np.abs(r) - 1.0)
-            j = int(np.argmin(d))
-            prox[i] = d[j]
-            arg[i] = float(np.angle(r[j])) % TWO_PI
+        # per slice, the root nearest the circle (no root: prox inf)
+        d = np.where(np.isnan(roots), np.inf, np.abs(np.abs(roots) - 1.0))
+        j = np.argmin(d, axis=1)[:, None]
+        prox = np.take_along_axis(d, j, axis=1)[:, 0]
+        arg = np.angle(np.take_along_axis(roots, j, axis=1)[:, 0]) % TWO_PI
         cand = np.nonzero((prox < 0.05)
                           & (prox <= np.roll(prox, 1))
                           & (prox < np.roll(prox, -1)))[0]

@@ -210,8 +210,9 @@ def companion_roots(batch_coeffs, rel_tol=1e-11):
 
     ``batch_coeffs`` has shape (m, k+1), constant term first.  Rows are
     trimmed individually: trailing coefficients below ``rel_tol`` times
-    the row maximum are treated as zero (degree drop).  Returns a list of
-    m root arrays (possibly of different lengths).
+    the row maximum are treated as zero (degree drop).  Returns an (m, k)
+    array: row i holds the deg_i roots of row i in its first columns and
+    NaN after them.
     """
     c = np.asarray(batch_coeffs, dtype=np.complex128)
     rowmax = np.max(np.abs(c), axis=1)
@@ -219,7 +220,7 @@ def companion_roots(batch_coeffs, rel_tol=1e-11):
     mask = np.abs(c) > (rel_tol * rowmax)[:, None]
     rev_any = mask[:, ::-1].any(axis=1)
     eff_deg = np.where(rev_any, k - np.argmax(mask[:, ::-1], axis=1), -1)
-    out: list[np.ndarray] = [np.empty(0, dtype=np.complex128)] * len(c)
+    out = np.full((len(c), k), np.nan, dtype=np.complex128)
     for deg in range(1, k + 1):
         idx = np.nonzero(eff_deg == deg)[0]
         if idx.size == 0:
@@ -235,8 +236,7 @@ def companion_roots(batch_coeffs, rel_tol=1e-11):
                 roots = np.linalg.eigvals(comp)
             except np.linalg.LinAlgError as exc:  # pragma: no cover
                 raise RootFindFailure(str(exc)) from exc
-        for row, r in zip(idx, roots):
-            out[row] = r
+        out[idx, :deg] = roots
     return out
 
 
@@ -286,11 +286,9 @@ def stability_check(p: PolyMD, grid_n: int | None = None) -> StabilityCertificat
             grids = np.meshgrid(*([disk] * (p.dim - 1)), indexing="ij")
             frozen = np.stack([g.ravel() for g in grids], axis=-1)
         sc = slice_coeffs(p.coeffs, frozen, axis=axis)
-        rows = companion_roots(sc.reshape(-1, sc.shape[-1]))
-        nonempty = [r for r in rows if r.size]
-        if nonempty:
-            min_mod = min(min_mod,
-                          float(np.min(np.abs(np.concatenate(nonempty)))))
+        roots = companion_roots(sc.reshape(-1, sc.shape[-1]))
+        min_mod = float(np.min(np.abs(roots), initial=min_mod,
+                               where=~np.isnan(roots)))
     stable = bool(min_mod > 1.0 - 1e-9)
     return StabilityCertificate(
         is_stable=stable,

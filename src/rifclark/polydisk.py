@@ -65,11 +65,11 @@ def build_measure_d(phi: Rif, alpha: complex,
     pts = np.stack([Z1.ravel(), Z2.ravel()], axis=-1)
     rows = slice_coeffs(h, pts)
     roots = companion_roots(rows)
-    if any(len(r) != n_br for r in roots):
+    if np.isnan(roots).any():
         raise RootFindFailure(
             "a slice dropped degree; the surface is not a clean cover "
             "of the 2-torus")
-    flat = np.array(roots).T
+    flat = roots.T
     drows = rows[:, 1:] * np.arange(1, rows.shape[1])
     for _ in range(3):
         f = _polyval_rows(rows, flat)

@@ -2,7 +2,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rifclark import catalog, clark, levelset
@@ -191,3 +191,124 @@ def test_assign_matches_brute_force_minimum(data):
         best = min(cost[list(r), np.arange(m)].sum()
                    for r in permutations(range(n), m))
     assert abs(cost[rows, cols].sum() - best) <= 1e-12 * (1.0 + best)
+
+
+@st.composite
+def root_rows(draw, n_rows):
+    """Padded slice-root rows of k <= 4 branches: each row is the previous
+    one nudged, with branches that close in on each other (near-ties),
+    swaps, duplicate roots, degree drops and extra roots (NaN padding)
+    and zero slices (all NaN)."""
+    k = draw(st.integers(1, 4))
+    width = k + draw(st.integers(0, 1))
+    unit = st.floats(-1.0, 1.0)
+
+    def noise(n):
+        return np.array([complex(draw(unit), draw(unit)) for _ in range(n)])
+
+    cur = noise(k)
+    scale = draw(st.integers(-14, -2))  # step sizes of one example agree
+    rows = np.full((n_rows, width), np.nan, dtype=complex)
+    for i in range(n_rows):
+        kind = draw(st.sampled_from(["move", "move", "close", "close", "swap",
+                                     "dup", "drop", "extra", "zero"]))
+        nudge = 10.0 ** draw(st.integers(scale, scale + 1))
+        cur = cur + nudge * noise(k)
+        if kind == "close" and k > 1:
+            cur[1] = cur[0] + nudge * noise(1)[0]
+        row = np.append(cur, noise(1))
+        if kind == "swap":
+            row[:k] = row[np.array(draw(st.permutations(range(k))))]
+        elif kind == "dup" and k > 1:
+            row[1] = row[0]
+        count = {"drop": draw(st.integers(0, k - 1)), "zero": 0,
+                 "extra": width}.get(kind, k)
+        rows[i, :count] = row[:count]
+    return k, rows
+
+
+# root 1 sits 1.7 or 2.1 times as far from old root 0 as new root 0 does
+@example((2, np.array([[0.0, 1.7e-3], [1e-3j, 1.7e-3 + 1e-9]])), 1e-12)
+@example((2, np.array([[0.0, 2.1e-3], [1e-3j, 2.1e-3 + 1e-9]])), 1e-12)
+@given(root_rows(2), st.sampled_from([1e-12, np.inf]))
+@settings(max_examples=300, deadline=None)
+def test_clean_steps_agree_with_match_column(drawn, amb_state):
+    k, rows = drawn
+    near, clean = levelset._clean_steps(rows, k, amb_state)
+    if clean[1]:
+        assert not np.isnan(rows[:, :k]).any()
+        col, ambiguous = levelset._match_column(rows[0, :k], rows[1],
+                                                amb_state)
+        assert np.array_equal(col, rows[1, near[:, 1]]) and not ambiguous
+
+
+@given(root_rows(24), st.sampled_from([1e-12, np.inf]), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_continuation_equals_serial_matching_at_every_step(
+        drawn, amb_state, keep_nan):
+    # _continue runs the serial matcher only at non-clean steps; its
+    # labels must be those of running it at every step, bit for bit
+    k, rows = drawn
+
+    def serial(i, ref):
+        if np.isnan(rows[i]).all():
+            return (np.nan if keep_nan else ref), ref
+        col, _ = levelset._match_column(ref, rows[i], amb_state)
+        return col, np.where(np.isnan(col), ref, col)
+
+    seeds = np.exp(1j * np.arange(k))
+    got, got_ref = levelset._continue(rows, k, seeds, amb_state, serial)
+    want = np.empty_like(got)
+    ref = seeds
+    for i in range(len(rows)):
+        want[:, i], ref = serial(i, ref)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(got_ref, ref, equal_nan=True)
+
+
+@pytest.fixture
+def match_calls(monkeypatch):
+    """Records every call of the serial matcher levelset._match_column."""
+    calls = []
+    match = levelset._match_column
+
+    def counted(*args):
+        calls.append(1)
+        return match(*args)
+
+    monkeypatch.setattr(levelset, "_match_column", counted)
+    return calls
+
+
+def test_generic_alpha_traces_with_few_serial_matches(corpus, match_calls):
+    calls = match_calls
+    for name in ("fav", "squared", "product", "diagonal"):
+        for alpha in (np.exp(0.7j), np.exp(2.3j)):
+            calls.clear()
+            levelset.trace_branches(corpus[name], alpha, 4096)
+            assert len(calls) <= 16, (name, alpha, len(calls))
+
+
+def test_serial_fallback_traces_level_points(squared, product, match_calls):
+    # at alpha = -1 the branches of these two meet, so some steps go
+    # through the serial matcher; every traced value must still be a
+    # unimodular point of the level set.  Where two branches meet the
+    # slice has a double root, which companion eigenvalues resolve only
+    # to ~sqrt(eps) (product: 8.6e-9 off the circle at theta = 0), so
+    # those values get 1e-7
+    calls = match_calls
+    alpha = -1.0 + 0.0j
+    for phi in (squared, product):
+        calls.clear()
+        branches = levelset.trace_branches(phi, alpha, 4096)
+        assert calls
+        scale = np.max(np.abs(phi.level_coeffs(alpha)))
+        vals = np.array([br.values for br in branches])
+        meet = np.abs(vals[0] - vals[1]) < 1e-6
+        off = np.abs(np.abs(vals) - 1.0)
+        assert np.max(off[:, ~meet]) < 1e-9
+        assert np.max(off[:, meet], initial=0.0) < 1e-7
+        for br in branches:
+            zeta = np.exp(1j * br.theta)
+            res = phi.num(zeta, br.values) - alpha * phi.den(zeta, br.values)
+            assert np.max(np.abs(res)) < 1e-8 * scale

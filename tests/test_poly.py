@@ -115,17 +115,21 @@ def test_slice_coeffs_along_first_axis():
 def test_companion_roots_match_numpy():
     rows = np.array([[6.0, -5.0, 1.0], [2.0, -3.0, 1.0]], dtype=complex)
     got = companion_roots(rows)
+    assert got.shape == (2, 2) and not np.isnan(got).any()
     for k, row in enumerate(rows):
         expect = np.sort_complex(np.roots(row[::-1]))
         assert np.allclose(np.sort_complex(got[k]), expect)
 
 
 def test_companion_roots_degree_drop():
-    # vanishing leading coefficient in one row yields one fewer root there
+    # vanishing leading coefficient in one row yields one fewer root
+    # there: the padded row ends in NaN
     rows = np.array([[6.0, -5.0, 1.0], [1.0, 1.0, 0.0]], dtype=complex)
     got = companion_roots(rows)
-    assert len(got[0]) == 2 and len(got[1]) == 1
-    assert abs(got[1][0] + 1.0) < 1e-12
+    assert got.shape == (2, 2)
+    assert not np.isnan(got[0]).any()
+    assert not np.isnan(got[1, 0]) and np.isnan(got[1, 1])
+    assert abs(got[1, 0] + 1.0) < 1e-12
 
 
 def test_stability_of_catalog_denominators():
