@@ -9,11 +9,13 @@ alpha, uniform pieces on full lines.
 A ClarkMeasure is one quadrature rule: level-set points ``nodes`` with
 ``weights`` (quadrature weight times Clark weight), plus the vertical
 lines {tau} x T, each carrying the constant 1/|d phi/d z1| and
-integrated on the uniform grid.  Horizontal lines T x {tau} are traced
-as constant branches, so they are already among the nodes.  Branch
-labels play no part: every integrator is a weighted sum over blocks of
-nodes, and ``polydisk.build_measure_d`` returns the same structure on
-the tridisk.
+integrated on the uniform grid.  The zeta1 nodes are uniform unless
+the grid would miss where the mass of the zeta1-marginal piles up, as
+near an exceptional alpha; then they cluster there (``_zeta1_rule``).
+Horizontal lines T x {tau} are traced as constant branches, so they
+are already among the nodes.  Branch labels play no part: every
+integrator is a weighted sum over blocks of nodes, and
+``polydisk.build_measure_d`` returns the same structure on the tridisk.
 """
 
 from __future__ import annotations
@@ -30,11 +32,9 @@ from .levelset import (
     line_constant,
     detect_lines,
     weight_parts,
-    _refine_spikes,
     _trace,
+    _uniform_theta,
     _weight_tols,
-    MAX_SPIKE_LEVELS,
-    REFINE_FACTOR,
 )
 from .poly import Rif
 from .util import TWO_PI, canonical_json
@@ -49,6 +49,12 @@ __all__ = [
 # nodes per block of every integrator: bounds the (terms, nodes) matrices
 # of the moment, Gram and Poisson sums
 _BLOCK_NODES = 65536
+
+# The uniform N-point rule resolves a pole at distance d from the circle
+# to about e^{-N d}, i.e. to rounding once N d > 36.  Poisson points of
+# radius 0.7 see such a pole up to (1 + 0.7) / (1 - 0.7) ~ 6 times closer,
+# so poles z* with N log|z*| below 36 * 6 ~ 200 get clustered nodes.
+_POLE_RESOLVE = 200.0
 
 
 @dataclass
@@ -79,39 +85,60 @@ class ClarkMeasure:
 
 
 def build_measure(phi: Rif, alpha: complex, grid_n: int = 4096) -> ClarkMeasure:
-    """Construct sigma_alpha on a uniform grid of ``grid_n`` angles.
+    """Construct sigma_alpha from the uniform grid of ``grid_n`` angles.
 
-    Where a weight spike is narrower than the grid, refined nodes are
-    added; they sit at the same angles on every branch, so one composite
-    trapezoid rule in zeta1 replaces the uniform average.  At an
-    exceptional alpha the lines are split off exactly, and the remaining
-    branches are left on the uniform grid: spike refinement there would
-    only trade the spectral rule for a trapezoid one.
+    The zeta1 nodes are that grid or, near an exceptional alpha, its
+    preimages under a Blaschke product, which cluster where the mass of
+    an emerging line piles up (``_zeta1_rule``).  At an exceptional alpha
+    the lines are split off exactly and the branches stay on the
+    uniform grid.
     """
     lines = detect_lines(phi, alpha)
-    branches, den = _trace(phi, alpha, grid_n)
-    zeta1 = np.exp(1j * branches[0].theta)
+    theta, quad = _zeta1_rule(phi, alpha, grid_n, lines)
+    branches = _trace(phi, alpha, theta)
+    zeta1 = np.exp(1j * theta)
     values = np.array([br.values for br in branches])
     weights = np.array([br.weights for br in branches])
-    quad = np.full(grid_n, 1.0 / grid_n)
-    extras = None if lines else _refine_spikes(phi, alpha, branches, den)
-    if extras is not None:
-        ticks, extra_values, extra_weights = extras
-        sub = REFINE_FACTOR ** MAX_SPIKE_LEVELS
-        ticks = np.concatenate([np.arange(grid_n, dtype=np.int64) * sub, ticks])
-        order = np.argsort(ticks)
-        theta = TWO_PI * ticks[order].astype(float) / (grid_n * sub)
-        gaps = np.diff(np.concatenate([theta, [theta[0] + TWO_PI]]))
-        quad = (gaps + np.roll(gaps, 1)) / (2.0 * TWO_PI)
-        zeta1 = np.exp(1j * theta)
-        values = np.concatenate([values, extra_values], axis=1)[:, order]
-        weights = np.concatenate([weights, extra_weights], axis=1)[:, order]
     nodes = np.stack([np.broadcast_to(zeta1, values.shape), values], axis=-1)
     return ClarkMeasure(phi=phi, alpha=complex(alpha), grid_n=grid_n,
                         nodes=nodes.reshape(-1, 2),
                         weights=(quad * weights).ravel(),
                         lines=[l for l in lines if l.axis == 1],
                         branches=branches)
+
+
+def _zeta1_rule(phi, alpha, grid_n, lines):
+    """Ascending zeta1 angles and their quadrature weights.
+
+    By the Poisson identity at (z1, 0) the zeta1-marginal of sigma_alpha
+    is the Clark measure of b = phi(., 0) at alpha, whose density peaks
+    at the roots z* of q(z, 0) - alpha p(z, 0), all outside the circle.
+    The roots with N log|z*| < _POLE_RESOLVE give the zeros
+    a = 1/conj(z*) of B(z) = z prod (z - a) / (1 - conj(a) z), and the
+    nodes are the preimages of the N-th roots of unity under B, each of
+    weight 1/(N |B'|): by Aleksandrov's disintegration the Clark measures
+    of B average to arc length.  Without such roots, or with ``lines``,
+    B(z) = z and the rule is the uniform grid.
+    """
+    theta = _uniform_theta(grid_n)
+    quad = np.full(grid_n, 1.0 / grid_n)
+    if lines:
+        return theta, quad
+    h0 = _poly.trim(phi.level_coeffs(alpha)[:, 0])  # q(z, 0) - alpha p(z, 0)
+    poles = _poly.companion_roots(h0[None])[0]
+    poles = poles[np.abs(poles) > 1.0]  # NaN padding compares False
+    a = 1.0 / np.conj(poles[grid_n * np.log(np.abs(poles)) < _POLE_RESOLVE])
+    if not len(a):
+        return theta, quad
+    c = np.poly(a)  # prod (z - a), highest power first
+    # B(z) = w  <=>  z prod (z - a) - w prod (1 - conj(a) z) = 0
+    rows = (np.append(0.0, c[::-1])[None, :]
+            - np.exp(1j * theta)[:, None] * np.append(np.conj(c), 0.0)[None, :])
+    theta = np.sort(np.angle(_poly.companion_roots(rows)).ravel())
+    z = np.exp(1j * theta)[:, None]
+    # |B'| on the circle: 1 plus the Poisson kernel of each zero
+    dB = 1.0 + np.sum((1.0 - np.abs(a) ** 2) / np.abs(z - a) ** 2, axis=1)
+    return theta, 1.0 / (grid_n * dB)
 
 
 def _blocks(measure: ClarkMeasure):

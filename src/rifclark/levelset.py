@@ -6,11 +6,12 @@ polynomial h = q - alpha * p.  Away from finitely many exceptional alpha
 it is the union of n graphs zeta2 = g_j(zeta1) over the circle; at
 exceptional alpha whole lines { tau } x T or T x { tau } join in.
 
-This module traces the graphs over a uniform angle grid (one padded array
-of companion-matrix roots, nearest-neighbor continuation composed as
-arrays with serial matching and collision refinement only at the few
-flagged steps, Newton polish), attaches the branch weights used by Clark
-measures, finds line components, and locates boundary singularities of phi.
+This module traces the graphs over ascending angles, the uniform grid or
+the zeta1 nodes of a Clark measure (one padded array of companion-matrix
+roots, nearest-neighbor continuation composed as arrays with serial
+matching and collision refinement only at the few flagged steps, Newton
+polish), attaches the branch weights used by Clark measures, finds line
+components, and locates boundary singularities of phi.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from .poly import PolyMD, Rif, companion_roots, derivative_coeffs, slice_coeffs
 from .util import TWO_PI, angular_distance, unit_circle_points
 
 REFINE_FACTOR = 8
-MAX_SPIKE_LEVELS = 6
 COLLISION_LEVELS = 3
+# a nearest root this close is never ambiguous, however close the others
+TIE_FLOOR = 1e-12
 ZERO_SLICE_REL_TOL = 1e-10
 UNIMODULAR_TOL = 1e-6
 
@@ -48,10 +50,12 @@ def _polyval_rows(rows, w):
 class Branch:
     """One graph component zeta2 = g(zeta1) of a level set.
 
-    ``theta`` holds N uniformly spaced angles; ``values`` the unimodular
-    samples g(e^{i theta}); ``weights`` the Clark branch weight at each
-    node.  ``jump_index`` marks the one grid node where branch
-    relabeling across the wrap-around is permitted.
+    ``theta`` holds ascending angles, spanning less than one turn: the
+    uniform grid from trace_branches, the zeta1 nodes of the measure on
+    ``ClarkMeasure.branches``.  ``values`` holds the unimodular samples
+    g(e^{i theta}), ``weights`` the Clark branch weight at each node.
+    ``jump_index`` marks the one grid node where branch relabeling across
+    the wrap-around is permitted.
     """
 
     alpha: complex
@@ -132,7 +136,7 @@ def assign(cost):
     return rows, near
 
 
-def _match_column(ref, roots, amb_state):
+def _match_column(ref, roots):
     """Assign roots to branch labels by nearest neighbor.
 
     Returns (values, ambiguous) where values has one entry per branch
@@ -154,7 +158,7 @@ def _match_column(ref, roots, amb_state):
     for r, c in zip(ri.tolist(), ci.tolist()):
         d_self = table[r][c]
         d_alt = min(table[r][:c] + table[r][c + 1:], default=np.inf)
-        if d_alt < 2.0 * d_self and d_self > amb_state:
+        if d_alt < 2.0 * d_self and d_self > TIE_FLOOR:
             ambiguous = True
     for b in set(range(n)) - set(ri.tolist()):
         # fewer roots than branches: a tangency absorbs a label, so the
@@ -166,7 +170,7 @@ def _match_column(ref, roots, amb_state):
     return out, ambiguous
 
 
-def _clean_steps(roots, n_br, amb_state):
+def _clean_steps(roots, n_br):
     """Nearest-root maps near[a, i] (root a of row i-1 -> root of row i;
     row L-1 precedes row 0) of padded roots (L, k), and which are clean:
     both rows hold n_br roots, the map is a permutation and no pair is
@@ -178,17 +182,19 @@ def _clean_steps(roots, n_br, amb_state):
     near = dist.argmin(axis=0)
     d_self = np.take_along_axis(dist, near[None], axis=0)[0]
     np.put_along_axis(dist, near[None], np.inf, axis=0)
-    ambiguous = (dist.min(axis=0) < 2.0 * d_self) & (d_self > amb_state)
+    ambiguous = (dist.min(axis=0) < 2.0 * d_self) & (d_self > TIE_FLOOR)
     perm = (1 << near).sum(axis=0) == (1 << n_br) - 1
     return near, full & np.roll(full, 1) & perm & ~ambiguous.any(axis=0)
 
 
-def _continue(roots, n_br, ref, amb_state, serial):
-    """Label padded roots (L, k) along a walk from ref; returns the
-    (n_br, L) values and the last ref.  Row 0 and non-clean steps run
-    ``serial(i, ref) -> (col, ref)``; a doubling scan composes the clean
-    maps, so each clean run is one gather from the row before it."""
-    near, clean = _clean_steps(roots, n_br, amb_state)
+def _continue(roots, n_br, serial):
+    """Label padded roots (L, k) along a walk; returns the (n_br, L) values
+    and the last ref.  Row 0 and non-clean steps run
+    ``serial(i, ref) -> (col, ref)``, row 0 with ref None; a doubling scan
+    composes the clean maps, so each clean run is one gather from the row
+    before it."""
+    ref = None
+    near, clean = _clean_steps(roots, n_br)
     clean[0] = False
     comp = np.where(clean, near, np.arange(n_br)[:, None])
     shift = 1
@@ -231,7 +237,7 @@ def _chain_match(hcoef, ref, theta_lo, theta_hi, level, max_level):
     for k in range(len(mid)):
         if zero_rows[k]:
             continue
-        cur, amb = _match_column(cur, roots[k], 1e-12)
+        cur, amb = _match_column(cur, roots[k])
         if amb and level < max_level:
             lo = theta_lo if k == 0 else mid[k - 1]
             cur = _chain_match(hcoef, cur if not np.isnan(cur).any() else ref,
@@ -254,21 +260,28 @@ def trace_branches(phi: Rif, alpha: complex,
     grid_n : int
         Number of uniform angle samples; a power of two, at least 256.
     """
-    return _trace(phi, alpha, grid_n)[0]
+    return _trace(phi, alpha, _uniform_theta(grid_n))
 
 
-def _trace(phi, alpha, grid_n):
-    """trace_branches, plus the (n_branches, grid_n) weight denominators."""
-    if phi.dim != 2:
-        raise ValueError("trace_branches expects a two-variable inner function")
+def _uniform_theta(grid_n):
+    """The angles 2 pi k / grid_n of a valid grid size."""
     if grid_n < 256 or grid_n & (grid_n - 1):
         raise ValueError("grid_n must be a power of two, at least 256")
+    return unit_circle_points(grid_n)[0]
+
+
+def _trace(phi, alpha, theta):
+    """trace_branches over ascending angles ``theta`` spanning less than
+    one turn.  Node filling and 0/0 extrapolation work on node indices,
+    so they assume the angles are a smooth map of a uniform grid."""
+    if phi.dim != 2:
+        raise ValueError("trace_branches expects a two-variable inner function")
     if abs(abs(alpha) - 1.0) > 1e-9:
         raise ValueError("alpha must be unimodular")
     alpha = complex(alpha)
 
-    theta, zeta = unit_circle_points(grid_n)
-    dtheta = TWO_PI / grid_n
+    n_nodes = len(theta)
+    zeta = np.exp(1j * theta)
     hcoef = phi.level_coeffs(alpha)
     rows, roots, zero_rows = _solve_slices(hcoef, zeta)
 
@@ -281,18 +294,19 @@ def _trace(phi, alpha, grid_n):
     seed = int(np.argmax(counts == n_br))
 
     def serial(j, ref):
-        i = (seed + j) % grid_n
+        i = (seed + j) % n_nodes
         if j == 0:
             col = roots[i, np.argsort(np.angle(roots[i, :n_br]))]
             return col, col
         if zero_rows[i]:
             return np.nan, ref
-        col, ambiguous = _match_column(ref, roots[i], 1e-12)
+        col, ambiguous = _match_column(ref, roots[i])
         if ambiguous and n_br > 1:
-            prev = (i - 1) % grid_n
-            col = _chain_match(hcoef, ref, theta[prev],
-                               theta[prev] + dtheta, 1, COLLISION_LEVELS)
-            col, still = _match_column(col, roots[i], 1e-12)
+            prev = (i - 1) % n_nodes
+            col = _chain_match(hcoef, ref, theta[prev], theta[prev]
+                               + (theta[i] - theta[prev]) % TWO_PI,
+                               1, COLLISION_LEVELS)
+            col, still = _match_column(col, roots[i])
             if still:
                 gaps = np.abs(col[:, None] - col[None, :])
                 np.fill_diagonal(gaps, np.inf)
@@ -302,8 +316,7 @@ def _trace(phi, alpha, grid_n):
                         f"{theta[i]:.6f}")
         return col, np.where(np.isnan(col), ref, col)
 
-    vals, ref = _continue(np.roll(roots, -seed, axis=0), n_br, None, 1e-12,
-                          serial)
+    vals, ref = _continue(np.roll(roots, -seed, axis=0), n_br, serial)
     values = np.roll(vals, seed, axis=1)
 
     # wrap-around closure: permutation relative to the seed column
@@ -313,7 +326,7 @@ def _trace(phi, alpha, grid_n):
         jump.update(ri[ri != ci].tolist())
 
     filled = [np.nonzero(np.isnan(values[b]))[0] for b in range(n_br)]
-    _fill_missing(values, theta)
+    _fill_missing(values)
     _newton_polish(rows, values, zero_rows)
 
     num, den = weight_parts(phi, alpha, zeta[None, :], values)
@@ -340,11 +353,12 @@ def _trace(phi, alpha, grid_n):
             zero_over_zero=np.nonzero(zoz[b])[0],
         )
         for b in range(n_br)
-    ], den
+    ]
 
 
-def _fill_missing(values, theta):
-    """Fill NaN nodes per branch by local Lagrange interpolation in theta."""
+def _fill_missing(values):
+    """Fill NaN nodes per branch by local Lagrange interpolation in the
+    node index."""
     n_br, N = values.shape
     for b in range(n_br):
         miss = np.nonzero(np.isnan(values[b]))[0]
@@ -398,132 +412,6 @@ def _extrapolate_weights(weights, zoz):
                     break
             else:
                 weights[b, i] = 0.0
-
-
-# ---------------------------------------------------------------------------
-# adaptive refinement
-# ---------------------------------------------------------------------------
-
-def _solve_window(phi, alpha, hcoef, ticks, fine, seeds, num_tol, den_tol):
-    """Solve slices at integer tick positions and trail-match the branches."""
-    theta = TWO_PI * ticks / fine
-    zeta = np.exp(1j * theta)
-    rows, roots, zero_rows = _solve_slices(hcoef, zeta)
-    n_br = len(seeds)
-
-    def serial(k, ref):
-        if not zero_rows[k]:
-            col, _ = _match_column(ref, roots[k], np.inf)
-            ref = np.where(np.isnan(col), ref, col)
-        return ref, ref
-
-    vals = _continue(roots, n_br, seeds, np.inf, serial)[0]
-    _newton_polish(rows, vals, zero_rows)
-    num, den = weight_parts(phi, alpha, zeta[None, :], vals)
-    wts = np.zeros_like(num)
-    ok = den > den_tol
-    wts[ok] = num[ok] / den[ok]
-    zoz = ~ok
-    # a 0/0 node takes the weight of the nearest good node (lower on ties)
-    for b in np.flatnonzero(zoz.any(axis=1) & ~zoz.all(axis=1)):
-        good, bad = np.flatnonzero(~zoz[b]), np.flatnonzero(zoz[b])
-        wts[b, bad] = wts[b, good[np.abs(good - bad[:, None]).argmin(axis=1)]]
-    return vals, wts, den
-
-
-def _refine_spikes(phi, alpha, branches, den):
-    """Refine cells where a branch weight spike is narrower than the grid.
-
-    Spikes appear when alpha comes close to an exceptional value and mass
-    starts to pile up along an emerging line; ``den`` holds the weight
-    denominators of the traced branches, where the spikes show.  Returns
-    None when no spike needs refinement, else (ticks, values, weights):
-    sorted integer positions strictly between base nodes on a grid
-    REFINE_FACTOR ** MAX_SPIKE_LEVELS times finer, shared by every
-    branch, and the (n_branches, len(ticks)) samples and Clark weights
-    there.
-    """
-    N = branches[0].grid_n
-    hcoef = phi.level_coeffs(alpha)
-    num_tol, den_tol = _weight_tols(phi, alpha)
-    seeds0 = np.array([br.values for br in branches])
-    fine = N * REFINE_FACTOR ** MAX_SPIKE_LEVELS
-    dtheta = TWO_PI / N
-    cells: set[int] = set()
-    for db in den:
-        med = float(np.median(db))
-        if med <= 0.0:
-            continue
-        left = np.roll(db, 1)
-        right = np.roll(db, -1)
-        dips = np.nonzero((db < left) & (db <= right) & (db < 0.25 * med))[0]
-        for i in dips:
-            slope = max(abs(right[i] - db[i]), abs(db[i] - left[i])) / dtheta
-            if slope <= 0.0:
-                continue
-            if db[i] / slope < 4.0 * dtheta:
-                for c in range(i - 6, i + 6):
-                    cells.add(c % N)
-    if not cells:
-        return None
-    windows = _group_cells(sorted(cells), N)
-    extras: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-    def recurse(lo_tick, hi_tick, level, seeds):
-        parent_spacing = fine // (N * REFINE_FACTOR ** (level - 1))
-        spacing = parent_spacing // REFINE_FACTOR
-        ticks = np.arange(lo_tick, hi_tick + spacing, spacing, dtype=np.int64)
-        vals, wts, dloc = _solve_window(phi, alpha, hcoef, ticks, fine,
-                                        seeds, num_tol, den_tol)
-        extras.append((ticks, vals, wts))
-        if level >= MAX_SPIKE_LEVELS:
-            return
-        dth = TWO_PI * spacing / fine
-        for b in range(dloc.shape[0]):
-            j = int(np.argmin(dloc[b]))
-            if j == 0 or j == len(ticks) - 1:
-                continue
-            slope = max(abs(dloc[b, j + 1] - dloc[b, j]),
-                        abs(dloc[b, j] - dloc[b, j - 1])) / dth
-            if slope <= 0.0 or dloc[b, j] / slope >= 4.0 * dth:
-                continue
-            lo = max(lo_tick, ticks[j] - 6 * spacing)
-            hi = min(hi_tick, ticks[j] + 6 * spacing)
-            kseed = int(np.searchsorted(ticks, lo))
-            recurse(lo, hi, level + 1, vals[:, kseed].copy())
-            break
-
-    for (c_lo, c_hi) in windows:
-        lo_tick = np.int64(c_lo) * (fine // N)
-        hi_tick = np.int64(c_hi + 1) * (fine // N)
-        seeds = seeds0[:, c_lo % N].copy()
-        recurse(lo_tick, hi_tick, 1, seeds)
-
-    ticks = np.mod(np.concatenate([t for t, _, _ in extras]), fine)
-    keep = np.nonzero(ticks % (fine // N) != 0)[0]
-    ticks, idx = np.unique(ticks[keep], return_index=True)
-    pick = keep[idx]
-    return (ticks, np.concatenate([v for _, v, _ in extras], axis=1)[:, pick],
-            np.concatenate([w for _, _, w in extras], axis=1)[:, pick])
-
-
-def _group_cells(cells, N):
-    """Group sorted cell indices into maximal contiguous (lo, hi) runs."""
-    windows = []
-    run = [cells[0], cells[0]]
-    for c in cells[1:]:
-        if c == run[1] + 1:
-            run[1] = c
-        else:
-            windows.append(tuple(run))
-            run = [c, c]
-    windows.append(tuple(run))
-    # merge a run that wraps around the end of the grid into the first one
-    if len(windows) > 1 and windows[0][0] == 0 and windows[-1][1] == N - 1:
-        first = windows.pop(0)
-        last = windows.pop()
-        windows.insert(0, (last[0] - N, first[1]))
-    return windows
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +527,8 @@ def classify_alpha(phi: Rif, alpha: complex) -> AlphaClass:
 # singularities
 # ---------------------------------------------------------------------------
 
-def find_singularities(phi: Rif, seed_grid: int = 2048,
-                       tol: float = 1e-11) -> list[tuple[complex, complex]]:
+def find_singularities(phi: Rif,
+                       seed_grid: int = 2048) -> list[tuple[complex, complex]]:
     """Common boundary zeros of p and its reflection on the 2-torus.
 
     Seeds come from slice roots of p that approach the unit circle (plus

@@ -153,22 +153,20 @@ def _poisson1(zeta, z):
     return (1.0 - abs(z) ** 2) / np.abs(zeta - z) ** 2
 
 
-def verify_poisson_d(s: float, alpha: complex, z, grid_n: int = 512,
-                     refine: bool | None = None) -> PoissonReportD:
+def verify_poisson_d(s: float, alpha: complex, z,
+                     grid_n: int = 512) -> PoissonReportD:
     """Three-variable Poisson identity for phi_s via the closed-form weight.
 
     The right side integrates W_{s,alpha} * P_z over the 2-torus by the
     tensor trapezoid rule.  For s = 3 the weight loses smoothness at
-    (1, 1), so cells near that corner are re-averaged on an 8x-refined
-    subgrid (on by default exactly when s == 3).
+    (1, 1), so there cells near that corner are re-averaged on an
+    8x-refined subgrid.
     """
     s = _family_check(s)
     a = complex(alpha)
     z = np.asarray(z, dtype=complex)
     if z.shape != (3,) or np.any(np.abs(z) >= 1.0):
         raise ValueError("z must be an interior point of the tridisk")
-    if refine is None:
-        refine = s == 3.0
 
     from .catalog import tridisk_rif
     phi = tridisk_rif(s)
@@ -190,7 +188,7 @@ def verify_poisson_d(s: float, alpha: complex, z, grid_n: int = 512,
     vals = node_values(T1, T2)
     rhs = float(np.mean(vals))
 
-    if refine:
+    if s == 3.0:
         # swap the coarse estimate of the window around (1, 1) for an
         # 8x-refined one; both window rules are composite trapezoids with
         # matching boundary weights, so the substitution only changes the

@@ -184,7 +184,7 @@ def test_c9_support_and_weak_star(corpus, squared):
         for name, phi, alpha in cases:
             h = phi.level_coeffs(alpha)
             scale = np.max(np.abs(h))
-            # every measure node, refined ones included, is a level point
+            # every measure node, clustered ones included, is a level point
             z1, z2 = clark.build_measure(phi, alpha, 2048).nodes.T
             res = np.abs(phi.num(z1, z2) - alpha * phi.den(z1, z2))
             assert np.max(res) < 1e-8 * scale, name

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rifclark import catalog, clark
@@ -144,6 +144,7 @@ def test_measure_json_preserves_quadrature(fav_measure_alphai):
 
 
 @given(st.floats(min_value=0.05, max_value=1.95))
+@example(t=0.875)
 @settings(max_examples=6, deadline=None)
 def test_mass_identity_random_alpha(t):
     assume(abs(t - 1.0) > 0.1)  # keep clear of the exceptional value
@@ -161,20 +162,38 @@ def test_measure_json_reserialization_byte_identical(corpus, name, alpha):
     assert clark.measure_to_json(clark.measure_from_json(text)) == text
 
 
-@pytest.mark.parametrize("name", ["fav", "squared"])
+def _poisson_points(count=20, radius=0.7, seed=5):
+    rng = np.random.default_rng(seed)
+    z = radius * np.sqrt(rng.uniform(size=(count, 2))) \
+        * np.exp(2j * np.pi * rng.uniform(size=(count, 2)))
+    return [(a, b) for a, b in z]
+
+
+@pytest.mark.parametrize("name", ["fav", "squared", "product"])
 def test_poisson_exact_at_exceptional_alpha(corpus, name):
-    # the lines are split off exactly, so the uniform rule stays spectral
+    # the lines (product has none) are split off exactly, so the uniform
+    # rule stays spectral
     m = clark.build_measure(corpus[name], -1.0 + 0.0j, 1024)
-    rng = np.random.default_rng(5)
-    z = 0.7 * np.sqrt(rng.uniform(size=(20, 2))) \
-        * np.exp(2j * np.pi * rng.uniform(size=(20, 2)))
-    rep = clark.verify_poisson(m, [(a, b) for a, b in z])
+    rep = clark.verify_poisson(m, _poisson_points())
     assert rep.max_rel_err < 1e-12
+
+
+@pytest.mark.parametrize("name", ["fav", "squared"])
+@pytest.mark.parametrize("dt", [-0.19, -0.08, -0.045, -0.01,
+                                0.01, 0.045, 0.08, 0.19])
+def test_near_exceptional_alpha_is_resolved(corpus, name, dt):
+    # mass piles up along the emerging lines of alpha = -1; the clustered
+    # zeta1 nodes resolve it at N = 512 where the uniform grid does not
+    phi = corpus[name]
+    alpha = np.exp(1j * np.pi * (1.0 + dt))
+    m = clark.build_measure(phi, alpha, 512)
+    assert abs(clark.total_mass(m) - clark.expected_mass(phi, alpha)) < 1e-10
+    assert clark.verify_poisson(m, _poisson_points()).max_rel_err < 1e-10
 
 
 def test_measure_json_round_trip_with_refined_nodes(squared):
     m = clark.build_measure(squared, -np.exp(0.05j), 512)
-    assert len(m.weights) > 2 * 512  # spike refinement added nodes
+    assert len(m.weights) > 2 * 512  # the Blaschke rule clustered nodes
     text = clark.measure_to_json(m)
     back = clark.measure_from_json(text)
     assert clark.measure_to_json(back) == text
@@ -212,7 +231,7 @@ def test_measure_from_json_rejects_malformed_records(fav_measure_alphai,
 
 
 @pytest.mark.parametrize("alpha", [-np.exp(0.05j), -1.0 + 0.0j],
-                         ids=["refined", "lines"])
+                         ids=["clustered", "lines"])
 def test_block_sums_match_pointwise_integrals(squared, monkeypatch, alpha):
     # the matmul forms against the plain integral, one point or moment at
     # a time, with blocks far smaller than the measure and more points
