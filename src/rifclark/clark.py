@@ -20,12 +20,14 @@ integrator is a weighted sum over blocks of nodes, and
 
 from __future__ import annotations
 
+import binascii
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import poly as _poly
-from .errors import MassNotOne, ZeroOverZero
+from .errors import MassGapExceeded, MassNotOne, ZeroOverZero
 from .levelset import (
     Branch,
     LineComponent,
@@ -55,6 +57,10 @@ _BLOCK_NODES = 65536
 # radius 0.7 see such a pole up to (1 + 0.7) / (1 - 0.7) ~ 6 times closer,
 # so poles z* with N log|z*| below 36 * 6 ~ 200 get clustered nodes.
 _POLE_RESOLVE = 200.0
+
+# largest relative mass gap a build may return: correct builds stay below
+# 1e-8; near a boundary singularity (fav at |t - 1| ~ 1e-5) it is ~0.5
+MASS_GAP_TOL = 1e-6
 
 
 @dataclass
@@ -91,7 +97,8 @@ def build_measure(phi: Rif, alpha: complex, grid_n: int = 4096) -> ClarkMeasure:
     preimages under a Blaschke product, which cluster where the mass of
     an emerging line piles up (``_zeta1_rule``).  At an exceptional alpha
     the lines are split off exactly and the branches stay on the
-    uniform grid.
+    uniform grid.  A mass off ``expected_mass`` by more than
+    MASS_GAP_TOL relatively raises MassGapExceeded.
     """
     lines = detect_lines(phi, alpha)
     theta, quad = _zeta1_rule(phi, alpha, grid_n, lines)
@@ -100,11 +107,16 @@ def build_measure(phi: Rif, alpha: complex, grid_n: int = 4096) -> ClarkMeasure:
     values = np.array([br.values for br in branches])
     weights = np.array([br.weights for br in branches])
     nodes = np.stack([np.broadcast_to(zeta1, values.shape), values], axis=-1)
-    return ClarkMeasure(phi=phi, alpha=complex(alpha), grid_n=grid_n,
-                        nodes=nodes.reshape(-1, 2),
-                        weights=(quad * weights).ravel(),
-                        lines=[l for l in lines if l.axis == 1],
-                        branches=branches)
+    measure = ClarkMeasure(phi=phi, alpha=complex(alpha), grid_n=grid_n,
+                           nodes=nodes.reshape(-1, 2),
+                           weights=(quad * weights).ravel(),
+                           lines=[l for l in lines if l.axis == 1],
+                           branches=branches)
+    gap = abs(total_mass(measure) / expected_mass(phi, alpha) - 1.0)
+    if not gap <= MASS_GAP_TOL:  # a NaN gap raises too
+        raise MassGapExceeded(f"mass is off by relative {gap:.3g}, above "
+                              f"MASS_GAP_TOL = {MASS_GAP_TOL:g}")
+    return measure
 
 
 def _zeta1_rule(phi, alpha, grid_n, lines):
@@ -321,6 +333,13 @@ def herglotz_reconstruct(measure: ClarkMeasure,
 # ---------------------------------------------------------------------------
 
 def measure_to_json(measure: ClarkMeasure) -> str:
+    """Canonical JSON of the measure; ``nodes`` and ``weights`` are binary.
+
+    They are base64 strings of raw little-endian bytes in row-major
+    order: nodes complex128 (``<c16``) of shape (n, phi.dim), weights
+    float64 (``<f8``) of shape (n,).  So every value survives bit for bit
+    (-0.0, NaN, infinities, subnormals); the other fields are text.
+    """
     obj = {
         "type": "clark_measure",
         "alpha": complex(measure.alpha),
@@ -330,8 +349,8 @@ def measure_to_json(measure: ClarkMeasure) -> str:
             "den": _poly.poly_to_json_obj(measure.phi.den),
         },
         "mass": total_mass(measure),
-        "nodes": measure.nodes,
-        "weights": measure.weights,
+        "nodes": _pack(measure.nodes, "<c16"),
+        "weights": _pack(measure.weights, "<f8"),
         "lines": [
             {"axis": line.axis, "tau": complex(line.tau),
              "constant": line.constant}
@@ -341,14 +360,29 @@ def measure_to_json(measure: ClarkMeasure) -> str:
     return canonical_json(obj)
 
 
+def _pack(a, dtype):
+    raw = np.ascontiguousarray(a, dtype=dtype)
+    return binascii.b2a_base64(raw, newline=False).decode("ascii")
+
+
+def _unpack(payload, dtype, key):
+    if not isinstance(payload, str):  # such as the earlier text arrays
+        raise ValueError(f"Clark measure {key} must be base64 of raw {dtype} "
+                         "bytes; text-array records are no longer read")
+    raw = binascii.a2b_base64(payload)  # binascii.Error is a ValueError
+    if len(raw) % np.dtype(dtype).itemsize:
+        raise ValueError(f"Clark measure {key} is not a whole number of "
+                         f"{dtype} values")
+    return np.frombuffer(raw, dtype=dtype).copy()  # writable, as built
+
+
 def measure_from_json(text: str) -> ClarkMeasure:
-    """Read a measure written by measure_to_json.
+    """Read a measure written by measure_to_json (same encoding).
 
-    Raises ValueError for anything else, including records without
-    ``nodes`` and ``weights`` such as the older per-branch format.
+    Raises ValueError for anything else: records without ``nodes`` and
+    ``weights`` (the per-branch format), text-array payloads (the earlier
+    flat format), malformed base64 or lengths that do not fit together.
     """
-    import json
-
     obj = json.loads(text)
     if obj.get("type") != "clark_measure":
         raise ValueError("not a serialized Clark measure")
@@ -357,16 +391,15 @@ def measure_from_json(text: str) -> ClarkMeasure:
                          "per-branch records are no longer read")
     den = _poly.poly_from_json_obj(obj["rif"]["den"])
     phi = Rif(den, degrees=tuple(obj["rif"]["degrees"]))
-    weights = np.asarray(obj["weights"], dtype=float)
-    pairs = np.ascontiguousarray(np.asarray(obj["nodes"], dtype=float))
-    if weights.ndim != 1 or pairs.shape != (len(weights), phi.dim, 2):
+    weights = _unpack(obj["weights"], "<f8", "weights")
+    nodes = _unpack(obj["nodes"], "<c16", "nodes")
+    if len(nodes) != len(weights) * phi.dim:
         raise ValueError(f"Clark measure record needs one node of {phi.dim} "
-                         "[re, im] pairs per weight")
-    # a view, not re + 1j * im, which loses a -0.0 imaginary part
-    nodes = pairs.view(complex).reshape(len(weights), phi.dim)
+                         "coordinates per weight")
     lines = [LineComponent(axis=int(rec["axis"]), tau=complex(*rec["tau"]),
                            constant=float(rec["constant"]))
              for rec in obj["lines"]]
     return ClarkMeasure(phi=phi, alpha=complex(*obj["alpha"]),
-                        grid_n=int(obj["grid_n"]), nodes=nodes,
+                        grid_n=int(obj["grid_n"]),
+                        nodes=nodes.reshape(len(weights), phi.dim),
                         weights=weights, lines=lines)

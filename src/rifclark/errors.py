@@ -43,6 +43,10 @@ class NonConstantDerivative(RifclarkError):
     """The directional derivative along a line component was not constant."""
 
 
+class MassGapExceeded(RifclarkError):
+    """A built measure's mass missed the Poisson identity at the origin."""
+
+
 class MassNotOne(RifclarkError):
     """A probability-measure precondition failed (total mass != 1)."""
 

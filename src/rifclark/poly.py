@@ -164,12 +164,6 @@ def derivative_coeffs(coeffs, axis: int):
     return out
 
 
-def eval_partial(p: PolyMD, axis: int, z):
-    """Evaluate the partial derivative d p / d z_axis at z (axis is 1-based)."""
-    zs = [np.asarray(zj, dtype=np.complex128) for zj in z]
-    return _eval_tensor(derivative_coeffs(p.coeffs, axis), zs)
-
-
 # ---------------------------------------------------------------------------
 # slice coefficient extraction and batched univariate root solving
 # ---------------------------------------------------------------------------
@@ -373,8 +367,3 @@ class Rif:
         pad = [(0, s - t) for s, t in zip(shape, self.den.coeffs.shape)]
         h -= alpha * np.pad(self.den.coeffs, pad)
         return h
-
-    def derivative_pair(self, axis: int):
-        """Coefficient tensors of (d num / d z_axis, d den / d z_axis)."""
-        return (derivative_coeffs(self.num.coeffs, axis),
-                derivative_coeffs(self.den.coeffs, axis))

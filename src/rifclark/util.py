@@ -1,4 +1,4 @@
-"""Small shared helpers: angles, unit-circle checks, canonical JSON."""
+"""Small shared helpers: angles, unit-circle points, canonical JSON."""
 
 from __future__ import annotations
 
@@ -16,33 +16,6 @@ def unit_circle_points(n):
     """n equispaced points exp(2*pi*i*k/n), k = 0..n-1, with their angles."""
     theta = TWO_PI * np.arange(n) / n
     return theta, np.exp(1j * theta)
-
-
-def is_unimodular(z, tol=1e-6):
-    return np.abs(np.abs(z) - 1.0) < tol
-
-
-def normalize_unimodular(z):
-    """Project a nonzero complex number onto the unit circle."""
-    z = complex(z)
-    r = abs(z)
-    if r == 0.0:
-        raise ValueError("cannot normalize 0 to the unit circle")
-    return z / r
-
-
-def as_complex(value):
-    """Coerce scalars / 2-sequences [re, im] to a Python complex."""
-    if isinstance(value, complex):
-        return value
-    if isinstance(value, (int, float, np.floating, np.integer)):
-        return complex(value)
-    if isinstance(value, np.complexfloating):
-        return complex(value)
-    seq = list(value)
-    if len(seq) != 2:
-        raise ValueError(f"expected [re, im] pair, got {value!r}")
-    return complex(float(seq[0]), float(seq[1]))
 
 
 def _format_float(x):

@@ -1,10 +1,13 @@
+import base64
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rifclark import catalog, clark
-from rifclark.errors import MassNotOne, ZeroOverZero
+from rifclark.errors import MassGapExceeded, MassNotOne, ZeroOverZero
 
 GENERIC = np.exp(0.7j)
 
@@ -200,34 +203,109 @@ def test_measure_json_round_trip_with_refined_nodes(squared):
     assert clark.total_mass(back) == clark.total_mass(m)
 
 
+def _b64(values, dtype):
+    # written apart from clark's encoder, so these tests pin the format
+    raw = np.ascontiguousarray(values, dtype=dtype).tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def test_measure_json_stores_raw_little_endian_arrays(fav_measure_alphai):
+    m = fav_measure_alphai
+    obj = json.loads(clark.measure_to_json(m))
+    assert obj["nodes"] == _b64(m.nodes, "<c16")
+    assert obj["weights"] == _b64(m.weights, "<f8")
+    nodes = np.frombuffer(base64.b64decode(obj["nodes"]), "<c16")
+    assert np.array_equal(nodes.reshape(-1, 2), m.nodes)
+
+
+def test_measure_json_keeps_every_bit(fav):
+    # -0.0, NaN with sign and payload, infinities and a subnormal
+    nan = np.array([0x7FF8000000000001, 0xFFF8000000000000],
+                   dtype=np.uint64).view(np.float64)
+    odd = np.array([-0.0, nan[0], nan[1], np.inf, -np.inf, 5e-324, -2.5e-310,
+                    1.0])
+    parts = np.stack([np.roll(odd, k) for k in range(4)], axis=-1)
+    m = clark.ClarkMeasure(phi=fav, alpha=1.0j, grid_n=8,
+                           nodes=parts.view(complex).reshape(8, 2),
+                           weights=odd[::-1].copy(), lines=[])
+    text = clark.measure_to_json(m)
+    back = clark.measure_from_json(text)
+    assert np.array_equal(back.nodes.view(np.uint64), m.nodes.view(np.uint64))
+    assert np.array_equal(back.weights.view(np.uint64),
+                          m.weights.view(np.uint64))
+    assert clark.measure_to_json(back) == text
+
+
+def test_measure_json_size_is_binary(fav_measure_alphai):
+    # 40 bytes per 2-variable node (two complex128 and one float64) grow
+    # by 4/3 in base64; text arrays would take about twice that
+    n = len(fav_measure_alphai.weights)
+    assert len(clark.measure_to_json(fav_measure_alphai)) < 4 / 3 * 40 * n + 2048
+
+
 def _drop(*keys):
-    def damage(obj):
+    def damage(obj, m):
         for key in keys:
             del obj[key]
         obj["branches"] = []  # the older per-branch layout
     return damage
 
 
-def _halve_weights(obj):
-    # 2n nodes would still reshape to n rows of 4 coordinates
-    obj["weights"] = obj["weights"][: len(obj["weights"]) // 2]
+def _half_weights(obj, m):
+    # n/2 whole weights: the 2n complex values would still make n/2 rows
+    # of 4 coordinates, not of 2
+    obj["weights"] = _b64(m.weights[: len(m.weights) // 2], "<f8")
 
 
-@pytest.mark.parametrize("damage", [
-    _drop("nodes"), _drop("weights"), _drop("nodes", "weights"),
-    _halve_weights,
-    lambda obj: obj.update(weights=1.0),
-    lambda obj: obj.update(nodes=[node[:1] for node in obj["nodes"]]),
+def _one_coordinate(obj, m):
+    # n complex values: one coordinate per node of a 2-variable record
+    obj["nodes"] = _b64(m.nodes[:, 0], "<c16")
+
+
+def _text_arrays(obj, m):
+    # the flat layout written before the binary encoding
+    obj["nodes"] = np.stack([m.nodes.real, m.nodes.imag], axis=-1).tolist()
+    obj["weights"] = m.weights.tolist()
+
+
+def _partial_value(obj, m):
+    obj["weights"] = base64.b64encode(m.weights.tobytes()[:-3]).decode()
+
+
+@pytest.mark.parametrize("damage, match", [
+    (_drop("nodes"), "no nodes and weights"),
+    (_drop("weights"), "no nodes and weights"),
+    (_drop("nodes", "weights"), "no nodes and weights"),
+    (_half_weights, "one node of 2 coordinates per weight"),
+    (lambda obj, m: obj.update(weights=1.0), "weights must be base64"),
+    (_one_coordinate, "one node of 2 coordinates per weight"),
+    (_text_arrays, "must be base64 of raw"),
+    (lambda obj, m: obj.update(nodes="abcde"), "Invalid base64-encoded"),
+    (_partial_value, "weights is not a whole number of <f8 values"),
 ], ids=["no_nodes", "no_weights", "per_branch", "half_weights",
-        "scalar_weight", "one_coordinate"])
+        "scalar_weight", "one_coordinate", "text_arrays", "invalid_base64",
+        "partial_value"])
 def test_measure_from_json_rejects_malformed_records(fav_measure_alphai,
-                                                     damage):
-    import json
-
+                                                     damage, match):
     obj = json.loads(clark.measure_to_json(fav_measure_alphai))
-    damage(obj)
-    with pytest.raises(ValueError):
+    damage(obj, fav_measure_alphai)
+    with pytest.raises(ValueError, match=match):
         clark.measure_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("name", ["fav", "squared"])
+@pytest.mark.parametrize("dt", [-1e-5, 1e-5])
+def test_mass_gap_raises_instead_of_wrong_mass(corpus, name, dt):
+    # next to the singularity (1, 1) the weights lose about half the mass
+    with pytest.raises(MassGapExceeded):
+        clark.build_measure(corpus[name], np.exp(1j * np.pi * (1.0 + dt)), 512)
+
+
+def test_mass_gap_guard_passes_accurate_builds(product):
+    alpha = np.exp(1j * np.pi * (1.0 + 1e-5))
+    m = clark.build_measure(product, alpha, 512)
+    gap = abs(clark.total_mass(m) / clark.expected_mass(product, alpha) - 1.0)
+    assert gap < 1e-12
 
 
 @pytest.mark.parametrize("alpha", [-np.exp(0.05j), -1.0 + 0.0j],

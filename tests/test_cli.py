@@ -124,6 +124,29 @@ def test_verify_rejects_per_branch_measure_file(fav_json, tmp_path, capsys):
     assert err["type"] == "ValueError"
 
 
+def test_verify_rejects_text_array_measure_file(fav_json, tmp_path, capsys):
+    mpath = tmp_path / "m.json"
+    main(["analyze", "--poly", fav_json, "--alpha", "i", "--grid", "256",
+          "--out", str(mpath)])
+    capsys.readouterr()
+    obj = json.loads(mpath.read_text())
+    obj["weights"] = [1.0 / 256] * 256  # the layout before base64 arrays
+    mpath.write_text(json.dumps(obj))
+    rc = main(["verify", "--measure", str(mpath)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ValueError" and "base64" in err["message"]
+
+
+def test_analyze_refuses_a_wrong_mass(fav_json, tmp_path, capsys):
+    rc = main(["analyze", "--poly", fav_json, "--alpha", "exp:1.00001",
+               "--grid", "512", "--out", str(tmp_path / "m.json")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "MassGapExceeded"
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_tridisk_build_reports_nodes_and_mass(capsys):
     rc = main(["tridisk", "--s", "4", "--alpha", "i", "--grid", "32",
                "--build"])
@@ -196,8 +219,8 @@ def test_library_imports_leave_scipy_out():
     code = ("import sys\n"
             "import rifclark.cli, rifclark.clark, rifclark.contact\n"
             "import rifclark.embedding, rifclark.polydisk\n"
-            "print('scipy' in sys.modules)")
+            "print('scipy' in sys.modules, 'base64' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
