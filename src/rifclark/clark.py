@@ -9,12 +9,14 @@ alpha, uniform pieces on full lines.
 A ClarkMeasure is one quadrature rule: level-set points ``nodes`` with
 ``weights`` (quadrature weight times Clark weight), plus the vertical
 lines {tau} x T, each carrying the constant 1/|d phi/d z1| and
-integrated on the uniform grid.  The zeta1 nodes are uniform unless
-the grid would miss where the mass of the zeta1-marginal piles up, as
-near an exceptional alpha; then they cluster there (``_zeta1_rule``).
-Horizontal lines T x {tau} are traced as constant branches, so they
-are already among the nodes.  Branch labels play no part: every
-integrator is a weighted sum over blocks of nodes, and
+integrated on the uniform grid.  sigma_alpha is the zeta1-average of
+the slice Clark measures of phi(zeta1, .), so the nodes over each zeta1
+node are the atoms of its slice (``levelset._slice_atoms``); nothing is
+traced.  The zeta1 nodes are uniform unless the grid would miss where
+the mass of the zeta1-marginal piles up, as near an exceptional alpha;
+then they cluster there (``_zeta1_rule``).  Horizontal lines T x {tau}
+are the atom zeta2 = tau of every slice, so they are already among the
+nodes.  Every integrator is a weighted sum over blocks of nodes, and
 ``polydisk.build_measure_d`` returns the same structure on the tridisk.
 """
 
@@ -34,7 +36,7 @@ from .levelset import (
     line_constant,
     detect_lines,
     weight_parts,
-    _trace,
+    _slice_atoms,
     _uniform_theta,
     _weight_tols,
 )
@@ -59,7 +61,8 @@ _BLOCK_NODES = 65536
 _POLE_RESOLVE = 200.0
 
 # largest relative mass gap a build may return: correct builds stay below
-# 1e-8; near a boundary singularity (fav at |t - 1| ~ 1e-5) it is ~0.5
+# 1e-6 (fav at |t - 1| = 1e-5, 3.7e-7, is the worst); product next to its
+# singularity (|t - 1| = 1e-8) is off by more and raises
 MASS_GAP_TOL = 1e-6
 
 
@@ -70,11 +73,11 @@ class ClarkMeasure:
     ``nodes`` (n, d) are level-set points and ``weights`` (n,) the
     quadrature weight times the Clark weight there.  ``lines`` are the
     vertical line components; they enter every integral on the uniform
-    ``grid_n``-point grid.  ``branches`` keeps the labeled branches a
-    2-variable build traced; nothing in the package reads them and they
-    are not serialized.  The field exists only for the benchmark's
-    traced ``queries`` run (bench/workloads.py), which reads it, and
-    goes once the benchmark traces branches itself.
+    ``grid_n``-point grid.  ``branches`` is always empty: no builder
+    traces labeled branches, nothing in the package reads it and it is
+    not serialized.  The field exists only because the benchmark's
+    traced ``queries`` run (bench/workloads.py) reads it, and goes once
+    the benchmark traces branches itself.
     """
 
     phi: Rif
@@ -95,23 +98,23 @@ def build_measure(phi: Rif, alpha: complex, grid_n: int = 4096) -> ClarkMeasure:
 
     The zeta1 nodes are that grid or, near an exceptional alpha, its
     preimages under a Blaschke product, which cluster where the mass of
-    an emerging line piles up (``_zeta1_rule``).  At an exceptional alpha
-    the lines are split off exactly and the branches stay on the
-    uniform grid.  A mass off ``expected_mass`` by more than
+    an emerging line piles up (``_zeta1_rule``).  Over each sit the atoms
+    of its slice, listed root column by root column.  At an exceptional
+    alpha the vertical lines are split off exactly and the grid shifts
+    half a step off them.  A mass off ``expected_mass`` by more than
     MASS_GAP_TOL relatively raises MassGapExceeded.
     """
     lines = detect_lines(phi, alpha)
     theta, quad = _zeta1_rule(phi, alpha, grid_n, lines)
-    branches = _trace(phi, alpha, theta)
     zeta1 = np.exp(1j * theta)
-    values = np.array([br.values for br in branches])
-    weights = np.array([br.weights for br in branches])
-    nodes = np.stack([np.broadcast_to(zeta1, values.shape), values], axis=-1)
+    roots, num, den, _ = _slice_atoms(phi, alpha, zeta1[:, None])
+    keep = ~np.isnan(roots.T)  # drops degree drops and zero slices
+    nodes = np.stack([np.broadcast_to(zeta1, keep.shape)[keep],
+                      roots.T[keep]], axis=-1)
+    weights = (quad * (num / den).T)[keep]
     measure = ClarkMeasure(phi=phi, alpha=complex(alpha), grid_n=grid_n,
-                           nodes=nodes.reshape(-1, 2),
-                           weights=(quad * weights).ravel(),
-                           lines=[l for l in lines if l.axis == 1],
-                           branches=branches)
+                           nodes=nodes, weights=weights,
+                           lines=[l for l in lines if l.axis == 1])
     gap = abs(total_mass(measure) / expected_mass(phi, alpha) - 1.0)
     if not gap <= MASS_GAP_TOL:  # a NaN gap raises too
         raise MassGapExceeded(f"mass is off by relative {gap:.3g}, above "
@@ -130,12 +133,16 @@ def _zeta1_rule(phi, alpha, grid_n, lines):
     nodes are the preimages of the N-th roots of unity under B, each of
     weight 1/(N |B'|): by Aleksandrov's disintegration the Clark measures
     of B average to arc length.  Without such roots, or with ``lines``,
-    B(z) = z and the rule is the uniform grid.
+    B(z) = z and the rule is the uniform grid; with vertical lines it is
+    shifted to arg tau + 2 pi (k + 1/2) / N from the first line's tau,
+    so no node sits on a line, whose slice is identically zero.
     """
     theta = _uniform_theta(grid_n)
     quad = np.full(grid_n, 1.0 / grid_n)
     if lines:
-        return theta, quad
+        taus = [l.tau for l in lines if l.axis == 1]
+        shift = np.angle(taus[0]) + np.pi / grid_n if taus else 0.0
+        return theta + shift, quad
     h0 = _poly.trim(phi.level_coeffs(alpha)[:, 0])  # q(z, 0) - alpha p(z, 0)
     poles = _poly.companion_roots(h0[None])[0]
     poles = poles[np.abs(poles) > 1.0]  # NaN padding compares False
@@ -174,8 +181,8 @@ def weight_at(phi: Rif, alpha: complex, zeta1, zeta2):
     """Branch weight |p| / |d/dz2 (q - alpha p)| at given level-set points.
 
     Raises ZeroOverZero when both parts vanish (the point sits on a
-    singularity of phi); such nodes are filled by extrapolation during
-    measure construction, not pointwise.
+    singularity of phi).  Measure construction takes the plain ratio and
+    leaves such points to the mass guard of ``build_measure``.
     """
     num, den = weight_parts(phi, alpha, zeta1, zeta2)
     num_tol, den_tol = _weight_tols(phi, alpha)

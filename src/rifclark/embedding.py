@@ -18,7 +18,7 @@ import numpy as np
 from . import poly as _poly
 from .clark import ClarkMeasure, _blocks
 from .errors import DenominatorVanishes
-from .levelset import trace_branches
+from .levelset import _slice_atoms, _uniform_theta
 from .poly import PolyMD, Rif, companion_roots, trim
 
 
@@ -122,8 +122,9 @@ def conj_rational(phi: Rif, alpha: complex,
 
     Raises DenominatorVanishes when a denominator has a root on the
     closed unit disk — the hallmark of an exceptional alpha.  The
-    ``max_residual`` field records sup |R_j - conj(zeta_j)| over traced
-    branch samples as an end-to-end consistency check.
+    ``max_residual`` field records sup |R_j - conj(zeta_j)| over every
+    level-set point above the uniform ``grid_n``-point zeta1 grid as an
+    end-to-end consistency check.
     """
     alpha = complex(alpha)
     p = phi.den.coeffs
@@ -158,13 +159,11 @@ def conj_rational(phi: Rif, alpha: complex,
 
     cr = ConjRational(alpha=alpha, r1_num=r1_num, r1_den=r1_den,
                       r2_num=r2_num, r2_den=r2_den, max_residual=(0.0, 0.0))
-    res1 = res2 = 0.0
-    for br in trace_branches(phi, alpha, grid_n):
-        z1 = np.exp(1j * br.theta)
-        res1 = max(res1, float(np.max(np.abs(cr.r1(z1, br.values)
-                                             - np.conj(z1)))))
-        res2 = max(res2, float(np.max(np.abs(cr.r2(z1, br.values)
-                                             - np.conj(br.values)))))
+    z1 = np.exp(1j * _uniform_theta(grid_n))[:, None]
+    z2 = _slice_atoms(phi, alpha, z1)[0]  # NaN past a degree drop
+    z1 = np.broadcast_to(z1, z2.shape)
+    res1 = float(np.nanmax(np.abs(cr.r1(z1, z2) - np.conj(z1))))
+    res2 = float(np.nanmax(np.abs(cr.r2(z1, z2) - np.conj(z2))))
     return ConjRational(alpha=alpha, r1_num=r1_num, r1_den=r1_den,
                         r2_num=r2_num, r2_den=r2_den,
                         max_residual=(res1, res2))

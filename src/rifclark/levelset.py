@@ -6,12 +6,13 @@ polynomial h = q - alpha * p.  Away from finitely many exceptional alpha
 it is the union of n graphs zeta2 = g_j(zeta1) over the circle; at
 exceptional alpha whole lines { tau } x T or T x { tau } join in.
 
-This module traces the graphs over ascending angles, the uniform grid or
-the zeta1 nodes of a Clark measure (one padded array of companion-matrix
-roots, nearest-neighbor continuation composed as arrays with serial
-matching and collision refinement only at the few flagged steps, Newton
-polish), attaches the branch weights used by Clark measures, finds line
-components, and locates boundary singularities of phi.
+``_slice_atoms`` is the one unlabeled kernel behind every Clark measure:
+all roots of h over a batch of frozen points, Newton-polished, with the
+weight parts of each.  ``trace_branches`` labels the graphs over the
+uniform grid (nearest-neighbor continuation composed as arrays, serial
+matching and collision refinement only at the few flagged steps) for the
+outputs where labels are the point, such as the CSV export.  The module
+also finds line components and locates boundary singularities of phi.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ COLLISION_LEVELS = 3
 TIE_FLOOR = 1e-12
 ZERO_SLICE_REL_TOL = 1e-10
 UNIMODULAR_TOL = 1e-6
+LINE_TEST_POINTS = 8  # line_constant's samples and their relative spread
+LINE_SPREAD_TOL = 1e-8
+SEED_GRID = 2048  # slices per axis that seed find_singularities
 
 
 def _polyval_rows(rows, w):
@@ -50,12 +54,10 @@ def _polyval_rows(rows, w):
 class Branch:
     """One graph component zeta2 = g(zeta1) of a level set.
 
-    ``theta`` holds ascending angles, spanning less than one turn: the
-    uniform grid from trace_branches, the zeta1 nodes of the measure on
-    ``ClarkMeasure.branches``.  ``values`` holds the unimodular samples
-    g(e^{i theta}), ``weights`` the Clark branch weight at each node.
-    ``jump_index`` marks the one grid node where branch relabeling across
-    the wrap-around is permitted.
+    ``theta`` holds the uniform grid of trace_branches, ``values`` the
+    unimodular samples g(e^{i theta}), ``weights`` the Clark branch
+    weight at each node.  ``jump_index`` marks the one grid node where
+    branch relabeling across the wrap-around is permitted.
     """
 
     alpha: complex
@@ -92,18 +94,19 @@ class AlphaClass:
 # weights
 # ---------------------------------------------------------------------------
 
-def weight_parts(phi: Rif, alpha: complex, zeta1, zeta2):
-    """Numerator |p| and denominator |d/dz2 (q - alpha p)| of branch weights."""
-    z1, z2 = np.broadcast_arrays(np.asarray(zeta1, dtype=complex),
-                                 np.asarray(zeta2, dtype=complex))
-    num = np.abs(_poly.eval_poly(phi.den, (z1, z2)))
-    hd = derivative_coeffs(phi.level_coeffs(alpha), 2)
-    den = np.abs(_poly._eval_tensor(hd, [z1, z2]))
+def weight_parts(phi: Rif, alpha: complex, *zeta):
+    """Numerator |p| and denominator |d/dz_d (q - alpha p)| of the Clark
+    weight at level-set points given by one coordinate array per variable."""
+    zs = np.broadcast_arrays(*(np.asarray(z, dtype=complex) for z in zeta))
+    num = np.abs(_poly.eval_poly(phi.den, zs))
+    hd = derivative_coeffs(phi.level_coeffs(alpha), phi.dim)
+    den = np.abs(_poly._eval_tensor(hd, zs))
     return num, den
 
 
 def _weight_tols(phi: Rif, alpha: complex):
-    hd = derivative_coeffs(phi.level_coeffs(alpha), 2)
+    """Absolute tolerances below which |p| and |d/dz_d h| count as zero."""
+    hd = derivative_coeffs(phi.level_coeffs(alpha), phi.dim)
     num_scale = phi.den.coefficient_scale()
     den_scale = float(np.sum(np.abs(hd)))
     return 1e-9 * max(num_scale, 1e-300), 1e-9 * max(den_scale, 1e-300)
@@ -217,8 +220,10 @@ def _continue(roots, n_br, serial):
     return vals, ref
 
 
-def _solve_slices(hcoef, zeta):
-    rows = slice_coeffs(hcoef, np.asarray(zeta, dtype=complex)[:, None])
+def _solve_slices(hcoef, pts):
+    """Slice rows, padded roots and zero-slice flags of h over frozen
+    points ``pts`` (m, d-1)."""
+    rows = slice_coeffs(hcoef, pts)
     scale = float(np.max(np.abs(hcoef)))
     rowmax = np.max(np.abs(rows), axis=-1)
     zero_rows = rowmax < ZERO_SLICE_REL_TOL * scale
@@ -228,11 +233,29 @@ def _solve_slices(hcoef, zeta):
     return rows, roots, zero_rows
 
 
+def _slice_atoms(phi: Rif, alpha: complex, pts):
+    """Every root of h(zeta', .) over frozen points ``pts`` (m, d-1) with
+    its weight parts: (roots, num, den, zero_rows).
+
+    ``roots`` (m, k) holds each slice's Newton-polished roots in its first
+    columns and NaN after them (a degree drop, or a zero slice flagged in
+    ``zero_rows``); ``num`` and ``den`` are |p| and |d/dz_d h| there, so
+    num / den is the mass of each atom of the slice Clark measure.  No
+    root is labeled.
+    """
+    if abs(abs(alpha) - 1.0) > 1e-9:
+        raise ValueError("alpha must be unimodular")
+    rows, roots, zero_rows = _solve_slices(phi.level_coeffs(alpha), pts)
+    _newton_polish(rows, roots.T, zero_rows)
+    num, den = weight_parts(phi, alpha, *np.asarray(pts).T[..., None], roots)
+    return roots, num, den, zero_rows
+
+
 def _chain_match(hcoef, ref, theta_lo, theta_hi, level, max_level):
     """Resolve an ambiguous continuation step by refining the interval."""
     mid = theta_lo + (theta_hi - theta_lo) * np.arange(1, REFINE_FACTOR) \
         / REFINE_FACTOR
-    _, roots, zero_rows = _solve_slices(hcoef, np.exp(1j * mid))
+    _, roots, zero_rows = _solve_slices(hcoef, np.exp(1j * mid)[:, None])
     cur = ref
     for k in range(len(mid)):
         if zero_rows[k]:
@@ -260,20 +283,7 @@ def trace_branches(phi: Rif, alpha: complex,
     grid_n : int
         Number of uniform angle samples; a power of two, at least 256.
     """
-    return _trace(phi, alpha, _uniform_theta(grid_n))
-
-
-def _uniform_theta(grid_n):
-    """The angles 2 pi k / grid_n of a valid grid size."""
-    if grid_n < 256 or grid_n & (grid_n - 1):
-        raise ValueError("grid_n must be a power of two, at least 256")
-    return unit_circle_points(grid_n)[0]
-
-
-def _trace(phi, alpha, theta):
-    """trace_branches over ascending angles ``theta`` spanning less than
-    one turn.  Node filling and 0/0 extrapolation work on node indices,
-    so they assume the angles are a smooth map of a uniform grid."""
+    theta = _uniform_theta(grid_n)
     if phi.dim != 2:
         raise ValueError("trace_branches expects a two-variable inner function")
     if abs(abs(alpha) - 1.0) > 1e-9:
@@ -283,7 +293,7 @@ def _trace(phi, alpha, theta):
     n_nodes = len(theta)
     zeta = np.exp(1j * theta)
     hcoef = phi.level_coeffs(alpha)
-    rows, roots, zero_rows = _solve_slices(hcoef, zeta)
+    rows, roots, zero_rows = _solve_slices(hcoef, zeta[:, None])
 
     counts = np.count_nonzero(~np.isnan(roots), axis=1)
     n_br = int(counts.max()) if counts.size else 0
@@ -330,16 +340,12 @@ def _trace(phi, alpha, theta):
     _newton_polish(rows, values, zero_rows)
 
     num, den = weight_parts(phi, alpha, zeta[None, :], values)
-    num_tol, den_tol = _weight_tols(phi, alpha)
     weights = np.zeros_like(num)
-    ok = den > den_tol
+    ok = den > _weight_tols(phi, alpha)[1]
     weights[ok] = num[ok] / den[ok]
-    zoz = (~ok) & (num <= num_tol)
-    bad = (~ok) & (num > num_tol)
-    if np.any(bad):
-        # denominator vanished while the numerator did not: the node sits
-        # on a line; treat like 0/0 and let extrapolation fill it
-        zoz |= bad
+    # a vanishing denominator is a 0/0 node on a singularity or a node on
+    # a line; extrapolation fills both
+    zoz = ~ok
     _extrapolate_weights(weights, zoz)
 
     return [
@@ -354,6 +360,13 @@ def _trace(phi, alpha, theta):
         )
         for b in range(n_br)
     ]
+
+
+def _uniform_theta(grid_n):
+    """The angles 2 pi k / grid_n of a valid grid size."""
+    if grid_n < 256 or grid_n & (grid_n - 1):
+        raise ValueError("grid_n must be a power of two, at least 256")
+    return unit_circle_points(grid_n)[0]
 
 
 def _fill_missing(values):
@@ -382,10 +395,11 @@ def _fill_missing(values):
 
 
 def _newton_polish(rows, values, zero_rows, iters=3):
-    """Polish all non-degenerate nodes with a few Newton steps."""
+    """Polish all non-degenerate nodes with a few Newton steps; ``values``
+    (k, m) holds k roots of each of the m slice ``rows``."""
     drows = rows[:, 1:] * np.arange(1, rows.shape[1])
     scale = np.max(np.abs(rows), axis=-1)
-    live = ~zero_rows
+    live = ~zero_rows if zero_rows.any() else slice(None)  # a mask copies
     for _ in range(iters):
         w = values[:, live]
         f = _polyval_rows(rows[live], w)
@@ -418,16 +432,16 @@ def _extrapolate_weights(weights, zoz):
 # line components
 # ---------------------------------------------------------------------------
 
-def line_constant(phi: Rif, alpha: complex, tau: complex, axis: int = 1,
-                  n_test: int = 8, spread_tol: float = 1e-8) -> float:
+def line_constant(phi: Rif, alpha: complex, tau: complex,
+                  axis: int = 1) -> float:
     """Constant weight of a line component through tau.
 
     On a line the derivative of phi transversal to it is constant; the
     returned value is 1/|that derivative|, evaluated through the
     cancellation-free ratio (d/dz_axis of the level polynomial) / p at
-    ``n_test`` points along the line.  Raises NonConstantDerivative when
-    the slice at tau is not identically alpha or when the sampled ratio
-    is not constant.
+    LINE_TEST_POINTS points along the line.  Raises NonConstantDerivative
+    when the slice at tau is not identically alpha or when the sampled
+    ratio is not constant (relative spread above LINE_SPREAD_TOL).
     """
     if phi.dim != 2:
         raise ValueError("line_constant expects a two-variable inner function")
@@ -442,6 +456,7 @@ def line_constant(phi: Rif, alpha: complex, tau: complex, axis: int = 1,
             "not a line component")
     hd = derivative_coeffs(hcoef, axis)
     # sample points on the line, nudged off any zero of p
+    n_test = LINE_TEST_POINTS
     w = np.exp(1j * (TWO_PI * np.arange(n_test) / n_test + 0.373))
     for _ in range(4):
         pts = (np.full(n_test, tau), w) if axis == 1 else (w, np.full(n_test, tau))
@@ -453,19 +468,20 @@ def line_constant(phi: Rif, alpha: complex, tau: complex, axis: int = 1,
                                  np.asarray(pts[1], dtype=complex)])
     ratio = np.abs(dv / pv)
     mean = float(np.mean(ratio))
-    if mean <= 0.0 or (np.max(ratio) - np.min(ratio)) > spread_tol * max(mean, 1.0):
+    spread = np.max(ratio) - np.min(ratio)
+    if mean <= 0.0 or spread > LINE_SPREAD_TOL * max(mean, 1.0):
         raise NonConstantDerivative(
             f"transversal derivative varies along the line at tau={tau:.6g}")
     return 1.0 / mean
 
 
-def detect_lines(phi: Rif, alpha: complex,
-                 unimodular_tol: float = UNIMODULAR_TOL) -> list[LineComponent]:
+def detect_lines(phi: Rif, alpha: complex) -> list[LineComponent]:
     """Find every line component of the level set at alpha, both axes.
 
     Vertical lines ({tau} x T, axis 1) are the canonical line carriers in
-    measure construction; horizontal lines also show up as constant
-    branches of the tracer and are reported here with axis 2.
+    measure construction; horizontal lines, a root zeta2 = tau of every
+    slice and so already among a measure's nodes, are reported here with
+    axis 2.  Candidate taus lie within UNIMODULAR_TOL of the circle.
     """
     if phi.dim != 2:
         raise ValueError("detect_lines expects a two-variable inner function")
@@ -483,7 +499,7 @@ def detect_lines(phi: Rif, alpha: complex,
         roots = companion_roots(_poly.trim(pick)[None, :])[0]
         taus = []
         for r in roots[~np.isnan(roots)]:
-            if abs(abs(r) - 1.0) >= unimodular_tol:
+            if abs(abs(r) - 1.0) >= UNIMODULAR_TOL:
                 continue
             tau = _polish_common_root(cols, r, scale)
             if tau is None:
@@ -527,15 +543,15 @@ def classify_alpha(phi: Rif, alpha: complex) -> AlphaClass:
 # singularities
 # ---------------------------------------------------------------------------
 
-def find_singularities(phi: Rif,
-                       seed_grid: int = 2048) -> list[tuple[complex, complex]]:
+def find_singularities(phi: Rif) -> list[tuple[complex, complex]]:
     """Common boundary zeros of p and its reflection on the 2-torus.
 
-    Seeds come from slice roots of p that approach the unit circle (plus
-    coarse torus minima of |p|); each seed is polished by a damped
-    least-squares Newton iteration on (Re p, Im p) = 0 in the two angle
-    variables.  The Jacobian is singular at the zeros themselves, so the
-    iteration is run to stagnation rather than a fixed count.
+    Seeds come from slice roots of p over SEED_GRID angles that approach
+    the unit circle (plus coarse torus minima of |p|); each seed is
+    polished by a damped least-squares Newton iteration on
+    (Re p, Im p) = 0 in the two angle variables.  The Jacobian is
+    singular at the zeros themselves, so the iteration is run to
+    stagnation rather than a fixed count.
     """
     if phi.dim != 2:
         raise ValueError("find_singularities expects a two-variable function")
@@ -543,8 +559,8 @@ def find_singularities(phi: Rif,
     scale = p.coefficient_scale()
     seeds: list[tuple[float, float]] = []
 
-    _, zg = unit_circle_points(seed_grid)
-    tg = TWO_PI * np.arange(seed_grid) / seed_grid
+    _, zg = unit_circle_points(SEED_GRID)
+    tg = TWO_PI * np.arange(SEED_GRID) / SEED_GRID
     for axis in (2, 1):
         if 1 in p.coeffs.shape:
             # slices that do not vary, or have no roots, give no seeds

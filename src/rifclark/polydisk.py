@@ -16,12 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import poly as _poly
 from .clark import ClarkMeasure, total_mass
 from .errors import RootFindFailure, SingularDenominator, UnstableDenominator
-from .levelset import _polyval_rows
-from .poly import Rif, companion_roots, derivative_coeffs, slice_coeffs, \
-    stability_check
+from .levelset import _slice_atoms
+from .poly import Rif, stability_check
 from .util import TWO_PI
 
 __all__ = [
@@ -39,11 +37,11 @@ def build_measure_d(phi: Rif, alpha: complex,
     (min slice-root modulus > 1 + 1e-6); denominators with boundary
     zeros — phi_3 at (1,1,1) for instance — are refused, since the
     absolutely-continuous structure formula breaks down there.
-    No continuation is run: the nodes over each grid point (zeta1, zeta2)
-    are all companion roots zeta3 of its slice, Newton-polished, and the
-    measure sums over them, so no root needs a label.  The nodes are
-    (grid_n**2 * n, 3) with n the degree in z3, weighted by the tensor
-    trapezoid rule times the Clark weight |p| / |d/dz3 (q - alpha p)|.
+    The nodes over each grid point (zeta1, zeta2) are all roots zeta3 of
+    its slice from ``levelset._slice_atoms``, as in the 2-variable
+    builder.  They are (grid_n**2 * n, 3) with n the degree in z3, listed
+    root column by root column and weighted by the tensor trapezoid rule
+    times the Clark weight |p| / |d/dz3 (q - alpha p)|.
     """
     if phi.dim != 3:
         raise ValueError("build_measure_d handles exactly three variables")
@@ -58,32 +56,20 @@ def build_measure_d(phi: Rif, alpha: complex,
     N = grid_n
     theta = TWO_PI * np.arange(N) / N
     zg = np.exp(1j * theta)
-    h = phi.level_coeffs(alpha)
-    n_br = phi.degrees[-1]
 
     Z1, Z2 = np.meshgrid(zg, zg, indexing="ij")
     pts = np.stack([Z1.ravel(), Z2.ravel()], axis=-1)
-    rows = slice_coeffs(h, pts)
-    roots = companion_roots(rows)
+    roots, num, den, _ = _slice_atoms(phi, alpha, pts)
     if np.isnan(roots).any():
         raise RootFindFailure(
             "a slice dropped degree; the surface is not a clean cover "
             "of the 2-torus")
     flat = roots.T
-    drows = rows[:, 1:] * np.arange(1, rows.shape[1])
-    for _ in range(3):
-        f = _polyval_rows(rows, flat)
-        fp = _polyval_rows(drows, flat)
-        good = np.abs(fp) > 1e-12
-        flat = flat - np.where(good, f / np.where(good, fp, 1.0), 0.0)
-
     zs = [np.broadcast_to(pts[:, 0], flat.shape),
           np.broadcast_to(pts[:, 1], flat.shape), flat]
-    num = np.abs(_poly._eval_tensor(phi.den.coeffs, zs))
-    den = np.abs(_poly._eval_tensor(derivative_coeffs(h, 3), zs))
     return ClarkMeasure(phi=phi, alpha=complex(alpha), grid_n=N,
                         nodes=np.stack(zs, axis=-1).reshape(-1, 3),
-                        weights=(num / den).ravel() / (N * N), lines=[])
+                        weights=(num / den).T.ravel() / (N * N), lines=[])
 
 
 total_mass_d = total_mass

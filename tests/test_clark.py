@@ -295,10 +295,40 @@ def test_measure_from_json_rejects_malformed_records(fav_measure_alphai,
 
 @pytest.mark.parametrize("name", ["fav", "squared"])
 @pytest.mark.parametrize("dt", [-1e-5, 1e-5])
-def test_mass_gap_raises_instead_of_wrong_mass(corpus, name, dt):
-    # next to the singularity (1, 1) the weights lose about half the mass
+def test_build_next_to_singularity_is_accurate(corpus, name, dt):
+    # next to the singularity (1, 1) both weight parts of many nodes fall
+    # below the 0/0 tolerances; each slice atom still carries its ratio
+    phi = corpus[name]
+    alpha = np.exp(1j * np.pi * (1.0 + dt))
+    m = clark.build_measure(phi, alpha, 512)
+    assert abs(clark.total_mass(m) / clark.expected_mass(phi, alpha) - 1.0) \
+        <= 1e-6
+    assert clark.verify_poisson(m, _poisson_points()).max_rel_err <= 1e-6
+
+
+@pytest.mark.parametrize("N", [512, 4096])
+@pytest.mark.parametrize("dt", [-1e-8, 1e-8])
+def test_mass_gap_raises_instead_of_wrong_mass(product, dt, N):
+    # the slice at zeta1 = 1 passes through the singularity (1, 1), where
+    # its atoms sum to 1.054 instead of 1
     with pytest.raises(MassGapExceeded):
-        clark.build_measure(corpus[name], np.exp(1j * np.pi * (1.0 + dt)), 512)
+        clark.build_measure(product, np.exp(1j * np.pi * (1.0 + dt)), N)
+
+
+def test_product_builds_where_its_branches_meet(product):
+    # at alpha = -1 the two roots of the slice at zeta1 = 1 coincide
+    m = clark.build_measure(product, -1.0 + 0.0j, 256)
+    assert abs(clark.total_mass(m) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["fav", "squared"])
+@pytest.mark.parametrize("N", [256, 512])
+def test_zeta1_nodes_avoid_the_lines(corpus, name, N):
+    m = clark.build_measure(corpus[name], -1.0 + 0.0j, N)
+    assert m.lines
+    for line in m.lines:
+        gap = np.abs(np.angle(m.nodes[:, 0] / line.tau))
+        assert np.min(gap) >= 0.99 * np.pi / N
 
 
 def test_mass_gap_guard_passes_accurate_builds(product):

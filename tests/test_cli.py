@@ -138,9 +138,12 @@ def test_verify_rejects_text_array_measure_file(fav_json, tmp_path, capsys):
     assert err["type"] == "ValueError" and "base64" in err["message"]
 
 
-def test_analyze_refuses_a_wrong_mass(fav_json, tmp_path, capsys):
-    rc = main(["analyze", "--poly", fav_json, "--alpha", "exp:1.00001",
-               "--grid", "512", "--out", str(tmp_path / "m.json")])
+def test_analyze_refuses_a_wrong_mass(tmp_path, capsys):
+    poly = tmp_path / "product.json"
+    poly.write_text(poly_to_json(catalog.product_singular_rif().den))
+    rc = main(["analyze", "--poly", str(poly), "--rif-degrees", "2,2",
+               "--alpha", "exp:1.00000001", "--grid", "512",
+               "--out", str(tmp_path / "m.json")])
     assert rc == 1
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "MassGapExceeded"

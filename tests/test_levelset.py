@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rifclark import catalog, clark, levelset
+from rifclark import blaschke, catalog, clark, embedding, levelset, polydisk
 from rifclark.errors import NonConstantDerivative
 
 
@@ -127,13 +127,12 @@ def test_blaschke_node_rule_near_exceptional(fav, squared):
     alpha = -np.exp(0.05j)
     N = 512
     m = clark.build_measure(squared, alpha, N)
-    theta = m.branches[0].theta
+    theta, quad = clark._zeta1_rule(squared, alpha, N, [])
     assert len(theta) == 3 * N and np.all(np.diff(theta) > 0)
     assert theta[-1] - theta[0] < 2 * np.pi
+    # two roots over each node, listed root column by root column
     assert np.array_equal(m.nodes[:, 0].reshape(2, -1),
                           np.exp(1j * np.array([theta, theta])))
-    rule_theta, quad = clark._zeta1_rule(squared, alpha, N, [])
-    assert np.array_equal(rule_theta, theta)
     assert abs(np.sum(quad) - 1.0) < 1e-12
     zs = np.sqrt(2 * alpha / (alpha - 1)) * np.array([1, -1])
     a = 1 / np.conj(zs)
@@ -158,6 +157,7 @@ def test_blaschke_node_rule_near_exceptional(fav, squared):
         assert np.all(quad == 1.0 / N)
         m = clark.build_measure(phi, alpha, N)
         assert np.array_equal(m.nodes[:N, 0], np.exp(1j * uniform))
+        assert len(m.nodes) == N * phi.degrees[1]
 
 
 def test_branch_csv_format(fav, tmp_path):
@@ -331,3 +331,25 @@ def test_serial_fallback_traces_level_points(squared, product, match_calls):
             zeta = np.exp(1j * br.theta)
             res = phi.num(zeta, br.values) - alpha * phi.den(zeta, br.values)
             assert np.max(np.abs(res)) < 1e-8 * scale
+
+
+def test_measure_path_traces_no_branch(corpus, monkeypatch):
+    # every measure builder takes all slice roots unlabeled, so branch
+    # continuation and matching never run, even where branches meet
+    def refuse(*args):
+        raise AssertionError("branch continuation ran on the measure path")
+
+    monkeypatch.setattr(levelset, "_continue", refuse)
+    monkeypatch.setattr(levelset, "_match_column", refuse)
+    for name in ("fav", "squared", "product", "diagonal"):
+        phi = corpus[name]
+        for alpha in (np.exp(0.7j), 1.0 + 0.0j, -1.0 + 0.0j, -np.exp(0.05j)):
+            m = clark.build_measure(phi, alpha, 256)
+            assert abs(clark.total_mass(m) - clark.expected_mass(phi, alpha)) \
+                < 1e-8, (name, alpha)
+        assert max(embedding.conj_rational(phi, np.exp(0.7j)).max_residual) \
+            < 1e-10
+        assert blaschke.slice_clark_atoms(phi, np.exp(0.7j), np.exp(0.4j))
+    phi = catalog.tridisk_rif(4.0)
+    m = polydisk.build_measure_d(phi, np.exp(0.9j), 32)
+    assert abs(clark.total_mass(m) - 1.0) < 1e-8
