@@ -115,11 +115,17 @@ def build_measure(phi: Rif, alpha: complex, grid_n: int = 4096) -> ClarkMeasure:
     measure = ClarkMeasure(phi=phi, alpha=complex(alpha), grid_n=grid_n,
                            nodes=nodes, weights=weights,
                            lines=[l for l in lines if l.axis == 1])
-    gap = abs(total_mass(measure) / expected_mass(phi, alpha) - 1.0)
-    if not gap <= MASS_GAP_TOL:  # a NaN gap raises too
+    _check_mass(measure, expected_mass(phi, alpha))
+    return measure
+
+
+def _check_mass(measure, expected):
+    """Raise MassGapExceeded when the measure's mass is off ``expected`` by
+    more than MASS_GAP_TOL relatively (a NaN mass included)."""
+    gap = abs(total_mass(measure) / expected - 1.0)
+    if not gap <= MASS_GAP_TOL:
         raise MassGapExceeded(f"mass is off by relative {gap:.3g}, above "
                               f"MASS_GAP_TOL = {MASS_GAP_TOL:g}")
-    return measure
 
 
 def _zeta1_rule(phi, alpha, grid_n, lines):

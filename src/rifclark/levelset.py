@@ -40,6 +40,7 @@ UNIMODULAR_TOL = 1e-6
 LINE_TEST_POINTS = 8  # line_constant's samples and their relative spread
 LINE_SPREAD_TOL = 1e-8
 SEED_GRID = 2048  # slices per axis that seed find_singularities
+NEWTON_ITERS = 3  # Newton steps on every slice root
 
 
 def _polyval_rows(rows, w):
@@ -394,13 +395,13 @@ def _fill_missing(values):
             values[b, i] = val / abs(val)
 
 
-def _newton_polish(rows, values, zero_rows, iters=3):
-    """Polish all non-degenerate nodes with a few Newton steps; ``values``
-    (k, m) holds k roots of each of the m slice ``rows``."""
+def _newton_polish(rows, values, zero_rows):
+    """Polish all non-degenerate nodes with NEWTON_ITERS Newton steps;
+    ``values`` (k, m) holds k roots of each of the m slice ``rows``."""
     drows = rows[:, 1:] * np.arange(1, rows.shape[1])
     scale = np.max(np.abs(rows), axis=-1)
     live = ~zero_rows if zero_rows.any() else slice(None)  # a mask copies
-    for _ in range(iters):
+    for _ in range(NEWTON_ITERS):
         w = values[:, live]
         f = _polyval_rows(rows[live], w)
         fp = _polyval_rows(drows[live], w)

@@ -27,6 +27,14 @@ from numpy.polynomial import polynomial as npoly
 from .errors import DegreeNotAttained, RootFindFailure, ZeroPolynomial
 
 ATTAIN_TOL = 1e-14
+# trailing slice coefficients below this fraction of their row's largest
+# one count as zero in companion_roots (a degree drop)
+DEGREE_DROP_REL_TOL = 1e-11
+# two closed-form roots of one quadratic or cubic closer than this times
+# its largest root are coalescing.  Cardano leaves roots a gap g apart off
+# by about eps R^2 / g at root scale R, so from g = 1e-4 R one Newton step
+# converges; closer roots go to eigvals
+COALESCE_REL_TOL = 1e-4
 
 
 def _as_coeff_tensor(coeffs):
@@ -174,7 +182,9 @@ def slice_coeffs(coeffs, points, axis=None):
 
     ``points`` is an array of shape (..., d-1) whose rows hold the frozen
     coordinates in variable order with ``axis`` removed.  Returns an array
-    of shape (..., n_axis + 1).
+    of shape (..., n_axis + 1).  Each frozen axis is contracted in turn
+    against its matrix of powers: the first by one matmul with the
+    coefficient tensor, the others row by row.
     """
     coeffs = _as_coeff_tensor(coeffs)
     d = coeffs.ndim
@@ -189,29 +199,45 @@ def slice_coeffs(coeffs, points, axis=None):
     if pts.shape[-1] != d - 1:
         raise ValueError(f"expected {d - 1} frozen coordinates per point")
     moved = np.moveaxis(coeffs, a, -1)
-    acc = moved.reshape((1,) * (pts.ndim - 1) + moved.shape)
-    for k in range(d - 1):
-        nk = acc.shape[pts.ndim - 1]
-        powers = pts[..., k, None] ** np.arange(nk)
-        extra = acc.ndim - pts.ndim
-        acc = np.sum(acc * powers.reshape(powers.shape + (1,) * extra),
-                     axis=pts.ndim - 1)
-    return acc
+    flat = pts.reshape(-1, d - 1)
+    n0 = moved.shape[0]
+    acc = _powers(flat[:, 0], n0) @ moved.reshape(n0, -1)
+    for k in range(1, d - 1):
+        acc = np.einsum("mj,mjr->mr", _powers(flat[:, k], moved.shape[k]),
+                        acc.reshape(len(flat), moved.shape[k], -1))
+    return acc.reshape(pts.shape[:-1] + moved.shape[-1:])
 
 
-def companion_roots(batch_coeffs, rel_tol=1e-11):
-    """Roots of a batch of univariate polynomials via companion eigenvalues.
+def _powers(z, n):
+    """The (m, n) matrix of z**j, j < n, for points z (m,)."""
+    out = np.empty((len(z), n), dtype=np.complex128)
+    out[:, 0] = 1.0
+    for j in range(1, n):
+        out[:, j] = out[:, j - 1] * z
+    return out
+
+
+def companion_roots(batch_coeffs):
+    """Roots of a batch of univariate polynomials.
 
     ``batch_coeffs`` has shape (m, k+1), constant term first.  Rows are
-    trimmed individually: trailing coefficients below ``rel_tol`` times
-    the row maximum are treated as zero (degree drop).  Returns an (m, k)
-    array: row i holds the deg_i roots of row i in its first columns and
-    NaN after them.
+    trimmed individually: trailing coefficients below DEGREE_DROP_REL_TOL
+    times the row maximum are treated as zero (degree drop).  Returns an
+    (m, k) array: row i holds the deg_i roots of row i in its first
+    columns and NaN after them.
+
+    By effective degree: 1 is solved directly, 2 by the stable quadratic
+    formula and 3 by Cardano's formula plus one Newton step.  Degree 4
+    and up, and quadratics and cubics with two closed-form roots closer
+    than COALESCE_REL_TOL times their largest (roots about to coalesce),
+    get the eigenvalues of the companion matrix.  Those split an exact
+    double root by about sqrt(eps), where a closed form returns it twice
+    and the Clark weight |p| / |d/dz h| there as 0/0.
     """
     c = np.asarray(batch_coeffs, dtype=np.complex128)
-    rowmax = np.max(np.abs(c), axis=1)
+    size = np.abs(c)
     k = c.shape[1] - 1
-    mask = np.abs(c) > (rel_tol * rowmax)[:, None]
+    mask = size > DEGREE_DROP_REL_TOL * np.max(size, axis=1, keepdims=True)
     rev_any = mask[:, ::-1].any(axis=1)
     eff_deg = np.where(rev_any, k - np.argmax(mask[:, ::-1], axis=1), -1)
     out = np.full((len(c), k), np.nan, dtype=np.complex128)
@@ -219,19 +245,79 @@ def companion_roots(batch_coeffs, rel_tol=1e-11):
         idx = np.nonzero(eff_deg == deg)[0]
         if idx.size == 0:
             continue
-        block = c[idx, : deg + 1]
+        monic = c[idx, :deg] / c[idx, deg:deg + 1]
         if deg == 1:
-            roots = (-block[:, 0] / block[:, 1])[:, None]
+            roots = -monic
+        elif deg <= 3:
+            solve = _quadratic_roots if deg == 2 else _cubic_roots
+            roots, tight = solve(monic)
+            if tight.any():
+                roots[tight] = _eigvals(monic[tight])
         else:
-            comp = np.zeros((idx.size, deg, deg), dtype=np.complex128)
-            comp[:, 1:, :-1] = np.eye(deg - 1)
-            comp[:, :, -1] = -block[:, :-1] / block[:, -1:]
-            try:
-                roots = np.linalg.eigvals(comp)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover
-                raise RootFindFailure(str(exc)) from exc
+            roots = _eigvals(monic)
         out[idx, :deg] = roots
     return out
+
+
+def _quadratic_roots(monic):
+    """Roots (m, 2) of z^2 + b z + c from rows [c, b], and which rows have
+    coalescing roots.  The square root takes the sign that makes |b + d|
+    largest, so r1 = -(b + d) / 2 has no cancellation and r2 = c / r1."""
+    c, b = monic.T
+    d = np.sqrt(b * b - 4.0 * c)
+    d = np.where((b.conjugate() * d).real < 0.0, -d, d)
+    r1 = -0.5 * (b + d)
+    live = r1 != 0.0  # r1 = 0 only for b = c = 0, a double root at 0
+    r2 = np.where(live, c / np.where(live, r1, 1.0), 0.0)
+    # the roots are |d| apart and |r1| >= |r2|
+    tight = np.abs(d) <= COALESCE_REL_TOL * np.abs(r1)
+    return np.stack([r1, r2], axis=1), tight
+
+
+_OMEGA = np.exp(2j * np.pi / 3.0)
+
+
+def _cubic_roots(monic):
+    """Roots (m, 3) of z^3 + a z^2 + b z + c from rows [c, b, a], and which
+    rows have coalescing roots.  Cardano on the depressed cubic
+    t^3 + p t + q (z = t - a/3) with u^3 = -(q/2 + s), s^2 = (q/2)^2 +
+    (p/3)^3 and the sign of s that makes |u| largest, then one Newton
+    step on every root of the rows without coalescing roots."""
+    c, b, a = monic.T
+    shift = a / 3.0
+    p3 = (b - a * shift) / 3.0
+    w = 0.5 * (c + shift * (2.0 * shift * shift - b))
+    s = np.sqrt(w * w + p3 ** 3)
+    s = np.where((w.conjugate() * s).real < 0.0, -s, s)
+    u3 = -(w + s)
+    u = np.cbrt(np.abs(u3)) * np.exp(1j * np.angle(u3) / 3.0)
+    live = u != 0.0  # u = 0 only for p = q = 0, a triple root
+    v = np.where(live, -p3 / np.where(live, u, 1.0), 0.0)
+    z = np.stack([u + v, _OMEGA * u + _OMEGA.conjugate() * v,
+                  _OMEGA.conjugate() * u + _OMEGA * v], axis=1)
+    z -= shift[:, None]
+    i, j = np.triu_indices(3, 1)
+    tight = np.min(np.abs(z[:, i] - z[:, j]), axis=1) \
+        <= COALESCE_REL_TOL * np.max(np.abs(z), axis=1)
+    a, b, c = a[~tight, None], b[~tight, None], c[~tight, None]
+    zt = z[~tight]
+    f = ((zt + a) * zt + b) * zt + c
+    fp = (3.0 * zt + 2.0 * a) * zt + b
+    live = fp != 0.0
+    z[~tight] = zt - np.where(live, f / np.where(live, fp, 1.0), 0.0)
+    return z, tight
+
+
+def _eigvals(monic):
+    """Companion-matrix eigenvalues (m, deg) of monic rows (m, deg)."""
+    deg = monic.shape[1]
+    comp = np.zeros((len(monic), deg, deg), dtype=np.complex128)
+    comp[:, 1:, :-1] = np.eye(deg - 1)
+    comp[:, :, -1] = -monic
+    try:
+        return np.linalg.eigvals(comp)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise RootFindFailure(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

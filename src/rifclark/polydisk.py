@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clark import ClarkMeasure, total_mass
+from .clark import ClarkMeasure, _check_mass, total_mass
 from .errors import RootFindFailure, SingularDenominator, UnstableDenominator
 from .levelset import _slice_atoms
-from .poly import Rif, stability_check
+from .poly import Rif, _eval_tensor, stability_check
 from .util import TWO_PI
 
 __all__ = [
@@ -42,6 +42,14 @@ def build_measure_d(phi: Rif, alpha: complex,
     builder.  They are (grid_n**2 * n, 3) with n the degree in z3, listed
     root column by root column and weighted by the tensor trapezoid rule
     times the Clark weight |p| / |d/dz3 (q - alpha p)|.
+
+    The atoms over each grid point carry the mass of their slice's Clark
+    measure, which the Poisson identity at z3 = 0 gives exactly, and the
+    grid mean of those masses is ``clark.expected_mass`` as this grid
+    integrates it.  A mass off that mean by more than
+    ``clark.MASS_GAP_TOL`` relatively raises MassGapExceeded.  The guard
+    sees a faulty build, such as lost roots, and not the quadrature
+    error of a coarse grid (7.8e-3 at grid_n = 8 for s = 3.3).
     """
     if phi.dim != 3:
         raise ValueError("build_measure_d handles exactly three variables")
@@ -67,9 +75,21 @@ def build_measure_d(phi: Rif, alpha: complex,
     flat = roots.T
     zs = [np.broadcast_to(pts[:, 0], flat.shape),
           np.broadcast_to(pts[:, 1], flat.shape), flat]
-    return ClarkMeasure(phi=phi, alpha=complex(alpha), grid_n=N,
-                        nodes=np.stack(zs, axis=-1).reshape(-1, 3),
-                        weights=(num / den).T.ravel() / (N * N), lines=[])
+    measure = ClarkMeasure(phi=phi, alpha=complex(alpha), grid_n=N,
+                           nodes=np.stack(zs, axis=-1).reshape(-1, 3),
+                           weights=(num / den).T.ravel() / (N * N), lines=[])
+    _check_mass(measure, np.mean(_slice_masses(phi, alpha, pts)))
+    return measure
+
+
+def _slice_masses(phi: Rif, alpha: complex, pts):
+    """Mass of the Clark measure of each slice b = phi(zeta1, zeta2, .) over
+    ``pts`` (m, 2): the Poisson identity at z3 = 0,
+    (1 - |b(0)|^2) / |alpha - b(0)|^2."""
+    zs = [pts[:, 0], pts[:, 1]]
+    b0 = _eval_tensor(phi.num.coeffs[..., 0], zs) \
+        / _eval_tensor(phi.den.coeffs[..., 0], zs)
+    return (1.0 - np.abs(b0) ** 2) / np.abs(complex(alpha) - b0) ** 2
 
 
 total_mass_d = total_mass

@@ -1,8 +1,10 @@
 import json
+import math
+from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rifclark import catalog
@@ -110,6 +112,105 @@ def test_slice_coeffs_along_first_axis():
     row = slice_coeffs(P_FAV.coeffs, zp, axis=1)[0]
     val = np.polynomial.polynomial.polyval(0.6, row)
     assert abs(val - complex(eval_poly(P_FAV, (0.6, zp[0, 0])))) < 1e-13
+
+
+def _broadcast_slice_coeffs(coeffs, pts, axis):
+    """Reference: contract each frozen axis by a broadcast multiply-and-sum."""
+    acc = np.moveaxis(coeffs, axis - 1, -1)[None]
+    for k in range(pts.shape[-1]):
+        powers = pts[:, k, None] ** np.arange(acc.shape[1])
+        extra = (1,) * (acc.ndim - 2)
+        acc = np.sum(acc * powers.reshape(powers.shape + extra), axis=1)
+    return acc
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 4), (2, 3, 2, 3)])
+def test_slice_coeffs_matches_broadcast_reference(shape):
+    rng = np.random.default_rng(11)
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    pts = np.exp(2j * np.pi * rng.uniform(size=(50, len(shape) - 1))) \
+        * rng.uniform(0.0, 1.0, size=(50, len(shape) - 1))
+    for axis in range(1, len(shape) + 1):
+        got = slice_coeffs(c, pts, axis=axis)
+        ref = _broadcast_slice_coeffs(c, pts, axis)
+        assert got.shape == (50, shape[axis - 1])
+        assert np.max(np.abs(got - ref)) < 1e-14 * np.sum(np.abs(c))
+    assert slice_coeffs(c, pts.reshape(5, 10, -1)).shape == (5, 10, shape[-1])
+
+
+EPS = np.finfo(float).eps
+# root parts in [-1, 1], none so small that the coefficients underflow
+unit = st.floats(min_value=-1.0, max_value=1.0).map(
+    lambda x: x if abs(x) > 1e-6 else 0.0)
+
+
+def _derivative_rows(c):
+    """Coefficient rows of f, f', f'', ... for a row c (constant first)."""
+    rows = [c]
+    while len(rows[-1]) > 1:
+        rows.append(rows[-1][1:] * np.arange(1, len(rows[-1])))
+    return rows
+
+
+@given(deg=st.sampled_from([2, 3]),
+       parts=st.lists(st.tuples(unit, unit), min_size=3, max_size=3),
+       root_exp=st.integers(min_value=-2, max_value=2),
+       lead_exp=st.integers(min_value=-8, max_value=8),
+       form=st.sampled_from(["simple", "zero", "double", "triple", "drop"]))
+@example(deg=2, parts=[(0.5, 0.0)] * 3, root_exp=0, lead_exp=0, form="double")
+@example(deg=3, parts=[(0.3, -0.4)] * 3, root_exp=0, lead_exp=0,
+         form="triple")
+@example(deg=3, parts=[(0.0, 0.0)] * 3, root_exp=0, lead_exp=0, form="triple")
+@settings(max_examples=300, deadline=None)
+def test_closed_form_roots_match_numpy(deg, parts, root_exp, lead_exp, form):
+    # quadratic and cubic rows against np.roots: a normwise residual within
+    # 16 eps, and the same multiset up to 16 times each root's conditioning
+    # (m! eps S / |f^(m)|)^(1/m) at multiplicity m
+    roots = np.array([complex(a, b) for a, b in parts[:deg]]) \
+        * 10.0 ** root_exp
+    if form == "zero":
+        roots[0] = 0.0
+    elif form == "double":
+        roots[1] = roots[0]
+    elif form == "triple":
+        roots[:] = roots[0]
+    c = np.poly(roots)[::-1] * 10.0 ** lead_exp
+    row = np.append(c, 0.0) if form == "drop" else c
+    got = companion_roots(row[None, :])[0]
+    assert got.shape == (len(row) - 1,)
+    assert np.isnan(got[deg:]).all() and not np.isnan(got[:deg]).any()
+    got = got[:deg]
+    ref = np.roots(c[::-1])
+    rho = max(np.max(np.abs(ref)), np.max(np.abs(got)), 1e-300)
+    S = np.sum(np.abs(c) * rho ** np.arange(deg + 1))
+    fs = _derivative_rows(c)
+    val = np.polynomial.polynomial.polyval
+    assert np.max(np.abs(val(got, c))) <= 16 * EPS * S
+
+    def cond(r):
+        return min((math.factorial(m) * EPS * S
+                    / max(abs(val(r, fs[m])), 1e-300)) ** (1.0 / m)
+                   for m in range(1, deg + 1))
+
+    best = min(max(abs(g - r) - 16 * (cond(g) + cond(r)) for g, r
+                   in zip(got[list(perm)], ref))
+               for perm in permutations(range(deg)))
+    assert best <= 0.0
+
+
+@pytest.mark.parametrize("roots", [
+    [3e-7, 1.7], [-2.3e6, 3.1e-6j],
+    [3.7e-6, 2.9e5, -1.3e5j], [1.1e-9j, 0.5, 0.7 - 0.5j],
+    list(np.exp(2j * np.pi * np.arange(3) / 3) * [1.0, 1.0 + 1e-4, 1.0]),
+])
+def test_closed_form_roots_keep_every_root_to_relative_eps(roots):
+    # roots of very different sizes, and a cubic whose depressed form is
+    # nearly t^3 - 1: the sign choices and the Newton step keep every root
+    # to relative rounding, where cancellation would lose them
+    roots = np.array(roots, dtype=complex)
+    got = companion_roots(np.poly(roots)[::-1][None, :])[0]
+    for r in roots:
+        assert np.min(np.abs(got - r)) <= 8 * EPS * abs(r)
 
 
 def test_companion_roots_match_numpy():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from rifclark import catalog, clark, polydisk
-from rifclark.errors import SingularDenominator, UnstableDenominator
+from rifclark.errors import (MassGapExceeded, SingularDenominator,
+                             UnstableDenominator)
 from rifclark.poly import PolyMD, Rif
 
 
@@ -101,16 +102,64 @@ def test_integrate_constant_on_tridisk_measure():
     assert abs(got - clark.total_mass(m)) < 1e-14
 
 
+def sheets_rif(s, k):
+    """Denominator s - z1 - z2 - z3^k: k roots in z3 over every slice."""
+    c = np.zeros((2, 2, k + 1), dtype=complex)
+    c[0, 0, 0] = s
+    c[1, 0, 0] = c[0, 1, 0] = c[0, 0, k] = -1.0
+    return Rif(PolyMD(c))
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_build_measure_d_mass_several_sheets(k):
-    # denominator s - z1 - z2 - z3^k: k roots in z3 over every slice
-    c = np.zeros((2, 2, k + 1), dtype=complex)
-    c[0, 0, 0] = 3.5
-    c[1, 0, 0] = c[0, 1, 0] = c[0, 0, k] = -1.0
-    phi = Rif(PolyMD(c))
+    phi = sheets_rif(3.5, k)
     alpha = np.exp(0.4j)
     m = polydisk.build_measure_d(phi, alpha, 64)
     assert m.nodes.shape == (k * 64 * 64, 3)
     assert np.max(np.abs(phi(*m.nodes.T) - alpha)) < 1e-12
     assert abs(polydisk.total_mass_d(m)
                - clark.expected_mass(phi, alpha)) < 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_build_measure_d_mass_guard_passes(k):
+    # the guard checks each slice's atoms against its exact Clark mass, so
+    # a coarse grid builds although its quadrature misses expected_mass
+    phi = sheets_rif(3.3, k)
+    alpha = np.exp(0.4j)
+    coarse = polydisk.build_measure_d(phi, alpha, 8)
+    assert abs(clark.total_mass(coarse) / clark.expected_mass(phi, alpha)
+               - 1.0) > clark.MASS_GAP_TOL
+    fine = polydisk.build_measure_d(phi, alpha, 128)
+    assert abs(clark.total_mass(fine) / clark.expected_mass(phi, alpha)
+               - 1.0) < 1e-14
+
+
+def test_build_measure_d_mass_guard_raises_on_lost_roots(monkeypatch):
+    slice_atoms = polydisk._slice_atoms
+
+    def drop_last_root(phi, alpha, pts):
+        roots, num, den, zero_rows = slice_atoms(phi, alpha, pts)
+        return roots[:, :-1], num[:, :-1], den[:, :-1], zero_rows
+
+    monkeypatch.setattr(polydisk, "_slice_atoms", drop_last_root)
+    with pytest.raises(MassGapExceeded):
+        polydisk.build_measure_d(sheets_rif(3.5, 2), np.exp(0.4j), 32)
+
+
+def test_low_degree_slices_skip_eigvals(corpus, monkeypatch):
+    # degree-2 and degree-3 slices are solved in closed form; LAPACK
+    # eigenvalues serve only degree 4 and up and coalescing roots
+    def refuse(*args):
+        raise AssertionError("eigvals ran on a degree <= 3 build")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    alpha = np.exp(0.7j)
+    for name in ("squared", "product"):
+        phi = corpus[name]
+        m = clark.build_measure(phi, alpha, 4096)
+        assert abs(clark.total_mass(m) / clark.expected_mass(phi, alpha)
+                   - 1.0) < 1e-12, name
+    for k in (2, 3):
+        m = polydisk.build_measure_d(sheets_rif(3.5, k), alpha, 32)
+        assert m.nodes.shape == (k * 32 * 32, 3)
