@@ -47,6 +47,7 @@ __all__ = [
     "ClarkMeasure", "build_measure", "weight_at", "line_constant",
     "integrate", "total_mass", "expected_mass", "verify_poisson",
     "PoissonReport", "herglotz_moments", "herglotz_reconstruct",
+    "exact_moments", "moment_residual",
     "HerglotzFunction", "measure_to_json", "measure_from_json",
 ]
 
@@ -62,7 +63,7 @@ _POLE_RESOLVE = 200.0
 
 # largest relative mass gap a build may return: correct builds stay below
 # 1e-6 (fav at |t - 1| = 1e-5, 3.7e-7, is the worst); product next to its
-# singularity (|t - 1| = 1e-8) is off by more and raises
+# singularity (t = 1 + 1e-8) is off by more and raises
 MASS_GAP_TOL = 1e-6
 
 
@@ -282,18 +283,70 @@ def verify_poisson(measure: ClarkMeasure, points,
 
 def herglotz_moments(measure: ClarkMeasure, max_degree: int) -> np.ndarray:
     """Moment table c[j, k] = integral of conj(zeta1)^j conj(zeta2)^k."""
-    D = max_degree
+    return _moment_table(measure, max_degree, conj1=True)
+
+
+def _moment_table(measure, D, conj1):
+    """Integrals of u^j conj(zeta2)^k, j, k <= D, with u = conj(zeta1) if
+    ``conj1`` else zeta1."""
     C = np.zeros((D + 1, D + 1), dtype=complex)
     for z, w in _blocks(measure):
         A = np.empty((D + 1, len(w)), dtype=complex)
         B = np.empty_like(A)
         A[0], B[0] = w, 1.0
-        cz, cg = np.conj(z[:, 0]), np.conj(z[:, 1])
+        cz = np.conj(z[:, 0]) if conj1 else z[:, 0]
+        cg = np.conj(z[:, 1])
         for j in range(1, D + 1):
             A[j] = A[j - 1] * cz
             B[j] = B[j - 1] * cg
         C += A @ B.T
     return C
+
+
+def exact_moments(phi: Rif, alpha: complex, max_degree: int) -> np.ndarray:
+    """The moment table of herglotz_moments, exactly from phi.
+
+    The Herglotz function H = (alpha p + q) / (alpha p - q) of sigma_alpha
+    has Taylor coefficients 2 c[j, k] at 0 off the origin, and Re H(0) is
+    the mass c[0, 0] (Im H(0) is the constant the measure does not see).
+    They come from power-series division: with N = alpha p + q and
+    M = alpha p - q, N = M H gives each coefficient of H from the ones
+    below it, M[0, 0] H[j, k] = N[j, k] - sum M[j - l, k - m] H[l, m]
+    over (l, m) <= (j, k), (l, m) != (j, k).
+    """
+    if phi.dim != 2:
+        raise ValueError("exact_moments expects a two-variable inner function")
+    D = max_degree
+    alpha = complex(alpha)
+    h = phi.level_coeffs(alpha)  # q - alpha p at phi.degrees
+    q = np.zeros((D + 1, D + 1), dtype=complex)
+    M = np.zeros_like(q)
+    n1, n2 = min(h.shape[0], D + 1), min(h.shape[1], D + 1)
+    q[:n1, :n2] = phi.num.coeffs[:n1, :n2]
+    M[:n1, :n2] = -h[:n1, :n2]
+    N = 2.0 * q + M
+    H = np.zeros_like(q)
+    for j in range(D + 1):
+        for k in range(D + 1):
+            # H[j, k] is still 0, so the sum skips (l, m) = (j, k)
+            acc = np.sum(M[j::-1, k::-1] * H[:j + 1, :k + 1])
+            H[j, k] = (N[j, k] - acc) / M[0, 0]
+    C = H / 2.0
+    C[0, 0] = H[0, 0].real
+    return C
+
+
+def moment_residual(measure: ClarkMeasure, max_degree: int) -> float:
+    """Largest error of the measure's moments up to ``max_degree``.
+
+    Covers |herglotz_moments - exact_moments| and the mixed moments
+    integral of zeta1^j conj(zeta2)^k, j, k >= 1, which vanish because
+    Re H, the Poisson integral of the measure, is pluriharmonic.
+    """
+    exact = exact_moments(measure.phi, measure.alpha, max_degree)
+    err = np.abs(herglotz_moments(measure, max_degree) - exact)
+    mixed = np.abs(_moment_table(measure, max_degree, conj1=False)[1:, 1:])
+    return float(max(err.max(), mixed.max(initial=0.0)))
 
 
 @dataclass(frozen=True)

@@ -76,8 +76,8 @@ def _dyadic_paths(phi: Rif, alpha: complex, tau: complex, gamma: complex,
     out = {}
     for side in (1, -1):
         angles = t0 + side * deltas
-        _, roots, zero_rows = _solve_slices(phi.level_coeffs(alpha),
-                                            np.exp(1j * angles)[:, None])
+        _, roots, zero_rows, _ = _solve_slices(phi.level_coeffs(alpha),
+                                               np.exp(1j * angles)[:, None])
         if zero_rows.any():
             raise FitDegenerate(
                 "level polynomial vanished on a slice near the singularity "

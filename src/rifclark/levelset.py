@@ -40,14 +40,17 @@ UNIMODULAR_TOL = 1e-6
 LINE_TEST_POINTS = 8  # line_constant's samples and their relative spread
 LINE_SPREAD_TOL = 1e-8
 SEED_GRID = 2048  # slices per axis that seed find_singularities
-NEWTON_ITERS = 3  # Newton steps on every slice root
+NEWTON_ITERS = 3  # Newton steps per slice root, at most
 
 
 def _polyval_rows(rows, w):
     """Evaluate per-row polynomials: rows (..., k+1) at points w (...,)."""
-    acc = rows[..., -1] * np.ones_like(w)
+    acc = np.empty(np.broadcast_shapes(rows.shape[:-1], np.shape(w)),
+                   dtype=np.result_type(rows, w))
+    acc[...] = rows[..., -1]
     for k in range(rows.shape[-1] - 2, -1, -1):
-        acc = acc * w + rows[..., k]
+        acc *= w  # in place: fresh temporaries of a large batch cost more
+        acc += rows[..., k]
     return acc
 
 
@@ -222,41 +225,44 @@ def _continue(roots, n_br, serial):
 
 
 def _solve_slices(hcoef, pts):
-    """Slice rows, padded roots and zero-slice flags of h over frozen
-    points ``pts`` (m, d-1)."""
+    """Slice rows, padded roots, zero-slice flags and each row's largest
+    coefficient modulus of h over frozen points ``pts`` (m, d-1)."""
     rows = slice_coeffs(hcoef, pts)
-    scale = float(np.max(np.abs(hcoef)))
-    rowmax = np.max(np.abs(rows), axis=-1)
-    zero_rows = rowmax < ZERO_SLICE_REL_TOL * scale
+    rowmax = _poly._row_reduce(np.maximum, np.abs(rows))
+    zero_rows = rowmax < ZERO_SLICE_REL_TOL * float(np.max(np.abs(hcoef)))
     # zero rows are solved as the constant 1: no roots
     roots = companion_roots(np.where(zero_rows[:, None],
-                                     np.eye(1, rows.shape[1]), rows))
-    return rows, roots, zero_rows
+                                     np.eye(1, rows.shape[1]), rows)
+                            if zero_rows.any() else rows)
+    return rows, roots, zero_rows, rowmax
 
 
 def _slice_atoms(phi: Rif, alpha: complex, pts):
     """Every root of h(zeta', .) over frozen points ``pts`` (m, d-1) with
     its weight parts: (roots, num, den, zero_rows).
 
-    ``roots`` (m, k) holds each slice's Newton-polished roots in its first
-    columns and NaN after them (a degree drop, or a zero slice flagged in
-    ``zero_rows``); ``num`` and ``den`` are |p| and |d/dz_d h| there, so
-    num / den is the mass of each atom of the slice Clark measure.  No
-    root is labeled.
+    ``roots`` (m, k) holds each slice's roots, Newton-polished to rounding
+    (``_newton_polish``), in its first columns and NaN after them (a
+    degree drop, or a zero slice flagged in ``zero_rows``); ``num`` and
+    ``den`` are |p| and |d/dz_d h| there, so num / den is the mass of each
+    atom of the slice Clark measure.  Both come from one-variable rows in
+    z_d: ``den`` is the derivative of the slice row at the polished root,
+    ``num`` the slice row of p there.  No root is labeled.
     """
     if abs(abs(alpha) - 1.0) > 1e-9:
         raise ValueError("alpha must be unimodular")
-    rows, roots, zero_rows = _solve_slices(phi.level_coeffs(alpha), pts)
-    _newton_polish(rows, roots.T, zero_rows)
-    num, den = weight_parts(phi, alpha, *np.asarray(pts).T[..., None], roots)
-    return roots, num, den, zero_rows
+    rows, roots, zero_rows, rowmax = _solve_slices(phi.level_coeffs(alpha),
+                                                   pts)
+    dh = _newton_polish(rows, rowmax, roots.T)
+    num = np.abs(_polyval_rows(slice_coeffs(phi.den.coeffs, pts), roots.T))
+    return roots, num.T, np.abs(dh).T, zero_rows
 
 
 def _chain_match(hcoef, ref, theta_lo, theta_hi, level, max_level):
     """Resolve an ambiguous continuation step by refining the interval."""
     mid = theta_lo + (theta_hi - theta_lo) * np.arange(1, REFINE_FACTOR) \
         / REFINE_FACTOR
-    _, roots, zero_rows = _solve_slices(hcoef, np.exp(1j * mid)[:, None])
+    _, roots, zero_rows, _ = _solve_slices(hcoef, np.exp(1j * mid)[:, None])
     cur = ref
     for k in range(len(mid)):
         if zero_rows[k]:
@@ -294,7 +300,7 @@ def trace_branches(phi: Rif, alpha: complex,
     n_nodes = len(theta)
     zeta = np.exp(1j * theta)
     hcoef = phi.level_coeffs(alpha)
-    rows, roots, zero_rows = _solve_slices(hcoef, zeta[:, None])
+    rows, roots, zero_rows, rowmax = _solve_slices(hcoef, zeta[:, None])
 
     counts = np.count_nonzero(~np.isnan(roots), axis=1)
     n_br = int(counts.max()) if counts.size else 0
@@ -338,7 +344,10 @@ def trace_branches(phi: Rif, alpha: complex,
 
     filled = [np.nonzero(np.isnan(values[b]))[0] for b in range(n_br)]
     _fill_missing(values)
-    _newton_polish(rows, values, zero_rows)
+    live = ~zero_rows  # interpolated values over zero slices stay as filled
+    polished = values[:, live]
+    _newton_polish(rows[live], rowmax[live], polished)
+    values[:, live] = polished
 
     num, den = weight_parts(phi, alpha, zeta[None, :], values)
     weights = np.zeros_like(num)
@@ -395,19 +404,35 @@ def _fill_missing(values):
             values[b, i] = val / abs(val)
 
 
-def _newton_polish(rows, values, zero_rows):
-    """Polish all non-degenerate nodes with NEWTON_ITERS Newton steps;
-    ``values`` (k, m) holds k roots of each of the m slice ``rows``."""
+def _newton_polish(rows, rowmax, values):
+    """Newton-polish roots in place and return d/dz h at them.
+
+    ``values`` (k, m) holds k roots of each of the m slice ``rows``, whose
+    largest coefficient moduli are ``rowmax``.  Every root takes one step;
+    a root whose step moved it by more than 4 eps |w| is not yet at a root
+    to rounding and takes the next, up to NEWTON_ITERS steps, so later
+    passes run only on the few gathered roots still moving.  A root with
+    |h'| <= 1e-8 rowmax is left where it is, and NaN padding stays NaN.
+    The derivative returned is the one of each root's last step, or at
+    the final root for a root still moving after NEWTON_ITERS steps.
+    """
     drows = rows[:, 1:] * np.arange(1, rows.shape[1])
-    scale = np.max(np.abs(rows), axis=-1)
-    live = ~zero_rows if zero_rows.any() else slice(None)  # a mask copies
+    dh = np.empty_like(values)
+    b = i = slice(None)  # the first pass runs on every root in place
     for _ in range(NEWTON_ITERS):
-        w = values[:, live]
-        f = _polyval_rows(rows[live], w)
-        fp = _polyval_rows(drows[live], w)
-        guard = np.abs(fp) > 1e-8 * scale[live]
-        step = np.where(guard, f / np.where(guard, fp, 1.0), 0.0)
-        values[:, live] = w - step
+        w = values[b, i]
+        step = _polyval_rows(rows[i], w)
+        fp = dh[b, i] = _polyval_rows(drows[i], w)
+        guard = np.abs(fp) > 1e-8 * rowmax[i]
+        np.divide(step, fp, out=step, where=guard)
+        step[~guard] = 0.0
+        moved = np.abs(step) > 4.0 * np.finfo(float).eps * np.abs(w)
+        values[b, i] = w - step
+        b, i = np.nonzero(moved) if moved.ndim == 2 else (b[moved], i[moved])
+        if not i.size:
+            return dh
+    dh[b, i] = _polyval_rows(drows[i], values[b, i])
+    return dh
 
 
 def _extrapolate_weights(weights, zoz):

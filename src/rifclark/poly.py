@@ -208,6 +208,16 @@ def slice_coeffs(coeffs, points, axis=None):
     return acc.reshape(pts.shape[:-1] + moved.shape[-1:])
 
 
+def _row_reduce(ufunc, a):
+    """``ufunc`` (np.maximum, np.minimum) reduced over the last axis of a
+    2-D array column by column: numpy reduces a short trailing axis
+    several times slower than it combines whole columns."""
+    out = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        ufunc(out, a[:, j], out=out)
+    return out
+
+
 def _powers(z, n):
     """The (m, n) matrix of z**j, j < n, for points z (m,)."""
     out = np.empty((len(z), n), dtype=np.complex128)
@@ -237,15 +247,22 @@ def companion_roots(batch_coeffs):
     c = np.asarray(batch_coeffs, dtype=np.complex128)
     size = np.abs(c)
     k = c.shape[1] - 1
-    mask = size > DEGREE_DROP_REL_TOL * np.max(size, axis=1, keepdims=True)
-    rev_any = mask[:, ::-1].any(axis=1)
-    eff_deg = np.where(rev_any, k - np.argmax(mask[:, ::-1], axis=1), -1)
+    tol = DEGREE_DROP_REL_TOL * _row_reduce(np.maximum, size)
+    eff_deg = np.full(len(c), -1)  # the last coefficient above tol
+    for j in range(k + 1):
+        eff_deg[size[:, j] > tol] = j
     out = np.full((len(c), k), np.nan, dtype=np.complex128)
     for deg in range(1, k + 1):
-        idx = np.nonzero(eff_deg == deg)[0]
-        if idx.size == 0:
+        sel = eff_deg == deg
+        count = np.count_nonzero(sel)
+        if count == 0:
             continue
-        monic = c[idx, :deg] / c[idx, deg:deg + 1]
+        # a class of every row (any build at a generic alpha) is indexed
+        # in place, without a gather from c and a scatter into out
+        idx = slice(None) if count == len(c) else np.flatnonzero(sel)
+        # (deg, rows) then transposed: numpy divides and later splits long
+        # columns faster than short rows
+        monic = (c[idx, :deg].T / c[idx, deg]).T
         if deg == 1:
             roots = -monic
         elif deg <= 3:
@@ -297,8 +314,8 @@ def _cubic_roots(monic):
                   _OMEGA.conjugate() * u + _OMEGA * v], axis=1)
     z -= shift[:, None]
     i, j = np.triu_indices(3, 1)
-    tight = np.min(np.abs(z[:, i] - z[:, j]), axis=1) \
-        <= COALESCE_REL_TOL * np.max(np.abs(z), axis=1)
+    tight = _row_reduce(np.minimum, np.abs(z[:, i] - z[:, j])) \
+        <= COALESCE_REL_TOL * _row_reduce(np.maximum, np.abs(z))
     a, b, c = a[~tight, None], b[~tight, None], c[~tight, None]
     zt = z[~tight]
     f = ((zt + a) * zt + b) * zt + c

@@ -309,10 +309,21 @@ def test_build_next_to_singularity_is_accurate(corpus, name, dt):
 @pytest.mark.parametrize("N", [512, 4096])
 @pytest.mark.parametrize("dt", [-1e-8, 1e-8])
 def test_mass_gap_raises_instead_of_wrong_mass(product, dt, N):
-    # the slice at zeta1 = 1 passes through the singularity (1, 1), where
-    # its atoms sum to 1.054 instead of 1
-    with pytest.raises(MassGapExceeded):
-        clark.build_measure(product, np.exp(1j * np.pi * (1.0 + dt)), N)
+    # next to the singularity (1, 1) a build either raises or is right to
+    # bounds 1e4 times tighter than the guard; above t = 1 the slice at
+    # zeta1 = 1 still loses mass and raises
+    alpha = np.exp(1j * np.pi * (1.0 + dt))
+    if dt > 0:
+        with pytest.raises(MassGapExceeded):
+            clark.build_measure(product, alpha, N)
+        return
+    try:
+        m = clark.build_measure(product, alpha, N)
+    except MassGapExceeded:
+        return
+    assert abs(clark.total_mass(m) / clark.expected_mass(product, alpha)
+               - 1.0) <= 1e-10
+    assert clark.verify_poisson(m, _poisson_points()).max_rel_err <= 1e-10
 
 
 def test_product_builds_where_its_branches_meet(product):
@@ -365,3 +376,41 @@ def test_block_sums_match_pointwise_integrals(squared, monkeypatch, alpha):
             ref = clark.integrate(
                 m, lambda a, b: np.conj(a) ** j * np.conj(b) ** k)
             assert abs(ref - C[j, k]) < 1e-14
+
+
+@pytest.mark.parametrize("alpha", [np.exp(0.3j * np.pi), -1.0 + 0.0j])
+@pytest.mark.parametrize("name", ["fav", "squared", "product", "diagonal"])
+def test_moments_match_exact_taylor_oracle(corpus, name, alpha):
+    # Taylor coefficients of (alpha p + q) / (alpha p - q) by power-series
+    # division, and mixed moments that vanish; the build keeps its digits
+    m = clark.build_measure(corpus[name], alpha, 4096)
+    assert clark.moment_residual(m, 12) <= 1e-13
+
+
+def test_moment_residual_sees_a_perturbed_measure(fav):
+    alpha = np.exp(0.3j * np.pi)
+    m = clark.build_measure(fav, alpha, 1024)
+    exact = clark.exact_moments(fav, alpha, 12)
+    assert exact[0, 0] == pytest.approx(clark.expected_mass(fav, alpha),
+                                        rel=1e-15)
+    rotated = clark.ClarkMeasure(phi=fav, alpha=alpha, grid_n=1024,
+                                 nodes=m.nodes * [np.exp(1e-6j), 1.0],
+                                 weights=m.weights, lines=[])
+    assert clark.moment_residual(rotated, 12) > 1e-7
+
+
+def test_moment_residual_sees_mixed_moments(fav):
+    # a signed density 2 eps Re(conj(zeta1) zeta2) on a 32 x 32 torus grid
+    # keeps every moment of conj(zeta1)^j conj(zeta2)^k, j, k <= 12, and
+    # gives the mixed moment of zeta1 conj(zeta2) the value eps
+    alpha, eps = np.exp(0.3j * np.pi), 1e-9
+    m = clark.build_measure(fav, alpha, 1024)
+    g = np.exp(2j * np.pi * np.arange(32) / 32)
+    z1, z2 = (a.ravel() for a in np.meshgrid(g, g, indexing="ij"))
+    ghost = 2.0 * eps * np.real(np.conj(z1) * z2) / 32 ** 2
+    mixed = clark.ClarkMeasure(
+        phi=fav, alpha=alpha, grid_n=1024,
+        nodes=np.vstack([m.nodes, np.stack([z1, z2], axis=1)]),
+        weights=np.append(m.weights, ghost), lines=[])
+    assert clark.moment_residual(m, 12) <= 1e-13
+    assert abs(clark.moment_residual(mixed, 12) - eps) <= 1e-13

@@ -233,6 +233,30 @@ def test_companion_roots_degree_drop():
     assert abs(got[1, 0] + 1.0) < 1e-12
 
 
+def test_companion_roots_empty_and_constant_batches():
+    assert companion_roots(np.empty((0, 4), dtype=complex)).shape == (0, 3)
+    assert companion_roots(np.empty((0, 1), dtype=complex)).shape == (0, 0)
+    assert companion_roots(np.ones((3, 1), dtype=complex)).shape == (3, 0)
+
+
+@pytest.mark.parametrize("deg", [1, 2, 3, 4])
+def test_companion_roots_in_place_and_gathered_agree(deg):
+    # a degree class that fills the batch is solved in place, one that
+    # shares it with a degree-drop row is gathered; both give the same
+    # roots bit for bit, as does each row solved alone
+    rng = np.random.default_rng(deg)
+    rows = rng.normal(size=(64, deg + 1)) + 1j * rng.normal(size=(64, deg + 1))
+    drop = np.append(rows[0, :deg], 0.0)[None, :]
+    full = companion_roots(rows)
+    mixed = companion_roots(np.vstack([rows, drop]))
+    assert not np.isnan(full).any()
+    assert np.array_equal(mixed[:-1], full)
+    assert np.array_equal(mixed[-1], companion_roots(drop)[0], equal_nan=True)
+    assert np.isnan(mixed[-1, -1])
+    for i in range(0, 64, 9):
+        assert np.array_equal(companion_roots(rows[i:i + 1])[0], full[i])
+
+
 def test_stability_of_catalog_denominators():
     for phi in (catalog.simple_singular_rif(), catalog.squared_singular_rif(),
                 catalog.diagonal_rif()):

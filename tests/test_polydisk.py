@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rifclark import catalog, clark, polydisk
+from rifclark import catalog, clark, levelset, polydisk
 from rifclark.errors import (MassGapExceeded, SingularDenominator,
                              UnstableDenominator)
 from rifclark.poly import PolyMD, Rif
@@ -163,3 +163,61 @@ def test_low_degree_slices_skip_eigvals(corpus, monkeypatch):
     for k in (2, 3):
         m = polydisk.build_measure_d(sheets_rif(3.5, k), alpha, 32)
         assert m.nodes.shape == (k * 32 * 32, 3)
+
+
+KERNEL_ALPHAS = [np.exp(0.7j), -1.0 + 0.0j, np.exp(0.99j * np.pi),
+                 np.exp(1.01j * np.pi)]
+
+
+def _kernel_against_weight_parts(phi, alpha, pts):
+    roots, num, den, _ = levelset._slice_atoms(phi, alpha, pts)
+    ref_num, ref_den = levelset.weight_parts(phi, alpha, *pts.T[..., None],
+                                             roots)
+    keep = ~np.isnan(roots)
+    assert keep.any()
+    assert np.all(np.abs(num - ref_num)[keep] <= 1e-13 * ref_num[keep])
+    assert np.all(np.abs(den - ref_den)[keep] <= 1e-13 * ref_den[keep])
+
+
+@pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
+@pytest.mark.parametrize("name", ["fav", "squared", "product", "diagonal"])
+def test_slice_atom_weights_match_weight_parts(corpus, name, alpha):
+    # the kernel takes |p| and |d/dz2 h| from one-variable slice rows;
+    # they are the full-tensor values at its roots to rounding
+    phi = corpus[name]
+    theta, _ = clark._zeta1_rule(phi, alpha, 4096,
+                                 levelset.detect_lines(phi, alpha))
+    _kernel_against_weight_parts(phi, alpha, np.exp(1j * theta)[:, None])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_slice_atom_weights_match_weight_parts_d3(k):
+    zg = np.exp(2j * np.pi * np.arange(32) / 32)
+    z1, z2 = np.meshgrid(zg, zg, indexing="ij")
+    _kernel_against_weight_parts(sheets_rif(3.5, k), np.exp(0.7j),
+                                 np.stack([z1.ravel(), z2.ravel()], axis=-1))
+
+
+def test_generic_builds_polish_in_one_pass(squared, monkeypatch):
+    # at a generic alpha every root is at rounding after the first Newton
+    # pass, which runs on all roots in place (2-D arrays); a root still
+    # moving would be gathered (1-D) for another pass
+    polish, polyval = levelset._newton_polish, levelset._polyval_rows
+    ndims = []
+
+    def recorded(rows, w):
+        ndims.append(np.ndim(w))
+        return polyval(rows, w)
+
+    def polish_recorded(*args):
+        monkeypatch.setattr(levelset, "_polyval_rows", recorded)
+        try:
+            return polish(*args)
+        finally:
+            monkeypatch.setattr(levelset, "_polyval_rows", polyval)
+
+    monkeypatch.setattr(levelset, "_newton_polish", polish_recorded)
+    alpha = np.exp(0.7j)
+    clark.build_measure(squared, alpha, 4096)
+    polydisk.build_measure_d(sheets_rif(3.5, 3), alpha, 32)
+    assert ndims and set(ndims) == {2}
