@@ -51,9 +51,13 @@ __all__ = [
     "HerglotzFunction", "measure_to_json", "measure_from_json",
 ]
 
-# nodes per block of every integrator: bounds the (terms, nodes) matrices
-# of the moment, Gram and Poisson sums
-_BLOCK_NODES = 65536
+# nodes per block of every integrator: the (terms, nodes) tables of the
+# moment, Gram and Poisson sums stay cache-sized (33 Herglotz rows of 4096
+# nodes are about 2 MB).  On one core with a 2 MiB L2, herglotz_moments(32)
+# took per 65536 nodes of squared at alpha = -1 50 ms with blocks of 65536,
+# 37 ms at 8192, 33 at 4096, 31 at 2048 and 40 at 512; at 2048 the
+# per-block overhead made verify_poisson 25-46% slower.
+_BLOCK_NODES = 4096
 
 # The uniform N-point rule resolves a pole at distance d from the circle
 # to about e^{-N d}, i.e. to rounding once N d > 36.  Poisson points of
@@ -171,17 +175,18 @@ def _blocks(measure: ClarkMeasure):
     """Yield (nodes, weights) slices of at most _BLOCK_NODES nodes.
 
     The stored nodes come first, then each vertical line on the uniform
-    grid with weight constant / grid_n per node.
+    grid with weight constant / grid_n per node, built a block at a time.
     """
-    parts = [(measure.nodes, measure.weights)]
+    nodes, weights = measure.nodes, measure.weights
+    for lo in range(0, len(weights), _BLOCK_NODES):
+        yield nodes[lo:lo + _BLOCK_NODES], weights[lo:lo + _BLOCK_NODES]
     N = measure.grid_n
     for line in measure.lines:
-        parts.append((np.stack([np.full(N, complex(line.tau)),
-                                np.exp(1j * measure.theta)], axis=1),
-                      np.full(N, line.constant / N)))
-    for nodes, weights in parts:
-        for lo in range(0, len(weights), _BLOCK_NODES):
-            yield nodes[lo:lo + _BLOCK_NODES], weights[lo:lo + _BLOCK_NODES]
+        for lo in range(0, N, _BLOCK_NODES):
+            k = np.arange(lo, min(lo + _BLOCK_NODES, N))
+            yield (np.stack([np.full(len(k), complex(line.tau)),
+                             np.exp(1j * (TWO_PI * k / N))], axis=1),
+                   np.full(len(k), line.constant / N))
 
 
 def weight_at(phi: Rif, alpha: complex, zeta1, zeta2):
@@ -215,7 +220,8 @@ def integrate(measure: ClarkMeasure, f) -> complex:
 
 
 def total_mass(measure: ClarkMeasure) -> float:
-    return float(sum(np.sum(w) for _, w in _blocks(measure)))
+    return float(np.sum(measure.weights)
+                 + sum(line.constant for line in measure.lines))
 
 
 def expected_mass(phi: Rif, alpha: complex) -> float:
@@ -265,8 +271,9 @@ def verify_poisson(measure: ClarkMeasure, points,
 
     rhs = np.zeros(len(pts))
     for z, w in _blocks(measure):
-        # 4 points at a time: the (points, nodes) temporaries stay a few
-        # MB, below what building the measure took, whatever the count
+        # 4 points at a time: the (points, nodes) temporaries stay within
+        # cache whatever the count; all 20 points of a check in one pass
+        # took 4-60% longer (squared near alpha = -1, N = 1024..65536)
         for lo in range(0, len(pts), 4):
             p = pts[lo:lo + 4]
             rhs[lo:lo + 4] += (poisson_factor(z[:, 0], p[:, 0])
@@ -283,24 +290,31 @@ def verify_poisson(measure: ClarkMeasure, points,
 
 def herglotz_moments(measure: ClarkMeasure, max_degree: int) -> np.ndarray:
     """Moment table c[j, k] = integral of conj(zeta1)^j conj(zeta2)^k."""
-    return _moment_table(measure, max_degree, conj1=True)
+    return _moment_tables(measure, max_degree)[0]
 
 
-def _moment_table(measure, D, conj1):
-    """Integrals of u^j conj(zeta2)^k, j, k <= D, with u = conj(zeta1) if
-    ``conj1`` else zeta1."""
+def _moment_tables(measure, D, mixed=False):
+    """C[j, k] = integral of conj(zeta1)^j conj(zeta2)^k, j, k <= D, and,
+    if ``mixed``, X[j, k] = integral of zeta1^j conj(zeta2)^k (else None),
+    in one pass over the nodes that shares the conj(zeta2) powers."""
+    if measure.phi.dim != 2:
+        raise ValueError("moment tables expect a two-variable inner function")
     C = np.zeros((D + 1, D + 1), dtype=complex)
+    X = np.zeros_like(C) if mixed else None
     for z, w in _blocks(measure):
         A = np.empty((D + 1, len(w)), dtype=complex)
         B = np.empty_like(A)
-        A[0], B[0] = w, 1.0
-        cz = np.conj(z[:, 0]) if conj1 else z[:, 0]
-        cg = np.conj(z[:, 1])
-        for j in range(1, D + 1):
-            A[j] = A[j - 1] * cz
-            B[j] = B[j - 1] * cg
-        C += A @ B.T
-    return C
+        B[0] = 1.0
+        c2 = np.conj(z[:, 1])
+        for k in range(1, D + 1):
+            np.multiply(B[k - 1], c2, out=B[k])
+        for u, out in zip((np.conj(z[:, 0]), z[:, 0]),
+                          (C, X) if mixed else (C,)):
+            A[0] = w
+            for j in range(1, D + 1):
+                np.multiply(A[j - 1], u, out=A[j])
+            out += A @ B.T
+    return C, X
 
 
 def exact_moments(phi: Rif, alpha: complex, max_degree: int) -> np.ndarray:
@@ -344,9 +358,9 @@ def moment_residual(measure: ClarkMeasure, max_degree: int) -> float:
     Re H, the Poisson integral of the measure, is pluriharmonic.
     """
     exact = exact_moments(measure.phi, measure.alpha, max_degree)
-    err = np.abs(herglotz_moments(measure, max_degree) - exact)
-    mixed = np.abs(_moment_table(measure, max_degree, conj1=False)[1:, 1:])
-    return float(max(err.max(), mixed.max(initial=0.0)))
+    C, X = _moment_tables(measure, max_degree, mixed=True)
+    mixed = np.abs(X[1:, 1:])
+    return float(max(np.abs(C - exact).max(), mixed.max(initial=0.0)))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import poly as _poly
-from .clark import ClarkMeasure, _blocks
+from .clark import ClarkMeasure, _blocks, _moment_tables
 from .errors import DenominatorVanishes
 from .levelset import _slice_atoms, _uniform_theta
 from .poly import PolyMD, Rif, companion_roots, trim
@@ -60,6 +60,9 @@ def gram_isometry_check(phi: Rif, alpha: complex, points,
         raise ValueError("sample points must lie inside the bidisk")
     if abs(complex(alpha) - complex(measure.alpha)) > 1e-9:
         raise ValueError("alpha does not match the measure")
+    if measure.phi.dim != 2:
+        raise ValueError(
+            "gram_isometry_check expects a two-variable inner function")
     M = len(w)
     phw = phi(w[:, 0], w[:, 1])
     cw = 1.0 / ((1.0 - np.conj(w[:, 0])[:, None] * w[None, :, 0])
@@ -174,13 +177,15 @@ def conj_rational(phi: Rif, alpha: complex,
 # ---------------------------------------------------------------------------
 
 def _torus_moments(measure: ClarkMeasure, S: int) -> np.ndarray:
-    """Moment table M[s, t] = integral of zeta1^s zeta2^t, |s|,|t| <= S."""
-    exps = np.arange(-S, S + 1)
-    M = np.zeros((2 * S + 1, 2 * S + 1), dtype=complex)
-    for z, w in _blocks(measure):
-        A = z[None, :, 0] ** exps[:, None] * w
-        B = z[None, :, 1] ** exps[:, None]
-        M += A @ B.T
+    """Moment table M[s, t] = integral of zeta1^s zeta2^t, |s|,|t| <= S,
+    from the tables of one pass with zeta^-1 = conj(zeta) on the torus
+    (the weights are real, so conjugating a table conjugates the powers)."""
+    C, X = _moment_tables(measure, S, mixed=True)
+    M = np.empty((2 * S + 1, 2 * S + 1), dtype=complex)
+    M[:S + 1, :S + 1] = C[::-1, ::-1]      # (-j, -k)
+    M[S:, :S + 1] = X[:, ::-1]             # (j, -k)
+    M[:S + 1, S:] = np.conj(X[::-1, :])    # (-j, k)
+    M[S:, S:] = np.conj(C)                 # (j, k)
     return M
 
 

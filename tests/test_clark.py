@@ -1,12 +1,13 @@
 import base64
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rifclark import catalog, clark
+from rifclark import catalog, clark, embedding
 from rifclark.errors import MassGapExceeded, MassNotOne, ZeroOverZero
 
 GENERIC = np.exp(0.7j)
@@ -360,10 +361,19 @@ def test_block_sums_match_pointwise_integrals(squared, monkeypatch, alpha):
            (0.45, 0.1 + 0.1j), (-0.5 + 0.3j, -0.2), (0.05, -0.05j)]
     rhs = clark.verify_poisson(m, pts).rhs
     C = clark.herglotz_moments(m, 3)
+    gram = embedding.gram_isometry_check(squared, alpha, pts, m).gram_embedded
+    M = embedding._torus_moments(m, 4)
+    mass = clark.total_mass(m)
     monkeypatch.setattr(clark, "_BLOCK_NODES", 300)
     assert np.allclose(clark.verify_poisson(m, pts).rhs, rhs,
                        rtol=1e-13, atol=0.0)
     assert np.allclose(clark.herglotz_moments(m, 3), C, rtol=0.0, atol=1e-14)
+    assert np.allclose(
+        embedding.gram_isometry_check(squared, alpha, pts, m).gram_embedded,
+        gram, rtol=1e-13, atol=0.0)
+    assert np.allclose(embedding._torus_moments(m, 4), M, rtol=0.0,
+                       atol=1e-14)
+    assert clark.total_mass(m) == mass
 
     def poisson(z, w):
         return (1 - abs(w) ** 2) / np.abs(z - w) ** 2
@@ -376,6 +386,52 @@ def test_block_sums_match_pointwise_integrals(squared, monkeypatch, alpha):
             ref = clark.integrate(
                 m, lambda a, b: np.conj(a) ** j * np.conj(b) ** k)
             assert abs(ref - C[j, k]) < 1e-14
+
+    # M takes zeta^-s as conj(zeta)^s, as it is on the torus; a ** -s is
+    # 1 / a ** s, which differs from it by about 2 s (|a| - 1) at a node
+    # off the torus (clustered zeta2 roots are, by up to 5e-13)
+    def torus_power(a, s):
+        return a ** s if s >= 0 else np.conj(a) ** -s
+
+    off = 2 * np.sum(m.weights[:, None] * np.abs(np.abs(m.nodes) - 1.0),
+                     axis=0)
+    for s in range(-4, 5):
+        for t in range(-4, 5):
+            got = M[s + 4, t + 4]
+            ref = clark.integrate(
+                m, lambda a, b: torus_power(a, s) * torus_power(b, t))
+            assert abs(ref - got) <= 1e-14
+            ref = clark.integrate(m, lambda a, b: a ** s * b ** t)
+            assert abs(ref - got) <= 1e-14 + abs(s) * off[0] + abs(t) * off[1]
+
+
+@pytest.mark.parametrize("alpha", [GENERIC, -1.0 + 0.0j],
+                         ids=["generic", "lines"])
+def test_integrators_stay_cache_sized(squared, alpha):
+    # every query works a block of nodes at a time, so its temporaries stay
+    # a few MB on the largest measures the package builds; tables over the
+    # whole measure took 40-110 MB here
+    m = clark.build_measure(squared, alpha, 65536)
+    rng = np.random.default_rng(7)
+    z = 0.6 * np.sqrt(rng.uniform(size=(20, 2))) \
+        * np.exp(2j * np.pi * rng.uniform(size=(20, 2)))
+    pts = list(zip(z[:, 0], z[:, 1]))
+    calls = {
+        "verify_poisson": lambda: clark.verify_poisson(m, pts),
+        "herglotz_moments": lambda: clark.herglotz_moments(m, 32),
+        "gram_isometry_check": lambda: embedding.gram_isometry_check(
+            squared, alpha, pts[:10], m),
+        "density_distance": lambda: embedding.density_distance(m, 8),
+        "total_mass": lambda: clark.total_mass(m),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6, (name, peak)
 
 
 @pytest.mark.parametrize("alpha", [np.exp(0.3j * np.pi), -1.0 + 0.0j])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rifclark import catalog, clark, levelset, polydisk
+from rifclark import catalog, clark, embedding, levelset, polydisk
 from rifclark.errors import (MassGapExceeded, SingularDenominator,
                              UnstableDenominator)
 from rifclark.poly import PolyMD, Rif
@@ -119,6 +119,21 @@ def test_build_measure_d_mass_several_sheets(k):
     assert np.max(np.abs(phi(*m.nodes.T) - alpha)) < 1e-12
     assert abs(polydisk.total_mass_d(m)
                - clark.expected_mass(phi, alpha)) < 1e-10
+
+
+def test_two_variable_integrators_refuse_tridisk_measures():
+    # they would integrate the (zeta1, zeta2) marginal and return numbers
+    phi = sheets_rif(3.5, 2)
+    alpha = np.exp(0.7j)
+    m = polydisk.build_measure_d(phi, alpha, 16)
+    calls = [lambda: clark.herglotz_moments(m, 3),
+             lambda: clark.herglotz_reconstruct(m, 3),
+             lambda: embedding.density_distance(m, 2),
+             lambda: embedding.gram_isometry_check(phi, alpha, [(0.1, 0.2)],
+                                                   m)]
+    for call in calls:
+        with pytest.raises(ValueError, match="two-variable inner function"):
+            call()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
