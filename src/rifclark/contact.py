@@ -16,13 +16,15 @@ import numpy as np
 
 from . import poly as _poly
 from .errors import FitDegenerate, NonConvergent
-from .levelset import _solve_slices, assign, detect_lines, weight_parts
+from .levelset import _phase_labels, _solve_slices, detect_lines, weight_parts
 from .poly import Rif
 from .util import TWO_PI
 
 WEIGHT_FLOOR = 1e-12
 R2_MIN = 0.999
-SUBSTEPS = 16  # continuation nodes per octave when walking the dyadic ladder
+# ladder nodes per octave: the phase that labels the branches
+# (levelset._phase_labels) must turn by less than pi/2 from node to node
+SUBSTEPS = 16
 
 
 @dataclass(frozen=True)
@@ -60,13 +62,17 @@ class SingularityReport:
 
 def _dyadic_paths(phi: Rif, alpha: complex, tau: complex, gamma: complex,
                   k_lo: int, k_hi: int):
-    """Trace every branch through (tau, gamma) along dyadic offsets.
+    """Follow every branch through (tau, gamma) along dyadic offsets.
 
-    Walks outward from delta = 2^-k_hi to 2^-k_lo on a geometric ladder
-    with SUBSTEPS nodes per octave (continuation by quadratic prediction;
-    branches through a common singularity separate only like delta^K, so
-    coarse nearest-neighbor stepping would swap labels).  Returns, per
-    side, (deltas at dyadic nodes, path values (n_adm, n_dyadic)).
+    The slice roots over a geometric ladder from delta = 2^-k_hi to
+    2^-k_lo, SUBSTEPS nodes per octave, on each side of tau carry their
+    phase labels (``levelset._phase_labels``); the branches are those of
+    the roots within 1e-3 of gamma at the innermost node, ordered by
+    angle there, and each is followed by its label.  Branches through a
+    common singularity separate only like delta^K, which no matching by
+    distance resolves, but the labels hold however close the roots come.
+    Returns, per side, (deltas at dyadic nodes, path values
+    (n_adm, n_dyadic)).
     """
     t0 = float(np.angle(tau))
     n_sub = (k_hi - k_lo) * SUBSTEPS
@@ -75,32 +81,25 @@ def _dyadic_paths(phi: Rif, alpha: complex, tau: complex, gamma: complex,
     dy_mask = i_all % SUBSTEPS == 0
     out = {}
     for side in (1, -1):
-        angles = t0 + side * deltas
+        zeta1 = np.exp(1j * (t0 + side * deltas))
         _, roots, zero_rows, _ = _solve_slices(phi.level_coeffs(alpha),
-                                               np.exp(1j * angles)[:, None])
+                                               zeta1[:, None])
         if zero_rows.any():
             raise FitDegenerate(
                 "level polynomial vanished on a slice near the singularity "
                 "(alpha is exceptional)")
-        adm = roots[0][np.abs(roots[0] - gamma) < 1e-3]
-        if not adm.size:
+        near = np.flatnonzero(np.abs(roots[0] - gamma) < 1e-3)
+        if not near.size:
             raise ValueError(
                 f"no branch passes through ({tau:.6g}, {gamma:.6g}) at "
                 f"alpha={alpha:.6g}")
-        adm = adm[np.argsort(np.angle(adm), kind="stable")]
-        n_adm = len(adm)
-        path = np.empty((n_adm, n_sub + 1), dtype=complex)
-        path[:, 0] = adm
-        hist = [adm, adm, adm]
-        for k in range(1, n_sub + 1):
-            pred = 3.0 * hist[-1] - 3.0 * hist[-2] + hist[-3]
-            rts = roots[k][~np.isnan(roots[k])]
-            ri, ci = assign(np.abs(pred[:, None] - rts[None, :]))
-            cur = hist[-1].copy()
-            cur[ri] = rts[ci]
-            path[:, k] = cur
-            hist = [hist[-2], hist[-1], cur]
-        out[side] = (deltas[dy_mask], path[:, dy_mask])
+        labels = _phase_labels(phi, alpha, zeta1, roots, closed=False)[dy_mask]
+        adm = labels[0, near[np.argsort(np.angle(roots[0, near]),
+                                        kind="stable")]]
+        # column of each admitted label at every dyadic node
+        cols = (labels[:, None, :] == adm[None, :, None]).argmax(axis=2)
+        out[side] = (deltas[dy_mask],
+                     np.take_along_axis(roots[dy_mask], cols, axis=1).T)
     return out
 
 
@@ -118,9 +117,14 @@ def weight_vanish_order(phi: Rif, alpha: complex, singularity,
     the signature of an excluded alpha or a wrong branch.
     """
     tau, gamma = (complex(singularity[0]), complex(singularity[1]))
-    k_lo, k_hi = k_range
-    paths = _dyadic_paths(phi, alpha, tau, gamma, k_lo, k_hi)
-    j = 0 if branch is None else branch
+    paths = _dyadic_paths(phi, alpha, tau, gamma, *k_range)
+    return _weight_fit(phi, alpha, tau, paths, 0 if branch is None else branch)
+
+
+def _weight_fit(phi: Rif, alpha: complex, tau: complex, paths,
+                j: int) -> ContactFit:
+    """weight_vanish_order's fit of branch ``j`` of ``paths``, the
+    ``_dyadic_paths`` ladder at ``alpha`` through (tau, .)."""
     ds, ws, by_side = [], [], {}
     for side in (1, -1):
         deltas, vals = paths[side]
@@ -269,11 +273,9 @@ def contact_report(phi: Rif, singularity, alphas) -> SingularityReport:
     fits = []
     for a in alphas:
         paths = _dyadic_paths(phi, a, tau, gamma, 6, 16)
-        n_adm = paths[1][1].shape[0]
-        for j in range(n_adm):
+        for j in range(paths[1][1].shape[0]):
             try:
-                fits.append(weight_vanish_order(phi, a, (tau, gamma),
-                                                branch=j))
+                fits.append(_weight_fit(phi, a, tau, paths, j))
             except FitDegenerate:
                 continue
     return SingularityReport(location=(tau, gamma), nontangential_value=nt,

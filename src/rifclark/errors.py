@@ -31,8 +31,8 @@ class IdenticallyZeroSlice(RifclarkError):
     """
 
 
-class ContinuationCollision(RifclarkError):
-    """Two traced branches approached each other too closely to relabel safely."""
+class PhaseLabelFailure(RifclarkError):
+    """No reference circle resolved the phase that labels level-set branches."""
 
 
 class ZeroOverZero(RifclarkError):

@@ -8,39 +8,40 @@ exceptional alpha whole lines { tau } x T or T x { tau } join in.
 
 ``_slice_atoms`` is the one unlabeled kernel behind every Clark measure:
 all roots of h over a batch of frozen points, Newton-polished, with the
-weight parts of each.  ``trace_branches`` labels the graphs over the
-uniform grid (nearest-neighbor continuation composed as arrays, serial
-matching and collision refinement only at the few flagged steps) for the
-outputs where labels are the point, such as the CSV export.  The module
-also finds line components and locates boundary singularities of phi.
+weight parts of each.  Each slice phi(zeta1, .) is a finite Blaschke
+product whose argument rises monotonically by 2 pi n, so a root's
+branch label is the count j in arg b = arg alpha + 2 pi j, taken from
+the phase of phi(zeta1, w_ref) lifted along a path (``_phase_labels``);
+no root is matched to its neighbours.  ``trace_branches`` labels the
+kernel's atoms over the uniform grid for the outputs where labels are
+the point, such as the CSV export.  The module also finds line
+components and locates boundary singularities of phi.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
 
 import numpy as np
 
 from . import poly as _poly
 from .errors import (
-    ContinuationCollision,
     IdenticallyZeroSlice,
     NonConstantDerivative,
+    PhaseLabelFailure,
 )
 from .poly import PolyMD, Rif, companion_roots, derivative_coeffs, slice_coeffs
 from .util import TWO_PI, angular_distance, unit_circle_points
 
-REFINE_FACTOR = 8
-COLLISION_LEVELS = 3
-# a nearest root this close is never ambiguous, however close the others
-TIE_FLOOR = 1e-12
 ZERO_SLICE_REL_TOL = 1e-10
 UNIMODULAR_TOL = 1e-6
 LINE_TEST_POINTS = 8  # line_constant's samples and their relative spread
 LINE_SPREAD_TOL = 1e-8
 SEED_GRID = 2048  # slices per axis that seed find_singularities
 NEWTON_ITERS = 3  # Newton steps per slice root, at most
+# reference circles zeta2 = w_ref of the phase labels, tried in order: a
+# circle through a singularity on the path (fav's zeta2 = 1) gives no phase
+_REF_CIRCLES = (np.exp(0.373j), np.exp(2.419j), np.exp(4.297j))
 
 
 def _polyval_rows(rows, w):
@@ -56,23 +57,23 @@ def _polyval_rows(rows, w):
 
 @dataclass
 class Branch:
-    """One graph component zeta2 = g(zeta1) of a level set.
+    """One labeled graph zeta2 = g(zeta1) of a level set.
 
-    ``theta`` holds the uniform grid of trace_branches, ``values`` the
-    unimodular samples g(e^{i theta}), ``weights`` the Clark branch
-    weight at each node.  ``jump_index`` marks the one grid node where
-    branch relabeling across the wrap-around is permitted.
+    ``theta`` holds the grid of trace_branches, ``values`` the unimodular
+    samples g(e^{i theta}), ``weights`` the Clark branch weight at each
+    node.  Labels are phase counts mod n (``_phase_labels``), exact at
+    every node and across the wrap: past theta = 2 pi, branch
+    (b + deg_z1) mod n continues as branch b.  A horizontal line
+    T x {tau} puts the root tau in every slice, and at a vertical line
+    the phase levels pass through the whole slice, so the horizontal-line
+    branches swap labels across it: for squared at alpha = -1, branch 0
+    is zeta2 = 1 before theta = pi and zeta2 = -1 after it.
     """
 
     alpha: complex
     theta: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    jump_index: int | None = None
-    filled: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int),
-                               repr=False)
-    zero_over_zero: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=int), repr=False)
 
     @property
     def grid_n(self) -> int:
@@ -117,112 +118,8 @@ def _weight_tols(phi: Rif, alpha: complex):
 
 
 # ---------------------------------------------------------------------------
-# tracing
+# slice atoms and branch labels
 # ---------------------------------------------------------------------------
-
-def assign(cost):
-    """Minimum-total-cost injection for a small (n, m) cost matrix.
-
-    Returns (rows, cols), ascending in rows, pairing min(n, m) rows with
-    distinct columns.  When every row's nearest column is distinct, that
-    map is optimal and is returned directly; otherwise (only near branch
-    collisions) every injection is tried, which suits the few roots of
-    one slice.
-    """
-    cost = np.asarray(cost, dtype=float)
-    n, m = cost.shape
-    if n > m:
-        cols, rows = assign(cost.T)
-        order = rows.argsort()
-        return rows[order], cols[order]
-    rows = np.arange(n)
-    near = cost.argmin(axis=1)
-    if len(set(near.tolist())) < n:
-        cand = np.array(list(permutations(range(m), n)))
-        near = cand[cost[rows, cand].sum(axis=1).argmin()]
-    return rows, near
-
-
-def _match_column(ref, roots):
-    """Assign roots to branch labels by nearest neighbor.
-
-    Returns (values, ambiguous) where values has one entry per branch
-    (NaN when no root could be assigned) and ambiguous flags labels whose
-    assignment another root nearly ties.
-    """
-    roots = roots[~np.isnan(roots)]  # a row of padded slice roots
-    n = len(ref)
-    out = np.full(n, np.nan + 1j * np.nan, dtype=complex)
-    if len(roots) == 0:
-        return out, False
-    cost = np.abs(ref[:, None] - roots[None, :])
-    ri, ci = assign(cost)
-    out[ri] = roots[ci]
-    # per-pair checks on Python lists: numpy calls cost more than the
-    # work at a handful of roots
-    table = cost.tolist()
-    ambiguous = False
-    for r, c in zip(ri.tolist(), ci.tolist()):
-        d_self = table[r][c]
-        d_alt = min(table[r][:c] + table[r][c + 1:], default=np.inf)
-        if d_alt < 2.0 * d_self and d_self > TIE_FLOOR:
-            ambiguous = True
-    for b in set(range(n)) - set(ri.tolist()):
-        # fewer roots than branches: a tangency absorbs a label, so the
-        # nearest root is reused; a far "nearest" root means the value
-        # is genuinely missing and is left for interpolation
-        j = int(cost[b].argmin())
-        if cost[b, j] < 0.5:
-            out[b] = roots[j]
-    return out, ambiguous
-
-
-def _clean_steps(roots, n_br):
-    """Nearest-root maps near[a, i] (root a of row i-1 -> root of row i;
-    row L-1 precedes row 0) of padded roots (L, k), and which are clean:
-    both rows hold n_br roots, the map is a permutation and no pair is
-    ambiguous by _match_column's rule, so _match_column returns it."""
-    cur = np.ascontiguousarray(roots.T)  # small axis first: fast reductions
-    full = ~np.isnan(cur[:n_br]).any(axis=0) & np.isnan(cur[n_br:]).all(axis=0)
-    cur = cur[:n_br]
-    dist = np.abs(np.roll(cur, 1, axis=1)[None, :, :] - cur[:, None, :])
-    near = dist.argmin(axis=0)
-    d_self = np.take_along_axis(dist, near[None], axis=0)[0]
-    np.put_along_axis(dist, near[None], np.inf, axis=0)
-    ambiguous = (dist.min(axis=0) < 2.0 * d_self) & (d_self > TIE_FLOOR)
-    perm = (1 << near).sum(axis=0) == (1 << n_br) - 1
-    return near, full & np.roll(full, 1) & perm & ~ambiguous.any(axis=0)
-
-
-def _continue(roots, n_br, serial):
-    """Label padded roots (L, k) along a walk; returns the (n_br, L) values
-    and the last ref.  Row 0 and non-clean steps run
-    ``serial(i, ref) -> (col, ref)``, row 0 with ref None; a doubling scan
-    composes the clean maps, so each clean run is one gather from the row
-    before it."""
-    ref = None
-    near, clean = _clean_steps(roots, n_br)
-    clean[0] = False
-    comp = np.where(clean, near, np.arange(n_br)[:, None])
-    shift = 1
-    while shift < len(roots):
-        comp[:, shift:] = np.take_along_axis(comp[:, shift:], comp[:, :-shift],
-                                             axis=0)
-        shift *= 2
-    vals = np.empty((n_br, len(roots)), dtype=complex)
-    stops = np.append(np.flatnonzero(~clean), len(roots))
-    for i, end in zip(stops[:-1].tolist(), stops[1:].tolist()):
-        vals[:, i], ref = serial(i, ref)
-        if end > i + 1:
-            # row i is full: its labels as root indices, pulled back to
-            # row 0 through the inverse of the composed map
-            idx = (roots[i, None, :n_br] == ref[:, None]).argmax(axis=1)
-            idx = np.argsort(comp[:, i])[idx]
-            vals[:, i + 1:end] = np.take_along_axis(
-                roots[i + 1:end, :n_br].T, comp[idx, i + 1:end], axis=0)
-            ref = vals[:, end - 1]
-    return vals, ref
-
 
 def _solve_slices(hcoef, pts):
     """Slice rows, padded roots, zero-slice flags and each row's largest
@@ -258,152 +155,6 @@ def _slice_atoms(phi: Rif, alpha: complex, pts):
     return roots, num.T, np.abs(dh).T, zero_rows
 
 
-def _chain_match(hcoef, ref, theta_lo, theta_hi, level, max_level):
-    """Resolve an ambiguous continuation step by refining the interval."""
-    mid = theta_lo + (theta_hi - theta_lo) * np.arange(1, REFINE_FACTOR) \
-        / REFINE_FACTOR
-    _, roots, zero_rows, _ = _solve_slices(hcoef, np.exp(1j * mid)[:, None])
-    cur = ref
-    for k in range(len(mid)):
-        if zero_rows[k]:
-            continue
-        cur, amb = _match_column(cur, roots[k])
-        if amb and level < max_level:
-            lo = theta_lo if k == 0 else mid[k - 1]
-            cur = _chain_match(hcoef, cur if not np.isnan(cur).any() else ref,
-                               lo, mid[k], level + 1, max_level)
-        nan = np.isnan(cur)
-        cur = np.where(nan, ref, cur)
-    return cur
-
-
-def trace_branches(phi: Rif, alpha: complex,
-                   grid_n: int = 4096) -> list[Branch]:
-    """Trace the graph components of the level set at unimodular alpha.
-
-    Parameters
-    ----------
-    phi : Rif
-        Two-variable rational inner function.
-    alpha : complex
-        Unimodular target value.
-    grid_n : int
-        Number of uniform angle samples; a power of two, at least 256.
-    """
-    theta = _uniform_theta(grid_n)
-    if phi.dim != 2:
-        raise ValueError("trace_branches expects a two-variable inner function")
-    if abs(abs(alpha) - 1.0) > 1e-9:
-        raise ValueError("alpha must be unimodular")
-    alpha = complex(alpha)
-
-    n_nodes = len(theta)
-    zeta = np.exp(1j * theta)
-    hcoef = phi.level_coeffs(alpha)
-    rows, roots, zero_rows, rowmax = _solve_slices(hcoef, zeta[:, None])
-
-    counts = np.count_nonzero(~np.isnan(roots), axis=1)
-    n_br = int(counts.max()) if counts.size else 0
-    if n_br == 0:
-        raise IdenticallyZeroSlice(
-            "level polynomial vanished on every sampled slice")
-    # seed at the first node carrying the full complement of roots
-    seed = int(np.argmax(counts == n_br))
-
-    def serial(j, ref):
-        i = (seed + j) % n_nodes
-        if j == 0:
-            col = roots[i, np.argsort(np.angle(roots[i, :n_br]))]
-            return col, col
-        if zero_rows[i]:
-            return np.nan, ref
-        col, ambiguous = _match_column(ref, roots[i])
-        if ambiguous and n_br > 1:
-            prev = (i - 1) % n_nodes
-            col = _chain_match(hcoef, ref, theta[prev], theta[prev]
-                               + (theta[i] - theta[prev]) % TWO_PI,
-                               1, COLLISION_LEVELS)
-            col, still = _match_column(col, roots[i])
-            if still:
-                gaps = np.abs(col[:, None] - col[None, :])
-                np.fill_diagonal(gaps, np.inf)
-                if np.min(gaps) > 1e-9:
-                    raise ContinuationCollision(
-                        f"branches could not be relabeled near theta="
-                        f"{theta[i]:.6f}")
-        return col, np.where(np.isnan(col), ref, col)
-
-    vals, ref = _continue(np.roll(roots, -seed, axis=0), n_br, serial)
-    values = np.roll(vals, seed, axis=1)
-
-    # wrap-around closure: permutation relative to the seed column
-    jump: set[int] = set()
-    if n_br > 1:
-        ri, ci = assign(np.abs(ref[:, None] - values[:, seed][None, :]))
-        jump.update(ri[ri != ci].tolist())
-
-    filled = [np.nonzero(np.isnan(values[b]))[0] for b in range(n_br)]
-    _fill_missing(values)
-    live = ~zero_rows  # interpolated values over zero slices stay as filled
-    polished = values[:, live]
-    _newton_polish(rows[live], rowmax[live], polished)
-    values[:, live] = polished
-
-    num, den = weight_parts(phi, alpha, zeta[None, :], values)
-    weights = np.zeros_like(num)
-    ok = den > _weight_tols(phi, alpha)[1]
-    weights[ok] = num[ok] / den[ok]
-    # a vanishing denominator is a 0/0 node on a singularity or a node on
-    # a line; extrapolation fills both
-    zoz = ~ok
-    _extrapolate_weights(weights, zoz)
-
-    return [
-        Branch(
-            alpha=alpha,
-            theta=theta,
-            values=values[b].copy(),
-            weights=weights[b].copy(),
-            jump_index=(seed if b in jump else None),
-            filled=filled[b],
-            zero_over_zero=np.nonzero(zoz[b])[0],
-        )
-        for b in range(n_br)
-    ]
-
-
-def _uniform_theta(grid_n):
-    """The angles 2 pi k / grid_n of a valid grid size."""
-    if grid_n < 256 or grid_n & (grid_n - 1):
-        raise ValueError("grid_n must be a power of two, at least 256")
-    return unit_circle_points(grid_n)[0]
-
-
-def _fill_missing(values):
-    """Fill NaN nodes per branch by local Lagrange interpolation in the
-    node index."""
-    n_br, N = values.shape
-    for b in range(n_br):
-        miss = np.nonzero(np.isnan(values[b]))[0]
-        if miss.size == 0:
-            continue
-        good = np.nonzero(~np.isnan(values[b]))[0]
-        for i in miss:
-            # four nearest valid nodes on the circle
-            d = np.abs((good - i + N // 2) % N - N // 2)
-            nb = good[np.argsort(d)[:4]]
-            x = ((nb - i + N // 2) % N - N // 2).astype(float)
-            y = values[b, nb]
-            val = 0.0 + 0.0j
-            for a in range(len(nb)):
-                la = 1.0
-                for c in range(len(nb)):
-                    if c != a:
-                        la *= (0.0 - x[c]) / (x[a] - x[c])
-                val += la * y[a]
-            values[b, i] = val / abs(val)
-
-
 def _newton_polish(rows, rowmax, values):
     """Newton-polish roots in place and return d/dz h at them.
 
@@ -435,23 +186,85 @@ def _newton_polish(rows, rowmax, values):
     return dh
 
 
-def _extrapolate_weights(weights, zoz):
-    """One-sided quadratic extrapolation of flagged (0/0) weight nodes."""
-    n_br, N = weights.shape
-    for b in range(n_br):
-        for i in np.nonzero(zoz[b])[0]:
-            for sgn in (-1, 1):
-                n1, n2, n3 = ((i + sgn) % N, (i + 2 * sgn) % N,
-                              (i + 3 * sgn) % N)
-                if not (zoz[b, n1] or zoz[b, n2] or zoz[b, n3]):
-                    weights[b, i] = max(
-                        0.0,
-                        3.0 * weights[b, n1] - 3.0 * weights[b, n2]
-                        + weights[b, n3],
-                    )
-                    break
-            else:
-                weights[b, i] = 0.0
+def _phase_labels(phi: Rif, alpha: complex, zeta1, roots, closed: bool):
+    """Branch label in 0..k-1 of each slice root (m, k) over the path of
+    zeta1 nodes (m,); the labels of NaN roots mean nothing.
+
+    Each slice b = phi(zeta1, .) is a finite Blaschke product whose
+    argument rises monotonically by 2 pi k around the circle, so its
+    roots of b = alpha, counterclockwise from a point w_ref, are where
+    the argument, lifted from L = arg(b(w_ref) / alpha), crosses
+    2 pi (floor(L / 2 pi) + 1), the next multiple, and so on.  With L
+    lifted along the path each root keeps its count mod k as it moves,
+    so no root is matched to another.  w_ref is the first of
+    _REF_CIRCLES whose L steps by a finite amount below pi/2 at every
+    node (the circle misses the singularities on the path, and the path
+    resolves its phase) and, on a ``closed`` path, gains 2 pi deg_z1 in
+    one turn; PhaseLabelFailure when none does.
+    """
+    for w_ref in _REF_CIRCLES:
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 fails
+            ratio = phi(zeta1, w_ref) / alpha
+            ring = np.append(ratio, ratio[0]) if closed else ratio
+            steps = np.angle(ring[1:] / ring[:-1])
+        resolved = np.all(np.abs(steps) < np.pi / 2)  # NaN compares False
+        if resolved and (not closed
+                         or round(steps.sum() / TWO_PI) == phi.degrees[0]):
+            break
+    else:
+        raise PhaseLabelFailure(
+            "no reference circle resolves the phase of phi(zeta1, w_ref) "
+            "along the path")
+    lift = np.cumsum(np.append(np.angle(ratio[0]), steps[:len(ratio) - 1]))
+    # rank of each root counterclockwise from w_ref; NaN roots sort last
+    rank = np.argsort(np.argsort(np.angle(roots / w_ref) % TWO_PI, axis=1),
+                      axis=1)
+    return (np.floor(lift / TWO_PI).astype(int)[:, None] + 1 + rank) \
+        % roots.shape[1]
+
+
+def trace_branches(phi: Rif, alpha: complex,
+                   grid_n: int = 4096) -> list[Branch]:
+    """Label the graph components of the level set at unimodular alpha.
+
+    The slice atoms (``_slice_atoms``) over the uniform grid of
+    ``grid_n`` angles (a power of two, at least 256), each in the branch
+    of its phase label (``_phase_labels``), weighted by the atom's
+    num / den.  A grid that hits a zero slice (a vertical line at an
+    exceptional alpha) is shifted half a step, as ``clark._zeta1_rule``
+    does, so nothing is interpolated.  Branch 0 holds the root of least
+    argument at the first node.
+    """
+    theta = _uniform_theta(grid_n)
+    if phi.dim != 2:
+        raise ValueError("trace_branches expects a two-variable inner function")
+    alpha = complex(alpha)
+    for shift in (0.0, np.pi / grid_n):
+        zeta1 = np.exp(1j * (theta + shift))
+        roots, num, den, zero_rows = _slice_atoms(phi, alpha, zeta1[:, None])
+        if not zero_rows.any():
+            break
+    else:
+        raise IdenticallyZeroSlice(
+            "level polynomial vanished on a slice of the shifted grid")
+    n_br = roots.shape[1]
+    labels = _phase_labels(phi, alpha, zeta1, roots, closed=True)
+    labels = (labels - labels[0, np.nanargmin(np.angle(roots[0]))]) % n_br
+    keep = ~np.isnan(roots)
+    at = (labels[keep], np.nonzero(keep)[0])
+    values = np.full((n_br, grid_n), np.nan, dtype=complex)
+    weights = np.full((n_br, grid_n), np.nan)
+    values[at] = roots[keep]
+    weights[at] = (num / den)[keep]
+    return [Branch(alpha=alpha, theta=theta + shift, values=values[b],
+                   weights=weights[b]) for b in range(n_br)]
+
+
+def _uniform_theta(grid_n):
+    """The angles 2 pi k / grid_n of a valid grid size."""
+    if grid_n < 256 or grid_n & (grid_n - 1):
+        raise ValueError("grid_n must be a power of two, at least 256")
+    return unit_circle_points(grid_n)[0]
 
 
 # ---------------------------------------------------------------------------

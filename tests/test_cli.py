@@ -96,6 +96,21 @@ def test_levelset_writes_branch_csvs(fav_json, tmp_path, capsys):
     assert "singularity (1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("t", ["-0.94", "0.935"])
+def test_levelset_labels_squared_near_minus_one(tmp_path, capsys, t):
+    # the two branches of squared move further between the 256 nodes than
+    # the gap between them, which no matching by distance can label
+    poly = tmp_path / "squared.json"
+    poly.write_text(poly_to_json(catalog.squared_singular_rif().den))
+    rc = main(["levelset", "--poly", str(poly), "--alpha", f"exp:{t}",
+               "--grid", "256", "--out", str(tmp_path / "br.csv")])
+    assert rc == 0
+    for j in (0, 1):
+        assert len((tmp_path / f"br_{j}.csv").read_text().splitlines()) \
+            == 256 + 2
+    capsys.readouterr()
+
+
 def test_reconstruct_round_trip(fav_json, tmp_path, capsys):
     mpath = str(tmp_path / "m.json")
     main(["analyze", "--poly", fav_json, "--alpha", "1",

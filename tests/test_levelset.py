@@ -1,12 +1,11 @@
-from itertools import permutations
-
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rifclark import blaschke, catalog, clark, embedding, levelset, polydisk
-from rifclark.errors import NonConstantDerivative
+from rifclark.errors import NonConstantDerivative, PhaseLabelFailure
+from rifclark.poly import Rif
 
 
 def fav_branch(alpha, z1):
@@ -193,136 +192,60 @@ def test_traced_branches_are_unimodular_level_points(t):
     assert np.min(br.weights) >= 0.0
 
 
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_assign_matches_brute_force_minimum(data):
-    n = data.draw(st.integers(1, 5))
-    m = data.draw(st.integers(1, 5))
-    cost = np.array(data.draw(st.lists(
-        st.floats(0.0, 10.0), min_size=n * m, max_size=n * m))).reshape(n, m)
-    rows, cols = levelset.assign(cost)
-    k = min(n, m)
-    assert len(rows) == len(cols) == k
-    assert np.all(np.diff(rows) > 0) and len(set(cols.tolist())) == k
-    if n <= m:
-        best = min(cost[np.arange(n), list(c)].sum()
-                   for c in permutations(range(m), n))
-    else:
-        best = min(cost[list(r), np.arange(m)].sum()
-                   for r in permutations(range(n), m))
-    assert abs(cost[rows, cols].sum() - best) <= 1e-12 * (1.0 + best)
+@pytest.mark.parametrize("t", [-0.94, 0.935, 0.985, -0.985, 0.995, -0.995])
+def test_coarse_grid_labels_equal_fine_grid_labels(squared, t):
+    # near alpha = -1 the two branches of squared move further between
+    # coarse nodes than the gap between them; phase labels do not depend
+    # on the grid, so N = 256 labels every shared node as N = 65536 does
+    alpha = np.exp(1j * np.pi * t)
+    coarse = np.array([br.values for br in
+                       levelset.trace_branches(squared, alpha, 256)])
+    fine = np.array([br.values for br in
+                     levelset.trace_branches(squared, alpha, 65536)])
+    fine = fine[:, ::256]
+    assert np.array_equal(coarse, fine) or np.array_equal(coarse, fine[::-1])
 
 
-@st.composite
-def root_rows(draw, n_rows):
-    """Padded slice-root rows of k <= 4 branches: each row is the previous
-    one nudged, with branches that close in on each other (near-ties),
-    swaps, duplicate roots, degree drops and extra roots (NaN padding)
-    and zero slices (all NaN)."""
-    k = draw(st.integers(1, 4))
-    width = k + draw(st.integers(0, 1))
-    unit = st.floats(-1.0, 1.0)
-
-    def noise(n):
-        return np.array([complex(draw(unit), draw(unit)) for _ in range(n)])
-
-    cur = noise(k)
-    scale = draw(st.integers(-14, -2))  # step sizes of one example agree
-    rows = np.full((n_rows, width), np.nan, dtype=complex)
-    for i in range(n_rows):
-        kind = draw(st.sampled_from(["move", "move", "close", "close", "swap",
-                                     "dup", "drop", "extra", "zero"]))
-        nudge = 10.0 ** draw(st.integers(scale, scale + 1))
-        cur = cur + nudge * noise(k)
-        if kind == "close" and k > 1:
-            cur[1] = cur[0] + nudge * noise(1)[0]
-        row = np.append(cur, noise(1))
-        if kind == "swap":
-            row[:k] = row[np.array(draw(st.permutations(range(k))))]
-        elif kind == "dup" and k > 1:
-            row[1] = row[0]
-        count = {"drop": draw(st.integers(0, k - 1)), "zero": 0,
-                 "extra": width}.get(kind, k)
-        rows[i, :count] = row[:count]
-    return k, rows
+def test_wrap_rule_and_line_swap(fav, squared):
+    # past theta = 2 pi, branch (b + deg_z1) mod n continues as branch b;
+    # z2^2 fav has n = 3 slice roots, so the sign of the shift shows
+    for degrees in ((1, 3), (2, 3)):
+        branches = levelset.trace_branches(Rif(fav.den, degrees), 1.0j, 1024)
+        vals = np.array([br.values for br in branches])
+        for b in range(3):
+            last = vals[(b + degrees[0]) % 3, -1]
+            assert np.argmin(np.abs(vals[:, 0] - last)) == b
+    # squared at -1: the horizontal-line branches swap labels at the
+    # vertical line theta = pi
+    branches = levelset.trace_branches(squared, -1.0 + 0.0j, 256)
+    before = branches[0].theta < np.pi
+    assert np.max(np.abs(branches[0].values[before] - 1.0)) < 1e-12
+    assert np.max(np.abs(branches[0].values[~before] + 1.0)) < 1e-12
+    assert np.max(np.abs(branches[1].values + branches[0].values)) < 1e-12
 
 
-# root 1 sits 1.7 or 2.1 times as far from old root 0 as new root 0 does
-@example((2, np.array([[0.0, 1.7e-3], [1e-3j, 1.7e-3 + 1e-9]])))
-@example((2, np.array([[0.0, 2.1e-3], [1e-3j, 2.1e-3 + 1e-9]])))
-@given(root_rows(2))
-@settings(max_examples=300, deadline=None)
-def test_clean_steps_agree_with_match_column(drawn):
-    k, rows = drawn
-    near, clean = levelset._clean_steps(rows, k)
-    if clean[1]:
-        assert not np.isnan(rows[:, :k]).any()
-        col, ambiguous = levelset._match_column(rows[0, :k], rows[1])
-        assert np.array_equal(col, rows[1, near[:, 1]]) and not ambiguous
+def test_phase_labels_refuse_unresolved_reference(fav, monkeypatch):
+    # phi(zeta1, 1) = -1 for fav: its phase gains 0, not 2 pi, in a turn
+    monkeypatch.setattr(levelset, "_REF_CIRCLES", (1.0 + 0.0j,))
+    with pytest.raises(PhaseLabelFailure):
+        levelset.trace_branches(fav, np.exp(0.7j), 256)
 
 
-@given(root_rows(24), st.booleans())
-@settings(max_examples=200, deadline=None)
-def test_continuation_equals_serial_matching_at_every_step(drawn, keep_nan):
-    # _continue runs the serial matcher only at non-clean steps; its
-    # labels must be those of running it at every step, bit for bit
-    k, rows = drawn
-    seeds = np.exp(1j * np.arange(k))
-
-    def serial(i, ref):
-        ref = seeds if ref is None else ref
-        if np.isnan(rows[i]).all():
-            return (np.nan if keep_nan else ref), ref
-        col, _ = levelset._match_column(ref, rows[i])
-        return col, np.where(np.isnan(col), ref, col)
-
-    got, got_ref = levelset._continue(rows, k, serial)
-    want = np.empty_like(got)
-    ref = None
-    for i in range(len(rows)):
-        want[:, i], ref = serial(i, ref)
-    assert np.array_equal(got, want, equal_nan=True)
-    assert np.array_equal(got_ref, ref, equal_nan=True)
-
-
-@pytest.fixture
-def match_calls(monkeypatch):
-    """Records every call of the serial matcher levelset._match_column."""
-    calls = []
-    match = levelset._match_column
-
-    def counted(*args):
-        calls.append(1)
-        return match(*args)
-
-    monkeypatch.setattr(levelset, "_match_column", counted)
-    return calls
-
-
-def test_generic_alpha_traces_with_few_serial_matches(corpus, match_calls):
-    calls = match_calls
-    for name in ("fav", "squared", "product", "diagonal"):
-        for alpha in (np.exp(0.7j), np.exp(2.3j)):
-            calls.clear()
-            levelset.trace_branches(corpus[name], alpha, 4096)
-            assert len(calls) <= 16, (name, alpha, len(calls))
-
-
-def test_serial_fallback_traces_level_points(squared, product, match_calls):
-    # at alpha = -1 the branches of these two meet, so some steps go
-    # through the serial matcher; every traced value must still be a
-    # unimodular point of the level set.  Where two branches meet the
-    # slice has a double root, which companion eigenvalues resolve only
-    # to ~sqrt(eps) (product: 8.6e-9 off the circle at theta = 0), so
-    # those values get 1e-7
-    calls = match_calls
+def test_serial_fallback_traces_level_points(squared, product):
+    # at alpha = -1 the branches of these two meet (and squared has
+    # vertical lines at zeta1 = +-1, which the grid is shifted off), yet
+    # every value is a unimodular point of the level set.  Where two
+    # branches meet the slice has a double root, which companion
+    # eigenvalues resolve only to ~sqrt(eps) (product: 8.6e-9 off the
+    # circle at theta = 0), so those values get 1e-7
     alpha = -1.0 + 0.0j
+    N = 4096
     for phi in (squared, product):
-        calls.clear()
-        branches = levelset.trace_branches(phi, alpha, 4096)
-        assert calls
+        branches = levelset.trace_branches(phi, alpha, N)
         scale = np.max(np.abs(phi.level_coeffs(alpha)))
         vals = np.array([br.values for br in branches])
+        assert not np.isnan(vals).any()
+        assert not np.isnan([br.weights for br in branches]).any()
         meet = np.abs(vals[0] - vals[1]) < 1e-6
         off = np.abs(np.abs(vals) - 1.0)
         assert np.max(off[:, ~meet]) < 1e-9
@@ -331,16 +254,18 @@ def test_serial_fallback_traces_level_points(squared, product, match_calls):
             zeta = np.exp(1j * br.theta)
             res = phi.num(zeta, br.values) - alpha * phi.den(zeta, br.values)
             assert np.max(np.abs(res)) < 1e-8 * scale
+    shifted = 2 * np.pi * np.arange(N) / N + np.pi / N
+    assert np.array_equal(levelset.trace_branches(squared, alpha, N)[0].theta,
+                          shifted)
 
 
 def test_measure_path_traces_no_branch(corpus, monkeypatch):
     # every measure builder takes all slice roots unlabeled, so branch
-    # continuation and matching never run, even where branches meet
-    def refuse(*args):
-        raise AssertionError("branch continuation ran on the measure path")
+    # labels are never computed, even where branches meet
+    def refuse(*args, **kwargs):
+        raise AssertionError("branch labels ran on the measure path")
 
-    monkeypatch.setattr(levelset, "_continue", refuse)
-    monkeypatch.setattr(levelset, "_match_column", refuse)
+    monkeypatch.setattr(levelset, "_phase_labels", refuse)
     for name in ("fav", "squared", "product", "diagonal"):
         phi = corpus[name]
         for alpha in (np.exp(0.7j), 1.0 + 0.0j, -1.0 + 0.0j, -np.exp(0.05j)):
