@@ -96,8 +96,8 @@ def _dyadic_paths(phi: Rif, alpha: complex, tau: complex, gamma: complex,
         labels = _phase_labels(phi, alpha, zeta1, roots, closed=False)[dy_mask]
         adm = labels[0, near[np.argsort(np.angle(roots[0, near]),
                                         kind="stable")]]
-        # column of each admitted label at every dyadic node
-        cols = (labels[:, None, :] == adm[None, :, None]).argmax(axis=2)
+        # the column of each admitted label at every dyadic node
+        cols = np.argsort(labels, axis=1)[:, adm]
         out[side] = (deltas[dy_mask],
                      np.take_along_axis(roots[dy_mask], cols, axis=1).T)
     return out
