@@ -80,3 +80,58 @@ def tridisk_rif(s: float) -> Rif:
     c[0, 1, 0] = -1.0
     c[0, 0, 1] = -1.0
     return Rif(PolyMD(c))
+
+
+def planted_zero(seed: int) -> tuple[complex, complex]:
+    """The torus point at which ``random_rif(.., seed, singular=True)``
+    plants its boundary zero."""
+    return _torus_point(np.random.default_rng(seed))
+
+
+def _torus_point(rng):
+    t1, t2 = np.exp(2j * np.pi * rng.random(2))
+    return complex(t1), complex(t2)
+
+
+def _haar_unitary(rng, n):
+    """Haar-distributed n x n unitary: QR of a complex Gaussian, with the
+    phases of R's diagonal moved into Q."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def random_rif(n1: int, n2: int, seed: int, singular: bool = False) -> Rif:
+    """A seeded random RIF of bidegree (n1, n2) from a contractive
+    realization p = det(I - D Delta(z)), Delta(z) = diag(z1 I_n1, z2 I_n2).
+
+    D is a strict contraction U diag(s) V with Haar unitaries U, V and
+    singular values s uniform in [0, 1), so p has no zeros on the closed
+    bidisk.  A ``singular`` draw plants a torus zero at tau =
+    ``planted_zero(seed)``: with a unit vector x and y = Delta(tau) x,
+    D = x y* + P_x C P_y, where P_x, P_y project onto the complements of
+    x and y and C is such a strict contraction, so D Delta(tau) x = x and
+    ||D|| = 1.  The coefficients are p on the (n1 + 1) x (n2 + 1) grid of
+    roots of unity, through fft2 over the grid size.
+    """
+    if n1 < 1 or n2 < 1:
+        raise ValueError("random_rif needs bidegree at least (1, 1)")
+    rng = np.random.default_rng(seed)
+    tau = _torus_point(rng)
+    n = n1 + n2
+    s = rng.random(n)
+    d = _haar_unitary(rng, n) * s @ _haar_unitary(rng, n)
+    if singular:
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x /= np.linalg.norm(x)
+        y = np.repeat(np.array(tau), (n1, n2)) * x
+        eye = np.eye(n)
+        d = np.outer(x, y.conj()) \
+            + (eye - np.outer(x, x.conj())) @ d @ (eye - np.outer(y, y.conj()))
+    z1, z2 = np.meshgrid(*(np.exp(2j * np.pi * np.arange(m) / m)
+                           for m in (n1 + 1, n2 + 1)), indexing="ij")
+    delta = np.concatenate([np.repeat(z1[..., None], n1, axis=2),
+                            np.repeat(z2[..., None], n2, axis=2)], axis=2)
+    vals = np.linalg.det(np.eye(n) - d * delta[..., None, :])
+    return Rif(PolyMD(np.fft.fft2(vals) / vals.size))

@@ -5,18 +5,21 @@ vanish like |zeta - tau|^K for an even integer K, the contact order.
 This module estimates K two ways — decay of the weights, and decay of
 pairwise differences of level-set branches across two values of alpha —
 by least-squares log-log fits over dyadic offsets, and evaluates
-nontangential values by Richardson extrapolation along the radius.
+nontangential values: for a Rif in closed form, from the radial Taylor
+coefficients of q and p at r = 1, and for any other callable by
+Richardson extrapolation along the radius.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import poly as _poly
 from .errors import FitDegenerate, NonConvergent
-from .levelset import _phase_labels, _solve_slices, detect_lines, weight_parts
+from .levelset import (SINGULAR_TOL, _phase_labels, _solve_slices,
+                       detect_lines, weight_parts)
 from .poly import Rif
 from .util import TWO_PI
 
@@ -233,13 +236,75 @@ def nontangential_value(phi, point, k_range: tuple[int, int] = (4, 20),
                         tol: float = 1e-8) -> complex:
     """Nontangential (radial) limit of phi at a boundary point.
 
-    Evaluates phi(r * point) at r = 1 - 2^-k and Richardson-extrapolates
-    to r = 1.  Accepts any callable of d complex arguments, in particular
-    a Rif in any dimension.  Raises NonConvergent when the extrapolation
-    table does not settle, or when the settled value is not unimodular
+    For a Rif, in any dimension, the limit in closed form
+    (``_radial_limit``); ``k_range`` and ``tol`` are not used.  Any other
+    callable of d complex arguments is evaluated at r * point,
+    r = 1 - 2^-k over ``k_range``, and Richardson-extrapolated to r = 1;
+    NonConvergent when the extrapolation table does not settle to
+    ``tol``.  Either way NonConvergent when the limit is not unimodular
     within 1e-6 (no nontangential value exists there).
     """
     pt = np.asarray(point, dtype=complex)
+    if isinstance(phi, Rif):
+        best = _radial_limit(phi, pt)
+    else:
+        best = _richardson_limit(phi, pt, k_range, tol)
+    if abs(abs(best) - 1.0) > 1e-6:
+        raise NonConvergent(
+            f"radial limit {best:.8g} is not unimodular; no nontangential "
+            "value")
+    return complex(best)
+
+
+def _radial_limit(phi: Rif, tau) -> complex:
+    """lim phi(r tau) as r -> 1 from the radial polynomials P(r) = p(r tau)
+    and Q(r) = q(r tau), their coefficients summed by total degree.
+
+    Both are Taylor-shifted exactly to r = 1 + s, and the limit is
+    Q_k / P_k at the first k with |P_k| above levelset.SINGULAR_TOL of
+    p's coefficient scale: phi(tau) at a regular point (k = 0), the ratio
+    of radial derivatives at a boundary singularity (Bickel, Pascoe and
+    Sola, "Derivatives of rational inner functions", 2018), and of higher
+    ones where those vanish too, as for the square of a RIF.
+    """
+    if len(tau) != phi.dim:
+        raise ValueError(f"expected {phi.dim} coordinates, got {len(tau)}")
+    big_p, big_q = (_shift_to_one(_radial_coeffs(f.coeffs, tau))
+                    for f in (phi.den, phi.num))
+    live = np.flatnonzero(np.abs(big_p)
+                          > SINGULAR_TOL * phi.den.coefficient_scale())
+    if not live.size:
+        raise NonConvergent("p vanishes along the radius")
+    k = live[0]
+    return complex(big_q[k] / big_p[k]) + 0.0  # + 0.0: no -0.0 imaginary part
+
+
+def _radial_coeffs(coeffs, tau):
+    """Coefficients in r of r -> f(r tau), f's coefficient tensor summed
+    over each total degree."""
+    terms = coeffs.astype(complex)
+    for a, t in enumerate(tau):
+        shape = [1] * coeffs.ndim
+        shape[a] = -1
+        terms = terms * (t ** np.arange(coeffs.shape[a])).reshape(shape)
+    total = sum(np.indices(coeffs.shape))
+    out = np.zeros(sum(coeffs.shape) - coeffs.ndim + 1, dtype=complex)
+    np.add.at(out, total.ravel(), terms.ravel())
+    return out
+
+
+def _shift_to_one(c):
+    """Coefficients in s of the polynomial with coefficients c in r, at
+    r = 1 + s: c'_m = sum_k C(k, m) c_k with exact binomials."""
+    n = len(c)
+    binom = np.array([[math.comb(k, m) for k in range(n)] for m in range(n)],
+                     dtype=float)
+    return binom @ c
+
+
+def _richardson_limit(phi, pt, k_range, tol) -> complex:
+    """Richardson extrapolation of phi(r pt) at geometric nodes
+    r = 1 - 2^-k to r = 1."""
     k_lo, k_hi = k_range
     ks = np.arange(k_lo, k_hi + 1)
     vals = np.array([complex(phi(*(1.0 - 2.0 ** -float(k)) * pt))
@@ -259,10 +324,6 @@ def nontangential_value(phi, point, k_range: tuple[int, int] = (4, 20),
     if best_err > tol * max(1.0, abs(best)):
         raise NonConvergent(
             f"radial extrapolation did not settle (residual {best_err:.2e})")
-    if abs(abs(best) - 1.0) > 1e-6:
-        raise NonConvergent(
-            f"radial limit {best:.8g} is not unimodular; no nontangential "
-            "value")
     return complex(best)
 
 

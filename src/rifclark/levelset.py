@@ -15,7 +15,9 @@ the phase of phi(zeta1, w_ref) lifted along a path (``_phase_labels``);
 no root is matched to its neighbours.  ``trace_branches`` labels the
 kernel's atoms over the uniform grid for the outputs where labels are
 the point, such as the CSV export.  The module also finds line
-components and locates boundary singularities of phi.
+components, and it locates the boundary singularities of phi, the
+common torus zeros of p and p~, from the zeros of one resultant on the
+circle (``find_singularities``).
 """
 
 from __future__ import annotations
@@ -37,7 +39,12 @@ ZERO_SLICE_REL_TOL = 1e-10
 UNIMODULAR_TOL = 1e-6
 LINE_TEST_POINTS = 8  # line_constant's samples and their relative spread
 LINE_SPREAD_TOL = 1e-8
-SEED_GRID = 2048  # slices per axis that seed find_singularities
+# |p| below this times its coefficient scale: a zero of p on the torus
+SINGULAR_TOL = 1e-10
+# distance from the circle of the resultant and slice roots that seed
+# find_singularities; the polish, not the seed, sets the accuracy
+SEED_BAND = 0.05
+POLISH_STEPS = 16  # secant steps of _polish_on_torus, at most
 NEWTON_ITERS = 3  # Newton steps per slice root, at most
 # reference circles zeta2 = w_ref of the phase labels, tried in order: a
 # circle through a singularity on the path (fav's zeta2 = 1) gives no phase
@@ -385,101 +392,147 @@ def classify_alpha(phi: Rif, alpha: complex) -> AlphaClass:
 def find_singularities(phi: Rif) -> list[tuple[complex, complex]]:
     """Common boundary zeros of p and its reflection on the 2-torus.
 
-    Seeds come from slice roots of p over SEED_GRID angles that approach
-    the unit circle (plus coarse torus minima of |p|); each seed is
-    polished by a damped least-squares Newton iteration on
-    (Re p, Im p) = 0 in the two angle variables.  The Jacobian is
-    singular at the zeros themselves, so the iteration is run to
-    stagnation rather than a fixed count.
+    On the torus p~ = zeta^n conj(p), so these are the torus zeros of p,
+    and they are finitely many (Knese, "Polynomials with no zeros on the
+    bidisk", 2010).  Each lies over a zero tau1 on the circle of the
+    resultant R(z1) = Res_{z2}(p, p~) (``_resultant_coeffs``).  Those
+    zeros are of even multiplicity m, 2 n2 at most on the catalog and
+    the composed examples, so rounding spreads each into a cluster of
+    width about eps^(1 / m), and the roots within SEED_BAND of the
+    circle are grouped by angle within max(1e-3, 10 eps^(1 / (2 n2))).
+    The mean of each group, projected to the circle, seeds tau1, and the
+    roots of p(tau1, .) within SEED_BAND of the circle, grouped within
+    10 eps^(1 / n2), seed tau2.
+    Each seed is polished along its branch (``_polish_on_torus``), which
+    also separates zeros whose clusters run together; a root tau2 of
+    multiplicity m, as where p has a repeated factor f^m, is polished on
+    the (m - 1)-th z2-derivative of p, of which it is a simple root on
+    the same curve f = 0.  A point is kept when |p| <= SINGULAR_TOL and
+    |q| < 1e-8 of their coefficient scales there, and once when several
+    seeds reach it.  Sorted by the angles of tau1 and tau2
+    counterclockwise from 1.
     """
     if phi.dim != 2:
         raise ValueError("find_singularities expects a two-variable function")
     p = phi.den
-    scale = p.coefficient_scale()
-    seeds: list[tuple[float, float]] = []
-
-    _, zg = unit_circle_points(SEED_GRID)
-    tg = TWO_PI * np.arange(SEED_GRID) / SEED_GRID
-    for axis in (2, 1):
-        if 1 in p.coeffs.shape:
-            # slices that do not vary, or have no roots, give no seeds
-            continue
-        rows = slice_coeffs(p.coeffs, zg[:, None], axis=axis)
-        roots = companion_roots(rows)
-        # per slice, the root nearest the circle (no root: prox inf)
-        d = np.where(np.isnan(roots), np.inf, np.abs(np.abs(roots) - 1.0))
-        j = np.argmin(d, axis=1)[:, None]
-        prox = np.take_along_axis(d, j, axis=1)[:, 0]
-        arg = np.angle(np.take_along_axis(roots, j, axis=1)[:, 0]) % TWO_PI
-        cand = np.nonzero((prox < 0.05)
-                          & (prox <= np.roll(prox, 1))
-                          & (prox < np.roll(prox, -1)))[0]
-        for i in cand:
-            if axis == 2:
-                seeds.append((tg[i], arg[i]))
-            else:
-                seeds.append((arg[i], tg[i]))
-
-    # coarse torus minima of |p| as extra seeds
-    gm = 256
-    _, zm = unit_circle_points(gm)
-    tm = TWO_PI * np.arange(gm) / gm
-    vals = np.abs(_poly.eval_poly(p, (zm[:, None], zm[None, :])))
-    small = vals < 0.02 * scale
-    loc = small & (vals <= np.roll(vals, 1, 0)) & (vals <= np.roll(vals, -1, 0)) \
-        & (vals <= np.roll(vals, 1, 1)) & (vals <= np.roll(vals, -1, 1))
-    for i, j in zip(*np.nonzero(loc)):
-        seeds.append((tm[i], tm[j]))
-
+    n2 = max(p.degrees[1], 1)
+    eps = np.finfo(float).eps
+    res = companion_roots(_resultant_coeffs(p)[None, :])[0]
+    tau1, _ = _circle_clusters(res, max(1e-3, 10.0 * eps ** (0.5 / n2)))
+    tau1 /= np.abs(tau1)
+    cand = []  # (tau1, tau2, multiplicity of the root tau2)
+    for t1, roots in zip(tau1, companion_roots(
+            slice_coeffs(p.coeffs, tau1[:, None]))):
+        tau2, count = _circle_clusters(roots, 10.0 * eps ** (1.0 / n2))
+        cand += zip([t1] * len(tau2), tau2, count)
+    if not cand:
+        return []
+    t1, t2, mult = (np.array(c) for c in zip(*cand))
+    coeffs = p.coeffs
+    for m in range(1, mult.max() + 1):
+        at = mult == m
+        if at.any():
+            t1[at], t2[at] = _polish_on_torus(coeffs, t1[at], t2[at])
+        coeffs = derivative_coeffs(coeffs, 2)
+    q = phi.num
+    keep = (np.abs(p(t1, t2)) <= SINGULAR_TOL * p.coefficient_scale()) \
+        & (np.abs(q(t1, t2)) < 1e-8 * q.coefficient_scale())
     found: list[tuple[complex, complex]] = []
-    for t1, t2 in seeds:
-        pt = _polish_singularity(p, t1, t2, scale)
-        if pt is None:
-            continue
+    for pt in sorted(zip(t1[keep].tolist(), t2[keep].tolist()),
+                     key=lambda pt: (_ccw_angle(pt[0]), _ccw_angle(pt[1]))):
         if all(angular_distance(pt[0], f[0]) + angular_distance(pt[1], f[1])
                > 1e-6 for f in found):
-            q = phi.num
-            if abs(_poly.eval_poly(q, pt)) < 1e-8 * q.coefficient_scale():
-                found.append(pt)
-    found.sort(key=lambda f: (float(np.angle(f[0])) % TWO_PI,
-                              float(np.angle(f[1])) % TWO_PI))
+            found.append(pt)
     return found
 
 
-def _polish_singularity(p, t1, t2, scale, max_iter=160):
-    th = np.array([t1, t2])
-    p1c = derivative_coeffs(p.coeffs, 1)
-    p2c = derivative_coeffs(p.coeffs, 2)
+def _polish_on_torus(coeffs, t1, t2):
+    """Polish approximate torus zeros (t1, t2) of the polynomial f with
+    coefficient tensor ``coeffs``, t1 on the circle and t2 a simple root
+    of f(t1, .); the polished t2 is on the circle.
 
-    def fval(th):
-        z = np.exp(1j * th)
-        return complex(_poly.eval_poly(p, (z[0], z[1])))
+    Along the curve f = 0, z2 = w(z1), and |w| >= 1 for |z1| = 1 with
+    equality at a torus zero, so log|w(e^{i theta})| has a double zero
+    there and its derivative h = Im(z1 d1f / (w d2f)) a simple one.
+    Secant steps on h in theta = arg z1, with w the root of f(z1, .) by
+    Newton steps from the last one, locate it to rounding where the
+    resultant's clusters leave it off by up to their spread.  The steps
+    stop when none moves a point by more than 4 eps; a point whose last
+    step exceeds 1e-9 (or that is not finite) keeps its input.
+    """
+    d1 = derivative_coeffs(coeffs, 1)
+    k = np.arange(1, coeffs.shape[1])
 
-    f = fval(th)
-    for _ in range(max_iter):
-        z = np.exp(1j * th)
-        d1 = complex(_poly._eval_tensor(p1c, [z[0], z[1]])) * 1j * z[0]
-        d2 = complex(_poly._eval_tensor(p2c, [z[0], z[1]])) * 1j * z[1]
-        J = np.array([[d1.real, d2.real], [d1.imag, d2.imag]])
-        F = np.array([f.real, f.imag])
-        step, *_ = np.linalg.lstsq(J, -F, rcond=None)
-        if not np.all(np.isfinite(step)):
-            return None
-        lam = 1.0
-        for _bt in range(12):
-            trial = th + lam * step
-            ft = fval(trial)
-            if abs(ft) < abs(f):
-                th, f = trial, ft
+    def slope(theta, w):
+        z1 = np.exp(1j * theta)
+        rows = slice_coeffs(coeffs, z1[:, None])
+        drows = rows[:, 1:] * k
+        for _ in range(3):
+            w = w - _polyval_rows(rows, w) / _polyval_rows(drows, w)
+        ratio = z1 * _polyval_rows(slice_coeffs(d1, z1[:, None]), w) \
+            / (w * _polyval_rows(drows, w))
+        return ratio.imag, w
+
+    settled = 4.0 * np.finfo(float).eps
+    # a point that runs off to NaN or inf is judged by its last step
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ta = np.angle(t1)
+        ha, w = slope(ta, t2)
+        tb = ta + 1e-7
+        for _ in range(POLISH_STEPS):
+            hb, w = slope(tb, w)
+            dh = hb - ha
+            step = np.where(dh != 0.0, -hb * (tb - ta) / np.where(
+                dh != 0.0, dh, 1.0), 0.0)
+            ta, ha, tb = tb, hb, tb + step
+            if not np.any(np.abs(step) > settled):
                 break
-            lam *= 0.5
-        else:
-            break
-        if np.linalg.norm(lam * step) < 1e-14 * max(1.0, np.linalg.norm(th)):
-            break
-    if abs(f) > 1e-10 * scale:
-        return None
-    return (complex(np.exp(1j * th[0])), complex(np.exp(1j * th[1])))
+        _, w = slope(tb, w)
+        ok = (np.abs(step) <= 1e-9) & np.isfinite(w)
+        w = np.where(ok, w, t2)
+        return np.where(ok, np.exp(1j * tb), t1), w / np.abs(w)
+
+
+def _resultant_coeffs(p: PolyMD):
+    """Coefficients of R(z1) = Res_{z2}(p, p~), p~ the reflection of p at
+    its own degrees (n1, n2): Sylvester determinants at the M = 2 n1 n2 + 1
+    roots of unity, then fft / M, exact for a degree below M."""
+    n1, n2 = p.degrees
+    _, z1 = unit_circle_points(2 * n1 * n2 + 1)
+    rows = (slice_coeffs(p.coeffs, z1[:, None]),
+            slice_coeffs(np.conj(p.coeffs[::-1, ::-1]), z1[:, None]))
+    syl = np.zeros((len(z1), 2 * n2, 2 * n2), dtype=complex)
+    for k in range(n2):  # rows k and n2 + k: p's and p~'s, shifted by k
+        syl[:, k, k:k + n2 + 1] = rows[0]
+        syl[:, n2 + k, k:k + n2 + 1] = rows[1]
+    return np.fft.fft(np.linalg.det(syl)) / len(z1)
+
+
+def _circle_clusters(roots, window):
+    """The groups of ``roots`` (NaN padded) within SEED_BAND of the unit
+    circle whose angles lie within ``window`` of each other: the mean of
+    each group, in order of angle, and the group sizes."""
+    r = roots[~np.isnan(roots)]
+    r = r[np.abs(np.abs(r) - 1.0) < SEED_BAND]
+    if not r.size:
+        return r, np.zeros(0, dtype=int)
+    r = r[np.argsort(np.angle(r))]
+    ang = np.angle(r)
+    cut = np.diff(np.append(ang, ang[0] + TWO_PI)) > window  # after root i
+    if cut.any():  # start the groups after the last cut: none wraps
+        shift = np.flatnonzero(cut)[-1] + 1
+        r, cut = np.roll(r, -shift), np.roll(cut, -shift)
+    group = np.concatenate(([0], np.cumsum(cut[:-1])))
+    count = np.bincount(group)
+    mean = (np.bincount(group, r.real) + 1j * np.bincount(group, r.imag)) \
+        / count
+    return mean, count
+
+
+def _ccw_angle(z):
+    """Sort key: the angle of z counterclockwise from 1, to 1e-9, where an
+    angle within rounding below 0 (a computed 1 - 3e-16j) counts as 0."""
+    return round((float(np.angle(z)) + 1e-12) % TWO_PI, 9)
 
 
 # ---------------------------------------------------------------------------

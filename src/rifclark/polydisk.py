@@ -13,13 +13,14 @@ usable at the singular border case s = 3 where the builder must refuse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .clark import ClarkMeasure, _check_mass, total_mass
 from .errors import RootFindFailure, SingularDenominator, UnstableDenominator
 from .levelset import _slice_atoms
-from .poly import Rif, _eval_tensor, stability_check
+from .poly import PolyMD, Rif, _eval_tensor, stability_check
 from .util import TWO_PI
 
 __all__ = [
@@ -33,10 +34,11 @@ def build_measure_d(phi: Rif, alpha: complex,
                     grid_n: int = 256) -> ClarkMeasure:
     """Clark measure of a singularity-free 3-var RIF on a tensor grid.
 
-    Requires the stability certificate to keep a margin off the boundary
-    (min slice-root modulus > 1 + 1e-6); denominators with boundary
-    zeros — phi_3 at (1,1,1) for instance — are refused, since the
-    absolutely-continuous structure formula breaks down there.
+    Requires the stability certificate, computed once per denominator, to
+    keep a margin off the boundary (min slice-root modulus > 1 + 1e-6);
+    denominators with boundary zeros — phi_3 at (1,1,1) for instance —
+    are refused, since the absolutely-continuous structure formula breaks
+    down there.
     The nodes over each grid point (zeta1, zeta2) are all roots zeta3 of
     its slice from ``levelset._slice_atoms``, as in the 2-variable
     builder.  They are (grid_n**2 * n, 3) with n the degree in z3, listed
@@ -55,7 +57,7 @@ def build_measure_d(phi: Rif, alpha: complex,
         raise ValueError("build_measure_d handles exactly three variables")
     if abs(abs(complex(alpha)) - 1.0) > 1e-9:
         raise ValueError("alpha must be unimodular")
-    cert = stability_check(phi.den)
+    cert = _certificate(phi.den.coeffs.shape, phi.den.coeffs.tobytes())
     if not cert.is_stable or cert.min_modulus_on_grid <= 1.0 + 1e-6:
         raise UnstableDenominator(
             f"denominator has a zero within {cert.min_modulus_on_grid - 1.0:.3g} "
@@ -80,6 +82,15 @@ def build_measure_d(phi: Rif, alpha: complex,
                            weights=(num / den).T.ravel() / (N * N), lines=[])
     _check_mass(measure, np.mean(_slice_masses(phi, alpha, pts)))
     return measure
+
+
+@lru_cache(maxsize=32)
+def _certificate(shape, raw):
+    """``stability_check`` of the denominator with coefficient tensor
+    ``raw`` (bytes) of ``shape``: it depends on nothing else, so each
+    denominator is certified once."""
+    return stability_check(PolyMD(np.frombuffer(raw, dtype=complex)
+                                  .reshape(shape)))
 
 
 def _slice_masses(phi: Rif, alpha: complex, pts):

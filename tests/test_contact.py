@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from rifclark import contact
+from rifclark import catalog, contact, levelset
 from rifclark.errors import FitDegenerate, NonConvergent
+from rifclark.poly import PolyMD, Rif
 
 SING = (1.0 + 0.0j, 1.0 + 0.0j)
 
@@ -68,14 +69,58 @@ def test_nontangential_value_at_regular_point(fav):
     z = (np.exp(0.5j), np.exp(1.2j))
     nt = contact.nontangential_value(fav, z)
     assert abs(nt - complex(fav(*z))) < 1e-8
+    assert nt == complex(fav(*z))
+    # inside the bidisk the limit is phi there, which is not unimodular
+    with pytest.raises(NonConvergent):
+        contact.nontangential_value(fav, (0.5, 0.5j))
 
 
 def test_nontangential_value_in_three_variables():
-    from rifclark import catalog
-
     phi3 = catalog.tridisk_rif(3.0)
     nt = contact.nontangential_value(phi3, (1.0, 1.0, 1.0))
-    assert abs(nt - (-1.0)) < 1e-9
+    assert abs(nt - (-1.0)) < 1e-12
+
+
+def test_nontangential_value_exact_at_catalog_singularities(corpus,
+                                                            monkeypatch):
+    # a Rif's limit is the ratio of radial Taylor coefficients at r = 1,
+    # with no extrapolation
+    def refuse(*args):
+        raise AssertionError("a Rif went through Richardson")
+
+    monkeypatch.setattr(contact, "_richardson_limit", refuse)
+    for name in ("fav", "squared", "product"):
+        phi = corpus[name]
+        for sing in levelset.find_singularities(phi):
+            nt = contact.nontangential_value(phi, sing)
+            assert abs(nt - (-1.0)) < 1e-12, (name, sing)
+
+
+def test_nontangential_value_of_a_square():
+    # p = (2 - z1 - z2)^2: the first radial derivative vanishes at (1, 1)
+    # too, and the second-order ratio gives (-1)^2
+    c = np.zeros((3, 3), dtype=complex)
+    c[0, 0], c[1, 0], c[0, 1] = 4.0, -4.0, -4.0
+    c[2, 0], c[0, 2], c[1, 1] = 1.0, 1.0, 2.0
+    nt = contact.nontangential_value(Rif(PolyMD(c)), SING)
+    assert abs(nt - 1.0) < 1e-12
+
+
+def test_nontangential_value_of_a_callable_extrapolates(fav, monkeypatch):
+    calls = []
+    richardson = contact._richardson_limit
+
+    def counted(*args):
+        calls.append(1)
+        return richardson(*args)
+
+    monkeypatch.setattr(contact, "_richardson_limit", counted)
+    nt = contact.nontangential_value(lambda z1, z2: fav(z1, z2), SING)
+    assert calls == [1] and abs(nt - (-1.0)) < 1e-9
+    contact.nontangential_value(fav, SING)
+    assert calls == [1]
+    with pytest.raises(NonConvergent):
+        contact.nontangential_value(lambda z1, z2: 0.5 * fav(z1, z2), SING)
 
 
 def test_fit_degenerate_at_non_vanishing_point(fav):

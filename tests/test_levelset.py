@@ -3,9 +3,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rifclark import blaschke, catalog, clark, embedding, levelset, polydisk
+from rifclark import (blaschke, catalog, clark, embedding, levelset, poly,
+                      polydisk)
 from rifclark.errors import NonConstantDerivative, PhaseLabelFailure
-from rifclark.poly import Rif
+from rifclark.poly import PolyMD, Rif
 
 
 def fav_branch(alpha, z1):
@@ -105,18 +106,86 @@ def test_line_constant_rejects_non_line(fav):
         levelset.line_constant(fav, 1.0j, 1.0 + 0.0j, axis=1)
 
 
-def test_find_singularities(fav, squared, monomial, diagonal):
-    sings = levelset.find_singularities(fav)
+def test_find_singularities(corpus):
+    expected = {
+        "fav": [(1, 1)],
+        "squared": [(1, 1), (1, -1), (-1, 1), (-1, -1)],
+        "product": [(1, 1)],
+        "diagonal": [],
+        "monomial": [],
+    }
+    for name, pts in expected.items():
+        sings = levelset.find_singularities(corpus[name])
+        assert len(sings) == len(pts), name
+        for got, want in zip(sings, pts):
+            assert abs(got[0] - want[0]) < 1e-12 and \
+                abs(got[1] - want[1]) < 1e-12, (name, got, want)
+
+
+def composed_fav(k1, k2, a=1.0, b=1.0):
+    """2 - conj(a) z1^k1 - conj(b) z2^k2: fav composed with (z1^k1, z2^k2)
+    and rotated, zero on the torus where z1^k1 = a and z2^k2 = b."""
+    c = np.zeros((k1 + 1, k2 + 1), dtype=complex)
+    c[0, 0] = 2.0
+    c[k1, 0] = -np.conj(a)
+    c[0, k2] = -np.conj(b)
+    return Rif(PolyMD(c))
+
+
+@pytest.mark.parametrize("k1, k2, a, b", [
+    (3, 1, 1.0, 1.0), (2, 3, 1.0, 1.0), (3, 3, 1.0, 1.0), (1, 4, 1.0, 1.0),
+    (1, 1, np.exp(0.7j), np.exp(-2.1j))])
+def test_singularities_exactly_located(k1, k2, a, b):
+    # k1 k2 torus zeros, each where R has a zero of multiplicity 2 k2
+    phi = composed_fav(k1, k2, a, b)
+    sings = levelset.find_singularities(phi)
+    assert len(sings) == k1 * k2
+    roots1 = a ** (1 / k1) * np.exp(2j * np.pi * np.arange(k1) / k1)
+    roots2 = b ** (1 / k2) * np.exp(2j * np.pi * np.arange(k2) / k2)
+    for t1, t2 in sings:
+        assert np.min(np.abs(roots1 - t1)) < 1e-12
+        assert np.min(np.abs(roots2 - t2)) < 1e-12
+        assert abs(phi.den(t1, t2)) <= 1e-14 * phi.den.coefficient_scale()
+    # no point twice
+    assert len({(round(t1.real, 6), round(t1.imag, 6), round(t2.real, 6),
+                 round(t2.imag, 6)) for t1, t2 in sings}) == k1 * k2
+
+
+def test_singularity_of_a_repeated_factor():
+    # p = f^2 for the rotated fav f: R has an 8-fold zero and every slice
+    # a double root, which is polished on d/dz2 p, vanishing on f = 0 too
+    a, b = np.exp(0.4j), np.exp(-1.3j)
+    f = composed_fav(1, 1, a, b).den.coeffs
+    c = np.zeros((3, 3), dtype=complex)
+    for i, j in np.ndindex(2, 2):
+        c[i:i + 2, j:j + 2] += f[i, j] * f
+    sings = levelset.find_singularities(Rif(PolyMD(c)))
     assert len(sings) == 1
-    assert abs(sings[0][0] - 1) < 1e-10 and abs(sings[0][1] - 1) < 1e-10
+    assert abs(sings[0][0] - a) < 1e-12 and abs(sings[0][1] - b) < 1e-12
 
-    sings = levelset.find_singularities(squared)
-    assert len(sings) == 4
-    got = sorted((round(s[0].real), round(s[1].real)) for s in sings)
-    assert got == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
 
-    assert levelset.find_singularities(monomial) == []
-    assert levelset.find_singularities(diagonal) == []
+def test_singularities_at_padded_degrees(fav, product):
+    # p~ is taken at p's own degrees, so product's padding changes nothing
+    assert product.degrees == (2, 2) and product.den.degrees == (1, 1)
+    assert levelset.find_singularities(product) == \
+        levelset.find_singularities(fav)
+    assert levelset.find_singularities(Rif(fav.den, (3, 2))) == \
+        levelset.find_singularities(fav)
+
+
+def test_singularity_search_evaluates_in_batches(squared, monkeypatch):
+    # one resultant and one batched polish: a polish per seed would make
+    # thousands of tensor evaluations
+    calls = []
+    tensor = poly._eval_tensor
+
+    def counted(*args):
+        calls.append(1)
+        return tensor(*args)
+
+    monkeypatch.setattr(poly, "_eval_tensor", counted)
+    assert len(levelset.find_singularities(squared)) == 4
+    assert len(calls) <= 4
 
 
 def test_blaschke_node_rule_near_exceptional(fav, squared):

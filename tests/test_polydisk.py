@@ -77,6 +77,42 @@ def test_build_measure_d_refuses_boundary_stability():
         polydisk.build_measure_d(phi, 1.0j, 32)
 
 
+def count_certificates(monkeypatch):
+    calls = []
+    check = polydisk.stability_check
+
+    def counted(p):
+        calls.append(p.coeffs.shape)
+        return check(p)
+
+    polydisk._certificate.cache_clear()
+    monkeypatch.setattr(polydisk, "stability_check", counted)
+    return calls
+
+
+def test_build_measure_d_certifies_each_denominator_once(monkeypatch):
+    calls = count_certificates(monkeypatch)
+    phi = catalog.tridisk_rif(4.0)
+    for alpha in (np.exp(0.9j), 1.0j):
+        polydisk.build_measure_d(phi, alpha, 16)
+    # an equal coefficient tensor in a new object is the same denominator
+    polydisk.build_measure_d(catalog.tridisk_rif(4.0), -1.0 + 0.0j, 16)
+    assert calls == [(2, 2, 2)]
+    polydisk.build_measure_d(catalog.tridisk_rif(3.5), 1.0j, 16)
+    assert len(calls) == 2
+
+
+def test_build_measure_d_refuses_on_every_call(monkeypatch):
+    calls = count_certificates(monkeypatch)
+    for phi in (catalog.tridisk_rif(3.0),
+                Rif(PolyMD(np.array([[[1.0, 0.0], [0.0, 0.0]],
+                                     [[0.0, 0.0], [0.0, 2.0]]])))):
+        for _ in range(2):
+            with pytest.raises(UnstableDenominator):
+                polydisk.build_measure_d(phi, 1.0j, 16)
+    assert len(calls) == 2
+
+
 def test_poisson_identity_three_variables():
     rep = polydisk.verify_poisson_d(4.0, np.exp(0.9j),
                                     (0.3 + 0.2j, -0.4j, 0.25), 256)
