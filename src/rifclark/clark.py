@@ -8,21 +8,25 @@ alpha, uniform pieces on full lines.
 
 A ClarkMeasure is one quadrature rule: level-set points ``nodes`` with
 ``weights`` (quadrature weight times Clark weight), plus the vertical
-lines {tau} x T, each carrying the constant 1/|d phi/d z1| and
-integrated on the uniform grid.  sigma_alpha is the zeta1-average of
-the slice Clark measures of phi(zeta1, .), so the nodes over each zeta1
-node are the atoms of its slice (``levelset._slice_atoms``); nothing is
-traced.  The zeta1 nodes are uniform unless the grid would miss where
-the mass of the zeta1-marginal piles up, as near an exceptional alpha;
-then they cluster there (``_zeta1_rule``).  Horizontal lines T x {tau}
-are the atom zeta2 = tau of every slice, so they are already among the
-nodes.  Every integrator is a weighted sum over blocks of nodes, and
+lines {tau} x T, each carrying the constant 1/|d phi/d z1| times arc
+length.  Each line stands for the uniform grid_n-point rule on it; the
+Poisson, moment and Gram sums take that rule's value in closed form and
+only ``integrate`` enumerates its nodes.  sigma_alpha is the
+zeta1-average of the slice Clark measures of phi(zeta1, .), so the nodes
+over each zeta1 node are the atoms of its slice
+(``levelset._slice_atoms``); nothing is traced.  The zeta1 nodes are
+uniform unless the grid would miss where the mass of the zeta1-marginal
+piles up, as near an exceptional alpha; then they cluster there
+(``_zeta1_rule``).  Horizontal lines T x {tau} are the atom zeta2 = tau
+of every slice, so they are already among the nodes.  Every integrator
+is a weighted sum over blocks of nodes plus a term per line, and
 ``polydisk.build_measure_d`` returns the same structure on the tridisk.
 """
 
 from __future__ import annotations
 
 import binascii
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -77,12 +81,25 @@ class ClarkMeasure:
 
     ``nodes`` (n, d) are level-set points and ``weights`` (n,) the
     quadrature weight times the Clark weight there.  ``lines`` are the
-    vertical line components; they enter every integral on the uniform
-    ``grid_n``-point grid.  ``branches`` is always empty: no builder
-    traces labeled branches, nothing in the package reads it and it is
-    not serialized.  The field exists only because the benchmark's
-    traced ``queries`` run (bench/workloads.py) reads it, and goes once
-    the benchmark traces branches itself.
+    vertical line components {tau} x T, each a constant c times arc
+    length, integrated by the uniform rule zeta1 = tau,
+    zeta2 = e^{2 pi i k / N}, k < N = ``grid_n``, of weight c / N per
+    node.  ``integrate`` alone enumerates those nodes; the other
+    integrators add the rule's value in closed form, aliasing included:
+
+    - moments: c conj(tau)^j [N | k] to the integral of
+      conj(zeta1)^j conj(zeta2)^k (c tau^j [N | k] for zeta1^j);
+    - Poisson at (z1, z2): c P(z1, tau) (1 - |z2|^2N) / |1 - z2^N|^2;
+    - Gram: on the line the embedded kernel at w_a is
+      g_a / (1 - conj(w_a2) zeta2), g_a = prefac_a / (1 - conj(w_a1) tau),
+      and entry (a, b) gains c g_a conj(g_b) S_N(conj(w_a2), w_b2) with
+      S_N(a, b) = (1 - a^N b^N) / ((1 - a b) (1 - a^N) (1 - b^N)).
+
+    ``branches`` is always empty: no builder traces labeled branches,
+    nothing in the package reads it and it is not serialized.  The field
+    exists only because the benchmark's traced ``queries`` run
+    (bench/workloads.py) reads it, and goes once the benchmark traces
+    branches itself.
     """
 
     phi: Rif
@@ -171,15 +188,18 @@ def _zeta1_rule(phi, alpha, grid_n, lines):
     return theta, 1.0 / (grid_n * dB)
 
 
-def _blocks(measure: ClarkMeasure):
-    """Yield (nodes, weights) slices of at most _BLOCK_NODES nodes.
-
-    The stored nodes come first, then each vertical line on the uniform
-    grid with weight constant / grid_n per node, built a block at a time.
-    """
+def _node_blocks(measure: ClarkMeasure):
+    """Yield (nodes, weights) slices of at most _BLOCK_NODES stored nodes."""
     nodes, weights = measure.nodes, measure.weights
     for lo in range(0, len(weights), _BLOCK_NODES):
         yield nodes[lo:lo + _BLOCK_NODES], weights[lo:lo + _BLOCK_NODES]
+
+
+def _line_blocks(measure: ClarkMeasure):
+    """Yield each vertical line on the uniform grid, weight constant / grid_n
+    per node, a block of at most _BLOCK_NODES nodes at a time.  Only
+    ``integrate`` needs them; the other integrators take the lines in
+    closed form (see ClarkMeasure)."""
     N = measure.grid_n
     for line in measure.lines:
         for lo in range(0, N, _BLOCK_NODES):
@@ -214,9 +234,11 @@ def integrate(measure: ClarkMeasure, f) -> complex:
     """Integrate f(zeta1, zeta2[, zeta3]) against the measure.
 
     ``f`` takes one complex array per torus coordinate, all of one
-    shape, and must evaluate elementwise.
+    shape, and must evaluate elementwise.  Lines enter on their uniform
+    grid, node by node.
     """
-    return complex(sum(np.sum(w * f(*z.T)) for z, w in _blocks(measure)))
+    blocks = itertools.chain(_node_blocks(measure), _line_blocks(measure))
+    return complex(sum(np.sum(w * f(*z.T)) for z, w in blocks))
 
 
 def total_mass(measure: ClarkMeasure) -> float:
@@ -247,13 +269,19 @@ def verify_poisson(measure: ClarkMeasure, points,
                    min_alpha_dist: float = 1e-6) -> PoissonReport:
     """Check the defining Poisson identity at interior points.
 
-    ``points`` is an iterable of (z1, z2) with |z_i| < 1.  Points where
-    phi(z) comes within ``min_alpha_dist`` of alpha are rejected: the
-    identity degenerates there and no finite-grid quadrature is
-    meaningful.
+    ``points`` is a non-empty iterable of (z1, z2) with |z_i| < 1.  Points
+    where phi(z) comes within ``min_alpha_dist`` of alpha are rejected:
+    the identity degenerates there and no finite-grid quadrature is
+    meaningful.  Three-variable measures go to polydisk.verify_poisson_d.
     """
+    if measure.phi.dim != 2:
+        raise ValueError("verify_poisson expects a two-variable inner "
+                         "function; use polydisk.verify_poisson_d on the "
+                         "tridisk")
     pts = np.asarray([(complex(a), complex(b)) for a, b in points],
                      dtype=complex)
+    if not len(pts):
+        raise ValueError("Poisson verification needs at least one point")
     if np.any(np.abs(pts) >= 1.0):
         raise ValueError("Poisson verification needs interior points")
     phi = measure.phi
@@ -270,7 +298,7 @@ def verify_poisson(measure: ClarkMeasure, points,
         return (1.0 - np.abs(w[:, None]) ** 2) / np.abs(z - w[:, None]) ** 2
 
     rhs = np.zeros(len(pts))
-    for z, w in _blocks(measure):
+    for z, w in _node_blocks(measure):
         # 4 points at a time: the (points, nodes) temporaries stay within
         # cache whatever the count; all 20 points of a check in one pass
         # took 4-60% longer (squared near alpha = -1, N = 1024..65536)
@@ -278,6 +306,14 @@ def verify_poisson(measure: ClarkMeasure, points,
             p = pts[lo:lo + 4]
             rhs[lo:lo + 4] += (poisson_factor(z[:, 0], p[:, 0])
                                * poisson_factor(z[:, 1], p[:, 1])) @ w
+    if measure.lines:
+        # the N-point grid on a line averages P(., z2) to the aliased
+        # (1 - |z2|^2N) / |1 - z2^N|^2
+        z1, zN = pts[:, 0], pts[:, 1] ** measure.grid_n
+        alias = (1.0 - np.abs(zN) ** 2) / np.abs(1.0 - zN) ** 2
+        for line in measure.lines:
+            rhs += (line.constant * alias * (1.0 - np.abs(z1) ** 2)
+                    / np.abs(line.tau - z1) ** 2)
     abs_err = np.abs(lhs - rhs)
     rel_err = abs_err / np.abs(lhs)
     return PoissonReport(points=pts, lhs=lhs, rhs=rhs, abs_err=abs_err,
@@ -299,9 +335,11 @@ def _moment_tables(measure, D, mixed=False):
     in one pass over the nodes that shares the conj(zeta2) powers."""
     if measure.phi.dim != 2:
         raise ValueError("moment tables expect a two-variable inner function")
+    if D < 0:
+        raise ValueError(f"moment degree must be non-negative, got {D}")
     C = np.zeros((D + 1, D + 1), dtype=complex)
     X = np.zeros_like(C) if mixed else None
-    for z, w in _blocks(measure):
+    for z, w in _node_blocks(measure):
         A = np.empty((D + 1, len(w)), dtype=complex)
         B = np.empty_like(A)
         B[0] = 1.0
@@ -314,6 +352,14 @@ def _moment_tables(measure, D, mixed=False):
             for j in range(1, D + 1):
                 np.multiply(A[j - 1], u, out=A[j])
             out += A @ B.T
+    # on a line the N-point grid averages conj(zeta2)^k to [N | k]
+    j = np.arange(D + 1)[:, None]
+    N = measure.grid_n
+    for line in measure.lines:
+        tau = complex(line.tau)
+        C[:, ::N] += line.constant * np.conj(tau) ** j
+        if mixed:
+            X[:, ::N] += line.constant * tau ** j
     return C, X
 
 

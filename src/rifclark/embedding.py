@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import poly as _poly
-from .clark import ClarkMeasure, _blocks, _moment_tables
+from .clark import ClarkMeasure, _moment_tables, _node_blocks
 from .errors import DenominatorVanishes
 from .levelset import _slice_atoms, _uniform_theta
 from .poly import PolyMD, Rif, companion_roots, trim
@@ -71,10 +71,20 @@ def gram_isometry_check(phi: Rif, alpha: complex, points,
 
     prefac = 1.0 - complex(measure.alpha) * np.conj(phw)
     embedded = np.zeros((M, M), dtype=complex)
-    for z, wq in _blocks(measure):
+    for z, wq in _node_blocks(measure):
         F = prefac[:, None] * _szego((w[:, 0][:, None], w[:, 1][:, None]),
                                      z[None, :, 0], z[None, :, 1])
         embedded += (F * wq) @ np.conj(F).T
+    if measure.lines:
+        # the N-point grid on a line sums the zeta2 kernels to S_N(a, b)
+        # (see ClarkMeasure)
+        N = measure.grid_n
+        a, b = np.conj(w[:, 1])[:, None], w[None, :, 1]
+        aN, bN = a ** N, b ** N
+        S = (1.0 - aN * bN) / ((1.0 - a * b) * (1.0 - aN) * (1.0 - bN))
+        for line in measure.lines:
+            g = prefac / (1.0 - np.conj(w[:, 0]) * line.tau)
+            embedded += line.constant * np.outer(g, np.conj(g)) * S
     err = float(np.max(np.abs(model - embedded)))
     return GramReport(sample_points=w, gram_model=model,
                       gram_embedded=embedded, max_abs_error=err)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
@@ -56,6 +58,19 @@ def _format_array(a):
     return text[0] if a.ndim == 0 else "[" + ",".join(text) + "]"
 
 
+def _quote(s, parts):
+    """Append the JSON string literal of s, as json.dumps writes it.
+
+    Printable ASCII without a quote or a backslash has nothing to escape,
+    so it goes in as is: json.dumps would rescan the multi-MB base64
+    payloads of a serialized measure only to copy them.
+    """
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        parts += ('"', s, '"')
+    else:
+        parts.append(json.dumps(s))
+
+
 def _canonical(obj, parts):
     if obj is None:
         parts.append("null")
@@ -70,9 +85,7 @@ def _canonical(obj, parts):
     elif isinstance(obj, (complex, np.complexfloating)):
         _canonical([obj.real, obj.imag], parts)
     elif isinstance(obj, str):
-        import json as _json
-
-        parts.append(_json.dumps(obj))
+        _quote(obj, parts)
     elif isinstance(obj, dict):
         parts.append("{")
         for i, key in enumerate(obj):
@@ -80,9 +93,7 @@ def _canonical(obj, parts):
                 raise TypeError("canonical JSON keys must be strings")
             if i:
                 parts.append(",")
-            import json as _json
-
-            parts.append(_json.dumps(key))
+            _quote(key, parts)
             parts.append(":")
             _canonical(obj[key], parts)
         parts.append("}")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rifclark import catalog, clark, embedding
+from rifclark import catalog, clark, embedding, polydisk
 from rifclark.errors import MassGapExceeded, MassNotOne, ZeroOverZero
 
 GENERIC = np.exp(0.7j)
@@ -470,3 +470,101 @@ def test_moment_residual_sees_mixed_moments(fav):
         weights=np.append(m.weights, ghost), lines=[])
     assert clark.moment_residual(m, 12) <= 1e-13
     assert abs(clark.moment_residual(mixed, 12) - eps) <= 1e-13
+
+
+def _rim_points(n, seed):
+    # |z1| <= 0.7 and |z2| in [0.99, 0.995], where the N = 256 grid on a
+    # line aliases visibly (|z2|^256 is up to 0.28)
+    rng = np.random.default_rng(seed)
+    z1 = 0.7 * np.sqrt(rng.uniform(size=n)) \
+        * np.exp(2j * np.pi * rng.uniform(size=n))
+    z2 = rng.uniform(0.99, 0.995, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    return list(zip(z1, z2))
+
+
+@pytest.mark.parametrize("name", ["fav", "squared"])
+def test_line_closed_forms_match_the_grid(corpus, name):
+    # each closed-form line term is the uniform grid's value, aliasing
+    # included, which integrate still gets by enumerating the grid
+    phi = corpus[name]
+    m = clark.build_measure(phi, -1.0 + 0.0j, 256)
+    assert m.lines
+    pts = _rim_points(6, seed=11)
+
+    def poisson(z, w):
+        return (1 - abs(w) ** 2) / np.abs(z - w) ** 2
+
+    rhs = clark.verify_poisson(m, pts).rhs
+    for (w1, w2), r in zip(pts, rhs):
+        ref = clark.integrate(m, lambda a, b: poisson(a, w1) * poisson(b, w2))
+        assert abs(ref - r) <= 1e-13 * abs(ref)
+
+    gram = embedding.gram_isometry_check(phi, -1.0, pts, m).gram_embedded
+    pre = 1.0 + np.conj([phi(w1, w2) for w1, w2 in pts])
+
+    def kernel(i, a, b):
+        w1, w2 = pts[i]
+        return pre[i] / ((1 - np.conj(w1) * a) * (1 - np.conj(w2) * b))
+
+    ref = np.array([[clark.integrate(m, lambda a, b: kernel(i, a, b)
+                                     * np.conj(kernel(j, a, b)))
+                     for j in range(len(pts))] for i in range(len(pts))])
+    assert np.max(np.abs(gram - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    C = clark.herglotz_moments(m, 260)
+    for j in (0, 1, 3):
+        for k in (0, 1, 255, 256, 257):
+            ref = clark.integrate(
+                m, lambda a, b: np.conj(a) ** j * np.conj(b) ** k)
+            assert abs(ref - C[j, k]) <= 1e-13, (j, k)
+
+
+def test_closed_form_integrators_enumerate_no_line_nodes(corpus, monkeypatch):
+    # only integrate walks a line's grid; the Poisson, moment, Gram and
+    # density sums take each line in closed form
+    def refuse(*args, **kwargs):
+        raise AssertionError("line nodes enumerated")
+
+    monkeypatch.setattr(clark, "_line_blocks", refuse)
+    pts = [(0.3 + 0.2j, -0.4j), (0.1, 0.5 - 0.1j), (-0.2j, 0.6)]
+    for name in ("fav", "squared"):
+        phi = corpus[name]
+        m = clark.build_measure(phi, -1.0 + 0.0j, 512)
+        assert m.lines
+        assert clark.verify_poisson(m, pts).max_rel_err < 1e-12
+        assert abs(clark.herglotz_moments(m, 8)[0, 0] - 1.0) < 1e-12
+        assert clark.moment_residual(m, 8) < 1e-13
+        assert embedding.gram_isometry_check(phi, -1.0, pts, m).max_abs_error \
+            < 1e-10
+        assert embedding.density_distance(m, 4).verdict \
+            == "consistent_with_nonunitary"
+        with pytest.raises(AssertionError, match="line nodes"):
+            clark.integrate(m, lambda a, b: a + b)
+
+
+@pytest.mark.parametrize("name", ["fav", "squared"])
+def test_line_measures_meet_exact_oracles_at_full_size(corpus, name):
+    m = clark.build_measure(corpus[name], -1.0 + 0.0j, 65536)
+    assert clark.moment_residual(m, 12) <= 1e-13
+    rng = np.random.default_rng(5)
+    z = 0.7 * np.exp(2j * np.pi * rng.uniform(size=(20, 2)))
+    rep = clark.verify_poisson(m, list(zip(z[:, 0], z[:, 1])))
+    assert rep.max_rel_err <= 1e-12
+
+
+def test_verify_poisson_refuses_three_variables():
+    m = polydisk.build_measure_d(catalog.tridisk_rif(4.0), np.exp(0.9j), 16)
+    with pytest.raises(ValueError, match="polydisk.verify_poisson_d"):
+        clark.verify_poisson(m, [(0.1, 0.2, 0.3)])
+    with pytest.raises(ValueError, match="polydisk.verify_poisson_d"):
+        clark.verify_poisson(m, [(0.1, 0.2)])
+
+
+def test_verify_poisson_refuses_no_points(fav_measure_alphai):
+    with pytest.raises(ValueError, match="at least one point"):
+        clark.verify_poisson(fav_measure_alphai, [])
+
+
+def test_moments_refuse_a_negative_degree(fav_measure_alphai):
+    with pytest.raises(ValueError, match="non-negative"):
+        clark.herglotz_moments(fav_measure_alphai, -1)

@@ -1,4 +1,6 @@
+import binascii
 import importlib
+import json
 
 import numpy as np
 import pytest
@@ -53,3 +55,15 @@ def test_every_public_name_resolves():
         module = importlib.import_module(f"rifclark.{name}")
         for attr in getattr(module, "__all__", ()):
             assert hasattr(module, attr), (name, attr)
+
+
+@pytest.mark.parametrize("s", [
+    "", '"', "\\", "\t", "\x01", "\x7f", "caf\u00e9 \u2603", "a\"b\\c",
+    binascii.b2a_base64(np.linspace(-1.0, 1.0, 97).tobytes(),
+                        newline=False).decode("ascii"),
+], ids=["empty", "quote", "backslash", "tab", "control", "delete",
+        "non_ascii", "mixed", "base64"])
+def test_string_text_matches_json_dumps(s):
+    assert canonical_json(s) == json.dumps(s)
+    assert canonical_json({s: [s]}) == json.dumps({s: [s]},
+                                                  separators=(",", ":"))
