@@ -38,8 +38,8 @@ from .levelset import (
     Branch,
     LineComponent,
     line_constant,
-    detect_lines,
     weight_parts,
+    _lines,
     _slice_atoms,
     _uniform_theta,
     _weight_tols,
@@ -95,6 +95,9 @@ class ClarkMeasure:
       and entry (a, b) gains c g_a conj(g_b) S_N(conj(w_a2), w_b2) with
       S_N(a, b) = (1 - a^N b^N) / ((1 - a b) (1 - a^N) (1 - b^N)).
 
+    Horizontal lines are among the nodes.  The zeta1 nodes, shifted off
+    the lines or clustered near an emerging one, are ``nodes[:, 0]``.
+
     ``branches`` is always empty: no builder traces labeled branches,
     nothing in the package reads it and it is not serialized.  The field
     exists only because the benchmark's traced ``queries`` run
@@ -110,10 +113,6 @@ class ClarkMeasure:
     lines: list[LineComponent]  # vertical components only
     branches: list[Branch] = field(default_factory=list, repr=False)
 
-    @property
-    def theta(self) -> np.ndarray:
-        return TWO_PI * np.arange(self.grid_n) / self.grid_n
-
 
 def build_measure(phi: Rif, alpha: complex, grid_n: int = 4096) -> ClarkMeasure:
     """Construct sigma_alpha from the uniform grid of ``grid_n`` angles.
@@ -122,12 +121,11 @@ def build_measure(phi: Rif, alpha: complex, grid_n: int = 4096) -> ClarkMeasure:
     preimages under a Blaschke product, which cluster where the mass of
     an emerging line piles up (``_zeta1_rule``).  Over each sit the atoms
     of its slice, listed root column by root column.  At an exceptional
-    alpha the vertical lines are split off exactly and the grid shifts
-    half a step off them.  A mass off ``expected_mass`` by more than
-    MASS_GAP_TOL relatively raises MassGapExceeded.
+    alpha the vertical lines (the only ones looked for) are split off
+    exactly and the grid shifts half a step off them.  A mass off
+    ``expected_mass`` by more than MASS_GAP_TOL raises MassGapExceeded.
     """
-    lines = detect_lines(phi, alpha)
-    theta, quad = _zeta1_rule(phi, alpha, grid_n, lines)
+    theta, quad, lines = _zeta1_rule(phi, alpha, grid_n)
     zeta1 = np.exp(1j * theta)
     roots, num, den, _ = _slice_atoms(phi, alpha, zeta1[:, None])
     keep = ~np.isnan(roots.T)  # drops degree drops and zero slices
@@ -135,8 +133,7 @@ def build_measure(phi: Rif, alpha: complex, grid_n: int = 4096) -> ClarkMeasure:
                       roots.T[keep]], axis=-1)
     weights = (quad * (num / den).T)[keep]
     measure = ClarkMeasure(phi=phi, alpha=complex(alpha), grid_n=grid_n,
-                           nodes=nodes, weights=weights,
-                           lines=[l for l in lines if l.axis == 1])
+                           nodes=nodes, weights=weights, lines=lines)
     _check_mass(measure, expected_mass(phi, alpha))
     return measure
 
@@ -150,33 +147,33 @@ def _check_mass(measure, expected):
                               f"MASS_GAP_TOL = {MASS_GAP_TOL:g}")
 
 
-def _zeta1_rule(phi, alpha, grid_n, lines):
-    """Ascending zeta1 angles and their quadrature weights.
+def _zeta1_rule(phi, alpha, grid_n):
+    """Ascending zeta1 angles, their quadrature weights and the vertical
+    lines, all from the roots z* of h(., 0) = q(., 0) - alpha p(., 0).
 
     By the Poisson identity at (z1, 0) the zeta1-marginal of sigma_alpha
-    is the Clark measure of b = phi(., 0) at alpha, whose density peaks
-    at the roots z* of q(z, 0) - alpha p(z, 0), all outside the circle.
-    The roots with N log|z*| < _POLE_RESOLVE give the zeros
-    a = 1/conj(z*) of B(z) = z prod (z - a) / (1 - conj(a) z), and the
-    nodes are the preimages of the N-th roots of unity under B, each of
-    weight 1/(N |B'|): by Aleksandrov's disintegration the Clark measures
-    of B average to arc length.  Without such roots, or with ``lines``,
-    B(z) = z and the rule is the uniform grid; with vertical lines it is
+    is the Clark measure of b = phi(., 0) at alpha: atoms at the roots on
+    the circle, the lines (``levelset._lines``), and a density peaking at
+    the roots outside.  Those with N log|z*| < _POLE_RESOLVE give the
+    zeros a = 1/conj(z*) of B(z) = z prod (z - a) / (1 - conj(a) z), and
+    the nodes are the preimages of the N-th roots of unity under B, each
+    of weight 1/(N |B'|): by Aleksandrov's disintegration the Clark
+    measures of B average to arc length.  Without such roots, or with
+    lines, B(z) = z and the rule is the uniform grid; with lines it is
     shifted to arg tau + 2 pi (k + 1/2) / N from the first line's tau,
     so no node sits on a line, whose slice is identically zero.
     """
+    hcoef = phi.level_coeffs(alpha)
+    roots = _poly.companion_roots(_poly.trim(hcoef[:, 0])[None])[0]
+    lines = _lines(hcoef, phi.den.coeffs, roots)
     theta = _uniform_theta(grid_n)
     quad = np.full(grid_n, 1.0 / grid_n)
     if lines:
-        taus = [l.tau for l in lines if l.axis == 1]
-        shift = np.angle(taus[0]) + np.pi / grid_n if taus else 0.0
-        return theta + shift, quad
-    h0 = _poly.trim(phi.level_coeffs(alpha)[:, 0])  # q(z, 0) - alpha p(z, 0)
-    poles = _poly.companion_roots(h0[None])[0]
-    poles = poles[np.abs(poles) > 1.0]  # NaN padding compares False
+        return theta + (np.angle(lines[0].tau) + np.pi / grid_n), quad, lines
+    poles = roots[np.abs(roots) > 1.0]  # NaN padding compares False
     a = 1.0 / np.conj(poles[grid_n * np.log(np.abs(poles)) < _POLE_RESOLVE])
     if not len(a):
-        return theta, quad
+        return theta, quad, lines
     c = np.poly(a)  # prod (z - a), highest power first
     # B(z) = w  <=>  z prod (z - a) - w prod (1 - conj(a) z) = 0
     rows = (np.append(0.0, c[::-1])[None, :]
@@ -185,7 +182,7 @@ def _zeta1_rule(phi, alpha, grid_n, lines):
     z = np.exp(1j * theta)[:, None]
     # |B'| on the circle: 1 plus the Poisson kernel of each zero
     dB = 1.0 + np.sum((1.0 - np.abs(a) ** 2) / np.abs(z - a) ** 2, axis=1)
-    return theta, 1.0 / (grid_n * dB)
+    return theta, 1.0 / (grid_n * dB), lines
 
 
 def _node_blocks(measure: ClarkMeasure):

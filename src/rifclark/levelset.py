@@ -14,10 +14,13 @@ branch label is the count j in arg b = arg alpha + 2 pi j, taken from
 the phase of phi(zeta1, w_ref) lifted along a path (``_phase_labels``);
 no root is matched to its neighbours.  ``trace_branches`` labels the
 kernel's atoms over the uniform grid for the outputs where labels are
-the point, such as the CSV export.  The module also finds line
-components, and it locates the boundary singularities of phi, the
-common torus zeros of p and p~, from the zeros of one resultant on the
-circle (``find_singularities``).
+the point, such as the CSV export.  The module locates the boundary
+singularities of phi, the common torus zeros of p and p~, from the
+zeros of one resultant on the circle (``find_singularities``), and it
+decides the line components at those points: a line {tau1} x T passes
+through torus zeros of p, where its slice of h is (alpha0 - alpha)
+p(tau1, .), so each root tau1 of h(., 0) on the circle is tested there,
+once, with one tolerance (``_lines``).
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from .util import TWO_PI, angular_distance, unit_circle_points
 
 ZERO_SLICE_REL_TOL = 1e-10
 UNIMODULAR_TOL = 1e-6
-LINE_TEST_POINTS = 8  # line_constant's samples and their relative spread
-LINE_SPREAD_TOL = 1e-8
+LINE_TEST_POINTS = 8  # samples of a line's transversal derivative
+LINE_TOL = 1e-8  # relative: h's slice at a torus zero, a line's spread
 # |p| below this times its coefficient scale: a zero of p on the torus
 SINGULAR_TOL = 1e-10
 # distance from the circle of the resultant and slice roots that seed
@@ -285,40 +288,44 @@ def line_constant(phi: Rif, alpha: complex, tau: complex,
     On a line the derivative of phi transversal to it is constant; the
     returned value is 1/|that derivative|, evaluated through the
     cancellation-free ratio (d/dz_axis of the level polynomial) / p at
-    LINE_TEST_POINTS points along the line.  Raises NonConstantDerivative
-    when the slice at tau is not identically alpha or when the sampled
-    ratio is not constant (relative spread above LINE_SPREAD_TOL).
+    LINE_TEST_POINTS points along the line (``_line_ratio``).  Raises
+    NonConstantDerivative when the slice at tau is not identically alpha
+    (ZERO_SLICE_REL_TOL) or when the sampled ratio is not constant
+    (relative spread above LINE_TOL).  ``detect_lines`` decides its
+    lines at torus zeros of p instead and runs neither check.
     """
     if phi.dim != 2:
         raise ValueError("line_constant expects a two-variable inner function")
-    hcoef = phi.level_coeffs(alpha)
+    hcoef, pcoef = phi.level_coeffs(alpha), phi.den.coeffs
+    if axis == 2:
+        hcoef, pcoef = hcoef.T, pcoef.T
     scale = float(np.max(np.abs(hcoef)))
-    other = 2 if axis == 1 else 1
-    frozen = np.array([[tau]], dtype=complex)
-    sc = slice_coeffs(hcoef, frozen, axis=other)[0]
-    if np.max(np.abs(sc)) >= ZERO_SLICE_REL_TOL * scale:
+    if np.max(np.abs(slice_coeffs(hcoef, [[tau]]))) >= ZERO_SLICE_REL_TOL * scale:
         raise NonConstantDerivative(
             f"slice at tau={tau:.6g} is not identically alpha; "
             "not a line component")
-    hd = derivative_coeffs(hcoef, axis)
-    # sample points on the line, nudged off any zero of p
-    n_test = LINE_TEST_POINTS
-    w = np.exp(1j * (TWO_PI * np.arange(n_test) / n_test + 0.373))
-    for _ in range(4):
-        pts = (np.full(n_test, tau), w) if axis == 1 else (w, np.full(n_test, tau))
-        pv = _poly.eval_poly(phi.den, pts)
-        if np.min(np.abs(pv)) > 1e-6 * phi.den.coefficient_scale():
-            break
-        w = w * np.exp(0.19j)
-    dv = _poly._eval_tensor(hd, [np.asarray(pts[0], dtype=complex),
-                                 np.asarray(pts[1], dtype=complex)])
-    ratio = np.abs(dv / pv)
+    ratio = _line_ratio(hcoef, pcoef, tau)
     mean = float(np.mean(ratio))
-    spread = np.max(ratio) - np.min(ratio)
-    if mean <= 0.0 or spread > LINE_SPREAD_TOL * max(mean, 1.0):
+    if mean <= 0.0 or np.ptp(ratio) > LINE_TOL * max(mean, 1.0):
         raise NonConstantDerivative(
             f"transversal derivative varies along the line at tau={tau:.6g}")
     return 1.0 / mean
+
+
+def _line_ratio(hcoef, pcoef, tau):
+    """|d/dz1 h / p| at LINE_TEST_POINTS points of the line {tau} x T,
+    nudged off any zero of p."""
+    frozen = np.array([[tau]], dtype=complex)
+    prow = slice_coeffs(pcoef, frozen)
+    w = np.exp(1j * (unit_circle_points(LINE_TEST_POINTS)[0] + 0.373))
+    pv = _polyval_rows(prow, w)
+    for _ in range(3):
+        if np.min(np.abs(pv)) > 1e-6 * float(np.sum(np.abs(pcoef))):
+            break
+        w = w * np.exp(0.19j)
+        pv = _polyval_rows(prow, w)
+    dv = _polyval_rows(slice_coeffs(derivative_coeffs(hcoef, 1), frozen), w)
+    return np.abs(dv / pv)
 
 
 def detect_lines(phi: Rif, alpha: complex) -> list[LineComponent]:
@@ -327,56 +334,45 @@ def detect_lines(phi: Rif, alpha: complex) -> list[LineComponent]:
     Vertical lines ({tau} x T, axis 1) are the canonical line carriers in
     measure construction; horizontal lines, a root zeta2 = tau of every
     slice and so already among a measure's nodes, are reported here with
-    axis 2.  Candidate taus lie within UNIMODULAR_TOL of the circle.
+    axis 2, by the same test on swapped variables (``_lines``).  Each is
+    decided once, so this never raises NonConstantDerivative.
     """
     if phi.dim != 2:
         raise ValueError("detect_lines expects a two-variable inner function")
-    hcoef = phi.level_coeffs(alpha)
-    scale = float(np.max(np.abs(hcoef)))
+    hcoef, pcoef = phi.level_coeffs(alpha), phi.den.coeffs
     out: list[LineComponent] = []
-    for axis in (1, 2):
-        coef_mat = hcoef if axis == 1 else hcoef.T
-        # coefficient polynomials in z_axis of the level polynomial
-        cols = [coef_mat[:, k] for k in range(coef_mat.shape[1])]
-        nonzero = [c for c in cols if np.max(np.abs(c)) > 1e-12 * scale]
-        if not nonzero:
-            raise ValueError("level polynomial vanished identically")
-        pick = min(nonzero, key=lambda c: len(_poly.trim(c)))
-        roots = companion_roots(_poly.trim(pick)[None, :])[0]
-        taus = []
-        for r in roots[~np.isnan(roots)]:
-            if abs(abs(r) - 1.0) >= UNIMODULAR_TOL:
-                continue
-            tau = _polish_common_root(cols, r, scale)
-            if tau is None:
-                continue
-            if all(angular_distance(tau, t) > 1e-9 for t in taus):
-                taus.append(tau)
-        for tau in sorted(taus, key=lambda t: float(np.angle(t)) % TWO_PI):
-            c = line_constant(phi, alpha, tau, axis=axis)
-            out.append(LineComponent(axis=axis, tau=tau, constant=c))
+    for h, p, axis in ((hcoef, pcoef, 1), (hcoef.T, pcoef.T, 2)):
+        out += _lines(h, p, companion_roots(_poly.trim(h[:, 0])[None])[0], axis)
     return out
 
 
-def _polish_common_root(cols, r, scale):
-    """Newton-polish a candidate common root and confirm the full slice dies."""
-    best = max(cols, key=lambda c: np.abs(_polyval_rows(
-        (c[1:] * np.arange(1, len(c)))[None, :], np.array([r]))[0])
-        if len(c) > 1 else 0.0)
-    tau = complex(r)
-    dc = best[1:] * np.arange(1, len(best))
-    for _ in range(8):
-        f = _polyval_rows(best[None, :], np.array([tau]))[0]
-        fp = _polyval_rows(dc[None, :], np.array([tau]))[0] if len(dc) else 0.0
-        if abs(fp) < 1e-14 * scale:
-            break
-        tau -= f / fp
-    tau /= abs(tau)
-    resid = max(abs(_polyval_rows(c[None, :], np.array([tau]))[0])
-                for c in cols)
-    if resid >= ZERO_SLICE_REL_TOL * scale:
-        return None
-    return tau
+def _lines(hcoef, pcoef, roots, axis=1):
+    """The lines {tau} x T of the level polynomial h = ``hcoef`` with
+    denominator p = ``pcoef``, given the ``roots`` of h(., 0).
+
+    On a line h(tau, .) vanishes, so tau is a root of h(., 0), and
+    p(tau, .) is proportional to its reflection, so its roots lie on the
+    circle: the line passes through torus zeros of p, where p = q = 0 and
+    its slice of h is (alpha0 - alpha) p(tau, .).  So each root within
+    UNIMODULAR_TOL of the circle, Newton-polished and projected onto it,
+    seeds the torus zeros over it (``_torus_zeros``) and is a line when
+    h's slice at one of them is within LINE_TOL of h's coefficient scale,
+    a test linear in alpha - alpha0.  A line keeps its seed as tau, in
+    order of angle, with the mean of ``_line_ratio`` there as constant.
+    """
+    near = roots[np.abs(np.abs(roots) - 1.0) < UNIMODULAR_TOL]  # NaN: False
+    if not near.size:
+        return []
+    row = hcoef[None, :, 0]
+    _newton_polish(row, np.max(np.abs(row), axis=1), near[:, None])
+    seeds = near / np.abs(near)
+    t1, _, seed = _torus_zeros(pcoef, seeds)
+    flat = np.max(np.abs(slice_coeffs(hcoef, t1[:, None])), axis=1) \
+        <= LINE_TOL * float(np.max(np.abs(hcoef)))
+    taus = sorted(seeds[np.unique(seed[flat])].tolist(),
+                  key=lambda t: float(np.angle(t)) % TWO_PI)
+    return [LineComponent(axis=axis, tau=tau, constant=1.0 / float(
+        np.mean(_line_ratio(hcoef, pcoef, tau)))) for tau in taus]
 
 
 def classify_alpha(phi: Rif, alpha: complex) -> AlphaClass:
@@ -401,39 +397,19 @@ def find_singularities(phi: Rif) -> list[tuple[complex, complex]]:
     width about eps^(1 / m), and the roots within SEED_BAND of the
     circle are grouped by angle within max(1e-3, 10 eps^(1 / (2 n2))).
     The mean of each group, projected to the circle, seeds tau1, and the
-    roots of p(tau1, .) within SEED_BAND of the circle, grouped within
-    10 eps^(1 / n2), seed tau2.
-    Each seed is polished along its branch (``_polish_on_torus``), which
-    also separates zeros whose clusters run together; a root tau2 of
-    multiplicity m, as where p has a repeated factor f^m, is polished on
-    the (m - 1)-th z2-derivative of p, of which it is a simple root on
-    the same curve f = 0.  A point is kept when |p| <= SINGULAR_TOL and
-    |q| < 1e-8 of their coefficient scales there, and once when several
-    seeds reach it.  Sorted by the angles of tau1 and tau2
-    counterclockwise from 1.
+    torus zeros of p over it are polished from there (``_torus_zeros``).
+    A repeated factor of p multiplies m, and the wider clusters can hide
+    a zero.  A point is kept when |p| <= SINGULAR_TOL and |q| < 1e-8 of
+    their coefficient scales there, and once when several seeds reach
+    it.  Sorted by the angles of tau1 and tau2 counterclockwise from 1.
     """
     if phi.dim != 2:
         raise ValueError("find_singularities expects a two-variable function")
     p = phi.den
-    n2 = max(p.degrees[1], 1)
-    eps = np.finfo(float).eps
     res = companion_roots(_resultant_coeffs(p)[None, :])[0]
-    tau1, _ = _circle_clusters(res, max(1e-3, 10.0 * eps ** (0.5 / n2)))
-    tau1 /= np.abs(tau1)
-    cand = []  # (tau1, tau2, multiplicity of the root tau2)
-    for t1, roots in zip(tau1, companion_roots(
-            slice_coeffs(p.coeffs, tau1[:, None]))):
-        tau2, count = _circle_clusters(roots, 10.0 * eps ** (1.0 / n2))
-        cand += zip([t1] * len(tau2), tau2, count)
-    if not cand:
-        return []
-    t1, t2, mult = (np.array(c) for c in zip(*cand))
-    coeffs = p.coeffs
-    for m in range(1, mult.max() + 1):
-        at = mult == m
-        if at.any():
-            t1[at], t2[at] = _polish_on_torus(coeffs, t1[at], t2[at])
-        coeffs = derivative_coeffs(coeffs, 2)
+    eps_root = np.finfo(float).eps ** (0.5 / max(p.degrees[1], 1))
+    tau1, _ = _circle_clusters(res, max(1e-3, 10.0 * eps_root))
+    t1, t2, _ = _torus_zeros(p.coeffs, tau1 / np.abs(tau1))
     q = phi.num
     keep = (np.abs(p(t1, t2)) <= SINGULAR_TOL * p.coefficient_scale()) \
         & (np.abs(q(t1, t2)) < 1e-8 * q.coefficient_scale())
@@ -444,6 +420,32 @@ def find_singularities(phi: Rif) -> list[tuple[complex, complex]]:
                > 1e-6 for f in found):
             found.append(pt)
     return found
+
+
+def _torus_zeros(coeffs, tau1):
+    """Torus zeros (t1, t2) of f = ``coeffs`` near the seeds ``tau1`` on
+    the circle, and each one's seed index: the roots of f(tau1, .) within
+    SEED_BAND of the circle, grouped within 10 eps^(1 / n2), polished
+    along their branch (``_polish_on_torus``).  A root of multiplicity m,
+    as where f has a repeated factor g^m, is polished on the (m - 1)-th
+    z2-derivative of f, of which it is a simple root on the curve g = 0.
+    """
+    window = 10.0 * np.finfo(float).eps ** (1.0 / max(coeffs.shape[1] - 1, 1))
+    cand = []  # (seed index, tau2, multiplicity of the root tau2)
+    for i, roots in enumerate(companion_roots(
+            slice_coeffs(coeffs, tau1[:, None]))):
+        tau2, count = _circle_clusters(roots, window)
+        cand += zip([i] * len(tau2), tau2, count)
+    if not cand:
+        return np.zeros(0, complex), np.zeros(0, complex), np.zeros(0, int)
+    seed, t2, mult = (np.array(c) for c in zip(*cand))
+    t1 = tau1[seed]
+    for m in range(1, mult.max() + 1):
+        at = mult == m
+        if at.any():
+            t1[at], t2[at] = _polish_on_torus(coeffs, t1[at], t2[at])
+        coeffs = derivative_coeffs(coeffs, 2)
+    return t1, t2, seed
 
 
 def _polish_on_torus(coeffs, t1, t2):

@@ -4,11 +4,18 @@ The acceptance tests record one entry per criterion into
 ACCEPTANCE_RESULTS; the terminal-summary hook prints a single PASS/FAIL
 line for each after the run, so the criteria are visible even under
 captured stdout.
+
+Hypothesis runs under a derandomized profile, so every run draws the
+same examples (derandomize also turns the example database off).
 """
 
 import pytest
+from hypothesis import settings
 
 from rifclark import catalog
+
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 # criterion index -> (label, passed)
 ACCEPTANCE_RESULTS: dict[int, tuple[str, bool]] = {}

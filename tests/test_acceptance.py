@@ -83,9 +83,10 @@ def test_c3_closed_form_branch(fav):
         # weight over 4096
         assert m.nodes.shape == (4096, 2)
         z1, z2 = m.nodes.T
-        assert np.max(np.abs(z1 - np.exp(1j * m.theta))) < 1e-15
+        theta = 2 * np.pi * np.arange(4096) / 4096
+        assert np.max(np.abs(z1 - np.exp(1j * theta))) < 1e-15
         assert np.max(np.abs(z2 - np.conj(z1))) < 1e-10
-        assert np.max(np.abs(4096 * m.weights - (1 - np.cos(m.theta)))) < 1e-8
+        assert np.max(np.abs(4096 * m.weights - (1 - np.cos(theta)))) < 1e-8
 
 
 def test_c4_exceptional_structure(squared):

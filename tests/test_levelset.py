@@ -3,9 +3,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rifclark import (blaschke, catalog, clark, embedding, levelset, poly,
-                      polydisk)
-from rifclark.errors import NonConstantDerivative, PhaseLabelFailure
+from rifclark import (blaschke, catalog, clark, contact, embedding, levelset,
+                      poly, polydisk)
+from rifclark.errors import (MassGapExceeded, NonConstantDerivative,
+                             PhaseLabelFailure)
 from rifclark.poly import PolyMD, Rif
 
 
@@ -106,6 +107,62 @@ def test_line_constant_rejects_non_line(fav):
         levelset.line_constant(fav, 1.0j, 1.0 + 0.0j, axis=1)
 
 
+@pytest.mark.parametrize("dt", [1e-6, -1e-6, 1e-8, -1e-8])
+def test_no_phantom_lines_next_to_exceptional_alpha(fav, squared, dt):
+    # h's slice at the torus zero (1, 1) is (alpha0 - alpha) p(1, .),
+    # 1.6e-8 of h's scale at |t - 1| = 1e-8, above LINE_TOL: no line, and
+    # no build raises NonConstantDerivative (MassGapExceeded is the
+    # rounding floor next to the singularity)
+    alpha = np.exp(1j * np.pi * (1.0 + dt))
+    for phi in (fav, squared):
+        assert levelset.detect_lines(phi, alpha) == []
+        try:
+            clark.build_measure(phi, alpha, 512)
+        except MassGapExceeded:
+            pass
+
+
+def test_line_decided_within_tolerance_of_exceptional_alpha(fav):
+    # at |t - 1| = 1e-9 the slice at (1, 1) is within LINE_TOL, so the
+    # line is split off and the build is accurate
+    alpha = np.exp(1j * np.pi * (1.0 + 1e-9))
+    m = clark.build_measure(fav, alpha, 512)
+    assert [ln.axis for ln in m.lines] == [1]
+    assert abs(m.lines[0].tau - 1.0) < 1e-8
+    assert abs(clark.total_mass(m) / clark.expected_mass(fav, alpha) - 1.0) \
+        <= 1e-10
+
+
+def _squared_den(phi):
+    """The RIF with denominator p^2: (q / p)^2."""
+    c = phi.den.coeffs
+    out = np.zeros((2 * c.shape[0] - 1, 2 * c.shape[1] - 1), dtype=complex)
+    for (i, j), v in np.ndenumerate(c):
+        out[i:i + c.shape[0], j:j + c.shape[1]] += v * c
+    return Rif(PolyMD(out))
+
+
+@pytest.mark.parametrize("square", [False, True])
+@pytest.mark.parametrize("n1, n2", [(1, 1), (2, 1), (3, 1), (1, 2), (1, 3)])
+def test_lines_at_alpha0_of_singular_draws(n1, n2, square):
+    # a planted torus zero tau of a bidegree-(n, 1) draw puts p(tau1, .)
+    # at degree 1 with its root on the circle, so at alpha0 = phi*(tau)
+    # the level set holds the line {tau1} x T; (1, n) draws hold
+    # T x {tau2}.  With p squared, (q / p)^2 = alpha0^2 holds the same line
+    for seed in (2, 5, 11):
+        phi = catalog.random_rif(n1, n2, seed, singular=True)
+        if square:
+            phi = _squared_den(phi)
+        tau = catalog.planted_zero(seed)
+        alpha0 = contact.nontangential_value(phi, tau)
+        lines = levelset.detect_lines(phi, alpha0)
+        for axis, n in ((1, n2), (2, n1)):
+            if n == 1:
+                assert any(ln.axis == axis and abs(ln.tau - tau[axis - 1])
+                           <= 1e-12 for ln in lines), (n1, n2, seed, lines)
+        clark.build_measure(phi, alpha0, 1024)  # the mass guard passes
+
+
 def test_find_singularities(corpus):
     expected = {
         "fav": [(1, 1)],
@@ -195,7 +252,8 @@ def test_blaschke_node_rule_near_exceptional(fav, squared):
     alpha = -np.exp(0.05j)
     N = 512
     m = clark.build_measure(squared, alpha, N)
-    theta, quad = clark._zeta1_rule(squared, alpha, N, [])
+    theta, quad, lines = clark._zeta1_rule(squared, alpha, N)
+    assert lines == []
     assert len(theta) == 3 * N and np.all(np.diff(theta) > 0)
     assert theta[-1] - theta[0] < 2 * np.pi
     # two roots over each node, listed root column by root column
@@ -220,7 +278,8 @@ def test_blaschke_node_rule_near_exceptional(fav, squared):
     uniform = 2 * np.pi * np.arange(N) / N
     for phi in (fav, squared):
         alpha = np.exp(0.7j * np.pi)
-        rule_theta, quad = clark._zeta1_rule(phi, alpha, N, [])
+        rule_theta, quad, lines = clark._zeta1_rule(phi, alpha, N)
+        assert lines == []
         assert np.array_equal(rule_theta, uniform)
         assert np.all(quad == 1.0 / N)
         m = clark.build_measure(phi, alpha, N)

@@ -236,8 +236,7 @@ def test_slice_atom_weights_match_weight_parts(corpus, name, alpha):
     # the kernel takes |p| and |d/dz2 h| from one-variable slice rows;
     # they are the full-tensor values at its roots to rounding
     phi = corpus[name]
-    theta, _ = clark._zeta1_rule(phi, alpha, 4096,
-                                 levelset.detect_lines(phi, alpha))
+    theta, _, _ = clark._zeta1_rule(phi, alpha, 4096)
     _kernel_against_weight_parts(phi, alpha, np.exp(1j * theta)[:, None])
 
 
