@@ -28,6 +28,7 @@ from __future__ import annotations
 import binascii
 import itertools
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -484,8 +485,9 @@ def measure_to_json(measure: ClarkMeasure) -> str:
 
 
 def _pack(a, dtype):
-    raw = np.ascontiguousarray(a, dtype=dtype)
-    return binascii.b2a_base64(raw, newline=False).decode("ascii")
+    # canonical_json writes the buffer as base64; no cast("B"), which a
+    # zero-size (0, d) array refuses
+    return memoryview(np.ascontiguousarray(a, dtype=dtype))
 
 
 def _unpack(payload, dtype, key):
@@ -493,6 +495,13 @@ def _unpack(payload, dtype, key):
         raise ValueError(f"Clark measure {key} must be base64 of raw {dtype} "
                          "bytes; text-array records are no longer read")
     raw = binascii.a2b_base64(payload)  # binascii.Error is a ValueError
+    # a2b_base64 skips characters outside the alphabet and padding before
+    # the end, which leaves fewer bytes than the length promises; only
+    # the last two characters may be padding, so the text is not rescanned
+    pads = len(payload[-2:]) - len(payload[-2:].rstrip("="))
+    if len(payload) % 4 or len(raw) != 3 * len(payload) // 4 - pads:
+        raise ValueError(f"Clark measure {key} holds characters outside the "
+                         "base64 alphabet or padding before its end")
     if len(raw) % np.dtype(dtype).itemsize:
         raise ValueError(f"Clark measure {key} is not a whole number of "
                          f"{dtype} values")
@@ -504,25 +513,71 @@ def measure_from_json(text: str) -> ClarkMeasure:
 
     Raises ValueError for anything else: records without ``nodes`` and
     ``weights`` (the per-branch format), text-array payloads (the earlier
-    flat format), malformed base64 or lengths that do not fit together.
+    flat format), malformed base64 or lengths that do not fit together,
+    and headers that miss a key, store a complex value other than as a
+    [re, im] pair, give an alpha or a line tau off the unit circle (by
+    more than 1e-9), a grid_n that is not a positive integer, a line that
+    is not vertical (axis 1) or a line constant that is not finite and
+    >= 0.  ``mass`` must be present but is not read: it is the sum of
+    the weights and line constants.
     """
     obj = json.loads(text)
-    if obj.get("type") != "clark_measure":
+    if not isinstance(obj, dict) or obj.get("type") != "clark_measure":
         raise ValueError("not a serialized Clark measure")
     if "nodes" not in obj or "weights" not in obj:
         raise ValueError("Clark measure record has no nodes and weights; "
                          "per-branch records are no longer read")
-    den = _poly.poly_from_json_obj(obj["rif"]["den"])
-    phi = Rif(den, degrees=tuple(obj["rif"]["degrees"]))
+    alpha, grid_n, rif, _, recs = _fields(
+        obj, ("alpha", "grid_n", "rif", "mass", "lines"), "record")
+    degrees, den = _fields(rif, ("degrees", "den"), "rif")
+    phi = Rif(_poly.poly_from_json_obj(den), degrees=tuple(degrees))
+    if type(grid_n) is not int or grid_n < 1:  # type() keeps out True
+        raise ValueError("Clark measure grid_n must be a positive integer")
     weights = _unpack(obj["weights"], "<f8", "weights")
     nodes = _unpack(obj["nodes"], "<c16", "nodes")
     if len(nodes) != len(weights) * phi.dim:
         raise ValueError(f"Clark measure record needs one node of {phi.dim} "
                          "coordinates per weight")
-    lines = [LineComponent(axis=int(rec["axis"]), tau=complex(*rec["tau"]),
-                           constant=float(rec["constant"]))
-             for rec in obj["lines"]]
-    return ClarkMeasure(phi=phi, alpha=complex(*obj["alpha"]),
-                        grid_n=int(obj["grid_n"]),
+    if not isinstance(recs, list):
+        raise ValueError("Clark measure lines must be a list")
+    return ClarkMeasure(phi=phi, alpha=_unimodular(alpha, "alpha"),
+                        grid_n=grid_n,
                         nodes=nodes.reshape(len(weights), phi.dim),
-                        weights=weights, lines=lines)
+                        weights=weights, lines=[_line(rec) for rec in recs])
+
+
+def _fields(obj, keys, what):
+    if not isinstance(obj, dict) or not all(key in obj for key in keys):
+        raise ValueError(f"Clark measure {what} needs the keys "
+                         f"{', '.join(keys)}")
+    return [obj[key] for key in keys]
+
+
+def _real(value, what):
+    # JSON holds an integral double such as 0.0 as the integer 0; the
+    # bound keeps out NaN, the infinities and integers beyond any double
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"Clark measure {what} holds {value!r}, not a finite "
+                         "number")
+    return float(value)
+
+
+def _unimodular(value, what):
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"Clark measure {what} must be a pair [re, im]")
+    z = complex(_real(value[0], what), _real(value[1], what))
+    if abs(abs(z) - 1.0) > 1e-9:  # written values are unimodular to rounding
+        raise ValueError(f"Clark measure {what} must have modulus 1")
+    return z
+
+
+def _line(rec):
+    axis, tau, constant = _fields(rec, ("axis", "tau", "constant"), "line")
+    if type(axis) is not int or axis != 1:
+        raise ValueError("Clark measure lines must be vertical (axis 1)")
+    constant = _real(constant, "line constant")
+    if constant < 0.0:
+        raise ValueError("Clark measure line constant must be >= 0")
+    return LineComponent(axis=1, tau=_unimodular(tau, "line tau"),
+                         constant=constant)

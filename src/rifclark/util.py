@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import binascii
 import json
 
 import numpy as np
@@ -58,19 +59,6 @@ def _format_array(a):
     return text[0] if a.ndim == 0 else "[" + ",".join(text) + "]"
 
 
-def _quote(s, parts):
-    """Append the JSON string literal of s, as json.dumps writes it.
-
-    Printable ASCII without a quote or a backslash has nothing to escape,
-    so it goes in as is: json.dumps would rescan the multi-MB base64
-    payloads of a serialized measure only to copy them.
-    """
-    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
-        parts += ('"', s, '"')
-    else:
-        parts.append(json.dumps(s))
-
-
 def _canonical(obj, parts):
     if obj is None:
         parts.append("null")
@@ -85,7 +73,11 @@ def _canonical(obj, parts):
     elif isinstance(obj, (complex, np.complexfloating)):
         _canonical([obj.real, obj.imag], parts)
     elif isinstance(obj, str):
-        _quote(obj, parts)
+        parts.append(json.dumps(obj))
+    elif isinstance(obj, (bytes, bytearray, memoryview)):
+        # the base64 alphabet needs no escaping, so the text goes in as is
+        parts += ('"', binascii.b2a_base64(obj, newline=False).decode("ascii"),
+                  '"')
     elif isinstance(obj, dict):
         parts.append("{")
         for i, key in enumerate(obj):
@@ -93,7 +85,7 @@ def _canonical(obj, parts):
                 raise TypeError("canonical JSON keys must be strings")
             if i:
                 parts.append(",")
-            _quote(key, parts)
+            parts.append(json.dumps(key))
             parts.append(":")
             _canonical(obj[key], parts)
         parts.append("}")
@@ -117,7 +109,9 @@ def canonical_json(obj):
     """Serialize to JSON with fixed key order and %.17g float formatting.
 
     Key order is the dict insertion order of the caller, so building the
-    payload the same way always yields byte-identical text.
+    payload the same way always yields byte-identical text.  A bytes-like
+    value (bytes, bytearray, memoryview) becomes the JSON string of its
+    base64 text.
     """
     parts: list[str] = []
     _canonical(obj, parts)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rifclark import catalog, clark, embedding, polydisk
 from rifclark.errors import MassGapExceeded, MassNotOne, ZeroOverZero
+from rifclark.util import canonical_json
 
 GENERIC = np.exp(0.7j)
 
@@ -244,6 +245,47 @@ def test_measure_json_size_is_binary(fav_measure_alphai):
     assert len(clark.measure_to_json(fav_measure_alphai)) < 4 / 3 * 40 * n + 2048
 
 
+@pytest.mark.parametrize("a, dtype", [
+    (np.asfortranarray(np.arange(12.0).reshape(6, 2) * (1 - 2j)), "<c16"),
+    (np.linspace(-1.0, 1.0, 9).astype(">f8"), "<f8"),
+    (np.zeros((0, 2), dtype=complex), "<c16"),
+], ids=["fortran", "big_endian", "empty"])
+def test_pack_matches_c_ordered_native_copy(a, dtype):
+    native = np.array(a, dtype=dtype, order="C")
+    assert native.flags.c_contiguous and native.dtype.isnative
+    text = canonical_json(clark._pack(a, dtype))
+    assert text == canonical_json(clark._pack(native, dtype))
+    assert text == json.dumps(_b64(native, dtype))
+
+
+@pytest.mark.parametrize("name, alpha", [("fav", GENERIC),
+                                         ("squared", -1.0 + 0.0j)])
+def test_measure_json_bytes_payloads_match_base64_text(corpus, monkeypatch,
+                                                        name, alpha):
+    m = clark.build_measure(corpus[name], alpha, 512)
+    text = clark.measure_to_json(m)
+    monkeypatch.setattr(clark, "_pack", _b64)
+    assert clark.measure_to_json(m) == text
+
+
+def test_measure_json_payloads_bypass_json_dumps(fav, monkeypatch):
+    # json.dumps scans each character it escapes; the multi-kB payloads
+    # must reach the output without it
+    m = clark.build_measure(fav, GENERIC, 4096)
+    seen = []
+    dumps = json.dumps
+
+    def counted(obj, *args, **kwargs):
+        if isinstance(obj, str):
+            seen.append(len(obj))
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counted)
+    text = clark.measure_to_json(m)
+    assert seen and max(seen) <= 1024
+    assert len(text) > 4096 * 40
+
+
 def _drop(*keys):
     def damage(obj, m):
         for key in keys:
@@ -273,6 +315,35 @@ def _partial_value(obj, m):
     obj["weights"] = base64.b64encode(m.weights.tobytes()[:-3]).decode()
 
 
+def _pop(key):
+    return lambda obj, m: obj.pop(key)
+
+
+def _set(key, value):
+    return lambda obj, m: obj.update({key: value})
+
+
+def _insert(key, junk):
+    # lenient base64 decoding would drop the junk without a word
+    def damage(obj, m):
+        obj[key] = obj[key][:8] + junk + obj[key][8:]
+    return damage
+
+
+def _line(**fields):
+    # a vertical line as measure_to_json writes it, fields overridden
+    rec = {"axis": 1, "tau": [-1, 0], "constant": 0.5}
+    rec.update(fields)
+    return _set("lines", [{k: v for k, v in rec.items() if v is not None}])
+
+
+def test_measure_from_json_reads_the_undamaged_line(fav_measure_alphai):
+    obj = json.loads(clark.measure_to_json(fav_measure_alphai))
+    _line()(obj, fav_measure_alphai)
+    (line,) = clark.measure_from_json(json.dumps(obj)).lines
+    assert (line.axis, line.tau, line.constant) == (1, -1.0, 0.5)
+
+
 @pytest.mark.parametrize("damage, match", [
     (_drop("nodes"), "no nodes and weights"),
     (_drop("weights"), "no nodes and weights"),
@@ -283,9 +354,41 @@ def _partial_value(obj, m):
     (_text_arrays, "must be base64 of raw"),
     (lambda obj, m: obj.update(nodes="abcde"), "Invalid base64-encoded"),
     (_partial_value, "weights is not a whole number of <f8 values"),
+    (_insert("nodes", "!!!!"), "nodes holds characters outside"),
+    (_insert("nodes", "    "), "nodes holds characters outside"),
+    (_insert("weights", "===="), "weights holds characters outside"),
+    (_pop("rif"), "record needs the keys"),
+    (_pop("lines"), "record needs the keys"),
+    (_pop("mass"), "record needs the keys"),
+    (_set("lines", None), "lines must be a list"),
+    (_line(axis=None), "line needs the keys"),
+    (_set("alpha", [0, 1, 0]), "alpha must be a pair"),
+    (_set("alpha", [1]), "alpha must be a pair"),
+    (_set("alpha", [3, 0]), "alpha must have modulus 1"),
+    (_set("alpha", ["0", 1]), "alpha holds .*, not a finite number"),
+    (_set("alpha", [float("nan"), 1]), "alpha holds .*, not a finite number"),
+    (_set("grid_n", 0), "grid_n must be a positive integer"),
+    (_set("grid_n", 1.7), "grid_n must be a positive integer"),
+    (_set("grid_n", True), "grid_n must be a positive integer"),
+    (_line(tau=[-1, 0, 0]), "line tau must be a pair"),
+    (_line(tau=[-1]), "line tau must be a pair"),
+    (_line(tau=[0.5, 0]), "line tau must have modulus 1"),
+    (_line(axis=0), "must be vertical"),
+    (_line(axis=5), "must be vertical"),
+    (_line(axis=2), "must be vertical"),
+    (_line(constant=-0.5), "line constant must be >= 0"),
+    (_line(constant=float("inf")), "line constant holds .*, not a finite"),
+    (_line(constant=float("nan")), "line constant holds .*, not a finite"),
+    (_line(constant=10 ** 400), "line constant holds .*, not a finite"),
 ], ids=["no_nodes", "no_weights", "per_branch", "half_weights",
         "scalar_weight", "one_coordinate", "text_arrays", "invalid_base64",
-        "partial_value"])
+        "partial_value", "nodes_bangs", "nodes_spaces", "weights_padding",
+        "no_rif", "no_lines", "no_mass", "lines_null", "line_no_axis",
+        "alpha_three", "alpha_one", "alpha_off_circle", "alpha_text",
+        "alpha_nan", "grid_zero", "grid_fraction", "grid_bool",
+        "tau_three", "tau_one", "tau_off_circle", "axis_0", "axis_5",
+        "axis_2", "constant_negative", "constant_inf", "constant_nan",
+        "constant_huge"])
 def test_measure_from_json_rejects_malformed_records(fav_measure_alphai,
                                                      damage, match):
     obj = json.loads(clark.measure_to_json(fav_measure_alphai))

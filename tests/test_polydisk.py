@@ -124,6 +124,41 @@ def test_poisson_identity_s3_with_refinement():
     assert rep.rel_err < 1e-4
 
 
+def _meshgrid_poisson_rhs(s, alpha, z, N):
+    """verify_poisson_d's right side, every integrand on full meshgrids."""
+    def values(g):
+        T1, T2 = np.meshgrid(g, g, indexing="ij")
+        z1, z2 = np.exp(1j * T1), np.exp(1j * T2)
+        psi = polydisk.tridisk_level(s, alpha, z1, z2)
+        out = polydisk.tridisk_weight(s, alpha, z1, z2)
+        for zeta, w in zip((z1, z2, psi), z):
+            out = out * (1.0 - abs(w) ** 2) / np.abs(zeta - w) ** 2
+        return out
+
+    dtheta = 2.0 * np.pi / N
+    rhs = float(np.mean(values(dtheta * np.arange(N))))
+    if s == 3.0:  # the 8x-refined window around (1, 1)
+        k = int(np.ceil(0.5 / dtheta))
+        for step, sign in ((1, 1.0), (8, -1.0)):
+            g = np.arange(-k * 8, k * 8 + 1, step) * (dtheta / 8.0)
+            wq = np.ones(len(g))
+            wq[0] = wq[-1] = 0.5
+            cell = step * dtheta / 8.0 / (2.0 * np.pi)
+            rhs += sign * float(np.real(
+                (wq[:, None] * wq[None, :] * values(g)).sum())) * cell * cell
+    return rhs
+
+
+@pytest.mark.parametrize("s, alpha, z", [
+    (3.5, np.exp(0.9j), (0.3, -0.2j, 0.1 + 0.4j)),
+    (3.0, 1.0j, (0.5, 0.5, 0.5)),  # the window path
+])
+def test_poisson_d_separable_grid_matches_meshgrid(s, alpha, z):
+    rep = polydisk.verify_poisson_d(s, alpha, z, 512)
+    assert abs(rep.rhs - _meshgrid_poisson_rhs(s, alpha, np.array(z), 512)) \
+        <= 1e-15
+
+
 def test_two_path_witness():
     conj_path, diag_path, gap = polydisk.two_path_witness()
     assert abs(conj_path - (-1.0)) < 1e-10

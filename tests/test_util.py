@@ -67,3 +67,12 @@ def test_string_text_matches_json_dumps(s):
     assert canonical_json(s) == json.dumps(s)
     assert canonical_json({s: [s]}) == json.dumps({s: [s]},
                                                   separators=(",", ":"))
+
+
+@pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+def test_bytes_like_values_are_written_as_base64(wrap):
+    raw = np.linspace(-1.0, 1.0, 97).tobytes()
+    text = binascii.b2a_base64(raw, newline=False).decode("ascii")
+    assert canonical_json(wrap(raw)) == json.dumps(text)
+    assert canonical_json({"k": [wrap(raw), wrap(b"")]}) \
+        == json.dumps({"k": [text, ""]}, separators=(",", ":"))
