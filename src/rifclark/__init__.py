@@ -8,8 +8,8 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("blaschke", "catalog", "clark", "cli", "contact", "embedding",
-               "errors", "levelset", "poly", "polydisk", "util")
+_SUBMODULES = ("catalog", "clark", "cli", "contact", "embedding", "errors",
+               "levelset", "poly", "polydisk", "util")
 
 __all__ = list(_SUBMODULES) + ["__version__"]
 

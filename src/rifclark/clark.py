@@ -13,14 +13,15 @@ length.  Each line stands for the uniform grid_n-point rule on it; the
 Poisson, moment and Gram sums take that rule's value in closed form and
 only ``integrate`` enumerates its nodes.  sigma_alpha is the
 zeta1-average of the slice Clark measures of phi(zeta1, .), so the nodes
-over each zeta1 node are the atoms of its slice
-(``levelset._slice_atoms``); nothing is traced.  The zeta1 nodes are
-uniform unless the grid would miss where the mass of the zeta1-marginal
-piles up, as near an exceptional alpha; then they cluster there
-(``_zeta1_rule``).  Horizontal lines T x {tau} are the atom zeta2 = tau
-of every slice, so they are already among the nodes.  Every integrator
-is a weighted sum over blocks of nodes plus a term per line, and
-``polydisk.build_measure_d`` returns the same structure on the tridisk.
+over each zeta1 node are the atoms |p| / |d/dz2 h| of its slice, all
+from one kernel (``levelset._slice_atoms``); nothing is traced.  One
+rule (``_zeta1_rule``) places the zeta1 nodes: uniform, half a step off
+the first line, and clustered by a Blaschke product wherever the grid
+would miss the poles of the zeta1-marginal, with lines or without.  A
+horizontal line T x {tau} is the atom zeta2 = tau of every slice, so
+among the nodes.  Every integrator is a weighted sum over blocks of
+nodes plus a term per line; ``polydisk.build_measure_d`` returns the
+same structure on the tridisk.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 import binascii
 import itertools
 import json
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,9 +36,9 @@ import numpy as np
 from . import poly as _poly
 from .errors import MassGapExceeded, MassNotOne, ZeroOverZero
 from .levelset import (
+    UNIMODULAR_TOL,
     Branch,
     LineComponent,
-    line_constant,
     weight_parts,
     _lines,
     _slice_atoms,
@@ -49,7 +49,7 @@ from .poly import Rif
 from .util import TWO_PI, canonical_json
 
 __all__ = [
-    "ClarkMeasure", "build_measure", "weight_at", "line_constant",
+    "ClarkMeasure", "build_measure", "weight_at",
     "integrate", "total_mass", "expected_mass", "verify_poisson",
     "PoissonReport", "herglotz_moments", "herglotz_reconstruct",
     "exact_moments", "moment_residual",
@@ -155,14 +155,14 @@ def _zeta1_rule(phi, alpha, grid_n):
     By the Poisson identity at (z1, 0) the zeta1-marginal of sigma_alpha
     is the Clark measure of b = phi(., 0) at alpha: atoms at the roots on
     the circle, the lines (``levelset._lines``), and a density peaking at
-    the roots outside.  Those with N log|z*| < _POLE_RESOLVE give the
-    zeros a = 1/conj(z*) of B(z) = z prod (z - a) / (1 - conj(a) z), and
-    the nodes are the preimages of the N-th roots of unity under B, each
+    the roots outside.  Those with N log|z*| < _POLE_RESOLVE, less the
+    roots within UNIMODULAR_TOL of a line's tau, give the zeros
+    a = 1/conj(z*) of B(z) = z prod (z - a) / (1 - conj(a) z).  The nodes
+    are the preimages under B of w_k = B(tau) e^{2 pi i (k + 1/2) / N},
+    tau the first line's (so no node sits on it, where the slice is
+    identically zero), or without lines of the N-th roots of unity, each
     of weight 1/(N |B'|): by Aleksandrov's disintegration the Clark
-    measures of B average to arc length.  Without such roots, or with
-    lines, B(z) = z and the rule is the uniform grid; with lines it is
-    shifted to arg tau + 2 pi (k + 1/2) / N from the first line's tau,
-    so no node sits on a line, whose slice is identically zero.
+    measures of B average to arc length.  Without such roots B(z) = z.
     """
     hcoef = phi.level_coeffs(alpha)
     roots = _poly.companion_roots(_poly.trim(hcoef[:, 0])[None])[0]
@@ -170,15 +170,20 @@ def _zeta1_rule(phi, alpha, grid_n):
     theta = _uniform_theta(grid_n)
     quad = np.full(grid_n, 1.0 / grid_n)
     if lines:
-        return theta + (np.angle(lines[0].tau) + np.pi / grid_n), quad, lines
+        theta = theta + (np.angle(lines[0].tau) + np.pi / grid_n)
     poles = roots[np.abs(roots) > 1.0]  # NaN padding compares False
+    for line in lines:  # the root of a line is its atom, not a pole
+        poles = poles[np.abs(poles - line.tau) >= UNIMODULAR_TOL]
     a = 1.0 / np.conj(poles[grid_n * np.log(np.abs(poles)) < _POLE_RESOLVE])
     if not len(a):
         return theta, quad, lines
+    w = np.exp(1j * theta)
+    if lines:  # B(tau) / tau, as theta_k starts from arg tau
+        w *= np.prod((lines[0].tau - a) / (1.0 - np.conj(a) * lines[0].tau))
     c = np.poly(a)  # prod (z - a), highest power first
     # B(z) = w  <=>  z prod (z - a) - w prod (1 - conj(a) z) = 0
     rows = (np.append(0.0, c[::-1])[None, :]
-            - np.exp(1j * theta)[:, None] * np.append(np.conj(c), 0.0)[None, :])
+            - w[:, None] * np.append(np.conj(c), 0.0)[None, :])
     theta = np.sort(np.angle(_poly.companion_roots(rows)).ravel())
     z = np.exp(1j * theta)[:, None]
     # |B'| on the circle: 1 plus the Poisson kernel of each zero
@@ -245,8 +250,9 @@ def total_mass(measure: ClarkMeasure) -> float:
 
 
 def expected_mass(phi: Rif, alpha: complex) -> float:
-    """Poisson identity at the origin: (1 - |phi(0)|^2) / |alpha - phi(0)|^2."""
-    v = complex(phi(0.0, *([0.0] * (phi.dim - 1))) if phi.dim > 1 else phi(0.0))
+    """Poisson identity at the origin: (1 - |phi(0)|^2) / |alpha - phi(0)|^2,
+    with phi(0) the ratio of the constant coefficients of q and p."""
+    v = complex(phi.num.coeffs.flat[0] / phi.den.coeffs.flat[0])
     return (1.0 - abs(v) ** 2) / abs(complex(alpha) - v) ** 2
 
 
@@ -426,9 +432,7 @@ class HerglotzFunction:
     def herglotz(self, z1, z2):
         table = 2.0 * self.moments
         table[0, 0] = self.moments[0, 0]
-        return np.polynomial.polynomial.polyval2d(
-            np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex),
-            table)
+        return _poly._eval_tensor(table, (z1, z2))
 
     def __call__(self, z1, z2):
         H = self.herglotz(z1, z2)
@@ -530,7 +534,7 @@ def measure_from_json(text: str) -> ClarkMeasure:
     alpha, grid_n, rif, _, recs = _fields(
         obj, ("alpha", "grid_n", "rif", "mass", "lines"), "record")
     degrees, den = _fields(rif, ("degrees", "den"), "rif")
-    phi = Rif(_poly.poly_from_json_obj(den), degrees=tuple(degrees))
+    phi = Rif(_poly.poly_from_json_obj(den), _poly.json_degrees(degrees, 1))
     if type(grid_n) is not int or grid_n < 1:  # type() keeps out True
         raise ValueError("Clark measure grid_n must be a positive integer")
     weights = _unpack(obj["weights"], "<f8", "weights")
@@ -554,10 +558,7 @@ def _fields(obj, keys, what):
 
 
 def _real(value, what):
-    # JSON holds an integral double such as 0.0 as the integer 0; the
-    # bound keeps out NaN, the infinities and integers beyond any double
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not abs(value) <= sys.float_info.max:
+    if not _poly.finite_number(value):
         raise ValueError(f"Clark measure {what} holds {value!r}, not a finite "
                          "number")
     return float(value)

@@ -113,9 +113,9 @@ def cmd_levelset(args) -> int:
         levelset.export_branch_csv(br, path, label, j)
         print(f"branch {j}: weight range [{br.weights.min():.6g}, "
               f"{br.weights.max():.6g}] wrote {path}")
-    cls = levelset.classify_alpha(phi, alpha)
-    print(f"alpha class: {cls.kind}")
-    for line in cls.lines:
+    lines = levelset.detect_lines(phi, alpha)
+    print(f"alpha class: {'exceptional' if lines else 'generic'}")
+    for line in lines:
         print(f"  line axis={line.axis} tau={line.tau:.17g} "
               f"constant={line.constant:.17g}")
     sings = levelset.find_singularities(phi)
@@ -366,10 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--grid", type=int, default=4096)
-    p.add_argument("--diagonal", action="store_true",
-                   help="CSV of weights along (e^{it}, e^{-it})")
-    p.add_argument("--surface", action="store_true",
-                   help="CSV of (theta1, theta2, arg psi)")
+    csv = p.add_mutually_exclusive_group()  # both would write --out
+    csv.add_argument("--diagonal", action="store_true",
+                     help="CSV of weights along (e^{it}, e^{-it})")
+    csv.add_argument("--surface", action="store_true",
+                     help="CSV of (theta1, theta2, arg psi)")
     p.add_argument("--point", default=None,
                    help="semicolon-separated z, each re,im — run the "
                         "3-variable Poisson check")

@@ -39,10 +39,6 @@ class ZeroOverZero(RifclarkError):
     """Both numerator and denominator of a branch weight vanished."""
 
 
-class NonConstantDerivative(RifclarkError):
-    """The directional derivative along a line component was not constant."""
-
-
 class MassGapExceeded(RifclarkError):
     """A built measure's mass missed the Poisson identity at the origin."""
 

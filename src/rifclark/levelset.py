@@ -30,18 +30,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import poly as _poly
-from .errors import (
-    IdenticallyZeroSlice,
-    NonConstantDerivative,
-    PhaseLabelFailure,
+from .errors import IdenticallyZeroSlice, PhaseLabelFailure
+from .poly import (
+    PolyMD,
+    Rif,
+    companion_roots,
+    derivative_coeffs,
+    slice_coeffs,
+    _polyval_rows,
 )
-from .poly import PolyMD, Rif, companion_roots, derivative_coeffs, slice_coeffs
 from .util import TWO_PI, angular_distance, unit_circle_points
 
 ZERO_SLICE_REL_TOL = 1e-10
 UNIMODULAR_TOL = 1e-6
 LINE_TEST_POINTS = 8  # samples of a line's transversal derivative
-LINE_TOL = 1e-8  # relative: h's slice at a torus zero, a line's spread
+LINE_TOL = 1e-8  # relative: the largest slice of h at a torus zero on a line
 # |p| below this times its coefficient scale: a zero of p on the torus
 SINGULAR_TOL = 1e-10
 # distance from the circle of the resultant and slice roots that seed
@@ -52,17 +55,6 @@ NEWTON_ITERS = 3  # Newton steps per slice root, at most
 # reference circles zeta2 = w_ref of the phase labels, tried in order: a
 # circle through a singularity on the path (fav's zeta2 = 1) gives no phase
 _REF_CIRCLES = (np.exp(0.373j), np.exp(2.419j), np.exp(4.297j))
-
-
-def _polyval_rows(rows, w):
-    """Evaluate per-row polynomials: rows (..., k+1) at points w (...,)."""
-    acc = np.empty(np.broadcast_shapes(rows.shape[:-1], np.shape(w)),
-                   dtype=np.result_type(rows, w))
-    acc[...] = rows[..., -1]
-    for k in range(rows.shape[-1] - 2, -1, -1):
-        acc *= w  # in place: fresh temporaries of a large batch cost more
-        acc += rows[..., k]
-    return acc
 
 
 @dataclass
@@ -99,12 +91,6 @@ class LineComponent:
     constant: float
 
 
-@dataclass(frozen=True)
-class AlphaClass:
-    kind: str  # "generic" | "exceptional"
-    lines: tuple[LineComponent, ...]
-
-
 # ---------------------------------------------------------------------------
 # weights
 # ---------------------------------------------------------------------------
@@ -112,11 +98,9 @@ class AlphaClass:
 def weight_parts(phi: Rif, alpha: complex, *zeta):
     """Numerator |p| and denominator |d/dz_d (q - alpha p)| of the Clark
     weight at level-set points given by one coordinate array per variable."""
-    zs = np.broadcast_arrays(*(np.asarray(z, dtype=complex) for z in zeta))
-    num = np.abs(_poly.eval_poly(phi.den, zs))
     hd = derivative_coeffs(phi.level_coeffs(alpha), phi.dim)
-    den = np.abs(_poly._eval_tensor(hd, zs))
-    return num, den
+    return (np.abs(_poly._eval_tensor(phi.den.coeffs, zeta)),
+            np.abs(_poly._eval_tensor(hd, zeta)))
 
 
 def _weight_tols(phi: Rif, alpha: complex):
@@ -281,37 +265,6 @@ def _uniform_theta(grid_n):
 # line components
 # ---------------------------------------------------------------------------
 
-def line_constant(phi: Rif, alpha: complex, tau: complex,
-                  axis: int = 1) -> float:
-    """Constant weight of a line component through tau.
-
-    On a line the derivative of phi transversal to it is constant; the
-    returned value is 1/|that derivative|, evaluated through the
-    cancellation-free ratio (d/dz_axis of the level polynomial) / p at
-    LINE_TEST_POINTS points along the line (``_line_ratio``).  Raises
-    NonConstantDerivative when the slice at tau is not identically alpha
-    (ZERO_SLICE_REL_TOL) or when the sampled ratio is not constant
-    (relative spread above LINE_TOL).  ``detect_lines`` decides its
-    lines at torus zeros of p instead and runs neither check.
-    """
-    if phi.dim != 2:
-        raise ValueError("line_constant expects a two-variable inner function")
-    hcoef, pcoef = phi.level_coeffs(alpha), phi.den.coeffs
-    if axis == 2:
-        hcoef, pcoef = hcoef.T, pcoef.T
-    scale = float(np.max(np.abs(hcoef)))
-    if np.max(np.abs(slice_coeffs(hcoef, [[tau]]))) >= ZERO_SLICE_REL_TOL * scale:
-        raise NonConstantDerivative(
-            f"slice at tau={tau:.6g} is not identically alpha; "
-            "not a line component")
-    ratio = _line_ratio(hcoef, pcoef, tau)
-    mean = float(np.mean(ratio))
-    if mean <= 0.0 or np.ptp(ratio) > LINE_TOL * max(mean, 1.0):
-        raise NonConstantDerivative(
-            f"transversal derivative varies along the line at tau={tau:.6g}")
-    return 1.0 / mean
-
-
 def _line_ratio(hcoef, pcoef, tau):
     """|d/dz1 h / p| at LINE_TEST_POINTS points of the line {tau} x T,
     nudged off any zero of p."""
@@ -334,8 +287,8 @@ def detect_lines(phi: Rif, alpha: complex) -> list[LineComponent]:
     Vertical lines ({tau} x T, axis 1) are the canonical line carriers in
     measure construction; horizontal lines, a root zeta2 = tau of every
     slice and so already among a measure's nodes, are reported here with
-    axis 2, by the same test on swapped variables (``_lines``).  Each is
-    decided once, so this never raises NonConstantDerivative.
+    axis 2, by the same test on swapped variables (``_lines``), each
+    with its constant.  Lines make alpha exceptional; none, generic.
     """
     if phi.dim != 2:
         raise ValueError("detect_lines expects a two-variable inner function")
@@ -373,12 +326,6 @@ def _lines(hcoef, pcoef, roots, axis=1):
                   key=lambda t: float(np.angle(t)) % TWO_PI)
     return [LineComponent(axis=axis, tau=tau, constant=1.0 / float(
         np.mean(_line_ratio(hcoef, pcoef, tau)))) for tau in taus]
-
-
-def classify_alpha(phi: Rif, alpha: complex) -> AlphaClass:
-    """Split alpha into generic (pure graphs) vs exceptional (lines join in)."""
-    lines = tuple(detect_lines(phi, alpha))
-    return AlphaClass(kind="exceptional" if lines else "generic", lines=lines)
 
 
 # ---------------------------------------------------------------------------

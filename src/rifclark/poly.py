@@ -19,10 +19,10 @@ degrees contribute a monomial factor (e.g. z1*z2 = reflect(1, (1,1)) / 1).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import DegreeNotAttained, RootFindFailure, ZeroPolynomial
 
@@ -136,24 +136,26 @@ def eval_poly(p: PolyMD, z):
 
 
 def _eval_tensor(coeffs, zs):
-    d = coeffs.ndim
-    if d == 1:
-        return npoly.polyval(zs[0], coeffs)
+    """The polynomial with coefficient tensor ``coeffs`` at broadcastable
+    coordinate arrays ``zs``, one per variable: one Horner pass
+    (``_polyval_rows``) per variable, first variable first, the order of
+    slice_coeffs (so weight_parts matches the slice kernel to rounding)."""
     zs = np.broadcast_arrays(*zs)
-    if d == 2:
-        return npoly.polyval2d(zs[0], zs[1], coeffs)
-    if d == 3:
-        return npoly.polyval3d(zs[0], zs[1], zs[2], coeffs)
-    acc = _eval_tensor(coeffs[..., -1], zs[:-1])
-    for k in range(coeffs.shape[-1] - 2, -1, -1):
-        acc = acc * zs[-1] + _eval_tensor(coeffs[..., k], zs[:-1])
+    acc = coeffs.reshape(coeffs.shape + (1,) * zs[0].ndim)
+    for z in zs:
+        acc = _polyval_rows(np.moveaxis(acc, 0, -1), z)
+    return acc[()]  # a scalar at one point
+
+
+def _polyval_rows(rows, w):
+    """Evaluate per-row polynomials: rows (..., k+1) at points w (...,)."""
+    acc = np.empty(np.broadcast_shapes(rows.shape[:-1], np.shape(w)),
+                   dtype=np.result_type(rows, w))
+    acc[...] = rows[..., -1]
+    for k in range(rows.shape[-1] - 2, -1, -1):
+        acc *= w  # in place: fresh temporaries of a large batch cost more
+        acc += rows[..., k]
     return acc
-
-
-def derivative(p: PolyMD, axis: int) -> PolyMD:
-    """Partial derivative with respect to variable ``axis`` (1-based)."""
-    coeffs = derivative_coeffs(p.coeffs, axis)
-    return PolyMD(trim(coeffs))
 
 
 def derivative_coeffs(coeffs, axis: int):
@@ -411,13 +413,39 @@ def poly_to_json(p: PolyMD) -> str:
 
 
 def poly_from_json_obj(obj: dict) -> PolyMD:
-    degrees = [int(n) for n in obj["degrees"]]
-    shape = tuple(n + 1 for n in degrees)
-    flat = np.array([complex(re, im) for re, im in obj["coeffs"]],
-                    dtype=np.complex128)
-    if flat.size != int(np.prod(shape)):
+    """The polynomial of {"degrees": [...], "coeffs": [[re, im], ...]}
+    (row-major); ValueError on any other record."""
+    if not isinstance(obj, dict) or not {"degrees", "coeffs"} <= obj.keys():
+        raise ValueError("polynomial record needs the keys degrees, coeffs")
+    shape = tuple(n + 1 for n in json_degrees(obj["degrees"], 0))
+    entries = obj["coeffs"]
+    if not isinstance(entries, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(map(finite_number, e))
+            for e in entries):
+        raise ValueError("polynomial coeffs must be a list of finite "
+                         "[re, im] pairs")
+    if len(entries) != int(np.prod(shape)):
         raise ValueError("coefficient count does not match degrees")
+    flat = np.array([complex(re, im) for re, im in entries],
+                    dtype=np.complex128)
     return PolyMD(flat.reshape(shape, order="C"))
+
+
+def json_degrees(value, least: int) -> tuple[int, ...]:
+    """A JSON degree list as a tuple of ints, each at least ``least``;
+    ValueError for anything else (a scalar, a bool, 1.7)."""
+    if not isinstance(value, list) or not value or not all(
+            type(n) is int and n >= least for n in value):
+        raise ValueError(f"degrees must be a non-empty list of integers "
+                         f">= {least}, got {value!r}")
+    return tuple(value)
+
+
+def finite_number(value) -> bool:
+    """A JSON number (not a bool) within the range of a finite double.
+    JSON holds an integral double such as 0.0 as the integer 0; the bound
+    keeps out NaN, the infinities and integers beyond any double."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def poly_from_json(text: str) -> PolyMD:

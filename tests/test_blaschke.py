@@ -1,8 +1,15 @@
+"""One-variable slices of RIFs through the slice-atom kernel.
+
+Freezing zeta1 on the circle leaves the finite Blaschke product
+phi(zeta1, .), whose alpha-level points are the roots of h(zeta1, .) and
+whose Clark measure has atoms of mass |p| / |d/dz2 h| there.
+"""
+
 import numpy as np
 import pytest
 
-from rifclark import blaschke, catalog
-from rifclark.errors import IdenticallyZeroSlice
+from rifclark import catalog
+from rifclark.levelset import UNIMODULAR_TOL, _slice_atoms, _weight_tols
 
 ALPHA = np.exp(0.7j)
 
@@ -15,36 +22,46 @@ def fav_weight(alpha, z1):
     return 2 * abs(z1 - 1) ** 2 / abs(2 * z1 - 1 + alpha) ** 2
 
 
+def one_slice(phi, alpha, zeta1):
+    """The roots of h(zeta1, .) by angle, with |p| and |d/dz2 h| there."""
+    roots, num, den, zero_rows = _slice_atoms(phi, alpha,
+                                              np.array([[zeta1]]))
+    assert not zero_rows[0]
+    keep = np.flatnonzero(~np.isnan(roots[0]))
+    keep = keep[np.argsort(np.angle(roots[0, keep]))]
+    return roots[0, keep], num[0, keep], den[0, keep]
+
+
 def test_slice_roots_match_closed_form():
     phi = catalog.simple_singular_rif()
     for th in (0.3, 1.1, 2.9, 5.0):
         z1 = np.exp(1j * th)
-        sr = blaschke.slice_roots(phi, ALPHA, z1)
-        assert len(sr.roots) == 1
-        assert abs(sr.roots[0] - fav_branch(ALPHA, z1)) < 1e-12
-        assert sr.unimodular[0]
-        assert not sr.degree_dropped
+        roots, _, _ = one_slice(phi, ALPHA, z1)
+        assert len(roots) == phi.degrees[-1] == 1  # no degree drop
+        assert abs(roots[0] - fav_branch(ALPHA, z1)) < 1e-12
+        assert abs(abs(roots[0]) - 1.0) < UNIMODULAR_TOL
 
 
 def test_slice_atom_mass_matches_closed_form():
     phi = catalog.simple_singular_rif()
+    num_tol, den_tol = _weight_tols(phi, ALPHA)
     for th in (0.3, 1.1, 2.9):
         z1 = np.exp(1j * th)
-        atoms = blaschke.slice_clark_atoms(phi, ALPHA, z1)
-        assert len(atoms) == 1
-        assert abs(atoms[0].mass - fav_weight(ALPHA, z1)) < 1e-12
-        assert not atoms[0].degenerate
+        _, num, den = one_slice(phi, ALPHA, z1)
+        assert len(num) == 1
+        assert abs(num[0] / den[0] - fav_weight(ALPHA, z1)) < 1e-12
+        assert num[0] >= num_tol and den[0] >= den_tol  # not degenerate
 
 
 def test_two_roots_per_slice_for_squared_rif():
     phi = catalog.squared_singular_rif()
     z1 = np.exp(0.4j)
-    sr = blaschke.slice_roots(phi, ALPHA, z1)
-    assert len(sr.roots) == 2
-    for r in sr.roots:
+    roots, _, _ = one_slice(phi, ALPHA, z1)
+    assert len(roots) == 2
+    for r in roots:
         assert abs(complex(phi(z1, r)) - ALPHA) < 1e-10
     # the two roots are the two square roots of the induced degree-1 branch
-    assert abs(sr.roots[0] + sr.roots[1]) < 1e-10
+    assert abs(roots[0] + roots[1]) < 1e-10
 
 
 def test_atom_masses_sum_to_one_variable_clark_mass():
@@ -52,37 +69,38 @@ def test_atom_masses_sum_to_one_variable_clark_mass():
     # its Clark measure at alpha has total mass (1-|b(0)|^2)/|alpha-b(0)|^2
     phi = catalog.squared_singular_rif()
     z1 = np.exp(0.4j)
-    atoms = blaschke.slice_clark_atoms(phi, ALPHA, z1)
+    _, num, den = one_slice(phi, ALPHA, z1)
     b0 = complex(phi(z1, 0.0))
     expect = (1 - abs(b0) ** 2) / abs(ALPHA - b0) ** 2
-    assert abs(sum(a.mass for a in atoms) - expect) < 1e-10
+    assert abs(np.sum(num / den) - expect) < 1e-10
 
 
-def test_identically_zero_slice_raises():
+def test_identically_zero_slice_is_flagged():
+    # the slice at zeta1 = 1 of fav at alpha = -1 lies on the line {1} x T
     phi = catalog.simple_singular_rif()
-    with pytest.raises(IdenticallyZeroSlice):
-        blaschke.slice_roots(phi, -1.0 + 0.0j, 1.0 + 0.0j)
+    roots, _, _, zero_rows = _slice_atoms(phi, -1.0 + 0.0j, np.array([[1.0]]))
+    assert zero_rows[0] and np.isnan(roots[0]).all()
 
 
 def test_slice_through_singularity_is_degenerate():
     phi = catalog.simple_singular_rif()
-    atoms = blaschke.slice_clark_atoms(phi, 1.0 + 0.0j, 1.0 + 0.0j)
-    assert len(atoms) == 1
-    assert abs(atoms[0].point - 1.0) < 1e-8
-    assert atoms[0].degenerate
-    assert atoms[0].mass == 0.0
+    num_tol, _ = _weight_tols(phi, 1.0 + 0.0j)
+    roots, num, den = one_slice(phi, 1.0 + 0.0j, 1.0 + 0.0j)
+    assert len(roots) == 1
+    assert abs(roots[0] - 1.0) < 1e-8
+    # |p| vanishes at the singularity (1, 1): the atom carries no mass
+    assert num[0] < num_tol and num[0] / den[0] == 0.0
 
 
 def test_monomial_slice():
     phi = catalog.monomial_rif()
     z1 = np.exp(1.3j)
-    sr = blaschke.slice_roots(phi, ALPHA, z1)
-    assert abs(sr.roots[0] - ALPHA * np.conj(z1)) < 1e-13
-    atoms = blaschke.slice_clark_atoms(phi, ALPHA, z1)
-    assert abs(atoms[0].mass - 1.0) < 1e-13
+    roots, num, den = one_slice(phi, ALPHA, z1)
+    assert abs(roots[0] - ALPHA * np.conj(z1)) < 1e-13
+    assert abs(num[0] / den[0] - 1.0) < 1e-13
 
 
 def test_wrong_slice_arity_rejected():
     phi = catalog.simple_singular_rif()
     with pytest.raises(ValueError):
-        blaschke.slice_roots(phi, ALPHA, (0.5, 0.5))
+        _slice_atoms(phi, ALPHA, np.array([[0.5, 0.5]]))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rifclark import catalog, clark, embedding, polydisk
+from rifclark import catalog, clark, contact, embedding, polydisk
 from rifclark.errors import MassGapExceeded, MassNotOne, ZeroOverZero
 from rifclark.util import canonical_json
 
@@ -183,6 +183,21 @@ def test_poisson_exact_at_exceptional_alpha(corpus, name):
     assert rep.max_rel_err < 1e-12
 
 
+def test_lines_and_poles_share_one_node_rule():
+    # at its alpha0 this draw has a line and h(., 0) keeps roots at |z| =
+    # 1.023 and 1.043, which the uniform grid leaves unresolved (Poisson
+    # error 5e-3 with the shifted uniform grid): the nodes are the
+    # preimages of B(tau) e^{2 pi i (k + 1/2) / N} under B of those poles
+    phi = catalog.random_rif(3, 1, 32, singular=True)
+    alpha0 = contact.nontangential_value(phi, catalog.planted_zero(32))
+    theta, quad, lines = clark._zeta1_rule(phi, alpha0, 1024)
+    assert len(lines) == 1 and len(theta) == 3 * 1024
+    assert np.min(np.abs(np.exp(1j * theta) - lines[0].tau)) > 1e-4
+    m = clark.build_measure(phi, alpha0, 1024)
+    assert clark.verify_poisson(m, _poisson_points()).max_rel_err <= 1e-10
+    assert clark.moment_residual(m, 8) <= 1e-10
+
+
 @pytest.mark.parametrize("name", ["fav", "squared"])
 @pytest.mark.parametrize("dt", [-0.19, -0.08, -0.045, -0.01,
                                 0.01, 0.045, 0.08, 0.19])
@@ -337,6 +352,13 @@ def _line(**fields):
     return _set("lines", [{k: v for k, v in rec.items() if v is not None}])
 
 
+def _rif(**fields):
+    # the rif header of fav as measure_to_json writes it, fields overridden
+    def damage(obj, m):
+        obj["rif"].update(fields)
+    return damage
+
+
 def test_measure_from_json_reads_the_undamaged_line(fav_measure_alphai):
     obj = json.loads(clark.measure_to_json(fav_measure_alphai))
     _line()(obj, fav_measure_alphai)
@@ -380,6 +402,15 @@ def test_measure_from_json_reads_the_undamaged_line(fav_measure_alphai):
     (_line(constant=float("inf")), "line constant holds .*, not a finite"),
     (_line(constant=float("nan")), "line constant holds .*, not a finite"),
     (_line(constant=10 ** 400), "line constant holds .*, not a finite"),
+    (_rif(degrees=[1.7, 1]), "degrees must be a non-empty list"),
+    (_rif(degrees=[0, 1]), "degrees must be a non-empty list"),
+    (_rif(degrees=1), "degrees must be a non-empty list"),
+    (_rif(den=[[1, 1], [[2, 0], [-1, 0], [-1, 0], [0, 0]]]),
+     "polynomial record needs the keys"),
+    (_rif(den={"degrees": [1, 1]}), "polynomial record needs the keys"),
+    (_rif(den={"degrees": [1.7, 1], "coeffs": [[2, 0], [-1, 0], [-1, 0],
+                                               [0, 0]]}),
+     "degrees must be a non-empty list"),
 ], ids=["no_nodes", "no_weights", "per_branch", "half_weights",
         "scalar_weight", "one_coordinate", "text_arrays", "invalid_base64",
         "partial_value", "nodes_bangs", "nodes_spaces", "weights_padding",
@@ -388,7 +419,9 @@ def test_measure_from_json_reads_the_undamaged_line(fav_measure_alphai):
         "alpha_nan", "grid_zero", "grid_fraction", "grid_bool",
         "tau_three", "tau_one", "tau_off_circle", "axis_0", "axis_5",
         "axis_2", "constant_negative", "constant_inf", "constant_nan",
-        "constant_huge"])
+        "constant_huge", "rif_fractional_degree", "rif_zero_degree",
+        "rif_scalar_degrees", "den_list", "den_no_coeffs",
+        "den_fractional_degree"])
 def test_measure_from_json_rejects_malformed_records(fav_measure_alphai,
                                                      damage, match):
     obj = json.loads(clark.measure_to_json(fav_measure_alphai))

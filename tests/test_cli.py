@@ -78,6 +78,23 @@ def test_missing_poly_file_gives_error_json(tmp_path, capsys):
     assert "error" in err and err["error"]["type"]
 
 
+@pytest.mark.parametrize("text", [
+    '{"degrees": [1, 1]}',
+    '{"degrees": 1, "coeffs": [[2, 0], [-1, 0]]}',
+    '{"degrees": [1.7, 1], "coeffs": [[2, 0], [-1, 0], [-1, 0], [0, 0]]}',
+    '{"degrees": [1, 1], "coeffs": [[2, 0], [-1], [-1, 0], [0, 0]]}',
+    '[1, 1]',
+])
+def test_malformed_poly_file_gives_error_json(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    rc = main(["analyze", "--poly", str(path), "--alpha", "1",
+               "--out", str(tmp_path / "m.json")])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValueError"
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_bad_alpha_gives_error_json(fav_json, tmp_path, capsys):
     rc = main(["analyze", "--poly", fav_json, "--alpha", "0.25",
                "--out", str(tmp_path / "m.json")])
@@ -187,6 +204,21 @@ def test_tridisk_diagonal_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_tridisk_csv_modes_exclude_each_other(tmp_path, capsys):
+    # both modes write --out, so the second would overwrite the first
+    out = tmp_path / "t.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["tridisk", "--s", "3", "--alpha", "-1", "--diagonal",
+              "--surface", "--grid", "16", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+    rc = main(["tridisk", "--s", "4", "--alpha", "i", "--diagonal",
+               "--build", "--grid", "32", "--out", str(out)])
+    assert rc == 0 and out.exists()
+    assert "built 1024 nodes" in capsys.readouterr().out
+
+
 def test_tridisk_requires_a_mode(capsys):
     rc = main(["tridisk", "--s", "4", "--alpha", "1"])
     assert rc == 2
@@ -237,8 +269,9 @@ def test_library_imports_leave_scipy_out():
     code = ("import sys\n"
             "import rifclark.cli, rifclark.clark, rifclark.contact\n"
             "import rifclark.embedding, rifclark.polydisk\n"
-            "print('scipy' in sys.modules, 'base64' in sys.modules)")
+            "print('scipy' in sys.modules, 'base64' in sys.modules,\n"
+            "      'numpy.polynomial' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    assert proc.stdout.strip() == "False False False"

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rifclark import (blaschke, catalog, clark, contact, embedding, levelset,
-                      poly, polydisk)
-from rifclark.errors import (MassGapExceeded, NonConstantDerivative,
-                             PhaseLabelFailure)
-from rifclark.poly import PolyMD, Rif
+from rifclark import (catalog, clark, contact, embedding, levelset, poly,
+                      polydisk)
+from rifclark.cli import main
+from rifclark.errors import MassGapExceeded, PhaseLabelFailure
+from rifclark.poly import PolyMD, Rif, poly_to_json
 
 
 def fav_branch(alpha, z1):
@@ -57,7 +57,7 @@ def test_branch_samples_satisfy_level_equation(corpus):
         scale = np.max(np.abs(h))
         for br in levelset.trace_branches(phi, alpha, 256):
             zeta = np.exp(1j * br.theta)[None, :]
-            res = np.abs(levelset._polyval_rows(
+            res = np.abs(poly._polyval_rows(
                 levelset.slice_coeffs(h, zeta.ravel()[:, None]), br.values))
             assert np.max(res) < 1e-9 * scale, name
 
@@ -95,24 +95,24 @@ def test_squared_exceptional_lines(squared):
         assert abs(ln.constant - 0.25) < 1e-12
 
 
-def test_classify_alpha(fav):
-    assert levelset.classify_alpha(fav, 1.0j).kind == "generic"
-    cls = levelset.classify_alpha(fav, -1.0 + 0.0j)
-    assert cls.kind == "exceptional"
-    assert len(cls.lines) == 2
-
-
-def test_line_constant_rejects_non_line(fav):
-    with pytest.raises(NonConstantDerivative):
-        levelset.line_constant(fav, 1.0j, 1.0 + 0.0j, axis=1)
+def test_classify_alpha(fav, tmp_path, capsys):
+    # the levelset command classes alpha by the lines detect_lines finds
+    path = tmp_path / "fav.json"
+    path.write_text(poly_to_json(fav.den))
+    for alpha, kind, count in (("i", "generic", 0), ("-1", "exceptional", 2)):
+        assert main(["levelset", "--poly", str(path), "--alpha", alpha,
+                     "--grid", "256", "--out", str(tmp_path / "b.csv")]) == 0
+        out = capsys.readouterr().out
+        assert f"alpha class: {kind}\n" in out
+        assert out.count("  line axis=") == count
 
 
 @pytest.mark.parametrize("dt", [1e-6, -1e-6, 1e-8, -1e-8])
 def test_no_phantom_lines_next_to_exceptional_alpha(fav, squared, dt):
     # h's slice at the torus zero (1, 1) is (alpha0 - alpha) p(1, .),
     # 1.6e-8 of h's scale at |t - 1| = 1e-8, above LINE_TOL: no line, and
-    # no build raises NonConstantDerivative (MassGapExceeded is the
-    # rounding floor next to the singularity)
+    # each build returns or raises MassGapExceeded (the rounding floor
+    # next to the singularity)
     alpha = np.exp(1j * np.pi * (1.0 + dt))
     for phi in (fav, squared):
         assert levelset.detect_lines(phi, alpha) == []
@@ -402,7 +402,9 @@ def test_measure_path_traces_no_branch(corpus, monkeypatch):
                 < 1e-8, (name, alpha)
         assert max(embedding.conj_rational(phi, np.exp(0.7j)).max_residual) \
             < 1e-10
-        assert blaschke.slice_clark_atoms(phi, np.exp(0.7j), np.exp(0.4j))
+        roots, _, _, _ = levelset._slice_atoms(phi, np.exp(0.7j),
+                                               np.array([[np.exp(0.4j)]]))
+        assert not np.isnan(roots).all()
     phi = catalog.tridisk_rif(4.0)
     m = polydisk.build_measure_d(phi, np.exp(0.9j), 32)
     assert abs(clark.total_mass(m) - 1.0) < 1e-8

@@ -98,6 +98,25 @@ def test_derivative_matches_finite_difference():
         assert abs(dval - fd) < 1e-6
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_eval_matches_monomial_sum(d):
+    # one Horner pass per variable against the explicit sum of monomials,
+    # at broadcast coordinate arrays and at one point
+    rng = np.random.default_rng(d)
+    shape = (3, 2, 4, 2)[:d]
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    zs = [rng.uniform(-1, 1, (5, 1)) + 1j * rng.uniform(-1, 1, (1, 4))
+          for _ in range(d)]
+    ref = sum(c[j] * np.prod([z ** e for z, e in zip(zs, j)], axis=0)
+              for j in np.ndindex(*shape))
+    got = eval_poly(PolyMD(c), zs)
+    assert got.shape == (5, 4)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.sum(np.abs(c))
+    one = eval_poly(PolyMD(c), [z[0, 0] for z in zs])
+    assert np.ndim(one) == 0 and abs(one - ref[0, 0]) <= 1e-14 * np.sum(
+        np.abs(c))
+
+
 def test_slice_coeffs_agrees_with_eval():
     zp = np.array([[0.7 + 0.1j], [0.2 - 0.5j]], dtype=complex)
     rows = slice_coeffs(P_FAV.coeffs, zp)
@@ -277,6 +296,40 @@ def test_json_round_trip_is_byte_identical():
     assert text == again
     obj = json.loads(text)
     assert obj["degrees"] == [1, 1]
+
+
+@pytest.mark.parametrize("obj, match", [
+    ([[1, 1], [[2, 0], [-1, 0], [-1, 0], [0, 0]]], "needs the keys"),
+    ({"degrees": [1, 1]}, "needs the keys"),
+    ({"coeffs": [[1, 0]]}, "needs the keys"),
+    ({"degrees": 1, "coeffs": [[1, 0], [1, 0]]}, "degrees must be"),
+    ({"degrees": "11", "coeffs": [[1, 0]] * 4}, "degrees must be"),
+    ({"degrees": [], "coeffs": [[1, 0]]}, "degrees must be"),
+    ({"degrees": [1.7, 1], "coeffs": [[1, 0]] * 4}, "degrees must be"),
+    ({"degrees": [1.0, 1], "coeffs": [[1, 0]] * 4}, "degrees must be"),
+    ({"degrees": [True, 1], "coeffs": [[1, 0]] * 4}, "degrees must be"),
+    ({"degrees": [-1, 1], "coeffs": [[1, 0]] * 4}, "degrees must be"),
+    ({"degrees": [1, 1], "coeffs": {"0": [1, 0]}}, "coeffs must be a list"),
+    ({"degrees": [0], "coeffs": [1, 0]}, "coeffs must be a list"),
+    ({"degrees": [1], "coeffs": [[1, 0, 0], [1, 0]]}, "coeffs must be a list"),
+    ({"degrees": [1], "coeffs": [[1], [1, 0]]}, "coeffs must be a list"),
+    ({"degrees": [1], "coeffs": [["1", 0], [1, 0]]}, "coeffs must be a list"),
+    ({"degrees": [1], "coeffs": [[True, 0], [1, 0]]}, "coeffs must be a list"),
+    ({"degrees": [1], "coeffs": [[float("nan"), 0], [1, 0]]},
+     "coeffs must be a list"),
+    ({"degrees": [1], "coeffs": [[1, float("inf")], [1, 0]]},
+     "coeffs must be a list"),
+    ({"degrees": [1], "coeffs": [[10 ** 400, 0], [1, 0]]},
+     "coeffs must be a list"),
+    ({"degrees": [1, 1], "coeffs": [[1, 0]] * 3}, "count does not match"),
+], ids=["list", "no_coeffs", "no_degrees", "scalar_degrees", "text_degrees",
+        "empty_degrees", "fractional_degree", "float_degree", "bool_degree",
+        "negative_degree", "dict_coeffs", "flat_coeffs", "triple", "single",
+        "text_coeff", "bool_coeff", "nan_coeff", "inf_coeff", "huge_coeff",
+        "count"])
+def test_poly_from_json_rejects_malformed_records(obj, match):
+    with pytest.raises(ValueError, match=match):
+        poly_from_json(json.dumps(obj))
 
 
 def test_rif_numerator_is_reflection():
