@@ -43,6 +43,7 @@ from .levelset import (
     _lines,
     _slice_atoms,
     _uniform_theta,
+    _unimodular_alpha,
     _weight_tols,
 )
 from .poly import Rif
@@ -121,20 +122,22 @@ def build_measure(phi: Rif, alpha: complex, grid_n: int = 4096) -> ClarkMeasure:
     The zeta1 nodes are that grid or, near an exceptional alpha, its
     preimages under a Blaschke product, which cluster where the mass of
     an emerging line piles up (``_zeta1_rule``).  Over each sit the atoms
-    of its slice, listed root column by root column.  At an exceptional
-    alpha the vertical lines (the only ones looked for) are split off
-    exactly and the grid shifts half a step off them.  A mass off
+    of its slice, listed root row by root row of the kernel.  At an
+    exceptional alpha the vertical lines (the only ones looked for) are
+    split off exactly and the grid shifts half a step off them.  A mass off
     ``expected_mass`` by more than MASS_GAP_TOL raises MassGapExceeded.
     """
+    alpha = _unimodular_alpha(alpha)
     theta, quad, lines = _zeta1_rule(phi, alpha, grid_n)
     zeta1 = np.exp(1j * theta)
     roots, num, den, _ = _slice_atoms(phi, alpha, zeta1[:, None])
-    keep = ~np.isnan(roots.T)  # drops degree drops and zero slices
-    nodes = np.stack([np.broadcast_to(zeta1, keep.shape)[keep],
-                      roots.T[keep]], axis=-1)
-    weights = (quad * (num / den).T)[keep]
-    measure = ClarkMeasure(phi=phi, alpha=complex(alpha), grid_n=grid_n,
-                           nodes=nodes, weights=weights, lines=lines)
+    keep = ~np.isnan(roots).ravel()  # drops degree drops and zero slices
+    nodes = np.empty(roots.shape + (2,), dtype=complex)
+    nodes[..., 0], nodes[..., 1] = zeta1, roots
+    nodes = np.compress(keep, nodes.reshape(-1, 2), axis=0)
+    measure = ClarkMeasure(phi=phi, alpha=alpha, grid_n=grid_n, nodes=nodes,
+                           weights=(num / den * quad).ravel()[keep],
+                           lines=lines)
     _check_mass(measure, expected_mass(phi, alpha))
     return measure
 
@@ -165,7 +168,7 @@ def _zeta1_rule(phi, alpha, grid_n):
     measures of B average to arc length.  Without such roots B(z) = z.
     """
     hcoef = phi.level_coeffs(alpha)
-    roots = _poly.companion_roots(_poly.trim(hcoef[:, 0])[None])[0]
+    roots = _poly.companion_roots(_poly.trim(hcoef[:, :1]))[:, 0]
     lines = _lines(hcoef, phi.den.coeffs, roots)
     theta = _uniform_theta(grid_n)
     quad = np.full(grid_n, 1.0 / grid_n)
@@ -182,8 +185,8 @@ def _zeta1_rule(phi, alpha, grid_n):
         w *= np.prod((lines[0].tau - a) / (1.0 - np.conj(a) * lines[0].tau))
     c = np.poly(a)  # prod (z - a), highest power first
     # B(z) = w  <=>  z prod (z - a) - w prod (1 - conj(a) z) = 0
-    rows = (np.append(0.0, c[::-1])[None, :]
-            - w[:, None] * np.append(np.conj(c), 0.0)[None, :])
+    rows = (np.append(0.0, c[::-1])[:, None]
+            - w * np.append(np.conj(c), 0.0)[:, None])
     theta = np.sort(np.angle(_poly.companion_roots(rows)).ravel())
     z = np.exp(1j * theta)[:, None]
     # |B'| on the circle: 1 plus the Poisson kernel of each zero

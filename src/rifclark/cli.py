@@ -29,7 +29,9 @@ def _cap_threads():
 
 
 def parse_alpha(text: str) -> complex:
-    """Parse a unimodular target: 1, -1, i, -i, exp:t (angle t*pi), re,im."""
+    """Parse a unimodular target: 1, -1, i, -i, exp:t (angle t*pi), re,im.
+    ValueError for anything that is not a point of the circle (NaN and
+    infinite parts included)."""
     import numpy as np
 
     t = text.strip()
@@ -37,17 +39,18 @@ def parse_alpha(text: str) -> complex:
     if t in named:
         return named[t]
     if t.startswith("exp:"):
-        return complex(np.exp(1j * np.pi * float(t[4:])))
-    if "," in t:
+        with np.errstate(invalid="ignore"):  # exp:inf is NaN, refused below
+            a = complex(np.exp(1j * np.pi * float(t[4:])))
+    elif "," in t:
         re, im = (float(part) for part in t.split(",", 1))
         a = complex(re, im)
         mod = abs(a)
         if mod == 0.0:
             raise ValueError("alpha cannot be zero")
         a /= mod
-        return a
-    a = complex(float(t), 0.0)
-    if abs(abs(a) - 1.0) > 1e-9:
+    else:
+        a = complex(float(t), 0.0)
+    if not abs(abs(a) - 1.0) <= 1e-9:
         raise ValueError(f"alpha {text!r} is not unimodular")
     return a
 

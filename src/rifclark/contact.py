@@ -91,18 +91,19 @@ def _dyadic_paths(phi: Rif, alpha: complex, tau: complex, gamma: complex,
             raise FitDegenerate(
                 "level polynomial vanished on a slice near the singularity "
                 "(alpha is exceptional)")
-        near = np.flatnonzero(np.abs(roots[0] - gamma) < 1e-3)
+        near = np.flatnonzero(np.abs(roots[:, 0] - gamma) < 1e-3)
         if not near.size:
             raise ValueError(
                 f"no branch passes through ({tau:.6g}, {gamma:.6g}) at "
                 f"alpha={alpha:.6g}")
-        labels = _phase_labels(phi, alpha, zeta1, roots, closed=False)[dy_mask]
-        adm = labels[0, near[np.argsort(np.angle(roots[0, near]),
-                                        kind="stable")]]
-        # the column of each admitted label at every dyadic node
-        cols = np.argsort(labels, axis=1)[:, adm]
+        labels = _phase_labels(phi, alpha, zeta1, roots,
+                               closed=False)[:, dy_mask]
+        adm = labels[near[np.argsort(np.angle(roots[near, 0]),
+                                     kind="stable")], 0]
+        # the row of each admitted label at every dyadic node
+        at = np.argsort(labels, axis=0)[adm]
         out[side] = (deltas[dy_mask],
-                     np.take_along_axis(roots[dy_mask], cols, axis=1).T)
+                     np.take_along_axis(roots[:, dy_mask], at, axis=0))
     return out
 
 

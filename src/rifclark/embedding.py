@@ -156,7 +156,7 @@ def conj_rational(phi: Rif, alpha: complex,
         if np.max(np.abs(den_t)) < 1e-14:
             raise DenominatorVanishes(
                 "conjugate-coordinate denominator is identically zero")
-        mods = np.abs(companion_roots(den_t[None, :])[0])
+        mods = np.abs(companion_roots(den_t[:, None])[:, 0])
         if np.nanmin(mods, initial=np.inf) <= 1.0 + 1e-9:
             raise DenominatorVanishes(
                 f"denominator root of modulus {np.nanmin(mods):.6g} inside "
@@ -172,8 +172,8 @@ def conj_rational(phi: Rif, alpha: complex,
 
     cr = ConjRational(alpha=alpha, r1_num=r1_num, r1_den=r1_den,
                       r2_num=r2_num, r2_den=r2_den, max_residual=(0.0, 0.0))
-    z1 = np.exp(1j * _uniform_theta(grid_n))[:, None]
-    z2 = _slice_atoms(phi, alpha, z1)[0]  # NaN past a degree drop
+    z1 = np.exp(1j * _uniform_theta(grid_n))
+    z2 = _slice_atoms(phi, alpha, z1[:, None])[0]  # NaN past a degree drop
     z1 = np.broadcast_to(z1, z2.shape)
     res1 = float(np.nanmax(np.abs(cr.r1(z1, z2) - np.conj(z1))))
     res2 = float(np.nanmax(np.abs(cr.r2(z1, z2) - np.conj(z2))))

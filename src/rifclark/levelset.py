@@ -115,15 +115,22 @@ def _weight_tols(phi: Rif, alpha: complex):
 # slice atoms and branch labels
 # ---------------------------------------------------------------------------
 
+def _unimodular_alpha(alpha) -> complex:
+    """``alpha`` as a complex; ValueError off the circle (NaN included)."""
+    alpha = complex(alpha)
+    if not abs(abs(alpha) - 1.0) <= 1e-9:
+        raise ValueError("alpha must be unimodular")
+    return alpha
+
+
 def _solve_slices(hcoef, pts):
-    """Slice rows, padded roots, zero-slice flags and each row's largest
-    coefficient modulus of h over frozen points ``pts`` (m, d-1)."""
+    """Slice rows (k+1, m), padded roots (k, m), zero-slice flags and each
+    slice's largest coefficient modulus of h over frozen points (m, d-1)."""
     rows = slice_coeffs(hcoef, pts)
-    rowmax = _poly._row_reduce(np.maximum, np.abs(rows))
+    rowmax = np.max(np.abs(rows), axis=0)
     zero_rows = rowmax < ZERO_SLICE_REL_TOL * float(np.max(np.abs(hcoef)))
-    # zero rows are solved as the constant 1: no roots
-    roots = companion_roots(np.where(zero_rows[:, None],
-                                     np.eye(1, rows.shape[1]), rows)
+    # zero slices are solved as the constant 1: no roots
+    roots = companion_roots(np.where(zero_rows, np.eye(len(rows), 1), rows)
                             if zero_rows.any() else rows)
     return rows, roots, zero_rows, rowmax
 
@@ -132,42 +139,46 @@ def _slice_atoms(phi: Rif, alpha: complex, pts):
     """Every root of h(zeta', .) over frozen points ``pts`` (m, d-1) with
     its weight parts: (roots, num, den, zero_rows).
 
-    ``roots`` (m, k) holds each slice's roots, Newton-polished to rounding
-    (``_newton_polish``), in its first columns and NaN after them (a
-    degree drop, or a zero slice flagged in ``zero_rows``); ``num`` and
-    ``den`` are |p| and |d/dz_d h| there, so num / den is the mass of each
-    atom of the slice Clark measure.  Both come from one-variable rows in
-    z_d: ``den`` is the derivative of the slice row at the polished root,
-    ``num`` the slice row of p there.  No root is labeled.
+    ``roots`` (k, m) is root-major: row r is one contiguous array over
+    the slices, and column i holds slice i's roots, Newton-polished to
+    rounding (``_newton_polish``), in its first rows and NaN after them
+    (a degree drop, or a zero slice flagged in ``zero_rows``).  ``num``
+    and ``den`` (k, m) are |p| and |d/dz_d h| there, so num / den is the
+    mass of each atom of the slice Clark measure.  Both come from
+    one-variable rows in z_d: ``den`` is the derivative of the slice row
+    at the polished root, ``num`` the slice row of p there.  No root is
+    labeled.
     """
-    if abs(abs(alpha) - 1.0) > 1e-9:
-        raise ValueError("alpha must be unimodular")
+    alpha = _unimodular_alpha(alpha)
     rows, roots, zero_rows, rowmax = _solve_slices(phi.level_coeffs(alpha),
                                                    pts)
-    dh = _newton_polish(rows, rowmax, roots.T)
-    num = np.abs(_polyval_rows(slice_coeffs(phi.den.coeffs, pts), roots.T))
-    return roots, num.T, np.abs(dh).T, zero_rows
+    dh = _newton_polish(rows, rowmax, roots)
+    num = np.abs(_polyval_rows(slice_coeffs(phi.den.coeffs, pts)[:, None],
+                               roots))
+    return roots, num, np.abs(dh), zero_rows
 
 
 def _newton_polish(rows, rowmax, values):
     """Newton-polish roots in place and return d/dz h at them.
 
-    ``values`` (k, m) holds k roots of each of the m slice ``rows``, whose
-    largest coefficient moduli are ``rowmax``.  Every root takes one step;
-    a root whose step moved it by more than 4 eps |w| is not yet at a root
-    to rounding and takes the next, up to NEWTON_ITERS steps, so later
-    passes run only on the few gathered roots still moving.  A root with
-    |h'| <= 1e-8 rowmax is left where it is, and NaN padding stays NaN.
+    ``values`` (k, m) holds k roots of each of the m slice ``rows``
+    (K+1, m), whose largest coefficient moduli are ``rowmax``.  Every
+    root takes one step; a root whose step moved it by more than
+    4 eps |w| is not yet at a root to rounding and takes the next, up to
+    NEWTON_ITERS steps, so later passes run only on the few gathered
+    roots still moving.  A root with |h'| <= 1e-8 rowmax is left where
+    it is, and NaN padding stays NaN.
     The derivative returned is the one of each root's last step, or at
     the final root for a root still moving after NEWTON_ITERS steps.
     """
-    drows = rows[:, 1:] * np.arange(1, rows.shape[1])
+    drows = rows[1:] * np.arange(1, len(rows))[:, None]
     dh = np.empty_like(values)
     b = i = slice(None)  # the first pass runs on every root in place
+    at, dat = rows[:, None], drows[:, None]  # each slice's rows, per root
     for _ in range(NEWTON_ITERS):
         w = values[b, i]
-        step = _polyval_rows(rows[i], w)
-        fp = dh[b, i] = _polyval_rows(drows[i], w)
+        step = _polyval_rows(at, w)
+        fp = dh[b, i] = _polyval_rows(dat, w)
         guard = np.abs(fp) > 1e-8 * rowmax[i]
         np.divide(step, fp, out=step, where=guard)
         step[~guard] = 0.0
@@ -176,12 +187,13 @@ def _newton_polish(rows, rowmax, values):
         b, i = np.nonzero(moved) if moved.ndim == 2 else (b[moved], i[moved])
         if not i.size:
             return dh
-    dh[b, i] = _polyval_rows(drows[i], values[b, i])
+        at, dat = rows[:, i], drows[:, i]
+    dh[b, i] = _polyval_rows(dat, values[b, i])
     return dh
 
 
 def _phase_labels(phi: Rif, alpha: complex, zeta1, roots, closed: bool):
-    """Branch label in 0..k-1 of each slice root (m, k) over the path of
+    """Branch label in 0..k-1 of each slice root (k, m) over the path of
     zeta1 nodes (m,); the labels of NaN roots mean nothing.
 
     Each slice b = phi(zeta1, .) is a finite Blaschke product whose
@@ -211,10 +223,9 @@ def _phase_labels(phi: Rif, alpha: complex, zeta1, roots, closed: bool):
             "along the path")
     lift = np.cumsum(np.append(np.angle(ratio[0]), steps[:len(ratio) - 1]))
     # rank of each root counterclockwise from w_ref; NaN roots sort last
-    rank = np.argsort(np.argsort(np.angle(roots / w_ref) % TWO_PI, axis=1),
-                      axis=1)
-    return (np.floor(lift / TWO_PI).astype(int)[:, None] + 1 + rank) \
-        % roots.shape[1]
+    rank = np.argsort(np.argsort(np.angle(roots / w_ref) % TWO_PI, axis=0),
+                      axis=0)
+    return (np.floor(lift / TWO_PI).astype(int) + 1 + rank) % len(roots)
 
 
 def trace_branches(phi: Rif, alpha: complex,
@@ -241,11 +252,11 @@ def trace_branches(phi: Rif, alpha: complex,
     else:
         raise IdenticallyZeroSlice(
             "level polynomial vanished on a slice of the shifted grid")
-    n_br = roots.shape[1]
+    n_br = len(roots)
     labels = _phase_labels(phi, alpha, zeta1, roots, closed=True)
-    labels = (labels - labels[0, np.nanargmin(np.angle(roots[0]))]) % n_br
+    labels = (labels - labels[np.nanargmin(np.angle(roots[:, 0])), 0]) % n_br
     keep = ~np.isnan(roots)
-    at = (labels[keep], np.nonzero(keep)[0])
+    at = (labels[keep], np.nonzero(keep)[1])
     values = np.full((n_br, grid_n), np.nan, dtype=complex)
     weights = np.full((n_br, grid_n), np.nan)
     values[at] = roots[keep]
@@ -258,7 +269,7 @@ def _uniform_theta(grid_n):
     """The angles 2 pi k / grid_n of a valid grid size."""
     if grid_n < 256 or grid_n & (grid_n - 1):
         raise ValueError("grid_n must be a power of two, at least 256")
-    return unit_circle_points(grid_n)[0]
+    return TWO_PI * np.arange(grid_n) / grid_n
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +303,10 @@ def detect_lines(phi: Rif, alpha: complex) -> list[LineComponent]:
     """
     if phi.dim != 2:
         raise ValueError("detect_lines expects a two-variable inner function")
-    hcoef, pcoef = phi.level_coeffs(alpha), phi.den.coeffs
+    hcoef, pcoef = phi.level_coeffs(_unimodular_alpha(alpha)), phi.den.coeffs
     out: list[LineComponent] = []
     for h, p, axis in ((hcoef, pcoef, 1), (hcoef.T, pcoef.T, 2)):
-        out += _lines(h, p, companion_roots(_poly.trim(h[:, 0])[None])[0], axis)
+        out += _lines(h, p, companion_roots(_poly.trim(h[:, :1]))[:, 0], axis)
     return out
 
 
@@ -316,11 +327,11 @@ def _lines(hcoef, pcoef, roots, axis=1):
     near = roots[np.abs(np.abs(roots) - 1.0) < UNIMODULAR_TOL]  # NaN: False
     if not near.size:
         return []
-    row = hcoef[None, :, 0]
-    _newton_polish(row, np.max(np.abs(row), axis=1), near[:, None])
+    row = hcoef[:, :1]
+    _newton_polish(row, np.max(np.abs(row), axis=0), near[:, None])
     seeds = near / np.abs(near)
     t1, _, seed = _torus_zeros(pcoef, seeds)
-    flat = np.max(np.abs(slice_coeffs(hcoef, t1[:, None])), axis=1) \
+    flat = np.max(np.abs(slice_coeffs(hcoef, t1[:, None])), axis=0) \
         <= LINE_TOL * float(np.max(np.abs(hcoef)))
     taus = sorted(seeds[np.unique(seed[flat])].tolist(),
                   key=lambda t: float(np.angle(t)) % TWO_PI)
@@ -353,7 +364,7 @@ def find_singularities(phi: Rif) -> list[tuple[complex, complex]]:
     if phi.dim != 2:
         raise ValueError("find_singularities expects a two-variable function")
     p = phi.den
-    res = companion_roots(_resultant_coeffs(p)[None, :])[0]
+    res = companion_roots(_resultant_coeffs(p)[:, None])[:, 0]
     eps_root = np.finfo(float).eps ** (0.5 / max(p.degrees[1], 1))
     tau1, _ = _circle_clusters(res, max(1e-3, 10.0 * eps_root))
     t1, t2, _ = _torus_zeros(p.coeffs, tau1 / np.abs(tau1))
@@ -379,9 +390,9 @@ def _torus_zeros(coeffs, tau1):
     """
     window = 10.0 * np.finfo(float).eps ** (1.0 / max(coeffs.shape[1] - 1, 1))
     cand = []  # (seed index, tau2, multiplicity of the root tau2)
-    for i, roots in enumerate(companion_roots(
-            slice_coeffs(coeffs, tau1[:, None]))):
-        tau2, count = _circle_clusters(roots, window)
+    roots = companion_roots(slice_coeffs(coeffs, tau1[:, None]))
+    for i in range(len(tau1)):
+        tau2, count = _circle_clusters(roots[:, i], window)
         cand += zip([i] * len(tau2), tau2, count)
     if not cand:
         return np.zeros(0, complex), np.zeros(0, complex), np.zeros(0, int)
@@ -410,12 +421,12 @@ def _polish_on_torus(coeffs, t1, t2):
     step exceeds 1e-9 (or that is not finite) keeps its input.
     """
     d1 = derivative_coeffs(coeffs, 1)
-    k = np.arange(1, coeffs.shape[1])
+    k = np.arange(1, coeffs.shape[1])[:, None]
 
     def slope(theta, w):
         z1 = np.exp(1j * theta)
         rows = slice_coeffs(coeffs, z1[:, None])
-        drows = rows[:, 1:] * k
+        drows = rows[1:] * k
         for _ in range(3):
             w = w - _polyval_rows(rows, w) / _polyval_rows(drows, w)
         ratio = z1 * _polyval_rows(slice_coeffs(d1, z1[:, None]), w) \
@@ -452,8 +463,8 @@ def _resultant_coeffs(p: PolyMD):
             slice_coeffs(np.conj(p.coeffs[::-1, ::-1]), z1[:, None]))
     syl = np.zeros((len(z1), 2 * n2, 2 * n2), dtype=complex)
     for k in range(n2):  # rows k and n2 + k: p's and p~'s, shifted by k
-        syl[:, k, k:k + n2 + 1] = rows[0]
-        syl[:, n2 + k, k:k + n2 + 1] = rows[1]
+        syl[:, k, k:k + n2 + 1] = rows[0].T
+        syl[:, n2 + k, k:k + n2 + 1] = rows[1].T
     return np.fft.fft(np.linalg.det(syl)) / len(z1)
 
 

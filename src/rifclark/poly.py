@@ -138,23 +138,25 @@ def eval_poly(p: PolyMD, z):
 def _eval_tensor(coeffs, zs):
     """The polynomial with coefficient tensor ``coeffs`` at broadcastable
     coordinate arrays ``zs``, one per variable: one Horner pass
-    (``_polyval_rows``) per variable, first variable first, the order of
-    slice_coeffs (so weight_parts matches the slice kernel to rounding)."""
+    (``_polyval_rows``) per variable over the leading axis, first
+    variable first, the order of slice_coeffs (so weight_parts matches
+    the slice kernel to rounding)."""
     zs = np.broadcast_arrays(*zs)
     acc = coeffs.reshape(coeffs.shape + (1,) * zs[0].ndim)
     for z in zs:
-        acc = _polyval_rows(np.moveaxis(acc, 0, -1), z)
+        acc = _polyval_rows(acc, z)
     return acc[()]  # a scalar at one point
 
 
 def _polyval_rows(rows, w):
-    """Evaluate per-row polynomials: rows (..., k+1) at points w (...,)."""
-    acc = np.empty(np.broadcast_shapes(rows.shape[:-1], np.shape(w)),
+    """Evaluate polynomials given coefficient-major: row j of ``rows``
+    (k+1, ...) holds the z^j coefficients, broadcast against points w."""
+    acc = np.empty(np.broadcast_shapes(rows.shape[1:], np.shape(w)),
                    dtype=np.result_type(rows, w))
-    acc[...] = rows[..., -1]
-    for k in range(rows.shape[-1] - 2, -1, -1):
+    acc[...] = rows[-1]
+    for k in range(len(rows) - 2, -1, -1):
         acc *= w  # in place: fresh temporaries of a large batch cost more
-        acc += rows[..., k]
+        acc += rows[k]
     return acc
 
 
@@ -183,60 +185,57 @@ def slice_coeffs(coeffs, points, axis=None):
     variables except ``axis`` (1-based, default: the last variable).
 
     ``points`` is an array of shape (..., d-1) whose rows hold the frozen
-    coordinates in variable order with ``axis`` removed.  Returns an array
-    of shape (..., n_axis + 1).  Each frozen axis is contracted in turn
-    against its matrix of powers: the first by one matmul with the
-    coefficient tensor, the others row by row.
+    coordinates in variable order with ``axis`` removed.  Returns the
+    slice rows coefficient-major, shape (n_axis + 1, ...): row j, the
+    z^j coefficient, is one contiguous array over all points.  The first
+    frozen axis is contracted by one matmul against its (n, m) power
+    rows; each later one by Horner over its coefficient rows.
     """
     coeffs = _as_coeff_tensor(coeffs)
     d = coeffs.ndim
     if axis is None:
         axis = d
-    a = axis - 1
     pts = np.asarray(points, dtype=np.complex128)
     if d == 1:
         if pts.shape[-1] != 0:
             raise ValueError("univariate polynomial takes no frozen coordinates")
-        return np.broadcast_to(coeffs, pts.shape[:-1] + coeffs.shape).copy()
+        return np.broadcast_to(coeffs.reshape(coeffs.shape + (1,) * (
+            pts.ndim - 1)), coeffs.shape + pts.shape[:-1]).copy()
     if pts.shape[-1] != d - 1:
         raise ValueError(f"expected {d - 1} frozen coordinates per point")
-    moved = np.moveaxis(coeffs, a, -1)
+    # free axis first, then the frozen axes after the first, then the first
+    moved = np.moveaxis(np.moveaxis(coeffs, axis - 1, 0), 1, -1)
     flat = pts.reshape(-1, d - 1)
-    n0 = moved.shape[0]
-    acc = _powers(flat[:, 0], n0) @ moved.reshape(n0, -1)
-    for k in range(1, d - 1):
-        acc = np.einsum("mj,mjr->mr", _powers(flat[:, k], moved.shape[k]),
-                        acc.reshape(len(flat), moved.shape[k], -1))
-    return acc.reshape(pts.shape[:-1] + moved.shape[-1:])
-
-
-def _row_reduce(ufunc, a):
-    """``ufunc`` (np.maximum, np.minimum) reduced over the last axis of a
-    2-D array column by column: numpy reduces a short trailing axis
-    several times slower than it combines whole columns."""
-    out = a[:, 0].copy()
-    for j in range(1, a.shape[1]):
-        ufunc(out, a[:, j], out=out)
-    return out
+    acc = moved.reshape(-1, moved.shape[-1]) @ _powers(flat[:, 0],
+                                                        moved.shape[-1])
+    acc = acc.reshape(moved.shape[:-1] + (len(flat),))
+    for k in range(1, d - 1):  # the next frozen axis is acc's second
+        out = acc[:, -1].copy()
+        for j in range(acc.shape[1] - 2, -1, -1):
+            out *= flat[:, k]
+            out += acc[:, j]
+        acc = out
+    return acc.reshape(acc.shape[:1] + pts.shape[:-1])
 
 
 def _powers(z, n):
-    """The (m, n) matrix of z**j, j < n, for points z (m,)."""
-    out = np.empty((len(z), n), dtype=np.complex128)
-    out[:, 0] = 1.0
+    """The (n, m) rows z**j, j < n, for points z (m,)."""
+    out = np.empty((n, len(z)), dtype=np.complex128)
+    out[0] = 1.0
     for j in range(1, n):
-        out[:, j] = out[:, j - 1] * z
+        np.multiply(out[j - 1], z, out=out[j])
     return out
 
 
 def companion_roots(batch_coeffs):
     """Roots of a batch of univariate polynomials.
 
-    ``batch_coeffs`` has shape (m, k+1), constant term first.  Rows are
-    trimmed individually: trailing coefficients below DEGREE_DROP_REL_TOL
-    times the row maximum are treated as zero (degree drop).  Returns an
-    (m, k) array: row i holds the deg_i roots of row i in its first
-    columns and NaN after them.
+    ``batch_coeffs`` has shape (k+1, m), coefficient-major as
+    slice_coeffs returns it: column i holds polynomial i, constant term
+    first.  Columns are trimmed individually: trailing coefficients below
+    DEGREE_DROP_REL_TOL times the column maximum are treated as zero
+    (degree drop).  Returns a (k, m) array: column i holds the deg_i
+    roots of polynomial i in its first rows and NaN after them.
 
     By effective degree: 1 is solved directly, 2 by the stable quadratic
     formula and 3 by Cardano's formula plus one Newton step.  Degree 4
@@ -248,93 +247,93 @@ def companion_roots(batch_coeffs):
     """
     c = np.asarray(batch_coeffs, dtype=np.complex128)
     size = np.abs(c)
-    k = c.shape[1] - 1
-    tol = DEGREE_DROP_REL_TOL * _row_reduce(np.maximum, size)
-    eff_deg = np.full(len(c), -1)  # the last coefficient above tol
+    k, m = c.shape[0] - 1, c.shape[1]
+    tol = DEGREE_DROP_REL_TOL * np.max(size, axis=0)
+    eff_deg = np.full(m, -1)  # the last coefficient above tol
     for j in range(k + 1):
-        eff_deg[size[:, j] > tol] = j
-    out = np.full((len(c), k), np.nan, dtype=np.complex128)
+        eff_deg[size[j] > tol] = j
+    out = np.full((k, m), np.nan, dtype=np.complex128)
     for deg in range(1, k + 1):
         sel = eff_deg == deg
         count = np.count_nonzero(sel)
         if count == 0:
             continue
-        # a class of every row (any build at a generic alpha) is indexed
-        # in place, without a gather from c and a scatter into out
-        idx = slice(None) if count == len(c) else np.flatnonzero(sel)
-        # (deg, rows) then transposed: numpy divides and later splits long
-        # columns faster than short rows
-        monic = (c[idx, :deg].T / c[idx, deg]).T
+        # a class of every column (any build at a generic alpha) is
+        # indexed in place, without a gather from c and a scatter into out
+        idx = slice(None) if count == m else np.flatnonzero(sel)
+        monic = c[:deg, idx] / c[deg, idx]
         if deg == 1:
             roots = -monic
         elif deg <= 3:
             solve = _quadratic_roots if deg == 2 else _cubic_roots
             roots, tight = solve(monic)
             if tight.any():
-                roots[tight] = _eigvals(monic[tight])
+                roots[:, tight] = _eigvals(monic[:, tight])
         else:
             roots = _eigvals(monic)
-        out[idx, :deg] = roots
+        out[:deg, idx] = roots
     return out
 
 
 def _quadratic_roots(monic):
-    """Roots (m, 2) of z^2 + b z + c from rows [c, b], and which rows have
-    coalescing roots.  The square root takes the sign that makes |b + d|
-    largest, so r1 = -(b + d) / 2 has no cancellation and r2 = c / r1."""
-    c, b = monic.T
+    """Roots (2, m) of z^2 + b z + c from rows [c, b], and which columns
+    have coalescing roots.  The square root takes the sign that makes
+    |b + d| largest, so r1 = -(b + d) / 2 has no cancellation and
+    r2 = c / r1."""
+    c, b = monic
     d = np.sqrt(b * b - 4.0 * c)
-    d = np.where((b.conjugate() * d).real < 0.0, -d, d)
-    r1 = -0.5 * (b + d)
-    live = r1 != 0.0  # r1 = 0 only for b = c = 0, a double root at 0
-    r2 = np.where(live, c / np.where(live, r1, 1.0), 0.0)
+    np.negative(d, out=d, where=(b.conjugate() * d).real < 0.0)
+    roots = np.zeros((2,) + b.shape, dtype=np.complex128)
+    r1 = np.multiply(-0.5, b + d, out=roots[0])
+    # r1 = 0 only for b = c = 0, a double root at 0, where r2 stays 0
+    np.divide(c, r1, out=roots[1], where=r1 != 0.0)
     # the roots are |d| apart and |r1| >= |r2|
     tight = np.abs(d) <= COALESCE_REL_TOL * np.abs(r1)
-    return np.stack([r1, r2], axis=1), tight
+    return roots, tight
 
 
 _OMEGA = np.exp(2j * np.pi / 3.0)
 
 
 def _cubic_roots(monic):
-    """Roots (m, 3) of z^3 + a z^2 + b z + c from rows [c, b, a], and which
-    rows have coalescing roots.  Cardano on the depressed cubic
+    """Roots (3, m) of z^3 + a z^2 + b z + c from rows [c, b, a], and which
+    columns have coalescing roots.  Cardano on the depressed cubic
     t^3 + p t + q (z = t - a/3) with u^3 = -(q/2 + s), s^2 = (q/2)^2 +
     (p/3)^3 and the sign of s that makes |u| largest, then one Newton
-    step on every root of the rows without coalescing roots."""
-    c, b, a = monic.T
+    step on every root of the columns without coalescing roots."""
+    c, b, a = monic
     shift = a / 3.0
     p3 = (b - a * shift) / 3.0
     w = 0.5 * (c + shift * (2.0 * shift * shift - b))
     s = np.sqrt(w * w + p3 ** 3)
-    s = np.where((w.conjugate() * s).real < 0.0, -s, s)
+    np.negative(s, out=s, where=(w.conjugate() * s).real < 0.0)
     u3 = -(w + s)
     u = np.cbrt(np.abs(u3)) * np.exp(1j * np.angle(u3) / 3.0)
-    live = u != 0.0  # u = 0 only for p = q = 0, a triple root
-    v = np.where(live, -p3 / np.where(live, u, 1.0), 0.0)
+    # u = 0 only for p = q = 0, a triple root, where v stays 0
+    v = np.divide(-p3, u, out=np.zeros_like(u), where=u != 0.0)
     z = np.stack([u + v, _OMEGA * u + _OMEGA.conjugate() * v,
-                  _OMEGA.conjugate() * u + _OMEGA * v], axis=1)
-    z -= shift[:, None]
+                  _OMEGA.conjugate() * u + _OMEGA * v])
+    z -= shift
     i, j = np.triu_indices(3, 1)
-    tight = _row_reduce(np.minimum, np.abs(z[:, i] - z[:, j])) \
-        <= COALESCE_REL_TOL * _row_reduce(np.maximum, np.abs(z))
-    a, b, c = a[~tight, None], b[~tight, None], c[~tight, None]
-    zt = z[~tight]
+    tight = np.min(np.abs(z[i] - z[j]), axis=0) \
+        <= COALESCE_REL_TOL * np.max(np.abs(z), axis=0)
+    loose = slice(None) if not tight.any() else ~tight
+    a, b, c, zt = a[loose], b[loose], c[loose], z[:, loose]
     f = ((zt + a) * zt + b) * zt + c
     fp = (3.0 * zt + 2.0 * a) * zt + b
-    live = fp != 0.0
-    z[~tight] = zt - np.where(live, f / np.where(live, fp, 1.0), 0.0)
+    z[:, loose] = zt - np.divide(f, fp, out=np.zeros_like(f), where=fp != 0.0)
     return z, tight
 
 
 def _eigvals(monic):
-    """Companion-matrix eigenvalues (m, deg) of monic rows (m, deg)."""
-    deg = monic.shape[1]
-    comp = np.zeros((len(monic), deg, deg), dtype=np.complex128)
+    """Companion-matrix eigenvalues (deg, m) of monic rows (deg, m): one
+    matrix per column given, none for the others."""
+    deg, m = monic.shape
+    comp = np.zeros((m, deg, deg), dtype=np.complex128)
     comp[:, 1:, :-1] = np.eye(deg - 1)
-    comp[:, :, -1] = -monic
+    comp[:, :, -1] = -monic.T
     try:
-        return np.linalg.eigvals(comp)
+        return np.linalg.eigvals(comp).T
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise RootFindFailure(str(exc)) from exc
 
@@ -384,8 +383,7 @@ def stability_check(p: PolyMD, grid_n: int | None = None) -> StabilityCertificat
         else:
             grids = np.meshgrid(*([disk] * (p.dim - 1)), indexing="ij")
             frozen = np.stack([g.ravel() for g in grids], axis=-1)
-        sc = slice_coeffs(p.coeffs, frozen, axis=axis)
-        roots = companion_roots(sc.reshape(-1, sc.shape[-1]))
+        roots = companion_roots(slice_coeffs(p.coeffs, frozen, axis=axis))
         min_mod = float(np.min(np.abs(roots), initial=min_mod,
                                where=~np.isnan(roots)))
     stable = bool(min_mod > 1.0 - 1e-9)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .clark import ClarkMeasure, _check_mass, total_mass
 from .errors import RootFindFailure, SingularDenominator, UnstableDenominator
-from .levelset import _slice_atoms
+from .levelset import _slice_atoms, _unimodular_alpha
 from .poly import PolyMD, Rif, _eval_tensor, stability_check
 from .util import TWO_PI
 
@@ -42,7 +42,7 @@ def build_measure_d(phi: Rif, alpha: complex,
     The nodes over each grid point (zeta1, zeta2) are all roots zeta3 of
     its slice from ``levelset._slice_atoms``, as in the 2-variable
     builder.  They are (grid_n**2 * n, 3) with n the degree in z3, listed
-    root column by root column and weighted by the tensor trapezoid rule
+    root row by root row and weighted by the tensor trapezoid rule
     times the Clark weight |p| / |d/dz3 (q - alpha p)|.
 
     The atoms over each grid point carry the mass of their slice's Clark
@@ -55,8 +55,7 @@ def build_measure_d(phi: Rif, alpha: complex,
     """
     if phi.dim != 3:
         raise ValueError("build_measure_d handles exactly three variables")
-    if abs(abs(complex(alpha)) - 1.0) > 1e-9:
-        raise ValueError("alpha must be unimodular")
+    alpha = _unimodular_alpha(alpha)
     cert = _certificate(phi.den.coeffs.shape, phi.den.coeffs.tobytes())
     if not cert.is_stable or cert.min_modulus_on_grid <= 1.0 + 1e-6:
         raise UnstableDenominator(
@@ -74,12 +73,12 @@ def build_measure_d(phi: Rif, alpha: complex,
         raise RootFindFailure(
             "a slice dropped degree; the surface is not a clean cover "
             "of the 2-torus")
-    flat = roots.T
-    zs = [np.broadcast_to(pts[:, 0], flat.shape),
-          np.broadcast_to(pts[:, 1], flat.shape), flat]
-    measure = ClarkMeasure(phi=phi, alpha=complex(alpha), grid_n=N,
-                           nodes=np.stack(zs, axis=-1).reshape(-1, 3),
-                           weights=(num / den).T.ravel() / (N * N), lines=[])
+    nodes = np.empty(roots.shape + (3,), dtype=complex)
+    nodes[..., :2] = pts
+    nodes[..., 2] = roots
+    measure = ClarkMeasure(phi=phi, alpha=alpha, grid_n=N,
+                           nodes=nodes.reshape(-1, 3),
+                           weights=(num / den).ravel() / (N * N), lines=[])
     _check_mass(measure, np.mean(_slice_masses(phi, alpha, pts)))
     return measure
 
@@ -112,8 +111,8 @@ total_mass_d = total_mass
 
 def _family_check(s: float):
     s = float(s)
-    if s < 3.0:
-        raise ValueError("the family needs s >= 3 (inner only there)")
+    if not 3.0 <= s < np.inf:  # NaN fails both
+        raise ValueError("the family needs a finite s >= 3 (inner only there)")
     return s
 
 
@@ -124,32 +123,31 @@ def tridisk_level(s: float, alpha: complex, zeta1, zeta2):
           (s z1 z2 - z1 - z2 + alpha); the denominator vanishes only at
     s = 3, alpha = -1, (1, 1), which raises SingularDenominator.
     """
-    s = _family_check(s)
-    a = complex(alpha)
-    z1 = np.asarray(zeta1, dtype=complex)
-    z2 = np.asarray(zeta2, dtype=complex)
-    den = s * z1 * z2 - z1 - z2 + a
-    if np.any(np.abs(den) < 1e-12 * (s + 3.0)):
-        raise SingularDenominator(
-            "level-surface denominator vanishes (s = 3, alpha = -1 corner)")
-    out = (a * s - a * z1 - a * z2 + z1 * z2) / den
+    out = _family(s, alpha, zeta1, zeta2)[0]
     return complex(out) if out.ndim == 0 else out
 
 
 def tridisk_weight(s: float, alpha: complex, zeta1, zeta2):
     """Closed-form Clark weight W_{s,alpha}(zeta1, zeta2) of the family."""
-    s = _family_check(s)
-    a = complex(alpha)
+    out = _family(s, alpha, zeta1, zeta2)[1]
+    return float(out) if out.ndim == 0 else out
+
+
+def _family(s, alpha, zeta1, zeta2):
+    """The level surface psi and the weight W of phi_s over (zeta1, zeta2),
+    with their shared denominator formed and checked once; ValueError for
+    s or alpha outside the family's range."""
+    s, a = _family_check(s), _unimodular_alpha(alpha)
     z1 = np.asarray(zeta1, dtype=complex)
     z2 = np.asarray(zeta2, dtype=complex)
     den = s * z1 * z2 - z1 - z2 + a
     if np.any(np.abs(den) < 1e-12 * (s + 3.0)):
         raise SingularDenominator(
-            "weight denominator vanishes (s = 3, alpha = -1 corner)")
+            "family denominator vanishes (s = 3, alpha = -1 corner)")
     num = (s * s * z1 * z2 - s * (z1 * z1 * z2 + z1 * z2 * z2 + z1 + z2)
            + z1 * z1 + z1 * z2 + z2 * z2)
-    out = np.abs(num) / np.abs(den) ** 2
-    return float(out) if out.ndim == 0 else out
+    return ((a * s - a * z1 - a * z2 + z1 * z2) / den,
+            np.abs(num) / np.abs(den) ** 2)
 
 
 @dataclass(frozen=True)
@@ -180,7 +178,7 @@ def verify_poisson_d(s: float, alpha: complex, z,
     8x-refined subgrid.
     """
     s = _family_check(s)
-    a = complex(alpha)
+    a = _unimodular_alpha(alpha)
     z = np.asarray(z, dtype=complex)
     if z.shape != (3,) or np.any(np.abs(z) >= 1.0):
         raise ValueError("z must be an interior point of the tridisk")
@@ -196,8 +194,7 @@ def verify_poisson_d(s: float, alpha: complex, z,
     def node_values(t1, t2):
         z1 = np.exp(1j * t1)
         z2 = np.exp(1j * t2)
-        w = tridisk_weight(s, a, z1, z2)
-        psi = tridisk_level(s, a, z1, z2)
+        psi, w = _family(s, a, z1, z2)
         return w * (_poisson1(z1, z[0]) * _poisson1(z2, z[1])
                     * _poisson1(psi, z[2]))
 

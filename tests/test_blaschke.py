@@ -27,9 +27,9 @@ def one_slice(phi, alpha, zeta1):
     roots, num, den, zero_rows = _slice_atoms(phi, alpha,
                                               np.array([[zeta1]]))
     assert not zero_rows[0]
-    keep = np.flatnonzero(~np.isnan(roots[0]))
-    keep = keep[np.argsort(np.angle(roots[0, keep]))]
-    return roots[0, keep], num[0, keep], den[0, keep]
+    keep = np.flatnonzero(~np.isnan(roots[:, 0]))
+    keep = keep[np.argsort(np.angle(roots[keep, 0]))]
+    return roots[keep, 0], num[keep, 0], den[keep, 0]
 
 
 def test_slice_roots_match_closed_form():
@@ -79,7 +79,7 @@ def test_identically_zero_slice_is_flagged():
     # the slice at zeta1 = 1 of fav at alpha = -1 lies on the line {1} x T
     phi = catalog.simple_singular_rif()
     roots, _, _, zero_rows = _slice_atoms(phi, -1.0 + 0.0j, np.array([[1.0]]))
-    assert zero_rows[0] and np.isnan(roots[0]).all()
+    assert zero_rows[0] and np.isnan(roots[:, 0]).all()
 
 
 def test_slice_through_singularity_is_degenerate():

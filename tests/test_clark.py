@@ -463,6 +463,14 @@ def test_mass_gap_raises_instead_of_wrong_mass(product, dt, N):
     assert clark.verify_poisson(m, _poisson_points()).max_rel_err <= 1e-10
 
 
+@pytest.mark.parametrize("alpha", [np.nan, complex(np.nan, 0.0), np.inf])
+def test_build_measure_refuses_non_finite_alpha(fav, alpha):
+    # a NaN alpha fails every comparison: the guard refuses it up front,
+    # not as a mass gap of NaN after the build
+    with pytest.raises(ValueError, match="unimodular"):
+        clark.build_measure(fav, alpha, 256)
+
+
 def test_product_builds_where_its_branches_meet(product):
     # at alpha = -1 the two roots of the slice at zeta1 = 1 coincide
     m = clark.build_measure(product, -1.0 + 0.0j, 256)

@@ -36,6 +36,24 @@ def test_parse_alpha_rejects_bad_values():
         parse_alpha("0.5")
 
 
+@pytest.mark.parametrize("text", ["nan", "exp:nan", "nan,0", "inf,0",
+                                  "exp:inf"])
+def test_parse_alpha_refuses_non_finite_forms(text):
+    with pytest.raises(ValueError):
+        parse_alpha(text)
+
+
+@pytest.mark.parametrize("flags", [["--s", "3.5", "--alpha", "nan"],
+                                   ["--s", "nan", "--alpha", "1"],
+                                   ["--s", "inf", "--alpha", "1"]])
+def test_tridisk_refuses_non_finite_alpha_and_s(flags, tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    rc = main(["tridisk", *flags, "--grid", "8", "--diagonal",
+               "--out", str(out)])
+    assert rc == 1 and not out.exists()
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValueError"
+
+
 def test_analyze_verify_round_trip(fav_json, tmp_path, capsys):
     mpath = str(tmp_path / "m.json")
     rc = main(["analyze", "--poly", fav_json, "--alpha", "i",

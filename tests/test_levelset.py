@@ -78,6 +78,11 @@ def test_detect_lines_generic_alpha_empty(fav, squared):
     assert levelset.detect_lines(squared, 1.0j) == []
 
 
+def test_detect_lines_refuses_non_finite_alpha(fav):
+    with pytest.raises(ValueError):
+        levelset.detect_lines(fav, np.nan)
+
+
 def test_fav_exceptional_lines():
     phi = catalog.simple_singular_rif()
     lines = levelset.detect_lines(phi, -1.0 + 0.0j)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rifclark import catalog
 from rifclark.errors import DegreeNotAttained, ZeroPolynomial
+from rifclark.levelset import _slice_atoms
 from rifclark.poly import (PolyMD, Rif, companion_roots, derivative_coeffs,
                            eval_poly, poly_from_json, poly_to_json, reflect,
                            slice_coeffs, stability_check, trim)
@@ -121,25 +122,26 @@ def test_slice_coeffs_agrees_with_eval():
     zp = np.array([[0.7 + 0.1j], [0.2 - 0.5j]], dtype=complex)
     rows = slice_coeffs(P_FAV.coeffs, zp)
     for k in range(2):
-        poly1d = np.polynomial.polynomial.polyval(0.3j, rows[k])
+        poly1d = np.polynomial.polynomial.polyval(0.3j, rows[:, k])
         direct = complex(eval_poly(P_FAV, (zp[k, 0], 0.3j)))
         assert abs(poly1d - direct) < 1e-13
 
 
 def test_slice_coeffs_along_first_axis():
     zp = np.array([[0.4 - 0.2j]], dtype=complex)  # frozen z2
-    row = slice_coeffs(P_FAV.coeffs, zp, axis=1)[0]
+    row = slice_coeffs(P_FAV.coeffs, zp, axis=1)[:, 0]
     val = np.polynomial.polynomial.polyval(0.6, row)
     assert abs(val - complex(eval_poly(P_FAV, (0.6, zp[0, 0])))) < 1e-13
 
 
 def _broadcast_slice_coeffs(coeffs, pts, axis):
-    """Reference: contract each frozen axis by a broadcast multiply-and-sum."""
-    acc = np.moveaxis(coeffs, axis - 1, -1)[None]
+    """Reference: contract each frozen axis by a broadcast multiply-and-sum;
+    coefficient-major, (n_axis + 1, m)."""
+    acc = np.moveaxis(coeffs, axis - 1, 0)[..., None]
     for k in range(pts.shape[-1]):
-        powers = pts[:, k, None] ** np.arange(acc.shape[1])
-        extra = (1,) * (acc.ndim - 2)
-        acc = np.sum(acc * powers.reshape(powers.shape + extra), axis=1)
+        powers = pts[:, k] ** np.arange(acc.shape[1])[:, None]
+        acc = np.sum(acc * powers.reshape(powers.shape[:1] + (1,) * (
+            acc.ndim - 3) + powers.shape[1:]), axis=1)
     return acc
 
 
@@ -152,9 +154,9 @@ def test_slice_coeffs_matches_broadcast_reference(shape):
     for axis in range(1, len(shape) + 1):
         got = slice_coeffs(c, pts, axis=axis)
         ref = _broadcast_slice_coeffs(c, pts, axis)
-        assert got.shape == (50, shape[axis - 1])
+        assert got.shape == (shape[axis - 1], 50)
         assert np.max(np.abs(got - ref)) < 1e-14 * np.sum(np.abs(c))
-    assert slice_coeffs(c, pts.reshape(5, 10, -1)).shape == (5, 10, shape[-1])
+    assert slice_coeffs(c, pts.reshape(5, 10, -1)).shape == (shape[-1], 5, 10)
 
 
 EPS = np.finfo(float).eps
@@ -195,7 +197,7 @@ def test_closed_form_roots_match_numpy(deg, parts, root_exp, lead_exp, form):
         roots[:] = roots[0]
     c = np.poly(roots)[::-1] * 10.0 ** lead_exp
     row = np.append(c, 0.0) if form == "drop" else c
-    got = companion_roots(row[None, :])[0]
+    got = companion_roots(row[:, None])[:, 0]
     assert got.shape == (len(row) - 1,)
     assert np.isnan(got[deg:]).all() and not np.isnan(got[:deg]).any()
     got = got[:deg]
@@ -227,53 +229,72 @@ def test_closed_form_roots_keep_every_root_to_relative_eps(roots):
     # nearly t^3 - 1: the sign choices and the Newton step keep every root
     # to relative rounding, where cancellation would lose them
     roots = np.array(roots, dtype=complex)
-    got = companion_roots(np.poly(roots)[::-1][None, :])[0]
+    got = companion_roots(np.poly(roots)[::-1][:, None])[:, 0]
     for r in roots:
         assert np.min(np.abs(got - r)) <= 8 * EPS * abs(r)
 
 
 def test_companion_roots_match_numpy():
-    rows = np.array([[6.0, -5.0, 1.0], [2.0, -3.0, 1.0]], dtype=complex)
+    rows = np.array([[6.0, 2.0], [-5.0, -3.0], [1.0, 1.0]], dtype=complex)
     got = companion_roots(rows)
     assert got.shape == (2, 2) and not np.isnan(got).any()
-    for k, row in enumerate(rows):
+    for k, row in enumerate(rows.T):
         expect = np.sort_complex(np.roots(row[::-1]))
-        assert np.allclose(np.sort_complex(got[k]), expect)
+        assert np.allclose(np.sort_complex(got[:, k]), expect)
 
 
 def test_companion_roots_degree_drop():
-    # vanishing leading coefficient in one row yields one fewer root
-    # there: the padded row ends in NaN
-    rows = np.array([[6.0, -5.0, 1.0], [1.0, 1.0, 0.0]], dtype=complex)
+    # vanishing leading coefficient in one column yields one fewer root
+    # there: the padded column ends in NaN
+    rows = np.array([[6.0, 1.0], [-5.0, 1.0], [1.0, 0.0]], dtype=complex)
     got = companion_roots(rows)
     assert got.shape == (2, 2)
-    assert not np.isnan(got[0]).any()
-    assert not np.isnan(got[1, 0]) and np.isnan(got[1, 1])
-    assert abs(got[1, 0] + 1.0) < 1e-12
+    assert not np.isnan(got[:, 0]).any()
+    assert not np.isnan(got[0, 1]) and np.isnan(got[1, 1])
+    assert abs(got[0, 1] + 1.0) < 1e-12
 
 
 def test_companion_roots_empty_and_constant_batches():
-    assert companion_roots(np.empty((0, 4), dtype=complex)).shape == (0, 3)
-    assert companion_roots(np.empty((0, 1), dtype=complex)).shape == (0, 0)
-    assert companion_roots(np.ones((3, 1), dtype=complex)).shape == (3, 0)
+    assert companion_roots(np.empty((4, 0), dtype=complex)).shape == (3, 0)
+    assert companion_roots(np.empty((1, 0), dtype=complex)).shape == (0, 0)
+    assert companion_roots(np.ones((1, 3), dtype=complex)).shape == (0, 3)
 
 
 @pytest.mark.parametrize("deg", [1, 2, 3, 4])
 def test_companion_roots_in_place_and_gathered_agree(deg):
     # a degree class that fills the batch is solved in place, one that
-    # shares it with a degree-drop row is gathered; both give the same
-    # roots bit for bit, as does each row solved alone
+    # shares it with a degree-drop column is gathered; both give the same
+    # roots bit for bit, as does each column solved alone
     rng = np.random.default_rng(deg)
     rows = rng.normal(size=(64, deg + 1)) + 1j * rng.normal(size=(64, deg + 1))
-    drop = np.append(rows[0, :deg], 0.0)[None, :]
+    rows = np.ascontiguousarray(rows.T)  # (deg + 1, 64), as drawn before
+    drop = np.append(rows[:deg, 0], 0.0)[:, None]
     full = companion_roots(rows)
-    mixed = companion_roots(np.vstack([rows, drop]))
+    mixed = companion_roots(np.hstack([rows, drop]))
     assert not np.isnan(full).any()
-    assert np.array_equal(mixed[:-1], full)
-    assert np.array_equal(mixed[-1], companion_roots(drop)[0], equal_nan=True)
+    assert np.array_equal(mixed[:, :-1], full)
+    assert np.array_equal(mixed[:, -1], companion_roots(drop)[:, 0],
+                          equal_nan=True)
     assert np.isnan(mixed[-1, -1])
     for i in range(0, 64, 9):
-        assert np.array_equal(companion_roots(rows[i:i + 1])[0], full[i])
+        assert np.array_equal(companion_roots(rows[:, i:i + 1])[:, 0],
+                              full[:, i])
+
+
+@pytest.mark.parametrize("name", ["simple_singular_rif",
+                                  "squared_singular_rif"])
+def test_slice_rows_chain_matches_slice_atoms(name):
+    # slice_coeffs straight into companion_roots, coefficient-major end to
+    # end, gives the kernel's roots before their Newton polish
+    phi = getattr(catalog, name)()
+    alpha = np.exp(0.7j)
+    n = 1024
+    zeta = np.exp(2j * np.pi * np.arange(n) / n)
+    roots = companion_roots(slice_coeffs(phi.level_coeffs(alpha),
+                                         zeta[:, None]))
+    polished = _slice_atoms(phi, alpha, zeta[:, None])[0]
+    assert roots.shape == polished.shape == (phi.degrees[1], n)
+    assert np.max(np.abs(roots - polished)) <= 1e-12
 
 
 def test_stability_of_catalog_denominators():

@@ -24,6 +24,26 @@ def test_tridisk_level_satisfies_equation():
     assert np.max(np.abs(phi(z1, z2, psi) - alpha)) < 1e-12
 
 
+@pytest.mark.parametrize("s", [np.nan, np.inf, 2.9])
+def test_family_refuses_s_outside_its_range(s):
+    # a NaN s fails every comparison, so the range check is written to
+    # pass only inside it
+    for f in (polydisk.tridisk_weight, polydisk.tridisk_level):
+        with pytest.raises(ValueError):
+            f(s, 1.0 + 0.0j, np.exp(0.3j), np.exp(0.5j))
+
+
+@pytest.mark.parametrize("alpha", [np.nan, complex(np.nan, 0.0), np.inf])
+def test_tridisk_refuses_non_finite_alpha(alpha):
+    with pytest.raises(ValueError):
+        polydisk.build_measure_d(catalog.tridisk_rif(3.5), alpha, 8)
+    for f in (polydisk.tridisk_weight, polydisk.tridisk_level):
+        with pytest.raises(ValueError):
+            f(3.5, alpha, np.exp(0.3j), np.exp(0.5j))
+    with pytest.raises(ValueError):
+        polydisk.verify_poisson_d(3.5, alpha, (0.1, 0.2, 0.3), 16)
+
+
 def test_tridisk_weight_frozen_values():
     # exact rational values at the corner (1, 1)
     assert abs(polydisk.tridisk_weight(4.0, 1.0 + 0.0j, 1.0, 1.0)
@@ -226,7 +246,7 @@ def test_build_measure_d_mass_guard_raises_on_lost_roots(monkeypatch):
 
     def drop_last_root(phi, alpha, pts):
         roots, num, den, zero_rows = slice_atoms(phi, alpha, pts)
-        return roots[:, :-1], num[:, :-1], den[:, :-1], zero_rows
+        return roots[:-1], num[:-1], den[:-1], zero_rows
 
     monkeypatch.setattr(polydisk, "_slice_atoms", drop_last_root)
     with pytest.raises(MassGapExceeded):
@@ -257,8 +277,7 @@ KERNEL_ALPHAS = [np.exp(0.7j), -1.0 + 0.0j, np.exp(0.99j * np.pi),
 
 def _kernel_against_weight_parts(phi, alpha, pts):
     roots, num, den, _ = levelset._slice_atoms(phi, alpha, pts)
-    ref_num, ref_den = levelset.weight_parts(phi, alpha, *pts.T[..., None],
-                                             roots)
+    ref_num, ref_den = levelset.weight_parts(phi, alpha, *pts.T, roots)
     keep = ~np.isnan(roots)
     assert keep.any()
     assert np.all(np.abs(num - ref_num)[keep] <= 1e-13 * ref_num[keep])
@@ -273,6 +292,18 @@ def test_slice_atom_weights_match_weight_parts(corpus, name, alpha):
     phi = corpus[name]
     theta, _, _ = clark._zeta1_rule(phi, alpha, 4096)
     _kernel_against_weight_parts(phi, alpha, np.exp(1j * theta)[:, None])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("n1", [1, 2, 3])
+@pytest.mark.parametrize("n2", [1, 2, 3])
+def test_slice_atom_weights_match_weight_parts_random(n1, n2, seed):
+    # random data of every bidegree up to (3, 3): linear, quadratic and
+    # cubic slices against the full-tensor oracle at a generic alpha
+    phi = catalog.random_rif(n1, n2, seed)
+    theta, _, _ = clark._zeta1_rule(phi, np.exp(0.7j), 1024)
+    _kernel_against_weight_parts(phi, np.exp(0.7j),
+                                 np.exp(1j * theta)[:, None])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
