@@ -127,6 +127,10 @@ def build_measure(phi: Rif, alpha: complex, grid_n: int = 4096) -> ClarkMeasure:
     split off exactly and the grid shifts half a step off them.  A mass off
     ``expected_mass`` by more than MASS_GAP_TOL raises MassGapExceeded.
     """
+    if phi.dim != 2:
+        raise ValueError("build_measure expects a two-variable inner "
+                         "function; use polydisk.build_measure_d on the "
+                         "tridisk")
     alpha = _unimodular_alpha(alpha)
     theta, quad, lines = _zeta1_rule(phi, alpha, grid_n)
     zeta1 = np.exp(1j * theta)

@@ -243,6 +243,8 @@ def cmd_tridisk(args) -> int:
     s = args.s
     did = False
     if args.diagonal:
+        if args.grid < 2:  # the diagonal samples theta = 2 pi k / grid, 0 < k
+            raise ValueError("--diagonal needs a --grid of at least 2")
         theta = TWO_PI * np.arange(1, args.grid) / args.grid
         w = polydisk.tridisk_weight(s, alpha, np.exp(1j * theta),
                                     np.exp(-1j * theta))

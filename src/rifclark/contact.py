@@ -18,16 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitDegenerate, NonConvergent
-from .levelset import (SINGULAR_TOL, _phase_labels, _solve_slices,
-                       detect_lines, weight_parts)
+from .levelset import SINGULAR_TOL, _phase_labels, _slice_atoms, detect_lines
 from .poly import Rif
-from .util import TWO_PI
 
 WEIGHT_FLOOR = 1e-12
 R2_MIN = 0.999
 # ladder nodes per octave: the phase that labels the branches
 # (levelset._phase_labels) must turn by less than pi/2 from node to node
 SUBSTEPS = 16
+K_RANGE = (6, 16)  # the ladder's offsets 2^-k
+RICHARDSON_K = (4, 20)  # radii 1 - 2^-k of the extrapolated limit
+RICHARDSON_TOL = 1e-8  # relative settling of the extrapolation table
 
 
 @dataclass(frozen=True)
@@ -63,30 +64,30 @@ class SingularityReport:
     fits: tuple[ContactFit, ...]
 
 
-def _dyadic_paths(phi: Rif, alpha: complex, tau: complex, gamma: complex,
-                  k_lo: int, k_hi: int):
+def _dyadic_paths(phi: Rif, alpha: complex, tau: complex, gamma: complex):
     """Follow every branch through (tau, gamma) along dyadic offsets.
 
-    The slice roots over a geometric ladder from delta = 2^-k_hi to
-    2^-k_lo, SUBSTEPS nodes per octave, on each side of tau carry their
-    phase labels (``levelset._phase_labels``); the branches are those of
-    the roots within 1e-3 of gamma at the innermost node, ordered by
-    angle there, and each is followed by its label.  Branches through a
-    common singularity separate only like delta^K, which no matching by
+    The slice atoms (``levelset._slice_atoms``) over a geometric ladder
+    from delta = 2^-k_hi to 2^-k_lo, k over K_RANGE, SUBSTEPS nodes per
+    octave, on each side of tau carry their phase labels
+    (``levelset._phase_labels``); the branches are those of the roots
+    within 1e-3 of gamma at the innermost node, ordered by angle there,
+    and each is followed by its label.  Branches through a common
+    singularity separate only like delta^K, which no matching by
     distance resolves, but the labels hold however close the roots come.
-    Returns, per side, (deltas at dyadic nodes, path values
-    (n_adm, n_dyadic)).
+    Returns, per side, (chord distances |zeta1 - tau| at the dyadic
+    nodes, the polished roots (n_adm, n_dyadic) of each admitted branch
+    there, their weights num / den (n_adm, n_dyadic), NaN where den = 0).
     """
     t0 = float(np.angle(tau))
-    n_sub = (k_hi - k_lo) * SUBSTEPS
-    i_all = np.arange(n_sub + 1)
+    k_lo, k_hi = K_RANGE
+    i_all = np.arange((k_hi - k_lo) * SUBSTEPS + 1)
     deltas = 2.0 ** (-k_hi + i_all / SUBSTEPS)
     dy_mask = i_all % SUBSTEPS == 0
     out = {}
     for side in (1, -1):
         zeta1 = np.exp(1j * (t0 + side * deltas))
-        _, roots, zero_rows, _ = _solve_slices(phi.level_coeffs(alpha),
-                                               zeta1[:, None])
+        roots, num, den, zero_rows = _slice_atoms(phi, alpha, zeta1[:, None])
         if zero_rows.any():
             raise FitDegenerate(
                 "level polynomial vanished on a slice near the singularity "
@@ -102,44 +103,39 @@ def _dyadic_paths(phi: Rif, alpha: complex, tau: complex, gamma: complex,
                                      kind="stable")], 0]
         # the row of each admitted label at every dyadic node
         at = np.argsort(labels, axis=0)[adm]
-        out[side] = (deltas[dy_mask],
-                     np.take_along_axis(roots[:, dy_mask], at, axis=0))
+        weights = np.where(den > 0, num / np.where(den > 0, den, 1.0), np.nan)
+        out[side] = (np.abs(zeta1[dy_mask] - tau),
+                     np.take_along_axis(roots[:, dy_mask], at, axis=0),
+                     np.take_along_axis(weights[:, dy_mask], at, axis=0))
     return out
 
 
-def weight_vanish_order(phi: Rif, alpha: complex, singularity,
-                        branch: int | None = None,
-                        k_range: tuple[int, int] = (6, 16)) -> ContactFit:
+def weight_vanish_order(phi: Rif, alpha: complex, singularity) -> ContactFit:
     """Fit the vanishing exponent of a branch weight at a singularity.
 
-    Chord distances d = |zeta - tau| at offsets 2^-k, k over ``k_range``,
+    Chord distances d = |zeta - tau| at offsets 2^-k, k over K_RANGE,
     approached from both sides; the fitted slope of log W against log d
     is the exponent, and (c_lower, c_upper) bracket W / d^exponent over
-    the points used.  ``branch`` indexes the branches through the
-    singularity (ordered by angle of their value); by default the first
-    one is fitted.  A poor fit (R^2 < 0.999) raises FitDegenerate —
+    the points used.  The branch fitted is the first through the
+    singularity, in order of the angle of its value (``contact_report``
+    fits them all).  A poor fit (R^2 < 0.999) raises FitDegenerate —
     the signature of an excluded alpha or a wrong branch.
     """
     tau, gamma = (complex(singularity[0]), complex(singularity[1]))
-    paths = _dyadic_paths(phi, alpha, tau, gamma, *k_range)
-    return _weight_fit(phi, alpha, tau, paths, 0 if branch is None else branch)
+    return _weight_fit(alpha, _dyadic_paths(phi, alpha, tau, gamma), 0)
 
 
-def _weight_fit(phi: Rif, alpha: complex, tau: complex, paths,
-                j: int) -> ContactFit:
+def _weight_fit(alpha: complex, paths, j: int) -> ContactFit:
     """weight_vanish_order's fit of branch ``j`` of ``paths``, the
-    ``_dyadic_paths`` ladder at ``alpha`` through (tau, .)."""
+    ``_dyadic_paths`` ladder at ``alpha``."""
     ds, ws, by_side = [], [], {}
     for side in (1, -1):
-        deltas, vals = paths[side]
-        if j >= vals.shape[0]:
+        d, _, weights = paths[side]
+        if j >= len(weights):
             raise ValueError(
-                f"branch index {j} out of range: {vals.shape[0]} branch(es) "
+                f"branch index {j} out of range: {len(weights)} branch(es) "
                 "pass through the singularity")
-        zeta = np.exp(1j * (float(np.angle(tau)) + side * deltas))
-        num, den = weight_parts(phi, alpha, zeta, vals[j])
-        w = np.where(den > 0, num / np.where(den > 0, den, 1.0), np.nan)
-        d = np.abs(zeta - tau)
+        w = weights[j]
         keep = np.isfinite(w) & (w > WEIGHT_FLOOR)
         ds.append(d[keep])
         ws.append(w[keep])
@@ -184,13 +180,13 @@ def _loglog_fit(d, w):
 
 
 def branch_contact_order(phi: Rif, singularity, alpha1: complex,
-                         alpha2: complex,
-                         k_range: tuple[int, int] = (6, 16)) -> ContactOrder:
+                         alpha2: complex) -> ContactOrder:
     """Maximal vanishing order of g_j^{alpha1} - g_k^{alpha2} at a singularity.
 
     Both alphas must be distinct and generic.  All branch pairs through
-    (tau, gamma) are fitted; the largest exponent is reported, rounded to
-    the nearest even integer alongside the raw value.
+    (tau, gamma) are fitted over the ``_dyadic_paths`` ladders; the
+    largest exponent is reported, rounded to the nearest even integer
+    alongside the raw value.
     """
     if abs(complex(alpha1) - complex(alpha2)) < 1e-12:
         raise ValueError("branch_contact_order needs two distinct alphas")
@@ -199,15 +195,12 @@ def branch_contact_order(phi: Rif, singularity, alpha1: complex,
             raise ValueError(f"alpha={a:.6g} is exceptional; pick generic "
                              "values for contact-order fits")
     tau, gamma = (complex(singularity[0]), complex(singularity[1]))
-    k_lo, k_hi = k_range
-    p1 = _dyadic_paths(phi, alpha1, tau, gamma, k_lo, k_hi)
-    p2 = _dyadic_paths(phi, alpha2, tau, gamma, k_lo, k_hi)
+    p1 = _dyadic_paths(phi, alpha1, tau, gamma)
+    p2 = _dyadic_paths(phi, alpha2, tau, gamma)
     exps, r2s = [], []
     for side in (1, -1):
-        deltas, v1 = p1[side]
-        _, v2 = p2[side]
-        zeta = np.exp(1j * (float(np.angle(tau)) + side * deltas))
-        d = np.abs(zeta - tau)
+        d, v1, _ = p1[side]
+        v2 = p2[side][1]
         for j in range(v1.shape[0]):
             for k in range(v2.shape[0]):
                 diff = np.abs(v1[j] - v2[k])
@@ -233,23 +226,22 @@ def branch_contact_order(phi: Rif, singularity, alpha1: complex,
     )
 
 
-def nontangential_value(phi, point, k_range: tuple[int, int] = (4, 20),
-                        tol: float = 1e-8) -> complex:
+def nontangential_value(phi, point) -> complex:
     """Nontangential (radial) limit of phi at a boundary point.
 
     For a Rif, in any dimension, the limit in closed form
-    (``_radial_limit``); ``k_range`` and ``tol`` are not used.  Any other
-    callable of d complex arguments is evaluated at r * point,
-    r = 1 - 2^-k over ``k_range``, and Richardson-extrapolated to r = 1;
-    NonConvergent when the extrapolation table does not settle to
-    ``tol``.  Either way NonConvergent when the limit is not unimodular
-    within 1e-6 (no nontangential value exists there).
+    (``_radial_limit``).  Any other callable of d complex arguments is
+    evaluated at r * point, r = 1 - 2^-k over RICHARDSON_K, and
+    Richardson-extrapolated to r = 1; NonConvergent when the
+    extrapolation table does not settle to RICHARDSON_TOL.  Either way
+    NonConvergent when the limit is not unimodular within 1e-6 (no
+    nontangential value exists there).
     """
     pt = np.asarray(point, dtype=complex)
     if isinstance(phi, Rif):
         best = _radial_limit(phi, pt)
     else:
-        best = _richardson_limit(phi, pt, k_range, tol)
+        best = _richardson_limit(phi, pt)
     if abs(abs(best) - 1.0) > 1e-6:
         raise NonConvergent(
             f"radial limit {best:.8g} is not unimodular; no nontangential "
@@ -303,10 +295,10 @@ def _shift_to_one(c):
     return binom @ c
 
 
-def _richardson_limit(phi, pt, k_range, tol) -> complex:
+def _richardson_limit(phi, pt) -> complex:
     """Richardson extrapolation of phi(r pt) at geometric nodes
-    r = 1 - 2^-k to r = 1."""
-    k_lo, k_hi = k_range
+    r = 1 - 2^-k, k over RICHARDSON_K, to r = 1."""
+    k_lo, k_hi = RICHARDSON_K
     ks = np.arange(k_lo, k_hi + 1)
     vals = np.array([complex(phi(*(1.0 - 2.0 ** -float(k)) * pt))
                      for k in ks])
@@ -322,7 +314,7 @@ def _richardson_limit(phi, pt, k_range, tol) -> complex:
         if err < best_err:
             best_err = err
             best = cur[-1]
-    if best_err > tol * max(1.0, abs(best)):
+    if best_err > RICHARDSON_TOL * max(1.0, abs(best)):
         raise NonConvergent(
             f"radial extrapolation did not settle (residual {best_err:.2e})")
     return complex(best)
@@ -334,10 +326,10 @@ def contact_report(phi: Rif, singularity, alphas) -> SingularityReport:
     nt = nontangential_value(phi, (tau, gamma))
     fits = []
     for a in alphas:
-        paths = _dyadic_paths(phi, a, tau, gamma, 6, 16)
-        for j in range(paths[1][1].shape[0]):
+        paths = _dyadic_paths(phi, a, tau, gamma)
+        for j in range(len(paths[1][1])):
             try:
-                fits.append(_weight_fit(phi, a, tau, paths, j))
+                fits.append(_weight_fit(a, paths, j))
             except FitDegenerate:
                 continue
     return SingularityReport(location=(tau, gamma), nontangential_value=nt,

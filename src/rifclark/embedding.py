@@ -21,6 +21,8 @@ from .errors import DenominatorVanishes
 from .levelset import _slice_atoms, _uniform_theta
 from .poly import PolyMD, Rif, companion_roots, trim
 
+CONJ_GRID_N = 512  # zeta1 nodes of conj_rational's residual check
+
 
 @dataclass(frozen=True)
 class GramReport:
@@ -56,6 +58,8 @@ def gram_isometry_check(phi: Rif, alpha: complex, points,
     """
     w = np.asarray([(complex(a), complex(b)) for a, b in points],
                    dtype=complex)
+    if not len(w):
+        raise ValueError("Gram isometry check needs at least one point")
     if np.any(np.abs(w) >= 1.0):
         raise ValueError("sample points must lie inside the bidisk")
     if abs(complex(alpha) - complex(measure.alpha)) > 1e-9:
@@ -98,11 +102,11 @@ def gram_isometry_check(phi: Rif, alpha: complex, points,
 class ConjRational:
     """Rational representatives of conj(zeta1) and conj(zeta2) on the level set.
 
-    Splitting p = p1(z2) + z1 p2(z) and the reflection q = q1(z2) + z1 q2(z)
-    by powers of z1, the level relation q = alpha p solves for
-    conj(zeta1) = (alpha p2 - q2)/(q1 - alpha p1) on the torus; same with
-    the variables exchanged for conj(zeta2).  Both denominators are
-    univariate and must be zero-free on the closed disk.
+    Splitting the level polynomial h = q - alpha p by powers of z1 as
+    h = h1(z2) + z1 h2(z), h = 0 gives zeta1 = -h1 / h2, so
+    conj(zeta1) = -h2 / h1 on the torus; same with the variables
+    exchanged for conj(zeta2).  Both denominators are univariate and
+    must be zero-free on the closed disk.
     """
 
     alpha: complex
@@ -113,70 +117,55 @@ class ConjRational:
     max_residual: tuple[float, float]
 
     def r1(self, z1, z2):
-        return (_poly.eval_poly(self.r1_num, (z1, z2))
-                / _poly.eval_poly(self.r1_den, (z1, z2)))
+        return _ratio(self.r1_num, self.r1_den, z1, z2)
 
     def r2(self, z1, z2):
-        return (_poly.eval_poly(self.r2_num, (z1, z2))
-                / _poly.eval_poly(self.r2_den, (z1, z2)))
+        return _ratio(self.r2_num, self.r2_den, z1, z2)
 
 
-def _split_axis1(coeffs):
-    """p = head(z2) + z1 * tail(z1, z2): return (head, tail) tensors."""
-    head = coeffs[0:1, :]
-    tail = coeffs[1:, :] if coeffs.shape[0] > 1 else np.zeros((1, coeffs.shape[1]),
-                                                              dtype=complex)
-    return head, tail
+def _ratio(num: PolyMD, den: PolyMD, z1, z2):
+    return _poly.eval_poly(num, (z1, z2)) / _poly.eval_poly(den, (z1, z2))
 
 
-def conj_rational(phi: Rif, alpha: complex,
-                  grid_n: int = 512) -> ConjRational:
+def _conj_parts(h):
+    """-h2 and the trimmed h1 of h = h1(z2) + z1 h2(z); DenominatorVanishes
+    when h1 has a root on the closed disk."""
+    den = trim(h[0])
+    if np.max(np.abs(den)) < 1e-14:
+        raise DenominatorVanishes(
+            "conjugate-coordinate denominator is identically zero")
+    mods = np.abs(companion_roots(den[:, None])[:, 0])
+    if np.nanmin(mods, initial=np.inf) <= 1.0 + 1e-9:
+        raise DenominatorVanishes(
+            f"denominator root of modulus {np.nanmin(mods):.6g} inside "
+            "the closed disk (alpha is exceptional)")
+    return -h[1:], den
+
+
+def conj_rational(phi: Rif, alpha: complex) -> ConjRational:
     """Build the rational functions agreeing with conj(zeta_j) on the level set.
 
     Raises DenominatorVanishes when a denominator has a root on the
     closed unit disk — the hallmark of an exceptional alpha.  The
     ``max_residual`` field records sup |R_j - conj(zeta_j)| over every
-    level-set point above the uniform ``grid_n``-point zeta1 grid as an
+    level-set point above the uniform CONJ_GRID_N-point zeta1 grid as an
     end-to-end consistency check.
     """
+    if phi.dim != 2:
+        raise ValueError("conj_rational expects a two-variable inner function")
     alpha = complex(alpha)
-    p = phi.den.coeffs
-    q = phi.num.coeffs
-
-    def build(pc, qc):
-        p1, p2 = _split_axis1(pc)
-        q1, q2 = _split_axis1(qc)
-        num = np.zeros(np.maximum(p2.shape, q2.shape), dtype=complex)
-        num[: p2.shape[0], : p2.shape[1]] += alpha * p2
-        num[: q2.shape[0], : q2.shape[1]] -= q2
-        den = np.zeros(max(p1.shape[1], q1.shape[1]), dtype=complex)
-        den[: q1.shape[1]] += q1[0]
-        den[: p1.shape[1]] -= alpha * p1[0]
-        den_t = trim(den)
-        if np.max(np.abs(den_t)) < 1e-14:
-            raise DenominatorVanishes(
-                "conjugate-coordinate denominator is identically zero")
-        mods = np.abs(companion_roots(den_t[:, None])[:, 0])
-        if np.nanmin(mods, initial=np.inf) <= 1.0 + 1e-9:
-            raise DenominatorVanishes(
-                f"denominator root of modulus {np.nanmin(mods):.6g} inside "
-                "the closed disk (alpha is exceptional)")
-        return num, den_t
-
-    n1, d1 = build(p, q)
-    n2t, d2t = build(p.T, q.T)
-    r1_num = PolyMD(trim(n1))
-    r1_den = PolyMD(d1[None, :])  # constant in z1
-    r2_num = PolyMD(trim(n2t.T))
-    r2_den = PolyMD(d2t[:, None])  # constant in z2
-
-    cr = ConjRational(alpha=alpha, r1_num=r1_num, r1_den=r1_den,
-                      r2_num=r2_num, r2_den=r2_den, max_residual=(0.0, 0.0))
-    z1 = np.exp(1j * _uniform_theta(grid_n))
+    h = phi.level_coeffs(alpha)
+    n1, d1 = _conj_parts(h)
+    n2, d2 = _conj_parts(h.T)
+    r1_num, r1_den = PolyMD(trim(n1)), PolyMD(d1[None, :])  # den: no z1
+    r2_num, r2_den = PolyMD(trim(n2.T)), PolyMD(d2[:, None])  # den: no z2
+    z1 = np.exp(1j * _uniform_theta(CONJ_GRID_N))
     z2 = _slice_atoms(phi, alpha, z1[:, None])[0]  # NaN past a degree drop
     z1 = np.broadcast_to(z1, z2.shape)
-    res1 = float(np.nanmax(np.abs(cr.r1(z1, z2) - np.conj(z1))))
-    res2 = float(np.nanmax(np.abs(cr.r2(z1, z2) - np.conj(z2))))
+    res1 = float(np.nanmax(np.abs(_ratio(r1_num, r1_den, z1, z2)
+                                  - np.conj(z1))))
+    res2 = float(np.nanmax(np.abs(_ratio(r2_num, r2_den, z1, z2)
+                                  - np.conj(z2))))
     return ConjRational(alpha=alpha, r1_num=r1_num, r1_den=r1_den,
                         r2_num=r2_num, r2_den=r2_den,
                         max_residual=(res1, res2))

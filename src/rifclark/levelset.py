@@ -43,7 +43,6 @@ from .util import TWO_PI, angular_distance, unit_circle_points
 
 ZERO_SLICE_REL_TOL = 1e-10
 UNIMODULAR_TOL = 1e-6
-LINE_TEST_POINTS = 8  # samples of a line's transversal derivative
 LINE_TOL = 1e-8  # relative: the largest slice of h at a torus zero on a line
 # |p| below this times its coefficient scale: a zero of p on the torus
 SINGULAR_TOL = 1e-10
@@ -123,18 +122,6 @@ def _unimodular_alpha(alpha) -> complex:
     return alpha
 
 
-def _solve_slices(hcoef, pts):
-    """Slice rows (k+1, m), padded roots (k, m), zero-slice flags and each
-    slice's largest coefficient modulus of h over frozen points (m, d-1)."""
-    rows = slice_coeffs(hcoef, pts)
-    rowmax = np.max(np.abs(rows), axis=0)
-    zero_rows = rowmax < ZERO_SLICE_REL_TOL * float(np.max(np.abs(hcoef)))
-    # zero slices are solved as the constant 1: no roots
-    roots = companion_roots(np.where(zero_rows, np.eye(len(rows), 1), rows)
-                            if zero_rows.any() else rows)
-    return rows, roots, zero_rows, rowmax
-
-
 def _slice_atoms(phi: Rif, alpha: complex, pts):
     """Every root of h(zeta', .) over frozen points ``pts`` (m, d-1) with
     its weight parts: (roots, num, den, zero_rows).
@@ -149,9 +136,13 @@ def _slice_atoms(phi: Rif, alpha: complex, pts):
     at the polished root, ``num`` the slice row of p there.  No root is
     labeled.
     """
-    alpha = _unimodular_alpha(alpha)
-    rows, roots, zero_rows, rowmax = _solve_slices(phi.level_coeffs(alpha),
-                                                   pts)
+    hcoef = phi.level_coeffs(_unimodular_alpha(alpha))
+    rows = slice_coeffs(hcoef, pts)
+    rowmax = np.max(np.abs(rows), axis=0)
+    zero_rows = rowmax < ZERO_SLICE_REL_TOL * float(np.max(np.abs(hcoef)))
+    # zero slices are solved as the constant 1: no roots
+    roots = companion_roots(np.where(zero_rows, np.eye(len(rows), 1), rows)
+                            if zero_rows.any() else rows)
     dh = _newton_polish(rows, rowmax, roots)
     num = np.abs(_polyval_rows(slice_coeffs(phi.den.coeffs, pts)[:, None],
                                roots))
@@ -276,22 +267,6 @@ def _uniform_theta(grid_n):
 # line components
 # ---------------------------------------------------------------------------
 
-def _line_ratio(hcoef, pcoef, tau):
-    """|d/dz1 h / p| at LINE_TEST_POINTS points of the line {tau} x T,
-    nudged off any zero of p."""
-    frozen = np.array([[tau]], dtype=complex)
-    prow = slice_coeffs(pcoef, frozen)
-    w = np.exp(1j * (unit_circle_points(LINE_TEST_POINTS)[0] + 0.373))
-    pv = _polyval_rows(prow, w)
-    for _ in range(3):
-        if np.min(np.abs(pv)) > 1e-6 * float(np.sum(np.abs(pcoef))):
-            break
-        w = w * np.exp(0.19j)
-        pv = _polyval_rows(prow, w)
-    dv = _polyval_rows(slice_coeffs(derivative_coeffs(hcoef, 1), frozen), w)
-    return np.abs(dv / pv)
-
-
 def detect_lines(phi: Rif, alpha: complex) -> list[LineComponent]:
     """Find every line component of the level set at alpha, both axes.
 
@@ -322,7 +297,9 @@ def _lines(hcoef, pcoef, roots, axis=1):
     seeds the torus zeros over it (``_torus_zeros``) and is a line when
     h's slice at one of them is within LINE_TOL of h's coefficient scale,
     a test linear in alpha - alpha0.  A line keeps its seed as tau, in
-    order of angle, with the mean of ``_line_ratio`` there as constant.
+    order of angle.  Its constant is 1 / |d phi/d z1| = |p / d/dz1 h|
+    there, of one modulus all along the line, so by Parseval the ratio
+    of the coefficient norms of the slices p(tau, .) and d/dz1 h(tau, .).
     """
     near = roots[np.abs(np.abs(roots) - 1.0) < UNIMODULAR_TOL]  # NaN: False
     if not near.size:
@@ -333,10 +310,12 @@ def _lines(hcoef, pcoef, roots, axis=1):
     t1, _, seed = _torus_zeros(pcoef, seeds)
     flat = np.max(np.abs(slice_coeffs(hcoef, t1[:, None])), axis=0) \
         <= LINE_TOL * float(np.max(np.abs(hcoef)))
-    taus = sorted(seeds[np.unique(seed[flat])].tolist(),
-                  key=lambda t: float(np.angle(t)) % TWO_PI)
-    return [LineComponent(axis=axis, tau=tau, constant=1.0 / float(
-        np.mean(_line_ratio(hcoef, pcoef, tau)))) for tau in taus]
+    taus = np.array(sorted(seeds[np.unique(seed[flat])].tolist(),
+                           key=lambda t: float(np.angle(t)) % TWO_PI))
+    norms = [np.linalg.norm(slice_coeffs(c, taus[:, None]), axis=0)
+             for c in (pcoef, derivative_coeffs(hcoef, 1))]
+    return [LineComponent(axis=axis, tau=tau, constant=float(c))
+            for tau, c in zip(taus.tolist(), norms[0] / norms[1])]
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +336,9 @@ def find_singularities(phi: Rif) -> list[tuple[complex, complex]]:
     The mean of each group, projected to the circle, seeds tau1, and the
     torus zeros of p over it are polished from there (``_torus_zeros``).
     A repeated factor of p multiplies m, and the wider clusters can hide
-    a zero.  A point is kept when |p| <= SINGULAR_TOL and |q| < 1e-8 of
-    their coefficient scales there, and once when several seeds reach
-    it.  Sorted by the angles of tau1 and tau2 counterclockwise from 1.
+    a zero.  A point is kept when |p| <= SINGULAR_TOL of its coefficient
+    scale there (on the torus |q| = |p|), and once when several seeds
+    reach it.  Sorted by the angles of tau1 and tau2 counterclockwise from 1.
     """
     if phi.dim != 2:
         raise ValueError("find_singularities expects a two-variable function")
@@ -368,9 +347,7 @@ def find_singularities(phi: Rif) -> list[tuple[complex, complex]]:
     eps_root = np.finfo(float).eps ** (0.5 / max(p.degrees[1], 1))
     tau1, _ = _circle_clusters(res, max(1e-3, 10.0 * eps_root))
     t1, t2, _ = _torus_zeros(p.coeffs, tau1 / np.abs(tau1))
-    q = phi.num
-    keep = (np.abs(p(t1, t2)) <= SINGULAR_TOL * p.coefficient_scale()) \
-        & (np.abs(q(t1, t2)) < 1e-8 * q.coefficient_scale())
+    keep = np.abs(p(t1, t2)) <= SINGULAR_TOL * p.coefficient_scale()
     found: list[tuple[complex, complex]] = []
     for pt in sorted(zip(t1[keep].tolist(), t2[keep].tolist()),
                      key=lambda pt: (_ccw_angle(pt[0]), _ccw_angle(pt[1]))):
@@ -414,23 +391,23 @@ def _polish_on_torus(coeffs, t1, t2):
     Along the curve f = 0, z2 = w(z1), and |w| >= 1 for |z1| = 1 with
     equality at a torus zero, so log|w(e^{i theta})| has a double zero
     there and its derivative h = Im(z1 d1f / (w d2f)) a simple one.
-    Secant steps on h in theta = arg z1, with w the root of f(z1, .) by
-    Newton steps from the last one, locate it to rounding where the
-    resultant's clusters leave it off by up to their spread.  The steps
-    stop when none moves a point by more than 4 eps; a point whose last
-    step exceeds 1e-9 (or that is not finite) keeps its input.
+    Secant steps on h in theta = arg z1, with w the root of f(z1, .)
+    Newton-polished from the last one (``_newton_polish``, which returns
+    d2f there too), locate it to rounding where the resultant's clusters
+    leave it off by up to their spread.  The steps stop when none moves
+    a point by more than 4 eps; a point whose last step exceeds 1e-9 (or
+    that is not finite) keeps its input.
     """
     d1 = derivative_coeffs(coeffs, 1)
-    k = np.arange(1, coeffs.shape[1])[:, None]
 
     def slope(theta, w):
         z1 = np.exp(1j * theta)
         rows = slice_coeffs(coeffs, z1[:, None])
-        drows = rows[1:] * k
-        for _ in range(3):
-            w = w - _polyval_rows(rows, w) / _polyval_rows(drows, w)
+        w = w[None, :].copy()
+        d2f = _newton_polish(rows, np.max(np.abs(rows), axis=0), w)
+        w = w[0]
         ratio = z1 * _polyval_rows(slice_coeffs(d1, z1[:, None]), w) \
-            / (w * _polyval_rows(drows, w))
+            / (w * d2f[0])
         return ratio.imag, w
 
     settled = 4.0 * np.finfo(float).eps

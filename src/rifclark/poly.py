@@ -27,6 +27,7 @@ import numpy as np
 from .errors import DegreeNotAttained, RootFindFailure, ZeroPolynomial
 
 ATTAIN_TOL = 1e-14
+TRIM_REL_TOL = 1e-14
 # trailing slice coefficients below this fraction of their row's largest
 # one count as zero in companion_roots (a degree drop)
 DEGREE_DROP_REL_TOL = 1e-11
@@ -51,15 +52,17 @@ class PolyMD:
     Parameters
     ----------
     coeffs : array_like
-        Complex tensor of shape (n_1+1, ..., n_d+1). The shape declares
-        the degrees, which must be attained within an absolute tolerance
-        of 1e-14 on the relevant coefficient slabs.
+        Finite complex tensor of shape (n_1+1, ..., n_d+1). The shape
+        declares the degrees, which must be attained within an absolute
+        tolerance of 1e-14 on the relevant coefficient slabs.
     """
 
     coeffs: np.ndarray = field(repr=False)
 
     def __init__(self, coeffs):
         arr = _as_coeff_tensor(coeffs)
+        if not np.isfinite(arr).all():
+            raise ValueError("polynomial coefficients must be finite")
         scale = float(np.max(np.abs(arr))) if arr.size else 0.0
         if scale == 0.0:
             raise ZeroPolynomial("all coefficients vanish")
@@ -87,8 +90,9 @@ class PolyMD:
         return float(np.sum(np.abs(self.coeffs)))
 
 
-def trim(coeffs, rel_tol=1e-14):
-    """Drop trailing coefficient slabs that are negligible on every axis."""
+def trim(coeffs):
+    """Drop trailing coefficient slabs below TRIM_REL_TOL of the largest
+    coefficient modulus, on every axis."""
     arr = _as_coeff_tensor(coeffs)
     scale = float(np.max(np.abs(arr)))
     if scale == 0.0:
@@ -97,7 +101,7 @@ def trim(coeffs, rel_tol=1e-14):
         keep = arr.shape[axis]
         while keep > 1:
             top = np.take(arr, keep - 1, axis=axis)
-            if np.max(np.abs(top)) > rel_tol * scale:
+            if np.max(np.abs(top)) > TRIM_REL_TOL * scale:
                 break
             keep -= 1
         arr = np.take(arr, range(keep), axis=axis)
@@ -357,18 +361,18 @@ class StabilityCertificate:
     method: str = "grid-slice-roots"
 
 
-def stability_check(p: PolyMD, grid_n: int | None = None) -> StabilityCertificate:
+def stability_check(p: PolyMD) -> StabilityCertificate:
     """Heuristic certificate that p has no zeros in the open unit polydisk.
 
     For each variable in turn, the other variables are sampled on a
-    closed-disk grid (``grid_n`` radii including 0 and 1, ``4 * grid_n``
-    angles) and the roots of the resulting univariate slices are found.
+    closed-disk grid (``grid_n`` radii including 0 and 1, 64 in up to two
+    variables and 6 in more, and ``4 * grid_n`` angles) and the roots of
+    the resulting univariate slices are found.
     The certificate is heuristic: it can be fooled by zeros between grid
     nodes, but the grid includes the full boundary torus where zeros of
     an intended denominator would matter most.
     """
-    if grid_n is None:
-        grid_n = 64 if p.dim <= 2 else 6
+    grid_n = 64 if p.dim <= 2 else 6
     n_ang = 4 * grid_n
     radii = np.linspace(0.0, 1.0, grid_n)
     angles = np.exp(2j * np.pi * np.arange(n_ang) / n_ang)

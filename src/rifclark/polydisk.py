@@ -29,6 +29,8 @@ __all__ = [
     "two_path_witness", "level_surface_rows",
 ]
 
+WITNESS_K = (6, 16)  # two_path_witness samples t = 2^-k
+
 
 def build_measure_d(phi: Rif, alpha: complex,
                     grid_n: int = 256) -> ClarkMeasure:
@@ -56,16 +58,14 @@ def build_measure_d(phi: Rif, alpha: complex,
     if phi.dim != 3:
         raise ValueError("build_measure_d handles exactly three variables")
     alpha = _unimodular_alpha(alpha)
+    N = grid_n
+    zg = np.exp(1j * _torus_grid(N))
     cert = _certificate(phi.den.coeffs.shape, phi.den.coeffs.tobytes())
     if not cert.is_stable or cert.min_modulus_on_grid <= 1.0 + 1e-6:
         raise UnstableDenominator(
             f"denominator has a zero within {cert.min_modulus_on_grid - 1.0:.3g} "
             "of the closed tridisk boundary; the graph structure formula "
             "does not apply")
-    N = grid_n
-    theta = TWO_PI * np.arange(N) / N
-    zg = np.exp(1j * theta)
-
     Z1, Z2 = np.meshgrid(zg, zg, indexing="ij")
     pts = np.stack([Z1.ravel(), Z2.ravel()], axis=-1)
     roots, num, den, _ = _slice_atoms(phi, alpha, pts)
@@ -81,6 +81,13 @@ def build_measure_d(phi: Rif, alpha: complex,
                            weights=(num / den).ravel() / (N * N), lines=[])
     _check_mass(measure, np.mean(_slice_masses(phi, alpha, pts)))
     return measure
+
+
+def _torus_grid(grid_n):
+    """The angles 2 pi k / grid_n, k < grid_n; ValueError for grid_n < 1."""
+    if grid_n < 1:
+        raise ValueError(f"grid_n must be at least 1, got {grid_n}")
+    return TWO_PI * np.arange(grid_n) / grid_n
 
 
 @lru_cache(maxsize=32)
@@ -189,7 +196,7 @@ def verify_poisson_d(s: float, alpha: complex, z,
     lhs = (1.0 - abs(v) ** 2) / abs(a - v) ** 2
 
     N = grid_n
-    theta = TWO_PI * np.arange(N) / N
+    theta = _torus_grid(N)
 
     def node_values(t1, t2):
         z1 = np.exp(1j * t1)
@@ -223,15 +230,15 @@ def verify_poisson_d(s: float, alpha: complex, z,
     return PoissonReportD(lhs=lhs, rhs=rhs)
 
 
-def two_path_witness(k_range: tuple[int, int] = (6, 16)) -> tuple[complex, complex, float]:
+def two_path_witness() -> tuple[complex, complex, float]:
     """Two-path limits of psi_3^{-1} at (1, 1): the level surface has a jump.
 
     Along (e^{it}, e^{-it}) the surface coordinate is identically -1;
     along (e^{it}, e^{it}) it tends to +1.  Returns (limit_conj, limit_diag,
-    gap) with the limits Richardson-extrapolated in t.
+    gap) with the limits Richardson-extrapolated from t = 2^-k, k over
+    WITNESS_K.
     """
-    k_lo, k_hi = k_range
-    ts = 2.0 ** -np.arange(k_lo, k_hi + 1)
+    ts = 2.0 ** -np.arange(WITNESS_K[0], WITNESS_K[1] + 1)
 
     def extrapolate(seq):
         T = np.asarray(seq, dtype=complex)
@@ -251,7 +258,7 @@ def two_path_witness(k_range: tuple[int, int] = (6, 16)) -> tuple[complex, compl
 def level_surface_rows(s: float, alpha: complex, grid_n: int = 128):
     """Rows (theta1, theta2, arg psi) sampling the level surface."""
     s = _family_check(s)
-    theta = TWO_PI * np.arange(grid_n) / grid_n
+    theta = _torus_grid(grid_n)
     T1, T2 = np.meshgrid(theta, theta, indexing="ij")
     psi = tridisk_level(s, complex(alpha), np.exp(1j * T1), np.exp(1j * T2))
     ang = np.angle(psi)

@@ -704,6 +704,11 @@ def test_verify_poisson_refuses_three_variables():
         clark.verify_poisson(m, [(0.1, 0.2)])
 
 
+def test_build_measure_refuses_three_variables():
+    with pytest.raises(ValueError, match="polydisk.build_measure_d"):
+        clark.build_measure(catalog.tridisk_rif(4.0), np.exp(0.9j), 256)
+
+
 def test_verify_poisson_refuses_no_points(fav_measure_alphai):
     with pytest.raises(ValueError, match="at least one point"):
         clark.verify_poisson(fav_measure_alphai, [])

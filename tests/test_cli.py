@@ -54,6 +54,46 @@ def test_tridisk_refuses_non_finite_alpha_and_s(flags, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValueError"
 
 
+def _error_type(capsys):
+    return json.loads(capsys.readouterr().out)["error"]["type"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "embed"])
+def test_three_variable_poly_gives_error_json(command, tmp_path, capsys):
+    path = tmp_path / "tri.json"
+    path.write_text(poly_to_json(catalog.tridisk_rif(4.0).den))
+    out = tmp_path / "o.json"
+    rc = main([command, "--poly", str(path), "--alpha", "i", "--grid", "256",
+               "--out", str(out)])
+    assert rc == 1 and _error_type(capsys) == "ValueError"
+    assert not out.exists()
+
+
+def test_embed_without_kernels_gives_error_json(fav_json, tmp_path, capsys):
+    out = tmp_path / "e.json"
+    rc = main(["embed", "--poly", fav_json, "--alpha", "i", "--grid", "256",
+               "--kernels", "0", "--out", str(out)])
+    assert rc == 1 and _error_type(capsys) == "ValueError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("s", ["nan", "inf"])
+def test_tridisk_build_refuses_non_finite_s(s, capsys):
+    rc = main(["tridisk", "--s", s, "--alpha", "i", "--grid", "8", "--build"])
+    assert rc == 1 and _error_type(capsys) == "ValueError"
+
+
+@pytest.mark.parametrize("mode, grid", [(["--point", "0.1;0.2;0.3"], "0"),
+                                        (["--surface"], "0"),
+                                        (["--diagonal"], "1")])
+def test_tridisk_refuses_grids_too_small(mode, grid, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    rc = main(["tridisk", "--s", "3.5", "--alpha", "i", "--grid", grid,
+               *mode, "--out", str(out)])
+    assert rc == 1 and _error_type(capsys) == "ValueError"
+    assert not out.exists()
+
+
 def test_analyze_verify_round_trip(fav_json, tmp_path, capsys):
     mpath = str(tmp_path / "m.json")
     rc = main(["analyze", "--poly", fav_json, "--alpha", "i",

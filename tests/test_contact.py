@@ -59,6 +59,22 @@ def test_branch_contact_order_rejects_exceptional(fav):
         contact.branch_contact_order(fav, SING, 1.0j, 1.0j)
 
 
+def test_contact_fits_run_on_the_slice_kernel(fav, squared, monkeypatch):
+    # the fits take roots and weights from levelset._slice_atoms alone,
+    # never from the full-tensor weight evaluation
+    def refuse(*args, **kwargs):
+        raise AssertionError("weight_parts ran in a contact fit")
+
+    monkeypatch.setattr(levelset, "weight_parts", refuse)
+    monkeypatch.setattr(contact, "weight_parts", refuse, raising=False)
+    for phi in (fav, squared):
+        rep = contact.contact_report(phi, SING, [1.0j, np.exp(0.7j)])
+        assert rep.fits and all(f.rounded == 2 for f in rep.fits)
+        assert contact.weight_vanish_order(phi, 1.0j, SING).rounded == 2
+        order = contact.branch_contact_order(phi, SING, 1.0j, np.exp(0.4j))
+        assert order.rounded == 2
+
+
 def test_nontangential_value_at_singularity(fav):
     nt = contact.nontangential_value(fav, SING)
     assert abs(nt - (-1.0)) < 1e-9

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rifclark import clark, embedding
+from rifclark import catalog, clark, embedding
 from rifclark.errors import DenominatorVanishes
 
 GENERIC = np.exp(0.7j)
@@ -58,6 +58,28 @@ def test_conj_rational_monomial(monomial):
     z1 = np.exp(1.3j)
     g = GENERIC * np.conj(z1)
     assert abs(cr.r2(z1, g) - np.conj(g)) < 1e-12
+
+
+@pytest.mark.parametrize("singular", [False, True])
+def test_conj_rational_residuals_of_random_draws(singular):
+    # conj(zeta_j) = -h2 / h1 from the split of h = q - alpha p holds at
+    # every level-set point of the residual grid
+    for n1 in (1, 2, 3):
+        for n2 in (1, 2, 3):
+            for seed in (0, 1, 2):
+                phi = catalog.random_rif(n1, n2, seed, singular=singular)
+                cr = embedding.conj_rational(phi, GENERIC)
+                assert max(cr.max_residual) <= 1e-10, (n1, n2, seed)
+
+
+def test_conj_rational_refuses_three_variables():
+    with pytest.raises(ValueError, match="two-variable"):
+        embedding.conj_rational(catalog.tridisk_rif(4.0), GENERIC)
+
+
+def test_gram_check_refuses_no_points(fav, fav_measure_alphai):
+    with pytest.raises(ValueError, match="at least one point"):
+        embedding.gram_isometry_check(fav, 1.0j, [], fav_measure_alphai)
 
 
 def test_conj_rational_exceptional_raises(fav):

@@ -100,6 +100,38 @@ def test_squared_exceptional_lines(squared):
         assert abs(ln.constant - 0.25) < 1e-12
 
 
+def _line_cases():
+    """(phi, alpha) of the catalog at -1 and of singular draws at their
+    alpha0, where the level set holds lines."""
+    for phi in (catalog.simple_singular_rif(), catalog.squared_singular_rif(),
+                catalog.product_singular_rif()):
+        yield phi, -1.0 + 0.0j
+    for n1, n2 in ((1, 1), (2, 1), (3, 1), (1, 2), (1, 3)):
+        for seed in (2, 5, 11):
+            phi = catalog.random_rif(n1, n2, seed, singular=True)
+            yield phi, contact.nontangential_value(phi,
+                                                   catalog.planted_zero(seed))
+
+
+def test_line_constants_satisfy_the_line_identity():
+    # a line's constant is 1 / |d phi / d z_axis| = |p / d h|, one modulus
+    # all along the line: check it at 64 points of each line, both axes
+    w = np.exp(2j * np.pi * (np.arange(64) + 0.3) / 64)
+    count = 0
+    for phi, alpha in _line_cases():
+        h, p = phi.level_coeffs(alpha), phi.den.coeffs
+        for ln in levelset.detect_lines(phi, alpha):
+            tau = np.full_like(w, ln.tau)
+            at = (tau, w) if ln.axis == 1 else (w, tau)
+            dh = poly.derivative_coeffs(h, ln.axis)
+            ratio = np.abs(poly._eval_tensor(dh, at)
+                           / poly._eval_tensor(p, at))
+            assert np.max(np.abs(ln.constant * ratio - 1.0)) <= 1e-12, \
+                (ln, alpha)
+            count += 1
+    assert count >= 20
+
+
 def test_classify_alpha(fav, tmp_path, capsys):
     # the levelset command classes alpha by the lines detect_lines finds
     path = tmp_path / "fav.json"

@@ -29,6 +29,21 @@ def test_zero_polynomial_rejected():
         PolyMD(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_coefficients_rejected(bad):
+    # a NaN or infinite coefficient made stability_check certify p stable
+    # with min_modulus_on_grid = inf
+    with pytest.raises(ValueError, match="finite"):
+        PolyMD(np.array([[2.0, -1.0], [bad, 0.0]], dtype=complex))
+
+
+@pytest.mark.parametrize("s", [np.nan, np.inf])
+def test_tridisk_rif_refuses_non_finite_s(s):
+    # both pass the s < 3 guard of catalog.tridisk_rif
+    with pytest.raises(ValueError, match="finite"):
+        catalog.tridisk_rif(s)
+
+
 def test_degree_not_attained_rejected():
     # top face all zero in axis 0
     c = np.array([[1.0, 2.0], [0.0, 0.0]], dtype=complex)

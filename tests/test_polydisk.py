@@ -79,6 +79,15 @@ def test_family_needs_s_at_least_three():
         polydisk.tridisk_weight(2.5, 1.0 + 0.0j, 1.0, 1.0)
 
 
+def test_grids_below_one_node_are_refused():
+    with pytest.raises(ValueError, match="grid_n"):
+        polydisk.build_measure_d(catalog.tridisk_rif(3.5), 1.0j, 0)
+    with pytest.raises(ValueError, match="grid_n"):
+        polydisk.verify_poisson_d(3.5, 1.0j, (0.1, 0.2, 0.3), 0)
+    with pytest.raises(ValueError, match="grid_n"):
+        polydisk.level_surface_rows(3.5, 1.0j, 0)
+
+
 def test_build_measure_d_matches_closed_form():
     s, alpha = 4.0, np.exp(0.9j)
     phi = catalog.tridisk_rif(s)
