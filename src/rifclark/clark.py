@@ -135,13 +135,16 @@ def build_measure(phi: Rif, alpha: complex, grid_n: int = 4096) -> ClarkMeasure:
     theta, quad, lines = _zeta1_rule(phi, alpha, grid_n)
     zeta1 = np.exp(1j * theta)
     roots, num, den, _ = _slice_atoms(phi, alpha, zeta1[:, None])
-    keep = ~np.isnan(roots).ravel()  # drops degree drops and zero slices
+    np.divide(num, den, out=num)
+    num *= quad
     nodes = np.empty(roots.shape + (2,), dtype=complex)
     nodes[..., 0], nodes[..., 1] = zeta1, roots
-    nodes = np.compress(keep, nodes.reshape(-1, 2), axis=0)
+    nodes, weights = nodes.reshape(-1, 2), num.reshape(-1)
+    keep = ~np.isnan(roots).reshape(-1)
+    if not keep.all():  # a degree drop or a zero slice left NaN roots
+        nodes, weights = nodes[keep], weights[keep]
     measure = ClarkMeasure(phi=phi, alpha=alpha, grid_n=grid_n, nodes=nodes,
-                           weights=(num / den * quad).ravel()[keep],
-                           lines=lines)
+                           weights=weights, lines=lines)
     _check_mass(measure, expected_mass(phi, alpha))
     return measure
 

@@ -17,6 +17,9 @@ import argparse
 import os
 import sys
 
+# largest grid of tridisk --build: the builder solves grid**2 slices
+BUILD_GRID_CAP = 256
+
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS")
 
@@ -272,9 +275,12 @@ def cmd_tridisk(args) -> int:
         did = True
     if args.build:
         phi = catalog.tridisk_rif(s)
-        measure = polydisk.build_measure_d(phi, alpha, min(args.grid, 256))
+        grid = min(args.grid, BUILD_GRID_CAP)
+        measure = polydisk.build_measure_d(phi, alpha, grid)
         mass = polydisk.total_mass_d(measure)
-        print(f"built {len(measure.weights)} nodes, mass {mass:.12g}")
+        capped = f", --grid {args.grid} capped" if grid < args.grid else ""
+        print(f"built {len(measure.weights)} nodes, mass {mass:.12g} "
+              f"(grid {grid}x{grid}{capped})")
         did = True
     if not did:
         print("nothing to do: pass --diagonal, --surface, --point or --build",
@@ -370,7 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tridisk", help="closed-form tridisk family tools")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--alpha", required=True)
-    p.add_argument("--grid", type=int, default=4096)
+    p.add_argument("--grid", type=int, default=4096,
+                   help="grid size N; --build uses a grid of "
+                        f"min(N, {BUILD_GRID_CAP}) squared")
     csv = p.add_mutually_exclusive_group()  # both would write --out
     csv.add_argument("--diagonal", action="store_true",
                      help="CSV of weights along (e^{it}, e^{-it})")

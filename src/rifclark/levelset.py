@@ -54,6 +54,12 @@ NEWTON_ITERS = 3  # Newton steps per slice root, at most
 # reference circles zeta2 = w_ref of the phase labels, tried in order: a
 # circle through a singularity on the path (fav's zeta2 = 1) gives no phase
 _REF_CIRCLES = (np.exp(0.373j), np.exp(2.419j), np.exp(4.297j))
+# slices per block of _slice_atoms: every pass over a block (rows, roots,
+# Newton steps, weight parts) stays in a 2 MiB L2 instead of streaming a
+# fresh MB-sized temporary.  On one core the eight bidisk builds of the
+# benchmark at N = 65536 took 228 ms unblocked, 166 ms in blocks of 4096
+# slices, 155 ms at 8192 and 156 ms at 16384.
+SLICE_BLOCK = 8192
 
 
 @dataclass
@@ -134,19 +140,29 @@ def _slice_atoms(phi: Rif, alpha: complex, pts):
     mass of each atom of the slice Clark measure.  Both come from
     one-variable rows in z_d: ``den`` is the derivative of the slice row
     at the polished root, ``num`` the slice row of p there.  No root is
-    labeled.
+    labeled.  The slices are independent, so they are solved SLICE_BLOCK
+    at a time straight into the outputs, and each pass over a block
+    stays in cache.
     """
     hcoef = phi.level_coeffs(_unimodular_alpha(alpha))
-    rows = slice_coeffs(hcoef, pts)
-    rowmax = np.max(np.abs(rows), axis=0)
-    zero_rows = rowmax < ZERO_SLICE_REL_TOL * float(np.max(np.abs(hcoef)))
-    # zero slices are solved as the constant 1: no roots
-    roots = companion_roots(np.where(zero_rows, np.eye(len(rows), 1), rows)
-                            if zero_rows.any() else rows)
-    dh = _newton_polish(rows, rowmax, roots)
-    num = np.abs(_polyval_rows(slice_coeffs(phi.den.coeffs, pts)[:, None],
-                               roots))
-    return roots, num, np.abs(dh), zero_rows
+    k, m = hcoef.shape[-1] - 1, len(pts)
+    roots = np.empty((k, m), dtype=complex)
+    num, den = np.empty((k, m)), np.empty((k, m))
+    zero_rows = np.empty(m, dtype=bool)
+    zero_tol = ZERO_SLICE_REL_TOL * float(np.max(np.abs(hcoef)))
+    for lo in range(0, m, SLICE_BLOCK):
+        b = slice(lo, lo + SLICE_BLOCK)
+        rows = slice_coeffs(hcoef, pts[b])
+        rowmax = np.max(np.abs(rows), axis=0)
+        zero = np.less(rowmax, zero_tol, out=zero_rows[b])
+        # zero slices are solved as the constant 1: no roots
+        roots[:, b] = companion_roots(
+            np.where(zero, np.eye(len(rows), 1), rows) if zero.any()
+            else rows)
+        np.abs(_newton_polish(rows, rowmax, roots[:, b]), out=den[:, b])
+        np.abs(_polyval_rows(slice_coeffs(phi.den.coeffs, pts[b])[:, None],
+                             roots[:, b]), out=num[:, b])
+    return roots, num, den, zero_rows
 
 
 def _newton_polish(rows, rowmax, values):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .clark import ClarkMeasure, _check_mass, total_mass
 from .errors import RootFindFailure, SingularDenominator, UnstableDenominator
-from .levelset import _slice_atoms, _unimodular_alpha
+from .levelset import SLICE_BLOCK, _slice_atoms, _unimodular_alpha
 from .poly import PolyMD, Rif, _eval_tensor, stability_check
 from .util import TWO_PI
 
@@ -76,9 +76,11 @@ def build_measure_d(phi: Rif, alpha: complex,
     nodes = np.empty(roots.shape + (3,), dtype=complex)
     nodes[..., :2] = pts
     nodes[..., 2] = roots
+    np.divide(num, den, out=num)
+    num /= N * N
     measure = ClarkMeasure(phi=phi, alpha=alpha, grid_n=N,
                            nodes=nodes.reshape(-1, 3),
-                           weights=(num / den).ravel() / (N * N), lines=[])
+                           weights=num.reshape(-1), lines=[])
     _check_mass(measure, np.mean(_slice_masses(phi, alpha, pts)))
     return measure
 
@@ -148,9 +150,7 @@ def _family(s, alpha, zeta1, zeta2):
     z1 = np.asarray(zeta1, dtype=complex)
     z2 = np.asarray(zeta2, dtype=complex)
     den = s * z1 * z2 - z1 - z2 + a
-    if np.any(np.abs(den) < 1e-12 * (s + 3.0)):
-        raise SingularDenominator(
-            "family denominator vanishes (s = 3, alpha = -1 corner)")
+    _check_family_den(s, den)
     num = (s * s * z1 * z2 - s * (z1 * z1 * z2 + z1 * z2 * z2 + z1 + z2)
            + z1 * z1 + z1 * z2 + z2 * z2)
     return ((a * s - a * z1 - a * z2 + z1 * z2) / den,
@@ -175,6 +175,39 @@ def _poisson1(zeta, z):
     return (1.0 - abs(z) ** 2) / np.abs(zeta - z) ** 2
 
 
+def _check_family_den(s, den):
+    if np.any(np.abs(den) < 1e-12 * (s + 3.0)):
+        raise SingularDenominator(
+            "family denominator vanishes (s = 3, alpha = -1 corner)")
+
+
+def _poisson_sum(s, a, z, theta, wq):
+    """sum over j, k of wq_j wq_k W P(zeta1, z1) P(zeta2, z2) P(psi, z3)
+    at zeta1 = e^{i theta_j}, zeta2 = e^{i theta_k}, psi and W those of
+    phi_s (``_family``).
+
+    With psi = A / den, W P(psi, z3) = (1 - |z3|^2) |num| / |A - z3 den|^2,
+    where num is quadratic in zeta2 and den and A - z3 den are linear,
+    all with coefficients in zeta1: no psi and no complex division.  The
+    zeta1 rows go SLICE_BLOCK // len(theta) at a time, each reduced by
+    two products with the weighted Poisson vectors of zeta2 and zeta1.
+    """
+    zg = np.exp(1j * theta)
+    p1, p2 = wq * _poisson1(zg, z[0]), wq * _poisson1(zg, z[1])
+    z3 = z[2]
+    rows = max(1, SLICE_BLOCK // len(zg))
+    total = 0.0
+    for lo in range(0, len(zg), rows):
+        z1 = zg[lo:lo + rows, None]
+        _check_family_den(s, (s * z1 - 1.0) * zg + (a - z1))
+        num = ((1.0 - s * z1) * zg + (z1 * (s * s + 1.0 - s * z1) - s)) * zg \
+            + z1 * (z1 - s)
+        lin = (z1 - a - z3 * (s * z1 - 1.0)) * zg \
+            + (a * (s - z1) - z3 * (a - z1))
+        total += p1[lo:lo + rows] @ (np.abs(num) / np.abs(lin) ** 2 @ p2)
+    return (1.0 - abs(z3) ** 2) * float(total)
+
+
 def verify_poisson_d(s: float, alpha: complex, z,
                      grid_n: int = 512) -> PoissonReportD:
     """Three-variable Poisson identity for phi_s via the closed-form weight.
@@ -197,36 +230,19 @@ def verify_poisson_d(s: float, alpha: complex, z,
 
     N = grid_n
     theta = _torus_grid(N)
-
-    def node_values(t1, t2):
-        z1 = np.exp(1j * t1)
-        z2 = np.exp(1j * t2)
-        psi, w = _family(s, a, z1, z2)
-        return w * (_poisson1(z1, z[0]) * _poisson1(z2, z[1])
-                    * _poisson1(psi, z[2]))
-
-    # separable arguments: exp and the z1, z2 kernels run on one axis
-    rhs = float(np.mean(node_values(theta[:, None], theta[None, :])))
-
+    rhs = _poisson_sum(s, a, z, theta, np.full(N, 1.0 / N))
     if s == 3.0:
         # swap the coarse estimate of the window around (1, 1) for an
         # 8x-refined one; both window rules are composite trapezoids with
         # matching boundary weights, so the substitution only changes the
         # window's interior quadrature error
-        half = 0.5
         dtheta = TWO_PI / N
-        k = int(np.ceil(half / dtheta))
-
-        def window_trapz(step):
+        k = int(np.ceil(0.5 / dtheta))
+        for step, sign in ((1, 1.0), (8, -1.0)):
             g = np.arange(-k * 8, k * 8 + 1, step) * (dtheta / 8.0)
-            wq = np.ones(len(g))
-            wq[0] = wq[-1] = 0.5
-            v = node_values(g[:, None], g[None, :])
-            cell = step * dtheta / 8.0
-            return float(np.real((wq[:, None] * wq[None, :] * v).sum())) \
-                * cell * cell / TWO_PI ** 2
-
-        rhs += window_trapz(1) - window_trapz(8)
+            wq = np.full(len(g), step * dtheta / 8.0 / TWO_PI)
+            wq[0] = wq[-1] = 0.5 * wq[0]
+            rhs += sign * _poisson_sum(s, a, z, g, wq)
     return PoissonReportD(lhs=lhs, rhs=rhs)
 
 

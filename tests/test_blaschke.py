@@ -8,7 +8,7 @@ whose Clark measure has atoms of mass |p| / |d/dz2 h| there.
 import numpy as np
 import pytest
 
-from rifclark import catalog
+from rifclark import catalog, levelset
 from rifclark.levelset import UNIMODULAR_TOL, _slice_atoms, _weight_tols
 
 ALPHA = np.exp(0.7j)
@@ -104,3 +104,26 @@ def test_wrong_slice_arity_rejected():
     phi = catalog.simple_singular_rif()
     with pytest.raises(ValueError):
         _slice_atoms(phi, ALPHA, np.array([[0.5, 0.5]]))
+
+
+@pytest.mark.parametrize("alpha, special", [
+    (-1.0 + 0.0j, 1.0),  # a zero slice: fav's line {1} x T at alpha = -1
+    # a degree drop: the z2 coefficient 2 z1 - 1 + alpha of h vanishes
+    (ALPHA, (1.0 - ALPHA) / 2.0),
+])
+def test_blocked_kernel_equals_its_blocks(alpha, special):
+    # 2 SLICE_BLOCK + 37 points, ``special`` in the middle block
+    phi = catalog.simple_singular_rif()
+    B = levelset.SLICE_BLOCK
+    m = 2 * B + 37
+    pts = np.exp(2j * np.pi * (np.arange(m) + 0.5) / m)[:, None]
+    pts[B + 5] = special
+    whole = _slice_atoms(phi, alpha, pts)
+    parts = [_slice_atoms(phi, alpha, pts[lo:lo + B])
+             for lo in range(0, len(pts), B)]
+    for got, *blocks in zip(whole, *parts):
+        assert np.array_equal(got, np.concatenate(blocks, axis=-1),
+                              equal_nan=True)
+    roots, _, _, zero_rows = whole
+    assert np.flatnonzero(np.isnan(roots).any(axis=0)).tolist() == [B + 5]
+    assert zero_rows[B + 5] == (alpha == -1.0)

@@ -717,3 +717,25 @@ def test_verify_poisson_refuses_no_points(fav_measure_alphai):
 def test_moments_refuse_a_negative_degree(fav_measure_alphai):
     with pytest.raises(ValueError, match="non-negative"):
         clark.herglotz_moments(fav_measure_alphai, -1)
+
+
+def test_build_drops_blank_roots_with_their_weights(fav, monkeypatch):
+    # fav at a generic alpha has no drop; a root blanked by the kernel
+    # takes the gather path, which drops that node and its weight alone.
+    # Node 0 is the atom at the singular corner (1, 1), of weight 0, so
+    # the mass guard passes without it
+    alpha, N = np.exp(0.7j), 1024
+    full = clark.build_measure(fav, alpha, N)
+    slice_atoms = clark._slice_atoms
+
+    def blank_first_root(*args):
+        roots, num, den, zero_rows = slice_atoms(*args)
+        roots[0, 0] = np.nan
+        return roots, num, den, zero_rows
+
+    monkeypatch.setattr(clark, "_slice_atoms", blank_first_root)
+    m = clark.build_measure(fav, alpha, N)
+    keep = np.arange(len(full.weights)) != 0
+    assert len(m.weights) == len(full.weights) - 1
+    assert np.array_equal(m.nodes, np.compress(keep, full.nodes, axis=0))
+    assert np.array_equal(m.weights, np.compress(keep, full.weights))

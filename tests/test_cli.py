@@ -246,7 +246,18 @@ def test_tridisk_build_reports_nodes_and_mass(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "built 1024 nodes, mass " in out
+    assert "(grid 32x32)" in out
     assert abs(float(out.split("mass ")[1].split()[0]) - 1.0) < 1e-8
+
+
+def test_tridisk_build_reports_the_capped_grid(capsys):
+    rc = main(["tridisk", "--s", "4", "--alpha", "i", "--grid", "4096",
+               "--build"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "built 65536 nodes, mass " in out
+    assert "(grid 256x256, --grid 4096 capped)" in out
+    assert abs(float(out.split("mass ")[1].split()[0]) - 1.0) < 1e-12
 
 
 def test_tridisk_diagonal_csv(tmp_path, capsys):

@@ -181,11 +181,20 @@ def _meshgrid_poisson_rhs(s, alpha, z, N):
 @pytest.mark.parametrize("s, alpha, z", [
     (3.5, np.exp(0.9j), (0.3, -0.2j, 0.1 + 0.4j)),
     (3.0, 1.0j, (0.5, 0.5, 0.5)),  # the window path
+    (6.0, np.exp(-0.3j), (0.85j, -0.6 + 0.5j, 0.7)),
+    (3.05, np.exp(0.941j * np.pi), (0.3, -0.2j, 0.1 + 0.4j)),
 ])
 def test_poisson_d_separable_grid_matches_meshgrid(s, alpha, z):
     rep = polydisk.verify_poisson_d(s, alpha, z, 512)
     assert abs(rep.rhs - _meshgrid_poisson_rhs(s, alpha, np.array(z), 512)) \
         <= 1e-15
+
+
+def test_poisson_d_refuses_the_singular_corner():
+    # at s = 3, alpha = -1 the family's denominator vanishes at (1, 1),
+    # a node of every grid; the guard runs on each block of rows
+    with pytest.raises(SingularDenominator):
+        polydisk.verify_poisson_d(3.0, -1, (0.1, 0.2, 0.3), 64)
 
 
 def test_two_path_witness():
