@@ -6,28 +6,26 @@ the positive measure on the 2-torus with Poisson extension
 phi*: weighted arcs along the graph branches plus, for exceptional
 alpha, uniform pieces on full lines.
 
-A ClarkMeasure is one quadrature rule: level-set points ``nodes`` with
-``weights`` (quadrature weight times Clark weight), plus the vertical
-lines {tau} x T, each carrying the constant 1/|d phi/d z1| times arc
-length.  Each line stands for the uniform grid_n-point rule on it; the
-Poisson, moment and Gram sums take that rule's value in closed form and
-only ``integrate`` enumerates its nodes.  sigma_alpha is the
-zeta1-average of the slice Clark measures of phi(zeta1, .), so the nodes
-over each zeta1 node are the atoms |p| / |d/dz2 h| of its slice, all
-from one kernel (``levelset._slice_atoms``); nothing is traced.  One
-rule (``_zeta1_rule``) places the zeta1 nodes: uniform, half a step off
-the first line, and clustered by a Blaschke product wherever the grid
-would miss the poles of the zeta1-marginal, with lines or without.  A
-horizontal line T x {tau} is the atom zeta2 = tau of every slice, so
-among the nodes.  Every integrator is a weighted sum over blocks of
-nodes plus a term per line; ``polydisk.build_measure_d`` returns the
-same structure on the tridisk.
+A ClarkMeasure is one fibered quadrature rule: base nodes zeta1, each
+stored once, the atoms |p| / |d/dz2 h| of the slice phi(zeta1, .) over
+each (sigma_alpha is the zeta1-average of the slice Clark measures), all
+from one kernel (``levelset._slice_atoms``), plus the vertical lines
+{tau} x T, each carrying the constant 1/|d phi/d z1| times arc length.
+Each line stands for the uniform grid_n-point rule on it; the Poisson,
+moment and Gram sums take that rule's value in closed form and only
+``integrate`` enumerates its nodes.  One rule (``_zeta1_rule``) places
+the zeta1 nodes: uniform, half a step off the first line, and clustered
+by a Blaschke product wherever the grid would miss the poles of the
+zeta1-marginal, with lines or without.  A horizontal line T x {tau} is
+the atom zeta2 = tau of every slice.  Every integrator walks blocks of
+base nodes, forms each zeta1 factor once per base node for its atoms,
+and adds a term per line; ``polydisk.build_measure_d`` returns the same
+structure on the tridisk.
 """
 
 from __future__ import annotations
 
 import binascii
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -47,7 +45,7 @@ from .levelset import (
     _weight_tols,
 )
 from .poly import Rif
-from .util import TWO_PI, canonical_json
+from .util import TWO_PI, canonical_json, unit_circle_points
 
 __all__ = [
     "ClarkMeasure", "build_measure", "weight_at",
@@ -57,12 +55,12 @@ __all__ = [
     "HerglotzFunction", "measure_to_json", "measure_from_json",
 ]
 
-# nodes per block of every integrator: the (terms, nodes) tables of the
-# moment, Gram and Poisson sums stay cache-sized (33 Herglotz rows of 4096
-# nodes are about 2 MB).  On one core with a 2 MiB L2, herglotz_moments(32)
-# took per 65536 nodes of squared at alpha = -1 50 ms with blocks of 65536,
-# 37 ms at 8192, 33 at 4096, 31 at 2048 and 40 at 512; at 2048 the
-# per-block overhead made verify_poisson 25-46% slower.
+# atoms per block of every integrator (_BLOCK_NODES // k base nodes): the
+# (terms, atoms) tables of the moment and Gram sums stay cache-sized (33
+# Herglotz rows of 4096 atoms are about 2 MB).  On one core with a 2 MiB
+# L2, herglotz_moments(32) of squared at alpha = -1, N = 65536, took 50 ms
+# in flat blocks of 65536 nodes, 37 ms at 8192, 33 at 4096, 31 at 2048
+# and 40 at 512; at 2048 verify_poisson was 25-46% slower.
 _BLOCK_NODES = 4096
 
 # The uniform N-point rule resolves a pole at distance d from the circle
@@ -79,12 +77,16 @@ MASS_GAP_TOL = 1e-6
 
 @dataclass
 class ClarkMeasure:
-    """A Clark measure as a quadrature rule on the d-torus.
+    """A Clark measure as a fibered quadrature rule on the d-torus.
 
-    ``nodes`` (n, d) are level-set points and ``weights`` (n,) the
-    quadrature weight times the Clark weight there.  ``lines`` are the
-    vertical line components {tau} x T, each a constant c times arc
-    length, integrated by the uniform rule zeta1 = tau,
+    ``base`` (m, d-1) holds the base nodes zeta', each once, ``atoms``
+    (k, m) the k atoms zeta_d over each, root-major as the slice kernel
+    returns them, and ``weights`` (k, m) the base node's quadrature weight
+    times the atom's Clark weight |p| / |d/dz_d (q - alpha p)|.  An empty
+    atom (a NaN root: a degree drop or a zero slice) holds 1 with weight
+    exactly 0, so every sum stays finite; ``integrate`` skips it.
+    ``lines`` are the vertical line components {tau} x T, each a constant
+    c times arc length, integrated by the uniform rule zeta1 = tau,
     zeta2 = e^{2 pi i k / N}, k < N = ``grid_n``, of weight c / N per
     node.  ``integrate`` alone enumerates those nodes; the other
     integrators add the rule's value in closed form, aliasing included:
@@ -97,8 +99,8 @@ class ClarkMeasure:
       and entry (a, b) gains c g_a conj(g_b) S_N(conj(w_a2), w_b2) with
       S_N(a, b) = (1 - a^N b^N) / ((1 - a b) (1 - a^N) (1 - b^N)).
 
-    Horizontal lines are among the nodes.  The zeta1 nodes, shifted off
-    the lines or clustered near an emerging one, are ``nodes[:, 0]``.
+    Horizontal lines are among the atoms.  The zeta1 nodes, shifted off
+    the lines or clustered near an emerging one, are ``base[:, 0]``.
 
     ``branches`` is always empty: no builder traces labeled branches,
     nothing in the package reads it and it is not serialized.  The field
@@ -110,7 +112,8 @@ class ClarkMeasure:
     phi: Rif
     alpha: complex
     grid_n: int
-    nodes: np.ndarray = field(repr=False)
+    base: np.ndarray = field(repr=False)
+    atoms: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     lines: list[LineComponent]  # vertical components only
     branches: list[Branch] = field(default_factory=list, repr=False)
@@ -121,8 +124,9 @@ def build_measure(phi: Rif, alpha: complex, grid_n: int = 4096) -> ClarkMeasure:
 
     The zeta1 nodes are that grid or, near an exceptional alpha, its
     preimages under a Blaschke product, which cluster where the mass of
-    an emerging line piles up (``_zeta1_rule``).  Over each sit the atoms
-    of its slice, listed root row by root row of the kernel.  At an
+    an emerging line piles up (``_zeta1_rule``); they are the ``base``.
+    Over each sit the atoms of its slice, root row by root row of the
+    kernel, an empty slot held as ClarkMeasure describes.  At an
     exceptional alpha the vertical lines (the only ones looked for) are
     split off exactly and the grid shifts half a step off them.  A mass off
     ``expected_mass`` by more than MASS_GAP_TOL raises MassGapExceeded.
@@ -133,18 +137,15 @@ def build_measure(phi: Rif, alpha: complex, grid_n: int = 4096) -> ClarkMeasure:
                          "tridisk")
     alpha = _unimodular_alpha(alpha)
     theta, quad, lines = _zeta1_rule(phi, alpha, grid_n)
-    zeta1 = np.exp(1j * theta)
-    roots, num, den, _ = _slice_atoms(phi, alpha, zeta1[:, None])
+    base = unit_circle_points(theta)[:, None]
+    roots, num, den, _ = _slice_atoms(phi, alpha, base)
     np.divide(num, den, out=num)
     num *= quad
-    nodes = np.empty(roots.shape + (2,), dtype=complex)
-    nodes[..., 0], nodes[..., 1] = zeta1, roots
-    nodes, weights = nodes.reshape(-1, 2), num.reshape(-1)
-    keep = ~np.isnan(roots).reshape(-1)
-    if not keep.all():  # a degree drop or a zero slice left NaN roots
-        nodes, weights = nodes[keep], weights[keep]
-    measure = ClarkMeasure(phi=phi, alpha=alpha, grid_n=grid_n, nodes=nodes,
-                           weights=weights, lines=lines)
+    empty = np.isnan(roots)
+    if empty.any():  # a degree drop or a zero slice (see ClarkMeasure)
+        roots[empty], num[empty] = 1.0, 0.0
+    measure = ClarkMeasure(phi=phi, alpha=alpha, grid_n=grid_n, base=base,
+                           atoms=roots, weights=num, lines=lines)
     _check_mass(measure, expected_mass(phi, alpha))
     return measure
 
@@ -187,7 +188,7 @@ def _zeta1_rule(phi, alpha, grid_n):
     a = 1.0 / np.conj(poles[grid_n * np.log(np.abs(poles)) < _POLE_RESOLVE])
     if not len(a):
         return theta, quad, lines
-    w = np.exp(1j * theta)
+    w = unit_circle_points(theta)
     if lines:  # B(tau) / tau, as theta_k starts from arg tau
         w *= np.prod((lines[0].tau - a) / (1.0 - np.conj(a) * lines[0].tau))
     c = np.poly(a)  # prod (z - a), highest power first
@@ -195,17 +196,20 @@ def _zeta1_rule(phi, alpha, grid_n):
     rows = (np.append(0.0, c[::-1])[:, None]
             - w * np.append(np.conj(c), 0.0)[:, None])
     theta = np.sort(np.angle(_poly.companion_roots(rows)).ravel())
-    z = np.exp(1j * theta)[:, None]
+    z = unit_circle_points(theta)[:, None]
     # |B'| on the circle: 1 plus the Poisson kernel of each zero
     dB = 1.0 + np.sum((1.0 - np.abs(a) ** 2) / np.abs(z - a) ** 2, axis=1)
     return theta, 1.0 / (grid_n * dB), lines
 
 
-def _node_blocks(measure: ClarkMeasure):
-    """Yield (nodes, weights) slices of at most _BLOCK_NODES stored nodes."""
-    nodes, weights = measure.nodes, measure.weights
-    for lo in range(0, len(weights), _BLOCK_NODES):
-        yield nodes[lo:lo + _BLOCK_NODES], weights[lo:lo + _BLOCK_NODES]
+def _fiber_blocks(measure: ClarkMeasure, size=None):
+    """Yield (base, atoms, weights) views of ``size`` // k base nodes at a
+    time (size _BLOCK_NODES by default) with their (k, block) atoms."""
+    k, m = measure.weights.shape
+    step = max(1, (size or _BLOCK_NODES) // k)
+    for lo in range(0, m, step):
+        b = slice(lo, lo + step)
+        yield measure.base[b], measure.atoms[:, b], measure.weights[:, b]
 
 
 def _line_blocks(measure: ClarkMeasure):
@@ -217,8 +221,8 @@ def _line_blocks(measure: ClarkMeasure):
     for line in measure.lines:
         for lo in range(0, N, _BLOCK_NODES):
             k = np.arange(lo, min(lo + _BLOCK_NODES, N))
-            yield (np.stack([np.full(len(k), complex(line.tau)),
-                             np.exp(1j * (TWO_PI * k / N))], axis=1),
+            yield ((np.full(len(k), complex(line.tau)),
+                    unit_circle_points(TWO_PI * k / N)),
                    np.full(len(k), line.constant / N))
 
 
@@ -247,11 +251,18 @@ def integrate(measure: ClarkMeasure, f) -> complex:
     """Integrate f(zeta1, zeta2[, zeta3]) against the measure.
 
     ``f`` takes one complex array per torus coordinate, all of one
-    shape, and must evaluate elementwise.  Lines enter on their uniform
-    grid, node by node.
+    shape, and must evaluate elementwise.  It is evaluated only at atoms
+    of non-zero weight, so never at an empty one.  Lines enter on their
+    uniform grid, node by node.
     """
-    blocks = itertools.chain(_node_blocks(measure), _line_blocks(measure))
-    return complex(sum(np.sum(w * f(*z.T)) for z, w in blocks))
+    total = 0.0
+    for base, atoms, w in _fiber_blocks(measure):
+        live = w != 0.0
+        z = [np.broadcast_to(c, atoms.shape)[live] for c in base.T]
+        total += np.sum(w[live] * f(*z, atoms[live]))
+    for z, w in _line_blocks(measure):
+        total += np.sum(w * f(*z))
+    return complex(total)
 
 
 def total_mass(measure: ClarkMeasure) -> float:
@@ -307,19 +318,22 @@ def verify_poisson(measure: ClarkMeasure, points,
             "Poisson quotient is singular there")
     lhs = (1.0 - np.abs(vals) ** 2) / dist ** 2
 
-    def poisson_factor(z, w):
-        # (points,) x (nodes,) -> (points, nodes)
-        return (1.0 - np.abs(w[:, None]) ** 2) / np.abs(z - w[:, None]) ** 2
-
+    # sum over base nodes of 1 / |zeta1 - z1|^2 times the fiber's sum of
+    # w / |zeta2 - z2|^2, 4 points at a time: the real (points, atoms)
+    # temporaries of blocks of 2 _BLOCK_NODES atoms stay cache-sized (squared
+    # at alpha = -e^{0.05i}, N = 65536: 77 ms in blocks of 4096, 51 in 8192)
     rhs = np.zeros(len(pts))
-    for z, w in _node_blocks(measure):
-        # 4 points at a time: the (points, nodes) temporaries stay within
-        # cache whatever the count; all 20 points of a check in one pass
-        # took 4-60% longer (squared near alpha = -1, N = 1024..65536)
+    for base, atoms, w in _fiber_blocks(measure, 2 * _BLOCK_NODES):
+        # contiguous real parts: strided ones are read 2-3x slower
+        z1, z2 = (np.stack((z.real, z.imag)) for z in (base[:, 0], atoms))
         for lo in range(0, len(pts), 4):
             p = pts[lo:lo + 4]
-            rhs[lo:lo + 4] += (poisson_factor(z[:, 0], p[:, 0])
-                               * poisson_factor(z[:, 1], p[:, 1])) @ w
+            fiber = _sq_dist(z2, p[:, 1])
+            np.divide(w, fiber, out=fiber)
+            fiber = _fiber_sum(fiber)
+            fiber /= _sq_dist(z1, p[:, 0])
+            rhs[lo:lo + 4] += fiber.sum(axis=1)
+    rhs *= (1.0 - np.abs(pts[:, 0]) ** 2) * (1.0 - np.abs(pts[:, 1]) ** 2)
     if measure.lines:
         # the N-point grid on a line averages P(., z2) to the aliased
         # (1 - |z2|^2N) / |1 - z2^N|^2
@@ -334,6 +348,25 @@ def verify_poisson(measure: ClarkMeasure, points,
                          rel_err=rel_err)
 
 
+def _sq_dist(zeta, z):
+    """|zeta - z|^2 for ``zeta`` given as (real, imag) parts, shape
+    (len(z),) + zeta's, as dx^2 + dy^2 in real arithmetic (no hypot)."""
+    d = np.subtract.outer(z.real, zeta[0])
+    d *= d
+    dy = np.subtract.outer(z.imag, zeta[1])
+    dy *= dy
+    d += dy
+    return d
+
+
+def _fiber_sum(a):
+    """Sum of ``a`` (..., k, block) over its k atoms, into a[..., 0, :]."""
+    total = a[..., 0, :]
+    for r in range(1, a.shape[-2]):
+        total += a[..., r, :]
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Herglotz reconstruction
 # ---------------------------------------------------------------------------
@@ -345,27 +378,30 @@ def herglotz_moments(measure: ClarkMeasure, max_degree: int) -> np.ndarray:
 
 def _moment_tables(measure, D, mixed=False):
     """C[j, k] = integral of conj(zeta1)^j conj(zeta2)^k, j, k <= D, and,
-    if ``mixed``, X[j, k] = integral of zeta1^j conj(zeta2)^k (else None),
-    in one pass over the nodes that shares the conj(zeta2) powers."""
+    if ``mixed``, X[j, k] = integral of zeta1^j conj(zeta2)^k (else None):
+    each fiber reduced to G[k, i] = sum_r w_ri conj(zeta2_ri)^k, then one
+    product with the conj(zeta1) powers, or their conjugates for X."""
     if measure.phi.dim != 2:
         raise ValueError("moment tables expect a two-variable inner function")
     if D < 0:
         raise ValueError(f"moment degree must be non-negative, got {D}")
     C = np.zeros((D + 1, D + 1), dtype=complex)
     X = np.zeros_like(C) if mixed else None
-    for z, w in _node_blocks(measure):
-        A = np.empty((D + 1, len(w)), dtype=complex)
-        B = np.empty_like(A)
-        B[0] = 1.0
-        c2 = np.conj(z[:, 1])
+    for base, atoms, w in _fiber_blocks(measure):
+        B = np.empty((D + 1,) + w.shape, dtype=complex)
+        B[0] = w
+        c2 = np.conj(atoms)
         for k in range(1, D + 1):
             np.multiply(B[k - 1], c2, out=B[k])
-        for u, out in zip((np.conj(z[:, 0]), z[:, 0]),
-                          (C, X) if mixed else (C,)):
-            A[0] = w
-            for j in range(1, D + 1):
-                np.multiply(A[j - 1], u, out=A[j])
-            out += A @ B.T
+        G = _fiber_sum(B).T
+        A = np.empty((D + 1, len(base)), dtype=complex)
+        A[0] = 1.0
+        c1 = np.conj(base[:, 0])
+        for j in range(1, D + 1):
+            np.multiply(A[j - 1], c1, out=A[j])
+        C += A @ G
+        if mixed:
+            X += np.conj(A) @ G
     # on a line the N-point grid averages conj(zeta2)^k to [N | k]
     j = np.arange(D + 1)[:, None]
     N = measure.grid_n
@@ -470,13 +506,17 @@ def herglotz_reconstruct(measure: ClarkMeasure,
 # serialization
 # ---------------------------------------------------------------------------
 
-def measure_to_json(measure: ClarkMeasure) -> str:
-    """Canonical JSON of the measure; ``nodes`` and ``weights`` are binary.
+# the binary fields of a measure record, in the order written
+_ARRAYS = (("base", "<c16"), ("atoms", "<c16"), ("weights", "<f8"))
 
-    They are base64 strings of raw little-endian bytes in row-major
-    order: nodes complex128 (``<c16``) of shape (n, phi.dim), weights
-    float64 (``<f8``) of shape (n,).  So every value survives bit for bit
-    (-0.0, NaN, infinities, subnormals); the other fields are text.
+
+def measure_to_json(measure: ClarkMeasure) -> str:
+    """Canonical JSON of the measure; ``base``, ``atoms`` and ``weights``
+    are binary records {"shape", "data"}: the shape, (m, phi.dim - 1) or
+    (k, m), and a base64 string of the raw little-endian bytes in
+    row-major order, complex128 (``<c16``) or for weights float64
+    (``<f8``).  So every value survives bit for bit (-0.0, NaN,
+    infinities, subnormals); the other fields are text.
     """
     obj = {
         "type": "clark_measure",
@@ -487,14 +527,15 @@ def measure_to_json(measure: ClarkMeasure) -> str:
             "den": _poly.poly_to_json_obj(measure.phi.den),
         },
         "mass": total_mass(measure),
-        "nodes": _pack(measure.nodes, "<c16"),
-        "weights": _pack(measure.weights, "<f8"),
         "lines": [
             {"axis": line.axis, "tau": complex(line.tau),
              "constant": line.constant}
             for line in measure.lines
         ],
     }
+    for key, dtype in _ARRAYS:
+        a = getattr(measure, key)
+        obj[key] = {"shape": list(a.shape), "data": _pack(a, dtype)}
     return canonical_json(obj)
 
 
@@ -504,10 +545,17 @@ def _pack(a, dtype):
     return memoryview(np.ascontiguousarray(a, dtype=dtype))
 
 
-def _unpack(payload, dtype, key):
-    if not isinstance(payload, str):  # such as the earlier text arrays
-        raise ValueError(f"Clark measure {key} must be base64 of raw {dtype} "
-                         "bytes; text-array records are no longer read")
+def _unpack(rec, dtype, key):
+    """The array of a {"shape", "data"} record as measure_to_json writes it."""
+    if not (isinstance(rec, dict) and set(rec) == {"shape", "data"}
+            and isinstance(rec["data"], str)):  # text arrays included
+        raise ValueError(f"Clark measure {key} must be a record of its shape "
+                         f"and base64 of raw {dtype} bytes")
+    shape, payload = rec["shape"], rec["data"]
+    if not isinstance(shape, list) or len(shape) != 2 or not all(
+            type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"Clark measure {key} shape must be two "
+                         "non-negative integers")
     raw = binascii.a2b_base64(payload)  # binascii.Error is a ValueError
     # a2b_base64 skips characters outside the alphabet and padding before
     # the end, which leaves fewer bytes than the length promises; only
@@ -516,19 +564,21 @@ def _unpack(payload, dtype, key):
     if len(payload) % 4 or len(raw) != 3 * len(payload) // 4 - pads:
         raise ValueError(f"Clark measure {key} holds characters outside the "
                          "base64 alphabet or padding before its end")
-    if len(raw) % np.dtype(dtype).itemsize:
-        raise ValueError(f"Clark measure {key} is not a whole number of "
-                         f"{dtype} values")
-    return np.frombuffer(raw, dtype=dtype).copy()  # writable, as built
+    if len(raw) != shape[0] * shape[1] * np.dtype(dtype).itemsize:
+        raise ValueError(f"Clark measure {key} is not the {shape[0]} x "
+                         f"{shape[1]} {dtype} values of its shape")
+    # a writable copy, as built
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 
 
 def measure_from_json(text: str) -> ClarkMeasure:
     """Read a measure written by measure_to_json (same encoding).
 
-    Raises ValueError for anything else: records without ``nodes`` and
-    ``weights`` (the per-branch format), text-array payloads (the earlier
-    flat format), malformed base64 or lengths that do not fit together,
-    and headers that miss a key, store a complex value other than as a
+    Raises ValueError for anything else: records without ``base``,
+    ``atoms`` and ``weights`` (the flat-node and per-branch layouts),
+    text-array payloads, malformed base64, arrays whose lengths, shapes or
+    coordinates (phi.dim - 1 per base node) do not fit together or that
+    hold no atom per base node (k < 1), and headers that miss a key, store a complex value other than as a
     [re, im] pair, give an alpha or a line tau off the unit circle (by
     more than 1e-9), a grid_n that is not a positive integer, a line that
     is not vertical (axis 1) or a line constant that is not finite and
@@ -538,25 +588,30 @@ def measure_from_json(text: str) -> ClarkMeasure:
     obj = json.loads(text)
     if not isinstance(obj, dict) or obj.get("type") != "clark_measure":
         raise ValueError("not a serialized Clark measure")
-    if "nodes" not in obj or "weights" not in obj:
-        raise ValueError("Clark measure record has no nodes and weights; "
-                         "per-branch records are no longer read")
+    if not all(key in obj for key, _ in _ARRAYS):
+        raise ValueError("Clark measure record has no base, atoms and "
+                         "weights; flat-node and per-branch records are no "
+                         "longer read")
     alpha, grid_n, rif, _, recs = _fields(
         obj, ("alpha", "grid_n", "rif", "mass", "lines"), "record")
     degrees, den = _fields(rif, ("degrees", "den"), "rif")
     phi = Rif(_poly.poly_from_json_obj(den), _poly.json_degrees(degrees, 1))
     if type(grid_n) is not int or grid_n < 1:  # type() keeps out True
         raise ValueError("Clark measure grid_n must be a positive integer")
-    weights = _unpack(obj["weights"], "<f8", "weights")
-    nodes = _unpack(obj["nodes"], "<c16", "nodes")
-    if len(nodes) != len(weights) * phi.dim:
-        raise ValueError(f"Clark measure record needs one node of {phi.dim} "
-                         "coordinates per weight")
+    base, atoms, weights = (_unpack(obj[key], dtype, key)
+                            for key, dtype in _ARRAYS)
+    if base.shape[1] != phi.dim - 1:
+        raise ValueError(f"Clark measure base must have shape (m, "
+                         f"{phi.dim - 1}) for a {phi.dim}-variable function")
+    if atoms.shape != weights.shape or atoms.shape[1] != len(base):
+        raise ValueError("Clark measure base, atoms and weights shapes "
+                         "disagree; atoms and weights are (k, m) over m")
+    if len(atoms) < 1:
+        raise ValueError("Clark measure needs k >= 1 atoms per base node")
     if not isinstance(recs, list):
         raise ValueError("Clark measure lines must be a list")
     return ClarkMeasure(phi=phi, alpha=_unimodular(alpha, "alpha"),
-                        grid_n=grid_n,
-                        nodes=nodes.reshape(len(weights), phi.dim),
+                        grid_n=grid_n, base=base, atoms=atoms,
                         weights=weights, lines=[_line(rec) for rec in recs])
 
 

@@ -99,7 +99,8 @@ def cmd_analyze(args) -> int:
     expected = clark.expected_mass(phi, alpha)
     _write(args.out, clark.measure_to_json(measure))
     print(f"alpha {alpha:.17g} grid {args.grid}")
-    print(f"nodes {len(measure.weights)} lines {len(measure.lines)}")
+    print(f"base {len(measure.base)} atoms {(measure.weights != 0).sum()} "
+          f"lines {len(measure.lines)}")
     print(f"mass {mass:.17g} expected {expected:.17g} "
           f"gap {abs(mass - expected):.3g}")
     print(f"wrote {args.out}")
@@ -279,7 +280,8 @@ def cmd_tridisk(args) -> int:
         measure = polydisk.build_measure_d(phi, alpha, grid)
         mass = polydisk.total_mass_d(measure)
         capped = f", --grid {args.grid} capped" if grid < args.grid else ""
-        print(f"built {len(measure.weights)} nodes, mass {mass:.12g} "
+        print(f"built {len(measure.base)} base nodes, "
+              f"{np.count_nonzero(measure.weights)} atoms, mass {mass:.12g} "
               f"(grid {grid}x{grid}{capped})")
         did = True
     if not did:

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import poly as _poly
-from .clark import ClarkMeasure, _moment_tables, _node_blocks
+from .clark import ClarkMeasure, _fiber_blocks, _moment_tables
 from .errors import DenominatorVanishes
 from .levelset import _slice_atoms, _uniform_theta
 from .poly import PolyMD, Rif, companion_roots, trim
+from .util import unit_circle_points
 
 CONJ_GRID_N = 512  # zeta1 nodes of conj_rational's residual check
 
@@ -40,11 +41,6 @@ class DensityReport:
     distance_zbar1: float
     gram_rank: int
     verdict: str
-
-
-def _szego(w, z1, z2):
-    """Product Szego kernel C_w(z) = prod_t 1/(1 - conj(w_t) z_t)."""
-    return 1.0 / ((1.0 - np.conj(w[0]) * z1) * (1.0 - np.conj(w[1]) * z2))
 
 
 def gram_isometry_check(phi: Rif, alpha: complex, points,
@@ -74,11 +70,18 @@ def gram_isometry_check(phi: Rif, alpha: complex, points,
     model = (1.0 - np.conj(phw)[:, None] * phw[None, :]) * cw
 
     prefac = 1.0 - complex(measure.alpha) * np.conj(phw)
+    # the embedded kernel at w_a is prefac_a / (D_a1(zeta1) D_a2(zeta2)),
+    # D_at(z) = 1 - conj(w_at) z: D_a1 once per base node, one reciprocal,
+    # prefactors out of the sum, in place (a fresh temporary cost as much)
+    c1, c2 = -np.conj(w[:, 0]), -np.conj(w[:, 1])
     embedded = np.zeros((M, M), dtype=complex)
-    for z, wq in _node_blocks(measure):
-        F = prefac[:, None] * _szego((w[:, 0][:, None], w[:, 1][:, None]),
-                                     z[None, :, 0], z[None, :, 1])
-        embedded += (F * wq) @ np.conj(F).T
+    for base, atoms, wq in _fiber_blocks(measure):
+        F = np.multiply.outer(c2, atoms)
+        F += 1.0
+        F *= 1.0 + np.multiply.outer(c1, base[:, 0])[:, None]
+        F = np.reciprocal(F, out=F).reshape(M, -1)
+        embedded += (F * wq.reshape(-1)) @ np.conj(F).T
+    embedded *= np.outer(prefac, np.conj(prefac))
     if measure.lines:
         # the N-point grid on a line sums the zeta2 kernels to S_N(a, b)
         # (see ClarkMeasure)
@@ -159,7 +162,7 @@ def conj_rational(phi: Rif, alpha: complex) -> ConjRational:
     n2, d2 = _conj_parts(h.T)
     r1_num, r1_den = PolyMD(trim(n1)), PolyMD(d1[None, :])  # den: no z1
     r2_num, r2_den = PolyMD(trim(n2.T)), PolyMD(d2[:, None])  # den: no z2
-    z1 = np.exp(1j * _uniform_theta(CONJ_GRID_N))
+    z1 = unit_circle_points(_uniform_theta(CONJ_GRID_N))
     z2 = _slice_atoms(phi, alpha, z1[:, None])[0]  # NaN past a degree drop
     z1 = np.broadcast_to(z1, z2.shape)
     res1 = float(np.nanmax(np.abs(_ratio(r1_num, r1_den, z1, z2)

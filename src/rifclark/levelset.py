@@ -252,7 +252,7 @@ def trace_branches(phi: Rif, alpha: complex,
         raise ValueError("trace_branches expects a two-variable inner function")
     alpha = complex(alpha)
     for shift in (0.0, np.pi / grid_n):
-        zeta1 = np.exp(1j * (theta + shift))
+        zeta1 = unit_circle_points(theta + shift)
         roots, num, den, zero_rows = _slice_atoms(phi, alpha, zeta1[:, None])
         if not zero_rows.any():
             break
@@ -451,7 +451,8 @@ def _resultant_coeffs(p: PolyMD):
     its own degrees (n1, n2): Sylvester determinants at the M = 2 n1 n2 + 1
     roots of unity, then fft / M, exact for a degree below M."""
     n1, n2 = p.degrees
-    _, z1 = unit_circle_points(2 * n1 * n2 + 1)
+    M = 2 * n1 * n2 + 1
+    z1 = unit_circle_points(TWO_PI * np.arange(M) / M)
     rows = (slice_coeffs(p.coeffs, z1[:, None]),
             slice_coeffs(np.conj(p.coeffs[::-1, ::-1]), z1[:, None]))
     syl = np.zeros((len(z1), 2 * n2, 2 * n2), dtype=complex)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegreeNotAttained, RootFindFailure, ZeroPolynomial
+from .util import unit_circle_points
 
 ATTAIN_TOL = 1e-14
 TRIM_REL_TOL = 1e-14
@@ -312,7 +313,7 @@ def _cubic_roots(monic):
     s = np.sqrt(w * w + p3 ** 3)
     np.negative(s, out=s, where=(w.conjugate() * s).real < 0.0)
     u3 = -(w + s)
-    u = np.cbrt(np.abs(u3)) * np.exp(1j * np.angle(u3) / 3.0)
+    u = np.cbrt(np.abs(u3)) * unit_circle_points(np.angle(u3) / 3.0)
     # u = 0 only for p = q = 0, a triple root, where v stays 0
     v = np.divide(-p3, u, out=np.zeros_like(u), where=u != 0.0)
     z = np.stack([u + v, _OMEGA * u + _OMEGA.conjugate() * v,

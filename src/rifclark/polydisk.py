@@ -21,7 +21,7 @@ from .clark import ClarkMeasure, _check_mass, total_mass
 from .errors import RootFindFailure, SingularDenominator, UnstableDenominator
 from .levelset import SLICE_BLOCK, _slice_atoms, _unimodular_alpha
 from .poly import PolyMD, Rif, _eval_tensor, stability_check
-from .util import TWO_PI
+from .util import TWO_PI, unit_circle_points
 
 __all__ = [
     "build_measure_d", "total_mass_d",
@@ -41,11 +41,13 @@ def build_measure_d(phi: Rif, alpha: complex,
     denominators with boundary zeros — phi_3 at (1,1,1) for instance —
     are refused, since the absolutely-continuous structure formula breaks
     down there.
-    The nodes over each grid point (zeta1, zeta2) are all roots zeta3 of
-    its slice from ``levelset._slice_atoms``, as in the 2-variable
-    builder.  They are (grid_n**2 * n, 3) with n the degree in z3, listed
-    root row by root row and weighted by the tensor trapezoid rule
-    times the Clark weight |p| / |d/dz3 (q - alpha p)|.
+    The measure is fibered as in the 2-variable builder: ``base``
+    (grid_n**2, 2) holds the grid points (zeta1, zeta2), each once, and
+    ``atoms`` (n, grid_n**2), n the degree in z3, all roots zeta3 of each
+    point's slice from ``levelset._slice_atoms``, root row by root row.
+    Each weighs the tensor trapezoid weight 1 / grid_n**2 times the Clark
+    weight |p| / |d/dz3 (q - alpha p)|.  A slice that drops degree
+    raises RootFindFailure: the surface is then no clean cover.
 
     The atoms over each grid point carry the mass of their slice's Clark
     measure, which the Poisson identity at z3 = 0 gives exactly, and the
@@ -59,7 +61,7 @@ def build_measure_d(phi: Rif, alpha: complex,
         raise ValueError("build_measure_d handles exactly three variables")
     alpha = _unimodular_alpha(alpha)
     N = grid_n
-    zg = np.exp(1j * _torus_grid(N))
+    zg = unit_circle_points(_torus_grid(N))
     cert = _certificate(phi.den.coeffs.shape, phi.den.coeffs.tobytes())
     if not cert.is_stable or cert.min_modulus_on_grid <= 1.0 + 1e-6:
         raise UnstableDenominator(
@@ -73,14 +75,10 @@ def build_measure_d(phi: Rif, alpha: complex,
         raise RootFindFailure(
             "a slice dropped degree; the surface is not a clean cover "
             "of the 2-torus")
-    nodes = np.empty(roots.shape + (3,), dtype=complex)
-    nodes[..., :2] = pts
-    nodes[..., 2] = roots
     np.divide(num, den, out=num)
     num /= N * N
-    measure = ClarkMeasure(phi=phi, alpha=alpha, grid_n=N,
-                           nodes=nodes.reshape(-1, 3),
-                           weights=num.reshape(-1), lines=[])
+    measure = ClarkMeasure(phi=phi, alpha=alpha, grid_n=N, base=pts,
+                           atoms=roots, weights=num, lines=[])
     _check_mass(measure, np.mean(_slice_masses(phi, alpha, pts)))
     return measure
 
@@ -192,7 +190,7 @@ def _poisson_sum(s, a, z, theta, wq):
     zeta1 rows go SLICE_BLOCK // len(theta) at a time, each reduced by
     two products with the weighted Poisson vectors of zeta2 and zeta1.
     """
-    zg = np.exp(1j * theta)
+    zg = unit_circle_points(theta)
     p1, p2 = wq * _poisson1(zg, z[0]), wq * _poisson1(zg, z[1])
     z3 = z[2]
     rows = max(1, SLICE_BLOCK // len(zg))
@@ -276,6 +274,7 @@ def level_surface_rows(s: float, alpha: complex, grid_n: int = 128):
     s = _family_check(s)
     theta = _torus_grid(grid_n)
     T1, T2 = np.meshgrid(theta, theta, indexing="ij")
-    psi = tridisk_level(s, complex(alpha), np.exp(1j * T1), np.exp(1j * T2))
+    psi = tridisk_level(s, complex(alpha), unit_circle_points(T1),
+                        unit_circle_points(T2))
     ang = np.angle(psi)
     return np.stack([T1.ravel(), T2.ravel(), ang.ravel()], axis=-1)

@@ -81,12 +81,13 @@ def test_c3_closed_form_branch(fav):
         m = cached_measure(fav, "fav", 1.0 + 0.0j, 4096)
         # one branch on the uniform grid, so each weight is the Clark
         # weight over 4096
-        assert m.nodes.shape == (4096, 2)
-        z1, z2 = m.nodes.T
+        assert m.base.shape == (4096, 1) and m.atoms.shape == (1, 4096)
+        z1, z2 = m.base[:, 0], m.atoms[0]
         theta = 2 * np.pi * np.arange(4096) / 4096
         assert np.max(np.abs(z1 - np.exp(1j * theta))) < 1e-15
         assert np.max(np.abs(z2 - np.conj(z1))) < 1e-10
-        assert np.max(np.abs(4096 * m.weights - (1 - np.cos(theta)))) < 1e-8
+        assert np.max(np.abs(4096 * m.weights[0] - (1 - np.cos(theta)))) \
+            < 1e-8
 
 
 def test_c4_exceptional_structure(squared):
@@ -98,10 +99,10 @@ def test_c4_exceptional_structure(squared):
         for ln in m.lines:
             assert abs(ln.constant - 0.25) < 1e-8
         # two constant branches zeta2 = +-1 on the uniform grid, weight 1/4
-        assert m.nodes.shape == (2 * 4096, 2)
-        z2 = m.nodes[:, 1]
+        assert m.base.shape == (4096, 1) and m.atoms.shape == (2, 4096)
         for c in (1.0, -1.0):
-            assert np.sum(np.abs(z2 - c) < 1e-10) == 4096
+            # one atom zeta2 = c over each zeta1 node
+            assert np.all(np.sum(np.abs(m.atoms - c) < 1e-10, axis=0) == 1)
         assert np.max(np.abs(4096 * m.weights - 0.25)) < 1e-8
         assert abs(clark.total_mass(m) - 1.0) < 1e-12
 
@@ -146,10 +147,10 @@ def test_c7_tridisk():
         phi4 = catalog.tridisk_rif(4.0)
         for alpha in (1.0 + 0.0j, 1.0j, np.exp(0.9j)):
             m = polydisk.build_measure_d(phi4, alpha, 64)
-            assert m.nodes.shape == (64 * 64, 3)
-            z1, z2, _ = m.nodes.T
-            w = polydisk.tridisk_weight(4.0, alpha, z1, z2)
-            assert np.max(np.abs(64 * 64 * m.weights - w)) < 1e-8
+            assert m.base.shape == (64 * 64, 2)
+            assert m.atoms.shape == m.weights.shape == (1, 64 * 64)
+            w = polydisk.tridisk_weight(4.0, alpha, *m.base.T)
+            assert np.max(np.abs(64 * 64 * m.weights[0] - w)) < 1e-8
 
         rep = polydisk.verify_poisson_d(4.0, np.exp(0.9j),
                                         (0.3 + 0.2j, -0.4j, 0.25), 512)
@@ -185,8 +186,9 @@ def test_c9_support_and_weak_star(corpus, squared):
         for name, phi, alpha in cases:
             h = phi.level_coeffs(alpha)
             scale = np.max(np.abs(h))
-            # every measure node, clustered ones included, is a level point
-            z1, z2 = clark.build_measure(phi, alpha, 2048).nodes.T
+            # every measure atom, clustered ones included, is a level point
+            m = clark.build_measure(phi, alpha, 2048)
+            z1, z2 = np.broadcast_to(m.base[:, 0], m.atoms.shape), m.atoms
             res = np.abs(phi.num(z1, z2) - alpha * phi.den(z1, z2))
             assert np.max(res) < 1e-8 * scale, name
 

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import tracemalloc
 
@@ -213,7 +214,7 @@ def test_near_exceptional_alpha_is_resolved(corpus, name, dt):
 
 def test_measure_json_round_trip_with_refined_nodes(squared):
     m = clark.build_measure(squared, -np.exp(0.05j), 512)
-    assert len(m.weights) > 2 * 512  # the Blaschke rule clustered nodes
+    assert len(m.base) > 2 * 512  # the Blaschke rule clustered nodes
     text = clark.measure_to_json(m)
     back = clark.measure_from_json(text)
     assert clark.measure_to_json(back) == text
@@ -226,13 +227,19 @@ def _b64(values, dtype):
     return base64.b64encode(raw).decode("ascii")
 
 
-def test_measure_json_stores_raw_little_endian_arrays(fav_measure_alphai):
-    m = fav_measure_alphai
-    obj = json.loads(clark.measure_to_json(m))
-    assert obj["nodes"] == _b64(m.nodes, "<c16")
-    assert obj["weights"] == _b64(m.weights, "<f8")
-    nodes = np.frombuffer(base64.b64decode(obj["nodes"]), "<c16")
-    assert np.array_equal(nodes.reshape(-1, 2), m.nodes)
+def test_measure_json_stores_raw_little_endian_arrays(fav_measure_alphai,
+                                                      squared):
+    for m in (fav_measure_alphai, clark.build_measure(squared, -1.0, 512)):
+        obj = json.loads(clark.measure_to_json(m))
+        k, n = m.atoms.shape
+        assert obj["base"] == {"shape": [n, 1],
+                               "data": _b64(m.base, "<c16")}
+        assert obj["atoms"] == {"shape": [k, n],
+                                "data": _b64(m.atoms, "<c16")}
+        assert obj["weights"] == {"shape": [k, n],
+                                  "data": _b64(m.weights, "<f8")}
+        atoms = np.frombuffer(base64.b64decode(obj["atoms"]["data"]), "<c16")
+        assert np.array_equal(atoms.reshape(k, n), m.atoms)
 
 
 def test_measure_json_keeps_every_bit(fav):
@@ -242,22 +249,28 @@ def test_measure_json_keeps_every_bit(fav):
     odd = np.array([-0.0, nan[0], nan[1], np.inf, -np.inf, 5e-324, -2.5e-310,
                     1.0])
     parts = np.stack([np.roll(odd, k) for k in range(4)], axis=-1)
+    values = parts.view(complex).reshape(2, 8)
     m = clark.ClarkMeasure(phi=fav, alpha=1.0j, grid_n=8,
-                           nodes=parts.view(complex).reshape(8, 2),
-                           weights=odd[::-1].copy(), lines=[])
+                           base=values[0][:, None].copy(),
+                           atoms=values[1][None].copy(),
+                           weights=odd[None, ::-1].copy(), lines=[])
     text = clark.measure_to_json(m)
     back = clark.measure_from_json(text)
-    assert np.array_equal(back.nodes.view(np.uint64), m.nodes.view(np.uint64))
-    assert np.array_equal(back.weights.view(np.uint64),
-                          m.weights.view(np.uint64))
+    for key in ("base", "atoms", "weights"):
+        got, want = getattr(back, key), getattr(m, key)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert clark.measure_to_json(back) == text
 
 
-def test_measure_json_size_is_binary(fav_measure_alphai):
-    # 40 bytes per 2-variable node (two complex128 and one float64) grow
-    # by 4/3 in base64; text arrays would take about twice that
-    n = len(fav_measure_alphai.weights)
-    assert len(clark.measure_to_json(fav_measure_alphai)) < 4 / 3 * 40 * n + 2048
+def test_measure_json_size_is_binary(fav_measure_alphai, squared):
+    # 16 bytes per base node (one complex128) and 24 per atom (one
+    # complex128 and one float64) grow by 4/3 in base64; text arrays would
+    # take about twice that, and flat nodes 16 more bytes per extra atom
+    for m in (fav_measure_alphai, clark.build_measure(squared, -1.0, 1024)):
+        k, n = m.atoms.shape
+        assert len(clark.measure_to_json(m)) \
+            < 4 / 3 * (16 * n + 24 * k * n) + 2048
 
 
 @pytest.mark.parametrize("a, dtype", [
@@ -309,25 +322,56 @@ def _drop(*keys):
     return damage
 
 
+def _rec(values, dtype):
+    # an array record as measure_to_json writes it
+    return {"shape": list(values.shape), "data": _b64(values, dtype)}
+
+
 def _half_weights(obj, m):
-    # n/2 whole weights: the 2n complex values would still make n/2 rows
-    # of 4 coordinates, not of 2
-    obj["weights"] = _b64(m.weights[: len(m.weights) // 2], "<f8")
+    # k x n/2 whole weights under n base nodes and k x n atoms
+    obj["weights"] = _rec(m.weights[:, : m.weights.shape[1] // 2], "<f8")
 
 
 def _one_coordinate(obj, m):
-    # n complex values: one coordinate per node of a 2-variable record
-    obj["nodes"] = _b64(m.nodes[:, 0], "<c16")
+    # two coordinates per base node of a 2-variable record: a wrong d
+    obj["base"] = _rec(np.hstack([m.base, m.base]), "<c16")
 
 
 def _text_arrays(obj, m):
-    # the flat layout written before the binary encoding
-    obj["nodes"] = np.stack([m.nodes.real, m.nodes.imag], axis=-1).tolist()
+    # the arrays as text, as written before the binary encoding
+    obj["atoms"] = np.stack([m.atoms.real, m.atoms.imag], axis=-1).tolist()
     obj["weights"] = m.weights.tolist()
 
 
 def _partial_value(obj, m):
-    obj["weights"] = base64.b64encode(m.weights.tobytes()[:-3]).decode()
+    obj["weights"]["data"] = base64.b64encode(
+        m.weights.tobytes()[:-3]).decode()
+
+
+def _flat_nodes(obj, m):
+    # the flat layout: one (zeta1, zeta2) row per atom and its weight
+    nodes = np.stack([np.broadcast_to(m.base[:, 0], m.atoms.shape),
+                      m.atoms], axis=-1).reshape(-1, 2)
+    del obj["base"], obj["atoms"]
+    obj.update(nodes=_b64(nodes, "<c16"), weights=_b64(m.weights, "<f8"))
+
+
+def _shape(key, shape):
+    def damage(obj, m):
+        obj[key]["shape"] = shape(m)
+    return damage
+
+
+def _fewer_base_nodes(obj, m):
+    # shape and data agree, but n - 1 base nodes carry k x n atoms
+    obj["base"] = _rec(m.base[1:], "<c16")
+
+
+def _no_atoms(obj, m):
+    # k = 0: no atom over any base node
+    n = len(m.base)
+    obj["atoms"] = _rec(np.zeros((0, n), dtype=complex), "<c16")
+    obj["weights"] = _rec(np.zeros((0, n)), "<f8")
 
 
 def _pop(key):
@@ -341,7 +385,8 @@ def _set(key, value):
 def _insert(key, junk):
     # lenient base64 decoding would drop the junk without a word
     def damage(obj, m):
-        obj[key] = obj[key][:8] + junk + obj[key][8:]
+        data = obj[key]["data"]
+        obj[key]["data"] = data[:8] + junk + data[8:]
     return damage
 
 
@@ -367,18 +412,34 @@ def test_measure_from_json_reads_the_undamaged_line(fav_measure_alphai):
 
 
 @pytest.mark.parametrize("damage, match", [
-    (_drop("nodes"), "no nodes and weights"),
-    (_drop("weights"), "no nodes and weights"),
-    (_drop("nodes", "weights"), "no nodes and weights"),
-    (_half_weights, "one node of 2 coordinates per weight"),
-    (lambda obj, m: obj.update(weights=1.0), "weights must be base64"),
-    (_one_coordinate, "one node of 2 coordinates per weight"),
-    (_text_arrays, "must be base64 of raw"),
-    (lambda obj, m: obj.update(nodes="abcde"), "Invalid base64-encoded"),
-    (_partial_value, "weights is not a whole number of <f8 values"),
-    (_insert("nodes", "!!!!"), "nodes holds characters outside"),
-    (_insert("nodes", "    "), "nodes holds characters outside"),
+    (_drop("base", "atoms"), "no base, atoms and weights"),
+    (_drop("weights"), "no base, atoms and weights"),
+    (_drop("base", "atoms", "weights"), "no base, atoms and weights"),
+    (_half_weights, "shapes disagree"),
+    (lambda obj, m: obj.update(weights=1.0),
+     "weights must be a record of its shape and base64"),
+    (_one_coordinate, r"base must have shape \(m, 1\)"),
+    (_text_arrays, "must be a record of its shape and base64"),
+    (lambda obj, m: obj["atoms"].update(data="abcde"),
+     "Invalid base64-encoded"),
+    (_partial_value, "weights is not the 1 x 1024 <f8 values"),
+    (_insert("atoms", "!!!!"), "atoms holds characters outside"),
+    (_insert("atoms", "    "), "atoms holds characters outside"),
     (_insert("weights", "===="), "weights holds characters outside"),
+    (_flat_nodes, "no base, atoms and weights; flat-node"),
+    (_shape("atoms", lambda m: [1, len(m.base) + 1]),
+     "atoms is not the 1 x 1025 <c16 values"),
+    (_shape("weights", lambda m: [len(m.base), 1]), "shapes disagree"),
+    (_fewer_base_nodes, "shapes disagree"),
+    (_no_atoms, "k >= 1"),
+    (_shape("base", lambda m: [len(m.base)]),
+     "base shape must be two non-negative integers"),
+    (_shape("atoms", lambda m: [-1, -len(m.base)]),
+     "atoms shape must be two non-negative integers"),
+    (_shape("atoms", lambda m: [True, len(m.base)]),
+     "atoms shape must be two non-negative integers"),
+    (lambda obj, m: obj["base"].pop("shape"),
+     "base must be a record of its shape and base64"),
     (_pop("rif"), "record needs the keys"),
     (_pop("lines"), "record needs the keys"),
     (_pop("mass"), "record needs the keys"),
@@ -414,6 +475,9 @@ def test_measure_from_json_reads_the_undamaged_line(fav_measure_alphai):
 ], ids=["no_nodes", "no_weights", "per_branch", "half_weights",
         "scalar_weight", "one_coordinate", "text_arrays", "invalid_base64",
         "partial_value", "nodes_bangs", "nodes_spaces", "weights_padding",
+        "flat_nodes", "shape_off_data", "weights_transposed",
+        "fewer_base_nodes", "no_atoms", "shape_one_axis", "shape_negative",
+        "shape_bool", "no_shape",
         "no_rif", "no_lines", "no_mass", "lines_null", "line_no_axis",
         "alpha_three", "alpha_one", "alpha_off_circle", "alpha_text",
         "alpha_nan", "grid_zero", "grid_fraction", "grid_bool",
@@ -483,7 +547,7 @@ def test_zeta1_nodes_avoid_the_lines(corpus, name, N):
     m = clark.build_measure(corpus[name], -1.0 + 0.0j, N)
     assert m.lines
     for line in m.lines:
-        gap = np.abs(np.angle(m.nodes[:, 0] / line.tau))
+        gap = np.abs(np.angle(m.base[:, 0] / line.tau))
         assert np.min(gap) >= 0.99 * np.pi / N
 
 
@@ -537,8 +601,8 @@ def test_block_sums_match_pointwise_integrals(squared, monkeypatch, alpha):
     def torus_power(a, s):
         return a ** s if s >= 0 else np.conj(a) ** -s
 
-    off = 2 * np.sum(m.weights[:, None] * np.abs(np.abs(m.nodes) - 1.0),
-                     axis=0)
+    off = 2 * np.array([np.sum(m.weights * np.abs(np.abs(z) - 1.0))
+                        for z in (m.base[:, 0], m.atoms)])
     for s in range(-4, 5):
         for t in range(-4, 5):
             got = M[s + 4, t + 4]
@@ -594,7 +658,7 @@ def test_moment_residual_sees_a_perturbed_measure(fav):
     assert exact[0, 0] == pytest.approx(clark.expected_mass(fav, alpha),
                                         rel=1e-15)
     rotated = clark.ClarkMeasure(phi=fav, alpha=alpha, grid_n=1024,
-                                 nodes=m.nodes * [np.exp(1e-6j), 1.0],
+                                 base=m.base * np.exp(1e-6j), atoms=m.atoms,
                                  weights=m.weights, lines=[])
     assert clark.moment_residual(rotated, 12) > 1e-7
 
@@ -608,10 +672,13 @@ def test_moment_residual_sees_mixed_moments(fav):
     g = np.exp(2j * np.pi * np.arange(32) / 32)
     z1, z2 = (a.ravel() for a in np.meshgrid(g, g, indexing="ij"))
     ghost = 2.0 * eps * np.real(np.conj(z1) * z2) / 32 ** 2
+    # fav has one atom per slice, so each ghost point is a base node with
+    # its one atom
     mixed = clark.ClarkMeasure(
         phi=fav, alpha=alpha, grid_n=1024,
-        nodes=np.vstack([m.nodes, np.stack([z1, z2], axis=1)]),
-        weights=np.append(m.weights, ghost), lines=[])
+        base=np.append(m.base[:, 0], z1)[:, None],
+        atoms=np.append(m.atoms, z2)[None],
+        weights=np.append(m.weights, ghost)[None], lines=[])
     assert clark.moment_residual(m, 12) <= 1e-13
     assert abs(clark.moment_residual(mixed, 12) - eps) <= 1e-13
 
@@ -719,23 +786,102 @@ def test_moments_refuse_a_negative_degree(fav_measure_alphai):
         clark.herglotz_moments(fav_measure_alphai, -1)
 
 
-def test_build_drops_blank_roots_with_their_weights(fav, monkeypatch):
-    # fav at a generic alpha has no drop; a root blanked by the kernel
-    # takes the gather path, which drops that node and its weight alone.
-    # Node 0 is the atom at the singular corner (1, 1), of weight 0, so
-    # the mass guard passes without it
+def test_build_keeps_blank_roots_as_empty_atoms(squared, monkeypatch):
+    # the kernel leaves NaN where a slice drops degree (its last roots) or
+    # vanishes (all of them).  Here slice 0 loses its second root and slice
+    # N/2 both: atoms at the singular points (+-1, +-1), of weight below
+    # 1e-20, so the mass guard passes without them
     alpha, N = np.exp(0.7j), 1024
-    full = clark.build_measure(fav, alpha, N)
+    full = clark.build_measure(squared, alpha, N)
+    assert np.all(full.weights[:, [0, N // 2]] < 1e-20)
     slice_atoms = clark._slice_atoms
 
-    def blank_first_root(*args):
+    def blank(*args):
         roots, num, den, zero_rows = slice_atoms(*args)
-        roots[0, 0] = np.nan
+        roots[1, 0] = np.nan
+        roots[:, N // 2] = np.nan
         return roots, num, den, zero_rows
 
-    monkeypatch.setattr(clark, "_slice_atoms", blank_first_root)
-    m = clark.build_measure(fav, alpha, N)
-    keep = np.arange(len(full.weights)) != 0
-    assert len(m.weights) == len(full.weights) - 1
-    assert np.array_equal(m.nodes, np.compress(keep, full.nodes, axis=0))
-    assert np.array_equal(m.weights, np.compress(keep, full.weights))
+    monkeypatch.setattr(clark, "_slice_atoms", blank)
+    m = clark.build_measure(squared, alpha, N)
+    empty = np.zeros(m.atoms.shape, dtype=bool)
+    empty[1, 0] = True
+    empty[:, N // 2] = True
+    # a finite unimodular placeholder of weight exactly 0, no gather
+    assert np.all(m.atoms[empty] == 1.0) and np.all(m.weights[empty] == 0.0)
+    assert np.array_equal(m.base, full.base)
+    assert np.array_equal(m.atoms[~empty], full.atoms[~empty])
+    assert np.array_equal(m.weights[~empty], full.weights[~empty])
+    # every sum stays finite, and adds exactly 0 for an empty atom: it
+    # matches the full build with those weights set to 0 bit for bit
+    full.weights[empty] = 0.0
+    assert clark.total_mass(m) == clark.total_mass(full)
+    pts = _poisson_points(count=6)
+    for call in (lambda x: clark.verify_poisson(x, pts).rhs,
+                 lambda x: clark.herglotz_moments(x, 8),
+                 lambda x: embedding._torus_moments(x, 4),
+                 lambda x: embedding.gram_isometry_check(
+                     squared, alpha, pts, x).gram_embedded):
+        got = call(m)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, call(full))
+    # integrate evaluates f only at atoms of non-zero weight
+    seen = []
+
+    def f(a, b):
+        seen.append(len(b))
+        return a * np.conj(b)
+
+    got = clark.integrate(m, f)
+    assert sum(seen) == np.count_nonzero(m.weights) < m.weights.size
+    assert got == clark.integrate(full, lambda a, b: a * np.conj(b))
+    text = clark.measure_to_json(m)
+    back = clark.measure_from_json(text)
+    assert clark.measure_to_json(back) == text
+    for key in ("base", "atoms", "weights"):
+        assert np.array_equal(getattr(back, key).view(np.uint64),
+                              getattr(m, key).view(np.uint64))
+
+
+def _flat(m):
+    """The measure's level-set points (zeta1, zeta2) and weights, one per
+    atom, root-major."""
+    z1 = np.broadcast_to(m.base[:, 0], m.atoms.shape).ravel()
+    return z1, m.atoms.ravel(), m.weights.ravel()
+
+
+@pytest.mark.parametrize("alpha", [GENERIC, -1.0 + 0.0j],
+                         ids=["generic", "minus_one"])
+@pytest.mark.parametrize("name", ["monomial", "fav", "squared", "product",
+                                  "diagonal"])
+def test_fibered_sums_match_flat_sums(corpus, name, alpha):
+    # each integrator shares the zeta1 factors over a fiber; written out
+    # node by node, with no line terms (dropped from the measure), every
+    # sum agrees to rounding
+    phi = corpus[name]
+    m = dataclasses.replace(clark.build_measure(phi, alpha, 512), lines=[])
+    z1, z2, w = _flat(m)
+    pts = _poisson_points(count=6)
+    p = np.array(pts)
+
+    def rel(got, ref):
+        return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+    def poisson(z, w):
+        return (1 - np.abs(w[:, None]) ** 2) / np.abs(z - w[:, None]) ** 2
+
+    ref = (poisson(z1, p[:, 0]) * poisson(z2, p[:, 1])) @ w
+    assert rel(clark.verify_poisson(m, pts).rhs, ref) <= 1e-14
+
+    D = 8
+    j = np.arange(D + 1)[:, None]
+    c1, c2 = np.conj(z1) ** j, np.conj(z2) ** j
+    assert rel(clark.herglotz_moments(m, D), (c1 * w) @ c2.T) <= 1e-14
+    C, X = clark._moment_tables(m, D, mixed=True)
+    assert rel(X, (np.conj(c1) * w) @ c2.T) <= 1e-14
+
+    pre = 1.0 - alpha * np.conj(phi(p[:, 0], p[:, 1]))
+    F = pre[:, None] / ((1 - np.conj(p[:, :1]) * z1)
+                        * (1 - np.conj(p[:, 1:]) * z2))
+    gram = embedding.gram_isometry_check(phi, alpha, pts, m).gram_embedded
+    assert rel(gram, (F * w) @ np.conj(F).T) <= 1e-14

@@ -101,7 +101,8 @@ def test_analyze_verify_round_trip(fav_json, tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "mass 1" in out
-    assert "nodes 1024 lines 0" in out
+    # fav's atom at its singular point (1, 1) weighs exactly 0
+    assert "base 1024 atoms 1023 lines 0" in out
     rc = main(["verify", "--measure", mpath, "--points", "5",
                "--tol", "1e-6"])
     assert rc == 0
@@ -205,7 +206,7 @@ def test_verify_rejects_per_branch_measure_file(fav_json, tmp_path, capsys):
           "--out", str(mpath)])
     capsys.readouterr()
     obj = json.loads(mpath.read_text())
-    obj["branches"] = [{"values": obj.pop("nodes"),
+    obj["branches"] = [{"values": obj.pop("atoms"),
                         "weights": obj.pop("weights")}]
     mpath.write_text(json.dumps(obj))
     rc = main(["verify", "--measure", str(mpath)])
@@ -245,7 +246,7 @@ def test_tridisk_build_reports_nodes_and_mass(capsys):
                "--build"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "built 1024 nodes, mass " in out
+    assert "built 1024 base nodes, 1024 atoms, mass " in out
     assert "(grid 32x32)" in out
     assert abs(float(out.split("mass ")[1].split()[0]) - 1.0) < 1e-8
 
@@ -255,7 +256,7 @@ def test_tridisk_build_reports_the_capped_grid(capsys):
                "--build"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "built 65536 nodes, mass " in out
+    assert "built 65536 base nodes, 65536 atoms, mass " in out
     assert "(grid 256x256, --grid 4096 capped)" in out
     assert abs(float(out.split("mass ")[1].split()[0]) - 1.0) < 1e-12
 
@@ -285,7 +286,7 @@ def test_tridisk_csv_modes_exclude_each_other(tmp_path, capsys):
     rc = main(["tridisk", "--s", "4", "--alpha", "i", "--diagonal",
                "--build", "--grid", "32", "--out", str(out)])
     assert rc == 0 and out.exists()
-    assert "built 1024 nodes" in capsys.readouterr().out
+    assert "built 1024 base nodes, 1024 atoms" in capsys.readouterr().out
 
 
 def test_tridisk_requires_a_mode(capsys):

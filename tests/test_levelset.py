@@ -293,9 +293,9 @@ def test_blaschke_node_rule_near_exceptional(fav, squared):
     assert lines == []
     assert len(theta) == 3 * N and np.all(np.diff(theta) > 0)
     assert theta[-1] - theta[0] < 2 * np.pi
-    # two roots over each node, listed root column by root column
-    assert np.array_equal(m.nodes[:, 0].reshape(2, -1),
-                          np.exp(1j * np.array([theta, theta])))
+    # the nodes are the base, each once, with two roots over each
+    assert np.array_equal(m.base[:, 0], np.exp(1j * theta))
+    assert m.atoms.shape == m.weights.shape == (2, 3 * N)
     assert abs(np.sum(quad) - 1.0) < 1e-12
     zs = np.sqrt(2 * alpha / (alpha - 1)) * np.array([1, -1])
     a = 1 / np.conj(zs)
@@ -320,8 +320,8 @@ def test_blaschke_node_rule_near_exceptional(fav, squared):
         assert np.array_equal(rule_theta, uniform)
         assert np.all(quad == 1.0 / N)
         m = clark.build_measure(phi, alpha, N)
-        assert np.array_equal(m.nodes[:N, 0], np.exp(1j * uniform))
-        assert len(m.nodes) == N * phi.degrees[1]
+        assert np.array_equal(m.base[:, 0], np.exp(1j * uniform))
+        assert m.atoms.shape == (phi.degrees[1], N)
 
 
 def test_branch_csv_format(fav, tmp_path):

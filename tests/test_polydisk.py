@@ -92,10 +92,12 @@ def test_build_measure_d_matches_closed_form():
     s, alpha = 4.0, np.exp(0.9j)
     phi = catalog.tridisk_rif(s)
     m = polydisk.build_measure_d(phi, alpha, 64)
-    assert m.nodes.shape == (64 * 64, 3)
-    assert np.max(np.abs(np.abs(m.nodes) - 1.0)) < 1e-12
-    z1, z2, _ = m.nodes.T
-    assert np.max(np.abs(64 * 64 * m.weights
+    assert m.base.shape == (64 * 64, 2)
+    assert m.atoms.shape == m.weights.shape == (1, 64 * 64)
+    assert np.max(np.abs(np.abs(m.base) - 1.0)) < 1e-12
+    assert np.max(np.abs(np.abs(m.atoms) - 1.0)) < 1e-12
+    z1, z2 = m.base.T
+    assert np.max(np.abs(64 * 64 * m.weights[0]
                          - closed_form_weight(s, alpha, z1, z2))) < 1e-8
     assert abs(polydisk.total_mass_d(m) - 1.0) < 1e-8
 
@@ -224,8 +226,10 @@ def test_build_measure_d_mass_several_sheets(k):
     phi = sheets_rif(3.5, k)
     alpha = np.exp(0.4j)
     m = polydisk.build_measure_d(phi, alpha, 64)
-    assert m.nodes.shape == (k * 64 * 64, 3)
-    assert np.max(np.abs(phi(*m.nodes.T) - alpha)) < 1e-12
+    assert m.base.shape == (64 * 64, 2)
+    assert m.atoms.shape == m.weights.shape == (k, 64 * 64)
+    z1, z2 = (np.broadcast_to(z, m.atoms.shape) for z in m.base.T)
+    assert np.max(np.abs(phi(z1, z2, m.atoms) - alpha)) < 1e-12
     assert abs(polydisk.total_mass_d(m)
                - clark.expected_mass(phi, alpha)) < 1e-10
 
@@ -286,7 +290,8 @@ def test_low_degree_slices_skip_eigvals(corpus, monkeypatch):
                    - 1.0) < 1e-12, name
     for k in (2, 3):
         m = polydisk.build_measure_d(sheets_rif(3.5, k), alpha, 32)
-        assert m.nodes.shape == (k * 32 * 32, 3)
+        assert m.base.shape == (32 * 32, 2)
+        assert m.atoms.shape == (k, 32 * 32)
 
 
 KERNEL_ALPHAS = [np.exp(0.7j), -1.0 + 0.0j, np.exp(0.99j * np.pi),
