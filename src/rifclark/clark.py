@@ -32,23 +32,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import poly as _poly
-from .errors import MassGapExceeded, MassNotOne, ZeroOverZero
+from .errors import MassGapExceeded, MassNotOne
 from .levelset import (
     UNIMODULAR_TOL,
     Branch,
     LineComponent,
-    weight_parts,
     _lines,
     _slice_atoms,
     _uniform_theta,
     _unimodular_alpha,
-    _weight_tols,
 )
 from .poly import Rif
 from .util import TWO_PI, canonical_json, unit_circle_points
 
 __all__ = [
-    "ClarkMeasure", "build_measure", "weight_at",
+    "ClarkMeasure", "build_measure",
     "integrate", "total_mass", "expected_mass", "verify_poisson",
     "PoissonReport", "herglotz_moments", "herglotz_reconstruct",
     "exact_moments", "moment_residual",
@@ -73,6 +71,9 @@ _POLE_RESOLVE = 200.0
 # 1e-6 (fav at |t - 1| = 1e-5, 3.7e-7, is the worst); product next to its
 # singularity (t = 1 + 1e-8) is off by more and raises
 MASS_GAP_TOL = 1e-6
+
+# verify_poisson refuses points where |alpha - phi(z)| is below this
+MIN_ALPHA_DIST = 1e-6
 
 
 @dataclass
@@ -226,27 +227,6 @@ def _line_blocks(measure: ClarkMeasure):
                    np.full(len(k), line.constant / N))
 
 
-def weight_at(phi: Rif, alpha: complex, zeta1, zeta2):
-    """Branch weight |p| / |d/dz2 (q - alpha p)| at given level-set points.
-
-    Raises ZeroOverZero when both parts vanish (the point sits on a
-    singularity of phi).  Measure construction takes the plain ratio and
-    leaves such points to the mass guard of ``build_measure``.
-    """
-    num, den = weight_parts(phi, alpha, zeta1, zeta2)
-    num_tol, den_tol = _weight_tols(phi, alpha)
-    num_a = np.atleast_1d(num)
-    den_a = np.atleast_1d(den)
-    both = (num_a <= num_tol) & (den_a <= den_tol)
-    if np.any(both):
-        raise ZeroOverZero(
-            "weight is 0/0 at a singular point of the level set")
-    out = np.where(den_a > den_tol, num_a / np.where(den_a > den_tol, den_a, 1.0),
-                   np.inf)
-    return float(out[0]) if np.isscalar(zeta1) or np.ndim(zeta1) == 0 else \
-        out.reshape(np.shape(num))
-
-
 def integrate(measure: ClarkMeasure, f) -> complex:
     """Integrate f(zeta1, zeta2[, zeta3]) against the measure.
 
@@ -290,12 +270,11 @@ class PoissonReport:
         return float(np.max(self.rel_err))
 
 
-def verify_poisson(measure: ClarkMeasure, points,
-                   min_alpha_dist: float = 1e-6) -> PoissonReport:
+def verify_poisson(measure: ClarkMeasure, points) -> PoissonReport:
     """Check the defining Poisson identity at interior points.
 
     ``points`` is a non-empty iterable of (z1, z2) with |z_i| < 1.  Points
-    where phi(z) comes within ``min_alpha_dist`` of alpha are rejected:
+    where phi(z) comes within MIN_ALPHA_DIST of alpha are rejected:
     the identity degenerates there and no finite-grid quadrature is
     meaningful.  Three-variable measures go to polydisk.verify_poisson_d.
     """
@@ -312,7 +291,7 @@ def verify_poisson(measure: ClarkMeasure, points,
     phi = measure.phi
     vals = phi(pts[:, 0], pts[:, 1])
     dist = np.abs(complex(measure.alpha) - vals)
-    if np.any(dist < min_alpha_dist):
+    if np.any(dist < MIN_ALPHA_DIST):
         raise ValueError(
             "phi(z) is too close to alpha at a requested point; the "
             "Poisson quotient is singular there")

@@ -240,7 +240,7 @@ def cmd_embed(args) -> int:
 def cmd_tridisk(args) -> int:
     import numpy as np
 
-    from . import catalog, polydisk
+    from . import catalog, clark, polydisk
     from .util import TWO_PI
 
     alpha = parse_alpha(args.alpha)
@@ -278,7 +278,7 @@ def cmd_tridisk(args) -> int:
         phi = catalog.tridisk_rif(s)
         grid = min(args.grid, BUILD_GRID_CAP)
         measure = polydisk.build_measure_d(phi, alpha, grid)
-        mass = polydisk.total_mass_d(measure)
+        mass = clark.total_mass(measure)
         capped = f", --grid {args.grid} capped" if grid < args.grid else ""
         print(f"built {len(measure.base)} base nodes, "
               f"{np.count_nonzero(measure.weights)} atoms, mass {mass:.12g} "

@@ -209,7 +209,10 @@ def density_distance(measure: ClarkMeasure, degree: int) -> DensityReport:
 
     idx = np.arange(D + 1)
     aa, bb = [g.ravel() for g in np.meshgrid(idx, idx, indexing="ij")]
-    G = M[aa[:, None] - aa[None, :] + S, bb[:, None] - bb[None, :] + S]
+    # the normal equations take <m_j, m_i> = conj(G[i, j]) at (i, j), for
+    # G[i, j] = <m_i, m_j> the Gram; the two agree only for real moments
+    G = np.conj(M[aa[:, None] - aa[None, :] + S,
+                  bb[:, None] - bb[None, :] + S])
     lam, U = np.linalg.eigh((G + np.conj(G).T) / 2.0)
     cutoff = 1e-10 * float(lam[-1])
     keep = lam > cutoff

@@ -35,10 +35,6 @@ class PhaseLabelFailure(RifclarkError):
     """No reference circle resolved the phase that labels level-set branches."""
 
 
-class ZeroOverZero(RifclarkError):
-    """Both numerator and denominator of a branch weight vanished."""
-
-
 class MassGapExceeded(RifclarkError):
     """A built measure's mass missed the Poisson identity at the origin."""
 

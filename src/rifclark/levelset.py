@@ -102,18 +102,12 @@ class LineComponent:
 
 def weight_parts(phi: Rif, alpha: complex, *zeta):
     """Numerator |p| and denominator |d/dz_d (q - alpha p)| of the Clark
-    weight at level-set points given by one coordinate array per variable."""
+    weight at level-set points given by one coordinate array per variable,
+    from the full coefficient tensors: the tests' oracle for the slice rows
+    of ``_slice_atoms``.  No builder or analysis calls it."""
     hd = derivative_coeffs(phi.level_coeffs(alpha), phi.dim)
     return (np.abs(_poly._eval_tensor(phi.den.coeffs, zeta)),
             np.abs(_poly._eval_tensor(hd, zeta)))
-
-
-def _weight_tols(phi: Rif, alpha: complex):
-    """Absolute tolerances below which |p| and |d/dz_d h| count as zero."""
-    hd = derivative_coeffs(phi.level_coeffs(alpha), phi.dim)
-    num_scale = phi.den.coefficient_scale()
-    den_scale = float(np.sum(np.abs(hd)))
-    return 1e-9 * max(num_scale, 1e-300), 1e-9 * max(den_scale, 1e-300)
 
 
 # ---------------------------------------------------------------------------

@@ -37,10 +37,13 @@ def build_measure_d(phi: Rif, alpha: complex,
     """Clark measure of a singularity-free 3-var RIF on a tensor grid.
 
     Requires the stability certificate, computed once per denominator, to
-    keep a margin off the boundary (min slice-root modulus > 1 + 1e-6);
-    denominators with boundary zeros — phi_3 at (1,1,1) for instance —
-    are refused, since the absolutely-continuous structure formula breaks
-    down there.
+    keep a margin off the boundary (min slice-root modulus > 1 + 1e-6 on
+    its grid of 24 angles per frozen variable).  That refuses a boundary
+    zero only where the grid hits it: phi_3, zero at (1,1,1), is refused,
+    but the rotation p = 3 - e^{-0.1i} z1 - e^{-0.2i} z2 - e^{-0.3i} z3,
+    zero at (e^{0.1i}, e^{0.2i}, e^{0.3i}), is certified (margin 2.9e-3)
+    and built.  A denominator free of torus zeros is the caller's to
+    guarantee: the structure formula breaks down at one.
     The measure is fibered as in the 2-variable builder: ``base``
     (grid_n**2, 2) holds the grid points (zeta1, zeta2), each once, and
     ``atoms`` (n, grid_n**2), n the degree in z3, all roots zeta3 of each
@@ -109,6 +112,8 @@ def _slice_masses(phi: Rif, alpha: complex, pts):
     return (1.0 - np.abs(b0) ** 2) / np.abs(complex(alpha) - b0) ** 2
 
 
+# clark.total_mass by its tridisk name, read only by the benchmark's tridisk
+# builds (bench/workloads.py); it goes once they read clark.total_mass
 total_mass_d = total_mass
 
 

@@ -1,10 +1,13 @@
 """The benchmark's ops keep the package's contract at smoke size.
 
 One cycle of the build, near-exceptional and queries workloads of
-``bench/workloads.py`` runs in-process at its SMOKE size, with the
-benchmark's untraced tracer.  Every op returns an ``Outcome``, and no
-bidisk build, ladder or query op misses a contract gate (a bound from
-tests/test_acceptance.py).  The bench directory is imported as it is.
+``bench/workloads.py`` runs in-process at its SMOKE size, once with the
+benchmark's untraced tracer and once with its traced one, whose probes
+read more of the package (``ClarkMeasure.branches``, ``trace_branches``,
+``branch_csv_lines``, ``stability_check``, ``count_nodes``).  Every op
+returns an ``Outcome``, and no bidisk build, ladder or query op misses a
+contract gate (a bound from tests/test_acceptance.py).  The bench
+directory is imported as it is.
 """
 
 import os
@@ -27,12 +30,18 @@ def bench():
     finally:
         sys.path.remove(BENCH)
         sys.dont_write_bytecode = write_bytecode
-    return workloads, tracer.NullTracer()
+    return workloads, tracer
 
 
-@pytest.mark.parametrize("name", ["build", "near-exceptional", "queries"])
-def test_one_cycle_keeps_the_contract(bench, name):
-    workloads, tr = bench
+NAMES = ["build", "near-exceptional", "queries"]
+
+
+@pytest.mark.parametrize("name, traced",
+                         [(n, t) for t in (False, True) for n in NAMES],
+                         ids=NAMES + [f"{n}-traced" for n in NAMES])
+def test_one_cycle_keeps_the_contract(bench, name, traced):
+    workloads, tracer = bench
+    tr = tracer.Tracer() if traced else tracer.NullTracer()
     wl = workloads.WORKLOADS[name](1, workloads.SMOKE, tr)
     try:
         outcomes = [("setup", out) for out in wl.setup_outcomes]

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from rifclark import catalog, levelset
-from rifclark.levelset import UNIMODULAR_TOL, _slice_atoms, _weight_tols
+from rifclark.levelset import UNIMODULAR_TOL, _slice_atoms
+from rifclark.poly import derivative_coeffs
 
 ALPHA = np.exp(0.7j)
 
@@ -44,7 +45,10 @@ def test_slice_roots_match_closed_form():
 
 def test_slice_atom_mass_matches_closed_form():
     phi = catalog.simple_singular_rif()
-    num_tol, den_tol = _weight_tols(phi, ALPHA)
+    # below 1e-9 times their coefficient scales |p| and |d/dz2 h| count as 0
+    num_tol = 1e-9 * phi.den.coefficient_scale()
+    den_tol = 1e-9 * np.sum(np.abs(derivative_coeffs(phi.level_coeffs(ALPHA),
+                                                     2)))
     for th in (0.3, 1.1, 2.9):
         z1 = np.exp(1j * th)
         _, num, den = one_slice(phi, ALPHA, z1)
@@ -84,7 +88,7 @@ def test_identically_zero_slice_is_flagged():
 
 def test_slice_through_singularity_is_degenerate():
     phi = catalog.simple_singular_rif()
-    num_tol, _ = _weight_tols(phi, 1.0 + 0.0j)
+    num_tol = 1e-9 * phi.den.coefficient_scale()
     roots, num, den = one_slice(phi, 1.0 + 0.0j, 1.0 + 0.0j)
     assert len(roots) == 1
     assert abs(roots[0] - 1.0) < 1e-8

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rifclark import catalog, clark, contact, embedding, polydisk
-from rifclark.errors import MassGapExceeded, MassNotOne, ZeroOverZero
+from rifclark.errors import MassGapExceeded, MassNotOne
 from rifclark.util import canonical_json
 
 GENERIC = np.exp(0.7j)
@@ -64,38 +64,17 @@ def test_poisson_identity_with_lines(squared):
 
 
 def test_poisson_rejects_points_near_alpha(fav):
-    # phi(t, t) = -t along the diagonal, so z = (0.999, 0.999) comes
-    # within 1e-3 of alpha = -1
+    # phi(t, t) = -t along the diagonal, so z = (t, t), t = 1 - 1e-7,
+    # comes within 1e-7 of alpha = -1, inside MIN_ALPHA_DIST
     m = clark.build_measure(fav, -1.0 + 0.0j, 512)
+    t = 1.0 - 1e-7
     with pytest.raises(ValueError):
-        clark.verify_poisson(m, [(0.999, 0.999)], min_alpha_dist=1e-2)
+        clark.verify_poisson(m, [(t, t)])
 
 
 def test_poisson_rejects_boundary_points(fav_measure_alphai):
     with pytest.raises(ValueError):
         clark.verify_poisson(fav_measure_alphai, [(1.0, 0.0)])
-
-
-def test_weight_at_matches_closed_form(fav):
-    z1 = np.exp(0.9j)
-    w = clark.weight_at(fav, GENERIC, z1,
-                        (2 * GENERIC + (1 - GENERIC) * z1)
-                        / (2 * z1 - 1 + GENERIC))
-    assert abs(w - 2 * abs(z1 - 1) ** 2 / abs(2 * z1 - 1 + GENERIC) ** 2) \
-        < 1e-13
-
-
-def test_weight_at_vanishes_at_contact_point(fav):
-    # at alpha = 1 the branch touches the singularity with 0/2, an honest
-    # zero of the weight rather than an indeterminate node
-    assert clark.weight_at(fav, 1.0 + 0.0j, 1.0 + 0.0j, 1.0 + 0.0j) == 0.0
-
-
-def test_weight_at_zero_over_zero(squared):
-    # on the constant branch g == 1 of the exceptional value, the node at
-    # zeta1 = 1 hits the singularity (1,1): both weight parts vanish
-    with pytest.raises(ZeroOverZero):
-        clark.weight_at(squared, -1.0 + 0.0j, 1.0 + 0.0j, 1.0 + 0.0j)
 
 
 def test_monomial_moments_are_kronecker(monomial):

@@ -108,6 +108,36 @@ def test_density_distance_exceptional_squared(squared):
     assert rep.verdict == "consistent_with_nonunitary"
 
 
+def _lsq_distances(m, D):
+    """L^2(sigma) distances from conj(zeta2) and conj(zeta1) to the span of
+    zeta1^a zeta2^b, 0 <= a, b <= D, by a weighted least-squares fit over
+    the measure's atoms (it has no lines)."""
+    assert not m.lines
+    z1 = np.broadcast_to(m.base[:, 0], m.atoms.shape).ravel()
+    z2 = m.atoms.ravel()
+    sw = np.sqrt(m.weights.ravel())
+    a, b = np.meshgrid(np.arange(D + 1), np.arange(D + 1), indexing="ij")
+    V = sw[:, None] * z1[:, None] ** a.ravel() * z2[:, None] ** b.ravel()
+    out = []
+    for v in (np.conj(z2), np.conj(z1)):
+        t = sw * v
+        x = np.linalg.lstsq(V, t, rcond=None)[0]
+        out.append(np.linalg.norm(t - V @ x))
+    return out
+
+
+@pytest.mark.parametrize("name", ["fav", "squared"])
+@pytest.mark.parametrize("D", [4, 6])
+def test_density_distance_matches_least_squares(request, name, D):
+    # at a non-real alpha the moments are complex, so a projection with the
+    # Gram in place of its conjugate reads 0.78-0.96 here
+    m = clark.build_measure(request.getfixturevalue(name), GENERIC, 2048)
+    rep = embedding.density_distance(m, D)
+    d2, d1 = _lsq_distances(m, D)
+    assert abs(rep.distance_zbar2 - d2) < 1e-9
+    assert abs(rep.distance_zbar1 - d1) < 1e-9
+
+
 def test_density_distance_monomial_exact(monomial):
     # sigma for z1 z2 is arclength on zeta2 = alpha conj(zeta1); already
     # at degree 1 the monomial zeta1 equals alpha conj(zeta2) in L^2

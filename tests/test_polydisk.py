@@ -99,7 +99,7 @@ def test_build_measure_d_matches_closed_form():
     z1, z2 = m.base.T
     assert np.max(np.abs(64 * 64 * m.weights[0]
                          - closed_form_weight(s, alpha, z1, z2))) < 1e-8
-    assert abs(polydisk.total_mass_d(m) - 1.0) < 1e-8
+    assert abs(clark.total_mass(m) - 1.0) < 1e-8
 
 
 def test_build_measure_d_refuses_boundary_stability():
@@ -230,7 +230,7 @@ def test_build_measure_d_mass_several_sheets(k):
     assert m.atoms.shape == m.weights.shape == (k, 64 * 64)
     z1, z2 = (np.broadcast_to(z, m.atoms.shape) for z in m.base.T)
     assert np.max(np.abs(phi(z1, z2, m.atoms) - alpha)) < 1e-12
-    assert abs(polydisk.total_mass_d(m)
+    assert abs(clark.total_mass(m)
                - clark.expected_mass(phi, alpha)) < 1e-10
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import rifclark
-from rifclark.util import _format_array, _format_float, canonical_json
+from rifclark.util import _format_float, canonical_json
 
 
 def _reference(a):
@@ -44,7 +44,6 @@ def _complex(re, im):
 ], ids=["float", "float2d", "complex2d", "signed_zero_imag", "strided",
         "scalar", "complex_scalar", "zeros3d"])
 def test_fast_array_text_matches_format_float(a):
-    assert _format_array(a) == _reference(a.tolist())
     assert canonical_json({"a": a}) == '{"a":' + _reference(a.tolist()) + "}"
 
 
