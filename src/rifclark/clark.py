@@ -39,11 +39,11 @@ from .levelset import (
     LineComponent,
     _lines,
     _slice_atoms,
-    _uniform_theta,
+    _uniform_roots,
     _unimodular_alpha,
 )
 from .poly import Rif
-from .util import TWO_PI, canonical_json, unit_circle_points
+from .util import TWO_PI, canonical_json, unit_circle_points, unit_roots
 
 __all__ = [
     "ClarkMeasure", "build_measure",
@@ -101,7 +101,9 @@ class ClarkMeasure:
       S_N(a, b) = (1 - a^N b^N) / ((1 - a b) (1 - a^N) (1 - b^N)).
 
     Horizontal lines are among the atoms.  The zeta1 nodes, shifted off
-    the lines or clustered near an emerging one, are ``base[:, 0]``.
+    the lines or clustered near an emerging one, are ``base[:, 0]``.  On
+    the plain uniform rule ``base`` is a read-only view of the N-th roots
+    of unity that every build at that N shares (``util.unit_roots``).
 
     ``branches`` is always empty: no builder traces labeled branches,
     nothing in the package reads it and it is not serialized.  The field
@@ -137,8 +139,8 @@ def build_measure(phi: Rif, alpha: complex, grid_n: int = 4096) -> ClarkMeasure:
                          "function; use polydisk.build_measure_d on the "
                          "tridisk")
     alpha = _unimodular_alpha(alpha)
-    theta, quad, lines = _zeta1_rule(phi, alpha, grid_n)
-    base = unit_circle_points(theta)[:, None]
+    zeta1, quad, lines = _zeta1_rule(phi, alpha, grid_n)
+    base = zeta1[:, None]
     roots, num, den, _ = _slice_atoms(phi, alpha, base)
     np.divide(num, den, out=num)
     num *= quad
@@ -161,8 +163,10 @@ def _check_mass(measure, expected):
 
 
 def _zeta1_rule(phi, alpha, grid_n):
-    """Ascending zeta1 angles, their quadrature weights and the vertical
-    lines, all from the roots z* of h(., 0) = q(., 0) - alpha p(., 0).
+    """The zeta1 nodes in ascending angle, their quadrature weights and
+    the vertical lines, all from the roots z* of h(., 0) = q(., 0) -
+    alpha p(., 0).  Unshifted and unclustered, the nodes are the shared
+    read-only table ``util.unit_roots(grid_n)`` itself.
 
     By the Poisson identity at (z1, 0) the zeta1-marginal of sigma_alpha
     is the Clark measure of b = phi(., 0) at alpha: atoms at the roots on
@@ -179,18 +183,19 @@ def _zeta1_rule(phi, alpha, grid_n):
     hcoef = phi.level_coeffs(alpha)
     roots = _poly.companion_roots(_poly.trim(hcoef[:, :1]))[:, 0]
     lines = _lines(hcoef, phi.den.coeffs, roots)
-    theta = _uniform_theta(grid_n)
+    zeta1 = _uniform_roots(grid_n)
     quad = np.full(grid_n, 1.0 / grid_n)
     if lines:
-        theta = theta + (np.angle(lines[0].tau) + np.pi / grid_n)
+        zeta1 = unit_circle_points(TWO_PI * np.arange(grid_n) / grid_n
+                                   + (np.angle(lines[0].tau) + np.pi / grid_n))
     poles = roots[np.abs(roots) > 1.0]  # NaN padding compares False
     for line in lines:  # the root of a line is its atom, not a pole
         poles = poles[np.abs(poles - line.tau) >= UNIMODULAR_TOL]
     a = 1.0 / np.conj(poles[grid_n * np.log(np.abs(poles)) < _POLE_RESOLVE])
     if not len(a):
-        return theta, quad, lines
-    w = unit_circle_points(theta)
-    if lines:  # B(tau) / tau, as theta_k starts from arg tau
+        return zeta1, quad, lines
+    w = zeta1  # the shared table unless shifted (then a fresh array)
+    if lines:  # B(tau) / tau, as the shifted grid starts from arg tau
         w *= np.prod((lines[0].tau - a) / (1.0 - np.conj(a) * lines[0].tau))
     c = np.poly(a)  # prod (z - a), highest power first
     # B(z) = w  <=>  z prod (z - a) - w prod (1 - conj(a) z) = 0
@@ -200,7 +205,7 @@ def _zeta1_rule(phi, alpha, grid_n):
     z = unit_circle_points(theta)[:, None]
     # |B'| on the circle: 1 plus the Poisson kernel of each zero
     dB = 1.0 + np.sum((1.0 - np.abs(a) ** 2) / np.abs(z - a) ** 2, axis=1)
-    return theta, 1.0 / (grid_n * dB), lines
+    return z[:, 0], 1.0 / (grid_n * dB), lines
 
 
 def _fiber_blocks(measure: ClarkMeasure, size=None):
@@ -221,10 +226,9 @@ def _line_blocks(measure: ClarkMeasure):
     N = measure.grid_n
     for line in measure.lines:
         for lo in range(0, N, _BLOCK_NODES):
-            k = np.arange(lo, min(lo + _BLOCK_NODES, N))
-            yield ((np.full(len(k), complex(line.tau)),
-                    unit_circle_points(TWO_PI * k / N)),
-                   np.full(len(k), line.constant / N))
+            zeta2 = unit_roots(N)[lo:lo + _BLOCK_NODES]
+            yield ((np.full(len(zeta2), complex(line.tau)), zeta2),
+                   np.full(len(zeta2), line.constant / N))
 
 
 def integrate(measure: ClarkMeasure, f) -> complex:
@@ -546,7 +550,7 @@ def _unpack(rec, dtype, key):
     if len(raw) != shape[0] * shape[1] * np.dtype(dtype).itemsize:
         raise ValueError(f"Clark measure {key} is not the {shape[0]} x "
                          f"{shape[1]} {dtype} values of its shape")
-    # a writable copy, as built
+    # a writable copy the measure owns (a built uniform base is read-only)
     return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 
 
@@ -557,12 +561,12 @@ def measure_from_json(text: str) -> ClarkMeasure:
     ``atoms`` and ``weights`` (the flat-node and per-branch layouts),
     text-array payloads, malformed base64, arrays whose lengths, shapes or
     coordinates (phi.dim - 1 per base node) do not fit together or that
-    hold no atom per base node (k < 1), and headers that miss a key, store a complex value other than as a
-    [re, im] pair, give an alpha or a line tau off the unit circle (by
-    more than 1e-9), a grid_n that is not a positive integer, a line that
-    is not vertical (axis 1) or a line constant that is not finite and
-    >= 0.  ``mass`` must be present but is not read: it is the sum of
-    the weights and line constants.
+    hold no atom per base node (k < 1), and headers that miss a key,
+    store a complex value other than as a [re, im] pair, give an alpha or
+    a line tau off the unit circle (by more than 1e-9), a grid_n that is
+    not a positive integer, a line that is not vertical (axis 1) or a line
+    constant that is not finite and >= 0.  ``mass`` must be present but
+    is not read: it is the sum of the weights and line constants.
     """
     obj = json.loads(text)
     if not isinstance(obj, dict) or obj.get("type") != "clark_measure":

@@ -18,9 +18,9 @@ import numpy as np
 from . import poly as _poly
 from .clark import ClarkMeasure, _fiber_blocks, _moment_tables
 from .errors import DenominatorVanishes
-from .levelset import _slice_atoms, _uniform_theta
+from .levelset import _slice_atoms
 from .poly import PolyMD, Rif, companion_roots, trim
-from .util import unit_circle_points
+from .util import unit_roots
 
 CONJ_GRID_N = 512  # zeta1 nodes of conj_rational's residual check
 
@@ -162,7 +162,7 @@ def conj_rational(phi: Rif, alpha: complex) -> ConjRational:
     n2, d2 = _conj_parts(h.T)
     r1_num, r1_den = PolyMD(trim(n1)), PolyMD(d1[None, :])  # den: no z1
     r2_num, r2_den = PolyMD(trim(n2.T)), PolyMD(d2[:, None])  # den: no z2
-    z1 = unit_circle_points(_uniform_theta(CONJ_GRID_N))
+    z1 = unit_roots(CONJ_GRID_N)
     z2 = _slice_atoms(phi, alpha, z1[:, None])[0]  # NaN past a degree drop
     z1 = np.broadcast_to(z1, z2.shape)
     res1 = float(np.nanmax(np.abs(_ratio(r1_num, r1_den, z1, z2)

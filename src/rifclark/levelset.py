@@ -39,7 +39,7 @@ from .poly import (
     slice_coeffs,
     _polyval_rows,
 )
-from .util import TWO_PI, angular_distance, unit_circle_points
+from .util import TWO_PI, angular_distance, unit_circle_points, unit_roots
 
 ZERO_SLICE_REL_TOL = 1e-10
 UNIMODULAR_TOL = 1e-6
@@ -241,12 +241,14 @@ def trace_branches(phi: Rif, alpha: complex,
     does, so nothing is interpolated.  Branch 0 holds the root of least
     argument at the first node.
     """
-    theta = _uniform_theta(grid_n)
+    zeta1 = _uniform_roots(grid_n)
     if phi.dim != 2:
         raise ValueError("trace_branches expects a two-variable inner function")
     alpha = complex(alpha)
+    theta = TWO_PI * np.arange(grid_n) / grid_n
     for shift in (0.0, np.pi / grid_n):
-        zeta1 = unit_circle_points(theta + shift)
+        if shift:
+            zeta1 = unit_circle_points(theta + shift)
         roots, num, den, zero_rows = _slice_atoms(phi, alpha, zeta1[:, None])
         if not zero_rows.any():
             break
@@ -266,11 +268,11 @@ def trace_branches(phi: Rif, alpha: complex,
                    weights=weights[b]) for b in range(n_br)]
 
 
-def _uniform_theta(grid_n):
-    """The angles 2 pi k / grid_n of a valid grid size."""
+def _uniform_roots(grid_n):
+    """``util.unit_roots(grid_n)``, the shared table, of a valid size."""
     if grid_n < 256 or grid_n & (grid_n - 1):
         raise ValueError("grid_n must be a power of two, at least 256")
-    return TWO_PI * np.arange(grid_n) / grid_n
+    return unit_roots(grid_n)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +448,7 @@ def _resultant_coeffs(p: PolyMD):
     roots of unity, then fft / M, exact for a degree below M."""
     n1, n2 = p.degrees
     M = 2 * n1 * n2 + 1
-    z1 = unit_circle_points(TWO_PI * np.arange(M) / M)
+    z1 = unit_roots(M)
     rows = (slice_coeffs(p.coeffs, z1[:, None]),
             slice_coeffs(np.conj(p.coeffs[::-1, ::-1]), z1[:, None]))
     syl = np.zeros((len(z1), 2 * n2, 2 * n2), dtype=complex)

@@ -483,9 +483,13 @@ class Rif:
                 f"(got degrees {degrees})"
             )
         num = reflect(den, degrees)
+        den_full = np.pad(den.coeffs, [(0, n + 1 - s) for n, s in
+                                       zip(degrees, den.coeffs.shape)])
+        den_full.flags.writeable = False
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "_den_full", den_full)
 
     @property
     def dim(self) -> int:
@@ -496,8 +500,4 @@ class Rif:
 
     def level_coeffs(self, alpha: complex) -> np.ndarray:
         """Coefficient tensor of num - alpha * den, padded to ``degrees``."""
-        shape = tuple(n + 1 for n in self.degrees)
-        h = self.num.coeffs.astype(np.complex128).copy()
-        pad = [(0, s - t) for s, t in zip(shape, self.den.coeffs.shape)]
-        h -= alpha * np.pad(self.den.coeffs, pad)
-        return h
+        return self.num.coeffs - alpha * self._den_full

@@ -21,7 +21,7 @@ from .clark import ClarkMeasure, _check_mass, total_mass
 from .errors import RootFindFailure, SingularDenominator, UnstableDenominator
 from .levelset import SLICE_BLOCK, _slice_atoms, _unimodular_alpha
 from .poly import PolyMD, Rif, _eval_tensor, stability_check
-from .util import TWO_PI, unit_circle_points
+from .util import TWO_PI, unit_circle_points, unit_roots
 
 __all__ = [
     "build_measure_d", "total_mass_d",
@@ -45,7 +45,8 @@ def build_measure_d(phi: Rif, alpha: complex,
     and built.  A denominator free of torus zeros is the caller's to
     guarantee: the structure formula breaks down at one.
     The measure is fibered as in the 2-variable builder: ``base``
-    (grid_n**2, 2) holds the grid points (zeta1, zeta2), each once, and
+    (grid_n**2, 2) holds the grid points (zeta1, zeta2), each once, pairs
+    of the shared N-th roots of unity (``util.unit_roots``), and
     ``atoms`` (n, grid_n**2), n the degree in z3, all roots zeta3 of each
     point's slice from ``levelset._slice_atoms``, root row by root row.
     Each weighs the tensor trapezoid weight 1 / grid_n**2 times the Clark
@@ -64,7 +65,7 @@ def build_measure_d(phi: Rif, alpha: complex,
         raise ValueError("build_measure_d handles exactly three variables")
     alpha = _unimodular_alpha(alpha)
     N = grid_n
-    zg = unit_circle_points(_torus_grid(N))
+    zg = unit_roots(N)
     cert = _certificate(phi.den.coeffs.shape, phi.den.coeffs.tobytes())
     if not cert.is_stable or cert.min_modulus_on_grid <= 1.0 + 1e-6:
         raise UnstableDenominator(
@@ -184,18 +185,17 @@ def _check_family_den(s, den):
             "family denominator vanishes (s = 3, alpha = -1 corner)")
 
 
-def _poisson_sum(s, a, z, theta, wq):
+def _poisson_sum(s, a, z, zg, wq):
     """sum over j, k of wq_j wq_k W P(zeta1, z1) P(zeta2, z2) P(psi, z3)
-    at zeta1 = e^{i theta_j}, zeta2 = e^{i theta_k}, psi and W those of
+    at zeta1 = zg_j, zeta2 = zg_k on the circle, psi and W those of
     phi_s (``_family``).
 
     With psi = A / den, W P(psi, z3) = (1 - |z3|^2) |num| / |A - z3 den|^2,
     where num is quadratic in zeta2 and den and A - z3 den are linear,
     all with coefficients in zeta1: no psi and no complex division.  The
-    zeta1 rows go SLICE_BLOCK // len(theta) at a time, each reduced by
+    zeta1 rows go SLICE_BLOCK // len(zg) at a time, each reduced by
     two products with the weighted Poisson vectors of zeta2 and zeta1.
     """
-    zg = unit_circle_points(theta)
     p1, p2 = wq * _poisson1(zg, z[0]), wq * _poisson1(zg, z[1])
     z3 = z[2]
     rows = max(1, SLICE_BLOCK // len(zg))
@@ -232,8 +232,7 @@ def verify_poisson_d(s: float, alpha: complex, z,
     lhs = (1.0 - abs(v) ** 2) / abs(a - v) ** 2
 
     N = grid_n
-    theta = _torus_grid(N)
-    rhs = _poisson_sum(s, a, z, theta, np.full(N, 1.0 / N))
+    rhs = _poisson_sum(s, a, z, unit_roots(N), np.full(N, 1.0 / N))
     if s == 3.0:
         # swap the coarse estimate of the window around (1, 1) for an
         # 8x-refined one; both window rules are composite trapezoids with
@@ -245,7 +244,7 @@ def verify_poisson_d(s: float, alpha: complex, z,
             g = np.arange(-k * 8, k * 8 + 1, step) * (dtheta / 8.0)
             wq = np.full(len(g), step * dtheta / 8.0 / TWO_PI)
             wq[0] = wq[-1] = 0.5 * wq[0]
-            rhs += sign * _poisson_sum(s, a, z, g, wq)
+            rhs += sign * _poisson_sum(s, a, z, unit_circle_points(g), wq)
     return PoissonReportD(lhs=lhs, rhs=rhs)
 
 

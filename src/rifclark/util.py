@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import binascii
+import functools
 import json
 
 import numpy as np
@@ -23,6 +24,20 @@ def unit_circle_points(theta):
     np.cos(theta, out=z.real)
     np.sin(theta, out=z.imag)
     return z
+
+
+@functools.lru_cache(maxsize=16)
+def unit_roots(n):
+    """The n-th roots of unity unit_circle_points(2 pi k / n), k < n, bit
+    for bit, as one read-only table per n that every uniform grid shares;
+    ValueError for n < 1.  The cache keeps the 16 sizes used last; a table
+    holds 16 n bytes (1 MB at n = 65536), so at most 16 MB for grids up
+    to that size."""
+    if n < 1:
+        raise ValueError(f"grid_n must be at least 1, got {n}")
+    z = unit_circle_points(TWO_PI * np.arange(n) / n)
+    z.flags.writeable = False
+    return z[:]  # a view of a read-only array cannot be made writable
 
 
 def _format_float(x):

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rifclark import catalog, clark, contact, embedding, polydisk
+from rifclark import catalog, clark, contact, embedding, levelset, polydisk
 from rifclark.errors import MassGapExceeded, MassNotOne
-from rifclark.util import canonical_json
+from rifclark.util import canonical_json, unit_circle_points
 
 GENERIC = np.exp(0.7j)
 
@@ -170,12 +170,45 @@ def test_lines_and_poles_share_one_node_rule():
     # preimages of B(tau) e^{2 pi i (k + 1/2) / N} under B of those poles
     phi = catalog.random_rif(3, 1, 32, singular=True)
     alpha0 = contact.nontangential_value(phi, catalog.planted_zero(32))
-    theta, quad, lines = clark._zeta1_rule(phi, alpha0, 1024)
-    assert len(lines) == 1 and len(theta) == 3 * 1024
-    assert np.min(np.abs(np.exp(1j * theta) - lines[0].tau)) > 1e-4
+    zeta1, quad, lines = clark._zeta1_rule(phi, alpha0, 1024)
+    assert len(lines) == 1 and len(zeta1) == 3 * 1024
+    assert np.all(np.abs(np.abs(zeta1) - 1.0) <= 2 * np.finfo(float).eps)
+    assert np.min(np.abs(zeta1 - lines[0].tau)) > 1e-4
     m = clark.build_measure(phi, alpha0, 1024)
     assert clark.verify_poisson(m, _poisson_points()).max_rel_err <= 1e-10
     assert clark.moment_residual(m, 8) <= 1e-10
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("N", [4096, 16384])
+@pytest.mark.parametrize("alpha", [np.exp(0.7j), np.exp(-1.9j)])
+@pytest.mark.parametrize("name", ["fav", "squared", "product", "diagonal"])
+def test_uniform_base_is_the_shared_read_only_grid(corpus, name, alpha, N):
+    # the uniform rule's base is a view of the one table of N-th roots of
+    # unity, bit for bit the trig grid, and no caller can write into it
+    # (below N = 4096 some of these cases cluster their nodes instead)
+    phi = corpus[name]
+    m = clark.build_measure(phi, alpha, N)
+    grid = unit_circle_points(2 * np.pi * np.arange(N) / N)
+    assert np.array_equal(_bits(m.base[:, 0]), _bits(grid))
+    assert not m.base.flags.writeable
+    with pytest.raises(ValueError):
+        m.base[0, 0] = 1.0
+    # atoms and weights are the slice kernel's over that grid
+    roots, num, den, _ = levelset._slice_atoms(phi, m.alpha, grid[:, None])
+    weights = num / den * np.full(N, 1.0 / N)
+    empty = np.isnan(roots)
+    roots[empty], weights[empty] = 1.0, 0.0
+    assert np.array_equal(_bits(m.atoms), _bits(roots))
+    assert np.array_equal(_bits(m.weights), _bits(weights))
+    # a loaded measure owns writable copies
+    back = clark.measure_from_json(clark.measure_to_json(m))
+    assert all(getattr(back, key).flags.writeable
+               for key in ("base", "atoms", "weights"))
+    assert np.array_equal(_bits(back.base), _bits(m.base))
 
 
 @pytest.mark.parametrize("name", ["fav", "squared"])

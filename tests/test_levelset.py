@@ -8,6 +8,9 @@ from rifclark import (catalog, clark, contact, embedding, levelset, poly,
 from rifclark.cli import main
 from rifclark.errors import MassGapExceeded, PhaseLabelFailure
 from rifclark.poly import PolyMD, Rif, poly_to_json
+from rifclark.util import unit_circle_points
+
+EPS = np.finfo(float).eps
 
 
 def fav_branch(alpha, z1):
@@ -289,17 +292,19 @@ def test_blaschke_node_rule_near_exceptional(fav, squared):
     alpha = -np.exp(0.05j)
     N = 512
     m = clark.build_measure(squared, alpha, N)
-    theta, quad, lines = clark._zeta1_rule(squared, alpha, N)
+    zeta1, quad, lines = clark._zeta1_rule(squared, alpha, N)
     assert lines == []
+    assert np.all(np.abs(np.abs(zeta1) - 1.0) <= 2 * EPS)
+    theta = np.angle(zeta1)
     assert len(theta) == 3 * N and np.all(np.diff(theta) > 0)
     assert theta[-1] - theta[0] < 2 * np.pi
     # the nodes are the base, each once, with two roots over each
-    assert np.array_equal(m.base[:, 0], np.exp(1j * theta))
+    assert np.array_equal(m.base[:, 0], zeta1)
     assert m.atoms.shape == m.weights.shape == (2, 3 * N)
     assert abs(np.sum(quad) - 1.0) < 1e-12
     zs = np.sqrt(2 * alpha / (alpha - 1)) * np.array([1, -1])
     a = 1 / np.conj(zs)
-    z = np.exp(1j * theta)[:, None]
+    z = zeta1[:, None]
     B = z[:, 0] * np.prod((z - a) / (1 - np.conj(a) * z), axis=1)
     k = np.angle(B) * N / (2 * np.pi)
     assert np.max(np.abs(k - np.round(k))) < 1e-9
@@ -315,9 +320,9 @@ def test_blaschke_node_rule_near_exceptional(fav, squared):
     uniform = 2 * np.pi * np.arange(N) / N
     for phi in (fav, squared):
         alpha = np.exp(0.7j * np.pi)
-        rule_theta, quad, lines = clark._zeta1_rule(phi, alpha, N)
+        rule, quad, lines = clark._zeta1_rule(phi, alpha, N)
         assert lines == []
-        assert np.array_equal(rule_theta, uniform)
+        assert np.array_equal(rule, unit_circle_points(uniform))
         assert np.all(quad == 1.0 / N)
         m = clark.build_measure(phi, alpha, N)
         assert np.array_equal(m.base[:, 0], np.exp(1j * uniform))

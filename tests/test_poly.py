@@ -411,3 +411,29 @@ def test_level_coeffs_definition():
     alpha = np.exp(0.4j)
     h = phi.level_coeffs(alpha)
     assert np.allclose(h, phi.num.coeffs - alpha * P_FAV.coeffs)
+
+
+def _sheets(s, k):
+    c = np.zeros((2, 2, k + 1), dtype=complex)
+    c[0, 0, 0] = s
+    c[1, 0, 0] = c[0, 1, 0] = c[0, 0, k] = -1.0
+    return Rif(PolyMD(c))
+
+
+@pytest.mark.parametrize("phi", [
+    catalog.monomial_rif(), catalog.simple_singular_rif(),
+    catalog.squared_singular_rif(), catalog.product_singular_rif(),
+    catalog.diagonal_rif(), Rif(P_FAV, degrees=(3, 2)),
+    *[catalog.random_rif(n1, n2, 5) for n1 in (1, 2, 3) for n2 in (1, 2, 3)],
+    *[_sheets(3.6, k) for k in (1, 2, 3)]])
+def test_level_coeffs_is_the_padded_formula_bit_for_bit(phi):
+    # the padded denominator is stored once; the tensor is the old copy,
+    # pad and in-place subtraction to the last bit
+    for alpha in (np.exp(0.4j), -1.0 + 0.0j, np.exp(-2.9j)):
+        shape = tuple(n + 1 for n in phi.degrees)
+        want = phi.num.coeffs.astype(np.complex128).copy()
+        pad = [(0, s - t) for s, t in zip(shape, phi.den.coeffs.shape)]
+        want -= alpha * np.pad(phi.den.coeffs, pad)
+        got = phi.level_coeffs(alpha)
+        assert got.shape == shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -5,6 +5,7 @@ from rifclark import catalog, clark, embedding, levelset, polydisk
 from rifclark.errors import (MassGapExceeded, SingularDenominator,
                              UnstableDenominator)
 from rifclark.poly import PolyMD, Rif
+from rifclark.util import unit_circle_points
 
 
 def closed_form_weight(s, alpha, z1, z2):
@@ -221,6 +222,18 @@ def sheets_rif(s, k):
     return Rif(PolyMD(c))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_build_measure_d_base_is_the_trig_grid(k):
+    # the tensor grid comes from the shared table of roots of unity, bit
+    # for bit the meshgrid of the trig grid, and stays the measure's own
+    zg = unit_circle_points(2 * np.pi * np.arange(16) / 16)
+    z1, z2 = np.meshgrid(zg, zg, indexing="ij")
+    m = polydisk.build_measure_d(sheets_rif(3.6, k), np.exp(0.7j), 16)
+    want = np.stack([z1.ravel(), z2.ravel()], axis=-1)
+    assert np.array_equal(m.base.view(np.uint64), want.view(np.uint64))
+    assert m.base.flags.writeable
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_build_measure_d_mass_several_sheets(k):
     phi = sheets_rif(3.5, k)
@@ -313,8 +326,9 @@ def test_slice_atom_weights_match_weight_parts(corpus, name, alpha):
     # the kernel takes |p| and |d/dz2 h| from one-variable slice rows;
     # they are the full-tensor values at its roots to rounding
     phi = corpus[name]
-    theta, _, _ = clark._zeta1_rule(phi, alpha, 4096)
-    _kernel_against_weight_parts(phi, alpha, np.exp(1j * theta)[:, None])
+    zeta1, _, _ = clark._zeta1_rule(phi, alpha, 4096)
+    assert np.all(np.abs(np.abs(zeta1) - 1.0) <= 2 * np.finfo(float).eps)
+    _kernel_against_weight_parts(phi, alpha, zeta1[:, None])
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -324,9 +338,9 @@ def test_slice_atom_weights_match_weight_parts_random(n1, n2, seed):
     # random data of every bidegree up to (3, 3): linear, quadratic and
     # cubic slices against the full-tensor oracle at a generic alpha
     phi = catalog.random_rif(n1, n2, seed)
-    theta, _, _ = clark._zeta1_rule(phi, np.exp(0.7j), 1024)
-    _kernel_against_weight_parts(phi, np.exp(0.7j),
-                                 np.exp(1j * theta)[:, None])
+    zeta1, _, _ = clark._zeta1_rule(phi, np.exp(0.7j), 1024)
+    assert np.all(np.abs(np.abs(zeta1) - 1.0) <= 2 * np.finfo(float).eps)
+    _kernel_against_weight_parts(phi, np.exp(0.7j), zeta1[:, None])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import rifclark
-from rifclark.util import _format_float, canonical_json
+from rifclark.util import (_format_float, canonical_json, unit_circle_points,
+                           unit_roots)
 
 
 def _reference(a):
@@ -75,3 +76,25 @@ def test_bytes_like_values_are_written_as_base64(wrap):
     assert canonical_json(wrap(raw)) == json.dumps(text)
     assert canonical_json({"k": [wrap(raw), wrap(b"")]}) \
         == json.dumps({"k": [text, ""]}, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 256, 65536])
+def test_unit_roots_is_the_trig_grid_read_only(n):
+    z = unit_roots(n)
+    want = unit_circle_points(2 * np.pi * np.arange(n) / n)
+    assert np.array_equal(z.view(np.uint64), want.view(np.uint64))
+    assert not z.flags.writeable
+    with pytest.raises(ValueError):
+        z[0] = 0.0
+    with pytest.raises(ValueError):
+        z.flags.writeable = True
+    assert unit_roots(n) is z
+
+
+def test_unit_roots_cache_is_bounded():
+    for n in range(1, 21):
+        unit_roots(7 * n)
+    info = unit_roots.cache_info()
+    assert 0 < info.currsize <= info.maxsize < 20
+    with pytest.raises(ValueError):
+        unit_roots(0)
