@@ -127,35 +127,41 @@ def _slice_atoms(phi: Rif, alpha: complex, pts):
     its weight parts: (roots, num, den, zero_rows).
 
     ``roots`` (k, m) is root-major: row r is one contiguous array over
-    the slices, and column i holds slice i's roots, Newton-polished to
-    rounding (``_newton_polish``), in its first rows and NaN after them
-    (a degree drop, or a zero slice flagged in ``zero_rows``).  ``num``
-    and ``den`` (k, m) are |p| and |d/dz_d h| there, so num / den is the
-    mass of each atom of the slice Clark measure.  Both come from
-    one-variable rows in z_d: ``den`` is the derivative of the slice row
-    at the polished root, ``num`` the slice row of p there.  No root is
-    labeled.  The slices are independent, so they are solved SLICE_BLOCK
-    at a time straight into the outputs, and each pass over a block
-    stays in cache.
+    the slices, and column i holds slice i's roots in its first rows and
+    NaN after them (a degree drop, or a zero slice flagged in
+    ``zero_rows``).  ``num`` and ``den`` (k, m) are |p| and |d/dz_d h|
+    there (NaN at an empty atom), so num / den is the mass of each atom
+    of the slice Clark measure, both from one-variable rows in z_d.  One
+    pass of |rows| serves the zero-slice, degree-drop and Newton-guard
+    tests.  For k = 1 the root is the solver's -c0 / c1, a root of the
+    rounded row to within an ulp, and den = |c1|; for k >= 2 roots are
+    Newton-polished (``_newton_polish``, whose derivative is den).  No
+    root is labeled.  Slices go SLICE_BLOCK at a time into the outputs.
     """
     hcoef = phi.level_coeffs(_unimodular_alpha(alpha))
     k, m = hcoef.shape[-1] - 1, len(pts)
+    # one contraction gives h's and p's rows; it pays only for linear
+    # slices of one frozen variable, where no Newton pass shares the cache
+    stacked = k == 1 and phi.dim == 2
+    coef = np.concatenate([hcoef, phi._den_full], -1) if stacked else hcoef
     roots = np.empty((k, m), dtype=complex)
     num, den = np.empty((k, m)), np.empty((k, m))
     zero_rows = np.empty(m, dtype=bool)
     zero_tol = ZERO_SLICE_REL_TOL * float(np.max(np.abs(hcoef)))
     for lo in range(0, m, SLICE_BLOCK):
         b = slice(lo, lo + SLICE_BLOCK)
-        rows = slice_coeffs(hcoef, pts[b])
-        rowmax = np.max(np.abs(rows), axis=0)
+        rows = slice_coeffs(coef, pts[b])
+        h, size = rows[:k + 1], np.abs(rows[:k + 1])
+        rowmax = np.max(size, axis=0)
         zero = np.less(rowmax, zero_tol, out=zero_rows[b])
-        # zero slices are solved as the constant 1: no roots
-        roots[:, b] = companion_roots(
-            np.where(zero, np.eye(len(rows), 1), rows) if zero.any()
-            else rows)
-        np.abs(_newton_polish(rows, rowmax, roots[:, b]), out=den[:, b])
-        np.abs(_polyval_rows(slice_coeffs(phi.den.coeffs, pts[b])[:, None],
-                             roots[:, b]), out=num[:, b])
+        rowmax[zero] = np.inf  # a zero slice drops every coefficient: no root
+        _poly._solve_columns(h, size, rowmax, roots[:, b])
+        if k == 1:
+            den[0, b] = np.where(np.isnan(roots[0, b]), np.nan, size[1])
+        else:
+            np.abs(_newton_polish(h, rowmax, roots[:, b]), out=den[:, b])
+        p_rows = rows[2:] if stacked else slice_coeffs(phi.den.coeffs, pts[b])
+        np.abs(_polyval_rows(p_rows[:, None], roots[:, b]), out=num[:, b])
     return roots, num, den, zero_rows
 
 
@@ -322,7 +328,8 @@ def _lines(hcoef, pcoef, roots, axis=1):
     t1, _, seed = _torus_zeros(pcoef, seeds)
     flat = np.max(np.abs(slice_coeffs(hcoef, t1[:, None])), axis=0) \
         <= LINE_TOL * float(np.max(np.abs(hcoef)))
-    taus = np.array(sorted(seeds[np.unique(seed[flat])].tolist(),
+    hit = np.bincount(seed[flat], minlength=len(seeds)) > 0  # each seed once
+    taus = np.array(sorted(seeds[hit].tolist(),
                            key=lambda t: float(np.angle(t)) % TWO_PI))
     norms = [np.linalg.norm(slice_coeffs(c, taus[:, None]), axis=0)
              for c in (pcoef, derivative_coeffs(hcoef, 1))]
@@ -494,7 +501,8 @@ def branch_csv_lines(branch: Branch, label: str, index: int) -> list[str]:
     head = (f"# rif={label} alpha={a.real:.17g}{a.imag:+.17g}j "
             f"N={branch.grid_n} branch={index}")
     lines = [head, "theta,re_g,im_g,weight"]
-    for t, v, w in zip(branch.theta, branch.values, branch.weights):
+    for t, v, w in zip(branch.theta.tolist(), branch.values.tolist(),
+                       branch.weights.tolist()):  # floats format fastest
         lines.append(f"{t:.17g},{v.real:.17g},{v.imag:.17g},{w:.17g}")
     return lines
 

@@ -248,16 +248,25 @@ def companion_roots(batch_coeffs):
     than COALESCE_REL_TOL times their largest (roots about to coalesce),
     get the eigenvalues of the companion matrix.  Those split an exact
     double root by about sqrt(eps), where a closed form returns it twice
-    and the Clark weight |p| / |d/dz h| there as 0/0.
+    and the Clark weight |p| / |d/dz h| there as 0/0.  The slice kernel
+    calls the solver below, ``_solve_columns``, with its own |rows|.
     """
     c = np.asarray(batch_coeffs, dtype=np.complex128)
     size = np.abs(c)
-    k, m = c.shape[0] - 1, c.shape[1]
-    tol = DEGREE_DROP_REL_TOL * np.max(size, axis=0)
+    return _solve_columns(c, size, np.max(size, axis=0), np.empty(
+        (c.shape[0] - 1, c.shape[1]), dtype=np.complex128))
+
+
+def _solve_columns(c, size, scale, out):
+    """``companion_roots`` of ``c`` (k+1, m) into ``out`` (k, m), returned,
+    given |c| as ``size`` and the column scale (m,) the degree-drop
+    tolerance is relative to; an infinite scale leaves its column NaN."""
+    k, m = out.shape
+    tol = DEGREE_DROP_REL_TOL * scale
     eff_deg = np.full(m, -1)  # the last coefficient above tol
     for j in range(k + 1):
         eff_deg[size[j] > tol] = j
-    out = np.full((k, m), np.nan, dtype=np.complex128)
+    out[...] = np.nan
     for deg in range(1, k + 1):
         sel = eff_deg == deg
         count = np.count_nonzero(sel)
@@ -377,7 +386,8 @@ def stability_check(p: PolyMD) -> StabilityCertificate:
     n_ang = 4 * grid_n
     radii = np.linspace(0.0, 1.0, grid_n)
     angles = np.exp(2j * np.pi * np.arange(n_ang) / n_ang)
-    disk = np.unique((radii[:, None] * angles[None, :]).ravel())
+    # {0} and the circles of the positive radii: each grid point once
+    disk = np.append(0.0, radii[1:, None] * angles)
 
     min_mod = np.inf
     for axis in range(1, p.dim + 1):

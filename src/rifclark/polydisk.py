@@ -195,6 +195,7 @@ def _poisson_sum(s, a, z, zg, wq):
     all with coefficients in zeta1: no psi and no complex division.  The
     zeta1 rows go SLICE_BLOCK // len(zg) at a time, each reduced by
     two products with the weighted Poisson vectors of zeta2 and zeta1.
+    On the torus |den| >= s - 3, so den is checked only next to s = 3.
     """
     p1, p2 = wq * _poisson1(zg, z[0]), wq * _poisson1(zg, z[1])
     z3 = z[2]
@@ -202,7 +203,8 @@ def _poisson_sum(s, a, z, zg, wq):
     total = 0.0
     for lo in range(0, len(zg), rows):
         z1 = zg[lo:lo + rows, None]
-        _check_family_den(s, (s * z1 - 1.0) * zg + (a - z1))
+        if s - 3.0 < 1e-12 * (s + 3.0):
+            _check_family_den(s, (s * z1 - 1.0) * zg + (a - z1))
         num = ((1.0 - s * z1) * zg + (z1 * (s * s + 1.0 - s * z1) - s)) * zg \
             + z1 * (z1 - s)
         lin = (z1 - a - z3 * (s * z1 - 1.0)) * zg \

@@ -8,9 +8,10 @@ whose Clark measure has atoms of mass |p| / |d/dz2 h| there.
 import numpy as np
 import pytest
 
-from rifclark import catalog, levelset
+from rifclark import catalog, clark, levelset
 from rifclark.levelset import UNIMODULAR_TOL, _slice_atoms
-from rifclark.poly import derivative_coeffs
+from rifclark.poly import (PolyMD, Rif, _polyval_rows, companion_roots,
+                           derivative_coeffs, slice_coeffs)
 
 ALPHA = np.exp(0.7j)
 
@@ -131,3 +132,102 @@ def test_blocked_kernel_equals_its_blocks(alpha, special):
     roots, _, _, zero_rows = whole
     assert np.flatnonzero(np.isnan(roots).any(axis=0)).tolist() == [B + 5]
     assert zero_rows[B + 5] == (alpha == -1.0)
+
+
+EPS = np.finfo(float).eps
+CLUSTERED = -np.exp(0.05j)
+
+
+def sheets_rif(s, k):
+    """Denominator s - z1 - z2 - z3^k: k roots in z3 over every slice."""
+    c = np.zeros((2, 2, k + 1), dtype=complex)
+    c[0, 0, 0] = s
+    c[1, 0, 0] = c[0, 1, 0] = c[0, 0, k] = -1.0
+    return Rif(PolyMD(c))
+
+
+def degree_one_cases():
+    yield "fav", catalog.simple_singular_rif()
+    yield "diagonal", catalog.diagonal_rif()
+    for m in (1, 2, 3):
+        for singular in (False, True):
+            yield f"random({m}, 1, singular={singular})", \
+                catalog.random_rif(m, 1, m, singular=singular)
+    yield "sheets(3.6, 1)", sheets_rif(3.6, 1)
+
+
+@pytest.mark.parametrize("alpha", [ALPHA, -1.0 + 0.0j, CLUSTERED])
+def test_degree_one_slices_take_the_quotient(alpha):
+    # a slice of degree 1 in the solved variable is solved by its quotient
+    # -c0 / c1 with no Newton step: within rounding of the polished root,
+    # |d/dz h| is |c1| exactly, and the row vanishes there to rounding
+    zg = np.exp(2j * np.pi * np.arange(32) / 32)
+    z1, z2 = np.meshgrid(zg, zg, indexing="ij")
+    for name, phi in degree_one_cases():
+        pts = clark._zeta1_rule(phi, alpha, 1024)[0][:, None] \
+            if phi.dim == 2 else np.stack([z1.ravel(), z2.ravel()], axis=-1)
+        roots, _, den, _ = _slice_atoms(phi, alpha, pts)
+        rows = slice_coeffs(phi.level_coeffs(alpha), pts)
+        rowmax = np.max(np.abs(rows), axis=0)
+        polished = companion_roots(rows)
+        levelset._newton_polish(rows, rowmax, polished)
+        live = ~np.isnan(roots)
+        assert np.array_equal(live, ~np.isnan(polished)), name
+        assert live.any() and np.isnan(den[~live]).all(), name
+        # the polish stops once a step moves a root by at most 4 eps |w|
+        assert np.all(np.abs(roots - polished)[live]
+                      <= 4 * EPS * np.abs(polished[live])), name
+        assert np.array_equal(den[live], np.abs(rows[1:])[live]), name
+        assert np.all(np.abs(rows[0] + rows[1] * roots[0])[live[0]]
+                      <= 8 * EPS * rowmax[live[0]]), name
+    # an empty atom, a zero slice or a degree drop, keeps den = NaN
+    fav = catalog.simple_singular_rif()
+    for a, z1 in ((-1.0 + 0.0j, 1.0), (ALPHA, (1.0 - ALPHA) / 2.0)):
+        roots, num, den, _ = _slice_atoms(fav, a, np.array([[z1]]))
+        assert np.isnan(roots).all() and np.isnan(num).all() \
+            and np.isnan(den).all()
+
+
+def test_degree_one_atoms_stay_on_the_torus_to_coefficient_rounding():
+    # fav's atoms at a clustered alpha sit off the circle by the rounding
+    # of the slice coefficients (up to 4.7e-13), not of the root solve;
+    # the figure must not grow
+    phi = catalog.simple_singular_rif()
+    for N in (512, 4096):
+        m = clark.build_measure(phi, CLUSTERED, N)
+        live = m.weights != 0.0
+        assert np.max(np.abs(np.abs(m.atoms[live]) - 1.0)) <= 5e-13
+
+
+@pytest.mark.parametrize("name, alpha, extra, zero_cols, empty", [
+    # zero slices at zeta1 = +-1 of the unshifted grid: every atom empty
+    ("squared_singular_rif", -1.0 + 0.0j, [], [0, 128],
+     [(0, 0), (0, 128), (1, 0), (1, 128)]),
+    # degree drops at zeta1 = 0.5 and 0, where the z2^2 coefficient
+    # z1 (2 z1 - 1) of h vanishes: the second atom of each is empty
+    ("product_singular_rif", -1.0 + 0.0j, [0.5, 0.0], [],
+     [(1, 256), (1, 257)]),
+])
+def test_shared_scale_matches_solver_and_polish(name, alpha, extra,
+                                                zero_cols, empty):
+    # one pass of |rows| serves the zero-slice test, the solver's
+    # degree-drop test and the Newton guard: the kernel puts its zero
+    # rows and empty atoms where companion_roots and _newton_polish on
+    # the same rows put them, and every other root bit for bit
+    phi = getattr(catalog, name)()
+    pts = np.append(np.exp(2j * np.pi * np.arange(256) / 256), extra)[:, None]
+    roots, num, den, zero_rows = _slice_atoms(phi, alpha, pts)
+    hcoef = phi.level_coeffs(alpha)
+    rows = slice_coeffs(hcoef, pts)
+    rowmax = np.max(np.abs(rows), axis=0)
+    zero = rowmax < levelset.ZERO_SLICE_REL_TOL * np.max(np.abs(hcoef))
+    ref = companion_roots(np.where(zero, np.eye(len(rows), 1), rows))
+    dh = levelset._newton_polish(rows, rowmax, ref)
+    assert np.flatnonzero(zero_rows).tolist() == zero_cols
+    assert np.array_equal(zero_rows, zero)
+    assert [tuple(ij) for ij in np.argwhere(np.isnan(roots))] == empty
+    assert np.array_equal(roots, ref, equal_nan=True)
+    assert np.array_equal(den, np.abs(dh), equal_nan=True)
+    p_rows = slice_coeffs(phi.den.coeffs, pts)
+    assert np.array_equal(num, np.abs(_polyval_rows(p_rows[:, None], ref)),
+                          equal_nan=True)

@@ -345,3 +345,17 @@ def test_library_imports_leave_scipy_out():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False False False"
+
+
+def test_stability_and_line_tests_leave_numpy_ma_out():
+    # np.unique imports numpy.ma, a slow import in a fresh process; the
+    # stability certificate and the line test dedupe without it
+    code = ("import sys\n"
+            "from rifclark import catalog, levelset, poly\n"
+            "poly.stability_check(catalog.tridisk_rif(3.5).den)\n"
+            "levelset.detect_lines(catalog.simple_singular_rif(), -1)\n"
+            "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

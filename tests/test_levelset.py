@@ -342,6 +342,23 @@ def test_branch_csv_format(fav, tmp_path):
     assert abs(float(first[0]) - br.theta[0]) < 1e-16
 
 
+def test_branch_csv_lines_are_17_digit_values():
+    # every value printed with %.17g, NaN samples (an empty atom) included
+    theta = np.array([0.0, 0.1, 2.0 / 3.0])
+    values = np.array([np.exp(0.3j), np.nan, -1e-300 + 7.1j])
+    weights = np.array([1.0 / 3.0, np.nan, 5e-324])
+    br = levelset.Branch(alpha=np.exp(0.7j), theta=theta, values=values,
+                         weights=weights)
+    lines = levelset.branch_csv_lines(br, "x", 2)
+    assert lines[:2] == [f"# rif=x alpha={br.alpha.real:.17g}"
+                         f"{br.alpha.imag:+.17g}j N=3 branch=2",
+                         "theta,re_g,im_g,weight"]
+    assert lines[2:] == [",".join("%.17g" % x for x in row) for row in zip(
+        theta, values.real, values.imag, weights)]
+    # a NaN value is NaN + 0j, as trace_branches pads its branches
+    assert lines[3] == "0.10000000000000001,nan,0,nan"
+
+
 @given(st.floats(min_value=0.05, max_value=1.95))
 @settings(max_examples=8, deadline=None)
 def test_traced_branches_are_unimodular_level_points(t):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rifclark import catalog
+from rifclark import catalog, poly
 from rifclark.errors import DegreeNotAttained, ZeroPolynomial
 from rifclark.levelset import _slice_atoms
 from rifclark.poly import (PolyMD, Rif, companion_roots, derivative_coeffs,
@@ -437,3 +437,51 @@ def test_level_coeffs_is_the_padded_formula_bit_for_bit(phi):
         got = phi.level_coeffs(alpha)
         assert got.shape == shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _roots_by_column(c):
+    """companion_roots spelled out one column at a time from the
+    per-degree solvers: the degree is the last coefficient above
+    DEGREE_DROP_REL_TOL of the column's largest, then the closed form (or
+    eigenvalues for coalescing roots) or, from degree 4, eigenvalues."""
+    out = np.full((len(c) - 1, c.shape[1]), np.nan, dtype=complex)
+    for i, col in enumerate(c.T):
+        size = np.abs(col)
+        live = np.flatnonzero(size > poly.DEGREE_DROP_REL_TOL * size.max())
+        deg = live[-1] if live.size else 0
+        if deg == 0:
+            continue
+        monic = (col[:deg] / col[deg])[:, None]
+        if deg == 1:
+            roots = -monic
+        elif deg <= 3:
+            solve = poly._quadratic_roots if deg == 2 else poly._cubic_roots
+            roots, tight = solve(monic)
+            if tight.any():
+                roots = poly._eigvals(monic)
+        else:
+            roots = poly._eigvals(monic)
+        out[:deg, i] = roots[:, 0]
+    return out
+
+
+def test_companion_roots_unchanged_on_catalog_and_random_batches():
+    # the wrapper over the per-degree solver keeps trimming, NaN padding
+    # and every root bit for bit: catalog slices at generic and
+    # exceptional alpha, and random rows of degree 1 to 4 with drops
+    zeta = np.exp(2j * np.pi * np.arange(64) / 64)[:, None]
+    batches = [slice_coeffs(getattr(catalog, name)().level_coeffs(alpha),
+                            zeta)
+               for name in ("simple_singular_rif", "squared_singular_rif",
+                            "product_singular_rif", "diagonal_rif")
+               for alpha in (np.exp(0.7j), -1.0, -np.exp(0.05j))]
+    rng = np.random.default_rng(7)
+    for deg in (1, 2, 3, 4):
+        rows = rng.normal(size=(deg + 1, 48)) \
+            + 1j * rng.normal(size=(deg + 1, 48))
+        rows[deg, ::3] *= 1e-13  # a drop by one
+        rows[deg - 1:, 1::5] = 0.0  # a drop by two (all zero at 1)
+        batches.append(rows)
+    for rows in batches:
+        assert np.array_equal(companion_roots(rows), _roots_by_column(rows),
+                              equal_nan=True)

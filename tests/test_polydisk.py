@@ -195,9 +195,26 @@ def test_poisson_d_separable_grid_matches_meshgrid(s, alpha, z):
 
 def test_poisson_d_refuses_the_singular_corner():
     # at s = 3, alpha = -1 the family's denominator vanishes at (1, 1),
-    # a node of every grid; the guard runs on each block of rows
-    with pytest.raises(SingularDenominator):
-        polydisk.verify_poisson_d(3.0, -1, (0.1, 0.2, 0.3), 64)
+    # a node of every grid; the guard runs on each block of rows, of the
+    # coarse grid and of the benchmark's grid alike
+    for N in (64, 512):
+        with pytest.raises(SingularDenominator):
+            polydisk.verify_poisson_d(3.0, -1, (0.1, 0.2, 0.3), N)
+
+
+@pytest.mark.parametrize("s", [3.3, 3.6])
+def test_poisson_d_unchecked_rows_match_brute_force(s):
+    # for s > 3 the denominator is at least s - 3 on the torus, so the
+    # guard is skipped; the sum still equals the plain tensor sum of the
+    # family's closed forms (_family, which checks every node)
+    alpha, z, N = np.exp(2.2j), np.array([0.4j, -0.3 + 0.2j, 0.5]), 256
+    zg = np.exp(2j * np.pi * np.arange(N) / N)
+    z1, z2 = np.meshgrid(zg, zg, indexing="ij")
+    psi, w = polydisk._family(s, alpha, z1, z2)
+    brute = np.mean(w * np.prod([(1 - abs(b) ** 2) / np.abs(a - b) ** 2
+                                 for a, b in zip((z1, z2, psi), z)], axis=0))
+    rep = polydisk.verify_poisson_d(s, alpha, z, N)
+    assert abs(rep.rhs - brute) <= 1e-12 * abs(brute)
 
 
 def test_two_path_witness():
