@@ -1,7 +1,7 @@
 """Clark measures of rational inner functions on the bidisk and tridisk.
 
-Submodules are imported lazily so the command-line entry point can cap
-BLAS thread pools (RIFCLARK_THREADS) before numpy is first loaded.
+Submodules are imported lazily, so each command-line subcommand loads
+only the modules it uses.
 """
 
 from importlib import import_module

@@ -39,7 +39,6 @@ from .levelset import (
     LineComponent,
     _lines,
     _slice_atoms,
-    _uniform_roots,
     _unimodular_alpha,
 )
 from .poly import Rif
@@ -183,7 +182,7 @@ def _zeta1_rule(phi, alpha, grid_n):
     hcoef = phi.level_coeffs(alpha)
     roots = _poly.companion_roots(_poly.trim(hcoef[:, :1]))[:, 0]
     lines = _lines(hcoef, phi.den.coeffs, roots)
-    zeta1 = _uniform_roots(grid_n)
+    zeta1 = unit_roots(grid_n)
     quad = np.full(grid_n, 1.0 / grid_n)
     if lines:
         zeta1 = unit_circle_points(TWO_PI * np.arange(grid_n) / grid_n
@@ -256,9 +255,10 @@ def total_mass(measure: ClarkMeasure) -> float:
 
 def expected_mass(phi: Rif, alpha: complex) -> float:
     """Poisson identity at the origin: (1 - |phi(0)|^2) / |alpha - phi(0)|^2,
-    with phi(0) the ratio of the constant coefficients of q and p."""
+    with phi(0) the ratio of the constant coefficients of q and p;
+    ValueError for alpha off the circle."""
     v = complex(phi.num.coeffs.flat[0] / phi.den.coeffs.flat[0])
-    return (1.0 - abs(v) ** 2) / abs(complex(alpha) - v) ** 2
+    return (1.0 - abs(v) ** 2) / abs(_unimodular_alpha(alpha) - v) ** 2
 
 
 @dataclass(frozen=True)
@@ -405,12 +405,13 @@ def exact_moments(phi: Rif, alpha: complex, max_degree: int) -> np.ndarray:
     They come from power-series division: with N = alpha p + q and
     M = alpha p - q, N = M H gives each coefficient of H from the ones
     below it, M[0, 0] H[j, k] = N[j, k] - sum M[j - l, k - m] H[l, m]
-    over (l, m) <= (j, k), (l, m) != (j, k).
+    over (l, m) <= (j, k), (l, m) != (j, k).  ValueError for alpha off
+    the circle.
     """
     if phi.dim != 2:
         raise ValueError("exact_moments expects a two-variable inner function")
     D = max_degree
-    alpha = complex(alpha)
+    alpha = _unimodular_alpha(alpha)
     h = phi.level_coeffs(alpha)  # q - alpha p at phi.degrees
     q = np.zeros((D + 1, D + 1), dtype=complex)
     M = np.zeros_like(q)

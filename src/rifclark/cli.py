@@ -20,17 +20,6 @@ import sys
 # largest grid of tridisk --build: the builder solves grid**2 slices
 BUILD_GRID_CAP = 256
 
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS")
-
-
-def _cap_threads():
-    cap = os.environ.get("RIFCLARK_THREADS")
-    if cap:
-        for var in _THREAD_VARS:
-            os.environ.setdefault(var, cap)
-
-
 def parse_alpha(text: str) -> complex:
     """Parse a unimodular target: 1, -1, i, -i, exp:t (angle t*pi), re,im.
     ValueError for anything that is not a point of the circle (NaN and
@@ -405,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     args = build_parser().parse_args(argv)
     from .errors import RifclarkError
     from .util import canonical_json

@@ -2,11 +2,18 @@
 
 The embedding sends the deflated reproducing kernel at w to
 (1 - alpha * conj(phi(w))) times the Szego product kernel C_w, and is an
-isometry on their span.  Whether it is onto is governed by a density
-dichotomy: for generic alpha the conjugate coordinates zeta-bar_j agree
-with rational functions of zeta on the support (so polynomials are
-dense), while line components at exceptional alpha force a positive
-distance.  All three facets are checked numerically here.
+isometry on their span.  It is unitary exactly when polynomials are
+dense in L^2(sigma), and in two variables the level set's lines
+(``levelset.detect_lines``) decide that.  A line {tau} x T of constant c
+keeps conj(zeta2), orthogonal to the polynomials on that circle, at
+distance >= sqrt(c) from them (under the line's N-point rule, for
+degrees below N - 1); horizontal lines bound conj(zeta1) alike.  Without
+lines ``conj_rational`` exists: a zero tau of h(0, .), h = q - alpha p,
+on the circle makes phi(., tau) reach alpha at 0, so phi(., tau) = alpha
+is a horizontal line, and one inside would contradict |phi| < 1 (h(., 0)
+likewise); so conj(zeta_j) are uniform limits of polynomials on the
+support, and the distances fall to 0.  All three facets are checked
+numerically here.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import numpy as np
 from . import poly as _poly
 from .clark import ClarkMeasure, _fiber_blocks, _moment_tables
 from .errors import DenominatorVanishes
-from .levelset import _slice_atoms
+from .levelset import _slice_atoms, detect_lines
 from .poly import PolyMD, Rif, companion_roots, trim
 from .util import unit_roots
 
@@ -35,6 +42,9 @@ class GramReport:
 
 @dataclass(frozen=True)
 class DensityReport:
+    """The distances to the polynomials of bidegree <= ``degree``, and
+    the verdict of the level set's lines (see the module docstring)."""
+
     alpha: complex
     degree: int
     distance_zbar2: float
@@ -50,7 +60,8 @@ def gram_isometry_check(phi: Rif, alpha: complex, points,
     gram_model[i][j] = (1 - conj(phi(w_i)) phi(w_j)) C_{w_i}(w_j);
     gram_embedded[i][j] integrates the embedded kernels against the
     measure.  For an exact embedding the two agree; the gap measures
-    quadrature error.
+    quadrature error.  ValueError unless ``phi`` (degrees and denominator
+    coefficients, exactly) and ``alpha`` are the measure's.
     """
     w = np.asarray([(complex(a), complex(b)) for a, b in points],
                    dtype=complex)
@@ -60,6 +71,9 @@ def gram_isometry_check(phi: Rif, alpha: complex, points,
         raise ValueError("sample points must lie inside the bidisk")
     if abs(complex(alpha) - complex(measure.alpha)) > 1e-9:
         raise ValueError("alpha does not match the measure")
+    if phi.degrees != measure.phi.degrees or not np.array_equal(
+            phi.den.coeffs, measure.phi.den.coeffs):
+        raise ValueError("phi does not match the measure")
     if measure.phi.dim != 2:
         raise ValueError(
             "gram_isometry_check expects a two-variable inner function")
@@ -198,7 +212,9 @@ def density_distance(measure: ClarkMeasure, degree: int) -> DensityReport:
     The Gram of the monomials is assembled from the measure's moment
     table and inverted by a truncated spectral pseudoinverse (cutoff
     1e-10 of the top eigenvalue) — level-set measures make the monomials
-    far from independent, so plain solves would be meaningless.
+    far from independent, so plain solves would be meaningless.  The
+    verdict is the lines' (the measure's own, else ``detect_lines``), not
+    the distances'; the module docstring says why.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -225,14 +241,9 @@ def density_distance(measure: ClarkMeasure, degree: int) -> DensityReport:
 
     v2 = M[-aa + S, -bb - 1 + S]
     v1 = M[-aa - 1 + S, -bb + S]
-    d2 = dist_to(v2)
-    d1 = dist_to(v1)
-    if d2 < 0.05:
-        verdict = "consistent_with_unitary"
-    elif d2 > 0.3:
-        verdict = "consistent_with_nonunitary"
-    else:
-        verdict = "inconclusive"
+    verdict = ("consistent_with_nonunitary"
+               if measure.lines or detect_lines(measure.phi, measure.alpha)
+               else "consistent_with_unitary")
     return DensityReport(alpha=complex(measure.alpha), degree=D,
-                         distance_zbar2=d2, distance_zbar1=d1,
+                         distance_zbar2=dist_to(v2), distance_zbar1=dist_to(v1),
                          gram_rank=rank, verdict=verdict)

@@ -239,15 +239,15 @@ def trace_branches(phi: Rif, alpha: complex,
                    grid_n: int = 4096) -> list[Branch]:
     """Label the graph components of the level set at unimodular alpha.
 
-    The slice atoms (``_slice_atoms``) over the uniform grid of
-    ``grid_n`` angles (a power of two, at least 256), each in the branch
-    of its phase label (``_phase_labels``), weighted by the atom's
-    num / den.  A grid that hits a zero slice (a vertical line at an
-    exceptional alpha) is shifted half a step, as ``clark._zeta1_rule``
-    does, so nothing is interpolated.  Branch 0 holds the root of least
-    argument at the first node.
+    The slice atoms (``_slice_atoms``) over the grid_n-th roots of unity
+    (``util.unit_roots``), each in the branch of its phase label
+    (``_phase_labels``), weighted by the atom's num / den.  A grid that
+    hits a zero slice (a vertical line at an exceptional alpha) is
+    shifted half a step, as ``clark._zeta1_rule`` does, so nothing is
+    interpolated.  Branch 0 holds the root of least argument at the
+    first node.
     """
-    zeta1 = _uniform_roots(grid_n)
+    zeta1 = unit_roots(grid_n)
     if phi.dim != 2:
         raise ValueError("trace_branches expects a two-variable inner function")
     alpha = complex(alpha)
@@ -272,13 +272,6 @@ def trace_branches(phi: Rif, alpha: complex,
     weights[at] = (num / den)[keep]
     return [Branch(alpha=alpha, theta=theta + shift, values=values[b],
                    weights=weights[b]) for b in range(n_br)]
-
-
-def _uniform_roots(grid_n):
-    """``util.unit_roots(grid_n)``, the shared table, of a valid size."""
-    if grid_n < 256 or grid_n & (grid_n - 1):
-        raise ValueError("grid_n must be a power of two, at least 256")
-    return unit_roots(grid_n)
 
 
 # ---------------------------------------------------------------------------

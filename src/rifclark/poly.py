@@ -215,11 +215,7 @@ def slice_coeffs(coeffs, points, axis=None):
                                                         moved.shape[-1])
     acc = acc.reshape(moved.shape[:-1] + (len(flat),))
     for k in range(1, d - 1):  # the next frozen axis is acc's second
-        out = acc[:, -1].copy()
-        for j in range(acc.shape[1] - 2, -1, -1):
-            out *= flat[:, k]
-            out += acc[:, j]
-        acc = out
+        acc = _polyval_rows(np.moveaxis(acc, 1, 0), flat[:, k])
     return acc.reshape(acc.shape[:1] + pts.shape[:-1])
 
 

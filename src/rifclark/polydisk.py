@@ -87,13 +87,6 @@ def build_measure_d(phi: Rif, alpha: complex,
     return measure
 
 
-def _torus_grid(grid_n):
-    """The angles 2 pi k / grid_n, k < grid_n; ValueError for grid_n < 1."""
-    if grid_n < 1:
-        raise ValueError(f"grid_n must be at least 1, got {grid_n}")
-    return TWO_PI * np.arange(grid_n) / grid_n
-
-
 @lru_cache(maxsize=32)
 def _certificate(shape, raw):
     """``stability_check`` of the denominator with coefficient tensor
@@ -277,10 +270,8 @@ def two_path_witness() -> tuple[complex, complex, float]:
 
 def level_surface_rows(s: float, alpha: complex, grid_n: int = 128):
     """Rows (theta1, theta2, arg psi) sampling the level surface."""
-    s = _family_check(s)
-    theta = _torus_grid(grid_n)
+    z = unit_roots(grid_n)
+    psi = tridisk_level(s, alpha, z[:, None], z[None, :])
+    theta = TWO_PI * np.arange(grid_n) / grid_n
     T1, T2 = np.meshgrid(theta, theta, indexing="ij")
-    psi = tridisk_level(s, complex(alpha), unit_circle_points(T1),
-                        unit_circle_points(T2))
-    ang = np.angle(psi)
-    return np.stack([T1.ravel(), T2.ravel(), ang.ravel()], axis=-1)
+    return np.stack([T1.ravel(), T2.ravel(), np.angle(psi).ravel()], axis=-1)

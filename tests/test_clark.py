@@ -675,6 +675,15 @@ def test_moment_residual_sees_a_perturbed_measure(fav):
     assert clark.moment_residual(rotated, 12) > 1e-7
 
 
+@pytest.mark.parametrize("alpha", [2.0, 0.5j, np.nan, complex(np.inf, 0)])
+def test_exact_oracles_refuse_alpha_off_the_circle(fav, alpha):
+    # the oracles are formulas in alpha and would return numbers anywhere
+    with pytest.raises(ValueError, match="unimodular"):
+        clark.exact_moments(fav, alpha, 2)
+    with pytest.raises(ValueError, match="unimodular"):
+        clark.expected_mass(fav, alpha)
+
+
 def test_moment_residual_sees_mixed_moments(fav):
     # a signed density 2 eps Re(conj(zeta1) zeta2) on a 32 x 32 torus grid
     # keeps every moment of conj(zeta1)^j conj(zeta2)^k, j, k <= 12, and

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -325,12 +324,11 @@ def test_contact_command(fav_json, tmp_path, capsys):
 
 
 def test_module_invocation_with_thread_cap(fav_json, tmp_path):
-    env = dict(os.environ, RIFCLARK_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "rifclark.cli", "analyze", "--poly", fav_json,
          "--alpha", "1", "--grid", "512",
          "--out", str(tmp_path / "m.json")],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "mass 1" in proc.stdout
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rifclark import catalog, clark, embedding
+from rifclark import catalog, clark, contact, embedding, levelset
 from rifclark.errors import DenominatorVanishes
 
 GENERIC = np.exp(0.7j)
@@ -33,6 +33,21 @@ def test_gram_rejects_alpha_mismatch(fav, fav_measure_alphai):
     with pytest.raises(ValueError):
         embedding.gram_isometry_check(fav, 1.0 + 0.0j, [(0.1, 0.2)],
                                       fav_measure_alphai)
+
+
+@pytest.mark.parametrize("name", ["squared", "diagonal", "monomial"])
+def test_gram_rejects_phi_mismatch(request, name, fav_measure_alphai):
+    # another phi's kernels against fav's measure would read as a large
+    # quadrature error
+    with pytest.raises(ValueError, match="phi does not match"):
+        embedding.gram_isometry_check(request.getfixturevalue(name), 1.0j,
+                                      [(0.1, 0.2)], fav_measure_alphai)
+
+
+def test_gram_accepts_phi_of_a_measure_read_back(fav, fav_measure_alphai):
+    m = clark.measure_from_json(clark.measure_to_json(fav_measure_alphai))
+    rep = embedding.gram_isometry_check(fav, 1.0j, [(0.1, 0.2)], m)
+    assert rep.max_abs_error < 1e-10
 
 
 def test_gram_rejects_boundary_points(fav, fav_measure_alphai):
@@ -145,6 +160,56 @@ def test_density_distance_monomial_exact(monomial):
     rep = embedding.density_distance(m, 1)
     assert rep.distance_zbar2 < 1e-6
     assert rep.distance_zbar1 < 1e-6
+    assert rep.verdict == "consistent_with_unitary"
+
+
+def _verdict_builds(corpus):
+    for name in ("fav", "squared", "product", "diagonal"):
+        for alpha in (-1.0 + 0.0j, GENERIC, 1.0j):
+            yield name, corpus[name], alpha
+    for n1, n2 in ((1, 1), (2, 1), (1, 2)):
+        for seed in (1, 2, 3):
+            phi = catalog.random_rif(n1, n2, seed, singular=True)
+            alpha0 = contact.nontangential_value(phi,
+                                                 catalog.planted_zero(seed))
+            for alpha in (alpha0, GENERIC):
+                yield (n1, n2, seed), phi, alpha
+
+
+def test_density_verdict_is_the_lines(corpus):
+    # lines (either axis) mean not unitary: conj_rational refuses, and the
+    # distance on a line's axis stays at or above sqrt of its summed
+    # constants; no lines mean conj_rational exists, and "unitary"
+    with_lines = 0
+    for tag, phi, alpha in _verdict_builds(corpus):
+        lines = levelset.detect_lines(phi, alpha)
+        with_lines += bool(lines)
+        try:
+            embedding.conj_rational(phi, alpha)
+            refused = False
+        except DenominatorVanishes:
+            refused = True
+        assert refused == bool(lines), tag
+        m = clark.build_measure(phi, alpha, 2048)
+        bound = [np.sqrt(sum(ln.constant for ln in lines if ln.axis == ax))
+                 for ax in (1, 2)]
+        for D in (4, 8):
+            rep = embedding.density_distance(m, D)
+            assert rep.verdict == ("consistent_with_nonunitary" if lines
+                                   else "consistent_with_unitary"), (tag, D)
+            assert rep.distance_zbar2 >= bound[0] - 1e-12, (tag, D)
+            assert rep.distance_zbar1 >= bound[1] - 1e-12, (tag, D)
+    assert with_lines >= 10  # both outcomes are exercised
+
+
+@pytest.mark.parametrize("name", ["fav", "squared"])
+def test_density_verdict_generic_with_slow_decay(request, name):
+    # conj_rational's pole sits at modulus 1.0125 for fav at e^{0.9 pi i},
+    # so the distances are still large at degree 8 with no line in sight
+    alpha = np.exp(0.9j * np.pi)
+    m = clark.build_measure(request.getfixturevalue(name), alpha, 2048)
+    rep = embedding.density_distance(m, 8)
+    assert rep.distance_zbar2 > 0.3
     assert rep.verdict == "consistent_with_unitary"
 
 

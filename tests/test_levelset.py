@@ -65,9 +65,27 @@ def test_branch_samples_satisfy_level_equation(corpus):
             assert np.max(res) < 1e-9 * scale, name
 
 
-def test_grid_must_be_power_of_two(fav):
-    with pytest.raises(ValueError):
-        levelset.trace_branches(fav, 1.0 + 0.0j, 300)
+def test_grid_must_be_positive(fav):
+    with pytest.raises(ValueError, match="at least 1"):
+        clark.build_measure(fav, np.exp(0.7j), 0)
+    with pytest.raises(ValueError, match="at least 1"):
+        levelset.trace_branches(fav, np.exp(0.7j), 0)
+
+
+def test_grid_need_not_be_a_power_of_two(fav):
+    # any grid of roots of unity is a rule: N = 300 builds within the mass
+    # gate and traces level points
+    alpha = np.exp(0.7j)
+    m = clark.build_measure(fav, alpha, 300)
+    assert m.base.shape == (300, 1)
+    assert abs(clark.total_mass(m) / clark.expected_mass(fav, alpha) - 1.0) \
+        <= clark.MASS_GAP_TOL
+    h = fav.level_coeffs(alpha)
+    for br in levelset.trace_branches(fav, alpha, 300):
+        assert br.values.shape == (300,)
+        rows = levelset.slice_coeffs(h, np.exp(1j * br.theta)[:, None])
+        res = np.abs(poly._polyval_rows(rows, br.values))
+        assert np.max(res) <= 1e-9 * np.max(np.abs(h))
 
 
 def test_weights_are_nonnegative(fav):
