@@ -42,7 +42,8 @@ from .levelset import (
     _unimodular_alpha,
 )
 from .poly import Rif
-from .util import TWO_PI, canonical_json, unit_circle_points, unit_roots
+from .util import (TWO_PI, canonical_json, grid_shift, unit_circle_points,
+                   unit_roots)
 
 __all__ = [
     "ClarkMeasure", "build_measure",
@@ -173,29 +174,31 @@ def _zeta1_rule(phi, alpha, grid_n):
     the roots outside.  Those with N log|z*| < _POLE_RESOLVE, less the
     roots within UNIMODULAR_TOL of a line's tau, give the zeros
     a = 1/conj(z*) of B(z) = z prod (z - a) / (1 - conj(a) z).  The nodes
-    are the preimages under B of w_k = B(tau) e^{2 pi i (k + 1/2) / N},
-    tau the first line's (so no node sits on it, where the slice is
-    identically zero), or without lines of the N-th roots of unity, each
-    of weight 1/(N |B'|): by Aleksandrov's disintegration the Clark
-    measures of B average to arc length.  Without such roots B(z) = z.
+    are the preimages under B of w_k = B(tau) e^{i (2 pi k / N + s)}, tau
+    the first line's and s = ``util.grid_shift`` off every line's B(tau)
+    (no node on a line, where the slice is identically zero), or without
+    lines of the N-th roots of unity, each of weight 1/(N |B'|): by
+    Aleksandrov's disintegration the Clark measures of B average to arc
+    length.  Without such roots B(z) = z.
     """
     hcoef = phi.level_coeffs(alpha)
     roots = _poly.companion_roots(_poly.trim(hcoef[:, :1]))[:, 0]
     lines = _lines(hcoef, phi.den.coeffs, roots)
     zeta1 = unit_roots(grid_n)
     quad = np.full(grid_n, 1.0 / grid_n)
-    if lines:
-        zeta1 = unit_circle_points(TWO_PI * np.arange(grid_n) / grid_n
-                                   + (np.angle(lines[0].tau) + np.pi / grid_n))
     poles = roots[np.abs(roots) > 1.0]  # NaN padding compares False
     for line in lines:  # the root of a line is its atom, not a pole
         poles = poles[np.abs(poles - line.tau) >= UNIMODULAR_TOL]
     a = 1.0 / np.conj(poles[grid_n * np.log(np.abs(poles)) < _POLE_RESOLVE])
+    if lines:  # B(tau) / tau of each line; the grid starts from arg tau
+        turn = [np.prod((ln.tau - a) / (1.0 - np.conj(a) * ln.tau))
+                for ln in lines]
+        arg = np.angle([ln.tau * t for ln, t in zip(lines, turn)])
+        zeta1 = unit_circle_points(TWO_PI * np.arange(grid_n) / grid_n + (
+            np.angle(lines[0].tau) + grid_shift(arg - arg[0], grid_n)))
     if not len(a):
         return zeta1, quad, lines
-    w = zeta1  # the shared table unless shifted (then a fresh array)
-    if lines:  # B(tau) / tau, as the shifted grid starts from arg tau
-        w *= np.prod((lines[0].tau - a) / (1.0 - np.conj(a) * lines[0].tau))
+    w = zeta1 * turn[0] if lines else zeta1  # B(tau) e^{i (2 pi k / N + s)}
     c = np.poly(a)  # prod (z - a), highest power first
     # B(z) = w  <=>  z prod (z - a) - w prod (1 - conj(a) z) = 0
     rows = (np.append(0.0, c[::-1])[:, None]

@@ -7,12 +7,12 @@ it is the union of n graphs zeta2 = g_j(zeta1) over the circle; at
 exceptional alpha whole lines { tau } x T or T x { tau } join in.
 
 ``_slice_atoms`` is the one unlabeled kernel behind every Clark measure:
-all roots of h over a batch of frozen points, Newton-polished, with the
-weight parts of each.  Each slice phi(zeta1, .) is a finite Blaschke
-product whose argument rises monotonically by 2 pi n, so a root's
-branch label is the count j in arg b = arg alpha + 2 pi j, taken from
-the phase of phi(zeta1, w_ref) lifted along a path (``_phase_labels``);
-no root is matched to its neighbours.  ``trace_branches`` labels the
+all roots of h over a batch of frozen points, with the weight parts of
+each.  Each slice phi(zeta1, .) is a finite Blaschke product whose
+argument rises monotonically by 2 pi n, so a root's branch label is the
+count j in arg b = arg alpha + 2 pi j, taken from the phase of
+phi(zeta1, w_ref) lifted along a path (``_phase_labels``); no root is
+matched to its neighbours.  ``trace_branches`` labels the
 kernel's atoms over the uniform grid for the outputs where labels are
 the point, such as the CSV export.  The module locates the boundary
 singularities of phi, the common torus zeros of p and p~, from the
@@ -39,7 +39,8 @@ from .poly import (
     slice_coeffs,
     _polyval_rows,
 )
-from .util import TWO_PI, angular_distance, unit_circle_points, unit_roots
+from .util import (TWO_PI, angular_distance, grid_shift, unit_circle_points,
+                   unit_roots)
 
 ZERO_SLICE_REL_TOL = 1e-10
 UNIMODULAR_TOL = 1e-6
@@ -50,7 +51,7 @@ SINGULAR_TOL = 1e-10
 # find_singularities; the polish, not the seed, sets the accuracy
 SEED_BAND = 0.05
 POLISH_STEPS = 16  # secant steps of _polish_on_torus, at most
-NEWTON_ITERS = 3  # Newton steps per slice root, at most
+NEWTON_ITERS = 3  # Newton steps per eigvals root, line seed or torus zero
 # reference circles zeta2 = w_ref of the phase labels, tried in order: a
 # circle through a singularity on the path (fav's zeta2 = 1) gives no phase
 _REF_CIRCLES = (np.exp(0.373j), np.exp(2.419j), np.exp(4.297j))
@@ -133,16 +134,16 @@ def _slice_atoms(phi: Rif, alpha: complex, pts):
     there (NaN at an empty atom), so num / den is the mass of each atom
     of the slice Clark measure, both from one-variable rows in z_d.  One
     pass of |rows| serves the zero-slice, degree-drop and Newton-guard
-    tests.  For k = 1 the root is the solver's -c0 / c1, a root of the
-    rounded row to within an ulp, and den = |c1|; for k >= 2 roots are
-    Newton-polished (``_newton_polish``, whose derivative is den).  No
-    root is labeled.  Slices go SLICE_BLOCK at a time into the outputs.
+    tests.  A closed-form root takes den = |c_n| prod_{b != a} |r_a - r_b|
+    from the solver, so the atoms agree with the computed roots; only
+    eigenvalue roots are Newton-polished (``_newton_polish`` gives their
+    den).  No root is labeled.  Slices go SLICE_BLOCK at a time.
     """
     hcoef = phi.level_coeffs(_unimodular_alpha(alpha))
     k, m = hcoef.shape[-1] - 1, len(pts)
-    # one contraction gives h's and p's rows; it pays only for linear
-    # slices of one frozen variable, where no Newton pass shares the cache
-    stacked = k == 1 and phi.dim == 2
+    # one contraction gives h's and p's rows; it pays for one frozen
+    # variable, not next to the Horner intermediate of a second one
+    stacked = phi.dim == 2
     coef = np.concatenate([hcoef, phi._den_full], -1) if stacked else hcoef
     roots = np.empty((k, m), dtype=complex)
     num, den = np.empty((k, m)), np.empty((k, m))
@@ -155,12 +156,13 @@ def _slice_atoms(phi: Rif, alpha: complex, pts):
         rowmax = np.max(size, axis=0)
         zero = np.less(rowmax, zero_tol, out=zero_rows[b])
         rowmax[zero] = np.inf  # a zero slice drops every coefficient: no root
-        _poly._solve_columns(h, size, rowmax, roots[:, b])
-        if k == 1:
-            den[0, b] = np.where(np.isnan(roots[0, b]), np.nan, size[1])
-        else:
-            np.abs(_newton_polish(h, rowmax, roots[:, b]), out=den[:, b])
-        p_rows = rows[2:] if stacked else slice_coeffs(phi.den.coeffs, pts[b])
+        eig = _poly._solve_columns(h, size, rowmax, roots[:, b], den[:, b])
+        if eig.size:  # eigenvalue roots: polished, h' from the last step
+            w = roots[:, lo + eig]
+            dh = _newton_polish(h[:, eig], rowmax[eig], w)
+            roots[:, lo + eig], den[:, lo + eig] = w, np.abs(dh)
+        p_rows = rows[k + 1:] if stacked else slice_coeffs(phi.den.coeffs,
+                                                           pts[b])
         np.abs(_polyval_rows(p_rows[:, None], roots[:, b]), out=num[:, b])
     return roots, num, den, zero_rows
 
@@ -243,24 +245,24 @@ def trace_branches(phi: Rif, alpha: complex,
     (``util.unit_roots``), each in the branch of its phase label
     (``_phase_labels``), weighted by the atom's num / den.  A grid that
     hits a zero slice (a vertical line at an exceptional alpha) is
-    shifted half a step, as ``clark._zeta1_rule`` does, so nothing is
-    interpolated.  Branch 0 holds the root of least argument at the
-    first node.
+    shifted off every vertical line (``util.grid_shift``, half a step for
+    one line), as ``clark._zeta1_rule`` does, so nothing is interpolated.
+    Branch 0 holds the root of least argument at the first node.
     """
     zeta1 = unit_roots(grid_n)
     if phi.dim != 2:
         raise ValueError("trace_branches expects a two-variable inner function")
     alpha = complex(alpha)
     theta = TWO_PI * np.arange(grid_n) / grid_n
-    for shift in (0.0, np.pi / grid_n):
-        if shift:
-            zeta1 = unit_circle_points(theta + shift)
+    roots, num, den, zero_rows = _slice_atoms(phi, alpha, zeta1[:, None])
+    if zero_rows.any():
+        theta = theta + grid_shift([np.angle(ln.tau) for ln in detect_lines(
+            phi, alpha) if ln.axis == 1], grid_n)
+        zeta1 = unit_circle_points(theta)
         roots, num, den, zero_rows = _slice_atoms(phi, alpha, zeta1[:, None])
-        if not zero_rows.any():
-            break
-    else:
-        raise IdenticallyZeroSlice(
-            "level polynomial vanished on a slice of the shifted grid")
+        if zero_rows.any():
+            raise IdenticallyZeroSlice(
+                "level polynomial vanished on a slice of the shifted grid")
     n_br = len(roots)
     labels = _phase_labels(phi, alpha, zeta1, roots, closed=True)
     labels = (labels - labels[np.nanargmin(np.angle(roots[:, 0])), 0]) % n_br
@@ -270,7 +272,7 @@ def trace_branches(phi: Rif, alpha: complex,
     weights = np.full((n_br, grid_n), np.nan)
     values[at] = roots[keep]
     weights[at] = (num / den)[keep]
-    return [Branch(alpha=alpha, theta=theta + shift, values=values[b],
+    return [Branch(alpha=alpha, theta=theta.copy(), values=values[b],
                    weights=weights[b]) for b in range(n_br)]
 
 

@@ -33,9 +33,9 @@ TRIM_REL_TOL = 1e-14
 # one count as zero in companion_roots (a degree drop)
 DEGREE_DROP_REL_TOL = 1e-11
 # two closed-form roots of one quadratic or cubic closer than this times
-# its largest root are coalescing.  Cardano leaves roots a gap g apart off
-# by about eps R^2 / g at root scale R, so from g = 1e-4 R one Newton step
-# converges; closer roots go to eigvals
+# its largest root are coalescing and go to eigvals (then Newton): the
+# closed forms leave roots a gap g apart off by about eps R^2 / g at root
+# scale R, which no Newton step in float improves
 COALESCE_REL_TOL = 1e-4
 
 
@@ -245,24 +245,29 @@ def companion_roots(batch_coeffs):
     get the eigenvalues of the companion matrix.  Those split an exact
     double root by about sqrt(eps), where a closed form returns it twice
     and the Clark weight |p| / |d/dz h| there as 0/0.  The slice kernel
-    calls the solver below, ``_solve_columns``, with its own |rows|.
+    calls the solver below, ``_solve_columns``, with its own |rows|, and
+    takes |d/dz h| at the closed-form roots from it.
     """
     c = np.asarray(batch_coeffs, dtype=np.complex128)
     size = np.abs(c)
-    return _solve_columns(c, size, np.max(size, axis=0), np.empty(
-        (c.shape[0] - 1, c.shape[1]), dtype=np.complex128))
+    out = np.empty((c.shape[0] - 1, c.shape[1]), dtype=np.complex128)
+    _solve_columns(c, size, np.max(size, axis=0), out, np.empty(out.shape))
+    return out
 
 
-def _solve_columns(c, size, scale, out):
-    """``companion_roots`` of ``c`` (k+1, m) into ``out`` (k, m), returned,
-    given |c| as ``size`` and the column scale (m,) the degree-drop
-    tolerance is relative to; an infinite scale leaves its column NaN."""
+def _solve_columns(c, size, scale, out, dout):
+    """``companion_roots`` of ``c`` (k+1, m) into ``out`` (k, m), given |c|
+    as ``size`` and the column scale (m,) the degree-drop tolerance is
+    relative to; an infinite scale leaves its column NaN.  Into ``dout``
+    goes |h'(r_a)| = |c_n| prod_{b != a} |r_a - r_b| at each root r_a.
+    Returns the columns ``_eigvals`` solved, to be Newton-polished."""
     k, m = out.shape
     tol = DEGREE_DROP_REL_TOL * scale
     eff_deg = np.full(m, -1)  # the last coefficient above tol
     for j in range(k + 1):
         eff_deg[size[j] > tol] = j
-    out[...] = np.nan
+    out[...] = dout[...] = np.nan
+    eig = []
     for deg in range(1, k + 1):
         sel = eff_deg == deg
         count = np.count_nonzero(sel)
@@ -279,10 +284,19 @@ def _solve_columns(c, size, scale, out):
             roots, tight = solve(monic)
             if tight.any():
                 roots[:, tight] = _eigvals(monic[:, tight])
+                eig.append(np.flatnonzero(sel)[tight])
         else:
             roots = _eigvals(monic)
-        out[:deg, idx] = roots
-    return out
+            eig.append(np.flatnonzero(sel))
+        dh = np.empty(roots.shape)
+        dh[...] = size[deg][idx]
+        for a in range(deg):
+            for b in range(a + 1, deg):  # each gap |r_a - r_b| formed once
+                gap = np.abs(roots[a] - roots[b])
+                dh[a] *= gap
+                dh[b] *= gap
+        out[:deg, idx], dout[:deg, idx] = roots, dh
+    return np.concatenate(eig) if eig else np.zeros(0, dtype=int)
 
 
 def _quadratic_roots(monic):

@@ -40,6 +40,17 @@ def unit_roots(n):
     return z[:]  # a view of a read-only array cannot be made writable
 
 
+def grid_shift(angles, n):
+    """The shift s of the grid 2 pi k / n + s farthest from all ``angles``:
+    the midpoint of the widest gap between their residues modulo the step
+    (rounded to 12 digits: pi / n exactly for none, one or equal ones)."""
+    step = TWO_PI / n
+    f = np.asarray(angles, dtype=float) / step if len(angles) else np.zeros(1)
+    f = np.sort(np.round(f % 1.0, 12) % 1.0)
+    gaps = np.diff(np.append(f, f[0] + 1.0))
+    return (f + 0.5 * gaps)[np.argmax(gaps)] * step
+
+
 def _format_float(x):
     # %.17g round-trips every IEEE double and is locale-independent,
     # which keeps repeated CLI runs byte-identical.

@@ -8,7 +8,7 @@ whose Clark measure has atoms of mass |p| / |d/dz2 h| there.
 import numpy as np
 import pytest
 
-from rifclark import catalog, clark, levelset
+from rifclark import catalog, clark, levelset, poly
 from rifclark.levelset import UNIMODULAR_TOL, _slice_atoms
 from rifclark.poly import (PolyMD, Rif, _polyval_rows, companion_roots,
                            derivative_coeffs, slice_coeffs)
@@ -212,8 +212,10 @@ def test_shared_scale_matches_solver_and_polish(name, alpha, extra,
                                                 zero_cols, empty):
     # one pass of |rows| serves the zero-slice test, the solver's
     # degree-drop test and the Newton guard: the kernel puts its zero
-    # rows and empty atoms where companion_roots and _newton_polish on
-    # the same rows put them, and every other root bit for bit
+    # rows and empty atoms where companion_roots on the same rows puts
+    # them, takes |d/dz h| at a closed-form root from the roots,
+    # |c_n| prod |r_a - r_b|, and Newton-polishes only the columns whose
+    # roots coalesce (companion eigenvalues), every value bit for bit
     phi = getattr(catalog, name)()
     pts = np.append(np.exp(2j * np.pi * np.arange(256) / 256), extra)[:, None]
     roots, num, den, zero_rows = _slice_atoms(phi, alpha, pts)
@@ -222,12 +224,23 @@ def test_shared_scale_matches_solver_and_polish(name, alpha, extra,
     rowmax = np.max(np.abs(rows), axis=0)
     zero = rowmax < levelset.ZERO_SLICE_REL_TOL * np.max(np.abs(hcoef))
     ref = companion_roots(np.where(zero, np.eye(len(rows), 1), rows))
-    dh = levelset._newton_polish(rows, rowmax, ref)
+    deg = np.count_nonzero(~np.isnan(ref), axis=0)
+    dh = np.where(deg == 2, np.abs(rows[2]) * np.abs(ref[0] - ref[1]),
+                  np.abs(rows[1]))
+    dh = np.where(np.isnan(ref), np.nan, dh)
+    two = np.flatnonzero(deg == 2)
+    eig = two[poly._quadratic_roots(rows[:2, two] / rows[2, two])[1]]
+    w = ref[:, eig]
+    dh[:, eig] = np.abs(levelset._newton_polish(rows[:, eig], rowmax[eig], w))
+    ref[:, eig] = w
+    # product's double root at (1, 1) goes to eigvals; squared's at
+    # (+-1, +-1) sits in its zero slices
+    assert eig.tolist() == ([0] if name == "product_singular_rif" else [])
     assert np.flatnonzero(zero_rows).tolist() == zero_cols
     assert np.array_equal(zero_rows, zero)
     assert [tuple(ij) for ij in np.argwhere(np.isnan(roots))] == empty
     assert np.array_equal(roots, ref, equal_nan=True)
-    assert np.array_equal(den, np.abs(dh), equal_nan=True)
+    assert np.array_equal(den, dh, equal_nan=True)
     p_rows = slice_coeffs(phi.den.coeffs, pts)
     assert np.array_equal(num, np.abs(_polyval_rows(p_rows[:, None], ref)),
                           equal_nan=True)

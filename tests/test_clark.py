@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from rifclark import catalog, clark, contact, embedding, levelset, polydisk
 from rifclark.errors import MassGapExceeded, MassNotOne
+from rifclark.poly import slice_coeffs
 from rifclark.util import canonical_json, unit_circle_points
 
 GENERIC = np.exp(0.7j)
@@ -810,11 +811,18 @@ def test_moments_refuse_a_negative_degree(fav_measure_alphai):
 def test_build_keeps_blank_roots_as_empty_atoms(squared, monkeypatch):
     # the kernel leaves NaN where a slice drops degree (its last roots) or
     # vanishes (all of them).  Here slice 0 loses its second root and slice
-    # N/2 both: atoms at the singular points (+-1, +-1), of weight below
-    # 1e-20, so the mass guard passes without them
+    # N/2 both: atoms at the singular points (+-1, +-1), where p vanishes,
+    # so the mass guard passes without them.  Their computed weight is the
+    # Horner rounding of |p(r)| on the circle, below 4 eps sum_j |p_j| of
+    # the slice rows of p over den N (4.6e-19 here; the exact weight at
+    # the float node -1 + 1.2e-16i is about 1.7e-35)
     alpha, N = np.exp(0.7j), 1024
     full = clark.build_measure(squared, alpha, N)
-    assert np.all(full.weights[:, [0, N // 2]] < 1e-20)
+    cols = [0, N // 2]
+    _, _, den, _ = clark._slice_atoms(squared, alpha, full.base[cols])
+    p_rows = slice_coeffs(squared.den.coeffs, full.base[cols])
+    rounding = 4.0 * np.finfo(float).eps * np.sum(np.abs(p_rows), axis=0)
+    assert np.all(full.weights[:, cols] <= rounding / (den * N))
     slice_atoms = clark._slice_atoms
 
     def blank(*args):

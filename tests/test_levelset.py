@@ -8,7 +8,7 @@ from rifclark import (catalog, clark, contact, embedding, levelset, poly,
 from rifclark.cli import main
 from rifclark.errors import MassGapExceeded, PhaseLabelFailure
 from rifclark.poly import PolyMD, Rif, poly_to_json
-from rifclark.util import unit_circle_points
+from rifclark.util import grid_shift, unit_circle_points
 
 EPS = np.finfo(float).eps
 
@@ -86,6 +86,40 @@ def test_grid_need_not_be_a_power_of_two(fav):
         rows = levelset.slice_coeffs(h, np.exp(1j * br.theta)[:, None])
         res = np.abs(poly._polyval_rows(rows, br.values))
         assert np.max(res) <= 1e-9 * np.max(np.abs(h))
+
+
+def test_grid_shift_is_the_midpoint_of_the_widest_gap():
+    # no angle, one, or several equal modulo the step: half a step, bit
+    # for bit the shift a grid took off one line before
+    for n in (1, 2, 3, 17, 1024, 65536):
+        step = 2 * np.pi / n
+        assert grid_shift([], n) == grid_shift([0.0], n) == np.pi / n
+        assert grid_shift([0.0, np.pi, 4 * step], 2 * n) == np.pi / (2 * n)
+        # two lines half a step apart modulo it: a quarter step off each
+        assert grid_shift([0.0, 7.5 * step], n) == 0.25 * step
+        assert np.isclose(grid_shift([0.3 * step, 0.5 * step], n),
+                          0.9 * step)
+
+
+@pytest.mark.parametrize("N", [3, 17, 1025])
+def test_odd_grid_misses_both_lines(squared, N):
+    # squared at alpha = -1 has vertical lines at tau = 1 and -1; an odd
+    # grid shifted half a step off the first put a node on the second (a
+    # zero slice: mass off by 1 / (2N), and no trace).  The grid now sits
+    # a quarter step off each
+    m = clark.build_measure(squared, -1.0, N)
+    assert np.allclose([ln.tau for ln in m.lines], [1.0, -1.0])
+    assert abs(clark.total_mass(m) / clark.expected_mass(squared, -1.0)
+               - 1.0) <= clark.MASS_GAP_TOL
+    if N == 3:
+        return
+    branches = levelset.trace_branches(squared, -1.0, N)
+    assert np.isclose(branches[0].theta[0], 0.5 * np.pi / N)
+    assert np.all(np.isfinite([br.values for br in branches]))
+    if N == 1025:
+        pts = [(0.3 + 0.1j, -0.2 + 0.4j), (0.5j, 0.1), (-0.4, 0.3 - 0.2j),
+               (0.6, -0.5j)]
+        assert clark.verify_poisson(m, pts).max_rel_err <= 1e-12
 
 
 def test_weights_are_nonnegative(fav):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from rifclark import catalog, clark, embedding, levelset, polydisk
+from rifclark import catalog, clark, contact, embedding, levelset, polydisk
 from rifclark.errors import (MassGapExceeded, SingularDenominator,
                              UnstableDenominator)
-from rifclark.poly import PolyMD, Rif
+from rifclark.poly import PolyMD, Rif, _polyval_rows, slice_coeffs
 from rifclark.util import unit_circle_points
 
 
@@ -368,26 +368,62 @@ def test_slice_atom_weights_match_weight_parts_d3(k):
                                  np.stack([z1.ravel(), z2.ravel()], axis=-1))
 
 
-def test_generic_builds_polish_in_one_pass(squared, monkeypatch):
-    # at a generic alpha every root is at rounding after the first Newton
-    # pass, which runs on all roots in place (2-D arrays); a root still
-    # moving would be gathered (1-D) for another pass
-    polish, polyval = levelset._newton_polish, levelset._polyval_rows
-    ndims = []
+def test_generic_builds_make_no_newton_call(squared, monkeypatch):
+    # a closed-form slice root comes with |d/dz h| from the roots, so at a
+    # generic alpha no slice takes a Newton step, on the bidisk or the
+    # tridisk; product at alpha = -1 still polishes its eigenvalue column,
+    # the double root at (1, 1)
+    polish = levelset._newton_polish
+    calls = []
 
-    def recorded(rows, w):
-        ndims.append(np.ndim(w))
-        return polyval(rows, w)
+    def recorded(rows, rowmax, values):
+        calls.append(values.shape)
+        return polish(rows, rowmax, values)
 
-    def polish_recorded(*args):
-        monkeypatch.setattr(levelset, "_polyval_rows", recorded)
-        try:
-            return polish(*args)
-        finally:
-            monkeypatch.setattr(levelset, "_polyval_rows", polyval)
-
-    monkeypatch.setattr(levelset, "_newton_polish", polish_recorded)
+    monkeypatch.setattr(levelset, "_newton_polish", recorded)
     alpha = np.exp(0.7j)
     clark.build_measure(squared, alpha, 4096)
-    polydisk.build_measure_d(sheets_rif(3.5, 3), alpha, 32)
-    assert ndims and set(ndims) == {2}
+    clark.build_measure(catalog.product_singular_rif(), alpha, 4096)
+    for k in (2, 3):
+        polydisk.build_measure_d(sheets_rif(3.5, k), alpha, 32)
+    assert calls == []
+    clark.build_measure(catalog.product_singular_rif(), -1.0, 1024)
+    assert calls == [(2, 1)]
+
+
+@pytest.mark.parametrize("alpha", [np.exp(0.7j), np.exp(-1.9j)])
+@pytest.mark.parametrize("name", ["fav", "squared", "product", "diagonal",
+                                  "cubic"])
+def test_factored_derivative_is_the_horner_derivative(corpus, name, alpha):
+    # den at a closed-form root is |c_n| prod |r_a - r_b|, the derivative
+    # of the polynomial of the computed roots; it is the Horner |d/dz2 h|
+    # of the slice rows at those roots to 16 eps, and each live root is a
+    # root of its row to 16 eps of the row's scale
+    phi = catalog.random_rif(2, 3, 1) if name == "cubic" else corpus[name]
+    zeta1, _, _ = clark._zeta1_rule(phi, alpha, 4096)
+    roots, _, den, _ = levelset._slice_atoms(phi, alpha, zeta1[:, None])
+    rows = slice_coeffs(phi.level_coeffs(alpha), zeta1[:, None])
+    drows = rows[1:] * np.arange(1, len(rows))[:, None]
+    live = ~np.isnan(roots)
+    assert live.any()
+    tol = 16 * np.finfo(float).eps
+    horner = np.abs(_polyval_rows(drows[:, None], roots))
+    assert np.all((np.abs(den - horner) <= tol * horner)[live])
+    resid = np.abs(_polyval_rows(rows[:, None], roots))
+    assert np.all((resid <= tol * np.max(np.abs(rows), axis=0))[live])
+
+
+@pytest.mark.parametrize("seed, delta", [(3, 1e-5), (6, 0.0)])
+def test_closed_form_weights_add_up_next_to_alpha0(seed, delta):
+    # random singular draws of bidegree (1, 3) at or next to the value
+    # alpha0 at their singularity: the slice masses of closed-form roots
+    # add up to rounding (a Newton pass on each root left the mass gap
+    # and the moments off by 5e-14 to 3e-13 here)
+    phi = catalog.random_rif(1, 3, seed, singular=True)
+    alpha0 = contact.nontangential_value(
+        phi, levelset.find_singularities(phi)[0])
+    alpha = alpha0 * np.exp(1j * np.pi * delta)
+    m = clark.build_measure(phi, alpha, 4096)
+    assert abs(clark.total_mass(m) / clark.expected_mass(phi, alpha)
+               - 1.0) <= 1e-14
+    assert clark.moment_residual(m, 6) <= 1e-14
