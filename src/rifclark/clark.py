@@ -9,7 +9,7 @@ alpha, uniform pieces on full lines.
 A ClarkMeasure is one fibered quadrature rule: base nodes zeta1, each
 stored once, the atoms |p| / |d/dz2 h| of the slice phi(zeta1, .) over
 each (sigma_alpha is the zeta1-average of the slice Clark measures), all
-from one kernel (``levelset._slice_atoms``), plus the vertical lines
+from one kernel (``levelset._atom_blocks``), plus the vertical lines
 {tau} x T, each carrying the constant 1/|d phi/d z1| times arc length.
 Each line stands for the uniform grid_n-point rule on it; the Poisson,
 moment and Gram sums take that rule's value in closed form and only
@@ -37,8 +37,8 @@ from .levelset import (
     UNIMODULAR_TOL,
     Branch,
     LineComponent,
+    _atom_blocks,
     _lines,
-    _slice_atoms,
     _unimodular_alpha,
 )
 from .poly import Rif
@@ -129,7 +129,9 @@ def build_measure(phi: Rif, alpha: complex, grid_n: int = 4096) -> ClarkMeasure:
     preimages under a Blaschke product, which cluster where the mass of
     an emerging line piles up (``_zeta1_rule``); they are the ``base``.
     Over each sit the atoms of its slice, root row by root row of the
-    kernel, an empty slot held as ClarkMeasure describes.  At an
+    kernel, an empty slot held as ClarkMeasure describes.  The weights are
+    formed block by block in the arrays the kernel (``_atom_blocks``)
+    fills: a build holds nothing of size grid_n but its outputs.  At an
     exceptional alpha the vertical lines (the only ones looked for) are
     split off exactly and the grid shifts half a step off them.  A mass off
     ``expected_mass`` by more than MASS_GAP_TOL raises MassGapExceeded.
@@ -141,14 +143,17 @@ def build_measure(phi: Rif, alpha: complex, grid_n: int = 4096) -> ClarkMeasure:
     alpha = _unimodular_alpha(alpha)
     zeta1, quad, lines = _zeta1_rule(phi, alpha, grid_n)
     base = zeta1[:, None]
-    roots, num, den, _ = _slice_atoms(phi, alpha, base)
-    np.divide(num, den, out=num)
-    num *= quad
-    empty = np.isnan(roots)
-    if empty.any():  # a degree drop or a zero slice (see ClarkMeasure)
-        roots[empty], num[empty] = 1.0, 0.0
+    atoms = np.empty((phi.degrees[-1], len(zeta1)), dtype=complex)
+    weights = np.empty(atoms.shape)
+    for b, den, _ in _atom_blocks(phi, alpha, base, atoms, weights):
+        roots, w = atoms[:, b], weights[:, b]
+        np.divide(w, den, out=w)
+        w *= quad[b]
+        empty = np.isnan(roots)
+        if empty.any():  # a degree drop or a zero slice (see ClarkMeasure)
+            roots[empty], w[empty] = 1.0, 0.0
     measure = ClarkMeasure(phi=phi, alpha=alpha, grid_n=grid_n, base=base,
-                           atoms=roots, weights=num, lines=lines)
+                           atoms=atoms, weights=weights, lines=lines)
     _check_mass(measure, expected_mass(phi, alpha))
     return measure
 
@@ -166,7 +171,8 @@ def _zeta1_rule(phi, alpha, grid_n):
     """The zeta1 nodes in ascending angle, their quadrature weights and
     the vertical lines, all from the roots z* of h(., 0) = q(., 0) -
     alpha p(., 0).  Unshifted and unclustered, the nodes are the shared
-    read-only table ``util.unit_roots(grid_n)`` itself.
+    read-only table ``util.unit_roots(grid_n)`` itself, and the weights
+    a read-only broadcast of 1 / grid_n that allocates nothing.
 
     By the Poisson identity at (z1, 0) the zeta1-marginal of sigma_alpha
     is the Clark measure of b = phi(., 0) at alpha: atoms at the roots on
@@ -185,7 +191,7 @@ def _zeta1_rule(phi, alpha, grid_n):
     roots = _poly.companion_roots(_poly.trim(hcoef[:, :1]))[:, 0]
     lines = _lines(hcoef, phi.den.coeffs, roots)
     zeta1 = unit_roots(grid_n)
-    quad = np.full(grid_n, 1.0 / grid_n)
+    quad = np.broadcast_to(1.0 / grid_n, grid_n)  # read-only, no copy
     poles = roots[np.abs(roots) > 1.0]  # NaN padding compares False
     for line in lines:  # the root of a line is its atom, not a pole
         poles = poles[np.abs(poles - line.tau) >= UNIMODULAR_TOL]

@@ -6,15 +6,16 @@ polynomial h = q - alpha * p.  Away from finitely many exceptional alpha
 it is the union of n graphs zeta2 = g_j(zeta1) over the circle; at
 exceptional alpha whole lines { tau } x T or T x { tau } join in.
 
-``_slice_atoms`` is the one unlabeled kernel behind every Clark measure:
-all roots of h over a batch of frozen points, with the weight parts of
-each.  Each slice phi(zeta1, .) is a finite Blaschke product whose
-argument rises monotonically by 2 pi n, so a root's branch label is the
-count j in arg b = arg alpha + 2 pi j, taken from the phase of
-phi(zeta1, w_ref) lifted along a path (``_phase_labels``); no root is
-matched to its neighbours.  ``trace_branches`` labels the
-kernel's atoms over the uniform grid for the outputs where labels are
-the point, such as the CSV export.  The module locates the boundary
+``_atom_blocks`` is the one unlabeled kernel behind every Clark measure:
+all roots of h over a batch of frozen points, block by block, with the
+weight parts of each (``_slice_atoms`` collects them).  Each slice
+phi(zeta1, .) is a finite Blaschke product whose argument rises
+monotonically by 2 pi n, so a root's branch label is the count j in
+arg b = arg alpha + 2 pi j, taken from the phase of phi(zeta1, w_ref)
+lifted along a path (``_phase_labels``); no root is matched to its
+neighbours.  ``trace_branches`` labels the kernel's atoms over the
+uniform grid for the outputs where labels are the point, such as the
+CSV export.  The module locates the boundary
 singularities of phi, the common torus zeros of p and p~, from the
 zeros of one resultant on the circle (``find_singularities``), and it
 decides the line components at those points: a line {tau1} x T passes
@@ -55,12 +56,13 @@ NEWTON_ITERS = 3  # Newton steps per eigvals root, line seed or torus zero
 # reference circles zeta2 = w_ref of the phase labels, tried in order: a
 # circle through a singularity on the path (fav's zeta2 = 1) gives no phase
 _REF_CIRCLES = (np.exp(0.373j), np.exp(2.419j), np.exp(4.297j))
-# slices per block of _slice_atoms: every pass over a block (rows, roots,
-# Newton steps, weight parts) stays in a 2 MiB L2 instead of streaming a
-# fresh MB-sized temporary.  On one core the eight bidisk builds of the
-# benchmark at N = 65536 took 228 ms unblocked, 166 ms in blocks of 4096
-# slices, 155 ms at 8192 and 156 ms at 16384.
-SLICE_BLOCK = 8192
+# slices per block of _atom_blocks: every pass over a block (rows, roots,
+# Newton steps, weight parts) stays in a 2 MiB L2, and the heap keeps the
+# block temporaries from one build to the next.  In the benchmark's build
+# cycle (seed 1, one core) blocks of 4096 slices take no minor page fault
+# once the heap has grown, blocks of 8192 take 5,000-6,000 per cycle, and
+# the cycle runs 168 against 153 ops/s (median of 6 alternating runs).
+SLICE_BLOCK = 4096
 
 
 @dataclass
@@ -98,20 +100,6 @@ class LineComponent:
 
 
 # ---------------------------------------------------------------------------
-# weights
-# ---------------------------------------------------------------------------
-
-def weight_parts(phi: Rif, alpha: complex, *zeta):
-    """Numerator |p| and denominator |d/dz_d (q - alpha p)| of the Clark
-    weight at level-set points given by one coordinate array per variable,
-    from the full coefficient tensors: the tests' oracle for the slice rows
-    of ``_slice_atoms``.  No builder or analysis calls it."""
-    hd = derivative_coeffs(phi.level_coeffs(alpha), phi.dim)
-    return (np.abs(_poly._eval_tensor(phi.den.coeffs, zeta)),
-            np.abs(_poly._eval_tensor(hd, zeta)))
-
-
-# ---------------------------------------------------------------------------
 # slice atoms and branch labels
 # ---------------------------------------------------------------------------
 
@@ -132,12 +120,31 @@ def _slice_atoms(phi: Rif, alpha: complex, pts):
     NaN after them (a degree drop, or a zero slice flagged in
     ``zero_rows``).  ``num`` and ``den`` (k, m) are |p| and |d/dz_d h|
     there (NaN at an empty atom), so num / den is the mass of each atom
-    of the slice Clark measure, both from one-variable rows in z_d.  One
-    pass of |rows| serves the zero-slice, degree-drop and Newton-guard
-    tests.  A closed-form root takes den = |c_n| prod_{b != a} |r_a - r_b|
-    from the solver, so the atoms agree with the computed roots; only
-    eigenvalue roots are Newton-polished (``_newton_polish`` gives their
-    den).  No root is labeled.  Slices go SLICE_BLOCK at a time.
+    of the slice Clark measure.  The blocks come from ``_atom_blocks``;
+    no root is labeled.
+    """
+    k, m = phi.degrees[-1], len(pts)
+    roots = np.empty((k, m), dtype=complex)
+    num, den = np.empty((k, m)), np.empty((k, m))
+    zero_rows = np.empty(m, dtype=bool)
+    for b, block_den, zero in _atom_blocks(phi, alpha, pts, roots, num):
+        den[:, b], zero_rows[b] = block_den, zero
+    return roots, num, den, zero_rows
+
+
+def _atom_blocks(phi: Rif, alpha: complex, pts, roots, num):
+    """Solve the slices over ``pts`` (m, d-1) SLICE_BLOCK at a time into
+    ``roots`` and ``num`` (k, m), laid out as ``_slice_atoms`` returns
+    them, and yield each block as (b, den, zero): its slice of columns,
+    |d/dz_d h| at its roots in a block-sized scratch the next block
+    overwrites, and its zero-slice flags.  So a builder forms its weights
+    block by block and holds nothing of size m beyond what it returns.
+
+    Both weight parts come from one-variable rows in z_d, and one pass of
+    |rows| serves the zero-slice, degree-drop and Newton-guard tests.  A
+    closed-form root takes den = |c_n| prod_{b != a} |r_a - r_b| from the
+    solver, so the atoms agree with the computed roots; only eigenvalue
+    roots are Newton-polished (``_newton_polish`` gives their den).
     """
     hcoef = phi.level_coeffs(_unimodular_alpha(alpha))
     k, m = hcoef.shape[-1] - 1, len(pts)
@@ -145,26 +152,25 @@ def _slice_atoms(phi: Rif, alpha: complex, pts):
     # variable, not next to the Horner intermediate of a second one
     stacked = phi.dim == 2
     coef = np.concatenate([hcoef, phi._den_full], -1) if stacked else hcoef
-    roots = np.empty((k, m), dtype=complex)
-    num, den = np.empty((k, m)), np.empty((k, m))
-    zero_rows = np.empty(m, dtype=bool)
+    scratch = np.empty((k, min(m, SLICE_BLOCK)))
     zero_tol = ZERO_SLICE_REL_TOL * float(np.max(np.abs(hcoef)))
     for lo in range(0, m, SLICE_BLOCK):
         b = slice(lo, lo + SLICE_BLOCK)
         rows = slice_coeffs(coef, pts[b])
         h, size = rows[:k + 1], np.abs(rows[:k + 1])
+        r, den = roots[:, b], scratch[:, :h.shape[1]]
         rowmax = np.max(size, axis=0)
-        zero = np.less(rowmax, zero_tol, out=zero_rows[b])
+        zero = rowmax < zero_tol
         rowmax[zero] = np.inf  # a zero slice drops every coefficient: no root
-        eig = _poly._solve_columns(h, size, rowmax, roots[:, b], den[:, b])
+        eig = _poly._solve_columns(h, size, rowmax, r, den)
         if eig.size:  # eigenvalue roots: polished, h' from the last step
-            w = roots[:, lo + eig]
+            w = r[:, eig]
             dh = _newton_polish(h[:, eig], rowmax[eig], w)
-            roots[:, lo + eig], den[:, lo + eig] = w, np.abs(dh)
+            r[:, eig], den[:, eig] = w, np.abs(dh)
         p_rows = rows[k + 1:] if stacked else slice_coeffs(phi.den.coeffs,
                                                            pts[b])
-        np.abs(_polyval_rows(p_rows[:, None], roots[:, b]), out=num[:, b])
-    return roots, num, den, zero_rows
+        np.abs(_polyval_rows(p_rows[:, None], r), out=num[:, b])
+        yield b, den, zero
 
 
 def _newton_polish(rows, rowmax, values):

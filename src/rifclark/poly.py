@@ -144,8 +144,8 @@ def _eval_tensor(coeffs, zs):
     """The polynomial with coefficient tensor ``coeffs`` at broadcastable
     coordinate arrays ``zs``, one per variable: one Horner pass
     (``_polyval_rows``) per variable over the leading axis, first
-    variable first, the order of slice_coeffs (so weight_parts matches
-    the slice kernel to rounding)."""
+    variable first, the order of slice_coeffs (so the full-tensor weight
+    oracle of the tests matches the slice kernel to rounding)."""
     zs = np.broadcast_arrays(*zs)
     acc = coeffs.reshape(coeffs.shape + (1,) * zs[0].ndim)
     for z in zs:
@@ -266,7 +266,8 @@ def _solve_columns(c, size, scale, out, dout):
     eff_deg = np.full(m, -1)  # the last coefficient above tol
     for j in range(k + 1):
         eff_deg[size[j] > tol] = j
-    out[...] = dout[...] = np.nan
+    if np.any(eff_deg < k):  # a degree drop or a zero column: NaN padding
+        out[...] = dout[...] = np.nan
     eig = []
     for deg in range(1, k + 1):
         sel = eff_deg == deg
@@ -274,9 +275,11 @@ def _solve_columns(c, size, scale, out, dout):
         if count == 0:
             continue
         # a class of every column (any build at a generic alpha) is
-        # indexed in place, without a gather from c and a scatter into out
+        # indexed in place; another is gathered by ``take`` and scattered
+        # row by row, several times faster than 2-D fancy indexing
         idx = slice(None) if count == m else np.flatnonzero(sel)
-        monic = c[:deg, idx] / c[deg, idx]
+        cols = c[:deg + 1] if count == m else c[:deg + 1].take(idx, axis=1)
+        monic = cols[:deg] / cols[deg]
         if deg == 1:
             roots = -monic
         elif deg <= 3:
@@ -295,7 +298,8 @@ def _solve_columns(c, size, scale, out, dout):
                 gap = np.abs(roots[a] - roots[b])
                 dh[a] *= gap
                 dh[b] *= gap
-        out[:deg, idx], dout[:deg, idx] = roots, dh
+        for j in range(deg):
+            out[j, idx], dout[j, idx] = roots[j], dh[j]
     return np.concatenate(eig) if eig else np.zeros(0, dtype=int)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .clark import ClarkMeasure, _check_mass, total_mass
 from .errors import RootFindFailure, SingularDenominator, UnstableDenominator
-from .levelset import SLICE_BLOCK, _slice_atoms, _unimodular_alpha
+from .levelset import _atom_blocks, _unimodular_alpha
 from .poly import PolyMD, Rif, _eval_tensor, stability_check
 from .util import TWO_PI, unit_circle_points, unit_roots
 
@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 WITNESS_K = (6, 16)  # two_path_witness samples t = 2^-k
+_POISSON_BLOCK = 8192  # grid points per block of _poisson_sum
 
 
 def build_measure_d(phi: Rif, alpha: complex,
@@ -48,10 +49,11 @@ def build_measure_d(phi: Rif, alpha: complex,
     (grid_n**2, 2) holds the grid points (zeta1, zeta2), each once, pairs
     of the shared N-th roots of unity (``util.unit_roots``), and
     ``atoms`` (n, grid_n**2), n the degree in z3, all roots zeta3 of each
-    point's slice from ``levelset._slice_atoms``, root row by root row.
-    Each weighs the tensor trapezoid weight 1 / grid_n**2 times the Clark
-    weight |p| / |d/dz3 (q - alpha p)|.  A slice that drops degree
-    raises RootFindFailure: the surface is then no clean cover.
+    point's slice from the slice kernel (``levelset._atom_blocks``), root
+    row by root row.  Each weighs the tensor trapezoid weight 1 / grid_n**2
+    times the Clark weight |p| / |d/dz3 (q - alpha p)|, formed block by
+    block, as are the checks below.  A slice that drops degree raises
+    RootFindFailure: the surface is then no clean cover.
 
     The atoms over each grid point carry the mass of their slice's Clark
     measure, which the Poisson identity at z3 = 0 gives exactly, and the
@@ -72,18 +74,24 @@ def build_measure_d(phi: Rif, alpha: complex,
             f"denominator has a zero within {cert.min_modulus_on_grid - 1.0:.3g} "
             "of the closed tridisk boundary; the graph structure formula "
             "does not apply")
-    Z1, Z2 = np.meshgrid(zg, zg, indexing="ij")
-    pts = np.stack([Z1.ravel(), Z2.ravel()], axis=-1)
-    roots, num, den, _ = _slice_atoms(phi, alpha, pts)
-    if np.isnan(roots).any():
-        raise RootFindFailure(
-            "a slice dropped degree; the surface is not a clean cover "
-            "of the 2-torus")
-    np.divide(num, den, out=num)
-    num /= N * N
+    pts = np.empty((N, N, 2), dtype=complex)  # (zg_i, zg_j) at row i N + j
+    pts[..., 0], pts[..., 1] = zg[:, None], zg
+    pts = pts.reshape(N * N, 2)
+    atoms = np.empty((phi.degrees[-1], N * N), dtype=complex)
+    weights = np.empty(atoms.shape)
+    mass = 0.0  # the sum of the slice masses
+    for b, den, _ in _atom_blocks(phi, alpha, pts, atoms, weights):
+        if np.isnan(atoms[:, b]).any():
+            raise RootFindFailure(
+                "a slice dropped degree; the surface is not a clean cover "
+                "of the 2-torus")
+        w = weights[:, b]
+        np.divide(w, den, out=w)
+        w /= N * N
+        mass += np.sum(_slice_masses(phi, alpha, pts[b]))
     measure = ClarkMeasure(phi=phi, alpha=alpha, grid_n=N, base=pts,
-                           atoms=roots, weights=num, lines=[])
-    _check_mass(measure, np.mean(_slice_masses(phi, alpha, pts)))
+                           atoms=atoms, weights=weights, lines=[])
+    _check_mass(measure, mass / (N * N))
     return measure
 
 
@@ -186,13 +194,13 @@ def _poisson_sum(s, a, z, zg, wq):
     With psi = A / den, W P(psi, z3) = (1 - |z3|^2) |num| / |A - z3 den|^2,
     where num is quadratic in zeta2 and den and A - z3 den are linear,
     all with coefficients in zeta1: no psi and no complex division.  The
-    zeta1 rows go SLICE_BLOCK // len(zg) at a time, each reduced by
+    zeta1 rows go _POISSON_BLOCK // len(zg) at a time, each reduced by
     two products with the weighted Poisson vectors of zeta2 and zeta1.
     On the torus |den| >= s - 3, so den is checked only next to s = 3.
     """
     p1, p2 = wq * _poisson1(zg, z[0]), wq * _poisson1(zg, z[1])
     z3 = z[2]
-    rows = max(1, SLICE_BLOCK // len(zg))
+    rows = max(1, _POISSON_BLOCK // len(zg))
     total = 0.0
     for lo in range(0, len(zg), rows):
         z1 = zg[lo:lo + rows, None]

@@ -184,13 +184,14 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-@pytest.mark.parametrize("N", [4096, 16384])
+@pytest.mark.parametrize("N", [4096, 16384, 3 * levelset.SLICE_BLOCK + 5])
 @pytest.mark.parametrize("alpha", [np.exp(0.7j), np.exp(-1.9j)])
 @pytest.mark.parametrize("name", ["fav", "squared", "product", "diagonal"])
 def test_uniform_base_is_the_shared_read_only_grid(corpus, name, alpha, N):
     # the uniform rule's base is a view of the one table of N-th roots of
     # unity, bit for bit the trig grid, and no caller can write into it
-    # (below N = 4096 some of these cases cluster their nodes instead)
+    # (below N = 4096 some of these cases cluster their nodes instead);
+    # the last N builds in several blocks, the last one short
     phi = corpus[name]
     m = clark.build_measure(phi, alpha, N)
     grid = unit_circle_points(2 * np.pi * np.arange(N) / N)
@@ -819,19 +820,19 @@ def test_build_keeps_blank_roots_as_empty_atoms(squared, monkeypatch):
     alpha, N = np.exp(0.7j), 1024
     full = clark.build_measure(squared, alpha, N)
     cols = [0, N // 2]
-    _, _, den, _ = clark._slice_atoms(squared, alpha, full.base[cols])
+    _, _, den, _ = levelset._slice_atoms(squared, alpha, full.base[cols])
     p_rows = slice_coeffs(squared.den.coeffs, full.base[cols])
     rounding = 4.0 * np.finfo(float).eps * np.sum(np.abs(p_rows), axis=0)
     assert np.all(full.weights[:, cols] <= rounding / (den * N))
-    slice_atoms = clark._slice_atoms
+    atom_blocks = clark._atom_blocks
 
-    def blank(*args):
-        roots, num, den, zero_rows = slice_atoms(*args)
-        roots[1, 0] = np.nan
-        roots[:, N // 2] = np.nan
-        return roots, num, den, zero_rows
+    def blank(phi, alpha, pts, roots, num):
+        for block in atom_blocks(phi, alpha, pts, roots, num):
+            roots[1, 0] = np.nan  # N is one block
+            roots[:, N // 2] = np.nan
+            yield block
 
-    monkeypatch.setattr(clark, "_slice_atoms", blank)
+    monkeypatch.setattr(clark, "_atom_blocks", blank)
     m = clark.build_measure(squared, alpha, N)
     empty = np.zeros(m.atoms.shape, dtype=bool)
     empty[1, 0] = True

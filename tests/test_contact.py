@@ -60,19 +60,27 @@ def test_branch_contact_order_rejects_exceptional(fav):
 
 
 def test_contact_fits_run_on_the_slice_kernel(fav, squared, monkeypatch):
-    # the fits take roots and weights from levelset._slice_atoms alone,
-    # never from the full-tensor weight evaluation
-    def refuse(*args, **kwargs):
-        raise AssertionError("weight_parts ran in a contact fit")
+    # the fits take roots and weights from levelset._slice_atoms (the
+    # full-tensor weight evaluation is a test oracle, not in the package)
+    calls = []
 
-    monkeypatch.setattr(levelset, "weight_parts", refuse)
-    monkeypatch.setattr(contact, "weight_parts", refuse, raising=False)
+    def counted(*args):
+        calls.append(1)
+        return levelset._slice_atoms(*args)
+
+    monkeypatch.setattr(contact, "_slice_atoms", counted)
     for phi in (fav, squared):
+        before = len(calls)
         rep = contact.contact_report(phi, SING, [1.0j, np.exp(0.7j)])
         assert rep.fits and all(f.rounded == 2 for f in rep.fits)
+        assert len(calls) > before
+        before = len(calls)
         assert contact.weight_vanish_order(phi, 1.0j, SING).rounded == 2
+        assert len(calls) > before
+        before = len(calls)
         order = contact.branch_contact_order(phi, SING, 1.0j, np.exp(0.4j))
         assert order.rounded == 2
+        assert len(calls) > before
 
 
 def test_nontangential_value_at_singularity(fav):

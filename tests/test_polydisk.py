@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rifclark import catalog, clark, contact, embedding, levelset, polydisk
 from rifclark.errors import (MassGapExceeded, SingularDenominator,
                              UnstableDenominator)
-from rifclark.poly import PolyMD, Rif, _polyval_rows, slice_coeffs
+from rifclark.poly import (PolyMD, Rif, _eval_tensor, _polyval_rows,
+                           derivative_coeffs, slice_coeffs)
 from rifclark.util import unit_circle_points
 
 
@@ -293,14 +296,49 @@ def test_build_measure_d_mass_guard_passes(k):
                - 1.0) < 1e-14
 
 
+def _working_bytes(build):
+    """tracemalloc peak of ``build()`` less the bytes of the arrays of the
+    measure it returns (the shared read-only uniform grid is not one), and
+    the measure's number of slices."""
+    tracemalloc.start()
+    try:
+        m = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    owned = [m.atoms, m.weights] + [m.base] * m.base.flags.writeable
+    return peak - sum(a.nbytes for a in owned), m.weights.shape[1]
+
+
+@pytest.mark.parametrize("build, sizes", [
+    (lambda N: clark.build_measure(catalog.simple_singular_rif(),
+                                   np.exp(0.7j), N), (65536, 131072)),
+    (lambda N: clark.build_measure(catalog.squared_singular_rif(),
+                                   np.exp(0.7j), N), (65536, 131072)),
+    (lambda N: polydisk.build_measure_d(sheets_rif(3.6, 1), np.exp(0.7j), N),
+     (128, 256)),
+    (lambda N: polydisk.build_measure_d(sheets_rif(3.6, 3), np.exp(0.7j), N),
+     (128, 256)),
+], ids=["fav", "squared", "tridisk_k1", "tridisk_k3"])
+def test_build_working_memory_does_not_grow_with_n(build, sizes):
+    # a builder holds nothing of size N beyond the arrays it returns: its
+    # temporaries are block-sized, so its working memory is flat in N
+    for N in sizes:  # warm the grid table and the stability certificate
+        build(N)
+    (small, m0), (large, m1) = [_working_bytes(lambda: build(N))
+                                for N in sizes]
+    assert (large - small) / (m1 - m0) <= 2.0, (small, large)
+
+
 def test_build_measure_d_mass_guard_raises_on_lost_roots(monkeypatch):
-    slice_atoms = polydisk._slice_atoms
+    atom_blocks = polydisk._atom_blocks
 
-    def drop_last_root(phi, alpha, pts):
-        roots, num, den, zero_rows = slice_atoms(phi, alpha, pts)
-        return roots[:-1], num[:-1], den[:-1], zero_rows
+    def drop_last_root(phi, alpha, pts, roots, num):
+        for b, den, zero in atom_blocks(phi, alpha, pts, roots, num):
+            num[-1, b] = 0.0  # the last root of each slice carries no mass
+            yield b, den, zero
 
-    monkeypatch.setattr(polydisk, "_slice_atoms", drop_last_root)
+    monkeypatch.setattr(polydisk, "_atom_blocks", drop_last_root)
     with pytest.raises(MassGapExceeded):
         polydisk.build_measure_d(sheets_rif(3.5, 2), np.exp(0.4j), 32)
 
@@ -328,9 +366,19 @@ KERNEL_ALPHAS = [np.exp(0.7j), -1.0 + 0.0j, np.exp(0.99j * np.pi),
                  np.exp(1.01j * np.pi)]
 
 
+def weight_parts(phi, alpha, *zeta):
+    """Numerator |p| and denominator |d/dz_d (q - alpha p)| of the Clark
+    weight at level-set points given by one coordinate array per variable,
+    from the full coefficient tensors: the oracle for the slice rows of
+    ``levelset._slice_atoms``."""
+    hd = derivative_coeffs(phi.level_coeffs(alpha), phi.dim)
+    return (np.abs(_eval_tensor(phi.den.coeffs, zeta)),
+            np.abs(_eval_tensor(hd, zeta)))
+
+
 def _kernel_against_weight_parts(phi, alpha, pts):
     roots, num, den, _ = levelset._slice_atoms(phi, alpha, pts)
-    ref_num, ref_den = levelset.weight_parts(phi, alpha, *pts.T, roots)
+    ref_num, ref_den = weight_parts(phi, alpha, *pts.T, roots)
     keep = ~np.isnan(roots)
     assert keep.any()
     assert np.all(np.abs(num - ref_num)[keep] <= 1e-13 * ref_num[keep])
