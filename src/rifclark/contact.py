@@ -235,7 +235,8 @@ def nontangential_value(phi, point) -> complex:
     Richardson-extrapolated to r = 1; NonConvergent when the
     extrapolation table does not settle to RICHARDSON_TOL.  Either way
     NonConvergent when the limit is not unimodular within 1e-6 (no
-    nontangential value exists there).
+    nontangential value exists there).  The value returned is projected
+    onto the circle, limit / |limit|.
     """
     pt = np.asarray(point, dtype=complex)
     if isinstance(phi, Rif):
@@ -246,7 +247,7 @@ def nontangential_value(phi, point) -> complex:
         raise NonConvergent(
             f"radial limit {best:.8g} is not unimodular; no nontangential "
             "value")
-    return complex(best)
+    return complex(best) / abs(best)
 
 
 def _radial_limit(phi: Rif, tau) -> complex:

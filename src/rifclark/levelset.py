@@ -104,11 +104,12 @@ class LineComponent:
 # ---------------------------------------------------------------------------
 
 def _unimodular_alpha(alpha) -> complex:
-    """``alpha`` as a complex; ValueError off the circle (NaN included)."""
+    """``alpha`` projected onto the circle, alpha / |alpha|; ValueError
+    more than 1e-9 off it (NaN included)."""
     alpha = complex(alpha)
     if not abs(abs(alpha) - 1.0) <= 1e-9:
         raise ValueError("alpha must be unimodular")
-    return alpha
+    return alpha / abs(alpha)
 
 
 def _slice_atoms(phi: Rif, alpha: complex, pts):
@@ -127,7 +128,7 @@ def _slice_atoms(phi: Rif, alpha: complex, pts):
     roots = np.empty((k, m), dtype=complex)
     num, den = np.empty((k, m)), np.empty((k, m))
     zero_rows = np.empty(m, dtype=bool)
-    for b, block_den, zero in _atom_blocks(phi, alpha, pts, roots, num):
+    for b, block_den, zero, _ in _atom_blocks(phi, alpha, pts, roots, num):
         den[:, b], zero_rows[b] = block_den, zero
     return roots, num, den, zero_rows
 
@@ -135,16 +136,17 @@ def _slice_atoms(phi: Rif, alpha: complex, pts):
 def _atom_blocks(phi: Rif, alpha: complex, pts, roots, num):
     """Solve the slices over ``pts`` (m, d-1) SLICE_BLOCK at a time into
     ``roots`` and ``num`` (k, m), laid out as ``_slice_atoms`` returns
-    them, and yield each block as (b, den, zero): its slice of columns,
-    |d/dz_d h| at its roots in a block-sized scratch the next block
-    overwrites, and its zero-slice flags.  So a builder forms its weights
-    block by block and holds nothing of size m beyond what it returns.
-
-    Both weight parts come from one-variable rows in z_d, and one pass of
-    |rows| serves the zero-slice, degree-drop and Newton-guard tests.  A
-    closed-form root takes den = |c_n| prod_{b != a} |r_a - r_b| from the
-    solver, so the atoms agree with the computed roots; only eigenvalue
-    roots are Newton-polished (``_newton_polish`` gives their den).
+    them, and yield each block as (b, den, zero, full): its slice of
+    columns, |d/dz_d h| at its roots in a block-sized scratch the next
+    block overwrites, its zero-slice flags, and whether every slice kept
+    full degree (no empty atom, so no NaN to look for).  So a builder
+    forms its weights block by block and holds nothing of size m beyond
+    what it returns.  Both weight parts come from one-variable rows in
+    z_d, and one pass of |rows| serves the zero-slice, degree-drop and
+    Newton-guard tests.  A closed-form root takes den = |h'| from the
+    solver, from what its formula holds (``poly._solve_columns``); only
+    eigenvalue roots are Newton-polished (``_newton_polish`` gives their
+    den).
     """
     hcoef = phi.level_coeffs(_unimodular_alpha(alpha))
     k, m = hcoef.shape[-1] - 1, len(pts)
@@ -162,7 +164,7 @@ def _atom_blocks(phi: Rif, alpha: complex, pts, roots, num):
         rowmax = np.max(size, axis=0)
         zero = rowmax < zero_tol
         rowmax[zero] = np.inf  # a zero slice drops every coefficient: no root
-        eig = _poly._solve_columns(h, size, rowmax, r, den)
+        eig, full = _poly._solve_columns(h, size, rowmax, r, den)
         if eig.size:  # eigenvalue roots: polished, h' from the last step
             w = r[:, eig]
             dh = _newton_polish(h[:, eig], rowmax[eig], w)
@@ -170,7 +172,7 @@ def _atom_blocks(phi: Rif, alpha: complex, pts, roots, num):
         p_rows = rows[k + 1:] if stacked else slice_coeffs(phi.den.coeffs,
                                                            pts[b])
         np.abs(_polyval_rows(p_rows[:, None], r), out=num[:, b])
-        yield b, den, zero
+        yield b, den, zero, full
 
 
 def _newton_polish(rows, rowmax, values):

@@ -244,9 +244,11 @@ def companion_roots(batch_coeffs):
     than COALESCE_REL_TOL times their largest (roots about to coalesce),
     get the eigenvalues of the companion matrix.  Those split an exact
     double root by about sqrt(eps), where a closed form returns it twice
-    and the Clark weight |p| / |d/dz h| there as 0/0.  The slice kernel
-    calls the solver below, ``_solve_columns``, with its own |rows|, and
-    takes |d/dz h| at the closed-form roots from it.
+    and the Clark weight |p| / |d/dz h| there as 0/0.  A batch whose
+    columns all keep their full degree is one class, solved in place in
+    the output.  The slice kernel calls the solver below,
+    ``_solve_columns``, with its own |rows|, and takes |d/dz h| at the
+    closed-form roots from it.
     """
     c = np.asarray(batch_coeffs, dtype=np.complex128)
     size = np.abs(c)
@@ -259,98 +261,119 @@ def _solve_columns(c, size, scale, out, dout):
     """``companion_roots`` of ``c`` (k+1, m) into ``out`` (k, m), given |c|
     as ``size`` and the column scale (m,) the degree-drop tolerance is
     relative to; an infinite scale leaves its column NaN.  Into ``dout``
-    goes |h'(r_a)| = |c_n| prod_{b != a} |r_a - r_b| at each root r_a.
-    Returns the columns ``_eigvals`` solved, to be Newton-polished."""
+    goes |h'(r_a)| = |c_n| prod_{b != a} |r_a - r_b| at each root r_a from
+    what the formula holds: |c_1|, |c_2| |d| (``_quadratic_roots``), or
+    from degree 3 each gap of the final roots, formed once.  A class that
+    fills the block, such as the whole block when row k clears the
+    tolerance in every column, is solved in place; another is gathered
+    by ``take`` and scattered row by row, several times faster than 2-D
+    fancy indexing.  Returns (eig, full): the columns ``_eigvals`` solved,
+    to be Newton-polished (their ``dout`` is the closed form's), and
+    whether every column kept its full degree (no root is NaN)."""
     k, m = out.shape
     tol = DEGREE_DROP_REL_TOL * scale
-    eff_deg = np.full(m, -1)  # the last coefficient above tol
-    for j in range(k + 1):
-        eff_deg[size[j] > tol] = j
-    if np.any(eff_deg < k):  # a degree drop or a zero column: NaN padding
+    full = bool(np.all(size[k] > tol))  # an infinite scale compares False
+    classes = [(k, None)] if full and k else []  # None: fills the block
+    if not full:  # a degree drop or a zero column: NaN padding
+        eff_deg = np.full(m, -1)  # the last coefficient above tol
+        for j in range(k + 1):
+            eff_deg[size[j] > tol] = j
         out[...] = dout[...] = np.nan
+        for deg in range(1, k + 1):
+            idx = np.flatnonzero(eff_deg == deg)
+            if len(idx):
+                classes.append((deg, None if len(idx) == m else idx))
     eig = []
-    for deg in range(1, k + 1):
-        sel = eff_deg == deg
-        count = np.count_nonzero(sel)
-        if count == 0:
-            continue
-        # a class of every column (any build at a generic alpha) is
-        # indexed in place; another is gathered by ``take`` and scattered
-        # row by row, several times faster than 2-D fancy indexing
-        idx = slice(None) if count == m else np.flatnonzero(sel)
-        cols = c[:deg + 1] if count == m else c[:deg + 1].take(idx, axis=1)
-        monic = cols[:deg] / cols[deg]
-        if deg == 1:
-            roots = -monic
-        elif deg <= 3:
-            solve = _quadratic_roots if deg == 2 else _cubic_roots
-            roots, tight = solve(monic)
-            if tight.any():
-                roots[:, tight] = _eigvals(monic[:, tight])
-                eig.append(np.flatnonzero(sel)[tight])
+    for deg, idx in classes:
+        if idx is None:
+            cols, lead, r, dh = c[:deg + 1], size[deg], out[:deg], dout[:deg]
         else:
-            roots = _eigvals(monic)
-            eig.append(np.flatnonzero(sel))
-        dh = np.empty(roots.shape)
-        dh[...] = size[deg][idx]
-        for a in range(deg):
-            for b in range(a + 1, deg):  # each gap |r_a - r_b| formed once
-                gap = np.abs(roots[a] - roots[b])
-                dh[a] *= gap
-                dh[b] *= gap
-        for j in range(deg):
-            out[j, idx], dout[j, idx] = roots[j], dh[j]
-    return np.concatenate(eig) if eig else np.zeros(0, dtype=int)
+            cols, lead = c[:deg + 1].take(idx, axis=1), size[deg].take(idx)
+            r = np.empty((deg, len(idx)), dtype=np.complex128)
+            dh = np.empty(r.shape)
+        if deg == 1:
+            np.negative(np.divide(cols[0], cols[1], out=r[0]), out=r[0])
+            dh[0] = lead
+            tight = None
+        elif deg == 2:
+            tight = _quadratic_roots(cols, lead, r, dh)
+        else:
+            tight = _cubic_roots(cols, r) if deg == 3 else np.ones(
+                r.shape[1], dtype=bool)
+        if tight is not None and tight.any():
+            r[:, tight] = _eigvals(cols[:deg, tight] / cols[deg, tight])
+            eig.append(np.flatnonzero(tight) if idx is None else idx[tight])
+        if deg >= 3:
+            dh[...] = lead
+            for a in range(deg):
+                for b in range(a + 1, deg):
+                    gap = np.abs(r[a] - r[b])
+                    dh[a] *= gap
+                    dh[b] *= gap
+        if idx is not None:
+            for j in range(deg):
+                out[j, idx], dout[j, idx] = r[j], dh[j]
+    return (np.concatenate(eig) if eig else np.zeros(0, dtype=int)), full
 
 
-def _quadratic_roots(monic):
-    """Roots (2, m) of z^2 + b z + c from rows [c, b], and which columns
-    have coalescing roots.  The square root takes the sign that makes
-    |b + d| largest, so r1 = -(b + d) / 2 has no cancellation and
-    r2 = c / r1."""
-    c, b = monic
+def _quadratic_roots(cols, lead, r, dh):
+    """Roots of c_0 + c_1 z + c_2 z^2 from rows ``cols`` (3, n) into ``r``
+    (2, n), |h'| at them into ``dh`` (2, n) given |c_2| as ``lead``, and
+    which columns have coalescing roots.  On the monic z^2 + b z + c the
+    square root d of the discriminant takes the sign that makes |b + d|
+    largest, so r1 = -(b + d) / 2 has no cancellation and r2 = c / r1.
+    The roots are d apart, so |h'| = |c_2| |d| at both."""
+    c = np.divide(cols[0], cols[2], out=r[1])
+    b = np.divide(cols[1], cols[2], out=r[0])
     d = np.sqrt(b * b - 4.0 * c)
-    np.negative(d, out=d, where=(b.conjugate() * d).real < 0.0)
-    roots = np.zeros((2,) + b.shape, dtype=np.complex128)
-    r1 = np.multiply(-0.5, b + d, out=roots[0])
-    # r1 = 0 only for b = c = 0, a double root at 0, where r2 stays 0
-    np.divide(c, r1, out=roots[1], where=r1 != 0.0)
-    # the roots are |d| apart and |r1| >= |r2|
-    tight = np.abs(d) <= COALESCE_REL_TOL * np.abs(r1)
-    return roots, tight
+    d = np.where((b.conjugate() * d).real < 0.0, -d, d)
+    gap = np.abs(d)
+    r1 = np.multiply(b + d, -0.5, out=r[0])
+    # r1 = 0 only for b = c = 0, a coalescing double root at 0: r2 stays c
+    np.divide(c, r1, out=r[1], where=r1 != 0.0)
+    dh[...] = lead * gap
+    return gap <= COALESCE_REL_TOL * np.abs(r1)  # |r1| >= |r2|
 
 
 _OMEGA = np.exp(2j * np.pi / 3.0)
 
 
-def _cubic_roots(monic):
-    """Roots (3, m) of z^3 + a z^2 + b z + c from rows [c, b, a], and which
-    columns have coalescing roots.  Cardano on the depressed cubic
+def _cubic_roots(cols, r):
+    """Roots of c_0 + c_1 z + c_2 z^2 + c_3 z^3 from rows ``cols`` (4, n)
+    into ``r`` (3, n), and which columns have coalescing roots.  On the
+    monic z^3 + a z^2 + b z + c, Cardano on the depressed cubic
     t^3 + p t + q (z = t - a/3) with u^3 = -(q/2 + s), s^2 = (q/2)^2 +
     (p/3)^3 and the sign of s that makes |u| largest, then one Newton
-    step on every root of the columns without coalescing roots."""
-    c, b, a = monic
+    step on every root of the columns without coalescing roots; the
+    coalescing test reads the roots before the step."""
+    c, b, a = cols[:3] / cols[3]
     shift = a / 3.0
     p3 = (b - a * shift) / 3.0
     w = 0.5 * (c + shift * (2.0 * shift * shift - b))
     s = np.sqrt(w * w + p3 ** 3)
-    np.negative(s, out=s, where=(w.conjugate() * s).real < 0.0)
+    s = np.where((w.conjugate() * s).real < 0.0, -s, s)
     u3 = -(w + s)
     u = np.cbrt(np.abs(u3)) * unit_circle_points(np.angle(u3) / 3.0)
     # u = 0 only for p = q = 0, a triple root, where v stays 0
     v = np.divide(-p3, u, out=np.zeros_like(u), where=u != 0.0)
-    z = np.stack([u + v, _OMEGA * u + _OMEGA.conjugate() * v,
-                  _OMEGA.conjugate() * u + _OMEGA * v])
-    z -= shift
-    i, j = np.triu_indices(3, 1)
-    tight = np.min(np.abs(z[i] - z[j]), axis=0) \
-        <= COALESCE_REL_TOL * np.max(np.abs(z), axis=0)
+    r[0], r[1], r[2] = (u + v, _OMEGA * u + _OMEGA.conjugate() * v,
+                        _OMEGA.conjugate() * u + _OMEGA * v)
+    r -= shift
+    gap = [np.abs(r[0] - r[1]), np.abs(r[0] - r[2]), np.abs(r[1] - r[2])]
+    size = np.abs(r)
+    tight = np.minimum(np.minimum(gap[0], gap[1]), gap[2]) \
+        <= COALESCE_REL_TOL * np.maximum(np.maximum(size[0], size[1]), size[2])
     loose = slice(None) if not tight.any() else ~tight
-    a, b, c, zt = a[loose], b[loose], c[loose], z[:, loose]
-    f = ((zt + a) * zt + b) * zt + c
-    fp = (3.0 * zt + 2.0 * a) * zt + b
-    z[:, loose] = zt - np.divide(f, fp, out=np.zeros_like(f), where=fp != 0.0)
-    return z, tight
+    a, b, c, zt = a[loose], b[loose], c[loose], r[:, loose]
+    f, fp = zt + a, 3.0 * zt  # f = h / c_3 and fp = h' / c_3 by Horner
+    fp += 2.0 * a
+    for acc, coef in ((f, b), (f, c), (fp, b)):
+        acc *= zt
+        acc += coef
+    step = fp != 0.0
+    f[~step] = 0.0
+    r[:, loose] = zt - np.divide(f, fp, out=f, where=step)
+    return tight
 
 
 def _eigvals(monic):

@@ -213,9 +213,11 @@ def test_shared_scale_matches_solver_and_polish(name, alpha, extra,
     # one pass of |rows| serves the zero-slice test, the solver's
     # degree-drop test and the Newton guard: the kernel puts its zero
     # rows and empty atoms where companion_roots on the same rows puts
-    # them, takes |d/dz h| at a closed-form root from the roots,
-    # |c_n| prod |r_a - r_b|, and Newton-polishes only the columns whose
-    # roots coalesce (companion eigenvalues), every value bit for bit
+    # them, takes |d/dz h| at a closed-form root from the formula,
+    # |c_1| at degree 1 and |c_2| |d| at degree 2 (d the square root of
+    # the monic discriminant, the roots' gap), and Newton-polishes only
+    # the columns whose roots coalesce (companion eigenvalues), every
+    # value bit for bit
     phi = getattr(catalog, name)()
     pts = np.append(np.exp(2j * np.pi * np.arange(256) / 256), extra)[:, None]
     roots, num, den, zero_rows = _slice_atoms(phi, alpha, pts)
@@ -225,11 +227,14 @@ def test_shared_scale_matches_solver_and_polish(name, alpha, extra,
     zero = rowmax < levelset.ZERO_SLICE_REL_TOL * np.max(np.abs(hcoef))
     ref = companion_roots(np.where(zero, np.eye(len(rows), 1), rows))
     deg = np.count_nonzero(~np.isnan(ref), axis=0)
-    dh = np.where(deg == 2, np.abs(rows[2]) * np.abs(ref[0] - ref[1]),
-                  np.abs(rows[1]))
-    dh = np.where(np.isnan(ref), np.nan, dh)
     two = np.flatnonzero(deg == 2)
-    eig = two[poly._quadratic_roots(rows[:2, two] / rows[2, two])[1]]
+    dh = np.abs(rows[1])
+    b, c = rows[1, two] / rows[2, two], rows[0, two] / rows[2, two]
+    dh[two] = np.abs(rows[2, two]) * np.abs(np.sqrt(b * b - 4.0 * c))
+    dh = np.where(np.isnan(ref), np.nan, dh)
+    scratch = np.empty((2, len(two)), dtype=complex)
+    eig = two[poly._quadratic_roots(rows[:, two], np.abs(rows[2, two]),
+                                    scratch, np.empty(scratch.shape))]
     w = ref[:, eig]
     dh[:, eig] = np.abs(levelset._newton_polish(rows[:, eig], rowmax[eig], w))
     ref[:, eig] = w

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rifclark import catalog, contact, levelset
+from rifclark import catalog, clark, contact, levelset
 from rifclark.errors import FitDegenerate, NonConvergent
 from rifclark.poly import PolyMD, Rif
 
@@ -89,14 +89,33 @@ def test_nontangential_value_at_singularity(fav):
 
 
 def test_nontangential_value_at_regular_point(fav):
-    # at a regular boundary point the limit is just the boundary value
+    # at a regular boundary point the limit is just the boundary value,
+    # projected onto the circle
     z = (np.exp(0.5j), np.exp(1.2j))
     nt = contact.nontangential_value(fav, z)
     assert abs(nt - complex(fav(*z))) < 1e-8
-    assert nt == complex(fav(*z))
+    assert nt == complex(fav(*z)) / abs(complex(fav(*z)))
     # inside the bidisk the limit is phi there, which is not unimodular
     with pytest.raises(NonConvergent):
         contact.nontangential_value(fav, (0.5, 0.5j))
+
+
+@pytest.mark.parametrize("n1, n2, seed", [(1, 2, 3), (2, 2, 5)])
+def test_alpha0_is_on_the_circle(n1, n2, seed):
+    # the nontangential value at a planted torus zero comes back projected
+    # onto the circle, as does any alpha a builder takes, so q - alpha0 p
+    # is the level polynomial of a unimodular value: the build at alpha0
+    # keeps its mass to rounding (off the circle by 6.7e-16 and 2e-15,
+    # these draws read mass gaps of 2.2e-15 and 3.6e-15)
+    eps = np.finfo(float).eps
+    phi = catalog.random_rif(n1, n2, seed, singular=True)
+    alpha0 = contact.nontangential_value(phi, catalog.planted_zero(seed))
+    assert abs(abs(alpha0) - 1.0) <= 2 * eps
+    m = clark.build_measure(phi, alpha0, 4096)
+    assert abs(clark.total_mass(m) / clark.expected_mass(phi, alpha0)
+               - 1.0) <= 4 * eps
+    for alpha in (1.0 + 5e-10, alpha0 * (1.0 - 3e-10)):
+        assert abs(abs(levelset._unimodular_alpha(alpha)) - 1.0) <= 2 * eps
 
 
 def test_nontangential_value_in_three_variables():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rifclark import catalog, poly
+from rifclark import catalog, clark, poly
 from rifclark.errors import DegreeNotAttained, ZeroPolynomial
 from rifclark.levelset import _slice_atoms
 from rifclark.poly import (PolyMD, Rif, companion_roots, derivative_coeffs,
@@ -296,6 +296,51 @@ def test_companion_roots_in_place_and_gathered_agree(deg):
                               full[:, i])
 
 
+def _solve(rows):
+    size = np.abs(rows)
+    out = np.empty((len(rows) - 1, rows.shape[1]), dtype=complex)
+    dout = np.empty(out.shape)
+    eig, full = poly._solve_columns(rows, size, np.max(size, axis=0), out,
+                                    dout)
+    return out, dout, eig, full
+
+
+@pytest.mark.parametrize("deg", [1, 2, 3, 4])
+def test_solve_columns_dh_is_h_prime_at_the_roots(deg):
+    # |h'| at a closed-form root comes from the formula (|c_1|, |c_2| |d|,
+    # the gaps of the final cubic roots): it is |h'| evaluated at the
+    # returned root, NaN exactly at the padding, and the same bit for bit
+    # whether the root's degree class fills the block or is gathered
+    rng = np.random.default_rng(20 + deg)
+    rows = rng.normal(size=(deg + 1, 90)) + 1j * rng.normal(size=(deg + 1, 90))
+    for i in range(0, 90, 10):  # coalescing pairs: roots 1e-8 apart
+        r = rng.normal(size=deg) + 1j * rng.normal(size=deg)
+        r[-1] = r[0] * (1.0 + 1e-8)
+        rows[:, i] = np.poly(r)[::-1] * rng.normal()
+    rows[deg, 1::6] *= 1e-13  # a drop by one
+    rows[deg - 1:, 2::9] = 0.0  # a drop by two (a zero column at degree 1)
+    rows[:, 4::15] = 0.0  # zero columns
+    out, dout, eig, full = _solve(rows)
+    assert not full
+    assert np.array_equal(np.isnan(out), np.isnan(dout))
+    top = np.count_nonzero(~np.isnan(out), axis=0)
+    assert set(top) == {0} | {max(deg - j, 0) for j in (0, 1, 2)}
+    for n in set(top) - {0}:  # each degree class alone fills its block
+        cols = np.flatnonzero(top == n)
+        alone = _solve(rows[:, cols])
+        assert alone[3] == (n == deg)
+        for got, want in zip(alone[:2], (out[:, cols], dout[:, cols])):
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+    pairs = [i for i in range(0, 90, 10) if top[i] == deg]
+    if deg > 1:  # the coalescing pairs went to the eigenvalues
+        assert len(pairs) == 8 and set(pairs) <= set(eig)
+    for i in np.setdiff1d(np.flatnonzero(top), eig):  # closed-form roots
+        n = top[i]
+        dh = rows[1:n + 1, i] * np.arange(1, n + 1)
+        want = np.abs(np.polyval(dh[::-1], out[:n, i]))
+        assert np.allclose(dout[:n, i], want, rtol=1e-12, atol=0.0), i
+
+
 @pytest.mark.parametrize("name", ["simple_singular_rif",
                                   "squared_singular_rif"])
 def test_slice_rows_chain_matches_slice_atoms(name):
@@ -452,11 +497,13 @@ def _roots_by_column(c):
         if deg == 0:
             continue
         monic = (col[:deg] / col[deg])[:, None]
+        cols, roots = col[:deg + 1, None], np.empty((deg, 1), dtype=complex)
         if deg == 1:
             roots = -monic
         elif deg <= 3:
-            solve = poly._quadratic_roots if deg == 2 else poly._cubic_roots
-            roots, tight = solve(monic)
+            tight = poly._quadratic_roots(cols, abs(col[2:3]), roots,
+                                          np.empty(roots.shape)) \
+                if deg == 2 else poly._cubic_roots(cols, roots)
             if tight.any():
                 roots = poly._eigvals(monic)
         else:
@@ -465,16 +512,36 @@ def _roots_by_column(c):
     return out
 
 
-def test_companion_roots_unchanged_on_catalog_and_random_batches():
+def test_companion_roots_unchanged_on_catalog_and_random_batches(
+        monkeypatch):
     # the wrapper over the per-degree solver keeps trimming, NaN padding
     # and every root bit for bit: catalog slices at generic and
-    # exceptional alpha, and random rows of degree 1 to 4 with drops
+    # exceptional alpha, the tridisk's cubic slices, squared's Blaschke
+    # preimage rows (cubic), real quadratic slices at alpha = -1 whose
+    # conjugate roots tie in the sign rule, and random rows of degree 1
+    # to 4 with drops
     zeta = np.exp(2j * np.pi * np.arange(64) / 64)[:, None]
     batches = [slice_coeffs(getattr(catalog, name)().level_coeffs(alpha),
                             zeta)
                for name in ("simple_singular_rif", "squared_singular_rif",
                             "product_singular_rif", "diagonal_rif")
                for alpha in (np.exp(0.7j), -1.0, -np.exp(0.05j))]
+    grid = np.stack(np.meshgrid(zeta[::4, 0], zeta[::4, 0], indexing="ij"),
+                    axis=-1).reshape(-1, 2)
+    batches.append(slice_coeffs(_sheets(3.6, 3).level_coeffs(np.exp(0.7j)),
+                                grid))
+    seen = []
+    monkeypatch.setattr(poly, "companion_roots",
+                        lambda rows: seen.append(rows) or companion_roots(rows))
+    clark._zeta1_rule(catalog.squared_singular_rif(),
+                      np.exp(1j * np.pi * 1.045), 64)
+    assert seen[-1].shape == (4, 64)  # the Blaschke preimage rows
+    batches.append(seen[-1])
+    rows = slice_coeffs(catalog.product_singular_rif().level_coeffs(-1.0),
+                        np.linspace(-1.0, 1.0, 41)[:, None])
+    disc = (rows[1] * rows[1] - 4.0 * rows[0] * rows[2]).real
+    assert np.all(rows.imag == 0.0) and np.count_nonzero(disc < 0.0) == 18
+    batches.append(rows)
     rng = np.random.default_rng(7)
     for deg in (1, 2, 3, 4):
         rows = rng.normal(size=(deg + 1, 48)) \

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from rifclark import catalog, clark, contact, embedding, levelset, polydisk
-from rifclark.errors import (MassGapExceeded, SingularDenominator,
-                             UnstableDenominator)
+from rifclark.errors import (MassGapExceeded, RootFindFailure,
+                             SingularDenominator, UnstableDenominator)
 from rifclark.poly import (PolyMD, Rif, _eval_tensor, _polyval_rows,
                            derivative_coeffs, slice_coeffs)
 from rifclark.util import unit_circle_points
@@ -334,12 +334,27 @@ def test_build_measure_d_mass_guard_raises_on_lost_roots(monkeypatch):
     atom_blocks = polydisk._atom_blocks
 
     def drop_last_root(phi, alpha, pts, roots, num):
-        for b, den, zero in atom_blocks(phi, alpha, pts, roots, num):
+        for b, den, zero, full in atom_blocks(phi, alpha, pts, roots, num):
             num[-1, b] = 0.0  # the last root of each slice carries no mass
-            yield b, den, zero
+            yield b, den, zero, full
 
     monkeypatch.setattr(polydisk, "_atom_blocks", drop_last_root)
     with pytest.raises(MassGapExceeded):
+        polydisk.build_measure_d(sheets_rif(3.5, 2), np.exp(0.4j), 32)
+
+
+def test_build_measure_d_refuses_a_block_with_empty_atoms(monkeypatch):
+    # a block in which the kernel reports a slice below full degree (an
+    # empty atom) is no clean cover of the 2-torus
+    atom_blocks = polydisk._atom_blocks
+
+    def drop_a_root(phi, alpha, pts, roots, num):
+        for b, den, zero, _ in atom_blocks(phi, alpha, pts, roots, num):
+            roots[-1, b.start] = np.nan
+            yield b, den, zero, False
+
+    monkeypatch.setattr(polydisk, "_atom_blocks", drop_a_root)
+    with pytest.raises(RootFindFailure):
         polydisk.build_measure_d(sheets_rif(3.5, 2), np.exp(0.4j), 32)
 
 
