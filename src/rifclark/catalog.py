@@ -58,6 +58,22 @@ def product_singular_rif() -> Rif:
     return Rif(PolyMD(c), degrees=(2, 2))
 
 
+def contact_four_rif() -> Rif:
+    """(4 z1^2 z2 - z1^2 - 3 z1 z2 - z1 + z2) / (4 - 3 z1 - z2 - z1 z2 + z1^2).
+
+    Bidegree (2, 1), one boundary singularity at (1, 1), where the
+    function has nontangential value -1 and contact order 4: at generic
+    alpha the level-set branches agree there to third order.
+    """
+    c = np.zeros((3, 2), dtype=np.complex128)
+    c[0, 0] = 4.0
+    c[1, 0] = -3.0
+    c[0, 1] = -1.0
+    c[1, 1] = -1.0
+    c[2, 0] = 1.0
+    return Rif(PolyMD(c))
+
+
 def diagonal_rif() -> Rif:
     """(1 + 2 z1 z2) / (2 + z1 z2); value 1/2 at the origin, no singularities."""
     c = np.zeros((2, 2), dtype=np.complex128)

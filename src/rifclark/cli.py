@@ -176,9 +176,8 @@ def cmd_contact(args) -> int:
               f"nt value {rep.nontangential_value:.8g}, "
               f"{len(rep.fits)} weight fits")
         for f in rep.fits:
-            print(f"  alpha {f.alpha:.6g} branch {f.branch}: K "
-                  f"{f.exponent:.4f} -> {f.rounded} "
-                  f"c [{f.c_lower:.4g}, {f.c_upper:.4g}] R2 {f.r_squared:.6f}")
+            print(f"  alpha {f.alpha:.6g} branch {f.branch}: K {f.rounded}, "
+                  f"c {f.c_lower:.4g}")
     _write(args.out, canonical_json(reports))
     print(f"wrote {args.out}")
     return 0

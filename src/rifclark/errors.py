@@ -43,12 +43,14 @@ class MassNotOne(RifclarkError):
     """A probability-measure precondition failed (total mass != 1)."""
 
 
-class FitDegenerate(RifclarkError):
-    """A log-log decay fit had too little dynamic range or a bad residual."""
+class FitDegenerate(RifclarkError, ValueError):
+    """A branch series at a singularity has no order to read: d/dz2 h
+    vanishes there (an exceptional alpha, or grad p = 0), or no
+    coefficient up to the Bezout bound is above rounding."""
 
 
 class NonConvergent(RifclarkError):
-    """Richardson extrapolation of a boundary value did not settle."""
+    """A radial limit is not unimodular, or p vanishes along the radius."""
 
 
 class DenominatorVanishes(RifclarkError):

@@ -209,9 +209,10 @@ def _newton_polish(rows, rowmax, values):
     return dh
 
 
-def _phase_labels(phi: Rif, alpha: complex, zeta1, roots, closed: bool):
-    """Branch label in 0..k-1 of each slice root (k, m) over the path of
-    zeta1 nodes (m,); the labels of NaN roots mean nothing.
+def _phase_labels(phi: Rif, alpha: complex, zeta1, roots):
+    """Branch label in 0..k-1 of each slice root (k, m) over the closed
+    path of zeta1 nodes (m,) once around the circle; the labels of NaN
+    roots mean nothing.
 
     Each slice b = phi(zeta1, .) is a finite Blaschke product whose
     argument rises monotonically by 2 pi k around the circle, so its
@@ -222,17 +223,16 @@ def _phase_labels(phi: Rif, alpha: complex, zeta1, roots, closed: bool):
     so no root is matched to another.  w_ref is the first of
     _REF_CIRCLES whose L steps by a finite amount below pi/2 at every
     node (the circle misses the singularities on the path, and the path
-    resolves its phase) and, on a ``closed`` path, gains 2 pi deg_z1 in
-    one turn; PhaseLabelFailure when none does.
+    resolves its phase) and gains 2 pi deg_z1 in the turn;
+    PhaseLabelFailure when none does.
     """
     for w_ref in _REF_CIRCLES:
         with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 fails
             ratio = phi(zeta1, w_ref) / alpha
-            ring = np.append(ratio, ratio[0]) if closed else ratio
+            ring = np.append(ratio, ratio[0])
             steps = np.angle(ring[1:] / ring[:-1])
         resolved = np.all(np.abs(steps) < np.pi / 2)  # NaN compares False
-        if resolved and (not closed
-                         or round(steps.sum() / TWO_PI) == phi.degrees[0]):
+        if resolved and round(steps.sum() / TWO_PI) == phi.degrees[0]:
             break
     else:
         raise PhaseLabelFailure(
@@ -272,7 +272,7 @@ def trace_branches(phi: Rif, alpha: complex,
             raise IdenticallyZeroSlice(
                 "level polynomial vanished on a slice of the shifted grid")
     n_br = len(roots)
-    labels = _phase_labels(phi, alpha, zeta1, roots, closed=True)
+    labels = _phase_labels(phi, alpha, zeta1, roots)
     labels = (labels - labels[np.nanargmin(np.angle(roots[:, 0])), 0]) % n_br
     keep = ~np.isnan(roots)
     at = (labels[keep], np.nonzero(keep)[1])

@@ -19,6 +19,7 @@ degrees contribute a monomial factor (e.g. z1*z2 = reflect(1, (1,1)) / 1).
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -178,6 +179,19 @@ def derivative_coeffs(coeffs, axis: int):
     shape = [1] * coeffs.ndim
     shape[a] = n - 1
     out *= np.arange(1, n).reshape(shape)
+    return out
+
+
+def taylor_shift(coeffs, point):
+    """Coefficient tensor of f(point + s), f with coefficient tensor
+    ``coeffs``: on each axis one matrix B[a, i] = C(i, a) t^(i - a) of
+    exact binomials, t that axis's coordinate of ``point``."""
+    out = _as_coeff_tensor(coeffs)
+    for axis, t in enumerate(point):
+        n = out.shape[axis]
+        shift = np.array([[math.comb(i, a) * complex(t) ** max(i - a, 0)
+                           for i in range(n)] for a in range(n)])
+        out = np.moveaxis(np.tensordot(shift, out, axes=(1, axis)), 0, axis)
     return out
 
 

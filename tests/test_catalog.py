@@ -26,10 +26,25 @@ def test_random_rif_is_a_seeded_rif_of_the_bidegree():
         catalog.random_rif(0, 2, 1)
 
 
+def test_contact_four_rif():
+    # a stable denominator with one torus zero, at (1, 1), where the
+    # nontangential value is -1 and the contact order 4
+    phi = catalog.contact_four_rif()
+    assert phi.degrees == (2, 1)
+    assert stability_check(phi.den).is_stable
+    (t1, t2), = levelset.find_singularities(phi)
+    assert max(abs(t1 - 1.0), abs(t2 - 1.0)) <= 1e-12
+    assert abs(contact.nontangential_value(phi, (t1, t2)) + 1.0) <= 1e-12
+    m = clark.build_measure(phi, np.exp(0.7j), 256)
+    assert abs(clark.total_mass(m) - clark.expected_mass(phi, m.alpha)) \
+        < 1e-12
+
+
 def test_random_singularities_are_found_where_planted():
     # a singular draw has exactly one torus zero, at its planted point,
-    # with a unimodular nontangential value there that Richardson
-    # extrapolation of the plain function confirms; a strict draw has none
+    # with a unimodular nontangential value there that a two-point radial
+    # extrapolation of the plain function confirms, 2 phi(r2 tau) -
+    # phi(r1 tau) = lim + O((1 - r)^2); a strict draw has none
     for n1, n2, seed in DRAWS:
         phi = catalog.random_rif(n1, n2, seed, singular=True)
         tau = catalog.planted_zero(seed)
@@ -39,8 +54,9 @@ def test_random_singularities_are_found_where_planted():
         assert max(abs(t1 - tau[0]), abs(t2 - tau[1])) <= 1e-9, (n1, n2, seed)
         alpha0 = contact.nontangential_value(phi, sings[0])
         assert abs(abs(alpha0) - 1.0) <= 1e-12
-        richardson = contact.nontangential_value(lambda z1, z2: phi(z1, z2),
-                                                 sings[0])
-        assert abs(alpha0 - richardson) <= 1e-7
+        r1, r2 = 1.0 - 2.0 ** -20, 1.0 - 2.0 ** -21
+        radial = 2.0 * phi(*(r2 * np.array(sings[0]))) \
+            - phi(*(r1 * np.array(sings[0])))
+        assert abs(alpha0 - radial) <= 1e-7
         strict = catalog.random_rif(n1, n2, seed)
         assert levelset.find_singularities(strict) == [], (n1, n2, seed)

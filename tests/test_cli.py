@@ -317,9 +317,16 @@ def test_contact_command(fav_json, tmp_path, capsys):
     rc = main(["contact", "--poly", fav_json, "--alphas", "1;i",
                "--out", out])
     assert rc == 0
-    reports = json.loads(open(out).read())
+    text = open(out).read()
+    reports = json.loads(text)
     assert len(reports) == 1
     assert all(f["rounded"] == 2 for f in reports[0]["fits"])
+    assert all(set(f) == {"alpha", "branch", "exponent", "rounded",
+                          "c_lower", "c_upper"} for f in reports[0]["fits"])
+    # a second run writes the same bytes
+    assert main(["contact", "--poly", fav_json, "--alphas", "1;i",
+                 "--out", out]) == 0
+    assert open(out).read() == text
     capsys.readouterr()
 
 

@@ -12,7 +12,7 @@ from rifclark.errors import DegreeNotAttained, ZeroPolynomial
 from rifclark.levelset import _slice_atoms
 from rifclark.poly import (PolyMD, Rif, companion_roots, derivative_coeffs,
                            eval_poly, poly_from_json, poly_to_json, reflect,
-                           slice_coeffs, stability_check, trim)
+                           slice_coeffs, stability_check, taylor_shift, trim)
 
 P_FAV = PolyMD(np.array([[2.0, -1.0], [-1.0, 0.0]], dtype=complex))
 
@@ -131,6 +131,27 @@ def test_eval_matches_monomial_sum(d):
     one = eval_poly(PolyMD(c), [z[0, 0] for z in zs])
     assert np.ndim(one) == 0 and abs(one - ref[0, 0]) <= 1e-14 * np.sum(
         np.abs(c))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_taylor_shift_is_the_polynomial_at_the_shifted_point(d):
+    # f(point + s) through the shifted tensor, at s and at s = 0, where
+    # it is f(point); integer shifts of integer coefficients are exact
+    rng = np.random.default_rng(10 + d)
+    shape = (3, 4, 2)[:d]
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    point = np.exp(1j * rng.uniform(0, 2 * np.pi, d))
+    s = 0.3 * (rng.normal(size=d) + 1j * rng.normal(size=d))
+    shifted = taylor_shift(c, point)
+    assert shifted.shape == c.shape
+    bound = 1e-14 * np.sum(np.abs(c)) * 2 ** sum(shape)
+    assert abs(eval_poly(PolyMD(shifted), s) - eval_poly(PolyMD(c), point + s)) \
+        <= bound
+    assert abs(shifted[(0,) * d] - eval_poly(PolyMD(c), point)) <= bound
+    ints = rng.integers(-5, 6, size=shape).astype(complex)
+    ints[(-1,) * d] = 1.0
+    ref = eval_poly(PolyMD(ints), (2.0,) * d)
+    assert taylor_shift(ints, (2.0,) * d)[(0,) * d] == ref
 
 
 def test_slice_coeffs_agrees_with_eval():
