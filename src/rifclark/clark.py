@@ -145,7 +145,8 @@ def build_measure(phi: Rif, alpha: complex, grid_n: int = 4096) -> ClarkMeasure:
     base = zeta1[:, None]
     atoms = np.empty((phi.degrees[-1], len(zeta1)), dtype=complex)
     weights = np.empty(atoms.shape)
-    for b, den, _, full in _atom_blocks(phi, alpha, base, atoms, weights):
+    for b, den, _, full, *_ in _atom_blocks(phi, alpha, base, atoms,
+                                            weights):
         roots, w = atoms[:, b], weights[:, b]
         np.divide(w, den, out=w)
         w *= quad[b]

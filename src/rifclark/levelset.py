@@ -128,7 +128,7 @@ def _slice_atoms(phi: Rif, alpha: complex, pts):
     roots = np.empty((k, m), dtype=complex)
     num, den = np.empty((k, m)), np.empty((k, m))
     zero_rows = np.empty(m, dtype=bool)
-    for b, block_den, zero, _ in _atom_blocks(phi, alpha, pts, roots, num):
+    for b, block_den, zero, *_ in _atom_blocks(phi, alpha, pts, roots, num):
         den[:, b], zero_rows[b] = block_den, zero
     return roots, num, den, zero_rows
 
@@ -136,11 +136,13 @@ def _slice_atoms(phi: Rif, alpha: complex, pts):
 def _atom_blocks(phi: Rif, alpha: complex, pts, roots, num):
     """Solve the slices over ``pts`` (m, d-1) SLICE_BLOCK at a time into
     ``roots`` and ``num`` (k, m), laid out as ``_slice_atoms`` returns
-    them, and yield each block as (b, den, zero, full): its slice of
-    columns, |d/dz_d h| at its roots in a block-sized scratch the next
-    block overwrites, its zero-slice flags, and whether every slice kept
-    full degree (no empty atom, so no NaN to look for).  So a builder
-    forms its weights block by block and holds nothing of size m beyond
+    them, and yield each block as (b, den, zero, full, h0, p0): its slice
+    of columns, |d/dz_d h| at its roots in a block-sized scratch the next
+    block overwrites, its zero-slice flags, whether every slice kept full
+    degree (no empty atom, so no NaN to look for), and the slices' h and
+    p at z_d = 0, their constant rows (views of the rows the block
+    formed, valid until the next block).  So a builder forms its weights
+    and its mass guard block by block and holds nothing of size m beyond
     what it returns.  Both weight parts come from one-variable rows in
     z_d, and one pass of |rows| serves the zero-slice, degree-drop and
     Newton-guard tests.  A closed-form root takes den = |h'| from the
@@ -172,7 +174,7 @@ def _atom_blocks(phi: Rif, alpha: complex, pts, roots, num):
         p_rows = rows[k + 1:] if stacked else slice_coeffs(phi.den.coeffs,
                                                            pts[b])
         np.abs(_polyval_rows(p_rows[:, None], r), out=num[:, b])
-        yield b, den, zero, full
+        yield b, den, zero, full, h[0], p_rows[0]
 
 
 def _newton_polish(rows, rowmax, values):

@@ -223,7 +223,8 @@ def slice_coeffs(coeffs, points, axis=None):
     if pts.shape[-1] != d - 1:
         raise ValueError(f"expected {d - 1} frozen coordinates per point")
     # free axis first, then the frozen axes after the first, then the first
-    moved = np.moveaxis(np.moveaxis(coeffs, axis - 1, 0), 1, -1)
+    frozen = [i for i in range(d) if i != axis - 1]
+    moved = coeffs.transpose([axis - 1] + frozen[1:] + frozen[:1])
     flat = pts.reshape(-1, d - 1)
     acc = moved.reshape(-1, moved.shape[-1]) @ _powers(flat[:, 0],
                                                         moved.shape[-1])

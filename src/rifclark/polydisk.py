@@ -20,7 +20,7 @@ import numpy as np
 from .clark import ClarkMeasure, _check_mass, total_mass
 from .errors import RootFindFailure, SingularDenominator, UnstableDenominator
 from .levelset import _atom_blocks, _unimodular_alpha
-from .poly import PolyMD, Rif, _eval_tensor, stability_check
+from .poly import PolyMD, Rif, stability_check
 from .util import TWO_PI, unit_circle_points, unit_roots
 
 __all__ = [
@@ -56,9 +56,10 @@ def build_measure_d(phi: Rif, alpha: complex,
     RootFindFailure: the surface is then no clean cover.
 
     The atoms over each grid point carry the mass of their slice's Clark
-    measure, which the Poisson identity at z3 = 0 gives exactly, and the
-    grid mean of those masses is ``clark.expected_mass`` as this grid
-    integrates it.  A mass off that mean by more than
+    measure, which the Poisson identity at z3 = 0 gives exactly from the
+    slice's h and p there, the kernel's constant rows (``_origin_masses``),
+    and the grid mean of those masses is ``clark.expected_mass`` as this
+    grid integrates it.  A mass off that mean by more than
     ``clark.MASS_GAP_TOL`` relatively raises MassGapExceeded.  The guard
     sees a faulty build, such as lost roots, and not the quadrature
     error of a coarse grid (7.8e-3 at grid_n = 8 for s = 3.3).
@@ -80,7 +81,8 @@ def build_measure_d(phi: Rif, alpha: complex,
     atoms = np.empty((phi.degrees[-1], N * N), dtype=complex)
     weights = np.empty(atoms.shape)
     mass = 0.0  # the sum of the slice masses
-    for b, den, _, full in _atom_blocks(phi, alpha, pts, atoms, weights):
+    for b, den, _, full, h0, p0 in _atom_blocks(phi, alpha, pts, atoms,
+                                                weights):
         if not full:
             raise RootFindFailure(
                 "a slice dropped degree; the surface is not a clean cover "
@@ -88,7 +90,8 @@ def build_measure_d(phi: Rif, alpha: complex,
         w = weights[:, b]
         np.divide(w, den, out=w)
         w /= N * N
-        mass += np.sum(_slice_masses(phi, alpha, pts[b]))
+        mass += np.sum(_origin_masses(alpha, h0, p0))
+        del h0, p0  # views of the block's rows: not held through the next
     measure = ClarkMeasure(phi=phi, alpha=alpha, grid_n=N, base=pts,
                            atoms=atoms, weights=weights, lines=[])
     _check_mass(measure, mass / (N * N))
@@ -104,14 +107,15 @@ def _certificate(shape, raw):
                                   .reshape(shape)))
 
 
-def _slice_masses(phi: Rif, alpha: complex, pts):
-    """Mass of the Clark measure of each slice b = phi(zeta1, zeta2, .) over
-    ``pts`` (m, 2): the Poisson identity at z3 = 0,
-    (1 - |b(0)|^2) / |alpha - b(0)|^2."""
-    zs = [pts[:, 0], pts[:, 1]]
-    b0 = _eval_tensor(phi.num.coeffs[..., 0], zs) \
-        / _eval_tensor(phi.den.coeffs[..., 0], zs)
-    return (1.0 - np.abs(b0) ** 2) / np.abs(complex(alpha) - b0) ** 2
+def _origin_masses(alpha: complex, h0, p0):
+    """Mass of the Clark measure of each slice b = phi(zeta', .) from its
+    rows of h = q - alpha p and p at z_d = 0: the Poisson identity at
+    z_d = 0, (1 - |b(0)|^2) / |alpha - b(0)|^2 with b(0) = alpha + h0 / p0,
+    so (1 - |alpha + r|^2) / |r|^2 for r = h0 / p0."""
+    r = h0 / p0
+    b0 = r + alpha
+    return (1.0 - (b0.real ** 2 + b0.imag ** 2)) / (r.real ** 2
+                                                    + r.imag ** 2)
 
 
 # clark.total_mass by its tridisk name, read only by the benchmark's tridisk
@@ -192,36 +196,68 @@ def _poisson_sum(s, a, z, zg, wq):
     phi_s (``_family``).
 
     With psi = A / den, W P(psi, z3) = (1 - |z3|^2) |num| / |A - z3 den|^2,
-    where num is quadratic in zeta2 and den and A - z3 den are linear,
-    all with coefficients in zeta1: no psi and no complex division.  The
-    zeta1 rows go _POISSON_BLOCK // len(zg) at a time, each reduced by
-    two products with the weighted Poisson vectors of zeta2 and zeta1.
-    On the torus |den| >= s - 3, so den is checked only next to s = 3.
+    where num = c0 + c1 w + c2 w^2 and lin = A - z3 den = d0 + d1 w are
+    polynomials in w = zeta2 with coefficients in zeta1: no psi and no
+    complex division.  The coefficients are formed once for every zeta1
+    row, and the real and imaginary parts of num and lin are real
+    products of their rows (``_real_rows``) with the grid table
+    (1, Re w, Im w, Re w^2, Im w^2): sums of the polynomials' own terms,
+    which round as Horner's rule does (Higham, "Accuracy and Stability of
+    Numerical Algorithms", ch. 5), where expanding |num|^2 and |lin|^2 as
+    trigonometric polynomials in w cancels.  |num| and |lin|^2 are sums of
+    squares formed in place, with no complex block.  The zeta1
+    rows go _POISSON_BLOCK // len(zg) at a time, each reduced by two
+    products with the weighted Poisson vectors of zeta2 and zeta1.  On
+    the torus |den| >= s - 3, so den is checked only next to s = 3.
     """
     p1, p2 = wq * _poisson1(zg, z[0]), wq * _poisson1(zg, z[1])
     z3 = z[2]
+    num_rows = _real_rows([zg * (zg - s), zg * (s * s + 1.0 - s * zg) - s,
+                           1.0 - s * zg])
+    lin_rows = _real_rows([a * (s - zg) - z3 * (a - zg),
+                           zg - a - z3 * (s * zg - 1.0)])
+    w2 = zg * zg
+    table = np.stack([np.ones(len(zg)), zg.real, zg.imag, w2.real, w2.imag])
     rows = max(1, _POISSON_BLOCK // len(zg))
+    parts = np.empty((2, 2, rows, len(zg)))  # (re, im) of (num, lin)
     total = 0.0
     for lo in range(0, len(zg), rows):
-        z1 = zg[lo:lo + rows, None]
         if s - 3.0 < 1e-12 * (s + 3.0):
+            z1 = zg[lo:lo + rows, None]
             _check_family_den(s, (s * z1 - 1.0) * zg + (a - z1))
-        num = ((1.0 - s * z1) * zg + (z1 * (s * s + 1.0 - s * z1) - s)) * zg \
-            + z1 * (z1 - s)
-        lin = (z1 - a - z3 * (s * z1 - 1.0)) * zg \
-            + (a * (s - z1) - z3 * (a - z1))
-        total += p1[lo:lo + rows] @ (np.abs(num) / np.abs(lin) ** 2 @ p2)
+        part = parts[:, :, :len(zg) - lo]
+        np.matmul(num_rows[:, lo:lo + rows], table, out=part[:, 0])
+        np.matmul(lin_rows[:, lo:lo + rows], table[:3], out=part[:, 1])
+        np.square(part, out=part)
+        mod, sq = np.add(part[0], part[1], out=part[0])
+        np.sqrt(mod, out=mod)
+        mod /= sq
+        total += p1[lo:lo + rows] @ (mod @ p2)
     return (1.0 - abs(z3) ** 2) * float(total)
+
+
+def _real_rows(coef):
+    """The real rows (2, m, 2 n - 1) of the n complex coefficients
+    c_0 .. c_{n-1} of m polynomials in w on the circle, given as n arrays
+    (m,): row 0 times (1, Re w, Im w, Re w^2, Im w^2, ...) is the real
+    part of sum_j c_j w^j, row 1 times it the imaginary part."""
+    c = np.stack(coef, axis=-1)
+    out = np.empty((2,) + c.shape[:-1] + (2 * c.shape[-1] - 1,))
+    out[0, :, 0], out[1, :, 0] = c[:, 0].real, c[:, 0].imag
+    out[0, :, 1::2], out[0, :, 2::2] = c[:, 1:].real, -c[:, 1:].imag
+    out[1, :, 1::2], out[1, :, 2::2] = c[:, 1:].imag, c[:, 1:].real
+    return out
 
 
 def verify_poisson_d(s: float, alpha: complex, z,
                      grid_n: int = 512) -> PoissonReportD:
     """Three-variable Poisson identity for phi_s via the closed-form weight.
 
-    The right side integrates W_{s,alpha} * P_z over the 2-torus by the
-    tensor trapezoid rule.  For s = 3 the weight loses smoothness at
-    (1, 1), so there cells near that corner are re-averaged on an
-    8x-refined subgrid.
+    The left side is (1 - |phi_s(z)|^2) / |alpha - phi_s(z)|^2, phi_s(z)
+    from its closed form.  The right side integrates W_{s,alpha} * P_z
+    over the 2-torus by the tensor trapezoid rule (``_poisson_sum``).
+    For s = 3 the weight loses smoothness at (1, 1), so there cells near
+    that corner are re-averaged on an 8x-refined subgrid.
     """
     s = _family_check(s)
     a = _unimodular_alpha(alpha)
@@ -229,9 +265,8 @@ def verify_poisson_d(s: float, alpha: complex, z,
     if z.shape != (3,) or np.any(np.abs(z) >= 1.0):
         raise ValueError("z must be an interior point of the tridisk")
 
-    from .catalog import tridisk_rif
-    phi = tridisk_rif(s)
-    v = complex(phi(z[0], z[1], z[2]))
+    z1, z2, z3 = z.tolist()
+    v = (s * z1 * z2 * z3 - z1 * z2 - z1 * z3 - z2 * z3) / (s - z1 - z2 - z3)
     lhs = (1.0 - abs(v) ** 2) / abs(a - v) ** 2
 
     N = grid_n

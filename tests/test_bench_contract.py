@@ -17,7 +17,8 @@ import sys
 import numpy as np
 import pytest
 
-from rifclark import clark, polydisk
+from rifclark import clark
+from rifclark.poly import _eval_tensor
 from rifclark.util import unit_roots
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -75,6 +76,15 @@ def _grid_gap(wl, k):
     n, phi = wl.size.tridisk_n, wl.tri[k]
     zg = unit_roots(n)
     pts = np.stack(np.broadcast_arrays(zg[:, None], zg[None, :]), -1)
-    oracle = np.mean(polydisk._slice_masses(phi, wl.alpha3,
-                                            pts.reshape(-1, 2)))
+    oracle = np.mean(_slice_masses(phi, wl.alpha3, pts.reshape(-1, 2)))
     return abs(oracle - clark.expected_mass(phi, wl.alpha3))
+
+
+def _slice_masses(phi, alpha, pts):
+    """Mass of the Clark measure of each slice b = phi(zeta1, zeta2, .)
+    over ``pts`` (m, 2): the Poisson identity at z3 = 0,
+    (1 - |b(0)|^2) / |alpha - b(0)|^2, from the full coefficient tensors."""
+    zs = [pts[:, 0], pts[:, 1]]
+    b0 = _eval_tensor(phi.num.coeffs[..., 0], zs) \
+        / _eval_tensor(phi.den.coeffs[..., 0], zs)
+    return (1.0 - np.abs(b0) ** 2) / np.abs(complex(alpha) - b0) ** 2

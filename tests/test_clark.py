@@ -827,10 +827,12 @@ def test_build_keeps_blank_roots_as_empty_atoms(squared, monkeypatch):
     atom_blocks = clark._atom_blocks
 
     def blank(phi, alpha, pts, roots, num):
-        for b, den, zero, _ in atom_blocks(phi, alpha, pts, roots, num):
+        for b, den, zero, _, *at0 in atom_blocks(phi, alpha, pts, roots,
+                                                 num):
             roots[1, 0] = np.nan  # N is one block
             roots[:, N // 2] = np.nan
-            yield b, den, zero, False  # the block now holds empty atoms
+            # the block now holds empty atoms
+            yield b, den, zero, False, *at0
 
     monkeypatch.setattr(clark, "_atom_blocks", blank)
     m = clark.build_measure(squared, alpha, N)

@@ -195,6 +195,32 @@ def test_slice_coeffs_matches_broadcast_reference(shape):
     assert slice_coeffs(c, pts.reshape(5, 10, -1)).shape == (shape[-1], 5, 10)
 
 
+def _two_moveaxis_slice_coeffs(coeffs, pts, axis):
+    """slice_coeffs with its view of the coefficients derived by two
+    np.moveaxis calls: free axis to the front, then the first frozen axis
+    to the back."""
+    d = coeffs.ndim
+    moved = np.moveaxis(np.moveaxis(coeffs, axis - 1, 0), 1, -1)
+    acc = moved.reshape(-1, moved.shape[-1]) @ poly._powers(pts[:, 0],
+                                                            moved.shape[-1])
+    acc = acc.reshape(moved.shape[:-1] + (len(pts),))
+    for k in range(1, d - 1):
+        acc = poly._polyval_rows(np.moveaxis(acc, 1, 0), pts[:, k])
+    return acc
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4, 2), (3, 2, 4), (2, 4, 3)])
+def test_slice_coeffs_view_is_the_two_moveaxis_view(shape):
+    # one transpose gives the same view, so the same rows bit for bit
+    rng = np.random.default_rng(12)
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    pts = np.exp(2j * np.pi * rng.uniform(size=(40, len(shape) - 1)))
+    for axis in range(1, len(shape) + 1):
+        got = slice_coeffs(c, pts, axis=axis)
+        ref = _two_moveaxis_slice_coeffs(c, pts, axis)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
 EPS = np.finfo(float).eps
 # root parts in [-1, 1], none so small that the coefficients underflow
 unit = st.floats(min_value=-1.0, max_value=1.0).map(

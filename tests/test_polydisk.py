@@ -189,11 +189,23 @@ def _meshgrid_poisson_rhs(s, alpha, z, N):
     (3.0, 1.0j, (0.5, 0.5, 0.5)),  # the window path
     (6.0, np.exp(-0.3j), (0.85j, -0.6 + 0.5j, 0.7)),
     (3.05, np.exp(0.941j * np.pi), (0.3, -0.2j, 0.1 + 0.4j)),
+    (4.0, np.exp(2.5j), (0.6 + 0.6j, 0.6 + 0.6j, -0.85 + 0.1j)),
+    (3.3, np.exp(0.4j), (0.88, 0.88, 0.88j)),
+    (3.01, -1.0, (0.3 + 0.2j, -0.1 + 0.5j, 0.2 - 0.3j)),
 ])
 def test_poisson_d_separable_grid_matches_meshgrid(s, alpha, z):
     rep = polydisk.verify_poisson_d(s, alpha, z, 512)
     assert abs(rep.rhs - _meshgrid_poisson_rhs(s, alpha, np.array(z), 512)) \
         <= 1e-15
+
+
+def test_poisson_d_near_the_corner_matches_meshgrid():
+    # next to the singular corner (s = 3, alpha = -1) the integrand peaks
+    # at (1, 1), and the sum, 3.87, carries a few hundred eps of rounding
+    s, alpha, z = 3.001, np.exp(0.99j * np.pi), (0.88, 0.88, 0.88j)
+    rep = polydisk.verify_poisson_d(s, alpha, z, 512)
+    ref = _meshgrid_poisson_rhs(s, alpha, np.array(z), 512)
+    assert abs(rep.rhs - ref) <= 1e-13 * abs(ref)
 
 
 def test_poisson_d_refuses_the_singular_corner():
@@ -330,13 +342,34 @@ def test_build_working_memory_does_not_grow_with_n(build, sizes):
     assert (large - small) / (m1 - m0) <= 2.0, (small, large)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_origin_masses_are_the_closed_form_slice_masses(k):
+    # the guard's slice masses, from the kernel's rows of h and p at
+    # z3 = 0, against the Poisson identity at z3 = 0 with b(0) = q / p
+    # from the full coefficient tensors
+    phi, alpha, N = sheets_rif(3.6, k), np.exp(0.4j), 64
+    zg = np.exp(2j * np.pi * np.arange(N) / N)
+    pts = np.stack(np.broadcast_arrays(zg[:, None], zg[None, :]),
+                   -1).reshape(-1, 2)
+    atoms, num = np.empty((k, N * N), dtype=complex), np.empty((k, N * N))
+    got = np.empty(N * N)
+    for b, *_, h0, p0 in polydisk._atom_blocks(phi, alpha, pts, atoms, num):
+        got[b] = polydisk._origin_masses(alpha, h0, p0)
+    zs = [pts[:, 0], pts[:, 1]]
+    b0 = _eval_tensor(phi.num.coeffs[..., 0], zs) \
+        / _eval_tensor(phi.den.coeffs[..., 0], zs)
+    want = (1.0 - np.abs(b0) ** 2) / np.abs(alpha - b0) ** 2
+    assert np.max(np.abs(got - want) / want) <= 1e-13
+
+
 def test_build_measure_d_mass_guard_raises_on_lost_roots(monkeypatch):
     atom_blocks = polydisk._atom_blocks
 
     def drop_last_root(phi, alpha, pts, roots, num):
-        for b, den, zero, full in atom_blocks(phi, alpha, pts, roots, num):
+        for b, den, zero, full, *at0 in atom_blocks(phi, alpha, pts, roots,
+                                                    num):
             num[-1, b] = 0.0  # the last root of each slice carries no mass
-            yield b, den, zero, full
+            yield b, den, zero, full, *at0
 
     monkeypatch.setattr(polydisk, "_atom_blocks", drop_last_root)
     with pytest.raises(MassGapExceeded):
@@ -349,9 +382,10 @@ def test_build_measure_d_refuses_a_block_with_empty_atoms(monkeypatch):
     atom_blocks = polydisk._atom_blocks
 
     def drop_a_root(phi, alpha, pts, roots, num):
-        for b, den, zero, _ in atom_blocks(phi, alpha, pts, roots, num):
+        for b, den, zero, _, *at0 in atom_blocks(phi, alpha, pts, roots,
+                                                 num):
             roots[-1, b.start] = np.nan
-            yield b, den, zero, False
+            yield b, den, zero, False, *at0
 
     monkeypatch.setattr(polydisk, "_atom_blocks", drop_a_root)
     with pytest.raises(RootFindFailure):
