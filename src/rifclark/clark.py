@@ -16,11 +16,11 @@ moment and Gram sums take that rule's value in closed form and only
 ``integrate`` enumerates its nodes.  One rule (``_zeta1_rule``) places
 the zeta1 nodes: uniform, half a step off the first line, and clustered
 by a Blaschke product wherever the grid would miss the poles of the
-zeta1-marginal, with lines or without.  A horizontal line T x {tau} is
-the atom zeta2 = tau of every slice.  Every integrator walks blocks of
-base nodes, forms each zeta1 factor once per base node for its atoms,
-and adds a term per line; ``polydisk.build_measure_d`` returns the same
-structure on the tridisk.
+zeta1-marginal, with lines or without: that product's Clark atoms, from
+the same kernel.  A horizontal line T x {tau} is the atom zeta2 = tau of
+every slice.  Every integrator walks blocks of base nodes, forms each
+zeta1 factor once per base node for its atoms, and adds a term per line;
+``polydisk.build_measure_d`` returns the same structure on the tridisk.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ _BLOCK_NODES = 4096
 _POLE_RESOLVE = 200.0
 
 # largest relative mass gap a build may return: correct builds stay below
-# 1e-6 (fav at |t - 1| = 1e-5, 3.7e-7, is the worst); product next to its
-# singularity (t = 1 + 1e-8) is off by more and raises
+# 1e-6 (fav and squared at |t - 1| = 1e-5, N = 512, 7.0e-8 and 6.9e-8, are
+# the worst); product next to its singularity (t = 1 + 1e-8) raises
 MASS_GAP_TOL = 1e-6
 
 # verify_poisson refuses points where |alpha - phi(z)| is below this
@@ -101,7 +101,8 @@ class ClarkMeasure:
       S_N(a, b) = (1 - a^N b^N) / ((1 - a b) (1 - a^N) (1 - b^N)).
 
     Horizontal lines are among the atoms.  The zeta1 nodes, shifted off
-    the lines or clustered near an emerging one, are ``base[:, 0]``.  On
+    the lines or clustered near an emerging one (root-major, as
+    ``_zeta1_rule`` returns them), are ``base[:, 0]``.  On
     the plain uniform rule ``base`` is a read-only view of the N-th roots
     of unity that every build at that N shares (``util.unit_roots``).
 
@@ -145,8 +146,8 @@ def build_measure(phi: Rif, alpha: complex, grid_n: int = 4096) -> ClarkMeasure:
     base = zeta1[:, None]
     atoms = np.empty((phi.degrees[-1], len(zeta1)), dtype=complex)
     weights = np.empty(atoms.shape)
-    for b, den, _, full, *_ in _atom_blocks(phi, alpha, base, atoms,
-                                            weights):
+    for b, den, _, full, *_ in _atom_blocks(
+            phi.level_coeffs(alpha), phi._den_full, base, atoms, weights):
         roots, w = atoms[:, b], weights[:, b]
         np.divide(w, den, out=w)
         w *= quad[b]
@@ -169,24 +170,26 @@ def _check_mass(measure, expected):
 
 
 def _zeta1_rule(phi, alpha, grid_n):
-    """The zeta1 nodes in ascending angle, their quadrature weights and
-    the vertical lines, all from the roots z* of h(., 0) = q(., 0) -
-    alpha p(., 0).  Unshifted and unclustered, the nodes are the shared
-    read-only table ``util.unit_roots(grid_n)`` itself, and the weights
-    a read-only broadcast of 1 / grid_n that allocates nothing.
+    """The zeta1 nodes, their quadrature weights and the vertical lines,
+    all from the roots z* of h(., 0) = q(., 0) - alpha p(., 0).
+    Unshifted and unclustered, the nodes are the shared read-only table
+    ``util.unit_roots(grid_n)`` itself, and the weights a read-only
+    broadcast of 1 / grid_n that allocates nothing.
 
-    By the Poisson identity at (z1, 0) the zeta1-marginal of sigma_alpha
-    is the Clark measure of b = phi(., 0) at alpha: atoms at the roots on
-    the circle, the lines (``levelset._lines``), and a density peaking at
-    the roots outside.  Those with N log|z*| < _POLE_RESOLVE, less the
-    roots within UNIMODULAR_TOL of a line's tau, give the zeros
-    a = 1/conj(z*) of B(z) = z prod (z - a) / (1 - conj(a) z).  The nodes
-    are the preimages under B of w_k = B(tau) e^{i (2 pi k / N + s)}, tau
-    the first line's and s = ``util.grid_shift`` off every line's B(tau)
-    (no node on a line, where the slice is identically zero), or without
-    lines of the N-th roots of unity, each of weight 1/(N |B'|): by
-    Aleksandrov's disintegration the Clark measures of B average to arc
-    length.  Without such roots B(z) = z.
+    By the Poisson identity at (z1, 0) the zeta1-marginal of sigma_alpha is
+    the Clark measure of b = phi(., 0) at alpha: atoms at the roots on the
+    circle, the lines (``levelset._lines``), and a density peaking at the
+    roots outside.  Those with N log|z*| < _POLE_RESOLVE, less the roots
+    within UNIMODULAR_TOL of a line's tau, give the zeros a = 1/conj(z*) of
+    B(z) = z prod (z - a) / (1 - conj(a) z).  The nodes are the preimages
+    under B of w_k = B(tau) e^{i (2 pi k / N + s)}, tau the first line's and
+    s = ``util.grid_shift`` off every line's B(tau) (no node on a line,
+    where the slice is identically zero), or without lines of the N-th roots
+    of unity: the slice kernel's root-major atoms
+    (``levelset._atom_blocks``) of h(w, z) = z prod (z - a) - w p(z),
+    p = prod (1 - conj(a) z), put on the circle by angle, each of weight
+    |p| / (N |d/dz h|) = 1 / (N |B'|): by Aleksandrov's disintegration the
+    Clark measures of B average to arc length.  Without such roots B(z) = z.
     """
     hcoef = phi.level_coeffs(alpha)
     roots = _poly.companion_roots(_poly.trim(hcoef[:, :1]))[:, 0]
@@ -207,18 +210,14 @@ def _zeta1_rule(phi, alpha, grid_n):
         return zeta1, quad, lines
     w = zeta1 * turn[0] if lines else zeta1  # B(tau) e^{i (2 pi k / N + s)}
     c = np.poly(a)  # prod (z - a), highest power first
-    # B(z) = w  <=>  z prod (z - a) - w prod (1 - conj(a) z) = 0
-    rows = (np.append(0.0, c[::-1])[:, None]
-            - w * np.append(np.conj(c), 0.0)[:, None])
-    theta = np.sort(np.angle(_poly.companion_roots(rows)).ravel())
-    z = unit_circle_points(theta)
-    # |B'| on the circle: 1 plus the Poisson kernel of each zero, summed
-    # zero by zero in one real array (np.sum's order up to 7 zeros)
-    dB = np.zeros(len(z))
-    for aj, nj in zip(a, 1.0 - np.abs(a) ** 2):
-        dB += nj / np.abs(z - aj) ** 2
-    dB += 1.0
-    return z, 1.0 / (grid_n * dB), lines
+    # p = prod (1 - conj(a) z), constant first, with no term in w
+    pcoef = np.array([np.append(np.conj(c), 0.0), np.zeros(len(c) + 1)])
+    hcoef = np.array([np.append(0.0, c[::-1]), -pcoef[0]])
+    z = np.empty((len(c), grid_n), dtype=complex)
+    quad = np.empty(z.shape)
+    for b, den, *_ in _atom_blocks(hcoef, pcoef, w[:, None], z, quad):
+        quad[:, b] /= den * grid_n
+    return unit_circle_points(np.angle(z).ravel()), quad.ravel(), lines
 
 
 def _fiber_blocks(measure: ClarkMeasure, size=None):

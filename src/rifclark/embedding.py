@@ -25,7 +25,7 @@ import numpy as np
 from . import poly as _poly
 from .clark import ClarkMeasure, _fiber_blocks, _moment_tables
 from .errors import DenominatorVanishes
-from .levelset import _slice_atoms, detect_lines
+from .levelset import _slice_atoms, _unimodular_alpha, detect_lines
 from .poly import PolyMD, Rif, companion_roots, trim
 from .util import unit_roots
 
@@ -170,7 +170,7 @@ def conj_rational(phi: Rif, alpha: complex) -> ConjRational:
     """
     if phi.dim != 2:
         raise ValueError("conj_rational expects a two-variable inner function")
-    alpha = complex(alpha)
+    alpha = _unimodular_alpha(alpha)
     h = phi.level_coeffs(alpha)
     n1, d1 = _conj_parts(h)
     n2, d2 = _conj_parts(h.T)

@@ -8,20 +8,20 @@ exceptional alpha whole lines { tau } x T or T x { tau } join in.
 
 ``_atom_blocks`` is the one unlabeled kernel behind every Clark measure:
 all roots of h over a batch of frozen points, block by block, with the
-weight parts of each (``_slice_atoms`` collects them).  Each slice
+weight parts of each (``_slice_atoms`` collects them), and of the Clark
+atoms of a Blaschke product, the clustered zeta1 nodes.  Each slice
 phi(zeta1, .) is a finite Blaschke product whose argument rises
 monotonically by 2 pi n, so a root's branch label is the count j in
 arg b = arg alpha + 2 pi j, taken from the phase of phi(zeta1, w_ref)
 lifted along a path (``_phase_labels``); no root is matched to its
 neighbours.  ``trace_branches`` labels the kernel's atoms over the
 uniform grid for the outputs where labels are the point, such as the
-CSV export.  The module locates the boundary
-singularities of phi, the common torus zeros of p and p~, from the
-zeros of one resultant on the circle (``find_singularities``), and it
-decides the line components at those points: a line {tau1} x T passes
-through torus zeros of p, where its slice of h is (alpha0 - alpha)
-p(tau1, .), so each root tau1 of h(., 0) on the circle is tested there,
-once, with one tolerance (``_lines``).
+CSV export.  The module locates the boundary singularities of phi, the
+common torus zeros of p and p~, from the zeros of one resultant on the
+circle (``find_singularities``), and it decides the line components at
+those points: a line {tau1} x T passes through torus zeros of p, where its
+slice of h is (alpha0 - alpha) p(tau1, .), so each root tau1 of h(., 0) on
+the circle is tested there, once, with one tolerance (``_lines``).
 """
 
 from __future__ import annotations
@@ -114,7 +114,8 @@ def _unimodular_alpha(alpha) -> complex:
 
 def _slice_atoms(phi: Rif, alpha: complex, pts):
     """Every root of h(zeta', .) over frozen points ``pts`` (m, d-1) with
-    its weight parts: (roots, num, den, zero_rows).
+    its weight parts: (roots, num, den, zero_rows); ValueError for an
+    alpha off the circle (``_unimodular_alpha``).
 
     ``roots`` (k, m) is root-major: row r is one contiguous array over
     the slices, and column i holds slice i's roots in its first rows and
@@ -128,34 +129,34 @@ def _slice_atoms(phi: Rif, alpha: complex, pts):
     roots = np.empty((k, m), dtype=complex)
     num, den = np.empty((k, m)), np.empty((k, m))
     zero_rows = np.empty(m, dtype=bool)
-    for b, block_den, zero, *_ in _atom_blocks(phi, alpha, pts, roots, num):
+    for b, block_den, zero, *_ in _atom_blocks(phi.level_coeffs(
+            _unimodular_alpha(alpha)), phi._den_full, pts, roots, num):
         den[:, b], zero_rows[b] = block_den, zero
     return roots, num, den, zero_rows
 
 
-def _atom_blocks(phi: Rif, alpha: complex, pts, roots, num):
-    """Solve the slices over ``pts`` (m, d-1) SLICE_BLOCK at a time into
-    ``roots`` and ``num`` (k, m), laid out as ``_slice_atoms`` returns
-    them, and yield each block as (b, den, zero, full, h0, p0): its slice
-    of columns, |d/dz_d h| at its roots in a block-sized scratch the next
-    block overwrites, its zero-slice flags, whether every slice kept full
-    degree (no empty atom, so no NaN to look for), and the slices' h and
-    p at z_d = 0, their constant rows (views of the rows the block
-    formed, valid until the next block).  So a builder forms its weights
-    and its mass guard block by block and holds nothing of size m beyond
-    what it returns.  Both weight parts come from one-variable rows in
-    z_d, and one pass of |rows| serves the zero-slice, degree-drop and
-    Newton-guard tests.  A closed-form root takes den = |h'| from the
-    solver, from what its formula holds (``poly._solve_columns``); only
-    eigenvalue roots are Newton-polished (``_newton_polish`` gives their
-    den).
+def _atom_blocks(hcoef, pcoef, pts, roots, num):
+    """Solve the slices h(zeta', .) of the tensor ``hcoef`` over ``pts``
+    (m, d-1) SLICE_BLOCK at a time into ``roots`` and ``num`` (k, m), laid
+    out as ``_slice_atoms`` returns them, num = |p| for p the tensor
+    ``pcoef`` (on the bidisk of hcoef's shape, so one contraction gives both
+    rows; past a second frozen variable, p's own is cheaper).  Yields each
+    block as (b, den, zero, full, h0, p0): its slice of columns, |d/dz_d h|
+    at its roots in a block-sized scratch the next block overwrites, its
+    zero-slice flags, whether every slice kept full degree (no empty atom,
+    so no NaN to look for), and the slices' h and p at z_d = 0, their
+    constant rows (views of the rows the block formed, valid until the next
+    block).  So a builder forms its weights and its mass guard block by
+    block and holds nothing of size m beyond what it returns.  Both weight
+    parts come from one-variable rows in z_d, and one pass of |rows| serves
+    the zero-slice, degree-drop and Newton-guard tests.  A closed-form root
+    takes den = |h'| from the solver, from what its formula holds
+    (``poly._solve_columns``); only eigenvalue roots are Newton-polished
+    (``_newton_polish`` gives their den).
     """
-    hcoef = phi.level_coeffs(_unimodular_alpha(alpha))
     k, m = hcoef.shape[-1] - 1, len(pts)
-    # one contraction gives h's and p's rows; it pays for one frozen
-    # variable, not next to the Horner intermediate of a second one
-    stacked = phi.dim == 2
-    coef = np.concatenate([hcoef, phi._den_full], -1) if stacked else hcoef
+    stacked = hcoef.ndim == 2
+    coef = np.concatenate([hcoef, pcoef], -1) if stacked else hcoef
     scratch = np.empty((k, min(m, SLICE_BLOCK)))
     zero_tol = ZERO_SLICE_REL_TOL * float(np.max(np.abs(hcoef)))
     for lo in range(0, m, SLICE_BLOCK):
@@ -171,8 +172,7 @@ def _atom_blocks(phi: Rif, alpha: complex, pts, roots, num):
             w = r[:, eig]
             dh = _newton_polish(h[:, eig], rowmax[eig], w)
             r[:, eig], den[:, eig] = w, np.abs(dh)
-        p_rows = rows[k + 1:] if stacked else slice_coeffs(phi.den.coeffs,
-                                                           pts[b])
+        p_rows = rows[k + 1:] if stacked else slice_coeffs(pcoef, pts[b])
         np.abs(_polyval_rows(p_rows[:, None], r), out=num[:, b])
         yield b, den, zero, full, h[0], p_rows[0]
 
@@ -257,12 +257,13 @@ def trace_branches(phi: Rif, alpha: complex,
     hits a zero slice (a vertical line at an exceptional alpha) is
     shifted off every vertical line (``util.grid_shift``, half a step for
     one line), as ``clark._zeta1_rule`` does, so nothing is interpolated.
-    Branch 0 holds the root of least argument at the first node.
+    Branch 0 holds the root of least argument at the first node.  Every
+    branch carries alpha projected by ``_unimodular_alpha``.
     """
     zeta1 = unit_roots(grid_n)
     if phi.dim != 2:
         raise ValueError("trace_branches expects a two-variable inner function")
-    alpha = complex(alpha)
+    alpha = _unimodular_alpha(alpha)
     theta = TWO_PI * np.arange(grid_n) / grid_n
     roots, num, den, zero_rows = _slice_atoms(phi, alpha, zeta1[:, None])
     if zero_rows.any():

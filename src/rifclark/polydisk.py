@@ -81,8 +81,8 @@ def build_measure_d(phi: Rif, alpha: complex,
     atoms = np.empty((phi.degrees[-1], N * N), dtype=complex)
     weights = np.empty(atoms.shape)
     mass = 0.0  # the sum of the slice masses
-    for b, den, _, full, h0, p0 in _atom_blocks(phi, alpha, pts, atoms,
-                                                weights):
+    for b, den, _, full, h0, p0 in _atom_blocks(
+            phi.level_coeffs(alpha), phi.den.coeffs, pts, atoms, weights):
         if not full:
             raise RootFindFailure(
                 "a slice dropped degree; the surface is not a clean cover "

@@ -180,6 +180,68 @@ def test_lines_and_poles_share_one_node_rule():
     assert clark.moment_residual(m, 8) <= 1e-10
 
 
+def _blaschke_oracle(phi, alpha, N):
+    """The zeta1 rule's nodes, its weights, and the reference weights
+    1 / (N |B'|) at its nodes, with |B'| = 1 + sum (1 - |a|^2) / |z - a|^2
+    on the circle; the zeros a = 1 / conj(z*) of B are taken from numpy's
+    roots of h(., 0), z* outside the circle, unresolved by N nodes and
+    off every line."""
+    z, quad, lines = clark._zeta1_rule(phi, alpha, N)
+    poles = [r for r in np.roots(phi.level_coeffs(alpha)[::-1, 0])
+             if abs(r) > 1.0 and N * np.log(abs(r)) < clark._POLE_RESOLVE
+             and all(abs(r - ln.tau) >= levelset.UNIMODULAR_TOL
+                     for ln in lines)]
+    a = 1.0 / np.conj(np.array(poles))
+    dB = 1.0 + np.sum((1.0 - np.abs(a) ** 2) / np.abs(z[:, None] - a) ** 2,
+                      axis=1)
+    return z, quad, a, 1.0 / (N * dB)
+
+
+@pytest.mark.parametrize("name, ts, bound", [
+    (name, ts, bound) for name in ("fav", "squared") for ts, bound in (
+        ((1.19, 0.81), 5e-14), ((1.045, 0.955), 1.5e-12),
+        ((1.01, 0.99), 3e-11))] + [("random", None, 1.5e-13)])
+def test_rule_weights_are_the_blaschke_derivative(corpus, name, ts, bound):
+    # the rule's weights, the kernel's |p| / |d/dz h|, against 1 / (N |B'|)
+    # from B's zeros: equal to a bound that grows as 1 / (|z*| - 1), the
+    # conditioning of both (largest gap at N = 1024: 1.8e-14 at
+    # |t - 1| = 0.19, 4.0e-13 at 0.045, 8.9e-12 at 0.01, 3.0e-14 for the
+    # random draw at its alpha0, which has a line and two poles)
+    N = 1024
+    if name == "random":
+        phi = catalog.random_rif(3, 1, 32, singular=True)
+        alphas = [contact.nontangential_value(phi, catalog.planted_zero(32))]
+    else:
+        phi = corpus[name]
+        alphas = [np.exp(1j * np.pi * t) for t in ts]
+    for alpha in alphas:
+        z, quad, a, ref = _blaschke_oracle(phi, levelset._unimodular_alpha(
+            alpha), N)
+        assert len(a) and len(z) == (len(a) + 1) * N
+        assert np.max(np.abs(quad - ref) / ref) <= bound
+        # root-major: column i holds the len(a) + 1 preimages of one w_i,
+        # and the w_i are N equally spaced points of the circle
+        B = (z * np.prod((z[:, None] - a) / (1.0 - np.conj(a) * z[:, None]),
+                         axis=1)).reshape(len(a) + 1, N)
+        assert np.max(np.abs(B - B[0])) <= 10 * bound
+        k = np.angle(B[0] / B[0, 0]) * N / (2 * np.pi)
+        assert np.max(np.abs(k - np.round(k))) <= 1e-8
+        assert len(np.unique(np.round(k).astype(int) % N)) == N
+
+
+@pytest.mark.parametrize("t", [1.01, 0.99])
+def test_squared_rule_near_minus_one_keeps_its_digits(squared, t):
+    # with the rule's weights from the slice kernel, squared at
+    # |t - 1| = 0.01 reads mass gaps of 6.0e-14 and 7.9e-14 and Poisson
+    # errors of 2.0e-13 and 3.2e-13 at N = 1024; the bounds sit below the
+    # 7.2e-13 and 1.5e-12 to 1.6e-12 of the rule weighted by the |B'| sum
+    alpha = np.exp(1j * np.pi * t)
+    m = clark.build_measure(squared, alpha, 1024)
+    assert abs(clark.total_mass(m) / clark.expected_mass(squared, alpha)
+               - 1.0) <= 2e-13
+    assert clark.verify_poisson(m, _poisson_points()).max_rel_err <= 6e-13
+
+
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
@@ -826,8 +888,8 @@ def test_build_keeps_blank_roots_as_empty_atoms(squared, monkeypatch):
     assert np.all(full.weights[:, cols] <= rounding / (den * N))
     atom_blocks = clark._atom_blocks
 
-    def blank(phi, alpha, pts, roots, num):
-        for b, den, zero, _, *at0 in atom_blocks(phi, alpha, pts, roots,
+    def blank(hcoef, pcoef, pts, roots, num):
+        for b, den, zero, _, *at0 in atom_blocks(hcoef, pcoef, pts, roots,
                                                  num):
             roots[1, 0] = np.nan  # N is one block
             roots[:, N // 2] = np.nan

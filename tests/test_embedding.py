@@ -87,6 +87,21 @@ def test_conj_rational_residuals_of_random_draws(singular):
                 assert max(cr.max_residual) <= 1e-10, (n1, n2, seed)
 
 
+def test_conj_rational_projects_alpha_onto_the_circle(fav):
+    # 1e-6 off the circle is refused; 1e-12 off is projected before the
+    # level tensor is formed, so the stored alpha and the rational
+    # functions are those of alpha / |alpha|
+    with pytest.raises(ValueError, match="unimodular"):
+        embedding.conj_rational(fav, GENERIC * (1.0 + 1e-6))
+    alpha = GENERIC * (1.0 + 1e-12)
+    cr, on = (embedding.conj_rational(fav, a) for a in (alpha,
+                                                         alpha / abs(alpha)))
+    assert cr.alpha == on.alpha == alpha / abs(alpha)
+    for key in ("r1_num", "r1_den", "r2_num", "r2_den"):
+        assert np.array_equal(getattr(cr, key).coeffs,
+                              getattr(on, key).coeffs), key
+
+
 def test_conj_rational_refuses_three_variables():
     with pytest.raises(ValueError, match="two-variable"):
         embedding.conj_rational(catalog.tridisk_rif(4.0), GENERIC)

@@ -347,7 +347,9 @@ def test_blaschke_node_rule_near_exceptional(fav, squared):
     zeta1, quad, lines = clark._zeta1_rule(squared, alpha, N)
     assert lines == []
     assert np.all(np.abs(np.abs(zeta1) - 1.0) <= 2 * EPS)
-    theta = np.angle(zeta1)
+    # root-major, as the slice kernel returns atoms: sorted, the 3 N angles
+    # are distinct and within one turn
+    theta = np.sort(np.angle(zeta1))
     assert len(theta) == 3 * N and np.all(np.diff(theta) > 0)
     assert theta[-1] - theta[0] < 2 * np.pi
     # the nodes are the base, each once, with two roots over each
@@ -379,6 +381,20 @@ def test_blaschke_node_rule_near_exceptional(fav, squared):
         m = clark.build_measure(phi, alpha, N)
         assert np.array_equal(m.base[:, 0], np.exp(1j * uniform))
         assert m.atoms.shape == (phi.degrees[1], N)
+
+
+def test_trace_branches_projects_alpha_onto_the_circle(squared):
+    # 1e-6 off the circle is refused; 1e-12 off is projected, and every
+    # branch carries alpha / |alpha| and the branches of that value
+    with pytest.raises(ValueError, match="unimodular"):
+        levelset.trace_branches(squared, np.exp(0.7j) * (1.0 + 1e-6), 64)
+    alpha = np.exp(0.7j) * (1.0 + 1e-12)
+    got, on = (levelset.trace_branches(squared, a, 64)
+               for a in (alpha, alpha / abs(alpha)))
+    for br, ref in zip(got, on, strict=True):
+        assert br.alpha == ref.alpha == alpha / abs(alpha)
+        assert np.array_equal(br.values, ref.values)
+        assert np.array_equal(br.weights, ref.weights)
 
 
 def test_branch_csv_format(fav, tmp_path):

@@ -577,13 +577,16 @@ def test_companion_roots_unchanged_on_catalog_and_random_batches(
                     axis=-1).reshape(-1, 2)
     batches.append(slice_coeffs(_sheets(3.6, 3).level_coeffs(np.exp(0.7j)),
                                 grid))
-    seen = []
-    monkeypatch.setattr(poly, "companion_roots",
-                        lambda rows: seen.append(rows) or companion_roots(rows))
+    seen = []  # the Blaschke rule's tensor h(w, z) and its values w
+    atom_blocks = clark._atom_blocks
+    monkeypatch.setattr(clark, "_atom_blocks", lambda hcoef, pcoef, pts, *out:
+                        seen.append((hcoef, pts)) or atom_blocks(
+                            hcoef, pcoef, pts, *out))
     clark._zeta1_rule(catalog.squared_singular_rif(),
                       np.exp(1j * np.pi * 1.045), 64)
-    assert seen[-1].shape == (4, 64)  # the Blaschke preimage rows
-    batches.append(seen[-1])
+    rows = slice_coeffs(*seen[-1])
+    assert rows.shape == (4, 64)  # the Blaschke preimage rows
+    batches.append(rows)
     rows = slice_coeffs(catalog.product_singular_rif().level_coeffs(-1.0),
                         np.linspace(-1.0, 1.0, 41)[:, None])
     disc = (rows[1] * rows[1] - 4.0 * rows[0] * rows[2]).real

@@ -353,7 +353,8 @@ def test_origin_masses_are_the_closed_form_slice_masses(k):
                    -1).reshape(-1, 2)
     atoms, num = np.empty((k, N * N), dtype=complex), np.empty((k, N * N))
     got = np.empty(N * N)
-    for b, *_, h0, p0 in polydisk._atom_blocks(phi, alpha, pts, atoms, num):
+    for b, *_, h0, p0 in polydisk._atom_blocks(
+            phi.level_coeffs(alpha), phi.den.coeffs, pts, atoms, num):
         got[b] = polydisk._origin_masses(alpha, h0, p0)
     zs = [pts[:, 0], pts[:, 1]]
     b0 = _eval_tensor(phi.num.coeffs[..., 0], zs) \
@@ -365,8 +366,8 @@ def test_origin_masses_are_the_closed_form_slice_masses(k):
 def test_build_measure_d_mass_guard_raises_on_lost_roots(monkeypatch):
     atom_blocks = polydisk._atom_blocks
 
-    def drop_last_root(phi, alpha, pts, roots, num):
-        for b, den, zero, full, *at0 in atom_blocks(phi, alpha, pts, roots,
+    def drop_last_root(hcoef, pcoef, pts, roots, num):
+        for b, den, zero, full, *at0 in atom_blocks(hcoef, pcoef, pts, roots,
                                                     num):
             num[-1, b] = 0.0  # the last root of each slice carries no mass
             yield b, den, zero, full, *at0
@@ -381,8 +382,8 @@ def test_build_measure_d_refuses_a_block_with_empty_atoms(monkeypatch):
     # empty atom) is no clean cover of the 2-torus
     atom_blocks = polydisk._atom_blocks
 
-    def drop_a_root(phi, alpha, pts, roots, num):
-        for b, den, zero, _, *at0 in atom_blocks(phi, alpha, pts, roots,
+    def drop_a_root(hcoef, pcoef, pts, roots, num):
+        for b, den, zero, _, *at0 in atom_blocks(hcoef, pcoef, pts, roots,
                                                  num):
             roots[-1, b.start] = np.nan
             yield b, den, zero, False, *at0
