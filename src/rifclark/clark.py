@@ -42,8 +42,8 @@ from .levelset import (
     _unimodular_alpha,
 )
 from .poly import Rif
-from .util import (TWO_PI, canonical_json, grid_shift, unit_circle_points,
-                   unit_roots)
+from .util import (TWO_PI, canonical_json, grid_shift, on_circle,
+                   unit_circle_points, unit_roots)
 
 __all__ = [
     "ClarkMeasure", "build_measure",
@@ -171,16 +171,17 @@ def _check_mass(measure, expected):
 
 def _zeta1_rule(phi, alpha, grid_n):
     """The zeta1 nodes, their quadrature weights and the vertical lines,
-    all from the roots z* of h(., 0) = q(., 0) - alpha p(., 0).
+    all from the roots z* of h(., 0) = q(., 0) - alpha p(., 0), which
+    ``levelset._lines`` returns with the lines.
     Unshifted and unclustered, the nodes are the shared read-only table
     ``util.unit_roots(grid_n)`` itself, and the weights a read-only
     broadcast of 1 / grid_n that allocates nothing.
 
     By the Poisson identity at (z1, 0) the zeta1-marginal of sigma_alpha is
     the Clark measure of b = phi(., 0) at alpha: atoms at the roots on the
-    circle, the lines (``levelset._lines``), and a density peaking at the
-    roots outside.  Those with N log|z*| < _POLE_RESOLVE, less the roots
-    within UNIMODULAR_TOL of a line's tau, give the zeros a = 1/conj(z*) of
+    circle, the lines, and a density peaking at the roots outside.  Those
+    with N log|z*| < _POLE_RESOLVE, less the roots within UNIMODULAR_TOL
+    of a line's tau, give the zeros a = 1/conj(z*) of
     B(z) = z prod (z - a) / (1 - conj(a) z).  The nodes are the preimages
     under B of w_k = B(tau) e^{i (2 pi k / N + s)}, tau the first line's and
     s = ``util.grid_shift`` off every line's B(tau) (no node on a line,
@@ -191,9 +192,7 @@ def _zeta1_rule(phi, alpha, grid_n):
     |p| / (N |d/dz h|) = 1 / (N |B'|): by Aleksandrov's disintegration the
     Clark measures of B average to arc length.  Without such roots B(z) = z.
     """
-    hcoef = phi.level_coeffs(alpha)
-    roots = _poly.companion_roots(_poly.trim(hcoef[:, :1]))[:, 0]
-    lines = _lines(hcoef, phi.den.coeffs, roots)
+    roots, lines = _lines(phi.level_coeffs(alpha), phi.den.coeffs)
     zeta1 = unit_roots(grid_n)
     quad = np.broadcast_to(1.0 / grid_n, grid_n)  # read-only, no copy
     poles = roots[np.abs(roots) > 1.0]  # NaN padding compares False
@@ -577,7 +576,7 @@ def measure_from_json(text: str) -> ClarkMeasure:
     coordinates (phi.dim - 1 per base node) do not fit together or that
     hold no atom per base node (k < 1), and headers that miss a key,
     store a complex value other than as a [re, im] pair, give an alpha or
-    a line tau off the unit circle (by more than 1e-9), a grid_n that is
+    a line tau off the unit circle (``util.on_circle``), a grid_n that is
     not a positive integer, a line that is not vertical (axis 1) or a line
     constant that is not finite and >= 0.  ``mass`` must be present but
     is not read: it is the sum of the weights and line constants.
@@ -630,7 +629,7 @@ def _unimodular(value, what):
     if not isinstance(value, list) or len(value) != 2:
         raise ValueError(f"Clark measure {what} must be a pair [re, im]")
     z = complex(_real(value[0], what), _real(value[1], what))
-    if abs(abs(z) - 1.0) > 1e-9:  # written values are unimodular to rounding
+    if not on_circle(z):  # not projected: re-serialising keeps the bytes
         raise ValueError(f"Clark measure {what} must have modulus 1")
     return z
 

@@ -26,6 +26,8 @@ def parse_alpha(text: str) -> complex:
     infinite parts included)."""
     import numpy as np
 
+    from .util import on_circle
+
     t = text.strip()
     named = {"1": 1.0 + 0.0j, "-1": -1.0 + 0.0j, "i": 1.0j, "-i": -1.0j}
     if t in named:
@@ -42,7 +44,7 @@ def parse_alpha(text: str) -> complex:
         a /= mod
     else:
         a = complex(float(t), 0.0)
-    if not abs(abs(a) - 1.0) <= 1e-9:
+    if not on_circle(a):
         raise ValueError(f"alpha {text!r} is not unimodular")
     return a
 
@@ -66,12 +68,19 @@ def _write(path, text):
 
 
 def _interior_points(rng, count, radius):
+    """``count`` points (count, 2) of the bidisk of ``radius``, uniform."""
     import numpy as np
 
     r = radius * np.sqrt(rng.uniform(0.0, 1.0, (count, 2)))
     ang = 2.0 * np.pi * rng.uniform(0.0, 1.0, (count, 2))
-    z = r * np.exp(1j * ang)
-    return [(z[k, 0], z[k, 1]) for k in range(count)]
+    return r * np.exp(1j * ang)
+
+
+def _load_measure(args):
+    from . import clark
+
+    with open(args.measure, "r", encoding="utf-8") as fh:
+        return clark.measure_from_json(fh.read())
 
 
 # ---------------------------------------------------------------------------
@@ -126,19 +135,16 @@ def cmd_verify(args) -> int:
     from . import clark
     from .util import canonical_json
 
-    with open(args.measure, "r", encoding="utf-8") as fh:
-        measure = clark.measure_from_json(fh.read())
+    measure = _load_measure(args)
     phi = measure.phi
     rng = np.random.default_rng(args.seed)
-    pts = []
-    attempts = 0
-    while len(pts) < args.points and attempts < 50:
-        for cand in _interior_points(rng, args.points, 0.7):
-            if len(pts) == args.points:
-                break
-            if abs(complex(phi(cand[0], cand[1])) - measure.alpha) > 1e-3:
-                pts.append(cand)
-        attempts += 1
+    pts = np.empty((0, 2), dtype=complex)
+    for _ in range(50):  # drop draws with phi(z) within 1e-3 of alpha
+        if len(pts) >= args.points:
+            break
+        z = _interior_points(rng, args.points, 0.7)
+        far = np.abs(phi(z[:, 0], z[:, 1]) - measure.alpha) > 1e-3
+        pts = np.concatenate([pts, z[far]])[:args.points]
     report = clark.verify_poisson(measure, pts)
     ok = bool(report.max_rel_err < args.tol)
     obj = {
@@ -177,7 +183,7 @@ def cmd_contact(args) -> int:
               f"{len(rep.fits)} weight fits")
         for f in rep.fits:
             print(f"  alpha {f.alpha:.6g} branch {f.branch}: K {f.rounded}, "
-                  f"c {f.c_lower:.4g}")
+                  f"c {f.constant:.4g}")
     _write(args.out, canonical_json(reports))
     print(f"wrote {args.out}")
     return 0
@@ -285,13 +291,9 @@ def cmd_reconstruct(args) -> int:
     from . import clark
     from .util import canonical_json
 
-    with open(args.measure, "r", encoding="utf-8") as fh:
-        measure = clark.measure_from_json(fh.read())
+    measure = _load_measure(args)
     H = clark.herglotz_reconstruct(measure, args.degree)
-    rng = np.random.default_rng(args.seed)
-    r = 0.5 * np.sqrt(rng.uniform(0.0, 1.0, (200, 2)))
-    ang = 2.0 * np.pi * rng.uniform(0.0, 1.0, (200, 2))
-    z = r * np.exp(1j * ang)
+    z = _interior_points(np.random.default_rng(args.seed), 200, 0.5)
     phi = measure.phi
     sup = float(np.max(np.abs(H(z[:, 0], z[:, 1])
                               - phi(z[:, 0], z[:, 1]))))

@@ -40,8 +40,8 @@ from .poly import (
     slice_coeffs,
     _polyval_rows,
 )
-from .util import (TWO_PI, angular_distance, grid_shift, unit_circle_points,
-                   unit_roots)
+from .util import (TWO_PI, angular_distance, grid_shift, on_circle,
+                   unit_circle_points, unit_roots)
 
 ZERO_SLICE_REL_TOL = 1e-10
 UNIMODULAR_TOL = 1e-6
@@ -105,9 +105,9 @@ class LineComponent:
 
 def _unimodular_alpha(alpha) -> complex:
     """``alpha`` projected onto the circle, alpha / |alpha|; ValueError
-    more than 1e-9 off it (NaN included)."""
+    off it (``util.on_circle``)."""
     alpha = complex(alpha)
-    if not abs(abs(alpha) - 1.0) <= 1e-9:
+    if not on_circle(alpha):
         raise ValueError("alpha must be unimodular")
     return alpha / abs(alpha)
 
@@ -266,9 +266,9 @@ def trace_branches(phi: Rif, alpha: complex,
     alpha = _unimodular_alpha(alpha)
     theta = TWO_PI * np.arange(grid_n) / grid_n
     roots, num, den, zero_rows = _slice_atoms(phi, alpha, zeta1[:, None])
-    if zero_rows.any():
-        theta = theta + grid_shift([np.angle(ln.tau) for ln in detect_lines(
-            phi, alpha) if ln.axis == 1], grid_n)
+    if zero_rows.any():  # vertical lines only: their slices vanish
+        lines = _lines(phi.level_coeffs(alpha), phi.den.coeffs)[1]
+        theta = theta + grid_shift([np.angle(ln.tau) for ln in lines], grid_n)
         zeta1 = unit_circle_points(theta)
         roots, num, den, zero_rows = _slice_atoms(phi, alpha, zeta1[:, None])
         if zero_rows.any():
@@ -302,16 +302,14 @@ def detect_lines(phi: Rif, alpha: complex) -> list[LineComponent]:
     """
     if phi.dim != 2:
         raise ValueError("detect_lines expects a two-variable inner function")
-    hcoef, pcoef = phi.level_coeffs(_unimodular_alpha(alpha)), phi.den.coeffs
-    out: list[LineComponent] = []
-    for h, p, axis in ((hcoef, pcoef, 1), (hcoef.T, pcoef.T, 2)):
-        out += _lines(h, p, companion_roots(_poly.trim(h[:, :1]))[:, 0], axis)
-    return out
+    h, p = phi.level_coeffs(_unimodular_alpha(alpha)), phi.den.coeffs
+    return _lines(h, p, 1)[1] + _lines(h.T, p.T, 2)[1]
 
 
-def _lines(hcoef, pcoef, roots, axis=1):
-    """The lines {tau} x T of the level polynomial h = ``hcoef`` with
-    denominator p = ``pcoef``, given the ``roots`` of h(., 0).
+def _lines(hcoef, pcoef, axis=1):
+    """(roots, lines): ``companion_roots`` of h(., 0), NaN after a degree
+    drop, and the lines {tau} x T of the level polynomial h = ``hcoef``
+    with denominator p = ``pcoef``.
 
     On a line h(tau, .) vanishes, so tau is a root of h(., 0), and
     p(tau, .) is proportional to its reflection, so its roots lie on the
@@ -325,10 +323,11 @@ def _lines(hcoef, pcoef, roots, axis=1):
     there, of one modulus all along the line, so by Parseval the ratio
     of the coefficient norms of the slices p(tau, .) and d/dz1 h(tau, .).
     """
+    row = hcoef[:, :1]
+    roots = companion_roots(row)[:, 0]
     near = roots[np.abs(np.abs(roots) - 1.0) < UNIMODULAR_TOL]  # NaN: False
     if not near.size:
-        return []
-    row = hcoef[:, :1]
+        return roots, []
     _newton_polish(row, np.max(np.abs(row), axis=0), near[:, None])
     seeds = near / np.abs(near)
     t1, _, seed = _torus_zeros(pcoef, seeds)
@@ -339,8 +338,8 @@ def _lines(hcoef, pcoef, roots, axis=1):
                            key=lambda t: float(np.angle(t)) % TWO_PI))
     norms = [np.linalg.norm(slice_coeffs(c, taus[:, None]), axis=0)
              for c in (pcoef, derivative_coeffs(hcoef, 1))]
-    return [LineComponent(axis=axis, tau=tau, constant=float(c))
-            for tau, c in zip(taus.tolist(), norms[0] / norms[1])]
+    return roots, [LineComponent(axis=axis, tau=tau, constant=float(c))
+                   for tau, c in zip(taus.tolist(), norms[0] / norms[1])]
 
 
 # ---------------------------------------------------------------------------

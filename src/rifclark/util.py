@@ -9,11 +9,17 @@ import json
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+CIRCLE_TOL = 1e-9  # largest | |z| - 1 | of an alpha or line tau taken in
 
 
 def angular_distance(a, b):
     """Angular metric on the unit circle, |arg(a * conj(b))|, elementwise."""
     return np.abs(np.angle(np.asarray(a) * np.conj(np.asarray(b))))
+
+
+def on_circle(z) -> bool:
+    """Whether z is a point of the circle to CIRCLE_TOL; False for NaN."""
+    return abs(abs(z) - 1.0) <= CIRCLE_TOL
 
 
 def unit_circle_points(theta):

@@ -114,7 +114,7 @@ def test_c5_contact_order(fav):
                 for a in (1.0 + 0.0j, 1.0j, np.exp(1j * np.pi / 3))]
         for fit in fits:
             assert abs(fit.exponent - 2.0) <= 0.1
-            assert 0.0 < fit.c_lower <= fit.c_upper
+            assert 0.0 < fit.constant
         # parity: the rounded order is a positive even integer
         assert all(f.rounded == 2 for f in fits)
         # alpha-independence: every fit rounds to the same order and the

@@ -322,7 +322,7 @@ def test_contact_command(fav_json, tmp_path, capsys):
     assert len(reports) == 1
     assert all(f["rounded"] == 2 for f in reports[0]["fits"])
     assert all(set(f) == {"alpha", "branch", "exponent", "rounded",
-                          "c_lower", "c_upper"} for f in reports[0]["fits"])
+                          "constant"} for f in reports[0]["fits"])
     # a second run writes the same bytes
     assert main(["contact", "--poly", fav_json, "--alphas", "1;i",
                  "--out", out]) == 0

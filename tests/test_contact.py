@@ -12,10 +12,8 @@ def test_weight_vanishes_quadratically_alpha_one(fav):
     fit = contact.weight_vanish_order(fav, 1.0 + 0.0j, SING)
     assert abs(fit.exponent - 2.0) < 1e-3
     assert fit.rounded == 2
-    # W = 1 - cos(theta) = |zeta - 1|^2 / 2 exactly, so the bracket
-    # constants both sit at 1/2
-    assert abs(fit.c_lower - 0.5) < 1e-6
-    assert abs(fit.c_upper - 0.5) < 1e-6
+    # W = 1 - cos(theta) = |zeta - 1|^2 / 2 exactly, so the constant is 1/2
+    assert abs(fit.constant - 0.5) < 1e-6
     assert fit.exponent == 2.0
 
 
@@ -26,9 +24,8 @@ def test_weight_vanish_order_other_alphas(fav):
     for alpha in (1.0j, np.exp(1j * np.pi / 3), np.exp(2.9j)):
         fit = contact.weight_vanish_order(fav, alpha, SING)
         assert fit.exponent == 2.0 and fit.rounded == 2
-        assert fit.c_lower == fit.c_upper
-        assert abs(fit.c_lower - 2.0 / abs(1.0 + alpha) ** 2) \
-            <= 1e-12 * fit.c_lower
+        assert abs(fit.constant - 2.0 / abs(1.0 + alpha) ** 2) \
+            <= 1e-12 * fit.constant
 
 
 def test_contact_exponent_is_alpha_independent(fav):
@@ -79,7 +76,7 @@ def test_slice_atom_weights_follow_the_series(name, alphas, k_lo, k_hi):
             at = (np.argmin(np.abs(roots - 1.0), axis=0),
                   np.arange(len(delta)))
             ratio = num[at] / den[at] \
-                / (fit.c_lower * np.abs(zeta1 - 1.0) ** fit.rounded)
+                / (fit.constant * np.abs(zeta1 - 1.0) ** fit.rounded)
             assert np.all(np.abs(ratio - 1.0) <= 4.0 * delta), (name, alpha)
 
 
@@ -106,7 +103,7 @@ def test_orders_do_not_depend_on_the_scale_of_p(name):
         scaled = Rif(PolyMD(scale * phi.den.coeffs))
         fit = contact.weight_vanish_order(scaled, alpha, SING)
         assert fit.rounded == ref.rounded == k
-        assert abs(fit.c_lower - ref.c_lower) <= 1e-12 * ref.c_lower
+        assert abs(fit.constant - ref.constant) <= 1e-12 * ref.constant
         assert contact.branch_contact_order(scaled, SING, alpha,
                                             alpha2).rounded == k
 
@@ -215,6 +212,6 @@ def test_contact_report_structure(fav):
         contact.weight_vanish_order(fav, -1.0, SING)
     obj = contact.report_to_obj(rep)
     assert set(obj["fits"][0]) == {"alpha", "branch", "exponent", "rounded",
-                                   "c_lower", "c_upper"}
+                                   "constant"}
     assert obj["fits"][0]["rounded"] == 2
     assert obj["location"][0] == 1.0 + 0.0j

@@ -155,6 +155,53 @@ def test_squared_exceptional_lines(squared):
         assert abs(ln.constant - 0.25) < 1e-12
 
 
+def _zero_columns():
+    """(h, p, axis) of the catalog and of random draws of bidegrees
+    (1..3)^2, strict and singular, at six alphas, both axes."""
+    rifs = [catalog.monomial_rif(), catalog.simple_singular_rif(),
+            catalog.squared_singular_rif(), catalog.product_singular_rif(),
+            catalog.diagonal_rif()]
+    rifs += [catalog.random_rif(n1, n2, seed, singular=singular)
+             for n1 in (1, 2, 3) for n2 in (1, 2, 3) for seed in (1, 2, 3)
+             for singular in (False, True)]
+    for phi in rifs:
+        for alpha in (1.0, -1.0, 1.0j, np.exp(0.7j), np.exp(-1.9j),
+                      np.exp(2.5j)):
+            h, p = phi.level_coeffs(alpha), phi.den.coeffs
+            yield h, p, 1
+            yield h.T, p.T, 2
+
+
+def test_zero_column_roots_need_no_trim():
+    # companion_roots drops trailing coefficients below its own degree-drop
+    # tolerance, so the untrimmed column h(., 0) gives the trimmed column's
+    # roots bit for bit and NaN after them
+    count = trimmed = 0
+    for h, p, axis in _zero_columns():
+        roots = levelset._lines(h, p, axis)[0]
+        short = poly.trim(h[:, :1])
+        want = poly.companion_roots(short)[:, 0]
+        assert roots[:len(want)].tobytes() == want.tobytes()
+        assert np.all(np.isnan(roots[len(want):]))
+        count += 1
+        trimmed += len(short) < len(h)
+    assert count == 708 and trimmed > 0
+
+
+def test_trace_branches_seeks_vertical_lines_only(fav, monkeypatch):
+    # fav at alpha = -1 has a line on each axis; the grid shift needs only
+    # the vertical one, whose slices vanish
+    axes, lines = [], levelset._lines
+
+    def spy(h, p, axis=1):
+        axes.append(axis)
+        return lines(h, p, axis)
+
+    monkeypatch.setattr(levelset, "_lines", spy)
+    levelset.trace_branches(fav, -1.0, 256)
+    assert axes == [1]
+
+
 def _line_cases():
     """(phi, alpha) of the catalog at -1 and of singular draws at their
     alpha0, where the level set holds lines."""

@@ -155,8 +155,14 @@ def test_poisson_identity_three_variables():
 
 
 def test_poisson_identity_s3_with_refinement():
+    # far from alpha = -1 the plain periodic rule is exact to rounding,
+    # and the refined window would add 1.8e-6
     rep = polydisk.verify_poisson_d(3.0, 1.0j, (0.5, 0.5, 0.5), 512)
-    assert rep.rel_err < 1e-4
+    assert rep.rel_err < 1e-14
+    # next to -1 the window runs: 6.9e-6, where the plain rule reads 2.1e-3
+    z = (0.1 + 0.4j, 0.3, -0.2j)
+    rep = polydisk.verify_poisson_d(3.0, np.exp(0.941j * np.pi), z, 512)
+    assert rep.rel_err < 1e-5
 
 
 def _meshgrid_poisson_rhs(s, alpha, z, N):
@@ -172,7 +178,8 @@ def _meshgrid_poisson_rhs(s, alpha, z, N):
 
     dtheta = 2.0 * np.pi / N
     rhs = float(np.mean(values(dtheta * np.arange(N))))
-    if s == 3.0:  # the 8x-refined window around (1, 1)
+    # the 8x-refined window around (1, 1)
+    if s == 3.0 and abs(alpha + 1.0) < polydisk.WINDOW_ALPHA_DIST:
         k = int(np.ceil(0.5 / dtheta))
         for step, sign in ((1, 1.0), (8, -1.0)):
             g = np.arange(-k * 8, k * 8 + 1, step) * (dtheta / 8.0)
@@ -186,7 +193,8 @@ def _meshgrid_poisson_rhs(s, alpha, z, N):
 
 @pytest.mark.parametrize("s, alpha, z", [
     (3.5, np.exp(0.9j), (0.3, -0.2j, 0.1 + 0.4j)),
-    (3.0, 1.0j, (0.5, 0.5, 0.5)),  # the window path
+    (3.0, 1.0j, (0.5, 0.5, 0.5)),  # s = 3 far from -1: no window
+    (3.0, np.exp(0.941j * np.pi), (0.3, -0.2j, 0.1 + 0.4j)),  # the window
     (6.0, np.exp(-0.3j), (0.85j, -0.6 + 0.5j, 0.7)),
     (3.05, np.exp(0.941j * np.pi), (0.3, -0.2j, 0.1 + 0.4j)),
     (4.0, np.exp(2.5j), (0.6 + 0.6j, 0.6 + 0.6j, -0.85 + 0.1j)),
