@@ -30,11 +30,11 @@ __all__ = [
 ]
 
 WITNESS_K = (6, 16)  # two_path_witness samples t = 2^-k
-# |alpha + 1| below which verify_poisson_d refines its s = 3 window: at
-# N = 512 the window lowers the median error of 24 points with |z_j| <=
-# 0.88 below it (6.0e-7 against 8.6e-6 at 0.5) and raises it above
-# (4.0e-7 against 9.7e-12 at 1.0, 6.9e-7 against 3.6e-16 at alpha = i)
-WINDOW_ALPHA_DIST = 0.5
+# verify_poisson_d refines its s = 3 window for |alpha + 1| < WINDOW_DIST *
+# N^-0.4.  Over 24 points with |z_j| <= 0.88, the window lowers the median
+# error below |alpha + 1| = 1.10, 0.89, 0.65, 0.51, 0.40 and 0.27 at N =
+# 128 .. 4096 and raises it above; the rule stays under each of these.
+WINDOW_DIST = 7.6
 _POISSON_BLOCK = 8192  # grid points per block of _poisson_sum
 
 
@@ -185,6 +185,10 @@ class PoissonReportD:
         return self.abs_err / abs(self.lhs)
 
 
+def _poisson1(zeta, z):
+    return (1.0 - abs(z) ** 2) / np.abs(zeta - z) ** 2
+
+
 def _check_family_den(s, den):
     if np.any(np.abs(den) < 1e-12 * (s + 3.0)):
         raise SingularDenominator(
@@ -211,8 +215,7 @@ def _poisson_sum(s, a, z, zg, wq):
     products with the weighted Poisson vectors of zeta2 and zeta1.  On
     the torus |den| >= s - 3, so den is checked only next to s = 3.
     """
-    p1, p2 = (wq * ((1.0 - abs(w) ** 2) / np.abs(zg - w) ** 2)
-              for w in z[:2])
+    p1, p2 = wq * _poisson1(zg, z[0]), wq * _poisson1(zg, z[1])
     z3 = z[2]
     num_rows = _real_rows([zg * (zg - s), zg * (s * s + 1.0 - s * zg) - s,
                            1.0 - s * zg])
@@ -258,9 +261,9 @@ def verify_poisson_d(s: float, alpha: complex, z,
     The left side is (1 - |phi_s(z)|^2) / |alpha - phi_s(z)|^2, phi_s(z)
     from its closed form.  The right side integrates W_{s,alpha} * P_z
     over the 2-torus by the tensor trapezoid rule (``_poisson_sum``).
-    For s = 3 the weight loses smoothness at (1, 1) and, within
-    WINDOW_ALPHA_DIST of alpha = -1, peaks there, so cells near that
-    corner are re-averaged on an 8x-refined subgrid.
+    For s = 3 the weight loses smoothness at (1, 1) and, near alpha = -1,
+    peaks there, so for |alpha + 1| < WINDOW_DIST * grid_n^-0.4 cells
+    near that corner are re-averaged on an 8x-refined subgrid.
     """
     s = _family_check(s)
     a = _unimodular_alpha(alpha)
@@ -274,7 +277,7 @@ def verify_poisson_d(s: float, alpha: complex, z,
 
     N = grid_n
     rhs = _poisson_sum(s, a, z, unit_roots(N), np.full(N, 1.0 / N))
-    if s == 3.0 and abs(a + 1.0) < WINDOW_ALPHA_DIST:
+    if s == 3.0 and abs(a + 1.0) < WINDOW_DIST * N ** -0.4:
         # swap the coarse estimate of the window around (1, 1) for an
         # 8x-refined one; both window rules are composite trapezoids with
         # matching boundary weights, so the substitution only changes the

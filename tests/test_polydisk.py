@@ -163,6 +163,11 @@ def test_poisson_identity_s3_with_refinement():
     z = (0.1 + 0.4j, 0.3, -0.2j)
     rep = polydisk.verify_poisson_d(3.0, np.exp(0.941j * np.pi), z, 512)
     assert rep.rel_err < 1e-5
+    # at |alpha + 1| = 0.45 the window runs up to N = 1024; at N = 2048
+    # the plain rule is exact to rounding, and the window would add 4.6e-7
+    z = (0.3, -0.2j, 0.1 + 0.4j)
+    rep = polydisk.verify_poisson_d(3.0, np.exp(0.855j * np.pi), z, 2048)
+    assert rep.rel_err < 1e-14
 
 
 def _meshgrid_poisson_rhs(s, alpha, z, N):
@@ -179,7 +184,7 @@ def _meshgrid_poisson_rhs(s, alpha, z, N):
     dtheta = 2.0 * np.pi / N
     rhs = float(np.mean(values(dtheta * np.arange(N))))
     # the 8x-refined window around (1, 1)
-    if s == 3.0 and abs(alpha + 1.0) < polydisk.WINDOW_ALPHA_DIST:
+    if s == 3.0 and abs(alpha + 1.0) < polydisk.WINDOW_DIST * N ** -0.4:
         k = int(np.ceil(0.5 / dtheta))
         for step, sign in ((1, 1.0), (8, -1.0)):
             g = np.arange(-k * 8, k * 8 + 1, step) * (dtheta / 8.0)
