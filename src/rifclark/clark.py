@@ -298,12 +298,7 @@ def verify_poisson(measure: ClarkMeasure, points) -> PoissonReport:
         raise ValueError("verify_poisson expects a two-variable inner "
                          "function; use polydisk.verify_poisson_d on the "
                          "tridisk")
-    pts = np.asarray([(complex(a), complex(b)) for a, b in points],
-                     dtype=complex)
-    if not len(pts):
-        raise ValueError("Poisson verification needs at least one point")
-    if np.any(np.abs(pts) >= 1.0):
-        raise ValueError("Poisson verification needs interior points")
+    pts = _bidisk_points(points, "Poisson verification")
     phi = measure.phi
     vals = phi(pts[:, 0], pts[:, 1])
     dist = np.abs(complex(measure.alpha) - vals)
@@ -341,6 +336,19 @@ def verify_poisson(measure: ClarkMeasure, points) -> PoissonReport:
     rel_err = abs_err / np.abs(lhs)
     return PoissonReport(points=pts, lhs=lhs, rhs=rhs, abs_err=abs_err,
                          rel_err=rel_err)
+
+
+def _bidisk_points(points, what):
+    """The pairs (z1, z2) of ``points`` as an (m, 2) complex array;
+    ValueError unless there is at least one and every coordinate lies in
+    the open unit disk (NaN and the infinities do not)."""
+    pts = np.asarray([(complex(a), complex(b)) for a, b in points],
+                     dtype=complex)
+    if not len(pts):
+        raise ValueError(f"{what} needs at least one point")
+    if not np.all(np.abs(pts) < 1.0):
+        raise ValueError(f"{what} needs interior points")
+    return pts
 
 
 def _sq_dist(zeta, z):
@@ -487,11 +495,12 @@ def herglotz_reconstruct(measure: ClarkMeasure,
 
     Requires unit mass (|c00 - 1| <= 1e-6): the identity
     phi = alpha (H - 1)/(H + 1) normalizes H(0) = 1, which pins the
-    measure's mass at one.  Other masses raise MassNotOne.
+    measure's mass at one.  Other masses, a NaN one included, raise
+    MassNotOne.
     """
     C = herglotz_moments(measure, max_degree)
     mass = float(np.real(C[0, 0]))
-    if abs(mass - 1.0) > 1e-6:
+    if not abs(mass - 1.0) <= 1e-6:
         raise MassNotOne(
             f"Herglotz reconstruction needs a probability measure; "
             f"mass is {mass!r}")

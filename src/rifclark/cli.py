@@ -22,8 +22,9 @@ BUILD_GRID_CAP = 256
 
 def parse_alpha(text: str) -> complex:
     """Parse a unimodular target: 1, -1, i, -i, exp:t (angle t*pi), re,im.
-    ValueError for anything that is not a point of the circle (NaN and
-    infinite parts included)."""
+    A re,im pair is normalised onto the circle (3,4 gives 0.6 + 0.8i).
+    ValueError for the pair 0,0, for a plain number off the circle and
+    for NaN and infinite parts (exp:inf included)."""
     import numpy as np
 
     from .util import on_circle

@@ -23,10 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import poly as _poly
-from .clark import ClarkMeasure, _fiber_blocks, _moment_tables
+from .clark import (ClarkMeasure, _bidisk_points, _fiber_blocks,
+                    _moment_tables)
 from .errors import DenominatorVanishes
 from .levelset import _slice_atoms, _unimodular_alpha, detect_lines
-from .poly import PolyMD, Rif, companion_roots, trim
+from .poly import Rif, companion_roots
 from .util import unit_roots
 
 CONJ_GRID_N = 512  # zeta1 nodes of conj_rational's residual check
@@ -63,13 +64,8 @@ def gram_isometry_check(phi: Rif, alpha: complex, points,
     quadrature error.  ValueError unless ``phi`` (degrees and denominator
     coefficients, exactly) and ``alpha`` are the measure's.
     """
-    w = np.asarray([(complex(a), complex(b)) for a, b in points],
-                   dtype=complex)
-    if not len(w):
-        raise ValueError("Gram isometry check needs at least one point")
-    if np.any(np.abs(w) >= 1.0):
-        raise ValueError("sample points must lie inside the bidisk")
-    if abs(complex(alpha) - complex(measure.alpha)) > 1e-9:
+    w = _bidisk_points(points, "Gram isometry check")
+    if not abs(complex(alpha) - complex(measure.alpha)) <= 1e-9:  # NaN too
         raise ValueError("alpha does not match the measure")
     if phi.degrees != measure.phi.degrees or not np.array_equal(
             phi.den.coeffs, measure.phi.den.coeffs):
@@ -123,14 +119,17 @@ class ConjRational:
     h = h1(z2) + z1 h2(z), h = 0 gives zeta1 = -h1 / h2, so
     conj(zeta1) = -h2 / h1 on the torus; same with the variables
     exchanged for conj(zeta2).  Both denominators are univariate and
-    must be zero-free on the closed disk.
+    must be zero-free on the closed disk.  Each part is a coefficient
+    tensor in (z1, z2), cut from h as it is (untrimmed): ``r1_den`` h1
+    (1, n2 + 1), ``r1_num`` -h2 (n1, n2 + 1), and likewise ``r2_den``
+    (n1 + 1, 1) and ``r2_num`` (n1 + 1, n2).
     """
 
     alpha: complex
-    r1_num: PolyMD
-    r1_den: PolyMD
-    r2_num: PolyMD
-    r2_den: PolyMD
+    r1_num: np.ndarray
+    r1_den: np.ndarray
+    r2_num: np.ndarray
+    r2_den: np.ndarray
     max_residual: tuple[float, float]
 
     def r1(self, z1, z2):
@@ -140,14 +139,15 @@ class ConjRational:
         return _ratio(self.r2_num, self.r2_den, z1, z2)
 
 
-def _ratio(num: PolyMD, den: PolyMD, z1, z2):
-    return _poly.eval_poly(num, (z1, z2)) / _poly.eval_poly(den, (z1, z2))
+def _ratio(num, den, z1, z2):
+    return (_poly._eval_tensor(num, (z1, z2))
+            / _poly._eval_tensor(den, (z1, z2)))
 
 
-def _conj_parts(h):
-    """-h2 and the trimmed h1 of h = h1(z2) + z1 h2(z); DenominatorVanishes
-    when h1 has a root on the closed disk."""
-    den = trim(h[0])
+def _check_denominator(den):
+    """DenominatorVanishes when the one-variable coefficients ``den`` vanish
+    or have a root on the closed disk; ``companion_roots`` drops their
+    trailing near-zero coefficients itself."""
     if np.max(np.abs(den)) < 1e-14:
         raise DenominatorVanishes(
             "conjugate-coordinate denominator is identically zero")
@@ -156,7 +156,6 @@ def _conj_parts(h):
         raise DenominatorVanishes(
             f"denominator root of modulus {np.nanmin(mods):.6g} inside "
             "the closed disk (alpha is exceptional)")
-    return -h[1:], den
 
 
 def conj_rational(phi: Rif, alpha: complex) -> ConjRational:
@@ -172,20 +171,16 @@ def conj_rational(phi: Rif, alpha: complex) -> ConjRational:
         raise ValueError("conj_rational expects a two-variable inner function")
     alpha = _unimodular_alpha(alpha)
     h = phi.level_coeffs(alpha)
-    n1, d1 = _conj_parts(h)
-    n2, d2 = _conj_parts(h.T)
-    r1_num, r1_den = PolyMD(trim(n1)), PolyMD(d1[None, :])  # den: no z1
-    r2_num, r2_den = PolyMD(trim(n2.T)), PolyMD(d2[:, None])  # den: no z2
+    _check_denominator(h[0])
+    _check_denominator(h[:, 0])
+    r1, r2 = (-h[1:], h[:1]), (-h[:, 1:], h[:, :1])
     z1 = unit_roots(CONJ_GRID_N)
     z2 = _slice_atoms(phi, alpha, z1[:, None])[0]  # NaN past a degree drop
     z1 = np.broadcast_to(z1, z2.shape)
-    res1 = float(np.nanmax(np.abs(_ratio(r1_num, r1_den, z1, z2)
-                                  - np.conj(z1))))
-    res2 = float(np.nanmax(np.abs(_ratio(r2_num, r2_den, z1, z2)
-                                  - np.conj(z2))))
-    return ConjRational(alpha=alpha, r1_num=r1_num, r1_den=r1_den,
-                        r2_num=r2_num, r2_den=r2_den,
-                        max_residual=(res1, res2))
+    res1 = float(np.nanmax(np.abs(_ratio(*r1, z1, z2) - np.conj(z1))))
+    res2 = float(np.nanmax(np.abs(_ratio(*r2, z1, z2) - np.conj(z2))))
+    return ConjRational(alpha=alpha, r1_num=r1[0], r1_den=r1[1],
+                        r2_num=r2[0], r2_den=r2[1], max_residual=(res1, res2))
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,14 @@ monotonically by 2 pi n, so a root's branch label is the count j in
 arg b = arg alpha + 2 pi j, taken from the phase of phi(zeta1, w_ref)
 lifted along a path (``_phase_labels``); no root is matched to its
 neighbours.  ``trace_branches`` labels the kernel's atoms over the
-uniform grid for the outputs where labels are the point, such as the
-CSV export.  The module locates the boundary singularities of phi, the
-common torus zeros of p and p~, from the zeros of one resultant on the
-circle (``find_singularities``), and it decides the line components at
-those points: a line {tau1} x T passes through torus zeros of p, where its
-slice of h is (alpha0 - alpha) p(tau1, .), so each root tau1 of h(., 0) on
-the circle is tested there, once, with one tolerance (``_lines``).
+uniform grid, shifted off the vertical lines, for the outputs where
+labels are the point, such as the CSV export.  The module locates the
+boundary singularities of phi, the common torus zeros of p and p~, from
+the zeros of one resultant on the circle (``find_singularities``), and
+it decides the line components at those points: a line {tau1} x T
+passes through torus zeros of p, where its slice of h is
+(alpha0 - alpha) p(tau1, .), so each root tau1 of h(., 0) on the circle
+is tested there, once, with one tolerance (``_lines``).
 """
 
 from __future__ import annotations
@@ -253,10 +254,11 @@ def trace_branches(phi: Rif, alpha: complex,
 
     The slice atoms (``_slice_atoms``) over the grid_n-th roots of unity
     (``util.unit_roots``), each in the branch of its phase label
-    (``_phase_labels``), weighted by the atom's num / den.  A grid that
-    hits a zero slice (a vertical line at an exceptional alpha) is
-    shifted off every vertical line (``util.grid_shift``, half a step for
-    one line), as ``clark._zeta1_rule`` does, so nothing is interpolated.
+    (``_phase_labels``), weighted by the atom's num / den.  The vertical
+    lines (``_lines``) are found first, and when there are any the grid
+    is shifted off every one (``util.grid_shift``, half a step for one
+    line), as ``clark._zeta1_rule`` does, so no slice vanishes and nothing
+    is interpolated; a zero slice left raises IdenticallyZeroSlice.
     Branch 0 holds the root of least argument at the first node.  Every
     branch carries alpha projected by ``_unimodular_alpha``.
     """
@@ -265,15 +267,14 @@ def trace_branches(phi: Rif, alpha: complex,
         raise ValueError("trace_branches expects a two-variable inner function")
     alpha = _unimodular_alpha(alpha)
     theta = TWO_PI * np.arange(grid_n) / grid_n
-    roots, num, den, zero_rows = _slice_atoms(phi, alpha, zeta1[:, None])
-    if zero_rows.any():  # vertical lines only: their slices vanish
-        lines = _lines(phi.level_coeffs(alpha), phi.den.coeffs)[1]
+    lines = _lines(phi.level_coeffs(alpha), phi.den.coeffs)[1]
+    if lines:
         theta = theta + grid_shift([np.angle(ln.tau) for ln in lines], grid_n)
         zeta1 = unit_circle_points(theta)
-        roots, num, den, zero_rows = _slice_atoms(phi, alpha, zeta1[:, None])
-        if zero_rows.any():
-            raise IdenticallyZeroSlice(
-                "level polynomial vanished on a slice of the shifted grid")
+    roots, num, den, zero_rows = _slice_atoms(phi, alpha, zeta1[:, None])
+    if zero_rows.any():
+        raise IdenticallyZeroSlice(
+            "level polynomial vanished on a slice off every vertical line")
     n_br = len(roots)
     labels = _phase_labels(phi, alpha, zeta1, roots)
     labels = (labels - labels[np.nanargmin(np.angle(roots[:, 0])), 0]) % n_br

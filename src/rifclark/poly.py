@@ -29,7 +29,6 @@ from .errors import DegreeNotAttained, RootFindFailure, ZeroPolynomial
 from .util import unit_circle_points
 
 ATTAIN_TOL = 1e-14
-TRIM_REL_TOL = 1e-14
 # trailing slice coefficients below this fraction of their row's largest
 # one count as zero in companion_roots (a degree drop)
 DEGREE_DROP_REL_TOL = 1e-11
@@ -90,24 +89,6 @@ class PolyMD:
 
     def coefficient_scale(self) -> float:
         return float(np.sum(np.abs(self.coeffs)))
-
-
-def trim(coeffs):
-    """Drop trailing coefficient slabs below TRIM_REL_TOL of the largest
-    coefficient modulus, on every axis."""
-    arr = _as_coeff_tensor(coeffs)
-    scale = float(np.max(np.abs(arr)))
-    if scale == 0.0:
-        raise ZeroPolynomial("cannot trim the zero polynomial")
-    for axis in range(arr.ndim):
-        keep = arr.shape[axis]
-        while keep > 1:
-            top = np.take(arr, keep - 1, axis=axis)
-            if np.max(np.abs(top)) > TRIM_REL_TOL * scale:
-                break
-            keep -= 1
-        arr = np.take(arr, range(keep), axis=axis)
-    return arr
 
 
 def reflect(p: PolyMD, degrees=None) -> PolyMD:
@@ -408,23 +389,10 @@ def _eigvals(monic):
 # stability
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StabilityCertificate:
-    """Outcome of the grid-slice root scan.
-
-    ``min_modulus_on_grid`` is the smallest root modulus seen over every
-    scanned slice and every distinguished variable; ``is_stable`` means no
-    root entered the open unit disk beyond a 1e-9 guard band.
-    """
-
-    is_stable: bool
-    min_modulus_on_grid: float
-    grid_resolution: tuple[int, int]
-    method: str = "grid-slice-roots"
-
-
-def stability_check(p: PolyMD) -> StabilityCertificate:
-    """Heuristic certificate that p has no zeros in the open unit polydisk.
+def stability_check(p: PolyMD) -> float:
+    """The least root modulus of p's one-variable slices over a grid: p
+    counts as free of zeros in the open unit polydisk when it exceeds
+    1 - 1e-9 (inf when no slice has a root).
 
     For each variable in turn, the other variables are sampled on a
     closed-disk grid (``grid_n`` radii including 0 and 1, 64 in up to two
@@ -453,12 +421,7 @@ def stability_check(p: PolyMD) -> StabilityCertificate:
         roots = companion_roots(slice_coeffs(p.coeffs, frozen, axis=axis))
         min_mod = float(np.min(np.abs(roots), initial=min_mod,
                                where=~np.isnan(roots)))
-    stable = bool(min_mod > 1.0 - 1e-9)
-    return StabilityCertificate(
-        is_stable=stable,
-        min_modulus_on_grid=float(min_mod),
-        grid_resolution=(grid_n, 4 * grid_n),
-    )
+    return min_mod
 
 
 # ---------------------------------------------------------------------------

@@ -74,10 +74,10 @@ def build_measure_d(phi: Rif, alpha: complex,
     alpha = _unimodular_alpha(alpha)
     N = grid_n
     zg = unit_roots(N)
-    cert = _certificate(phi.den.coeffs.shape, phi.den.coeffs.tobytes())
-    if not cert.is_stable or cert.min_modulus_on_grid <= 1.0 + 1e-6:
+    margin = _certificate(phi.den.coeffs.shape, phi.den.coeffs.tobytes())
+    if not margin > 1e-6:  # NaN fails too
         raise UnstableDenominator(
-            f"denominator has a zero within {cert.min_modulus_on_grid - 1.0:.3g} "
+            f"denominator has a zero within {margin:.3g} "
             "of the closed tridisk boundary; the graph structure formula "
             "does not apply")
     pts = np.empty((N, N, 2), dtype=complex)  # (zg_i, zg_j) at row i N + j
@@ -105,11 +105,11 @@ def build_measure_d(phi: Rif, alpha: complex,
 
 @lru_cache(maxsize=32)
 def _certificate(shape, raw):
-    """``stability_check`` of the denominator with coefficient tensor
-    ``raw`` (bytes) of ``shape``: it depends on nothing else, so each
-    denominator is certified once."""
+    """The margin off the boundary, ``stability_check`` less 1, of the
+    denominator with coefficient tensor ``raw`` (bytes) of ``shape``: it
+    depends on nothing else, so each denominator is certified once."""
     return stability_check(PolyMD(np.frombuffer(raw, dtype=complex)
-                                  .reshape(shape)))
+                                  .reshape(shape))) - 1.0
 
 
 def _origin_masses(alpha: complex, h0, p0):
@@ -268,7 +268,7 @@ def verify_poisson_d(s: float, alpha: complex, z,
     s = _family_check(s)
     a = _unimodular_alpha(alpha)
     z = np.asarray(z, dtype=complex)
-    if z.shape != (3,) or np.any(np.abs(z) >= 1.0):
+    if z.shape != (3,) or not np.all(np.abs(z) < 1.0):  # NaN fails too
         raise ValueError("z must be an interior point of the tridisk")
 
     z1, z2, z3 = z.tolist()

@@ -16,7 +16,7 @@ def test_random_rif_is_a_seeded_rif_of_the_bidegree():
     assert abs(phi.den(0.0, 0.0) - 1.0) < 1e-14
     assert np.array_equal(catalog.random_rif(2, 3, 5).den.coeffs,
                           phi.den.coeffs)
-    assert stability_check(phi.den).is_stable
+    assert stability_check(phi.den) > 1.0 - 1e-9
     for singular in (False, True):
         phi = catalog.random_rif(2, 1, 9, singular=singular)
         m = clark.build_measure(phi, np.exp(0.7j), 256)
@@ -31,7 +31,7 @@ def test_contact_four_rif():
     # nontangential value is -1 and the contact order 4
     phi = catalog.contact_four_rif()
     assert phi.degrees == (2, 1)
-    assert stability_check(phi.den).is_stable
+    assert stability_check(phi.den) > 1.0 - 1e-9
     (t1, t2), = levelset.find_singularities(phi)
     assert max(abs(t1 - 1.0), abs(t2 - 1.0)) <= 1e-12
     assert abs(contact.nontangential_value(phi, (t1, t2)) + 1.0) <= 1e-12

@@ -113,6 +113,41 @@ def test_reconstruction_requires_unit_mass(diagonal):
         clark.herglotz_reconstruct(m, 8)
 
 
+def test_reconstruction_refuses_a_nan_mass(fav_measure_alphai):
+    # a measure read from JSON can carry a NaN weight, and a NaN mass
+    # compares False with every bound, so only a test it fails refuses it
+    m = fav_measure_alphai
+    m = dataclasses.replace(m, weights=m.weights.copy())
+    m.weights[0, 0] = np.nan
+    with pytest.raises(MassNotOne):
+        clark.herglotz_reconstruct(m, 8)
+
+
+_COORDS = st.one_of(st.complex_numbers(max_magnitude=0.9),
+                    st.builds(complex, st.floats(), st.floats()))
+
+
+@given(st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=3))
+@example([(complex(np.nan, 0.0), 0.1)])
+@example([(0.2, complex(0.0, np.inf))])
+@example([(0.3, 1.0)])
+@settings(max_examples=60, deadline=None)
+def test_point_checks_refuse_or_report_finitely(fav_measure_alphai, pts):
+    # NaN, infinite and boundary coordinates are refused by the one bidisk
+    # point check of verify_poisson and gram_isometry_check; every point
+    # they accept gives a finite report
+    m = fav_measure_alphai
+    for report in (lambda: clark.verify_poisson(m, pts).rel_err,
+                   lambda: embedding.gram_isometry_check(
+                       m.phi, m.alpha, pts, m).max_abs_error):
+        try:
+            err = report()
+        except ValueError:
+            continue
+        assert np.all(np.isfinite(err))
+        assert all(abs(z) < 1.0 for pt in pts for z in pt)
+
+
 def test_measure_json_round_trip_byte_identical(fav_measure_alphai):
     text = clark.measure_to_json(fav_measure_alphai)
     again = clark.measure_to_json(clark.measure_from_json(text))

@@ -56,6 +56,16 @@ def test_gram_rejects_boundary_points(fav, fav_measure_alphai):
                                       fav_measure_alphai)
 
 
+PARTS = ("r1_num", "r1_den", "r2_num", "r2_den")
+
+
+def test_gram_check_refuses_a_nan_alpha(fav, fav_measure_alphai):
+    # NaN compares False with 1e-9, so only a match test it fails refuses it
+    with pytest.raises(ValueError, match="alpha does not match"):
+        embedding.gram_isometry_check(fav, complex(np.nan, 0.0),
+                                      [(0.1, 0.2)], fav_measure_alphai)
+
+
 def test_conj_rational_fav_generic(fav):
     cr = embedding.conj_rational(fav, GENERIC)
     assert max(cr.max_residual) < 1e-10
@@ -97,9 +107,67 @@ def test_conj_rational_projects_alpha_onto_the_circle(fav):
     cr, on = (embedding.conj_rational(fav, a) for a in (alpha,
                                                          alpha / abs(alpha)))
     assert cr.alpha == on.alpha == alpha / abs(alpha)
-    for key in ("r1_num", "r1_den", "r2_num", "r2_den"):
-        assert np.array_equal(getattr(cr, key).coeffs,
-                              getattr(on, key).coeffs), key
+    for key in PARTS:
+        assert np.array_equal(getattr(cr, key), getattr(on, key)), key
+
+
+def _trimmed(coeffs):
+    """``coeffs`` without its trailing slabs, on each axis, of modulus at
+    most 1e-14 times its largest coefficient."""
+    scale = np.max(np.abs(coeffs))
+    for axis in range(coeffs.ndim):
+        keep = coeffs.shape[axis]
+        while keep > 1 and np.max(np.abs(np.take(
+                coeffs, keep - 1, axis=axis))) <= 1e-14 * scale:
+            keep -= 1
+        coeffs = np.take(coeffs, range(keep), axis=axis)
+    return coeffs
+
+
+def _conj_cases():
+    """(phi, alpha) of the catalog and of random draws, strict and
+    singular, at five alphas and each singular draw at its alpha0."""
+    alphas = (1.0, -1.0, 1.0j, np.exp(0.7j), np.exp(2.5j))
+    for phi in (catalog.monomial_rif(), catalog.simple_singular_rif(),
+                catalog.squared_singular_rif(), catalog.product_singular_rif(),
+                catalog.diagonal_rif(), catalog.contact_four_rif()):
+        for alpha in alphas:
+            yield phi, alpha
+    for n1 in (1, 2, 3):
+        for n2 in (1, 2, 3):
+            for seed in (0, 1, 2):
+                for singular in (False, True):
+                    phi = catalog.random_rif(n1, n2, seed, singular=singular)
+                    for alpha in alphas:
+                        yield phi, alpha
+                    if singular:
+                        yield phi, contact.nontangential_value(
+                            phi, catalog.planted_zero(seed))
+
+
+def test_conj_rational_parts_are_the_level_polynomial_untrimmed():
+    # each part is its block of h = q - alpha p as it is: the trimmed
+    # coefficients (trailing slabs at most 1e-14 of the largest dropped)
+    # followed by zeros
+    built = 0
+    for phi, alpha in _conj_cases():
+        try:
+            cr = embedding.conj_rational(phi, alpha)
+        except DenominatorVanishes:
+            continue
+        h = phi.level_coeffs(cr.alpha)
+        want = {"r1_num": -h[1:], "r1_den": h[:1], "r2_num": -h[:, 1:],
+                "r2_den": h[:, :1]}
+        for key in PARTS:
+            part, ref = getattr(cr, key), _trimmed(want[key])
+            assert type(part) is np.ndarray and part.shape == want[key].shape
+            head = tuple(slice(n) for n in ref.shape)
+            assert np.array_equal(part[head], ref), key
+            rest = part.copy()
+            rest[head] = 0.0
+            assert not rest.any(), key
+        built += 1
+    assert built > 200
 
 
 def test_conj_rational_refuses_three_variables():

@@ -172,6 +172,16 @@ def _zero_columns():
             yield h.T, p.T, 2
 
 
+def _trim_column(col):
+    """``col`` (n + 1, 1) without its trailing entries of modulus at most
+    1e-14 times its largest: the reference a trimmed column is."""
+    size = np.abs(col[:, 0])
+    keep = len(col)
+    while keep > 1 and size[keep - 1] <= 1e-14 * size.max():
+        keep -= 1
+    return col[:keep]
+
+
 def test_zero_column_roots_need_no_trim():
     # companion_roots drops trailing coefficients below its own degree-drop
     # tolerance, so the untrimmed column h(., 0) gives the trimmed column's
@@ -179,7 +189,7 @@ def test_zero_column_roots_need_no_trim():
     count = trimmed = 0
     for h, p, axis in _zero_columns():
         roots = levelset._lines(h, p, axis)[0]
-        short = poly.trim(h[:, :1])
+        short = _trim_column(h[:, :1])
         want = poly.companion_roots(short)[:, 0]
         assert roots[:len(want)].tobytes() == want.tobytes()
         assert np.all(np.isnan(roots[len(want):]))
@@ -200,6 +210,35 @@ def test_trace_branches_seeks_vertical_lines_only(fav, monkeypatch):
     monkeypatch.setattr(levelset, "_lines", spy)
     levelset.trace_branches(fav, -1.0, 256)
     assert axes == [1]
+
+
+def test_trace_branches_solves_once_at_a_line(fav, squared, monkeypatch):
+    # the vertical lines are found before the solve, so a grid that would
+    # hit one is shifted first and solved once
+    calls, atoms = [], levelset._slice_atoms
+
+    def spy(*args):
+        calls.append(args)
+        return atoms(*args)
+
+    monkeypatch.setattr(levelset, "_slice_atoms", spy)
+    for phi in (fav, squared):
+        calls.clear()
+        levelset.trace_branches(phi, -1.0, 256)
+        assert len(calls) == 1
+
+
+def test_trace_branches_shifts_off_a_line_between_nodes():
+    # at this draw's alpha0 the vertical line misses the uniform grid
+    # (its nearest node 0.12 pi / N away), so no slice vanishes; the grid
+    # is still shifted half a step off it
+    phi = catalog.random_rif(1, 1, 0, singular=True)
+    alpha = contact.nontangential_value(phi, catalog.planted_zero(0))
+    (line,) = [ln for ln in levelset.detect_lines(phi, alpha) if ln.axis == 1]
+    N = 256
+    theta = levelset.trace_branches(phi, alpha, N)[0].theta
+    gap = np.abs(np.angle(np.exp(1j * (theta - np.angle(line.tau)))))
+    assert gap.min() >= np.pi / (4 * N)
 
 
 def _line_cases():

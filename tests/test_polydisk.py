@@ -230,6 +230,12 @@ def test_poisson_d_refuses_the_singular_corner():
             polydisk.verify_poisson_d(3.0, -1, (0.1, 0.2, 0.3), N)
 
 
+def test_poisson_d_refuses_a_nan_point():
+    # NaN compares False with 1, so only a test it fails refuses it
+    with pytest.raises(ValueError, match="interior point"):
+        polydisk.verify_poisson_d(3.5, 1j, (np.nan, 0.1, 0.2), 32)
+
+
 @pytest.mark.parametrize("s", [3.3, 3.6])
 def test_poisson_d_unchecked_rows_match_brute_force(s):
     # for s > 3 the denominator is at least s - 3 on the torus, so the
