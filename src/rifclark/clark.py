@@ -20,7 +20,8 @@ zeta1-marginal, with lines or without: that product's Clark atoms, from
 the same kernel.  A horizontal line T x {tau} is the atom zeta2 = tau of
 every slice.  Every integrator walks blocks of base nodes, forms each
 zeta1 factor once per base node for its atoms, and adds a term per line;
-``polydisk.build_measure_d`` returns the same structure on the tridisk.
+``polydisk.build_measure_d`` returns the same structure on the tridisk,
+from the same build body (``_fibered``).
 """
 
 from __future__ import annotations
@@ -129,12 +130,9 @@ def build_measure(phi: Rif, alpha: complex, grid_n: int = 4096) -> ClarkMeasure:
     The zeta1 nodes are that grid or, near an exceptional alpha, its
     preimages under a Blaschke product, which cluster where the mass of
     an emerging line piles up (``_zeta1_rule``); they are the ``base``.
-    Over each sit the atoms of its slice, root row by root row of the
-    kernel, an empty slot held as ClarkMeasure describes.  The weights are
-    formed block by block in the arrays the kernel (``_atom_blocks``)
-    fills: a build holds nothing of size grid_n but its outputs.  At an
-    exceptional alpha the vertical lines (the only ones looked for) are
-    split off exactly and the grid shifts half a step off them.  A mass off
+    At an exceptional alpha the vertical lines (the only ones looked for)
+    are split off exactly and the grid shifts half a step off them.  The
+    atoms and weights come from the build body (``_fibered``); a mass off
     ``expected_mass`` by more than MASS_GAP_TOL raises MassGapExceeded.
     """
     if phi.dim != 2:
@@ -143,10 +141,23 @@ def build_measure(phi: Rif, alpha: complex, grid_n: int = 4096) -> ClarkMeasure:
                          "tridisk")
     alpha = _unimodular_alpha(alpha)
     zeta1, quad, lines = _zeta1_rule(phi, alpha, grid_n)
-    base = zeta1[:, None]
-    atoms = np.empty((phi.degrees[-1], len(zeta1)), dtype=complex)
+    return _fibered(phi, alpha, grid_n, zeta1[:, None], quad, lines,
+                    expected_mass(phi, alpha))
+
+
+def _fibered(phi, alpha, grid_n, base, quad, lines, expected):
+    """The measure of the fibered rule over ``base`` (m, d-1) of weights
+    ``quad`` (m,), the build body of ``build_measure`` and
+    ``polydisk.build_measure_d``.  Each block of the slice kernel
+    (``_atom_blocks``) turns its num = |p| into quad |p| / |d/dz_d h| in
+    place, an empty atom held as ClarkMeasure describes, so a build holds
+    nothing of size m but its outputs.  A mass off ``expected`` (None: the
+    rule's sum of the exact slice masses, ``_origin_masses``) by more than
+    MASS_GAP_TOL relatively, or a NaN mass, raises MassGapExceeded."""
+    atoms = np.empty((phi.degrees[-1], len(base)), dtype=complex)
     weights = np.empty(atoms.shape)
-    for b, den, _, full, *_ in _atom_blocks(
+    mass = 0.0  # the rule's sum of the slice masses, if expected is None
+    for b, den, _, full, h0, p0 in _atom_blocks(
             phi.level_coeffs(alpha), phi._den_full, base, atoms, weights):
         roots, w = atoms[:, b], weights[:, b]
         np.divide(w, den, out=w)
@@ -154,19 +165,17 @@ def build_measure(phi: Rif, alpha: complex, grid_n: int = 4096) -> ClarkMeasure:
         if not full:  # a degree drop or a zero slice (see ClarkMeasure)
             empty = np.isnan(roots)
             roots[empty], w[empty] = 1.0, 0.0
+        if expected is None:
+            mass += quad[b] @ _origin_masses(alpha, h0, p0)
+        del h0, p0  # views of the block's rows: not held through the next
     measure = ClarkMeasure(phi=phi, alpha=alpha, grid_n=grid_n, base=base,
                            atoms=atoms, weights=weights, lines=lines)
-    _check_mass(measure, expected_mass(phi, alpha))
-    return measure
-
-
-def _check_mass(measure, expected):
-    """Raise MassGapExceeded when the measure's mass is off ``expected`` by
-    more than MASS_GAP_TOL relatively (a NaN mass included)."""
-    gap = abs(total_mass(measure) / expected - 1.0)
+    gap = abs(total_mass(measure) / (mass if expected is None else expected)
+              - 1.0)
     if not gap <= MASS_GAP_TOL:
         raise MassGapExceeded(f"mass is off by relative {gap:.3g}, above "
                               f"MASS_GAP_TOL = {MASS_GAP_TOL:g}")
+    return measure
 
 
 def _zeta1_rule(phi, alpha, grid_n):
@@ -271,6 +280,17 @@ def expected_mass(phi: Rif, alpha: complex) -> float:
     ValueError for alpha off the circle."""
     v = complex(phi.num.coeffs.flat[0] / phi.den.coeffs.flat[0])
     return (1.0 - abs(v) ** 2) / abs(_unimodular_alpha(alpha) - v) ** 2
+
+
+def _origin_masses(alpha: complex, h0, p0):
+    """Mass of the Clark measure of each slice b = phi(zeta', .) from its
+    rows of h = q - alpha p and p at z_d = 0: the Poisson identity at
+    z_d = 0, (1 - |b(0)|^2) / |alpha - b(0)|^2 with b(0) = alpha + h0 / p0,
+    so (1 - |alpha + r|^2) / |r|^2 for r = h0 / p0."""
+    r = h0 / p0
+    b0 = r + alpha
+    return (1.0 - (b0.real ** 2 + b0.imag ** 2)) / (r.real ** 2
+                                                    + r.imag ** 2)
 
 
 @dataclass(frozen=True)
@@ -520,8 +540,9 @@ def measure_to_json(measure: ClarkMeasure) -> str:
     are binary records {"shape", "data"}: the shape, (m, phi.dim - 1) or
     (k, m), and a base64 string of the raw little-endian bytes in
     row-major order, complex128 (``<c16``) or for weights float64
-    (``<f8``).  So every value survives bit for bit (-0.0, NaN,
-    infinities, subnormals); the other fields are text.
+    (``<f8``).  So every value is written bit for bit (-0.0, NaN,
+    infinities, subnormals), and every one that measure_from_json reads
+    back (the finite ones) survives; the other fields are text.
     """
     obj = {
         "type": "clark_measure",
@@ -583,8 +604,9 @@ def measure_from_json(text: str) -> ClarkMeasure:
     ``atoms`` and ``weights`` (the flat-node and per-branch layouts),
     text-array payloads, malformed base64, arrays whose lengths, shapes or
     coordinates (phi.dim - 1 per base node) do not fit together or that
-    hold no atom per base node (k < 1), and headers that miss a key,
-    store a complex value other than as a [re, im] pair, give an alpha or
+    hold no atom per base node (k < 1), a base node or atom that is not
+    finite, a weight that is not finite and >= 0, and headers that miss a
+    key, store a complex value other than as a [re, im] pair, give an alpha or
     a line tau off the unit circle (``util.on_circle``), a grid_n that is
     not a positive integer, a line that is not vertical (axis 1) or a line
     constant that is not finite and >= 0.  ``mass`` must be present but
@@ -613,6 +635,10 @@ def measure_from_json(text: str) -> ClarkMeasure:
                          "disagree; atoms and weights are (k, m) over m")
     if len(atoms) < 1:
         raise ValueError("Clark measure needs k >= 1 atoms per base node")
+    if not (np.isfinite(base).all() and np.isfinite(atoms).all()):
+        raise ValueError("Clark measure base nodes and atoms must be finite")
+    if not ((weights >= 0.0) & (weights < np.inf)).all():  # NaN fails
+        raise ValueError("Clark measure weights must be finite and >= 0")
     if not isinstance(recs, list):
         raise ValueError("Clark measure lines must be a list")
     return ClarkMeasure(phi=phi, alpha=_unimodular(alpha, "alpha"),

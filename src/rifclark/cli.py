@@ -262,9 +262,7 @@ def cmd_tridisk(args) -> int:
         print(f"level surface samples: {len(rows)} wrote {args.out}")
         did = True
     if args.point:
-        z = [complex(*(float(p) for p in tok.split(",")))
-             if "," in tok else complex(float(tok))
-             for tok in args.point.split(";")]
+        z = [_coordinate(tok) for tok in args.point.split(";")]
         rep = polydisk.verify_poisson_d(s, alpha, z, args.grid)
         print(f"poisson at z={args.point}: lhs {rep.lhs:.10g} rhs "
               f"{rep.rhs:.10g} rel {rep.rel_err:.3g}")
@@ -284,6 +282,15 @@ def cmd_tridisk(args) -> int:
               file=sys.stderr)
         return 2
     return 0
+
+
+def _coordinate(tok):
+    """One coordinate of --point, re,im or a real number; ValueError for
+    any other token."""
+    parts = tok.split(",")
+    if len(parts) > 2:
+        raise ValueError(f"--point coordinate {tok!r} is not re,im")
+    return complex(*(float(p) for p in parts))
 
 
 def cmd_reconstruct(args) -> int:

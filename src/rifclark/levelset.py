@@ -140,15 +140,15 @@ def _atom_blocks(hcoef, pcoef, pts, roots, num):
     """Solve the slices h(zeta', .) of the tensor ``hcoef`` over ``pts``
     (m, d-1) SLICE_BLOCK at a time into ``roots`` and ``num`` (k, m), laid
     out as ``_slice_atoms`` returns them, num = |p| for p the tensor
-    ``pcoef`` (on the bidisk of hcoef's shape, so one contraction gives both
-    rows; past a second frozen variable, p's own is cheaper).  Yields each
-    block as (b, den, zero, full, h0, p0): its slice of columns, |d/dz_d h|
-    at its roots in a block-sized scratch the next block overwrites, its
-    zero-slice flags, whether every slice kept full degree (no empty atom,
-    so no NaN to look for), and the slices' h and p at z_d = 0, their
-    constant rows (views of the rows the block formed, valid until the next
-    block).  So a builder forms its weights and its mass guard block by
-    block and holds nothing of size m beyond what it returns.  Both weight
+    ``pcoef`` of hcoef's shape: one contraction gives both rows.  Yields
+    each block as (b, den, zero, full, h0, p0): its slice of columns,
+    |d/dz_d h| at its roots in a block-sized scratch the next block
+    overwrites, its zero-slice flags, whether every slice kept full degree
+    (no empty atom, so no NaN to look for), and the slices' h and p at
+    z_d = 0, their constant rows (views of the rows the block formed, valid
+    until the next block).  So a builder forms its weights and its mass
+    guard block by block and holds nothing of size m beyond what it
+    returns.  Both weight
     parts come from one-variable rows in z_d, and one pass of |rows| serves
     the zero-slice, degree-drop and Newton-guard tests.  A closed-form root
     takes den = |h'| from the solver, from what its formula holds
@@ -156,8 +156,7 @@ def _atom_blocks(hcoef, pcoef, pts, roots, num):
     (``_newton_polish`` gives their den).
     """
     k, m = hcoef.shape[-1] - 1, len(pts)
-    stacked = hcoef.ndim == 2
-    coef = np.concatenate([hcoef, pcoef], -1) if stacked else hcoef
+    coef = np.concatenate([hcoef, pcoef], -1)
     scratch = np.empty((k, min(m, SLICE_BLOCK)))
     zero_tol = ZERO_SLICE_REL_TOL * float(np.max(np.abs(hcoef)))
     for lo in range(0, m, SLICE_BLOCK):
@@ -173,9 +172,9 @@ def _atom_blocks(hcoef, pcoef, pts, roots, num):
             w = r[:, eig]
             dh = _newton_polish(h[:, eig], rowmax[eig], w)
             r[:, eig], den[:, eig] = w, np.abs(dh)
-        p_rows = rows[k + 1:] if stacked else slice_coeffs(pcoef, pts[b])
-        np.abs(_polyval_rows(p_rows[:, None], r), out=num[:, b])
-        yield b, den, zero, full, h[0], p_rows[0]
+        p = rows[k + 1:]
+        np.abs(_polyval_rows(p[:, None], r), out=num[:, b])
+        yield b, den, zero, full, h[0], p[0]
 
 
 def _newton_polish(rows, rowmax, values):
@@ -185,30 +184,28 @@ def _newton_polish(rows, rowmax, values):
     (K+1, m), whose largest coefficient moduli are ``rowmax``.  Every
     root takes one step; a root whose step moved it by more than
     4 eps |w| is not yet at a root to rounding and takes the next, up to
-    NEWTON_ITERS steps, so later passes run only on the few gathered
-    roots still moving.  A root with |h'| <= 1e-8 rowmax is left where
-    it is, and NaN padding stays NaN.
+    NEWTON_ITERS steps: each pass runs on the roots still moving,
+    gathered.  A root with |h'| <= 1e-8 rowmax is left where it is, and
+    NaN padding stays NaN.
     The derivative returned is the one of each root's last step, or at
     the final root for a root still moving after NEWTON_ITERS steps.
     """
     drows = rows[1:] * np.arange(1, len(rows))[:, None]
     dh = np.empty_like(values)
-    b = i = slice(None)  # the first pass runs on every root in place
-    at, dat = rows[:, None], drows[:, None]  # each slice's rows, per root
+    b, i = np.indices(values.shape).reshape(2, -1)  # root row and slice
     for _ in range(NEWTON_ITERS):
         w = values[b, i]
-        step = _polyval_rows(at, w)
-        fp = dh[b, i] = _polyval_rows(dat, w)
+        step = _polyval_rows(rows[:, i], w)
+        fp = dh[b, i] = _polyval_rows(drows[:, i], w)
         guard = np.abs(fp) > 1e-8 * rowmax[i]
         np.divide(step, fp, out=step, where=guard)
         step[~guard] = 0.0
         moved = np.abs(step) > 4.0 * np.finfo(float).eps * np.abs(w)
         values[b, i] = w - step
-        b, i = np.nonzero(moved) if moved.ndim == 2 else (b[moved], i[moved])
+        b, i = b[moved], i[moved]
         if not i.size:
             return dh
-        at, dat = rows[:, i], drows[:, i]
-    dh[b, i] = _polyval_rows(dat, values[b, i])
+    dh[b, i] = _polyval_rows(drows[:, i], values[b, i])
     return dh
 
 

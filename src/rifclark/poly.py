@@ -262,10 +262,10 @@ def _solve_columns(c, size, scale, out, dout):
     from degree 3 each gap of the final roots, formed once.  A class that
     fills the block, such as the whole block when row k clears the
     tolerance in every column, is solved in place; another is gathered
-    by ``take`` and scattered row by row, several times faster than 2-D
-    fancy indexing.  Returns (eig, full): the columns ``_eigvals`` solved,
-    to be Newton-polished (their ``dout`` is the closed form's), and
-    whether every column kept its full degree (no root is NaN)."""
+    and scattered back by indexing.  Returns (eig, full): the columns
+    ``_eigvals`` solved, to be Newton-polished (their ``dout`` is the
+    closed form's), and whether every column kept its full degree (no
+    root is NaN)."""
     k, m = out.shape
     tol = DEGREE_DROP_REL_TOL * scale
     full = bool(np.all(size[k] > tol))  # an infinite scale compares False
@@ -284,7 +284,7 @@ def _solve_columns(c, size, scale, out, dout):
         if idx is None:
             cols, lead, r, dh = c[:deg + 1], size[deg], out[:deg], dout[:deg]
         else:
-            cols, lead = c[:deg + 1].take(idx, axis=1), size[deg].take(idx)
+            cols, lead = c[:deg + 1, idx], size[deg, idx]
             r = np.empty((deg, len(idx)), dtype=np.complex128)
             dh = np.empty(r.shape)
         if deg == 1:
@@ -307,8 +307,7 @@ def _solve_columns(c, size, scale, out, dout):
                     dh[a] *= gap
                     dh[b] *= gap
         if idx is not None:
-            for j in range(deg):
-                out[j, idx], dout[j, idx] = r[j], dh[j]
+            out[:deg, idx], dout[:deg, idx] = r, dh
     return (np.concatenate(eig) if eig else np.zeros(0, dtype=int)), full
 
 

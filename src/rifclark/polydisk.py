@@ -17,9 +17,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clark import ClarkMeasure, _check_mass, total_mass
-from .errors import RootFindFailure, SingularDenominator, UnstableDenominator
-from .levelset import _atom_blocks, _unimodular_alpha
+from .clark import ClarkMeasure, _fibered, total_mass
+from .errors import SingularDenominator, UnstableDenominator
+from .levelset import _unimodular_alpha
 from .poly import PolyMD, Rif, stability_check
 from .util import TWO_PI, unit_circle_points, unit_roots
 
@@ -50,24 +50,14 @@ def build_measure_d(phi: Rif, alpha: complex,
     zero at (e^{0.1i}, e^{0.2i}, e^{0.3i}), is certified (margin 2.9e-3)
     and built.  A denominator free of torus zeros is the caller's to
     guarantee: the structure formula breaks down at one.
-    The measure is fibered as in the 2-variable builder: ``base``
-    (grid_n**2, 2) holds the grid points (zeta1, zeta2), each once, pairs
-    of the shared N-th roots of unity (``util.unit_roots``), and
-    ``atoms`` (n, grid_n**2), n the degree in z3, all roots zeta3 of each
-    point's slice from the slice kernel (``levelset._atom_blocks``), root
-    row by root row.  Each weighs the tensor trapezoid weight 1 / grid_n**2
-    times the Clark weight |p| / |d/dz3 (q - alpha p)|, formed block by
-    block, as are the checks below.  A slice that drops degree raises
-    RootFindFailure: the surface is then no clean cover.
-
-    The atoms over each grid point carry the mass of their slice's Clark
-    measure, which the Poisson identity at z3 = 0 gives exactly from the
-    slice's h and p there, the kernel's constant rows (``_origin_masses``),
-    and the grid mean of those masses is ``clark.expected_mass`` as this
-    grid integrates it.  A mass off that mean by more than
-    ``clark.MASS_GAP_TOL`` relatively raises MassGapExceeded.  The guard
-    sees a faulty build, such as lost roots, and not the quadrature
-    error of a coarse grid (7.8e-3 at grid_n = 8 for s = 3.3).
+    The measure is the 2-variable builder's fibered rule, from its build
+    body (``clark._fibered``): ``base`` (grid_n**2, 2) holds the pairs
+    (zeta1, zeta2) of the shared N-th roots of unity, each of trapezoid
+    weight 1 / grid_n**2, and ``atoms`` (n, grid_n**2), n the degree in z3,
+    the roots zeta3 of each point's slice.  The mass guard compares against
+    the grid mean of the exact slice masses (``clark._origin_masses``): it
+    sees a faulty build, such as lost roots or an empty atom, and not the
+    quadrature error of a coarse grid (7.8e-3 at grid_n = 8 for s = 3.3).
     """
     if phi.dim != 3:
         raise ValueError("build_measure_d handles exactly three variables")
@@ -83,24 +73,8 @@ def build_measure_d(phi: Rif, alpha: complex,
     pts = np.empty((N, N, 2), dtype=complex)  # (zg_i, zg_j) at row i N + j
     pts[..., 0], pts[..., 1] = zg[:, None], zg
     pts = pts.reshape(N * N, 2)
-    atoms = np.empty((phi.degrees[-1], N * N), dtype=complex)
-    weights = np.empty(atoms.shape)
-    mass = 0.0  # the sum of the slice masses
-    for b, den, _, full, h0, p0 in _atom_blocks(
-            phi.level_coeffs(alpha), phi.den.coeffs, pts, atoms, weights):
-        if not full:
-            raise RootFindFailure(
-                "a slice dropped degree; the surface is not a clean cover "
-                "of the 2-torus")
-        w = weights[:, b]
-        np.divide(w, den, out=w)
-        w /= N * N
-        mass += np.sum(_origin_masses(alpha, h0, p0))
-        del h0, p0  # views of the block's rows: not held through the next
-    measure = ClarkMeasure(phi=phi, alpha=alpha, grid_n=N, base=pts,
-                           atoms=atoms, weights=weights, lines=[])
-    _check_mass(measure, mass / (N * N))
-    return measure
+    return _fibered(phi, alpha, N, pts, np.broadcast_to(1.0 / (N * N), N * N),
+                    [], None)
 
 
 @lru_cache(maxsize=32)
@@ -110,17 +84,6 @@ def _certificate(shape, raw):
     depends on nothing else, so each denominator is certified once."""
     return stability_check(PolyMD(np.frombuffer(raw, dtype=complex)
                                   .reshape(shape))) - 1.0
-
-
-def _origin_masses(alpha: complex, h0, p0):
-    """Mass of the Clark measure of each slice b = phi(zeta', .) from its
-    rows of h = q - alpha p and p at z_d = 0: the Poisson identity at
-    z_d = 0, (1 - |b(0)|^2) / |alpha - b(0)|^2 with b(0) = alpha + h0 / p0,
-    so (1 - |alpha + r|^2) / |r|^2 for r = h0 / p0."""
-    r = h0 / p0
-    b0 = r + alpha
-    return (1.0 - (b0.real ** 2 + b0.imag ** 2)) / (r.real ** 2
-                                                    + r.imag ** 2)
 
 
 # clark.total_mass by its tridisk name, read only by the benchmark's tridisk

@@ -354,17 +354,28 @@ def test_measure_json_stores_raw_little_endian_arrays(fav_measure_alphai,
 
 
 def test_measure_json_keeps_every_bit(fav):
-    # -0.0, NaN with sign and payload, infinities and a subnormal
+    # the writer keeps -0.0, NaN with sign and payload, infinities and
+    # subnormals; the reader takes back the finite values bit for bit
     nan = np.array([0x7FF8000000000001, 0xFFF8000000000000],
                    dtype=np.uint64).view(np.float64)
     odd = np.array([-0.0, nan[0], nan[1], np.inf, -np.inf, 5e-324, -2.5e-310,
                     1.0])
-    parts = np.stack([np.roll(odd, k) for k in range(4)], axis=-1)
-    values = parts.view(complex).reshape(2, 8)
-    m = clark.ClarkMeasure(phi=fav, alpha=1.0j, grid_n=8,
-                           base=values[0][:, None].copy(),
-                           atoms=values[1][None].copy(),
-                           weights=odd[None, ::-1].copy(), lines=[])
+    finite = np.array([-0.0, 5e-324, -2.5e-310, 1.0])
+
+    def measure(values, weights):
+        parts = np.stack([np.roll(values, k) for k in range(4)], axis=-1)
+        z = parts.view(complex).reshape(2, len(values))
+        return clark.ClarkMeasure(phi=fav, alpha=1.0j, grid_n=len(values),
+                                  base=z[0][:, None].copy(),
+                                  atoms=z[1][None].copy(),
+                                  weights=weights[None].copy(), lines=[])
+
+    for m in (measure(odd, odd[::-1]), measure(finite, np.abs(finite))):
+        obj = json.loads(clark.measure_to_json(m))
+        for key, dtype in (("base", "<c16"), ("atoms", "<c16"),
+                           ("weights", "<f8")):
+            assert obj[key]["data"] == _b64(getattr(m, key), dtype)
+    m.weights[0, 0] = -0.0
     text = clark.measure_to_json(m)
     back = clark.measure_from_json(text)
     for key in ("base", "atoms", "weights"):
@@ -493,6 +504,15 @@ def _set(key, value):
     return lambda obj, m: obj.update({key: value})
 
 
+def _value(key, value):
+    # the first value of a binary record replaced, the record well-formed
+    def damage(obj, m):
+        a = getattr(m, key).copy()
+        a.flat[0] = value
+        obj[key] = _rec(a, "<f8" if key == "weights" else "<c16")
+    return damage
+
+
 def _insert(key, junk):
     # lenient base64 decoding would drop the junk without a word
     def damage(obj, m):
@@ -543,6 +563,12 @@ def test_measure_from_json_reads_the_undamaged_line(fav_measure_alphai):
     (_shape("weights", lambda m: [len(m.base), 1]), "shapes disagree"),
     (_fewer_base_nodes, "shapes disagree"),
     (_no_atoms, "k >= 1"),
+    (_value("weights", np.nan), "weights must be finite and >= 0"),
+    (_value("weights", -5.0), "weights must be finite and >= 0"),
+    (_value("weights", np.inf), "weights must be finite and >= 0"),
+    (_value("atoms", np.nan), "base nodes and atoms must be finite"),
+    (_value("base", complex(0.0, np.inf)),
+     "base nodes and atoms must be finite"),
     (_shape("base", lambda m: [len(m.base)]),
      "base shape must be two non-negative integers"),
     (_shape("atoms", lambda m: [-1, -len(m.base)]),
@@ -587,7 +613,8 @@ def test_measure_from_json_reads_the_undamaged_line(fav_measure_alphai):
         "scalar_weight", "one_coordinate", "text_arrays", "invalid_base64",
         "partial_value", "nodes_bangs", "nodes_spaces", "weights_padding",
         "flat_nodes", "shape_off_data", "weights_transposed",
-        "fewer_base_nodes", "no_atoms", "shape_one_axis", "shape_negative",
+        "fewer_base_nodes", "no_atoms", "weight_nan", "weight_negative",
+        "weight_inf", "atom_nan", "base_inf", "shape_one_axis", "shape_negative",
         "shape_bool", "no_shape",
         "no_rif", "no_lines", "no_mass", "lines_null", "line_no_axis",
         "alpha_three", "alpha_one", "alpha_off_circle", "alpha_text",

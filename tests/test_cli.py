@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from rifclark import catalog
+from rifclark import catalog, polydisk
 from rifclark.cli import main, parse_alpha
 from rifclark.poly import poly_to_json
 
@@ -299,6 +299,59 @@ def test_tridisk_point_check(capsys):
                "--point", "0.3,0.1;0.2,0;0,0.4"])
     assert rc == 0
     assert "rel" in capsys.readouterr().out
+
+
+def test_tridisk_point_refuses_a_three_part_coordinate(capsys):
+    rc = main(["tridisk", "--s", "4", "--alpha", "i", "--grid", "16",
+               "--point", "0.1,0.2,0.3;0.1;0.2"])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ValueError" and "0.1,0.2,0.3" in err["message"]
+
+
+def test_tridisk_surface_csv(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    args = ["tridisk", "--s", "3.5", "--alpha", "i", "--surface", "--grid",
+            "8", "--out", str(out)]
+    assert main(args) == 0
+    assert "level surface samples: 64" in capsys.readouterr().out
+    text = out.read_bytes()
+    lines = text.decode().splitlines()
+    assert lines[0].startswith("# s=3.5 alpha=")
+    assert lines[0].endswith(" surface N=8")
+    assert lines[1] == "theta1,theta2,arg_psi"
+    assert len(lines) == 2 + 8 * 8
+    rows = np.array([[float(x) for x in ln.split(",")] for ln in lines[2:]])
+    z = np.exp(1j * rows[:, 0]), np.exp(1j * rows[:, 1])
+    psi = np.exp(1j * rows[:, 2])
+    assert np.max(np.abs(psi - polydisk.tridisk_level(3.5, 1.0j, *z))) < 1e-12
+    assert main(args) == 0
+    assert out.read_bytes() == text
+    capsys.readouterr()
+
+
+def test_verify_out_agrees_with_stdout(fav_json, tmp_path, capsys):
+    m, v = str(tmp_path / "m.json"), str(tmp_path / "v.json")
+    assert main(["analyze", "--poly", fav_json, "--alpha", "i", "--grid",
+                 "1024", "--out", m]) == 0
+    capsys.readouterr()
+    rc = main(["verify", "--measure", m, "--points", "5", "--out", v])
+    last = capsys.readouterr().out.splitlines()[-1]
+    obj = json.loads(open(v).read())
+    assert rc == 0 and obj["pass"] is True and last.endswith("PASS")
+    assert last.split()[3] == f"{obj['max_rel_err']:.3g}"
+
+
+def test_embed_at_an_exceptional_alpha_reports_conj_rational_error(
+        fav_json, tmp_path, capsys):
+    out = str(tmp_path / "e.json")
+    rc = main(["embed", "--poly", fav_json, "--alpha", "-1", "--grid", "256",
+               "--kernels", "3", "--degree", "2", "--out", out])
+    assert rc == 0
+    obj = json.loads(open(out).read())
+    assert "conj_rational_residuals" not in obj
+    assert "alpha is exceptional" in obj["conj_rational_error"]
+    assert "conjugate coordinates: " in capsys.readouterr().out
 
 
 def test_embed_command(fav_json, tmp_path, capsys):

@@ -147,6 +147,15 @@ def test_nontangential_value_at_regular_point(fav):
         contact.nontangential_value(fav, (0.5, 0.5j))
 
 
+def test_nontangential_value_refuses_p_vanishing_along_the_radius():
+    # p = z2 - z1 is zero on the whole radius r (1, 1): every radial
+    # coefficient of p vanishes, so there is no first ratio to take
+    c = np.zeros((2, 2), dtype=complex)
+    c[0, 1], c[1, 0] = 1.0, -1.0
+    with pytest.raises(NonConvergent, match="p vanishes along the radius"):
+        contact.nontangential_value(Rif(PolyMD(c)), (1.0, 1.0))
+
+
 @pytest.mark.parametrize("n1, n2, seed", [(1, 2, 3), (2, 2, 5)])
 def test_alpha0_is_on_the_circle(n1, n2, seed):
     # the nontangential value at a planted torus zero comes back projected

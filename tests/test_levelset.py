@@ -133,6 +133,18 @@ def test_detect_lines_generic_alpha_empty(fav, squared):
     assert levelset.detect_lines(squared, 1.0j) == []
 
 
+@pytest.mark.parametrize("call", [
+    lambda phi: clark.exact_moments(phi, 1.0j, 2),
+    lambda phi: levelset.trace_branches(phi, 1.0j, 16),
+    lambda phi: levelset.detect_lines(phi, 1.0j),
+    lambda phi: levelset.find_singularities(phi),
+], ids=["exact_moments", "trace_branches", "detect_lines",
+        "find_singularities"])
+def test_two_variable_routines_refuse_the_tridisk(call):
+    with pytest.raises(ValueError, match="two-variable"):
+        call(catalog.tridisk_rif(4.0))
+
+
 def test_detect_lines_refuses_non_finite_alpha(fav):
     with pytest.raises(ValueError):
         levelset.detect_lines(fav, np.nan)

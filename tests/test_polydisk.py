@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from rifclark import catalog, clark, contact, embedding, levelset, polydisk
-from rifclark.errors import (MassGapExceeded, RootFindFailure,
-                             SingularDenominator, UnstableDenominator)
+from rifclark.errors import (MassGapExceeded, SingularDenominator,
+                             UnstableDenominator)
 from rifclark.poly import (PolyMD, Rif, _eval_tensor, _polyval_rows,
                            derivative_coeffs, slice_coeffs)
 from rifclark.util import unit_circle_points
@@ -372,9 +372,9 @@ def test_origin_masses_are_the_closed_form_slice_masses(k):
                    -1).reshape(-1, 2)
     atoms, num = np.empty((k, N * N), dtype=complex), np.empty((k, N * N))
     got = np.empty(N * N)
-    for b, *_, h0, p0 in polydisk._atom_blocks(
-            phi.level_coeffs(alpha), phi.den.coeffs, pts, atoms, num):
-        got[b] = polydisk._origin_masses(alpha, h0, p0)
+    for b, *_, h0, p0 in clark._atom_blocks(
+            phi.level_coeffs(alpha), phi._den_full, pts, atoms, num):
+        got[b] = clark._origin_masses(alpha, h0, p0)
     zs = [pts[:, 0], pts[:, 1]]
     b0 = _eval_tensor(phi.num.coeffs[..., 0], zs) \
         / _eval_tensor(phi.den.coeffs[..., 0], zs)
@@ -383,7 +383,7 @@ def test_origin_masses_are_the_closed_form_slice_masses(k):
 
 
 def test_build_measure_d_mass_guard_raises_on_lost_roots(monkeypatch):
-    atom_blocks = polydisk._atom_blocks
+    atom_blocks = clark._atom_blocks
 
     def drop_last_root(hcoef, pcoef, pts, roots, num):
         for b, den, zero, full, *at0 in atom_blocks(hcoef, pcoef, pts, roots,
@@ -391,15 +391,16 @@ def test_build_measure_d_mass_guard_raises_on_lost_roots(monkeypatch):
             num[-1, b] = 0.0  # the last root of each slice carries no mass
             yield b, den, zero, full, *at0
 
-    monkeypatch.setattr(polydisk, "_atom_blocks", drop_last_root)
+    monkeypatch.setattr(clark, "_atom_blocks", drop_last_root)
     with pytest.raises(MassGapExceeded):
         polydisk.build_measure_d(sheets_rif(3.5, 2), np.exp(0.4j), 32)
 
 
 def test_build_measure_d_refuses_a_block_with_empty_atoms(monkeypatch):
     # a block in which the kernel reports a slice below full degree (an
-    # empty atom) is no clean cover of the 2-torus
-    atom_blocks = polydisk._atom_blocks
+    # empty atom) is no clean cover of the 2-torus: the placeholder of
+    # weight 0 loses the atom's mass, and the guard sees it
+    atom_blocks = clark._atom_blocks
 
     def drop_a_root(hcoef, pcoef, pts, roots, num):
         for b, den, zero, _, *at0 in atom_blocks(hcoef, pcoef, pts, roots,
@@ -407,8 +408,8 @@ def test_build_measure_d_refuses_a_block_with_empty_atoms(monkeypatch):
             roots[-1, b.start] = np.nan
             yield b, den, zero, False, *at0
 
-    monkeypatch.setattr(polydisk, "_atom_blocks", drop_a_root)
-    with pytest.raises(RootFindFailure):
+    monkeypatch.setattr(clark, "_atom_blocks", drop_a_root)
+    with pytest.raises(MassGapExceeded):
         polydisk.build_measure_d(sheets_rif(3.5, 2), np.exp(0.4j), 32)
 
 
@@ -544,3 +545,15 @@ def test_closed_form_weights_add_up_next_to_alpha0(seed, delta):
     assert abs(clark.total_mass(m) / clark.expected_mass(phi, alpha)
                - 1.0) <= 1e-14
     assert clark.moment_residual(m, 6) <= 1e-14
+
+
+def test_level_surface_rows_sample_the_level_surface():
+    s, alpha, N = 3.5, np.exp(0.7j), 16
+    rows = polydisk.level_surface_rows(s, alpha, N)
+    assert rows.shape == (N * N, 3)
+    theta1, theta2 = rows[:, 0], rows[:, 1]
+    assert np.array_equal(theta1, np.repeat(2 * np.pi * np.arange(N) / N, N))
+    assert np.array_equal(theta2, np.tile(2 * np.pi * np.arange(N) / N, N))
+    z = unit_circle_points(2 * np.pi * np.arange(N) / N)
+    psi = polydisk.tridisk_level(s, alpha, z[:, None], z[None, :])
+    assert np.array_equal(rows[:, 2], np.angle(psi).ravel())
