@@ -26,14 +26,13 @@ from the same build body (``_fibered``).
 
 from __future__ import annotations
 
-import binascii
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import poly as _poly
-from .errors import MassGapExceeded, MassNotOne
+from .errors import MassGapExceeded, MassNotOne, MeasureMismatch
 from .levelset import (
     UNIMODULAR_TOL,
     Branch,
@@ -43,8 +42,8 @@ from .levelset import (
     _unimodular_alpha,
 )
 from .poly import Rif
-from .util import (TWO_PI, canonical_json, grid_shift, on_circle,
-                   unit_circle_points, unit_roots)
+from .util import (TWO_PI, canonical_json, grid_shift, unit_circle_points,
+                   unit_roots)
 
 __all__ = [
     "ClarkMeasure", "build_measure",
@@ -531,20 +530,19 @@ def herglotz_reconstruct(measure: ClarkMeasure,
 # serialization
 # ---------------------------------------------------------------------------
 
-# the binary fields of a measure record, in the order written
-_ARRAYS = (("base", "<c16"), ("atoms", "<c16"), ("weights", "<f8"))
-
-
 def measure_to_json(measure: ClarkMeasure) -> str:
-    """Canonical JSON of the measure; ``base``, ``atoms`` and ``weights``
-    are binary records {"shape", "data"}: the shape, (m, phi.dim - 1) or
-    (k, m), and a base64 string of the raw little-endian bytes in
-    row-major order, complex128 (``<c16``) or for weights float64
-    (``<f8``).  So every value is written bit for bit (-0.0, NaN,
-    infinities, subnormals), and every one that measure_from_json reads
-    back (the finite ones) survives; the other fields are text.
+    """Canonical JSON of the measure's recipe: the RIF header, alpha and
+    grid_n, which fix every number a build returns, and ``sha256``, the
+    digest of the built arrays (``_digest``).  ``mass`` and ``lines`` are
+    text for people; measure_from_json reads neither.  ValueError unless
+    the base nodes and atoms are finite and the weights finite and >= 0.
     """
-    obj = {
+    if not (np.isfinite(measure.base).all()
+            and np.isfinite(measure.atoms).all()):
+        raise ValueError("Clark measure base nodes and atoms must be finite")
+    if not ((measure.weights >= 0.0) & (measure.weights < np.inf)).all():
+        raise ValueError("Clark measure weights must be finite and >= 0")
+    return canonical_json({
         "type": "clark_measure",
         "alpha": complex(measure.alpha),
         "grid_n": measure.grid_n,
@@ -552,98 +550,63 @@ def measure_to_json(measure: ClarkMeasure) -> str:
             "degrees": list(measure.phi.degrees),
             "den": _poly.poly_to_json_obj(measure.phi.den),
         },
+        "sha256": _digest(measure),
         "mass": total_mass(measure),
         "lines": [
             {"axis": line.axis, "tau": complex(line.tau),
              "constant": line.constant}
             for line in measure.lines
         ],
-    }
-    for key, dtype in _ARRAYS:
-        a = getattr(measure, key)
-        obj[key] = {"shape": list(a.shape), "data": _pack(a, dtype)}
-    return canonical_json(obj)
+    })
 
 
-def _pack(a, dtype):
-    # canonical_json writes the buffer as base64; no cast("B"), which a
-    # zero-size (0, d) array refuses
-    return memoryview(np.ascontiguousarray(a, dtype=dtype))
+def _digest(measure):
+    """The SHA-256, in hex, of the raw bytes of ``base``, ``atoms`` and
+    ``weights``, in that order and each row-major."""
+    import hashlib  # its OpenSSL binding takes ~5 ms to load: only here
 
-
-def _unpack(rec, dtype, key):
-    """The array of a {"shape", "data"} record as measure_to_json writes it."""
-    if not (isinstance(rec, dict) and set(rec) == {"shape", "data"}
-            and isinstance(rec["data"], str)):  # text arrays included
-        raise ValueError(f"Clark measure {key} must be a record of its shape "
-                         f"and base64 of raw {dtype} bytes")
-    shape, payload = rec["shape"], rec["data"]
-    if not isinstance(shape, list) or len(shape) != 2 or not all(
-            type(n) is int and n >= 0 for n in shape):
-        raise ValueError(f"Clark measure {key} shape must be two "
-                         "non-negative integers")
-    raw = binascii.a2b_base64(payload)  # binascii.Error is a ValueError
-    # a2b_base64 skips characters outside the alphabet and padding before
-    # the end, which leaves fewer bytes than the length promises; only
-    # the last two characters may be padding, so the text is not rescanned
-    pads = len(payload[-2:]) - len(payload[-2:].rstrip("="))
-    if len(payload) % 4 or len(raw) != 3 * len(payload) // 4 - pads:
-        raise ValueError(f"Clark measure {key} holds characters outside the "
-                         "base64 alphabet or padding before its end")
-    if len(raw) != shape[0] * shape[1] * np.dtype(dtype).itemsize:
-        raise ValueError(f"Clark measure {key} is not the {shape[0]} x "
-                         f"{shape[1]} {dtype} values of its shape")
-    # a writable copy the measure owns (a built uniform base is read-only)
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    h = hashlib.sha256()
+    for a in (measure.base, measure.atoms, measure.weights):
+        h.update(np.ascontiguousarray(a))
+    return h.hexdigest()
 
 
 def measure_from_json(text: str) -> ClarkMeasure:
-    """Read a measure written by measure_to_json (same encoding).
+    """Rebuild the measure of a file that measure_to_json wrote.
 
-    Raises ValueError for anything else: records without ``base``,
-    ``atoms`` and ``weights`` (the flat-node and per-branch layouts),
-    text-array payloads, malformed base64, arrays whose lengths, shapes or
-    coordinates (phi.dim - 1 per base node) do not fit together or that
-    hold no atom per base node (k < 1), a base node or atom that is not
-    finite, a weight that is not finite and >= 0, and headers that miss a
-    key, store a complex value other than as a [re, im] pair, give an alpha or
-    a line tau off the unit circle (``util.on_circle``), a grid_n that is
-    not a positive integer, a line that is not vertical (axis 1) or a line
-    constant that is not finite and >= 0.  ``mass`` must be present but
-    is not read: it is the sum of the weights and line constants.
+    The RIF, alpha and grid_n go to ``build_measure``, or for three
+    variables to ``polydisk.build_measure_d``, and a rebuild whose digest
+    is not the file's ``sha256`` raises MeasureMismatch, naming both.
+    Raises ValueError for anything else: a record without the keys
+    alpha, grid_n, rif and sha256 (every earlier layout lacks sha256), an
+    alpha other than a pair [re, im] of finite numbers, a grid_n that is
+    not a positive integer, a malformed rif header, and whatever the
+    builder refuses (an alpha off the circle among them).
     """
     obj = json.loads(text)
     if not isinstance(obj, dict) or obj.get("type") != "clark_measure":
         raise ValueError("not a serialized Clark measure")
-    if not all(key in obj for key, _ in _ARRAYS):
-        raise ValueError("Clark measure record has no base, atoms and "
-                         "weights; flat-node and per-branch records are no "
-                         "longer read")
-    alpha, grid_n, rif, _, recs = _fields(
-        obj, ("alpha", "grid_n", "rif", "mass", "lines"), "record")
+    alpha, grid_n, rif, digest = _fields(
+        obj, ("alpha", "grid_n", "rif", "sha256"), "record")
     degrees, den = _fields(rif, ("degrees", "den"), "rif")
     phi = Rif(_poly.poly_from_json_obj(den), _poly.json_degrees(degrees, 1))
     if type(grid_n) is not int or grid_n < 1:  # type() keeps out True
         raise ValueError("Clark measure grid_n must be a positive integer")
-    base, atoms, weights = (_unpack(obj[key], dtype, key)
-                            for key, dtype in _ARRAYS)
-    if base.shape[1] != phi.dim - 1:
-        raise ValueError(f"Clark measure base must have shape (m, "
-                         f"{phi.dim - 1}) for a {phi.dim}-variable function")
-    if atoms.shape != weights.shape or atoms.shape[1] != len(base):
-        raise ValueError("Clark measure base, atoms and weights shapes "
-                         "disagree; atoms and weights are (k, m) over m")
-    if len(atoms) < 1:
-        raise ValueError("Clark measure needs k >= 1 atoms per base node")
-    if not (np.isfinite(base).all() and np.isfinite(atoms).all()):
-        raise ValueError("Clark measure base nodes and atoms must be finite")
-    if not ((weights >= 0.0) & (weights < np.inf)).all():  # NaN fails
-        raise ValueError("Clark measure weights must be finite and >= 0")
-    if not isinstance(recs, list):
-        raise ValueError("Clark measure lines must be a list")
-    return ClarkMeasure(phi=phi, alpha=_unimodular(alpha, "alpha"),
-                        grid_n=grid_n, base=base, atoms=atoms,
-                        weights=weights, lines=[_line(rec) for rec in recs])
+    if not (isinstance(alpha, list) and len(alpha) == 2
+            and all(map(_poly.finite_number, alpha))):
+        raise ValueError("Clark measure alpha must be a pair [re, im] of "
+                         "finite numbers")
+    # alpha was stored projected, and projecting it again keeps its bits
+    if phi.dim == 2:
+        measure = build_measure(phi, complex(*alpha), grid_n)
+    else:
+        from .polydisk import build_measure_d  # polydisk imports clark
+        measure = build_measure_d(phi, complex(*alpha), grid_n)
+    got = _digest(measure)
+    if got != digest:
+        raise MeasureMismatch(f"the rebuilt measure has sha256 {got}, the "
+                              f"file {digest}")
+    return measure
 
 
 def _fields(obj, keys, what):
@@ -651,30 +614,3 @@ def _fields(obj, keys, what):
         raise ValueError(f"Clark measure {what} needs the keys "
                          f"{', '.join(keys)}")
     return [obj[key] for key in keys]
-
-
-def _real(value, what):
-    if not _poly.finite_number(value):
-        raise ValueError(f"Clark measure {what} holds {value!r}, not a finite "
-                         "number")
-    return float(value)
-
-
-def _unimodular(value, what):
-    if not isinstance(value, list) or len(value) != 2:
-        raise ValueError(f"Clark measure {what} must be a pair [re, im]")
-    z = complex(_real(value[0], what), _real(value[1], what))
-    if not on_circle(z):  # not projected: re-serialising keeps the bytes
-        raise ValueError(f"Clark measure {what} must have modulus 1")
-    return z
-
-
-def _line(rec):
-    axis, tau, constant = _fields(rec, ("axis", "tau", "constant"), "line")
-    if type(axis) is not int or axis != 1:
-        raise ValueError("Clark measure lines must be vertical (axis 1)")
-    constant = _real(constant, "line constant")
-    if constant < 0.0:
-        raise ValueError("Clark measure line constant must be >= 0")
-    return LineComponent(axis=1, tau=_unimodular(tau, "line tau"),
-                         constant=constant)

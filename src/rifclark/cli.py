@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto the library layers: ``analyze`` builds a
-Clark measure and serializes it, ``levelset`` exports traced branches,
+Clark measure and writes its file, ``levelset`` exports traced branches,
 ``verify`` replays the Poisson identity on a stored measure, ``contact``
 writes singularity reports, ``embed`` runs the isometry and density
 checks, ``tridisk`` exposes the closed-form family, and ``reconstruct``
-rebuilds the inner function from a measure's moments.
+rebuilds the inner function from a measure's moments.  A measure file is
+the recipe of its build (RIF, alpha, grid) and the digest of its arrays;
+``verify`` and ``reconstruct`` build it again and refuse a rebuild whose
+digest differs (``clark.measure_from_json``).
 
 All JSON output uses a canonical writer (sorted structure, %.17g floats)
 so identical configurations produce byte-identical artifacts.

@@ -39,6 +39,11 @@ class MassGapExceeded(RifclarkError):
     """A built measure's mass missed the Poisson identity at the origin."""
 
 
+class MeasureMismatch(RifclarkError, ValueError):
+    """A measure rebuilt from its file differs from the one written: the
+    two SHA-256 digests of its arrays disagree."""
+
+
 class MassNotOne(RifclarkError):
     """A probability-measure precondition failed (total mass != 1)."""
 

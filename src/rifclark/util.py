@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import binascii
 import functools
 import json
 
@@ -88,10 +87,6 @@ def _canonical(obj, parts):
         _canonical([obj.real, obj.imag], parts)
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
-    elif isinstance(obj, (bytes, bytearray, memoryview)):
-        # the base64 alphabet needs no escaping, so the text goes in as is
-        parts += ('"', binascii.b2a_base64(obj, newline=False).decode("ascii"),
-                  '"')
     elif isinstance(obj, dict):
         parts.append("{")
         for i, key in enumerate(obj):
@@ -120,9 +115,7 @@ def canonical_json(obj):
     """Serialize to JSON with fixed key order and %.17g float formatting.
 
     Key order is the dict insertion order of the caller, so building the
-    payload the same way always yields byte-identical text.  A bytes-like
-    value (bytes, bytearray, memoryview) becomes the JSON string of its
-    base64 text.
+    payload the same way always yields byte-identical text.
     """
     parts: list[str] = []
     _canonical(obj, parts)

@@ -1,11 +1,14 @@
+import base64
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rifclark import catalog, polydisk
+from rifclark import catalog, clark, polydisk
 from rifclark.cli import main, parse_alpha
 from rifclark.poly import poly_to_json
 
@@ -125,7 +128,7 @@ def test_analyze_is_deterministic(fav_json, tmp_path, capsys):
         assert main(["analyze", "--poly", fav_json, "--alpha", "exp:0.25",
                      "--grid", "512", "--out", out]) == 0
     capsys.readouterr()
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_missing_poly_file_gives_error_json(tmp_path, capsys):
@@ -194,38 +197,31 @@ def test_reconstruct_round_trip(fav_json, tmp_path, capsys):
     rc = main(["reconstruct", "--measure", mpath, "--degree", "24",
                "--out", hpath])
     assert rc == 0
-    obj = json.loads(open(hpath).read())
+    obj = json.loads(Path(hpath).read_text())
     assert obj["sup_error_half_disk"] < 1e-8
     capsys.readouterr()
 
 
-def test_verify_rejects_per_branch_measure_file(fav_json, tmp_path, capsys):
+def test_verify_refuses_a_base64_layout_measure_file(fav_json, tmp_path,
+                                                     capsys):
+    # the layout before recipes held the arrays as base64 records and no
+    # digest; every earlier layout lacks the digest too
     mpath = tmp_path / "m.json"
     main(["analyze", "--poly", fav_json, "--alpha", "i", "--grid", "256",
           "--out", str(mpath)])
     capsys.readouterr()
     obj = json.loads(mpath.read_text())
-    obj["branches"] = [{"values": obj.pop("atoms"),
-                        "weights": obj.pop("weights")}]
+    del obj["sha256"]
+    m = clark.build_measure(catalog.simple_singular_rif(), 1j, 256)
+    for key in ("base", "atoms", "weights"):
+        a = getattr(m, key)
+        obj[key] = {"shape": list(a.shape),
+                    "data": base64.b64encode(a.tobytes()).decode("ascii")}
     mpath.write_text(json.dumps(obj))
     rc = main(["verify", "--measure", str(mpath)])
     assert rc == 1
     err = json.loads(capsys.readouterr().out)["error"]
-    assert err["type"] == "ValueError"
-
-
-def test_verify_rejects_text_array_measure_file(fav_json, tmp_path, capsys):
-    mpath = tmp_path / "m.json"
-    main(["analyze", "--poly", fav_json, "--alpha", "i", "--grid", "256",
-          "--out", str(mpath)])
-    capsys.readouterr()
-    obj = json.loads(mpath.read_text())
-    obj["weights"] = [1.0 / 256] * 256  # the layout before base64 arrays
-    mpath.write_text(json.dumps(obj))
-    rc = main(["verify", "--measure", str(mpath)])
-    assert rc == 1
-    err = json.loads(capsys.readouterr().out)["error"]
-    assert err["type"] == "ValueError" and "base64" in err["message"]
+    assert err["type"] == "ValueError" and "sha256" in err["message"]
 
 
 def test_analyze_refuses_a_wrong_mass(tmp_path, capsys):
@@ -265,7 +261,7 @@ def test_tridisk_diagonal_csv(tmp_path, capsys):
     rc = main(["tridisk", "--s", "3", "--alpha", "-1", "--diagonal",
                "--grid", "128", "--out", out])
     assert rc == 0
-    rows = [ln.split(",") for ln in open(out).read().splitlines()[2:]]
+    rows = [ln.split(",") for ln in Path(out).read_text().splitlines()[2:]]
     th = np.array([float(r[0]) for r in rows])
     w = np.array([float(r[1]) for r in rows])
     exact = 1 + 1 / (1 - np.cos(th))
@@ -337,7 +333,7 @@ def test_verify_out_agrees_with_stdout(fav_json, tmp_path, capsys):
     capsys.readouterr()
     rc = main(["verify", "--measure", m, "--points", "5", "--out", v])
     last = capsys.readouterr().out.splitlines()[-1]
-    obj = json.loads(open(v).read())
+    obj = json.loads(Path(v).read_text())
     assert rc == 0 and obj["pass"] is True and last.endswith("PASS")
     assert last.split()[3] == f"{obj['max_rel_err']:.3g}"
 
@@ -348,7 +344,7 @@ def test_embed_at_an_exceptional_alpha_reports_conj_rational_error(
     rc = main(["embed", "--poly", fav_json, "--alpha", "-1", "--grid", "256",
                "--kernels", "3", "--degree", "2", "--out", out])
     assert rc == 0
-    obj = json.loads(open(out).read())
+    obj = json.loads(Path(out).read_text())
     assert "conj_rational_residuals" not in obj
     assert "alpha is exceptional" in obj["conj_rational_error"]
     assert "conjugate coordinates: " in capsys.readouterr().out
@@ -359,7 +355,7 @@ def test_embed_command(fav_json, tmp_path, capsys):
     rc = main(["embed", "--poly", fav_json, "--alpha", "i", "--grid", "1024",
                "--kernels", "4", "--degree", "3", "--out", out])
     assert rc == 0
-    obj = json.loads(open(out).read())
+    obj = json.loads(Path(out).read_text())
     assert obj["gram_max_abs_error"] < 1e-8
     assert "conj_rational_residuals" in obj
     capsys.readouterr()
@@ -370,7 +366,7 @@ def test_contact_command(fav_json, tmp_path, capsys):
     rc = main(["contact", "--poly", fav_json, "--alphas", "1;i",
                "--out", out])
     assert rc == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     reports = json.loads(text)
     assert len(reports) == 1
     assert all(f["rounded"] == 2 for f in reports[0]["fits"])
@@ -379,18 +375,23 @@ def test_contact_command(fav_json, tmp_path, capsys):
     # a second run writes the same bytes
     assert main(["contact", "--poly", fav_json, "--alphas", "1;i",
                  "--out", out]) == 0
-    assert open(out).read() == text
+    assert Path(out).read_text() == text
     capsys.readouterr()
 
 
-def test_module_invocation_with_thread_cap(fav_json, tmp_path):
+def test_module_invocation_with_thread_cap(fav_json, tmp_path, capsys):
+    # a child capped at one BLAS thread writes the file, and this process,
+    # on its own thread count, rebuilds it to the same digest
+    mpath = str(tmp_path / "m.json")
     proc = subprocess.run(
         [sys.executable, "-m", "rifclark.cli", "analyze", "--poly", fav_json,
-         "--alpha", "1", "--grid", "512",
-         "--out", str(tmp_path / "m.json")],
-        capture_output=True, text=True, timeout=120)
+         "--alpha", "1", "--grid", "512", "--out", mpath],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
     assert proc.returncode == 0, proc.stderr
     assert "mass 1" in proc.stdout
+    assert main(["verify", "--measure", mpath, "--points", "5"]) == 0
+    assert "PASS" in capsys.readouterr().out
 
 
 def test_library_imports_leave_scipy_out():
@@ -398,11 +399,12 @@ def test_library_imports_leave_scipy_out():
             "import rifclark.cli, rifclark.clark, rifclark.contact\n"
             "import rifclark.embedding, rifclark.polydisk\n"
             "print('scipy' in sys.modules, 'base64' in sys.modules,\n"
-            "      'numpy.polynomial' in sys.modules)")
+            "      'numpy.polynomial' in sys.modules,\n"
+            "      'hashlib' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False False"
+    assert proc.stdout.strip() == "False False False False"
 
 
 def test_stability_and_line_tests_leave_numpy_ma_out():

@@ -69,15 +69,6 @@ def test_string_text_matches_json_dumps(s):
                                                   separators=(",", ":"))
 
 
-@pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
-def test_bytes_like_values_are_written_as_base64(wrap):
-    raw = np.linspace(-1.0, 1.0, 97).tobytes()
-    text = binascii.b2a_base64(raw, newline=False).decode("ascii")
-    assert canonical_json(wrap(raw)) == json.dumps(text)
-    assert canonical_json({"k": [wrap(raw), wrap(b"")]}) \
-        == json.dumps({"k": [text, ""]}, separators=(",", ":"))
-
-
 @pytest.mark.parametrize("n", [1, 3, 5, 256, 65536])
 def test_unit_roots_is_the_trig_grid_read_only(n):
     z = unit_roots(n)
