@@ -364,7 +364,7 @@ def test_measure_file_reads_back_bit_for_bit(t):
         m = clark.build_measure(catalog.simple_singular_rif(),
                                 np.exp(1j * np.pi * t), 64)
     except MassGapExceeded:  # no file to write: the guard's window next
-        assume(False)        # to t = 1 (|t - 1| from about 5e-6 to 1e-8)
+        assume(False)        # to t = 1 (|t - 1| about 1e-6 to 1e-8 here)
     assert _same_build(clark.measure_from_json(clark.measure_to_json(m)), m)
 
 
