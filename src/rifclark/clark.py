@@ -562,12 +562,12 @@ def measure_to_json(measure: ClarkMeasure) -> str:
 
 def _digest(measure):
     """The SHA-256, in hex, of the raw bytes of ``base``, ``atoms`` and
-    ``weights``, in that order and each row-major."""
+    ``weights``, in that order and each row-major and little-endian."""
     import hashlib  # its OpenSSL binding takes ~5 ms to load: only here
 
     h = hashlib.sha256()
     for a in (measure.base, measure.atoms, measure.weights):
-        h.update(np.ascontiguousarray(a))
+        h.update(np.ascontiguousarray(a, a.dtype.newbyteorder("<")))
     return h.hexdigest()
 
 

@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -349,12 +350,33 @@ def _same_build(got, want):
                     for key in ("base", "atoms", "weights")))
 
 
-def test_loaded_tridisk_measure_is_the_build_bit_for_bit():
-    m = polydisk.build_measure_d(catalog.tridisk_rif(3.6), GENERIC, 32)
+@pytest.mark.parametrize("alpha", [GENERIC, -1.0,
+                                   np.exp(1j * np.pi * 1.001)],
+                         ids=["generic", "minus_one", "above"])
+def test_loaded_tridisk_measure_is_the_build_bit_for_bit(alpha):
+    m = polydisk.build_measure_d(catalog.tridisk_rif(3.6), alpha, 32)
     text = clark.measure_to_json(m)
     back = clark.measure_from_json(text)
     assert _same_build(back, m)
     assert clark.measure_to_json(back) == text
+
+
+@pytest.mark.parametrize("N", [1, 3, 1000])
+def test_measure_file_reads_back_at_any_grid(fav, N):
+    m = clark.build_measure(fav, GENERIC, N)
+    assert _same_build(clark.measure_from_json(clark.measure_to_json(m)), m)
+
+
+@given(st.floats(min_value=0.0, max_value=2.0 * np.pi),
+       st.floats(min_value=-1e-10, max_value=1e-10))
+@example(theta=3.251953125, dr=-4.12765239100353e-11)  # one division: no
+@settings(max_examples=200, deadline=None)
+def test_projected_alpha_projects_to_itself(theta, dr):
+    # a file stores alpha projected and the rebuild projects it again:
+    # the second projection must keep every bit
+    a = levelset._unimodular_alpha((1.0 + dr) * np.exp(1j * theta))
+    assert np.array_equal(_bits(np.array([levelset._unimodular_alpha(a)])),
+                          _bits(np.array([a])))
 
 
 @given(st.floats(min_value=0.0, max_value=2.0))
@@ -386,14 +408,72 @@ def test_a_changed_digest_names_both(fav_measure_alphai):
     assert good in str(info.value) and "0" * 64 in str(info.value)
 
 
+def _rotated(obj, m):
+    a = complex(*obj["alpha"]) * np.exp(1e-12j)
+    obj["alpha"] = [a.real, a.imag]
+
+
+def _den_constant(obj, m):
+    obj["rif"]["den"]["coeffs"][0][0] = 2.5  # still stable: 2.5 - z1 - z2
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda obj, m: obj.update(grid_n=obj["grid_n"] // 2),
+    _rotated,
+    _den_constant,
+    lambda obj, m: obj["rif"].update(degrees=[2, 1]),
+], ids=["grid_n", "alpha", "den", "degrees"])
+def test_a_changed_recipe_fails_the_digest(fav_measure_alphai, tamper):
+    # the digest binds the recipe: any header that builds another measure,
+    # however near, is refused and both digests are named
+    obj = json.loads(clark.measure_to_json(fav_measure_alphai))
+    tamper(obj, fav_measure_alphai)
+    with pytest.raises(MeasureMismatch) as info:
+        clark.measure_from_json(json.dumps(obj))
+    digests = re.findall(r"\b[0-9a-f]{64}\b", str(info.value))
+    assert len(set(digests)) == 2 and obj["sha256"] in digests
+
+
+@pytest.mark.parametrize("layout", [
+    lambda a: a.astype(a.dtype.newbyteorder(">")),
+    np.asfortranarray,
+    lambda a: np.repeat(a, 2, axis=0)[::2],
+], ids=["big_endian", "fortran", "strided"])
+def test_digest_matches_c_ordered_native_copy(squared, layout):
+    m = clark.build_measure(squared, GENERIC, 64)
+    assert m.atoms.shape[0] == 2  # two rows: Fortran order is another layout
+    other = dataclasses.replace(m, **{key: layout(getattr(m, key))
+                                      for key in ("base", "atoms",
+                                                  "weights")})
+    assert clark._digest(other) == clark._digest(m)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda obj, m: obj.pop("mass"),
+    lambda obj, m: obj.pop("lines"),
+    lambda obj, m: obj.update(mass="ten"),
+    lambda obj, m: obj.update(lines=None),
+], ids=["no_mass", "no_lines", "mass_text", "lines_null"])
+def test_measure_from_json_reads_no_text_field(squared, damage):
+    # mass and lines are text for people: the rebuild brings its own
+    m = clark.build_measure(squared, -1.0, 64)
+    assert m.lines
+    obj = json.loads(clark.measure_to_json(m))
+    damage(obj, m)
+    assert _same_build(clark.measure_from_json(json.dumps(obj)), m)
+
+
 @pytest.mark.parametrize("key, value, match", [
     ("weights", np.nan, "weights must be finite and >= 0"),
     ("weights", -5.0, "weights must be finite and >= 0"),
     ("weights", np.inf, "weights must be finite and >= 0"),
     ("atoms", np.nan, "base nodes and atoms must be finite"),
     ("base", complex(0.0, np.inf), "base nodes and atoms must be finite"),
+    ("weights", -np.inf, "weights must be finite and >= 0"),
+    ("atoms", complex(np.inf, 0.0), "base nodes and atoms must be finite"),
+    ("base", complex(np.nan, 0.0), "base nodes and atoms must be finite"),
 ], ids=["weight_nan", "weight_negative", "weight_inf", "atom_nan",
-        "base_inf"])
+        "base_inf", "weight_neg_inf", "atom_inf", "base_nan"])
 def test_measure_to_json_refuses_damaged_arrays(fav_measure_alphai, key,
                                                 value, match):
     a = getattr(fav_measure_alphai, key).copy()
@@ -409,8 +489,33 @@ def _base64_layout(obj, m):
     del obj["sha256"]
     for key in ("base", "atoms", "weights"):
         a = getattr(m, key)
-        obj[key] = {"shape": list(a.shape),
-                    "data": base64.b64encode(a.tobytes()).decode("ascii")}
+        obj[key] = {"shape": list(a.shape), "data": _b64(a)}
+
+
+def _b64(a):
+    return base64.b64encode(a.tobytes()).decode("ascii")
+
+
+def _per_branch(obj, m):
+    # the per-branch layout: each branch's atoms and weights, no base
+    del obj["sha256"]
+    obj["branches"] = [{"values": _b64(m.atoms[0]),
+                        "weights": _b64(m.weights[0])}]
+
+
+def _flat_nodes(obj, m):
+    # the flat layout: one (zeta1, zeta2) row per atom and its weight
+    del obj["sha256"]
+    nodes = np.stack([np.broadcast_to(m.base[:, 0], m.atoms.shape),
+                      m.atoms], axis=-1).reshape(-1, 2)
+    obj.update(nodes=_b64(nodes), weights=_b64(m.weights))
+
+
+def _text_arrays(obj, m):
+    # the arrays as text, as written before the binary encoding
+    del obj["sha256"]
+    obj["atoms"] = np.stack([m.atoms.real, m.atoms.imag], axis=-1).tolist()
+    obj["weights"] = m.weights.tolist()
 
 
 def _pop(key):
@@ -430,7 +535,16 @@ def _rif(**fields):
 
 @pytest.mark.parametrize("damage, match", [
     (_base64_layout, "record needs the keys alpha, grid_n, rif, sha256"),
+    (_per_branch, "record needs the keys alpha, grid_n, rif, sha256"),
+    (_flat_nodes, "record needs the keys alpha, grid_n, rif, sha256"),
+    (_text_arrays, "record needs the keys alpha, grid_n, rif, sha256"),
     (_pop("rif"), "record needs the keys"),
+    (_pop("alpha"), "record needs the keys"),
+    (_pop("grid_n"), "record needs the keys"),
+    (_pop("sha256"), "record needs the keys"),
+    (_set("type", "clark"), "not a serialized Clark measure"),
+    (_set("rif", [[1, 1], [[2, 0], [-1, 0], [-1, 0], [0, 0]]]),
+     "rif needs the keys degrees, den"),
     (_set("alpha", [0, 1, 0]), "alpha must be a pair"),
     (_set("alpha", [1]), "alpha must be a pair"),
     (_set("alpha", [3, 0]), "alpha must be unimodular"),
@@ -443,17 +557,20 @@ def _rif(**fields):
     (_rif(degrees=[1.7, 1]), "degrees must be a non-empty list"),
     (_rif(degrees=[0, 1]), "degrees must be a non-empty list"),
     (_rif(degrees=1), "degrees must be a non-empty list"),
+    (_rif(degrees=[1, 1, 1]), "degree tuple has wrong length"),
     (_rif(den=[[1, 1], [[2, 0], [-1, 0], [-1, 0], [0, 0]]]),
      "polynomial record needs the keys"),
     (_rif(den={"degrees": [1, 1]}), "polynomial record needs the keys"),
     (_rif(den={"degrees": [1.7, 1], "coeffs": [[2, 0], [-1, 0], [-1, 0],
                                                [0, 0]]}),
      "degrees must be a non-empty list"),
-], ids=["base64_layout", "no_rif", "alpha_three", "alpha_one",
+], ids=["base64_layout", "per_branch", "flat_nodes", "text_arrays", "no_rif",
+        "no_alpha", "no_grid_n", "no_sha256", "other_type", "rif_list",
+        "alpha_three", "alpha_one",
         "alpha_off_circle", "alpha_text", "alpha_nan", "grid_zero",
         "grid_fraction", "grid_bool", "rif_fractional_degree",
-        "rif_zero_degree", "rif_scalar_degrees", "den_list", "den_no_coeffs",
-        "den_fractional_degree"])
+        "rif_zero_degree", "rif_scalar_degrees", "rif_three_degrees",
+        "den_list", "den_no_coeffs", "den_fractional_degree"])
 def test_measure_from_json_rejects_malformed_records(fav_measure_alphai,
                                                      damage, match):
     obj = json.loads(clark.measure_to_json(fav_measure_alphai))

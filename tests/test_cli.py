@@ -202,21 +202,40 @@ def test_reconstruct_round_trip(fav_json, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_verify_refuses_a_base64_layout_measure_file(fav_json, tmp_path,
-                                                     capsys):
-    # the layout before recipes held the arrays as base64 records and no
-    # digest; every earlier layout lacks the digest too
+def _b64(a):
+    return base64.b64encode(a.tobytes()).decode("ascii")
+
+
+def _base64_records(obj, m):
+    for key in ("base", "atoms", "weights"):
+        a = getattr(m, key)
+        obj[key] = {"shape": list(a.shape), "data": _b64(a)}
+
+
+def _per_branch(obj, m):
+    obj["branches"] = [{"values": _b64(m.atoms[0]),
+                        "weights": _b64(m.weights[0])}]
+
+
+def _text_arrays(obj, m):
+    obj["atoms"] = np.stack([m.atoms.real, m.atoms.imag], axis=-1).tolist()
+    obj["weights"] = m.weights.tolist()
+
+
+@pytest.mark.parametrize("layout", [_base64_records, _per_branch,
+                                    _text_arrays],
+                         ids=["base64", "per_branch", "text_arrays"])
+def test_verify_refuses_an_earlier_layout_measure_file(fav_json, tmp_path,
+                                                       capsys, layout):
+    # the layouts before recipes held the arrays (as base64 records, per
+    # branch or as text) and no digest, which refuses them all
     mpath = tmp_path / "m.json"
     main(["analyze", "--poly", fav_json, "--alpha", "i", "--grid", "256",
           "--out", str(mpath)])
     capsys.readouterr()
     obj = json.loads(mpath.read_text())
     del obj["sha256"]
-    m = clark.build_measure(catalog.simple_singular_rif(), 1j, 256)
-    for key in ("base", "atoms", "weights"):
-        a = getattr(m, key)
-        obj[key] = {"shape": list(a.shape),
-                    "data": base64.b64encode(a.tobytes()).decode("ascii")}
+    layout(obj, clark.build_measure(catalog.simple_singular_rif(), 1j, 256))
     mpath.write_text(json.dumps(obj))
     rc = main(["verify", "--measure", str(mpath)])
     assert rc == 1

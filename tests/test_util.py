@@ -69,6 +69,15 @@ def test_string_text_matches_json_dumps(s):
                                                   separators=(",", ":"))
 
 
+@pytest.mark.parametrize("value", [b"\x00\xff", bytearray(b"\x00\xff"),
+                                   memoryview(b"\x00\xff")],
+                         ids=["bytes", "bytearray", "memoryview"])
+def test_bytes_like_values_are_refused(value):
+    # no bytes reach a file: a measure file holds its recipe, not arrays
+    with pytest.raises(TypeError, match="cannot serialize"):
+        canonical_json({"data": value})
+
+
 @pytest.mark.parametrize("n", [1, 3, 5, 256, 65536])
 def test_unit_roots_is_the_trig_grid_read_only(n):
     z = unit_roots(n)
