@@ -586,14 +586,14 @@ def measure_from_json(text: str) -> ClarkMeasure:
     obj = json.loads(text)
     if not isinstance(obj, dict) or obj.get("type") != "clark_measure":
         raise ValueError("not a serialized Clark measure")
-    alpha, grid_n, rif, digest = _fields(
-        obj, ("alpha", "grid_n", "rif", "sha256"), "record")
-    degrees, den = _fields(rif, ("degrees", "den"), "rif")
+    alpha, grid_n, rif, digest = _poly.json_fields(
+        obj, ("alpha", "grid_n", "rif", "sha256"), "Clark measure record")
+    degrees, den = _poly.json_fields(rif, ("degrees", "den"),
+                                     "Clark measure rif")
     phi = Rif(_poly.poly_from_json_obj(den), _poly.json_degrees(degrees, 1))
     if type(grid_n) is not int or grid_n < 1:  # type() keeps out True
         raise ValueError("Clark measure grid_n must be a positive integer")
-    if not (isinstance(alpha, list) and len(alpha) == 2
-            and all(map(_poly.finite_number, alpha))):
+    if not _poly.finite_pair(alpha):
         raise ValueError("Clark measure alpha must be a pair [re, im] of "
                          "finite numbers")
     # alpha was stored projected, and projecting it again keeps its bits
@@ -608,9 +608,3 @@ def measure_from_json(text: str) -> ClarkMeasure:
                               f"file {digest}")
     return measure
 
-
-def _fields(obj, keys, what):
-    if not isinstance(obj, dict) or not all(key in obj for key in keys):
-        raise ValueError(f"Clark measure {what} needs the keys "
-                         f"{', '.join(keys)}")
-    return [obj[key] for key in keys]

@@ -10,8 +10,9 @@ the recipe of its build (RIF, alpha, grid) and the digest of its arrays;
 ``verify`` and ``reconstruct`` build it again and refuse a rebuild whose
 digest differs (``clark.measure_from_json``).
 
-All JSON output uses a canonical writer (sorted structure, %.17g floats)
-so identical configurations produce byte-identical artifacts.
+All JSON output goes through one writer, ``util.canonical_json`` (keys
+in insertion order, floats in their shortest round-trip form), so
+identical configurations produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -81,10 +82,22 @@ def _interior_points(rng, count, radius):
 
 
 def _load_measure(args):
+    """The measure of --measure, for verify and reconstruct, which work in
+    two variables: a file of any other rif degrees is refused before the
+    rebuild, which in three variables solves grid_n^2 slices."""
+    import json
+
     from . import clark
 
     with open(args.measure, "r", encoding="utf-8") as fh:
-        return clark.measure_from_json(fh.read())
+        text = fh.read()
+    obj = json.loads(text)
+    rif = obj.get("rif") if isinstance(obj, dict) else None
+    degrees = rif.get("degrees") if isinstance(rif, dict) else None
+    if isinstance(degrees, list) and len(degrees) != 2:
+        raise ValueError(f"{args.command} needs a two-variable measure; the "
+                         f"file's rif has degrees {degrees}")
+    return clark.measure_from_json(text)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +132,7 @@ def cmd_levelset(args) -> int:
     base, ext = os.path.splitext(args.out)
     for j, br in enumerate(branches):
         path = f"{base}_{j}{ext or '.csv'}"
-        levelset.export_branch_csv(br, path, label, j)
+        _write(path, "\n".join(levelset.branch_csv_lines(br, label, j)))
         print(f"branch {j}: weight range [{br.weights.min():.6g}, "
               f"{br.weights.max():.6g}] wrote {path}")
     lines = levelset.detect_lines(phi, alpha)
@@ -172,6 +185,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_contact(args) -> int:
+    from dataclasses import asdict
+
     from . import contact, levelset
     from .util import canonical_json
 
@@ -181,7 +196,7 @@ def cmd_contact(args) -> int:
     reports = []
     for sing in sings:
         rep = contact.contact_report(phi, sing, alphas)
-        reports.append(contact.report_to_obj(rep))
+        reports.append(asdict(rep))
         print(f"singularity ({sing[0]:.8g}, {sing[1]:.8g}): "
               f"nt value {rep.nontangential_value:.8g}, "
               f"{len(rep.fits)} weight fits")

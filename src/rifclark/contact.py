@@ -19,7 +19,7 @@ form from the radial Taylor coefficients of q and p at r = 1.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -228,9 +228,3 @@ def contact_report(phi: Rif, singularity, alphas) -> SingularityReport:
             continue
     return SingularityReport(location=(tau, gamma), nontangential_value=nt,
                              fits=tuple(fits))
-
-
-def report_to_obj(report: SingularityReport) -> dict:
-    """The report as nested dicts and tuples for ``util.canonical_json``,
-    keys in field order."""
-    return asdict(report)

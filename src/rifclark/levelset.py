@@ -515,9 +515,3 @@ def branch_csv_lines(branch: Branch, label: str, index: int) -> list[str]:
                        branch.weights.tolist()):  # floats format fastest
         lines.append(f"{t:.17g},{v.real:.17g},{v.imag:.17g},{w:.17g}")
     return lines
-
-
-def export_branch_csv(branch: Branch, path, label: str, index: int) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(branch_csv_lines(branch, label, index)))
-        fh.write("\n")

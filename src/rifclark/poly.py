@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegreeNotAttained, RootFindFailure, ZeroPolynomial
-from .util import unit_circle_points
+from .util import canonical_json, unit_circle_points
 
 ATTAIN_TOL = 1e-14
 # trailing slice coefficients below this fraction of their row's largest
@@ -428,27 +428,22 @@ def stability_check(p: PolyMD) -> float:
 # ---------------------------------------------------------------------------
 
 def poly_to_json_obj(p: PolyMD) -> dict:
-    flat = p.coeffs.ravel(order="C")
-    return {
-        "degrees": [int(n) for n in p.degrees],
-        "coeffs": [[float(c.real), float(c.imag)] for c in flat],
-    }
+    """The record of p for ``util.canonical_json``, which writes each
+    coefficient, row-major, as [re, im]."""
+    return {"degrees": list(p.degrees), "coeffs": p.coeffs.ravel()}
 
 
 def poly_to_json(p: PolyMD) -> str:
-    return json.dumps(poly_to_json_obj(p))
+    return canonical_json(poly_to_json_obj(p))
 
 
 def poly_from_json_obj(obj: dict) -> PolyMD:
     """The polynomial of {"degrees": [...], "coeffs": [[re, im], ...]}
     (row-major); ValueError on any other record."""
-    if not isinstance(obj, dict) or not {"degrees", "coeffs"} <= obj.keys():
-        raise ValueError("polynomial record needs the keys degrees, coeffs")
-    shape = tuple(n + 1 for n in json_degrees(obj["degrees"], 0))
-    entries = obj["coeffs"]
-    if not isinstance(entries, list) or not all(
-            isinstance(e, list) and len(e) == 2 and all(map(finite_number, e))
-            for e in entries):
+    degrees, entries = json_fields(obj, ("degrees", "coeffs"),
+                                   "polynomial record")
+    shape = tuple(n + 1 for n in json_degrees(degrees, 0))
+    if not isinstance(entries, list) or not all(map(finite_pair, entries)):
         raise ValueError("polynomial coeffs must be a list of finite "
                          "[re, im] pairs")
     if len(entries) != int(np.prod(shape)):
@@ -456,6 +451,14 @@ def poly_from_json_obj(obj: dict) -> PolyMD:
     flat = np.array([complex(re, im) for re, im in entries],
                     dtype=np.complex128)
     return PolyMD(flat.reshape(shape, order="C"))
+
+
+def json_fields(obj, keys, what):
+    """The values of ``keys`` in the JSON object ``obj``, in that order;
+    ValueError naming ``what`` unless obj is a dict holding them all."""
+    if not isinstance(obj, dict) or not all(key in obj for key in keys):
+        raise ValueError(f"{what} needs the keys {', '.join(keys)}")
+    return [obj[key] for key in keys]
 
 
 def json_degrees(value, least: int) -> tuple[int, ...]:
@@ -468,11 +471,14 @@ def json_degrees(value, least: int) -> tuple[int, ...]:
     return tuple(value)
 
 
-def finite_number(value) -> bool:
-    """A JSON number (not a bool) within the range of a finite double.
-    JSON holds an integral double such as 0.0 as the integer 0; the bound
-    keeps out NaN, the infinities and integers beyond any double."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+def finite_pair(value) -> bool:
+    """Whether value is a JSON pair [re, im] of numbers (not bools) within
+    the range of a finite double.  JSON may hold an integral double such
+    as 0.0 as the integer 0; the bound keeps out NaN, the infinities and
+    integers beyond any double."""
+    return isinstance(value, list) and len(value) == 2 and all(
+        type(x) in (int, float) and abs(x) <= sys.float_info.max
+        for x in value)
 
 
 def poly_from_json(text: str) -> PolyMD:

@@ -56,67 +56,24 @@ def grid_shift(angles, n):
     return (f + 0.5 * gaps)[np.argmax(gaps)] * step
 
 
-def _format_float(x):
-    # %.17g round-trips every IEEE double and is locale-independent,
-    # which keeps repeated CLI runs byte-identical.
-    if isinstance(x, (np.floating,)):
-        x = float(x)
-    if x != x:
-        return "NaN"
-    if x == float("inf"):
-        return "Infinity"
-    if x == float("-inf"):
-        return "-Infinity"
-    if x == 0.0 and np.signbit(x):
-        return "-0.0"  # "%.17g" gives "-0", which JSON reads as integer 0
-    return "%.17g" % x
-
-
-def _canonical(obj, parts):
-    if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(_format_float(obj))
-    elif isinstance(obj, (complex, np.complexfloating)):
-        _canonical([obj.real, obj.imag], parts)
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, key in enumerate(obj):
-            if not isinstance(key, str):
-                raise TypeError("canonical JSON keys must be strings")
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(key))
-            parts.append(":")
-            _canonical(obj[key], parts)
-        parts.append("}")
-    elif isinstance(obj, np.ndarray):
-        _canonical(obj.tolist(), parts)
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                parts.append(",")
-            _canonical(item, parts)
-        parts.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r} canonically")
+def _hook(obj):
+    # arrays as nested lists, complex values as [re, im] pairs, numpy
+    # scalars as Python ones; anything else, bytes among them, is refused
+    if isinstance(obj, np.ndarray):
+        if np.iscomplexobj(obj):
+            obj = np.stack((obj.real, obj.imag), axis=-1)
+        return obj.tolist()
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [obj.real, obj.imag]
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def canonical_json(obj):
-    """Serialize to JSON with fixed key order and %.17g float formatting.
-
-    Key order is the dict insertion order of the caller, so building the
-    payload the same way always yields byte-identical text.
-    """
-    parts: list[str] = []
-    _canonical(obj, parts)
-    return "".join(parts)
+    """JSON text with no spaces, keys in the caller's insertion order and
+    floats in their shortest round-trip form (``repr``, exact and
+    locale-independent; NaN and the infinities as NaN, Infinity and
+    -Infinity), so building the payload the same way always yields
+    byte-identical text."""
+    return json.dumps(obj, separators=(",", ":"), default=_hook)

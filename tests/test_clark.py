@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,6 +398,17 @@ def test_measure_file_is_the_recipe(fav_measure_alphai):
     m = fav_measure_alphai
     raw = m.base.tobytes() + m.atoms.tobytes() + m.weights.tobytes()
     assert obj["sha256"] == hashlib.sha256(raw).hexdigest()
+
+
+def test_a_measure_file_in_17_digit_text_still_reads():
+    # written by the earlier encoder, which printed every float as %.17g
+    # (an integral double as an integer): the same doubles as today's text
+    path = Path(__file__).parent / "data" / "fav_measure_17g.json"
+    text = path.read_text()
+    m = clark.measure_from_json(text)  # MeasureMismatch on another digest
+    assert m.alpha == complex(0.58778525229247314, 0.80901699437494745)
+    again = clark.measure_to_json(m)
+    assert again != text.strip() and json.loads(again) == json.loads(text)
 
 
 def test_a_changed_digest_names_both(fav_measure_alphai):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rifclark import catalog, clark, polydisk
+from rifclark import catalog, clark, levelset, polydisk
 from rifclark.cli import main, parse_alpha
 from rifclark.poly import poly_to_json
 
@@ -69,6 +69,28 @@ def test_three_variable_poly_gives_error_json(command, tmp_path, capsys):
                "--out", str(out)])
     assert rc == 1 and _error_type(capsys) == "ValueError"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "reconstruct"])
+def test_three_variable_measure_is_refused_before_any_build(
+        command, tmp_path, capsys, monkeypatch):
+    # verify and reconstruct work in two variables; a tridisk file used to
+    # be rebuilt in full (grid_n^2 slices) before either failed
+    measure = polydisk.build_measure_d(catalog.tridisk_rif(3.6),
+                                       np.exp(0.7j), 16)
+    path = tmp_path / "m3.json"
+    path.write_text(clark.measure_to_json(measure))
+    builds = []
+    monkeypatch.setattr(polydisk, "build_measure_d",
+                        lambda *args: builds.append(args))
+    out = tmp_path / "o.json"
+    rc = main([command, "--measure", str(path), "--out", str(out)])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "ValueError",
+        "message": f"{command} needs a two-variable measure; the file's "
+                   f"rif has degrees [1, 1, 1]"}
+    assert builds == [] and not out.exists()
 
 
 def test_embed_without_kernels_gives_error_json(fav_json, tmp_path, capsys):
@@ -172,6 +194,12 @@ def test_levelset_writes_branch_csvs(fav_json, tmp_path, capsys):
     assert text[1] == "theta,re_g,im_g,weight"
     assert len(text) == 512 + 2
     assert "singularity (1" in capsys.readouterr().out
+    # each file is its branch's CSV lines, each ended by a newline
+    br = levelset.trace_branches(catalog.simple_singular_rif(), 1.0, 512)
+    for j, b in enumerate(br):
+        assert (tmp_path / f"br_{j}.csv").read_bytes() == "".join(
+            line + "\n" for line in levelset.branch_csv_lines(b, "fav", j)
+        ).encode()
 
 
 @pytest.mark.parametrize("t", ["-0.94", "0.935"])
@@ -414,16 +442,20 @@ def test_module_invocation_with_thread_cap(fav_json, tmp_path, capsys):
 
 
 def test_library_imports_leave_scipy_out():
-    code = ("import sys\n"
-            "import rifclark.cli, rifclark.clark, rifclark.contact\n"
-            "import rifclark.embedding, rifclark.polydisk\n"
-            "print('scipy' in sys.modules, 'base64' in sys.modules,\n"
-            "      'numpy.polynomial' in sys.modules,\n"
-            "      'hashlib' in sys.modules)")
+    # numpy is the one dependency: importing every submodule in a fresh
+    # interpreter loads neither scipy nor mpmath, and no slow module that
+    # only a few calls need
+    code = ("import importlib, pkgutil, sys, rifclark\n"
+            "names = [m.name for m in pkgutil.iter_modules(rifclark.__path__)]\n"
+            "for name in names:\n"
+            "    importlib.import_module('rifclark.' + name)\n"
+            "print(sorted(names) == sorted(rifclark._SUBMODULES),\n"
+            "      *(m in sys.modules for m in ('scipy', 'mpmath', 'base64',\n"
+            "        'numpy.polynomial', 'hashlib')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False False False"
+    assert proc.stdout.split() == ["True"] + ["False"] * 5
 
 
 def test_stability_and_line_tests_leave_numpy_ma_out():

@@ -495,11 +495,9 @@ def test_trace_branches_projects_alpha_onto_the_circle(squared):
         assert np.array_equal(br.weights, ref.weights)
 
 
-def test_branch_csv_format(fav, tmp_path):
+def test_branch_csv_format(fav):
     br = levelset.trace_branches(fav, 1.0 + 0.0j, 256)[0]
-    path = tmp_path / "b.csv"
-    levelset.export_branch_csv(br, path, "fav", 0)
-    lines = path.read_text().strip().splitlines()
+    lines = levelset.branch_csv_lines(br, "fav", 0)
     assert lines[0].startswith("# rif=fav alpha=")
     assert "N=256" in lines[0]
     assert lines[1] == "theta,re_g,im_g,weight"

@@ -417,6 +417,23 @@ def test_json_round_trip_is_byte_identical():
     assert obj["degrees"] == [1, 1]
 
 
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=24, max_size=24),
+       st.sampled_from([(12,), (3, 4), (2, 3, 2)]))
+@settings(max_examples=100, deadline=None)
+def test_json_round_trip_keeps_every_coefficient_bit(bits, shape):
+    # random bit patterns, the non-finite ones (which PolyMD refuses) as 1;
+    # the last coefficient 1 attains every declared degree
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    x[~np.isfinite(x)] = 1.0
+    c = np.empty(12, dtype=complex)
+    c.real, c.imag = x[:12], x[12:]
+    c[-1] = 1.0
+    p = PolyMD(c.reshape(shape))
+    got = poly_from_json(poly_to_json(p)).coeffs
+    assert got.shape == shape
+    assert np.array_equal(got.view(np.uint64), p.coeffs.view(np.uint64))
+
+
 @pytest.mark.parametrize("obj, match", [
     ([[1, 1], [[2, 0], [-1, 0], [-1, 0], [0, 0]]], "needs the keys"),
     ({"degrees": [1, 1]}, "needs the keys"),

@@ -4,20 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rifclark
-from rifclark.util import (_format_float, canonical_json, unit_circle_points,
-                           unit_roots)
-
-
-def _reference(a):
-    """Element-by-element canonical text, nested like tolist()."""
-    if isinstance(a, list):
-        return "[" + ",".join(_reference(x) for x in a) + "]"
-    if isinstance(a, complex):
-        return f"[{_format_float(a.real)},{_format_float(a.imag)}]"
-    return _format_float(a)
-
+from rifclark.util import canonical_json, unit_circle_points, unit_roots
 
 SPECIALS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324,
                      2.2250738585072014e-308 / 3, 1e300, -1e300, 0.1, -2.5,
@@ -32,6 +23,19 @@ def _complex(re, im):
     return out
 
 
+def _assert_same_doubles(text, a):
+    """The JSON text decodes to the doubles of the array a, bit for bit, a
+    complex element as the pair [re, im]; a NaN reads back as NaN (JSON
+    has one NaN, so its payload and sign are not kept)."""
+    want = np.stack((a.real, a.imag), axis=-1) if np.iscomplexobj(a) else a
+    got = np.array(json.loads(text), dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64),
+                          want[~nan].view(np.uint64))
+
+
 @pytest.mark.parametrize("a", [
     SPECIALS,
     SPECIALS.reshape(3, 4),
@@ -44,8 +48,26 @@ def _complex(re, im):
     np.full((2, 3, 2), -0.0),
 ], ids=["float", "float2d", "complex2d", "signed_zero_imag", "strided",
         "scalar", "complex_scalar", "zeros3d"])
-def test_fast_array_text_matches_format_float(a):
-    assert canonical_json({"a": a}) == '{"a":' + _reference(a.tolist()) + "}"
+def test_array_text_decodes_to_the_same_doubles(a):
+    # as an array, and as the Python floats and complex numbers of tolist()
+    _assert_same_doubles(canonical_json(a), a)
+    _assert_same_doubles(canonical_json(a.tolist()), a)
+
+
+# any double: its 64 bits drawn at random, or one of the special values
+DOUBLE_BITS = st.one_of(st.integers(0, 2 ** 64 - 1),
+                        st.sampled_from(SPECIALS.view(np.uint64).tolist()))
+
+
+@given(st.lists(DOUBLE_BITS, min_size=24, max_size=24), st.booleans(),
+       st.sampled_from(["scalar", "2d", "strided"]))
+@settings(max_examples=150, deadline=None)
+def test_random_doubles_round_trip_bit_for_bit(bits, is_complex, layout):
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    a = _complex(x[:12], x[12:]) if is_complex else x
+    a = {"scalar": a[:1].reshape(()), "2d": a.reshape(4, -1),
+         "strided": a.reshape(4, -1)[::-1, ::2].T}[layout]
+    _assert_same_doubles(canonical_json(a), a)
 
 
 def test_every_public_name_resolves():
