@@ -23,11 +23,7 @@ def simple_singular_rif() -> Rif:
     Bidegree (1, 1), one boundary singularity at (1, 1), where the
     function has nontangential value -1.
     """
-    c = np.zeros((2, 2), dtype=np.complex128)
-    c[0, 0] = 2.0
-    c[1, 0] = -1.0
-    c[0, 1] = -1.0
-    return Rif(PolyMD(c))
+    return Rif(PolyMD([[2.0, -1.0], [-1.0, 0.0]]))
 
 
 def squared_singular_rif() -> Rif:
@@ -37,11 +33,7 @@ def squared_singular_rif() -> Rif:
     (2, 2), four boundary singularities (+-1, +-1), and alpha = -1 is an
     exceptional value with line components on both axes.
     """
-    c = np.zeros((3, 3), dtype=np.complex128)
-    c[0, 0] = 2.0
-    c[2, 0] = -1.0
-    c[0, 2] = -1.0
-    return Rif(PolyMD(c))
+    return Rif(PolyMD([[2.0, 0.0, -1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]))
 
 
 def product_singular_rif() -> Rif:
@@ -51,11 +43,7 @@ def product_singular_rif() -> Rif:
     degrees (2, 2); the two level-set branches touch at the boundary
     singularity when alpha = -1, which stresses branch relabeling.
     """
-    c = np.zeros((2, 2), dtype=np.complex128)
-    c[0, 0] = 2.0
-    c[1, 0] = -1.0
-    c[0, 1] = -1.0
-    return Rif(PolyMD(c), degrees=(2, 2))
+    return Rif(simple_singular_rif().den, degrees=(2, 2))
 
 
 def contact_four_rif() -> Rif:
@@ -65,21 +53,20 @@ def contact_four_rif() -> Rif:
     function has nontangential value -1 and contact order 4: at generic
     alpha the level-set branches agree there to third order.
     """
-    c = np.zeros((3, 2), dtype=np.complex128)
-    c[0, 0] = 4.0
-    c[1, 0] = -3.0
-    c[0, 1] = -1.0
-    c[1, 1] = -1.0
-    c[2, 0] = 1.0
-    return Rif(PolyMD(c))
+    return Rif(PolyMD([[4.0, -1.0], [-3.0, -1.0], [1.0, 0.0]]))
 
 
 def diagonal_rif() -> Rif:
     """(1 + 2 z1 z2) / (2 + z1 z2); value 1/2 at the origin, no singularities."""
-    c = np.zeros((2, 2), dtype=np.complex128)
-    c[0, 0] = 2.0
-    c[1, 1] = 1.0
-    return Rif(PolyMD(c))
+    return Rif(PolyMD([[2.0, 0.0], [0.0, 1.0]]))
+
+
+def tridisk_s(s: float) -> float:
+    """``s`` as a float where phi_s is inner (the family's one range check)."""
+    s = float(s)
+    if not 3.0 <= s < np.inf:  # NaN fails both
+        raise ValueError("the family needs a finite s >= 3 (inner only there)")
+    return s
 
 
 def tridisk_rif(s: float) -> Rif:
@@ -88,10 +75,8 @@ def tridisk_rif(s: float) -> Rif:
     Inner on the tridisk for s >= 3; s = 3 has a boundary zero at
     (1, 1, 1) and s > 3 is stable on the closed tridisk.
     """
-    if s < 3:
-        raise ValueError("family requires s >= 3")
     c = np.zeros((2, 2, 2), dtype=np.complex128)
-    c[0, 0, 0] = s
+    c[0, 0, 0] = tridisk_s(s)
     c[1, 0, 0] = -1.0
     c[0, 1, 0] = -1.0
     c[0, 0, 1] = -1.0

@@ -68,11 +68,12 @@ _BLOCK_NODES = 4096
 _POLE_RESOLVE = 200.0
 
 # largest relative mass gap a build may return: correct builds stay below
-# 1e-6 (fav and squared at |t - 1| = 1e-5, N = 512, 7.0e-8 and 6.9e-8, are
-# the worst); product next to its singularity (t = 1 + 1e-8) raises
+# 1e-6 (fav at t = 1 + 5e-6, N = 512, 2.6e-7, is the worst); product next
+# to its singularity (t = 1 + 1e-8) raises
 MASS_GAP_TOL = 1e-6
 
-# verify_poisson refuses points where |alpha - phi(z)| is below this
+# verify_poisson refuses points where |alpha - phi(z)| is below this: the
+# Poisson quotient there exceeds 1e12 times its numerator 1 - |phi|^2
 MIN_ALPHA_DIST = 1e-6
 
 
@@ -512,14 +513,14 @@ def herglotz_reconstruct(measure: ClarkMeasure,
                          max_degree: int = 32) -> HerglotzFunction:
     """Rebuild phi from the measure via its Herglotz integral.
 
-    Requires unit mass (|c00 - 1| <= 1e-6): the identity
+    Requires unit mass (|c00 - 1| <= MASS_GAP_TOL): the identity
     phi = alpha (H - 1)/(H + 1) normalizes H(0) = 1, which pins the
     measure's mass at one.  Other masses, a NaN one included, raise
     MassNotOne.
     """
     C = herglotz_moments(measure, max_degree)
     mass = float(np.real(C[0, 0]))
-    if not abs(mass - 1.0) <= 1e-6:
+    if not abs(mass - 1.0) <= MASS_GAP_TOL:
         raise MassNotOne(
             f"Herglotz reconstruction needs a probability measure; "
             f"mass is {mass!r}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitDegenerate, NonConvergent
-from .levelset import SINGULAR_TOL, _unimodular_alpha
+from .levelset import SINGULAR_TOL, UNIMODULAR_TOL, _unimodular_alpha
 from .poly import Rif, taylor_shift
 
 # a series coefficient below this fraction of its scale is zero: on the
@@ -162,7 +162,7 @@ def nontangential_value(phi: Rif, point) -> complex:
     """Nontangential (radial) limit of a Rif at a boundary point, in any
     dimension, in closed form (``_radial_limit``).
 
-    NonConvergent when the limit is not unimodular within 1e-6 (no
+    NonConvergent when the limit is not unimodular within UNIMODULAR_TOL (no
     nontangential value exists there); TypeError for anything but a
     Rif.  The value returned is projected onto the circle,
     limit / |limit|.
@@ -171,7 +171,7 @@ def nontangential_value(phi: Rif, point) -> complex:
         raise TypeError(f"nontangential_value needs a Rif, got "
                         f"{type(phi).__name__}")
     best = _radial_limit(phi, np.asarray(point, dtype=complex))
-    if abs(abs(best) - 1.0) > 1e-6:
+    if abs(abs(best) - 1.0) > UNIMODULAR_TOL:
         raise NonConvergent(
             f"radial limit {best:.8g} is not unimodular; no nontangential "
             "value")

@@ -27,7 +27,7 @@ from .clark import (ClarkMeasure, _bidisk_points, _fiber_blocks,
                     _moment_tables)
 from .errors import DenominatorVanishes
 from .levelset import _slice_atoms, _unimodular_alpha, detect_lines
-from .poly import Rif, companion_roots
+from .poly import DEGREE_DROP_REL_TOL, Rif, companion_roots
 from .util import unit_roots
 
 CONJ_GRID_N = 512  # zeta1 nodes of conj_rational's residual check
@@ -144,18 +144,21 @@ def _ratio(num, den, z1, z2):
             / _poly._eval_tensor(den, (z1, z2)))
 
 
-def _check_denominator(den):
-    """DenominatorVanishes when the one-variable coefficients ``den`` vanish
-    or have a root on the closed disk; ``companion_roots`` drops their
-    trailing near-zero coefficients itself."""
-    if np.max(np.abs(den)) < 1e-14:
-        raise DenominatorVanishes(
-            "conjugate-coordinate denominator is identically zero")
-    mods = np.abs(companion_roots(den[:, None])[:, 0])
-    if np.nanmin(mods, initial=np.inf) <= 1.0 + 1e-9:
-        raise DenominatorVanishes(
-            f"denominator root of modulus {np.nanmin(mods):.6g} inside "
-            "the closed disk (alpha is exceptional)")
+def _check_denominators(h):
+    """DenominatorVanishes when h(0, .) or h(., 0), of the level tensor h,
+    is zero (to DEGREE_DROP_REL_TOL of h's largest coefficient) or has a
+    root on the closed disk; ``companion_roots`` drops their trailing
+    near-zero coefficients itself."""
+    tol = DEGREE_DROP_REL_TOL * np.max(np.abs(h))
+    for den in (h[0], h[:, 0]):
+        if np.max(np.abs(den)) <= tol:
+            raise DenominatorVanishes(
+                "conjugate-coordinate denominator is identically zero")
+        mods = np.abs(companion_roots(den[:, None])[:, 0])
+        if np.nanmin(mods, initial=np.inf) <= 1.0 + 1e-9:
+            raise DenominatorVanishes(
+                f"denominator root of modulus {np.nanmin(mods):.6g} inside "
+                "the closed disk (alpha is exceptional)")
 
 
 def conj_rational(phi: Rif, alpha: complex) -> ConjRational:
@@ -171,8 +174,7 @@ def conj_rational(phi: Rif, alpha: complex) -> ConjRational:
         raise ValueError("conj_rational expects a two-variable inner function")
     alpha = _unimodular_alpha(alpha)
     h = phi.level_coeffs(alpha)
-    _check_denominator(h[0])
-    _check_denominator(h[:, 0])
+    _check_denominators(h)
     r1, r2 = (-h[1:], h[:1]), (-h[:, 1:], h[:, :1])
     z1 = unit_roots(CONJ_GRID_N)
     z2 = _slice_atoms(phi, alpha, z1[:, None])[0]  # NaN past a degree drop

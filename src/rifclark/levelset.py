@@ -44,10 +44,17 @@ from .poly import (
 from .util import (TWO_PI, angular_distance, grid_shift, on_circle,
                    unit_circle_points, unit_roots)
 
-ZERO_SLICE_REL_TOL = 1e-10
+# an h row below this times h's largest coefficient is a zero slice: the
+# slice contraction's rounding floor, a few hundred eps (Higham, ch. 3)
+ZERO_SLICE_REL_TOL = 1e-13
+# largest | |z| - 1 | of a computed root or limit read as on the circle:
+# about 70 times the sqrt(eps) by which rounding can split a double root
 UNIMODULAR_TOL = 1e-6
-LINE_TOL = 1e-8  # relative: the largest slice of h at a torus zero on a line
-# |p| below this times its coefficient scale: a zero of p on the torus
+# h's slice at a torus zero of p below this of h's scale: a line; linear in
+# alpha - alpha0, it keeps the lines of alpha within ~3e-9 of exceptional
+LINE_TOL = 1e-8
+# |p| below this times its coefficient scale: a zero of p on the torus (the
+# catalog's polished zeros and 90 random singular draws' read <= 3.0e-16)
 SINGULAR_TOL = 1e-10
 # distance from the circle of the resultant and slice roots that seed
 # find_singularities; the polish, not the seed, sets the accuracy

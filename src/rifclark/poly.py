@@ -4,7 +4,8 @@ A polynomial in d complex variables is stored as a dense coefficient
 tensor ``coeffs`` of shape ``(n_1 + 1, ..., n_d + 1)`` where
 ``coeffs[j_1, ..., j_d]`` multiplies ``z_1**j_1 * ... * z_d**j_d``.
 Declared degrees must be attained: the top slab of every axis has to
-contain a coefficient of modulus above a small absolute floor.
+contain a coefficient above DEGREE_DROP_REL_TOL of the tensor's largest,
+so a polynomial and any nonzero multiple of it are accepted alike.
 
 The reflection of p at degrees (n_1, ..., n_d) is
 
@@ -28,9 +29,9 @@ import numpy as np
 from .errors import DegreeNotAttained, RootFindFailure, ZeroPolynomial
 from .util import canonical_json, unit_circle_points
 
-ATTAIN_TOL = 1e-14
-# trailing slice coefficients below this fraction of their row's largest
-# one count as zero in companion_roots (a degree drop)
+# a coefficient below this fraction of its polynomial's largest is zero: a
+# degree drop in companion_roots, a degree not attained in PolyMD (random_rif
+# draws, n1 <= 4, n2 <= 8, seeds 0-59, have top slabs >= 1.6e-6 of it)
 DEGREE_DROP_REL_TOL = 1e-11
 # two closed-form roots of one quadratic or cubic closer than this times
 # its largest root are coalescing and go to eigvals (then Newton): the
@@ -54,8 +55,8 @@ class PolyMD:
     ----------
     coeffs : array_like
         Finite complex tensor of shape (n_1+1, ..., n_d+1). The shape
-        declares the degrees, which must be attained within an absolute
-        tolerance of 1e-14 on the relevant coefficient slabs.
+        declares the degrees: each top coefficient slab must hold a
+        modulus above DEGREE_DROP_REL_TOL times the tensor's largest.
     """
 
     coeffs: np.ndarray = field(repr=False)
@@ -67,13 +68,11 @@ class PolyMD:
         scale = float(np.max(np.abs(arr))) if arr.size else 0.0
         if scale == 0.0:
             raise ZeroPolynomial("all coefficients vanish")
-        for axis in range(arr.ndim):
-            top = np.take(arr, arr.shape[axis] - 1, axis=axis)
-            if arr.shape[axis] > 1 and np.max(np.abs(top)) <= ATTAIN_TOL:
-                raise DegreeNotAttained(
-                    f"declared degree {arr.shape[axis] - 1} in variable "
-                    f"{axis + 1} is not attained"
-                )
+        tol = DEGREE_DROP_REL_TOL * scale
+        for axis, n in enumerate(arr.shape):
+            if n > 1 and np.max(np.abs(np.take(arr, n - 1, axis))) <= tol:
+                raise DegreeNotAttained(f"declared degree {n - 1} in variable "
+                                        f"{axis + 1} is not attained")
         object.__setattr__(self, "coeffs", arr)
 
     @property

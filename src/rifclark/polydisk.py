@@ -17,9 +17,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from .catalog import tridisk_s
 from .clark import ClarkMeasure, _fibered, total_mass
 from .errors import SingularDenominator, UnstableDenominator
-from .levelset import _unimodular_alpha
+from .levelset import UNIMODULAR_TOL, _unimodular_alpha
 from .poly import PolyMD, Rif, stability_check
 from .util import TWO_PI, unit_circle_points, unit_roots
 
@@ -43,13 +44,14 @@ def build_measure_d(phi: Rif, alpha: complex,
     """Clark measure of a singularity-free 3-var RIF on a tensor grid.
 
     Requires the stability certificate, computed once per denominator, to
-    keep a margin off the boundary (min slice-root modulus > 1 + 1e-6 on
-    its grid of 24 angles per frozen variable).  That refuses a boundary
-    zero only where the grid hits it: phi_3, zero at (1,1,1), is refused,
-    but the rotation p = 3 - e^{-0.1i} z1 - e^{-0.2i} z2 - e^{-0.3i} z3,
-    zero at (e^{0.1i}, e^{0.2i}, e^{0.3i}), is certified (margin 2.9e-3)
-    and built.  A denominator free of torus zeros is the caller's to
-    guarantee: the structure formula breaks down at one.
+    keep a margin off the boundary (min slice-root modulus above 1 +
+    UNIMODULAR_TOL on its grid of 24 angles per frozen variable).  That
+    refuses a boundary zero only where the grid hits it: phi_3, zero at
+    (1,1,1), is refused, but the rotation p = 3 - e^{-0.1i} z1 -
+    e^{-0.2i} z2 - e^{-0.3i} z3, zero at (e^{0.1i}, e^{0.2i}, e^{0.3i}),
+    is certified (margin 2.9e-3) and built.  A denominator free of torus
+    zeros is the caller's to guarantee: the structure formula breaks down
+    at one.
     The measure is the 2-variable builder's fibered rule, from its build
     body (``clark._fibered``): ``base`` (grid_n**2, 2) holds the pairs
     (zeta1, zeta2) of the shared N-th roots of unity, each of trapezoid
@@ -65,7 +67,7 @@ def build_measure_d(phi: Rif, alpha: complex,
     N = grid_n
     zg = unit_roots(N)
     margin = _certificate(phi.den.coeffs.shape, phi.den.coeffs.tobytes())
-    if not margin > 1e-6:  # NaN fails too
+    if not margin > UNIMODULAR_TOL:  # NaN fails too
         raise UnstableDenominator(
             f"denominator has a zero within {margin:.3g} "
             "of the closed tridisk boundary; the graph structure formula "
@@ -95,13 +97,6 @@ total_mass_d = total_mass
 # the tridisk family
 # ---------------------------------------------------------------------------
 
-def _family_check(s: float):
-    s = float(s)
-    if not 3.0 <= s < np.inf:  # NaN fails both
-        raise ValueError("the family needs a finite s >= 3 (inner only there)")
-    return s
-
-
 def tridisk_level(s: float, alpha: complex, zeta1, zeta2):
     """Third coordinate of the alpha-level surface of phi_s over (zeta1, zeta2).
 
@@ -123,7 +118,7 @@ def _family(s, alpha, zeta1, zeta2):
     """The level surface psi and the weight W of phi_s over (zeta1, zeta2),
     with their shared denominator formed and checked once; ValueError for
     s or alpha outside the family's range."""
-    s, a = _family_check(s), _unimodular_alpha(alpha)
+    s, a = tridisk_s(s), _unimodular_alpha(alpha)
     z1 = np.asarray(zeta1, dtype=complex)
     z2 = np.asarray(zeta2, dtype=complex)
     den = s * z1 * z2 - z1 - z2 + a
@@ -228,7 +223,7 @@ def verify_poisson_d(s: float, alpha: complex, z,
     peaks there, so for |alpha + 1| < WINDOW_DIST * grid_n^-0.4 cells
     near that corner are re-averaged on an 8x-refined subgrid.
     """
-    s = _family_check(s)
+    s = tridisk_s(s)
     a = _unimodular_alpha(alpha)
     z = np.asarray(z, dtype=complex)
     if z.shape != (3,) or not np.all(np.abs(z) < 1.0):  # NaN fails too

@@ -8,7 +8,9 @@ import json
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-CIRCLE_TOL = 1e-9  # largest | |z| - 1 | of an alpha or line tau taken in
+# largest | |z| - 1 | of an alpha or line tau taken in (and then projected):
+# loose enough for a value printed to ten significant digits
+CIRCLE_TOL = 1e-9
 
 
 def angular_distance(a, b):

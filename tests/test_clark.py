@@ -604,6 +604,37 @@ def test_build_next_to_singularity_is_accurate(corpus, name, dt):
     assert clark.verify_poisson(m, _poisson_points()).max_rel_err <= 1e-6
 
 
+@pytest.mark.parametrize("name", ["fav", "squared"])
+@pytest.mark.parametrize("dt", [-5e-6, 5e-6])
+def test_refusal_window_starts_below_five_millionths(corpus, name, dt):
+    # the slices at angle pi |t - 1| / 2, next to the emerging line at
+    # zeta1 = 1, have h rows of 3e-11 to 5e-11 of h's scale: a zero-slice
+    # test above the contraction's rounding floor drops them and loses 40%
+    # of the mass; at 2e-6 the weights themselves are off and the guard
+    # refuses
+    phi = corpus[name]
+    alpha = np.exp(1j * np.pi * (1.0 + dt))
+    m = clark.build_measure(phi, alpha, 512)
+    assert abs(clark.total_mass(m) / clark.expected_mass(phi, alpha) - 1.0) \
+        <= clark.MASS_GAP_TOL
+    with pytest.raises(MassGapExceeded):
+        clark.build_measure(phi, np.exp(1j * np.pi * (1.0 + 0.4 * dt)), 512)
+
+
+def test_product_outcomes_next_to_its_singularity(product):
+    # no line emerges here: product's slices next to (1, 1) keep rows at
+    # h's scale, so the zero-slice test decides none of these outcomes
+    builds = {-1e-5, 1e-5, -5e-6, 5e-6, -2e-6, 2e-6, -1e-6, 1e-6, -1e-8}
+    for dt in (1e-5, 5e-6, 2e-6, 1e-6, 1e-7, 1e-8, 1e-9):
+        for t in (-dt, dt):
+            alpha = np.exp(1j * np.pi * (1.0 + t))
+            if t in builds:
+                clark.build_measure(product, alpha, 512)
+            else:
+                with pytest.raises(MassGapExceeded):
+                    clark.build_measure(product, alpha, 512)
+
+
 @pytest.mark.parametrize("N", [512, 4096])
 @pytest.mark.parametrize("dt", [-1e-8, 1e-8])
 def test_mass_gap_raises_instead_of_wrong_mass(product, dt, N):

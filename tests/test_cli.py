@@ -101,10 +101,16 @@ def test_embed_without_kernels_gives_error_json(fav_json, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("s", ["nan", "inf"])
-def test_tridisk_build_refuses_non_finite_s(s, capsys):
-    rc = main(["tridisk", "--s", s, "--alpha", "i", "--grid", "8", "--build"])
-    assert rc == 1 and _error_type(capsys) == "ValueError"
+@pytest.mark.parametrize("s", ["nan", "inf", "2.9"])
+def test_tridisk_refuses_s_alike_in_build_and_diagonal(s, tmp_path, capsys):
+    errors = []
+    for mode in ("--build", "--diagonal"):
+        rc = main(["tridisk", "--s", s, "--alpha", "i", "--grid", "8", mode,
+                   "--out", str(tmp_path / "d.csv")])
+        assert rc == 1
+        errors.append(json.loads(capsys.readouterr().out)["error"])
+    assert errors[0] == errors[1]
+    assert errors[0]["type"] == "ValueError"
 
 
 @pytest.mark.parametrize("mode, grid", [(["--point", "0.1;0.2;0.3"], "0"),

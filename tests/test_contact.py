@@ -151,6 +151,11 @@ def test_nontangential_value_at_regular_point(fav):
         contact.nontangential_value(fav, (0.5, 0.5j))
 
 
+def test_nontangential_value_refuses_a_wrong_point_length(fav):
+    with pytest.raises(ValueError, match="expected 2 coordinates, got 3"):
+        contact.nontangential_value(fav, (1.0, 1.0, 1.0))
+
+
 def test_nontangential_value_refuses_p_vanishing_along_the_radius():
     # p = z2 - z1 is zero on the whole radius r (1, 1): every radial
     # coefficient of p vanishes, so there is no first ratio to take

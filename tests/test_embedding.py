@@ -180,6 +180,17 @@ def test_gram_check_refuses_no_points(fav, fav_measure_alphai):
         embedding.gram_isometry_check(fav, 1.0j, [], fav_measure_alphai)
 
 
+@pytest.mark.parametrize("scale", [2.0 ** -50, 1.0, 2.0 ** 50])
+@pytest.mark.parametrize("size", [0.0, 1e-12])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_vanishing_conjugate_denominator_is_refused(scale, size, axis):
+    # h(0, .) or h(., 0) is zero at the degree-drop tolerance of h's own
+    # scale, whatever that scale is
+    h = np.array([[size, -size], [0.5 * size, 2.0]], dtype=complex) * scale
+    with pytest.raises(DenominatorVanishes, match="identically zero"):
+        embedding._check_denominators(h if axis == 0 else h.T)
+
+
 def test_conj_rational_exceptional_raises(fav):
     # at alpha = -1 the defining denominator acquires a unimodular root
     with pytest.raises(DenominatorVanishes):

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from rifclark import (catalog, clark, contact, embedding, levelset, poly,
                       polydisk)
 from rifclark.cli import main
-from rifclark.errors import MassGapExceeded, PhaseLabelFailure
+from rifclark.errors import (IdenticallyZeroSlice, MassGapExceeded,
+                             PhaseLabelFailure)
 from rifclark.poly import PolyMD, Rif, poly_to_json
 from rifclark.util import grid_shift, unit_circle_points
 
@@ -138,11 +139,23 @@ def test_detect_lines_generic_alpha_empty(fav, squared):
     lambda phi: levelset.trace_branches(phi, 1.0j, 16),
     lambda phi: levelset.detect_lines(phi, 1.0j),
     lambda phi: levelset.find_singularities(phi),
+    lambda phi: contact.weight_vanish_order(phi, 1.0j, (1.0, 1.0)),
 ], ids=["exact_moments", "trace_branches", "detect_lines",
-        "find_singularities"])
+        "find_singularities", "weight_vanish_order"])
 def test_two_variable_routines_refuse_the_tridisk(call):
     with pytest.raises(ValueError, match="two-variable"):
         call(catalog.tridisk_rif(4.0))
+
+
+def test_trace_branches_refuses_a_zero_slice_left_on_the_grid(fav,
+                                                              monkeypatch):
+    # with no vertical line reported the grid is not shifted, and at
+    # alpha = -1 its node zeta1 = 1 lies on fav's line, where h's slice
+    # vanishes exactly
+    monkeypatch.setattr(levelset, "_lines",
+                        lambda hcoef, pcoef, axis=1: (np.empty(0), []))
+    with pytest.raises(IdenticallyZeroSlice):
+        levelset.trace_branches(fav, -1.0, 64)
 
 
 def test_detect_lines_refuses_non_finite_alpha(fav):

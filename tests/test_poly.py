@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rifclark import catalog, clark, poly
+from rifclark import catalog, clark, poly, polydisk
 from rifclark.errors import DegreeNotAttained, ZeroPolynomial
 from rifclark.levelset import _slice_atoms
 from rifclark.poly import (PolyMD, Rif, companion_roots, derivative_coeffs,
@@ -30,11 +30,15 @@ def test_non_finite_coefficients_rejected(bad):
         PolyMD(np.array([[2.0, -1.0], [bad, 0.0]], dtype=complex))
 
 
-@pytest.mark.parametrize("s", [np.nan, np.inf])
-def test_tridisk_rif_refuses_non_finite_s(s):
-    # both pass the s < 3 guard of catalog.tridisk_rif
-    with pytest.raises(ValueError, match="finite"):
+@pytest.mark.parametrize("s", [np.nan, np.inf, 2.9])
+def test_tridisk_rif_refuses_s_as_the_closed_forms_do(s):
+    # one range check for the family: the builder's RIF refuses what the
+    # closed forms refuse, with the same message
+    with pytest.raises(ValueError, match="finite s >= 3") as built:
         catalog.tridisk_rif(s)
+    with pytest.raises(ValueError) as closed:
+        polydisk.tridisk_weight(s, 1.0, 1.0j, -1.0j)
+    assert str(built.value) == str(closed.value)
 
 
 def test_degree_not_attained_rejected():
@@ -105,6 +109,18 @@ def test_derivative_matches_finite_difference():
         fd = (complex(eval_poly(p, (z1 + dz[0], z2 + dz[1])))
               - complex(eval_poly(p, (z1 - dz[0], z2 - dz[1])))) / (2 * h)
         assert abs(dval - fd) < 1e-6
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: eval_poly(P_FAV, (0.5,)), "expected 2 coordinates, got 1"),
+    (lambda: eval_poly(P_FAV, (0.5, 0.5, 0.5)),
+     "expected 2 coordinates, got 3"),
+    (lambda: derivative_coeffs(P_FAV.coeffs, 0), "axis 0 out of range"),
+    (lambda: derivative_coeffs(P_FAV.coeffs, 3), "axis 3 out of range"),
+], ids=["eval_short", "eval_long", "derivative_axis_0", "derivative_axis_3"])
+def test_arity_and_axis_are_checked(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

@@ -37,6 +37,12 @@ def test_family_refuses_s_outside_its_range(s):
             f(s, 1.0 + 0.0j, np.exp(0.3j), np.exp(0.5j))
 
 
+@pytest.mark.parametrize("d", [2, 4])
+def test_build_measure_d_refuses_other_dimensions(d):
+    with pytest.raises(ValueError, match="exactly three variables"):
+        polydisk.build_measure_d(catalog.monomial_rif(d), 1.0j, 8)
+
+
 @pytest.mark.parametrize("alpha", [np.nan, complex(np.nan, 0.0), np.inf])
 def test_tridisk_refuses_non_finite_alpha(alpha):
     with pytest.raises(ValueError):

@@ -91,6 +91,13 @@ def test_string_text_matches_json_dumps(s):
                                                   separators=(",", ":"))
 
 
+def test_numpy_scalars_are_written_as_python_ones():
+    # np.float64 subclasses float and needs no hook; these go through it
+    obj = {"n": np.int64(-3), "x": np.float32(0.5), "b": np.bool_(True),
+           "z": np.complex64(1.5 - 2j)}
+    assert canonical_json(obj) == '{"n":-3,"x":0.5,"b":true,"z":[1.5,-2.0]}'
+
+
 @pytest.mark.parametrize("value", [b"\x00\xff", bytearray(b"\x00\xff"),
                                    memoryview(b"\x00\xff")],
                          ids=["bytes", "bytearray", "memoryview"])
