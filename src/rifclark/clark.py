@@ -54,11 +54,13 @@ __all__ = [
 ]
 
 # atoms per block of every integrator (_BLOCK_NODES // k base nodes): the
-# (terms, atoms) tables of the moment and Gram sums stay cache-sized (33
-# Herglotz rows of 4096 atoms are about 2 MB).  On one core with a 2 MiB
-# L2, herglotz_moments(32) of squared at alpha = -1, N = 65536, took 50 ms
-# in flat blocks of 65536 nodes, 37 ms at 8192, 33 at 4096, 31 at 2048
-# and 40 at 512; at 2048 verify_poisson was 25-46% slower.
+# (terms, base nodes) operands of the moment and Gram sums stay cache-sized
+# (squared's 33 Herglotz rows of conj(zeta1) powers and of fiber sums over
+# 2048 base nodes are about 2 MB).  On one core with a 2 MiB L2,
+# herglotz_moments(32) of squared at alpha = -1, N = 65536, took 33 ms in
+# flat blocks of 65536 atoms, 22.7 at 8192, 21.8 at 4096, 22.4 at 2048 and
+# 35 at 512 (medians of 30 interleaved calls); at 2048 verify_poisson (20
+# points) was 48% slower (15.7 against 10.6 ms).
 _BLOCK_NODES = 4096
 
 # The uniform N-point rule resolves a pole at distance d from the circle
@@ -390,6 +392,28 @@ def _fiber_sum(a):
     return total
 
 
+def _fiber_powers(atoms, w, G):
+    """G[k, i] = sum_r w_ri conj(zeta2_ri)^k, k < len(G), into G, for
+    atoms and weights with one row r per atom of a slice: one running
+    weighted power P, P *= conj(atoms) per step, its rows added into
+    G[k] in row order, so no (len(G), rows, block) table is built.  A
+    single row is its own sum: its power runs in G itself."""
+    c2 = np.conj(atoms)
+    if len(w) == 1:
+        G[0] = w[0]
+        for k in range(1, len(G)):
+            np.multiply(G[k - 1], c2[0], out=G[k])
+        return G
+    P = w.astype(complex)
+    for k in range(len(G)):
+        if k:
+            P *= c2
+        np.add(P[0], P[1], out=G[k])
+        for r in range(2, len(P)):
+            G[k] += P[r]
+    return G
+
+
 # ---------------------------------------------------------------------------
 # Herglotz reconstruction
 # ---------------------------------------------------------------------------
@@ -402,29 +426,32 @@ def herglotz_moments(measure: ClarkMeasure, max_degree: int) -> np.ndarray:
 def _moment_tables(measure, D, mixed=False):
     """C[j, k] = integral of conj(zeta1)^j conj(zeta2)^k, j, k <= D, and,
     if ``mixed``, X[j, k] = integral of zeta1^j conj(zeta2)^k (else None):
-    each fiber reduced to G[k, i] = sum_r w_ri conj(zeta2_ri)^k, then one
-    product with the conj(zeta1) powers, or their conjugates for X."""
+    each fiber reduced to G[k, i] = sum_r w_ri conj(zeta2_ri)^k
+    (``_fiber_powers``), then one product with the conj(zeta1) powers,
+    stacked over their conjugates for X."""
     if measure.phi.dim != 2:
         raise ValueError("moment tables expect a two-variable inner function")
     if D < 0:
         raise ValueError(f"moment degree must be non-negative, got {D}")
     C = np.zeros((D + 1, D + 1), dtype=complex)
     X = np.zeros_like(C) if mixed else None
+    # one A and G serve every block: _fiber_blocks' first is the largest
+    k, m = measure.weights.shape
+    n = min(m, max(1, _BLOCK_NODES // k))
+    A = np.empty((2 * (D + 1) if mixed else D + 1, n), dtype=complex)
+    A[0] = 1.0
+    G = np.empty((D + 1, n), dtype=complex)
     for base, atoms, w in _fiber_blocks(measure):
-        B = np.empty((D + 1,) + w.shape, dtype=complex)
-        B[0] = w
-        c2 = np.conj(atoms)
-        for k in range(1, D + 1):
-            np.multiply(B[k - 1], c2, out=B[k])
-        G = _fiber_sum(B).T
-        A = np.empty((D + 1, len(base)), dtype=complex)
-        A[0] = 1.0
+        a, g = A[:, :len(base)], G[:, :len(base)]
         c1 = np.conj(base[:, 0])
         for j in range(1, D + 1):
-            np.multiply(A[j - 1], c1, out=A[j])
-        C += A @ G
+            np.multiply(a[j - 1], c1, out=a[j])
         if mixed:
-            X += np.conj(A) @ G
+            np.conj(a[:D + 1], out=a[D + 1:])
+        AG = a @ _fiber_powers(atoms, w, g).T
+        C += AG[:D + 1]
+        if mixed:
+            X += AG[D + 1:]
     # on a line the N-point grid averages conj(zeta2)^k to [N | k]
     j = np.arange(D + 1)[:, None]
     N = measure.grid_n

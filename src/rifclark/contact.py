@@ -33,6 +33,9 @@ from .poly import Rif, taylor_shift
 # p along the branch below its order 1.6e-12 of its rounding floor; at
 # the order they read at least 0.49 and 0.13
 ORDER_TOL = 1e-6
+# two alphas closer than this are one: branch_contact_order compares the
+# branches of two distinct level sets
+DISTINCT_ALPHA_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -148,7 +151,7 @@ def branch_contact_order(phi: Rif, singularity, alpha1: complex,
     differ by more than ORDER_TOL of the larger coefficient; two exact
     zeros are equal.
     """
-    if abs(complex(alpha1) - complex(alpha2)) < 1e-12:
+    if abs(complex(alpha1) - complex(alpha2)) < DISTINCT_ALPHA_TOL:
         raise ValueError("branch_contact_order needs two distinct alphas")
     w1, w2 = (_branch_series(phi, a, singularity)[0] for a in (alpha1, alpha2))
     k = _first_order(np.abs(w1 - w2)

@@ -28,7 +28,7 @@ from .clark import (ClarkMeasure, _bidisk_points, _fiber_blocks,
 from .errors import DenominatorVanishes
 from .levelset import _slice_atoms, _unimodular_alpha, detect_lines
 from .poly import DEGREE_DROP_REL_TOL, Rif, companion_roots
-from .util import unit_roots
+from .util import CIRCLE_TOL, unit_roots
 
 CONJ_GRID_N = 512  # zeta1 nodes of conj_rational's residual check
 
@@ -65,7 +65,8 @@ def gram_isometry_check(phi: Rif, alpha: complex, points,
     coefficients, exactly) and ``alpha`` are the measure's.
     """
     w = _bidisk_points(points, "Gram isometry check")
-    if not abs(complex(alpha) - complex(measure.alpha)) <= 1e-9:  # NaN too
+    # a NaN alpha fails the test too
+    if not abs(complex(alpha) - complex(measure.alpha)) <= CIRCLE_TOL:
         raise ValueError("alpha does not match the measure")
     if phi.degrees != measure.phi.degrees or not np.array_equal(
             phi.den.coeffs, measure.phi.den.coeffs):
@@ -90,7 +91,9 @@ def gram_isometry_check(phi: Rif, alpha: complex, points,
         F += 1.0
         F *= 1.0 + np.multiply.outer(c1, base[:, 0])[:, None]
         F = np.reciprocal(F, out=F).reshape(M, -1)
-        embedded += (F * wq.reshape(-1)) @ np.conj(F).T
+        Fc = np.conj(F)
+        F *= wq.reshape(-1)
+        embedded += F @ Fc.T
     embedded *= np.outer(prefac, np.conj(prefac))
     if measure.lines:
         # the N-point grid on a line sums the zeta2 kernels to S_N(a, b)
@@ -155,7 +158,7 @@ def _check_denominators(h):
             raise DenominatorVanishes(
                 "conjugate-coordinate denominator is identically zero")
         mods = np.abs(companion_roots(den[:, None])[:, 0])
-        if np.nanmin(mods, initial=np.inf) <= 1.0 + 1e-9:
+        if np.nanmin(mods, initial=np.inf) <= 1.0 + CIRCLE_TOL:
             raise DenominatorVanishes(
                 f"denominator root of modulus {np.nanmin(mods):.6g} inside "
                 "the closed disk (alpha is exceptional)")

@@ -61,6 +61,16 @@ SINGULAR_TOL = 1e-10
 SEED_BAND = 0.05
 POLISH_STEPS = 16  # secant steps of _polish_on_torus, at most
 NEWTON_ITERS = 3  # Newton steps per eigvals root, line seed or torus zero
+# |h'| at a root at or below this times its slice row's largest coefficient:
+# a (near) multiple root, which _newton_polish leaves where it is rather
+# than divide by rounding
+NEWTON_GUARD_REL_TOL = 1e-8
+# a secant polish of a torus zero whose last step in arg z1 exceeds this
+# has not converged, and the point keeps its seed
+POLISH_STEP_TOL = 1e-9
+# polished torus zeros whose angles differ by at most this in sum are one
+# singularity, reached from several seeds
+SAME_SINGULARITY_TOL = 1e-6
 # reference circles zeta2 = w_ref of the phase labels, tried in order: a
 # circle through a singularity on the path (fav's zeta2 = 1) gives no phase
 _REF_CIRCLES = (np.exp(0.373j), np.exp(2.419j), np.exp(4.297j))
@@ -199,8 +209,8 @@ def _newton_polish(rows, rowmax, values):
     root takes one step; a root whose step moved it by more than
     4 eps |w| is not yet at a root to rounding and takes the next, up to
     NEWTON_ITERS steps: each pass runs on the roots still moving,
-    gathered.  A root with |h'| <= 1e-8 rowmax is left where it is, and
-    NaN padding stays NaN.
+    gathered.  A root with |h'| <= NEWTON_GUARD_REL_TOL rowmax is left
+    where it is, and NaN padding stays NaN.
     The derivative returned is the one of each root's last step, or at
     the final root for a root still moving after NEWTON_ITERS steps.
     """
@@ -211,7 +221,7 @@ def _newton_polish(rows, rowmax, values):
         w = values[b, i]
         step = _polyval_rows(rows[:, i], w)
         fp = dh[b, i] = _polyval_rows(drows[:, i], w)
-        guard = np.abs(fp) > 1e-8 * rowmax[i]
+        guard = np.abs(fp) > NEWTON_GUARD_REL_TOL * rowmax[i]
         np.divide(step, fp, out=step, where=guard)
         step[~guard] = 0.0
         moved = np.abs(step) > 4.0 * np.finfo(float).eps * np.abs(w)
@@ -388,7 +398,7 @@ def find_singularities(phi: Rif) -> list[tuple[complex, complex]]:
     for pt in sorted(zip(t1[keep].tolist(), t2[keep].tolist()),
                      key=lambda pt: (_ccw_angle(pt[0]), _ccw_angle(pt[1]))):
         if all(angular_distance(pt[0], f[0]) + angular_distance(pt[1], f[1])
-               > 1e-6 for f in found):
+               > SAME_SINGULARITY_TOL for f in found):
             found.append(pt)
     return found
 
@@ -431,8 +441,8 @@ def _polish_on_torus(coeffs, t1, t2):
     Newton-polished from the last one (``_newton_polish``, which returns
     d2f there too), locate it to rounding where the resultant's clusters
     leave it off by up to their spread.  The steps stop when none moves
-    a point by more than 4 eps; a point whose last step exceeds 1e-9 (or
-    that is not finite) keeps its input.
+    a point by more than 4 eps; a point whose last step exceeds
+    POLISH_STEP_TOL (or that is not finite) keeps its input.
     """
     d1 = derivative_coeffs(coeffs, 1)
 
@@ -461,7 +471,7 @@ def _polish_on_torus(coeffs, t1, t2):
             if not np.any(np.abs(step) > settled):
                 break
         _, w = slope(tb, w)
-        ok = (np.abs(step) <= 1e-9) & np.isfinite(w)
+        ok = (np.abs(step) <= POLISH_STEP_TOL) & np.isfinite(w)
         w = np.where(ok, w, t2)
         return np.where(ok, np.exp(1j * tb), t1), w / np.abs(w)
 

@@ -388,9 +388,11 @@ def _eigvals(monic):
 # ---------------------------------------------------------------------------
 
 def stability_check(p: PolyMD) -> float:
-    """The least root modulus of p's one-variable slices over a grid: p
-    counts as free of zeros in the open unit polydisk when it exceeds
-    1 - 1e-9 (inf when no slice has a root).
+    """The least root modulus of p's one-variable slices over a grid (inf
+    when no slice has a root).  The caller judges it: above 1, no slice
+    on the grid vanishes in the closed polydisk, and
+    ``polydisk.build_measure_d`` refuses unless it exceeds 1 +
+    ``levelset.UNIMODULAR_TOL``.
 
     For each variable in turn, the other variables are sampled on a
     closed-disk grid (``grid_n`` radii including 0 and 1, 64 in up to two

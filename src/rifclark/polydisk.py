@@ -37,6 +37,10 @@ WITNESS_K = (6, 16)  # two_path_witness samples t = 2^-k
 # 128 .. 4096 and raises it above; the rule stays under each of these.
 WINDOW_DIST = 7.6
 _POISSON_BLOCK = 8192  # grid points per block of _poisson_sum
+# |den| of the family below this times s + 3, the sum of its coefficient
+# moduli, is zero: the s = 3, alpha = -1 corner, which on the torus
+# (|den| >= s - 3) only s this close to 3 can reach
+FAMILY_DEN_REL_TOL = 1e-12
 
 
 def build_measure_d(phi: Rif, alpha: complex,
@@ -148,7 +152,7 @@ def _poisson1(zeta, z):
 
 
 def _check_family_den(s, den):
-    if np.any(np.abs(den) < 1e-12 * (s + 3.0)):
+    if np.any(np.abs(den) < FAMILY_DEN_REL_TOL * (s + 3.0)):
         raise SingularDenominator(
             "family denominator vanishes (s = 3, alpha = -1 corner)")
 
@@ -185,7 +189,7 @@ def _poisson_sum(s, a, z, zg, wq):
     parts = np.empty((2, 2, rows, len(zg)))  # (re, im) of (num, lin)
     total = 0.0
     for lo in range(0, len(zg), rows):
-        if s - 3.0 < 1e-12 * (s + 3.0):
+        if s - 3.0 < FAMILY_DEN_REL_TOL * (s + 3.0):
             z1 = zg[lo:lo + rows, None]
             _check_family_den(s, (s * z1 - 1.0) * zg + (a - z1))
         part = parts[:, :, :len(zg) - lo]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from rifclark import catalog, clark, contact, embedding, levelset, polydisk
 from rifclark.errors import MassGapExceeded, MassNotOne, MeasureMismatch
 from rifclark.poly import slice_coeffs
-from rifclark.util import unit_circle_points
+from rifclark.util import unit_circle_points, unit_roots
 
 GENERIC = np.exp(0.7j)
 
@@ -923,6 +923,23 @@ def test_moments_refuse_a_negative_degree(fav_measure_alphai):
         clark.herglotz_moments(fav_measure_alphai, -1)
 
 
+def _blank_roots(monkeypatch, N):
+    """Make the build's kernel leave the second root of slice 0 and both
+    roots of slice N/2 NaN, for a two-atom build of N <= SLICE_BLOCK
+    slices (one block)."""
+    atom_blocks = clark._atom_blocks
+
+    def blank(hcoef, pcoef, pts, roots, num):
+        for b, den, zero, _, *at0 in atom_blocks(hcoef, pcoef, pts, roots,
+                                                 num):
+            roots[1, 0] = np.nan
+            roots[:, N // 2] = np.nan
+            # the block now holds empty atoms
+            yield b, den, zero, False, *at0
+
+    monkeypatch.setattr(clark, "_atom_blocks", blank)
+
+
 def test_build_keeps_blank_roots_as_empty_atoms(squared, monkeypatch):
     # the kernel leaves NaN where a slice drops degree (its last roots) or
     # vanishes (all of them).  Here slice 0 loses its second root and slice
@@ -938,17 +955,7 @@ def test_build_keeps_blank_roots_as_empty_atoms(squared, monkeypatch):
     p_rows = slice_coeffs(squared.den.coeffs, full.base[cols])
     rounding = 4.0 * np.finfo(float).eps * np.sum(np.abs(p_rows), axis=0)
     assert np.all(full.weights[:, cols] <= rounding / (den * N))
-    atom_blocks = clark._atom_blocks
-
-    def blank(hcoef, pcoef, pts, roots, num):
-        for b, den, zero, _, *at0 in atom_blocks(hcoef, pcoef, pts, roots,
-                                                 num):
-            roots[1, 0] = np.nan  # N is one block
-            roots[:, N // 2] = np.nan
-            # the block now holds empty atoms
-            yield b, den, zero, False, *at0
-
-    monkeypatch.setattr(clark, "_atom_blocks", blank)
+    _blank_roots(monkeypatch, N)
     m = clark.build_measure(squared, alpha, N)
     empty = np.zeros(m.atoms.shape, dtype=bool)
     empty[1, 0] = True
@@ -996,6 +1003,10 @@ def _flat(m):
     return z1, m.atoms.ravel(), m.weights.ravel()
 
 
+def _rel(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("alpha", [GENERIC, -1.0 + 0.0j],
                          ids=["generic", "minus_one"])
 @pytest.mark.parametrize("name", ["monomial", "fav", "squared", "product",
@@ -1010,24 +1021,144 @@ def test_fibered_sums_match_flat_sums(corpus, name, alpha):
     pts = _poisson_points(count=6)
     p = np.array(pts)
 
-    def rel(got, ref):
-        return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
-
     def poisson(z, w):
         return (1 - np.abs(w[:, None]) ** 2) / np.abs(z - w[:, None]) ** 2
 
     ref = (poisson(z1, p[:, 0]) * poisson(z2, p[:, 1])) @ w
-    assert rel(clark.verify_poisson(m, pts).rhs, ref) <= 1e-14
+    assert _rel(clark.verify_poisson(m, pts).rhs, ref) <= 1e-14
 
     D = 8
     j = np.arange(D + 1)[:, None]
     c1, c2 = np.conj(z1) ** j, np.conj(z2) ** j
-    assert rel(clark.herglotz_moments(m, D), (c1 * w) @ c2.T) <= 1e-14
+    assert _rel(clark.herglotz_moments(m, D), (c1 * w) @ c2.T) <= 1e-14
     C, X = clark._moment_tables(m, D, mixed=True)
-    assert rel(X, (np.conj(c1) * w) @ c2.T) <= 1e-14
+    assert _rel(X, (np.conj(c1) * w) @ c2.T) <= 1e-14
 
     pre = 1.0 - alpha * np.conj(phi(p[:, 0], p[:, 1]))
     F = pre[:, None] / ((1 - np.conj(p[:, :1]) * z1)
                         * (1 - np.conj(p[:, 1:]) * z2))
     gram = embedding.gram_isometry_check(phi, alpha, pts, m).gram_embedded
-    assert rel(gram, (F * w) @ np.conj(F).T) <= 1e-14
+    assert _rel(gram, (F * w) @ np.conj(F).T) <= 1e-14
+
+
+# builds at N = 1024 of one, two and three atoms per slice, with lines
+# (squared at -1) and with empty atoms (weight 0 at the placeholder 1)
+_MOMENT_BUILDS = {
+    "fav": (catalog.simple_singular_rif, GENERIC),
+    "squared": (catalog.squared_singular_rif, GENERIC),
+    "random_k3": (lambda: catalog.random_rif(1, 3, 0), GENERIC),
+    "squared_lines": (catalog.squared_singular_rif, -1.0 + 0.0j),
+    "empty_atoms": (catalog.squared_singular_rif, GENERIC),
+}
+
+
+def _moment_build(name, monkeypatch):
+    make, alpha = _MOMENT_BUILDS[name]
+    if name == "empty_atoms":
+        _blank_roots(monkeypatch, 1024)
+    m = clark.build_measure(make(), alpha, 1024)
+    assert (name == "squared_lines") == bool(m.lines)
+    return m
+
+
+def _brute_tables(m, D):
+    """C and X summed over every atom and every node of each line's
+    uniform rule, with no fiber shared: conj(zeta1)^j (zeta1^j for X)
+    times w conj(zeta2)^k."""
+    z1, z2, w = _flat(m)
+    N = m.grid_n
+    for line in m.lines:
+        z1 = np.append(z1, np.full(N, complex(line.tau)))
+        z2 = np.append(z2, unit_roots(N))
+        w = np.append(w, np.full(N, line.constant / N))
+    j = np.arange(D + 1)[:, None]
+    c2 = np.conj(z2) ** j
+    return (np.conj(z1) ** j * w) @ c2.T, (z1 ** j * w) @ c2.T
+
+
+def _table_reference(m, D):
+    """C and X as computed before the running power: per block a
+    (D + 1, k, block) table of w conj(zeta2)^k, summed over its k atoms in
+    row order, and one product each with the conj(zeta1) powers and their
+    conjugates."""
+    C = np.zeros((D + 1, D + 1), dtype=complex)
+    X = np.zeros_like(C)
+    for base, atoms, w in clark._fiber_blocks(m):
+        B = np.empty((D + 1,) + w.shape, dtype=complex)
+        B[0] = w
+        c2 = np.conj(atoms)
+        for k in range(1, D + 1):
+            np.multiply(B[k - 1], c2, out=B[k])
+        G = B[:, 0, :]
+        for r in range(1, len(w)):
+            G += B[:, r, :]
+        A = np.empty((D + 1, len(base)), dtype=complex)
+        A[0] = 1.0
+        c1 = np.conj(base[:, 0])
+        for j in range(1, D + 1):
+            np.multiply(A[j - 1], c1, out=A[j])
+        C += A @ G.T
+        X += np.conj(A) @ G.T
+    j = np.arange(D + 1)[:, None]
+    N = m.grid_n
+    for line in m.lines:
+        tau = complex(line.tau)
+        C[:, ::N] += line.constant * np.conj(tau) ** j
+        X[:, ::N] += line.constant * tau ** j
+    return C, X
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["plain", "mixed"])
+@pytest.mark.parametrize("D", [0, 1, 8, 32])
+@pytest.mark.parametrize("name", list(_MOMENT_BUILDS))
+def test_moment_tables_match_the_sum_over_every_atom(name, D, mixed,
+                                                     monkeypatch):
+    m = _moment_build(name, monkeypatch)
+    C, X = clark._moment_tables(m, D, mixed)
+    C_ref, X_ref = _brute_tables(m, D)
+    assert _rel(C, C_ref) <= 1e-13
+    if mixed:
+        assert _rel(X, X_ref) <= 1e-13
+    else:
+        assert X is None
+
+
+@pytest.mark.parametrize("block", [None, 300], ids=["one_block", "300"])
+@pytest.mark.parametrize("mixed", [False, True], ids=["plain", "mixed"])
+@pytest.mark.parametrize("D", [0, 1, 8, 32])
+@pytest.mark.parametrize("name", list(_MOMENT_BUILDS))
+def test_moment_tables_keep_the_power_table_bits(name, D, mixed, block,
+                                                  monkeypatch):
+    # the running power forms the same products in the same order as the
+    # table it replaced; only the stacked mixed product at D = 0, a BLAS
+    # vector product, may round otherwise.  Blocks of 300 atoms leave a
+    # short last block, which uses part of the block operands
+    m = _moment_build(name, monkeypatch)
+    if block:
+        monkeypatch.setattr(clark, "_BLOCK_NODES", block)
+    C, X = clark._moment_tables(m, D, mixed)
+    C_ref, X_ref = _table_reference(m, D)
+    got, ref = (np.stack((C, X)), np.stack((C_ref, X_ref))) if mixed \
+        else (C, C_ref)
+    if D or not mixed:
+        assert np.array_equal(got, ref)
+    else:
+        assert _rel(got, ref) <= 4.0 * np.finfo(float).eps
+
+
+def test_herglotz_moments_hold_only_their_block_operands(squared):
+    # herglotz_moments(32) holds the conj(zeta1) powers A and the fiber
+    # sums G of one block (2048 base nodes of squared, about 1.1 MB each)
+    # and a running power of two rows; a (D + 1, k, block) table of
+    # conj(zeta2) powers would add another 2.2 MB
+    m = clark.build_measure(squared, GENERIC, 65536)
+    D = 32
+    k, base = m.weights.shape
+    operands = 2 * (D + 1) * min(base, clark._BLOCK_NODES // k) * 16
+    tracemalloc.start()
+    try:
+        clark.herglotz_moments(m, D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * operands, (peak, operands)
