@@ -1,14 +1,14 @@
-"""Clark measures of two-variable rational inner functions.
+"""Clark measures of rational inner functions on the bidisk and tridisk.
 
 For unimodular alpha the Clark measure sigma_alpha of a RIF phi = q/p is
-the positive measure on the 2-torus with Poisson extension
+the positive measure on the d-torus with Poisson extension
 (1 - |phi|^2) / |alpha - phi|^2.  It lives on the alpha-level set of
 phi*: weighted arcs along the graph branches plus, for exceptional
-alpha, uniform pieces on full lines.
+alpha in two variables, uniform pieces on full lines.
 
-A ClarkMeasure is one fibered quadrature rule: base nodes zeta1, each
-stored once, the atoms |p| / |d/dz2 h| of the slice phi(zeta1, .) over
-each (sigma_alpha is the zeta1-average of the slice Clark measures), all
+A ClarkMeasure is one fibered quadrature rule: base nodes zeta', each
+stored once, the atoms |p| / |d/dz_d h| of the slice phi(zeta', .) over
+each (sigma_alpha is the zeta'-average of the slice Clark measures), all
 from one kernel (``levelset._atom_blocks``), plus the vertical lines
 {tau} x T, each carrying the constant 1/|d phi/d z1| times arc length.
 Each line stands for the uniform grid_n-point rule on it; the Poisson,
@@ -18,10 +18,10 @@ the zeta1 nodes: uniform, half a step off the first line, and clustered
 by a Blaschke product wherever the grid would miss the poles of the
 zeta1-marginal, with lines or without: that product's Clark atoms, from
 the same kernel.  A horizontal line T x {tau} is the atom zeta2 = tau of
-every slice.  Every integrator walks blocks of base nodes, forms each
-zeta1 factor once per base node for its atoms, and adds a term per line;
-``polydisk.build_measure_d`` returns the same structure on the tridisk,
-from the same build body (``_fibered``).
+every slice.  ``polydisk.build_measure_d`` returns the same structure on
+the tridisk, from the same build body (``_fibered``), and every
+integrator here takes both through one body: it walks blocks of base
+nodes, forms each base column's factor once per node, adds a line term.
 """
 
 from __future__ import annotations
@@ -311,18 +311,14 @@ class PoissonReport:
 def verify_poisson(measure: ClarkMeasure, points) -> PoissonReport:
     """Check the defining Poisson identity at interior points.
 
-    ``points`` is a non-empty iterable of (z1, z2) with |z_i| < 1.  Points
-    where phi(z) comes within MIN_ALPHA_DIST of alpha are rejected:
-    the identity degenerates there and no finite-grid quadrature is
-    meaningful.  Three-variable measures go to polydisk.verify_poisson_d.
+    ``points`` is a non-empty iterable of points z of ``phi.dim``
+    coordinates, each |z_i| < 1.  Points where phi(z) comes within
+    MIN_ALPHA_DIST of alpha are rejected: the identity degenerates there
+    and no finite-grid quadrature is meaningful.
     """
-    if measure.phi.dim != 2:
-        raise ValueError("verify_poisson expects a two-variable inner "
-                         "function; use polydisk.verify_poisson_d on the "
-                         "tridisk")
-    pts = _bidisk_points(points, "Poisson verification")
     phi = measure.phi
-    vals = phi(pts[:, 0], pts[:, 1])
+    pts = _polydisk_points(points, phi.dim, "Poisson verification")
+    vals = phi(*pts.T)
     dist = np.abs(complex(measure.alpha) - vals)
     if np.any(dist < MIN_ALPHA_DIST):
         raise ValueError(
@@ -330,22 +326,23 @@ def verify_poisson(measure: ClarkMeasure, points) -> PoissonReport:
             "Poisson quotient is singular there")
     lhs = (1.0 - np.abs(vals) ** 2) / dist ** 2
 
-    # sum over base nodes of 1 / |zeta1 - z1|^2 times the fiber's sum of
-    # w / |zeta2 - z2|^2, 4 points at a time: the real (points, atoms)
-    # temporaries of blocks of 2 _BLOCK_NODES atoms stay cache-sized (squared
-    # at alpha = -e^{0.05i}, N = 65536: 77 ms in blocks of 4096, 51 in 8192)
+    # sum over base nodes of prod_i<d 1 / |zeta_i - z_i|^2 times the fiber's
+    # sum of w / |zeta_d - z_d|^2, 4 points at a time: the real (points,
+    # atoms) temporaries of blocks of 2 _BLOCK_NODES atoms stay cache-sized
+    # (squared, alpha = -e^{0.05i}, N = 65536: 77 ms in 4096, 51 in 8192)
     rhs = np.zeros(len(pts))
     for base, atoms, w in _fiber_blocks(measure, 2 * _BLOCK_NODES):
         # contiguous real parts: strided ones are read 2-3x slower
-        z1, z2 = (np.stack((z.real, z.imag)) for z in (base[:, 0], atoms))
+        *cols, zd = (np.stack((z.real, z.imag)) for z in (*base.T, atoms))
         for lo in range(0, len(pts), 4):
             p = pts[lo:lo + 4]
-            fiber = _sq_dist(z2, p[:, 1])
+            fiber = _sq_dist(zd, p[:, -1])
             np.divide(w, fiber, out=fiber)
             fiber = _fiber_sum(fiber)
-            fiber /= _sq_dist(z1, p[:, 0])
+            for z, c in zip(cols, p[:, :-1].T):
+                fiber /= _sq_dist(z, c)
             rhs[lo:lo + 4] += fiber.sum(axis=1)
-    rhs *= (1.0 - np.abs(pts[:, 0]) ** 2) * (1.0 - np.abs(pts[:, 1]) ** 2)
+    rhs *= np.prod(1.0 - np.abs(pts) ** 2, axis=1)
     if measure.lines:
         # the N-point grid on a line averages P(., z2) to the aliased
         # (1 - |z2|^2N) / |1 - z2^N|^2
@@ -360,14 +357,16 @@ def verify_poisson(measure: ClarkMeasure, points) -> PoissonReport:
                          rel_err=rel_err)
 
 
-def _bidisk_points(points, what):
-    """The pairs (z1, z2) of ``points`` as an (m, 2) complex array;
-    ValueError unless there is at least one and every coordinate lies in
+def _polydisk_points(points, d, what):
+    """``points`` as an (m, d) complex array; ValueError unless there is
+    at least one, each of ``d`` coordinates, and every coordinate lies in
     the open unit disk (NaN and the infinities do not)."""
-    pts = np.asarray([(complex(a), complex(b)) for a, b in points],
-                     dtype=complex)
-    if not len(pts):
+    pts = [[complex(c) for c in z] for z in points]
+    if not pts:
         raise ValueError(f"{what} needs at least one point")
+    if any(len(z) != d for z in pts):
+        raise ValueError(f"{what} needs points of {d} coordinates")
+    pts = np.asarray(pts, dtype=complex)
     if not np.all(np.abs(pts) < 1.0):
         raise ValueError(f"{what} needs interior points")
     return pts
@@ -419,40 +418,46 @@ def _fiber_powers(atoms, w, G):
 # ---------------------------------------------------------------------------
 
 def herglotz_moments(measure: ClarkMeasure, max_degree: int) -> np.ndarray:
-    """Moment table c[j, k] = integral of conj(zeta1)^j conj(zeta2)^k."""
+    """Moment table c[j] = integral of conj(zeta)^j, j in [0, D]^d."""
     return _moment_tables(measure, max_degree)[0]
 
 
 def _moment_tables(measure, D, mixed=False):
-    """C[j, k] = integral of conj(zeta1)^j conj(zeta2)^k, j, k <= D, and,
-    if ``mixed``, X[j, k] = integral of zeta1^j conj(zeta2)^k (else None):
-    each fiber reduced to G[k, i] = sum_r w_ri conj(zeta2_ri)^k
-    (``_fiber_powers``), then one product with the conj(zeta1) powers,
-    stacked over their conjugates for X."""
-    if measure.phi.dim != 2:
-        raise ValueError("moment tables expect a two-variable inner function")
+    """C[j] = integral of conj(zeta)^j, j in [0, D]^d, and, if ``mixed``,
+    X[j', k] = integral of zeta'^j' conj(zeta_d)^k (else None): each fiber
+    reduced to G[k, i] = sum_r w_ri conj(zeta_d,ri)^k (``_fiber_powers``),
+    then one product with the (D + 1)^(d - 1) rows of conj(zeta') powers,
+    stacked over their conjugates for X; row j' + j s, s the stride of a
+    base column, is row j' + (j - 1) s times its conj(zeta_i)."""
     if D < 0:
         raise ValueError(f"moment degree must be non-negative, got {D}")
-    C = np.zeros((D + 1, D + 1), dtype=complex)
+    d = measure.phi.dim
+    rows = (D + 1) ** (d - 1)
+    C = np.zeros((D + 1,) * d, dtype=complex)
     X = np.zeros_like(C) if mixed else None
-    # one A and G serve every block: _fiber_blocks' first is the largest
+    # one A and G serve every block, _fiber_blocks' first the largest; its
+    # _BLOCK_NODES (D + 1) / (k rows) nodes keep A at the size of d = 2's
     k, m = measure.weights.shape
-    n = min(m, max(1, _BLOCK_NODES // k))
-    A = np.empty((2 * (D + 1) if mixed else D + 1, n), dtype=complex)
+    size = max(1, _BLOCK_NODES * (D + 1) // rows)
+    n = min(m, max(1, size // k))
+    A = np.empty((2 * rows if mixed else rows, n), dtype=complex)
     A[0] = 1.0
     G = np.empty((D + 1, n), dtype=complex)
-    for base, atoms, w in _fiber_blocks(measure):
+    for base, atoms, w in _fiber_blocks(measure, size):
         a, g = A[:, :len(base)], G[:, :len(base)]
-        c1 = np.conj(base[:, 0])
-        for j in range(1, D + 1):
-            np.multiply(a[j - 1], c1, out=a[j])
+        s = 1
+        for z in base.T[::-1]:
+            c = np.conj(z)
+            for j in range(1, D + 1):
+                np.multiply(a[(j - 1) * s:j * s], c, out=a[j * s:(j + 1) * s])
+            s *= D + 1
         if mixed:
-            np.conj(a[:D + 1], out=a[D + 1:])
+            np.conj(a[:rows], out=a[rows:])
         AG = a @ _fiber_powers(atoms, w, g).T
-        C += AG[:D + 1]
+        C += AG[:rows].reshape(C.shape)
         if mixed:
-            X += AG[D + 1:]
-    # on a line the N-point grid averages conj(zeta2)^k to [N | k]
+            X += AG[rows:].reshape(C.shape)
+    # on a line (d = 2) the N-point grid averages conj(zeta2)^k to [N | k]
     j = np.arange(D + 1)[:, None]
     N = measure.grid_n
     for line in measure.lines:
@@ -467,33 +472,33 @@ def exact_moments(phi: Rif, alpha: complex, max_degree: int) -> np.ndarray:
     """The moment table of herglotz_moments, exactly from phi.
 
     The Herglotz function H = (alpha p + q) / (alpha p - q) of sigma_alpha
-    has Taylor coefficients 2 c[j, k] at 0 off the origin, and Re H(0) is
-    the mass c[0, 0] (Im H(0) is the constant the measure does not see).
-    They come from power-series division: with N = alpha p + q and
-    M = alpha p - q, N = M H gives each coefficient of H from the ones
-    below it, M[0, 0] H[j, k] = N[j, k] - sum M[j - l, k - m] H[l, m]
-    over (l, m) <= (j, k), (l, m) != (j, k).  ValueError for alpha off
-    the circle.
+    has Taylor coefficients 2 c[j] at 0 off the origin, and Re H(0) is
+    the mass c[0] (Im H(0) is the constant the measure does not see), in
+    every dimension (Koranyi and Pukanszky, Trans. AMS 108, 1963), by
+    power-series division: with N = alpha p + q and M = alpha p - q,
+    N = M H gives each coefficient of H from those before it in row-major
+    order, M[0] H[j] = N[j] - sum M[j - l] H[l] over l <= j, l != j.
+    ValueError for alpha off the circle and for a negative degree.
     """
-    if phi.dim != 2:
-        raise ValueError("exact_moments expects a two-variable inner function")
     D = max_degree
+    if D < 0:
+        raise ValueError(f"moment degree must be non-negative, got {D}")
     alpha = _unimodular_alpha(alpha)
     h = phi.level_coeffs(alpha)  # q - alpha p at phi.degrees
-    q = np.zeros((D + 1, D + 1), dtype=complex)
+    q = np.zeros((D + 1,) * phi.dim, dtype=complex)
     M = np.zeros_like(q)
-    n1, n2 = min(h.shape[0], D + 1), min(h.shape[1], D + 1)
-    q[:n1, :n2] = phi.num.coeffs[:n1, :n2]
-    M[:n1, :n2] = -h[:n1, :n2]
+    cut = tuple(slice(min(n, D + 1)) for n in h.shape)
+    q[cut] = phi.num.coeffs[cut]
+    M[cut] = -h[cut]
     N = 2.0 * q + M
     H = np.zeros_like(q)
-    for j in range(D + 1):
-        for k in range(D + 1):
-            # H[j, k] is still 0, so the sum skips (l, m) = (j, k)
-            acc = np.sum(M[j::-1, k::-1] * H[:j + 1, :k + 1])
-            H[j, k] = (N[j, k] - acc) / M[0, 0]
+    for j in np.ndindex(q.shape):
+        # H[j] is still 0, so the sum skips l = j
+        acc = np.sum(M[tuple(slice(i, None, -1) for i in j)]
+                     * H[tuple(slice(i + 1) for i in j)])
+        H[j] = (N[j] - acc) / M.flat[0]
     C = H / 2.0
-    C[0, 0] = H[0, 0].real
+    C.flat[0] = H.flat[0].real
     return C
 
 
@@ -501,12 +506,13 @@ def moment_residual(measure: ClarkMeasure, max_degree: int) -> float:
     """Largest error of the measure's moments up to ``max_degree``.
 
     Covers |herglotz_moments - exact_moments| and the mixed moments
-    integral of zeta1^j conj(zeta2)^k, j, k >= 1, which vanish because
-    Re H, the Poisson integral of the measure, is pluriharmonic.
+    integral of zeta'^j' conj(zeta_d)^k, j' != 0, k >= 1, which vanish
+    because Re H, the Poisson integral of the measure, is pluriharmonic.
     """
     exact = exact_moments(measure.phi, measure.alpha, max_degree)
     C, X = _moment_tables(measure, max_degree, mixed=True)
-    mixed = np.abs(X[1:, 1:])
+    mixed = np.abs(X[..., 1:])
+    mixed[(0,) * (mixed.ndim - 1)] = 0.0  # the zeta' = 0 row is C's
     return float(max(np.abs(C - exact).max(), mixed.max(initial=0.0)))
 
 
@@ -514,25 +520,21 @@ def moment_residual(measure: ClarkMeasure, max_degree: int) -> float:
 class HerglotzFunction:
     """Herglotz integral of a Clark measure, truncated at a fixed degree.
 
-    ``herglotz`` evaluates H(z) = c00 + 2 sum_{(j,k) != 0} c_jk z1^j z2^k
-    and the instance itself evaluates the reconstructed inner function
-    alpha (H - 1) / (H + 1).
+    ``herglotz`` evaluates H(z) = c_0 + 2 sum_{j != 0} c_j z^j at points
+    of one array per coordinate, and the instance itself evaluates the
+    reconstructed inner function alpha (H - 1) / (H + 1).
     """
 
     alpha: complex
     moments: np.ndarray = field(repr=False)
 
-    @property
-    def max_degree(self) -> int:
-        return self.moments.shape[0] - 1
-
-    def herglotz(self, z1, z2):
+    def herglotz(self, *z):
         table = 2.0 * self.moments
-        table[0, 0] = self.moments[0, 0]
-        return _poly._eval_tensor(table, (z1, z2))
+        table.flat[0] = self.moments.flat[0]
+        return _poly._eval_tensor(table, z)
 
-    def __call__(self, z1, z2):
-        H = self.herglotz(z1, z2)
+    def __call__(self, *z):
+        H = self.herglotz(*z)
         return self.alpha * (H - 1.0) / (H + 1.0)
 
 
@@ -540,13 +542,13 @@ def herglotz_reconstruct(measure: ClarkMeasure,
                          max_degree: int = 32) -> HerglotzFunction:
     """Rebuild phi from the measure via its Herglotz integral.
 
-    Requires unit mass (|c00 - 1| <= MASS_GAP_TOL): the identity
+    Requires unit mass (|c_0 - 1| <= MASS_GAP_TOL): the identity
     phi = alpha (H - 1)/(H + 1) normalizes H(0) = 1, which pins the
     measure's mass at one.  Other masses, a NaN one included, raise
     MassNotOne.
     """
     C = herglotz_moments(measure, max_degree)
-    mass = float(np.real(C[0, 0]))
+    mass = float(np.real(C.flat[0]))
     if not abs(mass - 1.0) <= MASS_GAP_TOL:
         raise MassNotOne(
             f"Herglotz reconstruction needs a probability measure; "

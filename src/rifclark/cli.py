@@ -23,6 +23,9 @@ import sys
 
 # largest grid of tridisk --build: the builder solves grid**2 slices
 BUILD_GRID_CAP = 256
+# verify redraws points z with |phi(z) - alpha| at or below this, where the
+# Poisson quotient exceeds 1e6 times its numerator
+DRAW_ALPHA_DIST = 1e-3
 
 def parse_alpha(text: str) -> complex:
     """Parse a unimodular target: 1, -1, i, -i, exp:t (angle t*pi), re,im.
@@ -72,32 +75,13 @@ def _write(path, text):
             fh.write("\n")
 
 
-def _interior_points(rng, count, radius):
-    """``count`` points (count, 2) of the bidisk of ``radius``, uniform."""
+def _interior_points(rng, count, radius, d=2):
+    """``count`` points (count, d) of the polydisk of ``radius``, uniform."""
     import numpy as np
 
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0, (count, 2)))
-    ang = 2.0 * np.pi * rng.uniform(0.0, 1.0, (count, 2))
+    r = radius * np.sqrt(rng.uniform(0.0, 1.0, (count, d)))
+    ang = 2.0 * np.pi * rng.uniform(0.0, 1.0, (count, d))
     return r * np.exp(1j * ang)
-
-
-def _load_measure(args):
-    """The measure of --measure, for verify and reconstruct, which work in
-    two variables: a file of any other rif degrees is refused before the
-    rebuild, which in three variables solves grid_n^2 slices."""
-    import json
-
-    from . import clark
-
-    with open(args.measure, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    obj = json.loads(text)
-    rif = obj.get("rif") if isinstance(obj, dict) else None
-    degrees = rif.get("degrees") if isinstance(rif, dict) else None
-    if isinstance(degrees, list) and len(degrees) != 2:
-        raise ValueError(f"{args.command} needs a two-variable measure; the "
-                         f"file's rif has degrees {degrees}")
-    return clark.measure_from_json(text)
 
 
 # ---------------------------------------------------------------------------
@@ -152,21 +136,22 @@ def cmd_verify(args) -> int:
     from . import clark
     from .util import canonical_json
 
-    measure = _load_measure(args)
+    with open(args.measure, "r", encoding="utf-8") as fh:
+        measure = clark.measure_from_json(fh.read())
     phi = measure.phi
     rng = np.random.default_rng(args.seed)
-    pts = np.empty((0, 2), dtype=complex)
-    for _ in range(50):  # drop draws with phi(z) within 1e-3 of alpha
+    pts = np.empty((0, phi.dim), dtype=complex)
+    for _ in range(50):  # drop draws with phi(z) within DRAW_ALPHA_DIST
         if len(pts) >= args.points:
             break
-        z = _interior_points(rng, args.points, 0.7)
-        far = np.abs(phi(z[:, 0], z[:, 1]) - measure.alpha) > 1e-3
+        z = _interior_points(rng, args.points, 0.7, phi.dim)
+        far = np.abs(phi(*z.T) - measure.alpha) > DRAW_ALPHA_DIST
         pts = np.concatenate([pts, z[far]])[:args.points]
     report = clark.verify_poisson(measure, pts)
     ok = bool(report.max_rel_err < args.tol)
     obj = {
         "alpha": complex(measure.alpha),
-        "points": [[complex(a), complex(b)] for a, b in pts],
+        "points": pts,
         "lhs": report.lhs,
         "rhs": report.rhs,
         "rel_err": report.rel_err,
@@ -176,9 +161,9 @@ def cmd_verify(args) -> int:
     }
     if args.out:
         _write(args.out, canonical_json(obj))
-    for k in range(len(pts)):
-        print(f"z=({pts[k][0]:.4f},{pts[k][1]:.4f}) lhs {report.lhs[k]:.10g} "
-              f"rhs {report.rhs[k]:.10g} rel {report.rel_err[k]:.3g}")
+    for z, lhs, rhs, rel in zip(pts, report.lhs, report.rhs, report.rel_err):
+        print(f"z=({','.join(f'{c:.4f}' for c in z)}) lhs {lhs:.10g} "
+              f"rhs {rhs:.10g} rel {rel:.3g}")
     print(f"max rel err {report.max_rel_err:.3g} tol {args.tol:g} "
           f"{'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
@@ -317,12 +302,13 @@ def cmd_reconstruct(args) -> int:
     from . import clark
     from .util import canonical_json
 
-    measure = _load_measure(args)
+    with open(args.measure, "r", encoding="utf-8") as fh:
+        measure = clark.measure_from_json(fh.read())
     H = clark.herglotz_reconstruct(measure, args.degree)
-    z = _interior_points(np.random.default_rng(args.seed), 200, 0.5)
     phi = measure.phi
-    sup = float(np.max(np.abs(H(z[:, 0], z[:, 1])
-                              - phi(z[:, 0], z[:, 1]))))
+    z = _interior_points(np.random.default_rng(args.seed), 200, 0.5,
+                         phi.dim).T
+    sup = float(np.max(np.abs(H(*z) - phi(*z))))
     obj = {
         "alpha": complex(measure.alpha),
         "degree": args.degree,
@@ -331,7 +317,7 @@ def cmd_reconstruct(args) -> int:
     }
     _write(args.out, canonical_json(obj))
     print(f"degree {args.degree}: sup |reconstructed - original| = {sup:.3g} "
-          f"on 200 points of (0.5 D)^2")
+          f"on 200 points of (0.5 D)^{phi.dim}")
     print(f"wrote {args.out}")
     return 0
 

@@ -23,14 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import poly as _poly
-from .clark import (ClarkMeasure, _bidisk_points, _fiber_blocks,
-                    _moment_tables)
+from .clark import (ClarkMeasure, _fiber_blocks, _moment_tables,
+                    _polydisk_points)
 from .errors import DenominatorVanishes
 from .levelset import _slice_atoms, _unimodular_alpha, detect_lines
 from .poly import DEGREE_DROP_REL_TOL, Rif, companion_roots
 from .util import CIRCLE_TOL, unit_roots
 
 CONJ_GRID_N = 512  # zeta1 nodes of conj_rational's residual check
+# density_distance keeps Gram eigenvalues above this times the largest: on a
+# level set the monomials are nearly dependent, and the rest is rounding
+SPECTRAL_CUTOFF = 1e-10
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,7 @@ def gram_isometry_check(phi: Rif, alpha: complex, points,
     quadrature error.  ValueError unless ``phi`` (degrees and denominator
     coefficients, exactly) and ``alpha`` are the measure's.
     """
-    w = _bidisk_points(points, "Gram isometry check")
+    w = _polydisk_points(points, 2, "Gram isometry check")
     # a NaN alpha fails the test too
     if not abs(complex(alpha) - complex(measure.alpha)) <= CIRCLE_TOL:
         raise ValueError("alpha does not match the measure")
@@ -160,8 +163,9 @@ def _check_denominators(h):
         mods = np.abs(companion_roots(den[:, None])[:, 0])
         if np.nanmin(mods, initial=np.inf) <= 1.0 + CIRCLE_TOL:
             raise DenominatorVanishes(
-                f"denominator root of modulus {np.nanmin(mods):.6g} inside "
-                "the closed disk (alpha is exceptional)")
+                f"denominator root of modulus {np.nanmin(mods):.6g} within "
+                f"CIRCLE_TOL = {CIRCLE_TOL:g} of the closed disk: alpha is "
+                "exceptional or within rounding of an exceptional value")
 
 
 def conj_rational(phi: Rif, alpha: complex) -> ConjRational:
@@ -211,11 +215,13 @@ def density_distance(measure: ClarkMeasure, degree: int) -> DensityReport:
 
     The Gram of the monomials is assembled from the measure's moment
     table and inverted by a truncated spectral pseudoinverse (cutoff
-    1e-10 of the top eigenvalue) — level-set measures make the monomials
-    far from independent, so plain solves would be meaningless.  The
-    verdict is the lines' (the measure's own, else ``detect_lines``), not
-    the distances'; the module docstring says why.
+    SPECTRAL_CUTOFF of the top eigenvalue) — level-set measures make the
+    monomials far from independent, so plain solves would be meaningless.
+    The verdict is the lines' (the measure's own, else ``detect_lines``),
+    not the distances'; the module docstring says why.
     """
+    if measure.phi.dim != 2:
+        raise ValueError("density_distance needs a two-variable measure")
     if degree < 1:
         raise ValueError("degree must be at least 1")
     D = degree
@@ -230,7 +236,7 @@ def density_distance(measure: ClarkMeasure, degree: int) -> DensityReport:
     G = np.conj(M[aa[:, None] - aa[None, :] + S,
                   bb[:, None] - bb[None, :] + S])
     lam, U = np.linalg.eigh((G + np.conj(G).T) / 2.0)
-    cutoff = 1e-10 * float(lam[-1])
+    cutoff = SPECTRAL_CUTOFF * float(lam[-1])
     keep = lam > cutoff
     rank = int(np.sum(keep))
 

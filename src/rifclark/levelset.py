@@ -71,6 +71,15 @@ POLISH_STEP_TOL = 1e-9
 # polished torus zeros whose angles differ by at most this in sum are one
 # singularity, reached from several seeds
 SAME_SINGULARITY_TOL = 1e-6
+# find_singularities' least angle for grouping resultant roots into one
+# seed: far above the rounding spread of a double root, eps^(1/2) ~ 1.5e-8
+SEED_WINDOW = 1e-3
+# first secant step in arg z1 of _polish_on_torus: far enough off the seed
+# that the slope difference it measures is not rounding
+SECANT_FIRST_STEP = 1e-7
+# _ccw_angle's sort key: angles less than ANGLE_KEY_OFFSET below 0 count as
+# 0 (a computed 1 - 3e-16j), and ones equal to ANGLE_KEY_DIGITS decimals tie
+ANGLE_KEY_OFFSET, ANGLE_KEY_DIGITS = 1e-12, 9
 # reference circles zeta2 = w_ref of the phase labels, tried in order: a
 # circle through a singularity on the path (fav's zeta2 = 1) gives no phase
 _REF_CIRCLES = (np.exp(0.373j), np.exp(2.419j), np.exp(4.297j))
@@ -378,7 +387,7 @@ def find_singularities(phi: Rif) -> list[tuple[complex, complex]]:
     zeros are of even multiplicity m, 2 n2 at most on the catalog and
     the composed examples, so rounding spreads each into a cluster of
     width about eps^(1 / m), and the roots within SEED_BAND of the
-    circle are grouped by angle within max(1e-3, 10 eps^(1 / (2 n2))).
+    circle are grouped by angle within max(SEED_WINDOW, 10 eps^(1 / (2 n2))).
     The mean of each group, projected to the circle, seeds tau1, and the
     torus zeros of p over it are polished from there (``_torus_zeros``).
     A repeated factor of p multiplies m, and the wider clusters can hide
@@ -391,7 +400,7 @@ def find_singularities(phi: Rif) -> list[tuple[complex, complex]]:
     p = phi.den
     res = companion_roots(_resultant_coeffs(p)[:, None])[:, 0]
     eps_root = np.finfo(float).eps ** (0.5 / max(p.degrees[1], 1))
-    tau1, _ = _circle_clusters(res, max(1e-3, 10.0 * eps_root))
+    tau1, _ = _circle_clusters(res, max(SEED_WINDOW, 10.0 * eps_root))
     t1, t2, _ = _torus_zeros(p.coeffs, tau1 / np.abs(tau1))
     keep = np.abs(p(t1, t2)) <= SINGULAR_TOL * p.coefficient_scale()
     found: list[tuple[complex, complex]] = []
@@ -461,7 +470,7 @@ def _polish_on_torus(coeffs, t1, t2):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ta = np.angle(t1)
         ha, w = slope(ta, t2)
-        tb = ta + 1e-7
+        tb = ta + SECANT_FIRST_STEP
         for _ in range(POLISH_STEPS):
             hb, w = slope(tb, w)
             dh = hb - ha
@@ -514,9 +523,9 @@ def _circle_clusters(roots, window):
 
 
 def _ccw_angle(z):
-    """Sort key: the angle of z counterclockwise from 1, to 1e-9, where an
-    angle within rounding below 0 (a computed 1 - 3e-16j) counts as 0."""
-    return round((float(np.angle(z)) + 1e-12) % TWO_PI, 9)
+    """Sort key: the angle of z counterclockwise from 1 (ANGLE_KEY_*)."""
+    return round((float(np.angle(z)) + ANGLE_KEY_OFFSET) % TWO_PI,
+                 ANGLE_KEY_DIGITS)
 
 
 # ---------------------------------------------------------------------------

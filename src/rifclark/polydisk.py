@@ -4,8 +4,8 @@ For a RIF in three variables whose denominator is zero-free on the
 closed tridisk, the Clark measure at every unimodular alpha is absolutely
 continuous over the first two torus coordinates: graphs
 zeta3 = g_j(zeta1, zeta2) weighted by 1/|d phi / d z3|.  The general
-builder below handles that singularity-free case; the one-parameter
-family phi_s = (s z1 z2 z3 - z1 z2 - z1 z3 - z2 z3)/(s - z1 - z2 - z3)
+builder below covers that singularity-free case for ``clark``'s integrators;
+the family phi_s = (s z1 z2 z3 - z1 z2 - z1 z3 - z2 z3)/(s - z1 - z2 - z3)
 additionally has closed-form level surfaces and weights, which remain
 usable at the singular border case s = 3 where the builder must refuse.
 """
@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .catalog import tridisk_s
-from .clark import ClarkMeasure, _fibered, total_mass
+from .clark import ClarkMeasure, _fibered, _polydisk_points, total_mass
 from .errors import SingularDenominator, UnstableDenominator
 from .levelset import UNIMODULAR_TOL, _unimodular_alpha
 from .poly import PolyMD, Rif, stability_check
@@ -229,10 +229,7 @@ def verify_poisson_d(s: float, alpha: complex, z,
     """
     s = tridisk_s(s)
     a = _unimodular_alpha(alpha)
-    z = np.asarray(z, dtype=complex)
-    if z.shape != (3,) or not np.all(np.abs(z) < 1.0):  # NaN fails too
-        raise ValueError("z must be an interior point of the tridisk")
-
+    z = _polydisk_points([z], 3, "Poisson verification")[0]
     z1, z2, z3 = z.tolist()
     v = (s * z1 * z2 * z3 - z1 * z2 - z1 * z3 - z2 * z3) / (s - z1 - z2 - z3)
     lhs = (1.0 - abs(v) ** 2) / abs(a - v) ** 2

@@ -900,12 +900,32 @@ def test_line_measures_meet_exact_oracles_at_full_size(corpus, name):
     assert rep.max_rel_err <= 1e-12
 
 
-def test_verify_poisson_refuses_three_variables():
-    m = polydisk.build_measure_d(catalog.tridisk_rif(4.0), np.exp(0.9j), 16)
-    with pytest.raises(ValueError, match="polydisk.verify_poisson_d"):
-        clark.verify_poisson(m, [(0.1, 0.2, 0.3)])
-    with pytest.raises(ValueError, match="polydisk.verify_poisson_d"):
+def test_verify_poisson_takes_three_variables():
+    # the tridisk measure goes through the two-variable body, and a point
+    # of the wrong arity gets a typed message before any sum
+    m = polydisk.build_measure_d(catalog.tridisk_rif(4.0), np.exp(0.9j), 64)
+    assert clark.verify_poisson(m, [(0.1, 0.2, 0.3)]).max_rel_err < 1e-13
+    with pytest.raises(ValueError, match="needs points of 3 coordinates"):
         clark.verify_poisson(m, [(0.1, 0.2)])
+
+
+def test_exact_moments_take_the_tridisk():
+    # one power-series division over the 3-D coefficient tensor: the table
+    # of a built measure, to its rule's error, and zero mixed moments
+    phi, alpha = catalog.tridisk_rif(4.0), 1.0j
+    exact = clark.exact_moments(phi, alpha, 2)
+    assert exact.shape == (3, 3, 3)
+    m = polydisk.build_measure_d(phi, alpha, 64)
+    assert np.max(np.abs(clark.herglotz_moments(m, 2) - exact)) < 1e-13
+    assert abs(exact[0, 0, 0] - clark.expected_mass(phi, alpha)) < 1e-15
+    assert clark.moment_residual(m, 2) < 1e-13
+
+
+def test_poisson_points_of_the_wrong_arity_are_refused(fav_measure_alphai):
+    for pts in ([(0.1, 0.2, 0.3)], [(0.1,)], [(0.1, 0.2), (0.3, 0.1, 0.2)]):
+        with pytest.raises(ValueError, match="Poisson verification needs "
+                                             "points of 2 coordinates"):
+            clark.verify_poisson(fav_measure_alphai, pts)
 
 
 def test_build_measure_refuses_three_variables():
@@ -918,9 +938,15 @@ def test_verify_poisson_refuses_no_points(fav_measure_alphai):
         clark.verify_poisson(fav_measure_alphai, [])
 
 
-def test_moments_refuse_a_negative_degree(fav_measure_alphai):
-    with pytest.raises(ValueError, match="non-negative"):
-        clark.herglotz_moments(fav_measure_alphai, -1)
+def test_moments_refuse_a_negative_degree(fav, fav_measure_alphai):
+    # the exact table and the residual give the measured table's message
+    calls = [lambda: clark.herglotz_moments(fav_measure_alphai, -1),
+             lambda: clark.exact_moments(fav, 1.0j, -1),
+             lambda: clark.moment_residual(fav_measure_alphai, -1)]
+    for call in calls:
+        with pytest.raises(ValueError, match="moment degree must be "
+                                             "non-negative, got -1"):
+            call()
 
 
 def _blank_roots(monkeypatch, N):

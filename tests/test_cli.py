@@ -72,25 +72,27 @@ def test_three_variable_poly_gives_error_json(command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["verify", "reconstruct"])
-def test_three_variable_measure_is_refused_before_any_build(
-        command, tmp_path, capsys, monkeypatch):
-    # verify and reconstruct work in two variables; a tridisk file used to
-    # be rebuilt in full (grid_n^2 slices) before either failed
+def test_three_variable_measure_round_trips(command, tmp_path, capsys):
+    # verify and reconstruct rebuild a tridisk file and draw points of
+    # three coordinates, through the two-variable code
     measure = polydisk.build_measure_d(catalog.tridisk_rif(3.6),
-                                       np.exp(0.7j), 16)
+                                       np.exp(0.7j), 64)
     path = tmp_path / "m3.json"
     path.write_text(clark.measure_to_json(measure))
-    builds = []
-    monkeypatch.setattr(polydisk, "build_measure_d",
-                        lambda *args: builds.append(args))
     out = tmp_path / "o.json"
-    rc = main([command, "--measure", str(path), "--out", str(out)])
-    assert rc == 1
-    assert json.loads(capsys.readouterr().out)["error"] == {
-        "type": "ValueError",
-        "message": f"{command} needs a two-variable measure; the file's "
-                   f"rif has degrees [1, 1, 1]"}
-    assert builds == [] and not out.exists()
+    extra = ["--degree", "8"] if command == "reconstruct" else []
+    rc = main([command, "--measure", str(path), "--out", str(out)] + extra)
+    assert rc == 0
+    obj = json.loads(out.read_text())
+    text = capsys.readouterr().out
+    if command == "verify":
+        assert obj["pass"] and len(obj["points"]) == 20
+        assert all(len(z) == 3 for z in obj["points"])
+        assert "max rel err" in text and "PASS" in text
+    else:
+        assert obj["sup_error_half_disk"] < 1e-5
+        assert np.shape(obj["moments"]) == (9, 9, 9, 2)
+        assert "points of (0.5 D)^3" in text
 
 
 def test_embed_without_kernels_gives_error_json(fav_json, tmp_path, capsys):

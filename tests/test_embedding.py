@@ -197,6 +197,27 @@ def test_conj_rational_exceptional_raises(fav):
         embedding.conj_rational(fav, -1.0 + 0.0j)
 
 
+@pytest.mark.parametrize("delta", [1e-5, 1e-6])
+def test_conj_rational_near_exceptional_names_rounding(fav, delta):
+    # at alpha = e^{i pi (1 + delta)} the denominator root sits within
+    # CIRCLE_TOL of the circle; the refusal stays (without it the residuals
+    # grow to 4.5e-4 at delta = 1e-6) but no longer calls alpha exceptional
+    # outright, for no line is found and the density verdict is unitary.
+    # At 1e-6 the build itself misses its mass guard (ROADMAP item 2c), so
+    # the verdict there is read from its source, detect_lines
+    alpha = np.exp(1j * np.pi * (1.0 + delta))
+    with pytest.raises(DenominatorVanishes, match=(
+            r"denominator root of modulus 1 within CIRCLE_TOL = 1e-09 of "
+            r"the closed disk: alpha is exceptional or within rounding of "
+            r"an exceptional value$")):
+        embedding.conj_rational(fav, alpha)
+    assert levelset.detect_lines(fav, alpha) == []
+    if delta == 1e-5:
+        rep = embedding.density_distance(clark.build_measure(fav, alpha,
+                                                             1024), 4)
+        assert rep.verdict == "consistent_with_unitary"
+
+
 def test_density_distance_generic_squared(squared):
     m = clark.build_measure(squared, 1.0 + 0.0j, 2048)
     rep = embedding.density_distance(m, 4)

@@ -135,12 +135,11 @@ def test_detect_lines_generic_alpha_empty(fav, squared):
 
 
 @pytest.mark.parametrize("call", [
-    lambda phi: clark.exact_moments(phi, 1.0j, 2),
     lambda phi: levelset.trace_branches(phi, 1.0j, 16),
     lambda phi: levelset.detect_lines(phi, 1.0j),
     lambda phi: levelset.find_singularities(phi),
     lambda phi: contact.weight_vanish_order(phi, 1.0j, (1.0, 1.0)),
-], ids=["exact_moments", "trace_branches", "detect_lines",
+], ids=["trace_branches", "detect_lines",
         "find_singularities", "weight_vanish_order"])
 def test_two_variable_routines_refuse_the_tridisk(call):
     with pytest.raises(ValueError, match="two-variable"):

@@ -304,19 +304,80 @@ def test_build_measure_d_mass_several_sheets(k):
                - clark.expected_mass(phi, alpha)) < 1e-10
 
 
-def test_two_variable_integrators_refuse_tridisk_measures():
-    # they would integrate the (zeta1, zeta2) marginal and return numbers
+def test_gram_and_density_refuse_tridisk_measures():
+    # the paper's two-variable unitarity theorem is their subject; they
+    # would integrate the (zeta1, zeta2) marginal and return numbers
     phi = sheets_rif(3.5, 2)
     alpha = np.exp(0.7j)
     m = polydisk.build_measure_d(phi, alpha, 16)
-    calls = [lambda: clark.herglotz_moments(m, 3),
-             lambda: clark.herglotz_reconstruct(m, 3),
-             lambda: embedding.density_distance(m, 2),
-             lambda: embedding.gram_isometry_check(phi, alpha, [(0.1, 0.2)],
-                                                   m)]
-    for call in calls:
-        with pytest.raises(ValueError, match="two-variable inner function"):
-            call()
+    with pytest.raises(ValueError, match="density_distance needs a "
+                                         "two-variable measure"):
+        embedding.density_distance(m, 2)
+    with pytest.raises(ValueError, match="gram_isometry_check expects a "
+                                         "two-variable inner function"):
+        embedding.gram_isometry_check(phi, alpha, [(0.1, 0.2)], m)
+
+
+def _five_tridisk_builds():
+    yield "phi_3.3", catalog.tridisk_rif(3.3)
+    yield "phi_4", catalog.tridisk_rif(4.0)
+    for k in (1, 2, 3):
+        yield f"sheets(3.5, {k})", sheets_rif(3.5, k)
+
+
+@pytest.mark.parametrize("name, phi", list(_five_tridisk_builds()))
+def test_tridisk_builds_meet_the_exact_oracles(name, phi):
+    # the Poisson sum, the moments against the 3-D power-series division
+    # and the mixed moments, through the two-variable bodies.  The points
+    # lie within radius 0.5, where the 128-point rule is exact to rounding:
+    # phi_3.3, whose |p| >= 0.3 on the torus is the least, reads 2.6e-16,
+    # 1.0e-13 within 0.6 and 6e-11 within 0.7 (4.2e-16, 7e-16 at N = 256)
+    m = polydisk.build_measure_d(phi, np.exp(0.7j), 128)
+    rng = np.random.default_rng(3)
+    z = 0.5 * np.sqrt(rng.uniform(size=(8, 3))) * np.exp(
+        2j * np.pi * rng.uniform(size=(8, 3)))
+    assert clark.verify_poisson(m, z).max_rel_err <= 1e-13, name
+    assert clark.moment_residual(m, 6) <= 1e-13, name
+
+
+@pytest.mark.parametrize("s", [3.3, 4.0])
+def test_tridisk_poisson_matches_the_closed_form_check(s):
+    # clark.verify_poisson on a built phi_s against the closed-form weight
+    # sum of verify_poisson_d at the same point and grid
+    alpha, N = np.exp(0.7j), 128
+    m = polydisk.build_measure_d(catalog.tridisk_rif(s), alpha, N)
+    for z in ([0.3 + 0.1j, -0.2 + 0.4j, 0.5j], [-0.6, 0.2 - 0.3j, 0.1]):
+        got = clark.verify_poisson(m, [z])
+        want = polydisk.verify_poisson_d(s, alpha, z, N)
+        assert abs(got.lhs[0] - want.lhs) <= 1e-15 * want.lhs
+        assert abs(got.rhs[0] - want.rhs) <= 1e-14 * want.lhs
+
+
+def test_tridisk_herglotz_reconstruction():
+    phi = catalog.tridisk_rif(4.0)
+    m = polydisk.build_measure_d(phi, np.exp(0.7j), 64)
+    H = clark.herglotz_reconstruct(m, 12)
+    assert H.moments.shape == (13, 13, 13)
+    z = np.array([[0.3, -0.2j, 0.1 + 0.1j], [-0.25, 0.2, 0.3j]]).T
+    assert np.max(np.abs(H(*z) - phi(*z))) < 1e-6
+
+
+def test_tridisk_moment_table_is_no_larger_than_the_bidisk_one(fav):
+    # herglotz_moments(32) of a tridisk measure holds (D + 1)^2 rows of
+    # conj(zeta') powers; its block, sized by the row count, keeps the
+    # peak at that of a one-atom two-variable measure
+    def peak(m):
+        tracemalloc.start()
+        try:
+            clark.herglotz_moments(m, 32)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    flat = clark.build_measure(fav, np.exp(0.7j), 8192)
+    tri = polydisk.build_measure_d(sheets_rif(3.5, 1), np.exp(0.7j), 128)
+    assert flat.weights.shape[0] == tri.weights.shape[0] == 1
+    assert peak(tri) <= peak(flat)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
