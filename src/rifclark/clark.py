@@ -18,21 +18,23 @@ the zeta1 nodes: uniform, half a step off the first line, and clustered
 by a Blaschke product wherever the grid would miss the poles of the
 zeta1-marginal, with lines or without: that product's Clark atoms, from
 the same kernel.  A horizontal line T x {tau} is the atom zeta2 = tau of
-every slice.  ``polydisk.build_measure_d`` returns the same structure on
-the tridisk, from the same build body (``_fibered``), and every
-integrator here takes both through one body: it walks blocks of base
-nodes, forms each base column's factor once per node, adds a line term.
+every slice.  On the tridisk the base is a tensor grid, through the same
+build body (``_fibered``), and every integrator here takes both through
+one body: it walks blocks of base nodes, forms each base column's factor
+once per node, adds a line term.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from . import poly as _poly
-from .errors import MassGapExceeded, MassNotOne, MeasureMismatch
+from .errors import (MassGapExceeded, MassNotOne, MeasureMismatch,
+                     UnstableDenominator)
 from .levelset import (
     UNIMODULAR_TOL,
     Branch,
@@ -41,7 +43,7 @@ from .levelset import (
     _lines,
     _unimodular_alpha,
 )
-from .poly import Rif
+from .poly import PolyMD, Rif, stability_check
 from .util import (TWO_PI, canonical_json, grid_shift, unit_circle_points,
                    unit_roots)
 
@@ -77,6 +79,9 @@ MASS_GAP_TOL = 1e-6
 # verify_poisson refuses points where |alpha - phi(z)| is below this: the
 # Poisson quotient there exceeds 1e12 times its numerator 1 - |phi|^2
 MIN_ALPHA_DIST = 1e-6
+
+# build_measure's grid_n by phi.dim, for each dimension it builds
+DEFAULT_GRID = {2: 4096, 3: 256}
 
 
 @dataclass
@@ -126,36 +131,55 @@ class ClarkMeasure:
     branches: list[Branch] = field(default_factory=list, repr=False)
 
 
-def build_measure(phi: Rif, alpha: complex, grid_n: int = 4096) -> ClarkMeasure:
-    """Construct sigma_alpha from the uniform grid of ``grid_n`` angles.
-
-    The zeta1 nodes are that grid or, near an exceptional alpha, its
-    preimages under a Blaschke product, which cluster where the mass of
-    an emerging line piles up (``_zeta1_rule``); they are the ``base``.
-    At an exceptional alpha the vertical lines (the only ones looked for)
-    are split off exactly and the grid shifts half a step off them.  The
-    atoms and weights come from the build body (``_fibered``); a mass off
-    ``expected_mass`` by more than MASS_GAP_TOL raises MassGapExceeded.
-    """
-    if phi.dim != 2:
-        raise ValueError("build_measure expects a two-variable inner "
-                         "function; use polydisk.build_measure_d on the "
-                         "tridisk")
+def build_measure(phi: Rif, alpha: complex,
+                  grid_n: int | None = None) -> ClarkMeasure:
+    """sigma_alpha of a RIF in two or three variables from ``grid_n``
+    angles per base coordinate (DEFAULT_GRID[phi.dim] if None): the zeta1
+    rule (``_zeta1_rule``) in two, in three the tensor grid of the shared
+    N-th roots of unity, each pair of weight 1 / N**2, if the certificate
+    keeps a margin above UNIMODULAR_TOL (else UnstableDenominator).  The
+    build body (``_fibered``) raises MassGapExceeded."""
+    if phi.dim not in DEFAULT_GRID:
+        raise ValueError(f"build_measure handles two or three variables, "
+                         f"not {phi.dim}")
     alpha = _unimodular_alpha(alpha)
-    zeta1, quad, lines = _zeta1_rule(phi, alpha, grid_n)
-    return _fibered(phi, alpha, grid_n, zeta1[:, None], quad, lines,
-                    expected_mass(phi, alpha))
+    N = DEFAULT_GRID[phi.dim] if grid_n is None else grid_n
+    if phi.dim == 2:
+        zeta1, quad, lines = _zeta1_rule(phi, alpha, N)
+        return _fibered(phi, alpha, N, zeta1[:, None], quad, lines,
+                        expected_mass(phi, alpha))
+    zg = unit_roots(N)
+    margin = _certificate(phi.den.coeffs.shape, phi.den.coeffs.tobytes())
+    if not margin > UNIMODULAR_TOL:  # NaN fails too
+        raise UnstableDenominator(
+            f"denominator has a zero within {margin:.3g} "
+            "of the closed tridisk boundary; the graph structure formula "
+            "does not apply")
+    pts = np.empty((N, N, 2), dtype=complex)  # (zg_i, zg_j) at row i N + j
+    pts[..., 0], pts[..., 1] = zg[:, None], zg
+    return _fibered(phi, alpha, N, pts.reshape(N * N, 2),
+                    np.broadcast_to(1.0 / (N * N), N * N), [], None)
+
+
+@lru_cache(maxsize=32)
+def _certificate(shape, raw):
+    """``stability_check`` less 1 of the denominator with coefficient tensor
+    ``raw`` (bytes) of ``shape``, once per denominator.  It sees a torus
+    zero only where its grid hits one: phi_3's at (1, 1, 1), not the rotated
+    phi_3's at (e^{0.1i}, e^{0.2i}, e^{0.3i}) (margin 2.9e-3)."""
+    return stability_check(PolyMD(np.frombuffer(raw, dtype=complex)
+                                  .reshape(shape))) - 1.0
 
 
 def _fibered(phi, alpha, grid_n, base, quad, lines, expected):
     """The measure of the fibered rule over ``base`` (m, d-1) of weights
-    ``quad`` (m,), the build body of ``build_measure`` and
-    ``polydisk.build_measure_d``.  Each block of the slice kernel
-    (``_atom_blocks``) turns its num = |p| into quad |p| / |d/dz_d h| in
-    place, an empty atom held as ClarkMeasure describes, so a build holds
-    nothing of size m but its outputs.  A mass off ``expected`` (None: the
-    rule's sum of the exact slice masses, ``_origin_masses``) by more than
-    MASS_GAP_TOL relatively, or a NaN mass, raises MassGapExceeded."""
+    ``quad`` (m,), the build body of ``build_measure``.  Each block of the
+    slice kernel (``_atom_blocks``) turns its num = |p| into
+    quad |p| / |d/dz_d h| in place, an empty atom held as ClarkMeasure
+    describes, so a build holds nothing of size m but its outputs.  A mass
+    off ``expected`` (None: the rule's sum of the exact slice masses,
+    ``_origin_masses``) by more than MASS_GAP_TOL relatively, or a NaN
+    mass, raises MassGapExceeded."""
     atoms = np.empty((phi.degrees[-1], len(base)), dtype=complex)
     weights = np.empty(atoms.shape)
     mass = 0.0  # the rule's sum of the slice masses, if expected is None
@@ -476,8 +500,10 @@ def exact_moments(phi: Rif, alpha: complex, max_degree: int) -> np.ndarray:
     the mass c[0] (Im H(0) is the constant the measure does not see), in
     every dimension (Koranyi and Pukanszky, Trans. AMS 108, 1963), by
     power-series division: with N = alpha p + q and M = alpha p - q,
-    N = M H gives each coefficient of H from those before it in row-major
-    order, M[0] H[j] = N[j] - sum M[j - l] H[l] over l <= j, l != j.
+    N = M H gives each coefficient of H from those of lower total degree,
+    M[0] H[j] = N[j] - sum M[l] H[j - l] over the nonzero M[l], 0 < l <= j.
+    So the coefficients of one total degree |j| = t are filled together,
+    one vectorised multiply-add per nonzero coefficient of M.
     ValueError for alpha off the circle and for a negative degree.
     """
     D = max_degree
@@ -492,11 +518,17 @@ def exact_moments(phi: Rif, alpha: complex, max_degree: int) -> np.ndarray:
     M[cut] = -h[cut]
     N = 2.0 * q + M
     H = np.zeros_like(q)
-    for j in np.ndindex(q.shape):
-        # H[j] is still 0, so the sum skips l = j
-        acc = np.sum(M[tuple(slice(i, None, -1) for i in j)]
-                     * H[tuple(slice(i + 1) for i in j)])
-        H[j] = (N[j] - acc) / M.flat[0]
+    terms = [(np.array(l)[:, None], M[l]) for l in zip(*np.nonzero(M))
+             if any(l)]
+    idx = np.indices(q.shape).reshape(phi.dim, -1)
+    total = idx.sum(axis=0)
+    for t in range(phi.dim * D + 1):
+        j = idx[:, total == t]
+        acc = N[tuple(j)]
+        for l, m in terms:
+            ok = (j >= l).all(axis=0)
+            acc[ok] -= m * H[tuple(j[:, ok] - l)]
+        H[tuple(j)] = acc / M.flat[0]
     C = H / 2.0
     C.flat[0] = H.flat[0].real
     return C
@@ -604,9 +636,8 @@ def _digest(measure):
 def measure_from_json(text: str) -> ClarkMeasure:
     """Rebuild the measure of a file that measure_to_json wrote.
 
-    The RIF, alpha and grid_n go to ``build_measure``, or for three
-    variables to ``polydisk.build_measure_d``, and a rebuild whose digest
-    is not the file's ``sha256`` raises MeasureMismatch, naming both.
+    The RIF, alpha and grid_n go to ``build_measure``, and a rebuild whose
+    digest is not the file's ``sha256`` raises MeasureMismatch, naming both.
     Raises ValueError for anything else: a record without the keys
     alpha, grid_n, rif and sha256 (every earlier layout lacks sha256), an
     alpha other than a pair [re, im] of finite numbers, a grid_n that is
@@ -627,11 +658,7 @@ def measure_from_json(text: str) -> ClarkMeasure:
         raise ValueError("Clark measure alpha must be a pair [re, im] of "
                          "finite numbers")
     # alpha was stored projected, and projecting it again keeps its bits
-    if phi.dim == 2:
-        measure = build_measure(phi, complex(*alpha), grid_n)
-    else:
-        from .polydisk import build_measure_d  # polydisk imports clark
-        measure = build_measure_d(phi, complex(*alpha), grid_n)
+    measure = build_measure(phi, complex(*alpha), grid_n)
     got = _digest(measure)
     if got != digest:
         raise MeasureMismatch(f"the rebuilt measure has sha256 {got}, the "

@@ -97,7 +97,7 @@ def cmd_analyze(args) -> int:
     mass = clark.total_mass(measure)
     expected = clark.expected_mass(phi, alpha)
     _write(args.out, clark.measure_to_json(measure))
-    print(f"alpha {alpha:.17g} grid {args.grid}")
+    print(f"alpha {alpha:.17g} grid {measure.grid_n}")
     print(f"base {len(measure.base)} atoms {(measure.weights != 0).sum()} "
           f"lines {len(measure.lines)}")
     print(f"mass {mass:.17g} expected {expected:.17g} "
@@ -201,6 +201,8 @@ def cmd_embed(args) -> int:
     from .util import canonical_json
 
     phi = _load_rif(args)
+    if phi.dim != 2:  # refused before a build of grid**(dim - 1) slices
+        raise ValueError("embed expects a two-variable inner function")
     alpha = parse_alpha(args.alpha)
     measure = clark.build_measure(phi, alpha, args.grid)
     rng = np.random.default_rng(args.seed)
@@ -273,7 +275,7 @@ def cmd_tridisk(args) -> int:
     if args.build:
         phi = catalog.tridisk_rif(s)
         grid = min(args.grid, BUILD_GRID_CAP)
-        measure = polydisk.build_measure_d(phi, alpha, grid)
+        measure = clark.build_measure(phi, alpha, grid)
         mass = clark.total_mass(measure)
         capped = f", --grid {args.grid} capped" if grid < args.grid else ""
         print(f"built {len(measure.base)} base nodes, "
@@ -341,7 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="build and store a Clark measure")
     add_poly(p)
     p.add_argument("--alpha", required=True)
-    p.add_argument("--grid", type=int, default=4096)
+    p.add_argument("--grid", type=int, default=None,
+                   help="angles per base coordinate (default 4096 in two "
+                        "variables, 256 in three)")
     p.add_argument("--out", default="measure.json")
     p.set_defaults(func=cmd_analyze)
 

@@ -160,12 +160,14 @@ def _check_denominators(h):
         if np.max(np.abs(den)) <= tol:
             raise DenominatorVanishes(
                 "conjugate-coordinate denominator is identically zero")
-        mods = np.abs(companion_roots(den[:, None])[:, 0])
-        if np.nanmin(mods, initial=np.inf) <= 1.0 + CIRCLE_TOL:
+        mod = np.nanmin(np.abs(companion_roots(den[:, None])[:, 0]),
+                        initial=np.inf)
+        if mod <= 1.0 + CIRCLE_TOL:
             raise DenominatorVanishes(
-                f"denominator root of modulus {np.nanmin(mods):.6g} within "
-                f"CIRCLE_TOL = {CIRCLE_TOL:g} of the closed disk: alpha is "
-                "exceptional or within rounding of an exceptional value")
+                f"denominator root with |modulus - 1| = {abs(mod - 1.0):.3g}"
+                f" within CIRCLE_TOL = {CIRCLE_TOL:g} of the closed disk: "
+                "alpha is exceptional or within rounding of an exceptional "
+                "value")
 
 
 def conj_rational(phi: Rif, alpha: complex) -> ConjRational:

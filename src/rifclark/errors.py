@@ -68,3 +68,7 @@ class SingularDenominator(RifclarkError):
 
 class UnstableDenominator(RifclarkError):
     """A stability certificate ruled the denominator polynomial out."""
+
+
+class CertificateTooLarge(RifclarkError, ValueError):
+    """A stability certificate's grid would hold more slices than its cap."""

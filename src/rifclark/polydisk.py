@@ -1,27 +1,18 @@
-"""Clark structure on the tridisk.
-
-For a RIF in three variables whose denominator is zero-free on the
-closed tridisk, the Clark measure at every unimodular alpha is absolutely
-continuous over the first two torus coordinates: graphs
-zeta3 = g_j(zeta1, zeta2) weighted by 1/|d phi / d z3|.  The general
-builder below covers that singularity-free case for ``clark``'s integrators;
-the family phi_s = (s z1 z2 z3 - z1 z2 - z1 z3 - z2 z3)/(s - z1 - z2 - z3)
-additionally has closed-form level surfaces and weights, which remain
-usable at the singular border case s = 3 where the builder must refuse.
-"""
+"""The tridisk family phi_s = (s z1 z2 z3 - z1 z2 - z1 z3 - z2 z3) /
+(s - z1 - z2 - z3): closed-form level surfaces and Clark weights, usable
+at the singular border case s = 3 where ``clark.build_measure`` refuses,
+and the oracles built on them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .catalog import tridisk_s
-from .clark import ClarkMeasure, _fibered, _polydisk_points, total_mass
-from .errors import SingularDenominator, UnstableDenominator
-from .levelset import UNIMODULAR_TOL, _unimodular_alpha
-from .poly import PolyMD, Rif, stability_check
+from .clark import _polydisk_points, build_measure, total_mass
+from .errors import SingularDenominator
+from .levelset import _unimodular_alpha
 from .util import TWO_PI, unit_circle_points, unit_roots
 
 __all__ = [
@@ -43,53 +34,11 @@ _POISSON_BLOCK = 8192  # grid points per block of _poisson_sum
 FAMILY_DEN_REL_TOL = 1e-12
 
 
-def build_measure_d(phi: Rif, alpha: complex,
-                    grid_n: int = 256) -> ClarkMeasure:
-    """Clark measure of a singularity-free 3-var RIF on a tensor grid.
-
-    Requires the stability certificate, computed once per denominator, to
-    keep a margin off the boundary (min slice-root modulus above 1 +
-    UNIMODULAR_TOL on its grid of 24 angles per frozen variable).  That
-    refuses a boundary zero only where the grid hits it: phi_3, zero at
-    (1,1,1), is refused, but the rotation p = 3 - e^{-0.1i} z1 -
-    e^{-0.2i} z2 - e^{-0.3i} z3, zero at (e^{0.1i}, e^{0.2i}, e^{0.3i}),
-    is certified (margin 2.9e-3) and built.  A denominator free of torus
-    zeros is the caller's to guarantee: the structure formula breaks down
-    at one.
-    The measure is the 2-variable builder's fibered rule, from its build
-    body (``clark._fibered``): ``base`` (grid_n**2, 2) holds the pairs
-    (zeta1, zeta2) of the shared N-th roots of unity, each of trapezoid
-    weight 1 / grid_n**2, and ``atoms`` (n, grid_n**2), n the degree in z3,
-    the roots zeta3 of each point's slice.  The mass guard compares against
-    the grid mean of the exact slice masses (``clark._origin_masses``): it
-    sees a faulty build, such as lost roots or an empty atom, and not the
-    quadrature error of a coarse grid (7.8e-3 at grid_n = 8 for s = 3.3).
-    """
+def build_measure_d(phi, alpha, grid_n=256):
+    """``clark.build_measure`` for three variables only."""
     if phi.dim != 3:
         raise ValueError("build_measure_d handles exactly three variables")
-    alpha = _unimodular_alpha(alpha)
-    N = grid_n
-    zg = unit_roots(N)
-    margin = _certificate(phi.den.coeffs.shape, phi.den.coeffs.tobytes())
-    if not margin > UNIMODULAR_TOL:  # NaN fails too
-        raise UnstableDenominator(
-            f"denominator has a zero within {margin:.3g} "
-            "of the closed tridisk boundary; the graph structure formula "
-            "does not apply")
-    pts = np.empty((N, N, 2), dtype=complex)  # (zg_i, zg_j) at row i N + j
-    pts[..., 0], pts[..., 1] = zg[:, None], zg
-    pts = pts.reshape(N * N, 2)
-    return _fibered(phi, alpha, N, pts, np.broadcast_to(1.0 / (N * N), N * N),
-                    [], None)
-
-
-@lru_cache(maxsize=32)
-def _certificate(shape, raw):
-    """The margin off the boundary, ``stability_check`` less 1, of the
-    denominator with coefficient tensor ``raw`` (bytes) of ``shape``: it
-    depends on nothing else, so each denominator is certified once."""
-    return stability_check(PolyMD(np.frombuffer(raw, dtype=complex)
-                                  .reshape(shape))) - 1.0
+    return build_measure(phi, alpha, grid_n)
 
 
 # clark.total_mass by its tridisk name, read only by the benchmark's tridisk

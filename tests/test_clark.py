@@ -928,9 +928,63 @@ def test_poisson_points_of_the_wrong_arity_are_refused(fav_measure_alphai):
             clark.verify_poisson(fav_measure_alphai, pts)
 
 
-def test_build_measure_refuses_three_variables():
-    with pytest.raises(ValueError, match="polydisk.build_measure_d"):
-        clark.build_measure(catalog.tridisk_rif(4.0), np.exp(0.9j), 256)
+def test_build_measure_refuses_four_variables():
+    # one builder for two and three variables; four wait on a certificate
+    # that does not scan a grid to the power d - 1
+    with pytest.raises(ValueError, match="two or three variables, not 4"):
+        clark.build_measure(catalog.monomial_rif(4), np.exp(0.9j))
+
+
+def test_build_measure_defaults_by_dimension(fav):
+    assert clark.build_measure(fav, GENERIC).grid_n == 4096
+    m = clark.build_measure(catalog.tridisk_rif(3.6), GENERIC)
+    assert m.grid_n == 256 and m.base.shape == (256 * 256, 2)
+
+
+def test_tridisk_build_keeps_its_digest():
+    # the digest of the tensor-grid build as the three-variable builder
+    # wrote it before build_measure took three variables, under both names
+    want = "aa8cf1586b0820642ccdb6f5646c0c7deb6458ef7435c561904c1d3ffb64a5e2"
+    phi = catalog.tridisk_rif(3.6)
+    assert clark._digest(clark.build_measure(phi, GENERIC, 32)) == want
+    assert clark._digest(polydisk.build_measure_d(phi, GENERIC, 32)) == want
+
+
+def _exact_moments_by_entries(phi, alpha, D):
+    """exact_moments' division one entry at a time in row-major order."""
+    h = phi.level_coeffs(alpha)
+    M = np.zeros((D + 1,) * phi.dim, dtype=complex)
+    q = np.zeros_like(M)
+    cut = tuple(slice(min(n, D + 1)) for n in h.shape)
+    M[cut], q[cut] = -h[cut], phi.num.coeffs[cut]
+    N = 2.0 * q + M
+    H = np.zeros_like(M)
+    for j in np.ndindex(M.shape):
+        acc = sum(M[l] * H[tuple(a - b for a, b in zip(j, l))]
+                  for l in np.ndindex(M.shape)
+                  if any(l) and all(b <= a for a, b in zip(j, l)))
+        H[j] = (N[j] - acc) / M.flat[0]
+    C = H / 2.0
+    C.flat[0] = H.flat[0].real
+    return C
+
+
+@pytest.mark.parametrize("name", ["fav", "product", "tridisk"])
+def test_exact_moments_by_hyperplanes_match_the_entrywise_division(
+        corpus, name):
+    # the total-degree order gives the row-major division's numbers
+    phi = catalog.tridisk_rif(3.3) if name == "tridisk" else corpus[name]
+    for alpha in (GENERIC, -1.0):
+        want = _exact_moments_by_entries(phi, alpha, 5)
+        got = clark.exact_moments(phi, alpha, 5)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_exact_moments_of_the_tridisk_at_degree_twenty():
+    # every moment of total degree up to 60 in three variables against a
+    # built measure, mixed moments included
+    m = clark.build_measure(catalog.tridisk_rif(3.6), GENERIC, 128)
+    assert clark.moment_residual(m, 20) <= 1e-13
 
 
 def test_verify_poisson_refuses_no_points(fav_measure_alphai):

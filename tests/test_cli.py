@@ -60,8 +60,15 @@ def _error_type(capsys):
     return json.loads(capsys.readouterr().out)["error"]["type"]
 
 
-@pytest.mark.parametrize("command", ["analyze", "embed"])
-def test_three_variable_poly_gives_error_json(command, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["embed"])
+def test_three_variable_poly_gives_error_json(command, tmp_path, capsys,
+                                              monkeypatch):
+    # refused before a build: at embed's default grid a tridisk build
+    # would solve 8192**2 slices
+    def refuse(*args):
+        raise AssertionError("the measure was built")
+
+    monkeypatch.setattr(clark, "build_measure", refuse)
     path = tmp_path / "tri.json"
     path.write_text(poly_to_json(catalog.tridisk_rif(4.0).den))
     out = tmp_path / "o.json"
@@ -69,6 +76,38 @@ def test_three_variable_poly_gives_error_json(command, tmp_path, capsys):
                "--out", str(out)])
     assert rc == 1 and _error_type(capsys) == "ValueError"
     assert not out.exists()
+
+
+def test_four_variable_poly_gives_error_json(tmp_path, capsys):
+    path = tmp_path / "quad.json"
+    path.write_text(poly_to_json(catalog.monomial_rif(4).den))
+    out = tmp_path / "o.json"
+    rc = main(["analyze", "--poly", str(path), "--alpha", "i",
+               "--out", str(out)])
+    assert rc == 1 and _error_type(capsys) == "ValueError"
+    assert not out.exists()
+
+
+def test_analyze_verify_reconstruct_three_variables(tmp_path, capsys):
+    # analyze writes a tridisk file at the builder's default grid, the one
+    # build_measure returns, and verify and reconstruct read it
+    path = tmp_path / "tri.json"
+    path.write_text(poly_to_json(catalog.tridisk_rif(3.6).den))
+    mpath, out = str(tmp_path / "m3.json"), str(tmp_path / "o.json")
+    assert main(["analyze", "--poly", str(path), "--alpha", "exp:0.3",
+                 "--out", mpath]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith(f"alpha {parse_alpha('exp:0.3'):.17g} grid 256\n"
+                           f"base {256 * 256} atoms {256 * 256} lines 0\n")
+    want = clark.build_measure(catalog.tridisk_rif(3.6),
+                               parse_alpha("exp:0.3"))
+    assert Path(mpath).read_text() == clark.measure_to_json(want) + "\n"
+    assert main(["verify", "--measure", mpath, "--out", out]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("PASS")
+    assert main(["reconstruct", "--measure", mpath, "--degree", "8",
+                 "--out", out]) == 0
+    assert json.loads(Path(out).read_text())["sup_error_half_disk"] < 1e-5
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", ["verify", "reconstruct"])
@@ -464,6 +503,23 @@ def test_library_imports_leave_scipy_out():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True"] + ["False"] * 5
+
+
+def test_reading_a_tridisk_file_leaves_polydisk_and_catalog_out(tmp_path):
+    # measure_from_json rebuilds a three-variable file through the one
+    # builder: neither the closed-form family nor the catalog is loaded
+    path = tmp_path / "m3.json"
+    path.write_text(clark.measure_to_json(clark.build_measure(
+        catalog.tridisk_rif(3.6), np.exp(0.7j), 64)))
+    code = ("import sys\n"
+            "from rifclark.cli import main\n"
+            f"code = main(['verify', '--measure', {str(path)!r}])\n"
+            "print(code, *(m in sys.modules for m in\n"
+            "             ('rifclark.polydisk', 'rifclark.catalog')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-3:] == ["0", "False", "False"]
 
 
 def test_stability_and_line_tests_leave_numpy_ma_out():

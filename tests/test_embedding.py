@@ -204,12 +204,14 @@ def test_conj_rational_near_exceptional_names_rounding(fav, delta):
     # grow to 4.5e-4 at delta = 1e-6) but no longer calls alpha exceptional
     # outright, for no line is found and the density verdict is unitary.
     # At 1e-6 the build itself misses its mass guard (ROADMAP item 2c), so
-    # the verdict there is read from its source, detect_lines
+    # the verdict there is read from its source, detect_lines.  The message
+    # gives the root's distance to the circle, about (pi delta)^2 / 8
     alpha = np.exp(1j * np.pi * (1.0 + delta))
+    dist = "1.23e-10" if delta == 1e-5 else r"1\.2\de-12"
     with pytest.raises(DenominatorVanishes, match=(
-            r"denominator root of modulus 1 within CIRCLE_TOL = 1e-09 of "
-            r"the closed disk: alpha is exceptional or within rounding of "
-            r"an exceptional value$")):
+            rf"denominator root with \|modulus - 1\| = {dist} within "
+            r"CIRCLE_TOL = 1e-09 of the closed disk: alpha is exceptional or "
+            r"within rounding of an exceptional value$")):
         embedding.conj_rational(fav, alpha)
     assert levelset.detect_lines(fav, alpha) == []
     if delta == 1e-5:

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rifclark import catalog, clark, poly, polydisk
-from rifclark.errors import DegreeNotAttained, ZeroPolynomial
+from rifclark.errors import (CertificateTooLarge, DegreeNotAttained,
+                             ZeroPolynomial)
 from rifclark.levelset import _slice_atoms
 from rifclark.poly import (PolyMD, Rif, companion_roots, derivative_coeffs,
                            eval_poly, poly_from_json, poly_to_json, reflect,
@@ -417,6 +418,24 @@ def test_stability_of_catalog_denominators():
     for phi in (catalog.simple_singular_rif(), catalog.squared_singular_rif(),
                 catalog.diagonal_rif()):
         assert stability_check(phi.den) > 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_stability_check_refuses_a_grid_above_its_cap(d, monkeypatch):
+    # p = d + 1 - z1 - ... - zd: 121^(d-1) frozen points per axis, refused
+    # before the grid is formed (d = 4 took over a second, d = 5 ran out of
+    # memory)
+    c = np.zeros((2,) * d, dtype=complex)
+    c[(0,) * d] = d + 1.0
+    for axis in range(d):
+        c[tuple(int(i == axis) for i in range(d))] = -1.0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was formed")
+
+    monkeypatch.setattr(np, "meshgrid", refuse)
+    with pytest.raises(CertificateTooLarge, match=f"{121 ** (d - 1)} slices"):
+        stability_check(PolyMD(c))
 
 
 def test_instability_detected():

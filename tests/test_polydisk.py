@@ -120,14 +120,14 @@ def test_build_measure_d_refuses_boundary_stability():
 
 def count_certificates(monkeypatch):
     calls = []
-    check = polydisk.stability_check
+    check = clark.stability_check
 
     def counted(p):
         calls.append(p.coeffs.shape)
         return check(p)
 
-    polydisk._certificate.cache_clear()
-    monkeypatch.setattr(polydisk, "stability_check", counted)
+    clark._certificate.cache_clear()
+    monkeypatch.setattr(clark, "stability_check", counted)
     return calls
 
 
