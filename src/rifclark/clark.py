@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -43,7 +42,7 @@ from .levelset import (
     _lines,
     _unimodular_alpha,
 )
-from .poly import PolyMD, Rif, stability_check
+from .poly import Rif
 from .util import (TWO_PI, canonical_json, grid_shift, unit_circle_points,
                    unit_roots)
 
@@ -136,7 +135,7 @@ def build_measure(phi: Rif, alpha: complex,
     """sigma_alpha of a RIF in two or three variables from ``grid_n``
     angles per base coordinate (DEFAULT_GRID[phi.dim] if None): the zeta1
     rule (``_zeta1_rule``) in two, in three the tensor grid of the shared
-    N-th roots of unity, each pair of weight 1 / N**2, if the certificate
+    N-th roots of unity, each pair of weight 1 / N**2, if ``Rif.certificate``
     keeps a margin above UNIMODULAR_TOL (else UnstableDenominator).  The
     build body (``_fibered``) raises MassGapExceeded."""
     if phi.dim not in DEFAULT_GRID:
@@ -149,26 +148,15 @@ def build_measure(phi: Rif, alpha: complex,
         return _fibered(phi, alpha, N, zeta1[:, None], quad, lines,
                         expected_mass(phi, alpha))
     zg = unit_roots(N)
-    margin = _certificate(phi.den.coeffs.shape, phi.den.coeffs.tobytes())
-    if not margin > UNIMODULAR_TOL:  # NaN fails too
+    if not phi.certificate - 1.0 > UNIMODULAR_TOL:  # NaN fails too
         raise UnstableDenominator(
-            f"denominator has a zero within {margin:.3g} "
-            "of the closed tridisk boundary; the graph structure formula "
-            "does not apply")
+            f"the least root modulus of the denominator's slices is "
+            f"{phi.certificate:.6g}, not above 1 + UNIMODULAR_TOL; the graph "
+            "structure formula does not apply")
     pts = np.empty((N, N, 2), dtype=complex)  # (zg_i, zg_j) at row i N + j
     pts[..., 0], pts[..., 1] = zg[:, None], zg
     return _fibered(phi, alpha, N, pts.reshape(N * N, 2),
                     np.broadcast_to(1.0 / (N * N), N * N), [], None)
-
-
-@lru_cache(maxsize=32)
-def _certificate(shape, raw):
-    """``stability_check`` less 1 of the denominator with coefficient tensor
-    ``raw`` (bytes) of ``shape``, once per denominator.  It sees a torus
-    zero only where its grid hits one: phi_3's at (1, 1, 1), not the rotated
-    phi_3's at (e^{0.1i}, e^{0.2i}, e^{0.3i}) (margin 2.9e-3)."""
-    return stability_check(PolyMD(np.frombuffer(raw, dtype=complex)
-                                  .reshape(shape))) - 1.0
 
 
 def _fibered(phi, alpha, grid_n, base, quad, lines, expected):
@@ -340,15 +328,7 @@ def verify_poisson(measure: ClarkMeasure, points) -> PoissonReport:
     MIN_ALPHA_DIST of alpha are rejected: the identity degenerates there
     and no finite-grid quadrature is meaningful.
     """
-    phi = measure.phi
-    pts = _polydisk_points(points, phi.dim, "Poisson verification")
-    vals = phi(*pts.T)
-    dist = np.abs(complex(measure.alpha) - vals)
-    if np.any(dist < MIN_ALPHA_DIST):
-        raise ValueError(
-            "phi(z) is too close to alpha at a requested point; the "
-            "Poisson quotient is singular there")
-    lhs = (1.0 - np.abs(vals) ** 2) / dist ** 2
+    pts, lhs = _poisson_lhs(measure.phi, measure.alpha, points)
 
     # sum over base nodes of prod_i<d 1 / |zeta_i - z_i|^2 times the fiber's
     # sum of w / |zeta_d - z_d|^2, 4 points at a time: the real (points,
@@ -379,6 +359,19 @@ def verify_poisson(measure: ClarkMeasure, points) -> PoissonReport:
     rel_err = abs_err / np.abs(lhs)
     return PoissonReport(points=pts, lhs=lhs, rhs=rhs, abs_err=abs_err,
                          rel_err=rel_err)
+
+
+def _poisson_lhs(phi, alpha, points):
+    """``points`` as an (m, d) array (``_polydisk_points``) and the
+    Poisson identity's left side at each, refusing those near alpha."""
+    pts = _polydisk_points(points, phi.dim, "Poisson verification")
+    vals = phi(*pts.T)
+    dist = np.abs(complex(alpha) - vals)
+    if np.any(dist < MIN_ALPHA_DIST):
+        raise ValueError(
+            "phi(z) is too close to alpha at a requested point; the "
+            "Poisson quotient is singular there")
+    return pts, (1.0 - np.abs(vals) ** 2) / dist ** 2
 
 
 def _polydisk_points(points, d, what):

@@ -493,7 +493,7 @@ def _resultant_coeffs(p: PolyMD):
     M = 2 * n1 * n2 + 1
     z1 = unit_roots(M)
     rows = (slice_coeffs(p.coeffs, z1[:, None]),
-            slice_coeffs(np.conj(p.coeffs[::-1, ::-1]), z1[:, None]))
+            slice_coeffs(_poly.reflect(p).coeffs, z1[:, None]))
     syl = np.zeros((len(z1), 2 * n2, 2 * n2), dtype=complex)
     for k in range(n2):  # rows k and n2 + k: p's and p~'s, shifted by k
         syl[:, k, k:k + n2 + 1] = rows[0].T

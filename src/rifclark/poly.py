@@ -23,6 +23,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -402,9 +403,10 @@ def stability_check(p: PolyMD) -> float:
     closed-disk grid (``grid_n`` radii including 0 and 1, 64 in up to two
     variables and 6 in more, and ``4 * grid_n`` angles) and the roots of
     the resulting univariate slices are found.
-    The certificate is heuristic: it can be fooled by zeros between grid
-    nodes, but the grid includes the full boundary torus where zeros of
-    an intended denominator would matter most.  A grid of more than
+    The certificate is heuristic: zeros between grid nodes fool it (phi_3
+    reads 1, rotated to a torus zero (e^{0.1i}, e^{0.2i}, e^{0.3i}) 1.0029),
+    but the grid includes the full boundary torus where zeros of an
+    intended denominator would matter most.  A grid of more than
     STABILITY_SLICE_CAP slices per axis (p in four or more variables)
     raises CertificateTooLarge before any is formed.
     """
@@ -536,6 +538,11 @@ class Rif:
     @property
     def dim(self) -> int:
         return self.den.dim
+
+    @cached_property
+    def certificate(self) -> float:
+        """``stability_check(den)``, formed on the first read and kept."""
+        return stability_check(self.den)
 
     def __call__(self, *z):
         return eval_poly(self.num, z) / eval_poly(self.den, z)

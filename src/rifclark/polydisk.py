@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import tridisk_s
-from .clark import _polydisk_points, build_measure, total_mass
+from .catalog import tridisk_rif, tridisk_s
+from .clark import _BLOCK_NODES, _poisson_lhs, build_measure, total_mass
 from .errors import SingularDenominator
 from .levelset import _unimodular_alpha
 from .util import TWO_PI, unit_circle_points, unit_roots
@@ -27,14 +27,13 @@ WITNESS_K = (6, 16)  # two_path_witness samples t = 2^-k
 # error below |alpha + 1| = 1.10, 0.89, 0.65, 0.51, 0.40 and 0.27 at N =
 # 128 .. 4096 and raises it above; the rule stays under each of these.
 WINDOW_DIST = 7.6
-_POISSON_BLOCK = 8192  # grid points per block of _poisson_sum
 # |den| of the family below this times s + 3, the sum of its coefficient
 # moduli, is zero: the s = 3, alpha = -1 corner, which on the torus
 # (|den| >= s - 3) only s this close to 3 can reach
 FAMILY_DEN_REL_TOL = 1e-12
 
 
-def build_measure_d(phi, alpha, grid_n=256):
+def build_measure_d(phi, alpha, grid_n=None):
     """``clark.build_measure`` for three variables only."""
     if phi.dim != 3:
         raise ValueError("build_measure_d handles exactly three variables")
@@ -121,10 +120,10 @@ def _poisson_sum(s, a, z, zg, wq):
     which round as Horner's rule does (Higham, "Accuracy and Stability of
     Numerical Algorithms", ch. 5), where expanding |num|^2 and |lin|^2 as
     trigonometric polynomials in w cancels.  |num| and |lin|^2 are sums of
-    squares formed in place, with no complex block.  The zeta1
-    rows go _POISSON_BLOCK // len(zg) at a time, each reduced by two
-    products with the weighted Poisson vectors of zeta2 and zeta1.  On
-    the torus |den| >= s - 3, so den is checked only next to s = 3.
+    squares formed in place, with no complex block.  The zeta1 rows go
+    2 _BLOCK_NODES // len(zg) at a time (verify_poisson's block), each
+    reduced by two products with the weighted Poisson vectors of zeta2 and
+    zeta1.  On the torus |den| >= s - 3, so den is checked only next to s = 3.
     """
     p1, p2 = wq * _poisson1(zg, z[0]), wq * _poisson1(zg, z[1])
     z3 = z[2]
@@ -134,7 +133,7 @@ def _poisson_sum(s, a, z, zg, wq):
                            zg - a - z3 * (s * zg - 1.0)])
     w2 = zg * zg
     table = np.stack([np.ones(len(zg)), zg.real, zg.imag, w2.real, w2.imag])
-    rows = max(1, _POISSON_BLOCK // len(zg))
+    rows = max(1, 2 * _BLOCK_NODES // len(zg))
     parts = np.empty((2, 2, rows, len(zg)))  # (re, im) of (num, lin)
     total = 0.0
     for lo in range(0, len(zg), rows):
@@ -169,8 +168,9 @@ def verify_poisson_d(s: float, alpha: complex, z,
                      grid_n: int = 512) -> PoissonReportD:
     """Three-variable Poisson identity for phi_s via the closed-form weight.
 
-    The left side is (1 - |phi_s(z)|^2) / |alpha - phi_s(z)|^2, phi_s(z)
-    from its closed form.  The right side integrates W_{s,alpha} * P_z
+    The left side is ``clark.verify_poisson``'s at ``catalog.tridisk_rif(s)``,
+    which refuses z where phi_s(z) comes within MIN_ALPHA_DIST of alpha.
+    The right side integrates W_{s,alpha} * P_z
     over the 2-torus by the tensor trapezoid rule (``_poisson_sum``).
     For s = 3 the weight loses smoothness at (1, 1) and, near alpha = -1,
     peaks there, so for |alpha + 1| < WINDOW_DIST * grid_n^-0.4 cells
@@ -178,10 +178,7 @@ def verify_poisson_d(s: float, alpha: complex, z,
     """
     s = tridisk_s(s)
     a = _unimodular_alpha(alpha)
-    z = _polydisk_points([z], 3, "Poisson verification")[0]
-    z1, z2, z3 = z.tolist()
-    v = (s * z1 * z2 * z3 - z1 * z2 - z1 * z3 - z2 * z3) / (s - z1 - z2 - z3)
-    lhs = (1.0 - abs(v) ** 2) / abs(a - v) ** 2
+    (z,), (lhs,) = _poisson_lhs(tridisk_rif(s), a, [z])
 
     N = grid_n
     rhs = _poisson_sum(s, a, z, unit_roots(N), np.full(N, 1.0 / N))
@@ -197,7 +194,7 @@ def verify_poisson_d(s: float, alpha: complex, z,
             wq = np.full(len(g), step * dtheta / 8.0 / TWO_PI)
             wq[0] = wq[-1] = 0.5 * wq[0]
             rhs += sign * _poisson_sum(s, a, z, unit_circle_points(g), wq)
-    return PoissonReportD(lhs=lhs, rhs=rhs)
+    return PoissonReportD(lhs=float(lhs), rhs=rhs)
 
 
 def two_path_witness() -> tuple[complex, complex, float]:

@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rifclark import catalog, clark, contact, embedding, levelset, polydisk
+from rifclark import (catalog, clark, contact, embedding, levelset, poly,
+                      polydisk)
 from rifclark.errors import (MassGapExceeded, SingularDenominator,
                              UnstableDenominator)
 from rifclark.poly import (PolyMD, Rif, _eval_tensor, _polyval_rows,
@@ -120,26 +121,27 @@ def test_build_measure_d_refuses_boundary_stability():
 
 def count_certificates(monkeypatch):
     calls = []
-    check = clark.stability_check
+    check = poly.stability_check
 
     def counted(p):
         calls.append(p.coeffs.shape)
         return check(p)
 
-    clark._certificate.cache_clear()
-    monkeypatch.setattr(clark, "stability_check", counted)
+    monkeypatch.setattr(poly, "stability_check", counted)
     return calls
 
 
-def test_build_measure_d_certifies_each_denominator_once(monkeypatch):
+def test_build_measure_d_certifies_each_rif_once(monkeypatch):
     calls = count_certificates(monkeypatch)
     phi = catalog.tridisk_rif(4.0)
     for alpha in (np.exp(0.9j), 1.0j):
         polydisk.build_measure_d(phi, alpha, 16)
-    # an equal coefficient tensor in a new object is the same denominator
-    polydisk.build_measure_d(catalog.tridisk_rif(4.0), -1.0 + 0.0j, 16)
     assert calls == [(2, 2, 2)]
-    polydisk.build_measure_d(catalog.tridisk_rif(3.5), 1.0j, 16)
+    # the certificate is kept on the Rif object: an equal denominator in a
+    # new object is certified anew
+    polydisk.build_measure_d(catalog.tridisk_rif(4.0), -1.0 + 0.0j, 16)
+    assert len(calls) == 2
+    polydisk.build_measure_d(phi, -1.0j, 16)
     assert len(calls) == 2
 
 
@@ -152,6 +154,23 @@ def test_build_measure_d_refuses_on_every_call(monkeypatch):
             with pytest.raises(UnstableDenominator):
                 polydisk.build_measure_d(phi, 1.0j, 16)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("coeffs, modulus", [
+    ({(0, 0, 0): 1.0, (1, 1, 1): 2.0}, "0.5"),  # 1 + 2 z1 z2 z3
+    ({(0, 0, 0): 2.5, (1, 0, 0): -1.0, (0, 1, 0): -1.0, (0, 0, 1): -1.0},
+     "0.5"),  # 2.5 - z1 - z2 - z3
+    ({(0, 0, 0): 3.0, (1, 0, 0): -1.0, (0, 1, 0): -1.0, (0, 0, 1): -1.0},
+     "1"),  # phi_3's denominator
+])
+def test_tridisk_refusal_states_the_least_root_modulus(coeffs, modulus):
+    # a modulus, not a signed distance to the boundary: 0.5 for zeros inside
+    c = np.zeros((2, 2, 2), dtype=complex)
+    for j, v in coeffs.items():
+        c[j] = v
+    with pytest.raises(UnstableDenominator,
+                       match=rf"slices is {modulus}, not above 1 \+"):
+        clark.build_measure(Rif(PolyMD(c)), 1.0j, 16)
 
 
 def test_poisson_identity_three_variables():
@@ -174,6 +193,14 @@ def test_poisson_identity_s3_with_refinement():
     z = (0.3, -0.2j, 0.1 + 0.4j)
     rep = polydisk.verify_poisson_d(3.0, np.exp(0.855j * np.pi), z, 2048)
     assert rep.rel_err < 1e-14
+
+
+def test_poisson_identity_three_variables_refuses_points_near_alpha():
+    # phi_4(r, r, r) = 1 - 9 (1 - r) + O((1 - r)^2): at r = 1 - 1e-7 phi
+    # lies 9.0e-7 from alpha = 1, inside MIN_ALPHA_DIST
+    r = 1.0 - 1e-7
+    with pytest.raises(ValueError, match="too close to alpha"):
+        polydisk.verify_poisson_d(4.0, 1.0, (r, r, r), 64)
 
 
 def _meshgrid_poisson_rhs(s, alpha, z, N):
@@ -349,7 +376,7 @@ def test_tridisk_poisson_matches_the_closed_form_check(s):
     for z in ([0.3 + 0.1j, -0.2 + 0.4j, 0.5j], [-0.6, 0.2 - 0.3j, 0.1]):
         got = clark.verify_poisson(m, [z])
         want = polydisk.verify_poisson_d(s, alpha, z, N)
-        assert abs(got.lhs[0] - want.lhs) <= 1e-15 * want.lhs
+        assert got.lhs[0] == want.lhs
         assert abs(got.rhs[0] - want.rhs) <= 1e-14 * want.lhs
 
 
