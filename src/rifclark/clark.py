@@ -36,7 +36,6 @@ from .errors import (MassGapExceeded, MassNotOne, MeasureMismatch,
                      UnstableDenominator)
 from .levelset import (
     UNIMODULAR_TOL,
-    Branch,
     LineComponent,
     _atom_blocks,
     _lines,
@@ -113,11 +112,8 @@ class ClarkMeasure:
     the plain uniform rule ``base`` is a read-only view of the N-th roots
     of unity that every build at that N shares (``util.unit_roots``).
 
-    ``branches`` is always empty: no builder traces labeled branches,
-    nothing in the package reads it and it is not serialized.  The field
-    exists only because the benchmark's traced ``queries`` run
-    (bench/workloads.py) reads it, and goes once the benchmark traces
-    branches itself.
+    The class attribute ``branches`` (always empty) stays only because
+    the benchmark reads it; it goes with ROADMAP item 2a.
     """
 
     phi: Rif
@@ -127,7 +123,7 @@ class ClarkMeasure:
     atoms: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     lines: list[LineComponent]  # vertical components only
-    branches: list[Branch] = field(default_factory=list, repr=False)
+    branches = ()
 
 
 def build_measure(phi: Rif, alpha: complex,

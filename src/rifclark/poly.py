@@ -110,8 +110,8 @@ def reflect(p: PolyMD, degrees=None) -> PolyMD:
     if any(n < d for n, d in zip(degrees, p.degrees)):
         raise ValueError(f"reflection degrees {degrees} below deg(p) {p.degrees}")
     arr = np.conj(p.coeffs[tuple(slice(None, None, -1) for _ in range(p.dim))])
-    pad = [(n - d, 0) for n, d in zip(degrees, p.degrees)]
-    arr = np.pad(arr, pad)
+    if degrees != p.degrees:
+        arr = np.pad(arr, [(n - d, 0) for n, d in zip(degrees, p.degrees)])
     return PolyMD(arr)
 
 
@@ -184,39 +184,34 @@ def taylor_shift(coeffs, point):
 # slice coefficient extraction and batched univariate root solving
 # ---------------------------------------------------------------------------
 
-def slice_coeffs(coeffs, points, axis=None):
-    """Coefficients of the univariate polynomial obtained by freezing all
-    variables except ``axis`` (1-based, default: the last variable).
+def slice_coeffs(coeffs, points):
+    """Coefficients of the one-variable slices of a polynomial in d >= 2
+    variables in its last variable, the others frozen at ``points``.
 
-    ``points`` is an array of shape (..., d-1) whose rows hold the frozen
-    coordinates in variable order with ``axis`` removed.  Returns the
-    slice rows coefficient-major, shape (n_axis + 1, ...): row j, the
-    z^j coefficient, is one contiguous array over all points.  The first
-    frozen axis is contracted by one matmul against its (n, m) power
-    rows; each later one by Horner over its coefficient rows.
+    ``points`` is an (m, d-1) array whose rows hold the frozen
+    coordinates in variable order; any other shape, or a tensor in one
+    variable, raises ValueError.  Returns the slice rows coefficient-major,
+    shape (n_d + 1, m): row j, the z_d^j coefficient, is one contiguous
+    array over all points.  The first variable is contracted by one
+    matmul against its (n_1 + 1, m) power rows; each later frozen one by
+    Horner over its coefficient rows.  To free another variable, move it
+    last (``stability_check``).
     """
     coeffs = _as_coeff_tensor(coeffs)
     d = coeffs.ndim
-    if axis is None:
-        axis = d
     pts = np.asarray(points, dtype=np.complex128)
-    if d == 1:
-        if pts.shape[-1] != 0:
-            raise ValueError("univariate polynomial takes no frozen coordinates")
-        return np.broadcast_to(coeffs.reshape(coeffs.shape + (1,) * (
-            pts.ndim - 1)), coeffs.shape + pts.shape[:-1]).copy()
-    if pts.shape[-1] != d - 1:
-        raise ValueError(f"expected {d - 1} frozen coordinates per point")
-    # free axis first, then the frozen axes after the first, then the first
-    frozen = [i for i in range(d) if i != axis - 1]
-    moved = coeffs.transpose([axis - 1] + frozen[1:] + frozen[:1])
-    flat = pts.reshape(-1, d - 1)
-    acc = moved.reshape(-1, moved.shape[-1]) @ _powers(flat[:, 0],
+    if d < 2 or pts.ndim != 2 or pts.shape[1] != d - 1:
+        raise ValueError(f"slice_coeffs takes a tensor in d >= 2 variables "
+                         f"and points (m, d - 1), not {coeffs.shape} and "
+                         f"{pts.shape}")
+    # the last axis first, then the frozen axes after the first, then the first
+    moved = coeffs.transpose([d - 1, *range(1, d - 1), 0])
+    acc = moved.reshape(-1, moved.shape[-1]) @ _powers(pts[:, 0],
                                                         moved.shape[-1])
-    acc = acc.reshape(moved.shape[:-1] + (len(flat),))
+    acc = acc.reshape(moved.shape[:-1] + (len(pts),))
     for k in range(1, d - 1):  # the next frozen axis is acc's second
-        acc = _polyval_rows(np.moveaxis(acc, 1, 0), flat[:, k])
-    return acc.reshape(acc.shape[:1] + pts.shape[:-1])
+        acc = _polyval_rows(np.moveaxis(acc, 1, 0), pts[:, k])
+    return acc
 
 
 def _powers(z, n):
@@ -399,10 +394,11 @@ def stability_check(p: PolyMD) -> float:
     ``clark.build_measure`` refuses a three-variable p unless it exceeds
     1 + ``levelset.UNIMODULAR_TOL``.
 
-    For each variable in turn, the other variables are sampled on a
-    closed-disk grid (``grid_n`` radii including 0 and 1, 64 in up to two
-    variables and 6 in more, and ``4 * grid_n`` angles) and the roots of
-    the resulting univariate slices are found.
+    The other variables are frozen on one closed-disk grid (``grid_n``
+    radii including 0 and 1, 64 in up to two variables and 6 in more,
+    and ``4 * grid_n`` angles), formed once; each variable in turn is
+    moved last (``slice_coeffs`` frees the last) and the roots of its
+    slices are found.  A univariate p is its own one slice.
     The certificate is heuristic: zeros between grid nodes fool it (phi_3
     reads 1, rotated to a torus zero (e^{0.1i}, e^{0.2i}, e^{0.3i}) 1.0029),
     but the grid includes the full boundary torus where zeros of an
@@ -422,16 +418,15 @@ def stability_check(p: PolyMD) -> float:
             f"{slices} slices per axis exceed STABILITY_SLICE_CAP = "
             f"{STABILITY_SLICE_CAP}")
 
+    if p.dim == 1:  # nothing to freeze: p is its own slice
+        rows = [p.coeffs[:, None]]
+    else:
+        grids = np.meshgrid(*([disk] * (p.dim - 1)), indexing="ij")
+        frozen = np.stack([g.ravel() for g in grids], axis=-1)
+        rows = (slice_coeffs(np.moveaxis(p.coeffs, axis, -1), frozen)
+                for axis in range(p.dim) if p.coeffs.shape[axis] > 1)
     min_mod = np.inf
-    for axis in range(1, p.dim + 1):
-        if p.coeffs.shape[axis - 1] == 1:
-            continue
-        if p.dim == 1:
-            frozen = np.empty((1, 0), dtype=np.complex128)
-        else:
-            grids = np.meshgrid(*([disk] * (p.dim - 1)), indexing="ij")
-            frozen = np.stack([g.ravel() for g in grids], axis=-1)
-        roots = companion_roots(slice_coeffs(p.coeffs, frozen, axis=axis))
+    for roots in map(companion_roots, rows):
         min_mod = float(np.min(np.abs(roots), initial=min_mod,
                                where=~np.isnan(roots)))
     return min_mod
@@ -527,8 +522,8 @@ class Rif:
                 f"(got degrees {degrees})"
             )
         num = reflect(den, degrees)
-        den_full = np.pad(den.coeffs, [(0, n + 1 - s) for n, s in
-                                       zip(degrees, den.coeffs.shape)])
+        den_full = den.coeffs.copy() if degrees == den.degrees else np.pad(
+            den.coeffs, [(0, n - d) for n, d in zip(degrees, den.degrees)])
         den_full.flags.writeable = False
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "num", num)

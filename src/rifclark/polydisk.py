@@ -87,12 +87,8 @@ class PoissonReportD:
     rhs: float
 
     @property
-    def abs_err(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-    @property
     def rel_err(self) -> float:
-        return self.abs_err / abs(self.lhs)
+        return abs(self.lhs - self.rhs) / abs(self.lhs)
 
 
 def _poisson1(zeta, z):
@@ -194,7 +190,7 @@ def verify_poisson_d(s: float, alpha: complex, z,
             wq = np.full(len(g), step * dtheta / 8.0 / TWO_PI)
             wq[0] = wq[-1] = 0.5 * wq[0]
             rhs += sign * _poisson_sum(s, a, z, unit_circle_points(g), wq)
-    return PoissonReportD(lhs=float(lhs), rhs=rhs)
+    return PoissonReportD(lhs=float(lhs), rhs=float(rhs))
 
 
 def two_path_witness() -> tuple[complex, complex, float]:

@@ -175,7 +175,7 @@ def test_slice_coeffs_agrees_with_eval():
 
 def test_slice_coeffs_along_first_axis():
     zp = np.array([[0.4 - 0.2j]], dtype=complex)  # frozen z2
-    row = slice_coeffs(P_FAV.coeffs, zp, axis=1)[:, 0]
+    row = slice_coeffs(np.moveaxis(P_FAV.coeffs, 0, -1), zp)[:, 0]
     val = np.polynomial.polynomial.polyval(0.6, row)
     assert abs(val - complex(eval_poly(P_FAV, (0.6, zp[0, 0])))) < 1e-13
 
@@ -198,11 +198,21 @@ def test_slice_coeffs_matches_broadcast_reference(shape):
     pts = np.exp(2j * np.pi * rng.uniform(size=(50, len(shape) - 1))) \
         * rng.uniform(0.0, 1.0, size=(50, len(shape) - 1))
     for axis in range(1, len(shape) + 1):
-        got = slice_coeffs(c, pts, axis=axis)
+        got = slice_coeffs(np.moveaxis(c, axis - 1, -1), pts)
         ref = _broadcast_slice_coeffs(c, pts, axis)
         assert got.shape == (shape[axis - 1], 50)
         assert np.max(np.abs(got - ref)) < 1e-14 * np.sum(np.abs(c))
-    assert slice_coeffs(c, pts.reshape(5, 10, -1)).shape == (shape[-1], 5, 10)
+
+
+@pytest.mark.parametrize("shape,pts", [
+    ((4,), np.zeros((3, 0))),  # a tensor in one variable
+    ((3, 4), np.zeros(3)),  # points (m,)
+    ((3, 2, 4), np.zeros((5, 10, 2))),  # points (5, 10, d - 1)
+    ((3, 2, 4), np.zeros((5, 1))),  # too few frozen coordinates
+])
+def test_slice_coeffs_refuses_all_but_m_by_d_minus_1_points(shape, pts):
+    with pytest.raises(ValueError, match="points"):
+        slice_coeffs(np.ones(shape), pts)
 
 
 def _two_moveaxis_slice_coeffs(coeffs, pts, axis):
@@ -221,12 +231,13 @@ def _two_moveaxis_slice_coeffs(coeffs, pts, axis):
 
 @pytest.mark.parametrize("shape", [(3, 4), (4, 2), (3, 2, 4), (2, 4, 3)])
 def test_slice_coeffs_view_is_the_two_moveaxis_view(shape):
-    # one transpose gives the same view, so the same rows bit for bit
+    # the free axis moved last, then one transpose, gives the same view,
+    # so the same rows bit for bit
     rng = np.random.default_rng(12)
     c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     pts = np.exp(2j * np.pi * rng.uniform(size=(40, len(shape) - 1)))
     for axis in range(1, len(shape) + 1):
-        got = slice_coeffs(c, pts, axis=axis)
+        got = slice_coeffs(np.moveaxis(c, axis - 1, -1), pts)
         ref = _two_moveaxis_slice_coeffs(c, pts, axis)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
@@ -436,6 +447,14 @@ def test_stability_check_refuses_a_grid_above_its_cap(d, monkeypatch):
     monkeypatch.setattr(np, "meshgrid", refuse)
     with pytest.raises(CertificateTooLarge, match=f"{121 ** (d - 1)} slices"):
         stability_check(PolyMD(c))
+
+
+@pytest.mark.parametrize("coeffs", [[2.0, -1.0, 0.3j], [0.5, 1.0], [3.0]])
+def test_stability_check_of_a_univariate_p_is_its_least_root(coeffs):
+    # p is its own one slice; a constant has no root
+    p = PolyMD(coeffs)
+    roots = companion_roots(p.coeffs[:, None])
+    assert stability_check(p) == np.min(np.abs(roots), initial=np.inf)
 
 
 def test_instability_detected():
