@@ -14,14 +14,16 @@ from one kernel (``levelset._atom_blocks``), plus the vertical lines
 Each line stands for the uniform grid_n-point rule on it; the Poisson,
 moment and Gram sums take that rule's value in closed form and only
 ``integrate`` enumerates its nodes.  One rule (``_zeta1_rule``) places
-the zeta1 nodes: uniform, half a step off the first line, and clustered
-by a Blaschke product wherever the grid would miss the poles of the
-zeta1-marginal, with lines or without: that product's Clark atoms, from
-the same kernel.  A horizontal line T x {tau} is the atom zeta2 = tau of
-every slice.  On the tridisk the base is a tensor grid, through the same
-build body (``_fibered``), and every integrator here takes both through
-one body: it walks blocks of base nodes, forms each base column's factor
-once per node, adds a line term.
+the zeta1 nodes: the uniform grid shifted off every line
+(``levelset._zeta1_grid``, the labeled branches' grid), and wherever it
+would miss the poles of the zeta1-marginal, with lines or without, its
+preimages under a Blaschke product B, the grid taken in w = B(zeta1):
+that product's Clark atoms, from the same kernel.  A horizontal line
+T x {tau} is the atom zeta2 = tau of every slice.  On the tridisk the
+base is a tensor grid, through the same build body (``_fibered``), and
+every integrator here takes both through one body: it walks blocks of
+base nodes, forms each base column's factor once per node, adds a line
+term.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ from .levelset import (
     _atom_blocks,
     _lines,
     _unimodular_alpha,
+    _zeta1_grid,
 )
 from .poly import Rif
-from .util import (TWO_PI, canonical_json, grid_shift, unit_circle_points,
-                   unit_roots)
+from .util import canonical_json, unit_circle_points, unit_roots
 
 __all__ = [
     "ClarkMeasure", "build_measure",
@@ -202,31 +204,26 @@ def _zeta1_rule(phi, alpha, grid_n):
     with N log|z*| < _POLE_RESOLVE, less the roots within UNIMODULAR_TOL
     of a line's tau, give the zeros a = 1/conj(z*) of
     B(z) = z prod (z - a) / (1 - conj(a) z).  The nodes are the preimages
-    under B of w_k = B(tau) e^{i (2 pi k / N + s)}, tau the first line's and
-    s = ``util.grid_shift`` off every line's B(tau) (no node on a line,
-    where the slice is identically zero), or without lines of the N-th roots
-    of unity: the slice kernel's root-major atoms
-    (``levelset._atom_blocks``) of h(w, z) = z prod (z - a) - w p(z),
+    under B of w_k = e^{i (2 pi k / N + s)}, s = ``util.grid_shift`` off
+    every line's B(tau) (no node on a line, where the slice is identically
+    zero; ``levelset._zeta1_grid``, the grid of the labeled branches), or
+    without lines of the N-th roots of unity: the slice kernel's root-major
+    atoms (``levelset._atom_blocks``) of h(w, z) = z prod (z - a) - w p(z),
     p = prod (1 - conj(a) z), put on the circle by angle, each of weight
     |p| / (N |d/dz h|) = 1 / (N |B'|): by Aleksandrov's disintegration the
     Clark measures of B average to arc length.  Without such roots B(z) = z.
     """
     roots, lines = _lines(phi.level_coeffs(alpha), phi.den.coeffs)
-    zeta1 = unit_roots(grid_n)
-    quad = np.broadcast_to(1.0 / grid_n, grid_n)  # read-only, no copy
     poles = roots[np.abs(roots) > 1.0]  # NaN padding compares False
     for line in lines:  # the root of a line is its atom, not a pole
         poles = poles[np.abs(poles - line.tau) >= UNIMODULAR_TOL]
     a = 1.0 / np.conj(poles[grid_n * np.log(np.abs(poles)) < _POLE_RESOLVE])
-    if lines:  # B(tau) / tau of each line; the grid starts from arg tau
-        turn = [np.prod((ln.tau - a) / (1.0 - np.conj(a) * ln.tau))
-                for ln in lines]
-        arg = np.angle([ln.tau * t for ln, t in zip(lines, turn)])
-        zeta1 = unit_circle_points(TWO_PI * np.arange(grid_n) / grid_n + (
-            np.angle(lines[0].tau) + grid_shift(arg - arg[0], grid_n)))
+    b_tau = [ln.tau * np.prod((ln.tau - a) / (1.0 - np.conj(a) * ln.tau))
+             for ln in lines]  # B(tau) of each line
+    w = _zeta1_grid(np.angle(b_tau), grid_n)[1]  # B(zeta1) at the nodes
+    quad = np.broadcast_to(1.0 / grid_n, grid_n)  # read-only, no copy
     if not len(a):
-        return zeta1, quad, lines
-    w = zeta1 * turn[0] if lines else zeta1  # B(tau) e^{i (2 pi k / N + s)}
+        return w, quad, lines
     c = np.poly(a)  # prod (z - a), highest power first
     # p = prod (1 - conj(a) z), constant first, with no term in w
     pcoef = np.array([np.append(np.conj(c), 0.0), np.zeros(len(c) + 1)])
@@ -305,10 +302,8 @@ def _origin_masses(alpha: complex, h0, p0):
 
 @dataclass(frozen=True)
 class PoissonReport:
-    points: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
-    abs_err: np.ndarray
     rel_err: np.ndarray
 
     @property
@@ -351,10 +346,8 @@ def verify_poisson(measure: ClarkMeasure, points) -> PoissonReport:
         for line in measure.lines:
             rhs += (line.constant * alias * (1.0 - np.abs(z1) ** 2)
                     / np.abs(line.tau - z1) ** 2)
-    abs_err = np.abs(lhs - rhs)
-    rel_err = abs_err / np.abs(lhs)
-    return PoissonReport(points=pts, lhs=lhs, rhs=rhs, abs_err=abs_err,
-                         rel_err=rel_err)
+    return PoissonReport(lhs=lhs, rhs=rhs,
+                         rel_err=np.abs(lhs - rhs) / np.abs(lhs))
 
 
 def _poisson_lhs(phi, alpha, points):

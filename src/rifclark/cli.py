@@ -241,7 +241,7 @@ def cmd_tridisk(args) -> int:
     import numpy as np
 
     from . import catalog, clark, polydisk
-    from .util import TWO_PI
+    from .util import TWO_PI, unit_roots
 
     alpha = parse_alpha(args.alpha)
     s = args.s
@@ -250,8 +250,8 @@ def cmd_tridisk(args) -> int:
         if args.grid < 2:  # the diagonal samples theta = 2 pi k / grid, 0 < k
             raise ValueError("--diagonal needs a --grid of at least 2")
         theta = TWO_PI * np.arange(1, args.grid) / args.grid
-        w = polydisk.tridisk_weight(s, alpha, np.exp(1j * theta),
-                                    np.exp(-1j * theta))
+        z = unit_roots(args.grid)[1:]  # e^{i theta}
+        w = polydisk.tridisk_weight(s, alpha, z, np.conj(z))
         lines = [f"# s={s:.17g} alpha={alpha.real:.17g}{alpha.imag:+.17g}j "
                  f"diagonal N={args.grid}", "theta,weight"]
         lines += [f"{t:.17g},{x:.17g}" for t, x in zip(theta, w)]

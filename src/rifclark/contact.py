@@ -54,7 +54,6 @@ class ContactFit:
 class ContactOrder:
     """Vanishing order of g^{alpha1} - g^{alpha2} at a singularity."""
 
-    alpha_pair: tuple[complex, complex]
     exponent: float
     rounded: int
 
@@ -157,8 +156,7 @@ def branch_contact_order(phi: Rif, singularity, alpha1: complex,
     k = _first_order(np.abs(w1 - w2)
                      > ORDER_TOL * np.maximum(np.abs(w1), np.abs(w2)),
                      "the branch difference")
-    return ContactOrder(alpha_pair=(complex(alpha1), complex(alpha2)),
-                        exponent=float(k), rounded=k)
+    return ContactOrder(exponent=float(k), rounded=k)
 
 
 def nontangential_value(phi: Rif, point) -> complex:

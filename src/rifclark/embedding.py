@@ -38,8 +38,6 @@ SPECTRAL_CUTOFF = 1e-10
 
 @dataclass(frozen=True)
 class GramReport:
-    sample_points: np.ndarray
-    gram_model: np.ndarray
     gram_embedded: np.ndarray
     max_abs_error: float
 
@@ -49,11 +47,9 @@ class DensityReport:
     """The distances to the polynomials of bidegree <= ``degree``, and
     the verdict of the level set's lines (see the module docstring)."""
 
-    alpha: complex
     degree: int
     distance_zbar2: float
     distance_zbar1: float
-    gram_rank: int
     verdict: str
 
 
@@ -61,11 +57,12 @@ def gram_isometry_check(phi: Rif, alpha: complex, points,
                         measure: ClarkMeasure) -> GramReport:
     """Compare kernel inner products in the model space and in L^2(sigma).
 
-    gram_model[i][j] = (1 - conj(phi(w_i)) phi(w_j)) C_{w_i}(w_j);
-    gram_embedded[i][j] integrates the embedded kernels against the
-    measure.  For an exact embedding the two agree; the gap measures
-    quadrature error.  ValueError unless ``phi`` (degrees and denominator
-    coefficients, exactly) and ``alpha`` are the measure's.
+    ``gram_embedded[i][j]`` integrates the embedded kernels at w_i and
+    w_j against the measure, and ``max_abs_error`` is its largest gap to
+    the model Gram (1 - conj(phi(w_i)) phi(w_j)) C_{w_i}(w_j), formed
+    here and not kept.  For an exact embedding the two agree; the gap
+    measures quadrature error.  ValueError unless ``phi`` (degrees and
+    denominator coefficients, exactly) and ``alpha`` are the measure's.
     """
     w = _polydisk_points(points, 2, "Gram isometry check")
     # a NaN alpha fails the test too
@@ -109,8 +106,7 @@ def gram_isometry_check(phi: Rif, alpha: complex, points,
             g = prefac / (1.0 - np.conj(w[:, 0]) * line.tau)
             embedded += line.constant * np.outer(g, np.conj(g)) * S
     err = float(np.max(np.abs(model - embedded)))
-    return GramReport(sample_points=w, gram_model=model,
-                      gram_embedded=embedded, max_abs_error=err)
+    return GramReport(gram_embedded=embedded, max_abs_error=err)
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +234,7 @@ def density_distance(measure: ClarkMeasure, degree: int) -> DensityReport:
     G = np.conj(M[aa[:, None] - aa[None, :] + S,
                   bb[:, None] - bb[None, :] + S])
     lam, U = np.linalg.eigh((G + np.conj(G).T) / 2.0)
-    cutoff = SPECTRAL_CUTOFF * float(lam[-1])
-    keep = lam > cutoff
-    rank = int(np.sum(keep))
+    keep = lam > SPECTRAL_CUTOFF * float(lam[-1])
 
     def dist_to(v):
         y = np.conj(U[:, keep]).T @ v
@@ -252,6 +246,5 @@ def density_distance(measure: ClarkMeasure, degree: int) -> DensityReport:
     verdict = ("consistent_with_nonunitary"
                if measure.lines or detect_lines(measure.phi, measure.alpha)
                else "consistent_with_unitary")
-    return DensityReport(alpha=complex(measure.alpha), degree=D,
-                         distance_zbar2=dist_to(v2), distance_zbar1=dist_to(v1),
-                         gram_rank=rank, verdict=verdict)
+    return DensityReport(degree=D, distance_zbar2=dist_to(v2),
+                         distance_zbar1=dist_to(v1), verdict=verdict)

@@ -50,8 +50,11 @@ ZERO_SLICE_REL_TOL = 1e-13
 # largest | |z| - 1 | of a computed root or limit read as on the circle:
 # about 70 times the sqrt(eps) by which rounding can split a double root
 UNIMODULAR_TOL = 1e-6
-# h's slice at a torus zero of p below this of h's scale: a line; linear in
-# alpha - alpha0, it keeps the lines of alpha within ~3e-9 of exceptional
+# h's slice at a torus zero of p below this of h's scale: a line.  Linear
+# in alpha - alpha0, it keeps fav's and squared's lines within ~3e-9 of
+# exceptional; where the polish keeps its seed it can read flatter:
+# contact_four_rif's, at alpha = e^{i pi (1 + delta)}, reads ~delta^4
+# (1.5e-12 at delta = 1e-3), and keeps its line up to |delta| ~ 9e-3
 LINE_TOL = 1e-8
 # |p| below this times its coefficient scale: a zero of p on the torus (the
 # catalog's polished zeros and 90 random singular draws' read <= 3.0e-16)
@@ -278,29 +281,40 @@ def _phase_labels(phi: Rif, alpha: complex, zeta1, roots):
     return (np.floor(lift / TWO_PI).astype(int) + 1 + rank) % len(roots)
 
 
+def _zeta1_grid(angles, grid_n):
+    """(s, points) of the uniform zeta1 grid e^{i (2 pi k / N + s)}, k < N,
+    off the vertical lines at ``angles``: s = ``util.grid_shift`` of them
+    (half a step past one line); with none, s = 0 and the points are the
+    shared table ``util.unit_roots(N)``.  ``trace_branches`` samples it,
+    ``clark._zeta1_rule`` takes it in w = B(zeta1), so unclustered the two
+    share their nodes."""
+    zeta1 = unit_roots(grid_n)  # ValueError for grid_n < 1
+    if not len(angles):
+        return 0.0, zeta1
+    s = grid_shift(angles, grid_n)
+    return s, unit_circle_points(TWO_PI * np.arange(grid_n) / grid_n + s)
+
+
 def trace_branches(phi: Rif, alpha: complex,
                    grid_n: int = 4096) -> list[Branch]:
     """Label the graph components of the level set at unimodular alpha.
 
-    The slice atoms (``_slice_atoms``) over the grid_n-th roots of unity
-    (``util.unit_roots``), each in the branch of its phase label
-    (``_phase_labels``), weighted by the atom's num / den.  The vertical
-    lines (``_lines``) are found first, and when there are any the grid
-    is shifted off every one (``util.grid_shift``, half a step for one
-    line), as ``clark._zeta1_rule`` does, so no slice vanishes and nothing
-    is interpolated; a zero slice left raises IdenticallyZeroSlice.
+    The slice atoms (``_slice_atoms``) over the grid_n-th roots of unity,
+    each in the branch of its phase label (``_phase_labels``), weighted by
+    the atom's num / den.  The vertical lines (``_lines``) are found
+    first and the grid is shifted off every one (``_zeta1_grid``), the
+    measure's own nodes wherever ``clark._zeta1_rule`` does not cluster,
+    so no slice vanishes and nothing is interpolated; a zero slice left
+    raises IdenticallyZeroSlice.
     Branch 0 holds the root of least argument at the first node.  Every
     branch carries alpha projected by ``_unimodular_alpha``.
     """
-    zeta1 = unit_roots(grid_n)
     if phi.dim != 2:
         raise ValueError("trace_branches expects a two-variable inner function")
     alpha = _unimodular_alpha(alpha)
-    theta = TWO_PI * np.arange(grid_n) / grid_n
     lines = _lines(phi.level_coeffs(alpha), phi.den.coeffs)[1]
-    if lines:
-        theta = theta + grid_shift([np.angle(ln.tau) for ln in lines], grid_n)
-        zeta1 = unit_circle_points(theta)
+    s, zeta1 = _zeta1_grid([np.angle(ln.tau) for ln in lines], grid_n)
+    theta = TWO_PI * np.arange(grid_n) / grid_n + s
     roots, num, den, zero_rows = _slice_atoms(phi, alpha, zeta1[:, None])
     if zero_rows.any():
         raise IdenticallyZeroSlice(
@@ -365,8 +379,7 @@ def _lines(hcoef, pcoef, axis=1):
     flat = np.max(np.abs(slice_coeffs(hcoef, t1[:, None])), axis=0) \
         <= LINE_TOL * float(np.max(np.abs(hcoef)))
     hit = np.bincount(seed[flat], minlength=len(seeds)) > 0  # each seed once
-    taus = np.array(sorted(seeds[hit].tolist(),
-                           key=lambda t: float(np.angle(t)) % TWO_PI))
+    taus = np.array(sorted(seeds[hit].tolist(), key=_ccw_angle))
     norms = [np.linalg.norm(slice_coeffs(c, taus[:, None]), axis=0)
              for c in (pcoef, derivative_coeffs(hcoef, 1))]
     return roots, [LineComponent(axis=axis, tau=tau, constant=float(c))

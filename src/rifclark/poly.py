@@ -340,7 +340,8 @@ def _cubic_roots(cols, r):
     (p/3)^3 and the sign of s that makes |u| largest, then one Newton
     step on every root of the columns without coalescing roots; the
     coalescing test reads the roots before the step."""
-    c, b, a = cols[:3] / cols[3]
+    monic = np.concatenate((cols[:3] / cols[3], np.ones((1, cols.shape[1]))))
+    c, b, a = monic[:3]
     shift = a / 3.0
     p3 = (b - a * shift) / 3.0
     w = 0.5 * (c + shift * (2.0 * shift * shift - b))
@@ -358,12 +359,9 @@ def _cubic_roots(cols, r):
     tight = np.minimum(np.minimum(gap[0], gap[1]), gap[2]) \
         <= COALESCE_REL_TOL * np.maximum(np.maximum(size[0], size[1]), size[2])
     loose = slice(None) if not tight.any() else ~tight
-    a, b, c, zt = a[loose], b[loose], c[loose], r[:, loose]
-    f, fp = zt + a, 3.0 * zt  # f = h / c_3 and fp = h' / c_3 by Horner
-    fp += 2.0 * a
-    for acc, coef in ((f, b), (f, c), (fp, b)):
-        acc *= zt
-        acc += coef
+    rows, zt = monic[:, loose], r[:, loose]
+    f = _polyval_rows(rows, zt)  # h / c_3
+    fp = _polyval_rows(rows[1:] * np.arange(1.0, 4.0)[:, None], zt)  # h' / c_3
     step = fp != 0.0
     f[~step] = 0.0
     r[:, loose] = zt - np.divide(f, fp, out=f, where=step)

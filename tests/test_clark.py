@@ -225,6 +225,23 @@ def test_lines_and_poles_share_one_node_rule():
     assert clark.moment_residual(m, 8) <= 1e-10
 
 
+@pytest.mark.parametrize("N", [1024, 16384])
+@pytest.mark.parametrize("delta", [1e-3, -1e-3])
+def test_contact_four_line_far_from_alpha0_floor(delta, N):
+    # at alpha = e^{i pi (1 + delta)} h's slice at the line seed reads
+    # ~delta^4 (p vanishes to order 4 at the torus), under LINE_TOL up to
+    # |delta| ~ 9e-3, so a line is kept this far from alpha0 = -1, and the
+    # residuals stall and grow with N: Poisson 9.8e-9 / 6.8e-9 at
+    # N = 1024 and 3.2e-8 / 1.6e-8 at 16384, mass gap 3.9e-10 and 6.2e-9.
+    # A floor for ROADMAP item 6 to tighten, not a target
+    phi = catalog.contact_four_rif()
+    alpha = np.exp(1j * np.pi * (1 + delta))
+    m = clark.build_measure(phi, alpha, N)
+    assert clark.verify_poisson(m, _poisson_points()).max_rel_err <= 1e-7
+    assert abs(clark.total_mass(m) / clark.expected_mass(phi, alpha)
+               - 1.0) <= 1e-8
+
+
 def _blaschke_oracle(phi, alpha, N):
     """The zeta1 rule's nodes, its weights, and the reference weights
     1 / (N |B'|) at its nodes, with |B'| = 1 + sum (1 - |a|^2) / |z - a|^2

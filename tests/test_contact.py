@@ -221,6 +221,14 @@ def test_fit_degenerate_at_non_vanishing_point(fav):
         contact.weight_vanish_order(fav, 1.0j, (np.exp(2.0j), np.exp(1.0j)))
 
 
+def test_first_order_refuses_a_series_dead_to_the_bezout_bound():
+    # order 0 is never read; nothing live from 1 up to the bound refuses
+    live = np.array([True, False, False, False, False])
+    with pytest.raises(FitDegenerate, match="Bezout bound 4"):
+        contact._first_order(live, "p along the branch")
+    assert contact._first_order(np.array([False, False, True]), "x") == 2
+
+
 def test_contact_report_structure(fav):
     # alpha0 = -1 is exceptional at the singularity and left out
     rep = contact.contact_report(fav, SING, [1.0 + 0.0j, -1.0, 1.0j])

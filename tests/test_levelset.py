@@ -493,6 +493,28 @@ def test_blaschke_node_rule_near_exceptional(fav, squared):
         assert m.atoms.shape == (phi.degrees[1], N)
 
 
+@pytest.mark.parametrize("name, alpha", [
+    ("contact_four", np.exp(1j * np.pi * (1 + 1e-4))),
+    ("contact_four", np.exp(1j * np.pi * (1 - 1e-4))),
+    ("fav", -1.0), ("squared", -1.0)],
+    ids=["contact_four_plus", "contact_four_minus", "fav", "squared"])
+def test_labeled_branches_lie_on_the_measure_nodes(name, alpha):
+    # one grid off the vertical lines (levelset._zeta1_grid): where the
+    # zeta1 rule does not cluster, the labeled branches sample the
+    # measure's own base nodes bit for bit, a line at tau != 1 included
+    # (contact_four next to -1: one line at e^{+-1.57e-4 i})
+    phi = {"contact_four": catalog.contact_four_rif,
+           "fav": catalog.simple_singular_rif,
+           "squared": catalog.squared_singular_rif}[name]()
+    N = 1024
+    m = clark.build_measure(phi, alpha, N)
+    assert m.lines and len(m.base) == N
+    if name == "contact_four":
+        assert [ln.tau != 1.0 for ln in m.lines] == [True]
+    for br in levelset.trace_branches(phi, alpha, N):
+        assert np.array_equal(unit_circle_points(br.theta), m.base[:, 0])
+
+
 def test_trace_branches_projects_alpha_onto_the_circle(squared):
     # 1e-6 off the circle is refused; 1e-12 off is projected, and every
     # branch carries alpha / |alpha| and the branches of that value

@@ -112,6 +112,19 @@ def test_derivative_matches_finite_difference():
         assert abs(dval - fd) < 1e-6
 
 
+def test_zero_dimensional_coefficients_are_a_constant():
+    # a 0-d coefficient array is the constant polynomial of one variable
+    p = PolyMD(5.0)
+    assert p.coeffs.shape == (1,) and p.dim == 1 and p.degrees == (0,)
+    assert p(0.3 + 0.4j) == 5.0
+
+
+def test_derivative_along_a_degree_zero_axis_is_zero():
+    c = np.arange(1.0, 4.0).reshape(3, 1) + 0j
+    d = derivative_coeffs(c, 2)
+    assert d.shape == c.shape and not d.any()
+
+
 @pytest.mark.parametrize("call, match", [
     (lambda: eval_poly(P_FAV, (0.5,)), "expected 2 coordinates, got 1"),
     (lambda: eval_poly(P_FAV, (0.5, 0.5, 0.5)),

@@ -79,6 +79,11 @@ def test_every_public_name_resolves():
             assert hasattr(module, attr), (name, attr)
 
 
+def test_dir_lists_the_public_names():
+    # the lazily imported submodules are listed whether loaded or not
+    assert dir(rifclark) == sorted(rifclark.__all__)
+
+
 @pytest.mark.parametrize("s", [
     "", '"', "\\", "\t", "\x01", "\x7f", "caf\u00e9 \u2603", "a\"b\\c",
     binascii.b2a_base64(np.linspace(-1.0, 1.0, 97).tobytes(),
