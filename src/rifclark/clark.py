@@ -15,15 +15,16 @@ Each line stands for the uniform grid_n-point rule on it; the Poisson,
 moment and Gram sums take that rule's value in closed form and only
 ``integrate`` enumerates its nodes.  One rule (``_zeta1_rule``) places
 the zeta1 nodes: the uniform grid shifted off every line
-(``levelset._zeta1_grid``, the labeled branches' grid), and wherever it
-would miss the poles of the zeta1-marginal, with lines or without, its
-preimages under a Blaschke product B, the grid taken in w = B(zeta1):
-that product's Clark atoms, from the same kernel.  A horizontal line
-T x {tau} is the atom zeta2 = tau of every slice.  On the tridisk the
-base is a tensor grid, through the same build body (``_fibered``), and
-every integrator here takes both through one body: it walks blocks of
-base nodes, forms each base column's factor once per node, adds a line
-term.
+(``levelset._zeta1_grid``), and wherever it would miss the poles of the
+zeta1-marginal, with lines or without, its preimages under a Blaschke
+product B, the grid taken in w = B(zeta1): that product's Clark atoms,
+from the same kernel.  A horizontal line T x {tau} is the atom
+zeta2 = tau of every slice.  ``levelset.trace_branches`` runs the rule
+and the build body (``_fibered``) as the two-variable build does and
+labels the atoms.  On the tridisk the base is a tensor grid, through the
+same build body, and every integrator here takes both through one body:
+it walks blocks of base nodes, forms each base column's factor once per
+node, adds a line term.
 """
 
 from __future__ import annotations
@@ -206,9 +207,9 @@ def _zeta1_rule(phi, alpha, grid_n):
     B(z) = z prod (z - a) / (1 - conj(a) z).  The nodes are the preimages
     under B of w_k = e^{i (2 pi k / N + s)}, s = ``util.grid_shift`` off
     every line's B(tau) (no node on a line, where the slice is identically
-    zero; ``levelset._zeta1_grid``, the grid of the labeled branches), or
-    without lines of the N-th roots of unity: the slice kernel's root-major
-    atoms (``levelset._atom_blocks``) of h(w, z) = z prod (z - a) - w p(z),
+    zero; ``levelset._zeta1_grid``), or without lines of the N-th roots
+    of unity: the slice kernel's root-major atoms
+    (``levelset._atom_blocks``) of h(w, z) = z prod (z - a) - w p(z),
     p = prod (1 - conj(a) z), put on the circle by angle, each of weight
     |p| / (N |d/dz h|) = 1 / (N |B'|): by Aleksandrov's disintegration the
     Clark measures of B average to arc length.  Without such roots B(z) = z.

@@ -26,7 +26,7 @@ from . import poly as _poly
 from .clark import (ClarkMeasure, _fiber_blocks, _moment_tables,
                     _polydisk_points)
 from .errors import DenominatorVanishes
-from .levelset import _slice_atoms, _unimodular_alpha, detect_lines
+from .levelset import _atom_blocks, _unimodular_alpha, detect_lines
 from .poly import DEGREE_DROP_REL_TOL, Rif, companion_roots
 from .util import CIRCLE_TOL, unit_roots
 
@@ -182,7 +182,10 @@ def conj_rational(phi: Rif, alpha: complex) -> ConjRational:
     _check_denominators(h)
     r1, r2 = (-h[1:], h[:1]), (-h[:, 1:], h[:, :1])
     z1 = unit_roots(CONJ_GRID_N)
-    z2 = _slice_atoms(phi, alpha, z1[:, None])[0]  # NaN past a degree drop
+    z2 = np.empty((phi.degrees[1], CONJ_GRID_N), dtype=complex)
+    for _ in _atom_blocks(h, phi._den_full, z1[:, None], z2,
+                          np.empty(z2.shape)):
+        pass  # z2 holds the slice roots, NaN past a degree drop
     z1 = np.broadcast_to(z1, z2.shape)
     res1 = float(np.nanmax(np.abs(_ratio(*r1, z1, z2) - np.conj(z1))))
     res2 = float(np.nanmax(np.abs(_ratio(*r2, z1, z2) - np.conj(z2))))

@@ -23,14 +23,6 @@ class RootFindFailure(RifclarkError):
     """The eigenvalue root solver failed to converge."""
 
 
-class IdenticallyZeroSlice(RifclarkError):
-    """A univariate slice polynomial vanished identically.
-
-    For level polynomials this signals a line component through the
-    slice point rather than a numerical failure.
-    """
-
-
 class PhaseLabelFailure(RifclarkError):
     """No reference circle resolved the phase that labels level-set branches."""
 

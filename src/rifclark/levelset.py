@@ -8,21 +8,20 @@ exceptional alpha whole lines { tau } x T or T x { tau } join in.
 
 ``_atom_blocks`` is the one unlabeled kernel behind every Clark measure:
 all roots of h over a batch of frozen points, block by block, with the
-weight parts of each (``_slice_atoms`` collects them), and of the Clark
-atoms of a Blaschke product, the clustered zeta1 nodes.  Each slice
-phi(zeta1, .) is a finite Blaschke product whose argument rises
-monotonically by 2 pi n, so a root's branch label is the count j in
-arg b = arg alpha + 2 pi j, taken from the phase of phi(zeta1, w_ref)
-lifted along a path (``_phase_labels``); no root is matched to its
-neighbours.  ``trace_branches`` labels the kernel's atoms over the
-uniform grid, shifted off the vertical lines, for the outputs where
-labels are the point, such as the CSV export.  The module locates the
-boundary singularities of phi, the common torus zeros of p and p~, from
-the zeros of one resultant on the circle (``find_singularities``), and
-it decides the line components at those points: a line {tau1} x T
-passes through torus zeros of p, where its slice of h is
-(alpha0 - alpha) p(tau1, .), so each root tau1 of h(., 0) on the circle
-is tested there, once, with one tolerance (``_lines``).
+weight parts of each, and of the Clark atoms of a Blaschke product, the
+clustered zeta1 nodes.  Each slice phi(zeta1, .) is a finite Blaschke
+product whose argument rises monotonically by 2 pi n, so a root's branch
+label is the count j in arg b = arg alpha + 2 pi j, taken from the phase
+of phi(zeta1, w_ref) lifted along a path (``_phase_labels``); no root is
+matched to its neighbours.  ``trace_branches`` labels the atoms of the
+measure's own build, for the outputs where labels are the point, such as
+the CSV export.  The module locates the boundary singularities of phi,
+the common torus zeros of p and p~, from the zeros of one resultant on
+the circle (``find_singularities``), and it decides the line components
+at those points: a line {tau1} x T passes through torus zeros of p,
+where its slice of h is (alpha0 - alpha) p(tau1, .), so each root tau1
+of h(., 0) on the circle is tested there, once, with one tolerance
+(``_lines``).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import poly as _poly
-from .errors import IdenticallyZeroSlice, PhaseLabelFailure
+from .errors import PhaseLabelFailure
 from .poly import (
     PolyMD,
     Rif,
@@ -99,9 +98,12 @@ SLICE_BLOCK = 4096
 class Branch:
     """One labeled graph zeta2 = g(zeta1) of a level set.
 
-    ``theta`` holds the grid of trace_branches, ``values`` the unimodular
-    samples g(e^{i theta}), ``weights`` the Clark branch weight at each
-    node.  Labels are phase counts mod n (``_phase_labels``), exact at
+    ``theta`` holds the angles of the measure's zeta1 nodes, in the order
+    trace_branches gives them, ``values`` the unimodular samples
+    g(e^{i theta}), ``weights`` the Clark branch weight at each node;
+    ``grid_n`` counts the nodes, the CSV rows (N = ... in its header),
+    which a clustered rule makes a multiple of the build's grid_n.
+    Labels are phase counts mod n (``_phase_labels``), exact at
     every node and across the wrap: past theta = 2 pi, branch
     (b + deg_z1) mod n continues as branch b.  A horizontal line
     T x {tau} puts the root tau in every slice, and at a vertical line
@@ -149,34 +151,13 @@ def _unimodular_alpha(alpha) -> complex:
     return alpha
 
 
-def _slice_atoms(phi: Rif, alpha: complex, pts):
-    """Every root of h(zeta', .) over frozen points ``pts`` (m, d-1) with
-    its weight parts: (roots, num, den, zero_rows); ValueError for an
-    alpha off the circle (``_unimodular_alpha``).
-
-    ``roots`` (k, m) is root-major: row r is one contiguous array over
-    the slices, and column i holds slice i's roots in its first rows and
-    NaN after them (a degree drop, or a zero slice flagged in
-    ``zero_rows``).  ``num`` and ``den`` (k, m) are |p| and |d/dz_d h|
-    there (NaN at an empty atom), so num / den is the mass of each atom
-    of the slice Clark measure.  The blocks come from ``_atom_blocks``;
-    no root is labeled.
-    """
-    k, m = phi.degrees[-1], len(pts)
-    roots = np.empty((k, m), dtype=complex)
-    num, den = np.empty((k, m)), np.empty((k, m))
-    zero_rows = np.empty(m, dtype=bool)
-    for b, block_den, zero, *_ in _atom_blocks(phi.level_coeffs(
-            _unimodular_alpha(alpha)), phi._den_full, pts, roots, num):
-        den[:, b], zero_rows[b] = block_den, zero
-    return roots, num, den, zero_rows
-
-
 def _atom_blocks(hcoef, pcoef, pts, roots, num):
     """Solve the slices h(zeta', .) of the tensor ``hcoef`` over ``pts``
-    (m, d-1) SLICE_BLOCK at a time into ``roots`` and ``num`` (k, m), laid
-    out as ``_slice_atoms`` returns them, num = |p| for p the tensor
-    ``pcoef`` of hcoef's shape: one contraction gives both rows.  Yields
+    (m, d-1) SLICE_BLOCK at a time into ``roots`` and ``num`` (k, m), num
+    = |p| for p the tensor ``pcoef`` of hcoef's shape: one contraction
+    gives both rows.  ``roots`` is root-major: row r is one contiguous
+    array over the slices, and column i holds slice i's roots in its
+    first rows and NaN after them (a degree drop, or a zero slice).  Yields
     each block as (b, den, zero, full, h0, p0): its slice of columns,
     |d/dz_d h| at its roots in a block-sized scratch the next block
     overwrites, its zero-slice flags, whether every slice kept full degree
@@ -247,8 +228,7 @@ def _newton_polish(rows, rowmax, values):
 
 def _phase_labels(phi: Rif, alpha: complex, zeta1, roots):
     """Branch label in 0..k-1 of each slice root (k, m) over the closed
-    path of zeta1 nodes (m,) once around the circle; the labels of NaN
-    roots mean nothing.
+    path of zeta1 nodes (m,) once around the circle.
 
     Each slice b = phi(zeta1, .) is a finite Blaschke product whose
     argument rises monotonically by 2 pi k around the circle, so its
@@ -275,7 +255,7 @@ def _phase_labels(phi: Rif, alpha: complex, zeta1, roots):
             "no reference circle resolves the phase of phi(zeta1, w_ref) "
             "along the path")
     lift = np.cumsum(np.append(np.angle(ratio[0]), steps[:len(ratio) - 1]))
-    # rank of each root counterclockwise from w_ref; NaN roots sort last
+    # rank of each root counterclockwise from w_ref
     rank = np.argsort(np.argsort(np.angle(roots / w_ref) % TWO_PI, axis=0),
                       axis=0)
     return (np.floor(lift / TWO_PI).astype(int) + 1 + rank) % len(roots)
@@ -285,9 +265,9 @@ def _zeta1_grid(angles, grid_n):
     """(s, points) of the uniform zeta1 grid e^{i (2 pi k / N + s)}, k < N,
     off the vertical lines at ``angles``: s = ``util.grid_shift`` of them
     (half a step past one line); with none, s = 0 and the points are the
-    shared table ``util.unit_roots(N)``.  ``trace_branches`` samples it,
-    ``clark._zeta1_rule`` takes it in w = B(zeta1), so unclustered the two
-    share their nodes."""
+    shared table ``util.unit_roots(N)``.  ``clark._zeta1_rule`` takes it
+    in w = B(zeta1), and ``trace_branches`` its s, the angles of the
+    unclustered nodes."""
     zeta1 = unit_roots(grid_n)  # ValueError for grid_n < 1
     if not len(angles):
         return 0.0, zeta1
@@ -299,37 +279,45 @@ def trace_branches(phi: Rif, alpha: complex,
                    grid_n: int = 4096) -> list[Branch]:
     """Label the graph components of the level set at unimodular alpha.
 
-    The slice atoms (``_slice_atoms``) over the grid_n-th roots of unity,
-    each in the branch of its phase label (``_phase_labels``), weighted by
-    the atom's num / den.  The vertical lines (``_lines``) are found
-    first and the grid is shifted off every one (``_zeta1_grid``), the
-    measure's own nodes wherever ``clark._zeta1_rule`` does not cluster,
-    so no slice vanishes and nothing is interpolated; a zero slice left
-    raises IdenticallyZeroSlice.
-    Branch 0 holds the root of least argument at the first node.  Every
-    branch carries alpha projected by ``_unimodular_alpha``.
+    The atoms of the measure's own build, ``clark._zeta1_rule`` and then
+    the guarded build body ``clark._fibered`` as ``clark.build_measure``
+    runs them (so MassGapExceeded wherever the build refuses), each in the
+    branch of its phase label (``_phase_labels``), weighted by its Clark
+    weight |p| / |d/dz2 h|: the measure's weight over the node's
+    quadrature weight.  Unclustered, theta is the grid 2 pi k / N + s off
+    the vertical lines, in its own order (s from ``_zeta1_grid``);
+    clustered, it is the angle in [0, 2 pi) of every node of the rule, in
+    increasing order.  Branch 0 holds the root of least argument at the
+    first node.  Every branch carries alpha projected by
+    ``_unimodular_alpha``.
     """
+    from . import clark  # clark imports this module
+
     if phi.dim != 2:
         raise ValueError("trace_branches expects a two-variable inner function")
     alpha = _unimodular_alpha(alpha)
-    lines = _lines(phi.level_coeffs(alpha), phi.den.coeffs)[1]
-    s, zeta1 = _zeta1_grid([np.angle(ln.tau) for ln in lines], grid_n)
-    theta = TWO_PI * np.arange(grid_n) / grid_n + s
-    roots, num, den, zero_rows = _slice_atoms(phi, alpha, zeta1[:, None])
-    if zero_rows.any():
-        raise IdenticallyZeroSlice(
-            "level polynomial vanished on a slice off every vertical line")
-    n_br = len(roots)
+    zeta1, quad, lines = clark._zeta1_rule(phi, alpha, grid_n)
+    m = clark._fibered(phi, alpha, grid_n, zeta1[:, None], quad, lines,
+                       clark.expected_mass(phi, alpha))
+    # unclustered, the grid keeps its order and angles: s may pass a step,
+    # and a sort by angle would move the last node to the front
+    if len(zeta1) == grid_n:
+        s = _zeta1_grid([np.angle(ln.tau) for ln in lines], grid_n)[0]
+        theta, order = TWO_PI * np.arange(grid_n) / grid_n + s, slice(None)
+    else:
+        theta = np.angle(zeta1) % TWO_PI
+        order = np.argsort(theta)
+        theta = theta[order]
+    zeta1, roots = zeta1[order], m.atoms[:, order]
+    weights = (m.weights / quad)[:, order]
     labels = _phase_labels(phi, alpha, zeta1, roots)
-    labels = (labels - labels[np.nanargmin(np.angle(roots[:, 0])), 0]) % n_br
-    keep = ~np.isnan(roots)
-    at = (labels[keep], np.nonzero(keep)[1])
-    values = np.full((n_br, grid_n), np.nan, dtype=complex)
-    weights = np.full((n_br, grid_n), np.nan)
-    values[at] = roots[keep]
-    weights[at] = (num / den)[keep]
+    labels = (labels - labels[np.argmin(np.angle(roots[:, 0])), 0]) \
+        % len(roots)
+    at = (labels, np.arange(len(zeta1)))  # each column's labels: a permutation
+    values, branch_w = np.empty_like(roots), np.empty_like(weights)
+    values[at], branch_w[at] = roots, weights
     return [Branch(alpha=alpha, theta=theta.copy(), values=values[b],
-                   weights=weights[b]) for b in range(n_br)]
+                   weights=branch_w[b]) for b in range(len(roots))]
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@ Hypothesis runs under a derandomized profile, so every run draws the
 same examples (derandomize also turns the example database off).
 """
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
-from rifclark import catalog
+from rifclark import catalog, levelset
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
@@ -29,6 +30,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         label, ok = ACCEPTANCE_RESULTS[idx]
         terminalreporter.write_line(
             f"criterion {idx} ({label}): {'PASS' if ok else 'FAIL'}")
+
+
+def slice_atoms(phi, alpha, pts):
+    """Every root of h(zeta', .) over frozen points ``pts`` (m, d-1) with
+    its weight parts: (roots, num, den, zero_rows), the blocks of
+    ``levelset._atom_blocks`` collected.  ``roots`` (k, m) is root-major
+    as the kernel writes it (NaN after a degree drop or in a zero slice,
+    flagged in ``zero_rows``), ``num`` and ``den`` are |p| and
+    |d/dz_d h| there; ValueError for an alpha off the circle."""
+    k, m = phi.degrees[-1], len(pts)
+    roots = np.empty((k, m), dtype=complex)
+    num, den = np.empty((k, m)), np.empty((k, m))
+    zero_rows = np.empty(m, dtype=bool)
+    h = phi.level_coeffs(levelset._unimodular_alpha(alpha))
+    for b, block_den, zero, *_ in levelset._atom_blocks(
+            h, phi._den_full, pts, roots, num):
+        den[:, b], zero_rows[b] = block_den, zero
+    return roots, num, den, zero_rows
 
 
 @pytest.fixture(scope="session")

@@ -8,8 +8,9 @@ whose Clark measure has atoms of mass |p| / |d/dz2 h| there.
 import numpy as np
 import pytest
 
+from conftest import slice_atoms
 from rifclark import catalog, clark, levelset, poly
-from rifclark.levelset import UNIMODULAR_TOL, _slice_atoms
+from rifclark.levelset import UNIMODULAR_TOL
 from rifclark.poly import (PolyMD, Rif, _polyval_rows, companion_roots,
                            derivative_coeffs, slice_coeffs)
 
@@ -26,8 +27,8 @@ def fav_weight(alpha, z1):
 
 def one_slice(phi, alpha, zeta1):
     """The roots of h(zeta1, .) by angle, with |p| and |d/dz2 h| there."""
-    roots, num, den, zero_rows = _slice_atoms(phi, alpha,
-                                              np.array([[zeta1]]))
+    roots, num, den, zero_rows = slice_atoms(phi, alpha,
+                                             np.array([[zeta1]]))
     assert not zero_rows[0]
     keep = np.flatnonzero(~np.isnan(roots[:, 0]))
     keep = keep[np.argsort(np.angle(roots[keep, 0]))]
@@ -83,7 +84,7 @@ def test_atom_masses_sum_to_one_variable_clark_mass():
 def test_identically_zero_slice_is_flagged():
     # the slice at zeta1 = 1 of fav at alpha = -1 lies on the line {1} x T
     phi = catalog.simple_singular_rif()
-    roots, _, _, zero_rows = _slice_atoms(phi, -1.0 + 0.0j, np.array([[1.0]]))
+    roots, _, _, zero_rows = slice_atoms(phi, -1.0 + 0.0j, np.array([[1.0]]))
     assert zero_rows[0] and np.isnan(roots[:, 0]).all()
 
 
@@ -108,7 +109,7 @@ def test_monomial_slice():
 def test_wrong_slice_arity_rejected():
     phi = catalog.simple_singular_rif()
     with pytest.raises(ValueError):
-        _slice_atoms(phi, ALPHA, np.array([[0.5, 0.5]]))
+        slice_atoms(phi, ALPHA, np.array([[0.5, 0.5]]))
 
 
 @pytest.mark.parametrize("alpha, special", [
@@ -123,8 +124,8 @@ def test_blocked_kernel_equals_its_blocks(alpha, special):
     m = 2 * B + 37
     pts = np.exp(2j * np.pi * (np.arange(m) + 0.5) / m)[:, None]
     pts[B + 5] = special
-    whole = _slice_atoms(phi, alpha, pts)
-    parts = [_slice_atoms(phi, alpha, pts[lo:lo + B])
+    whole = slice_atoms(phi, alpha, pts)
+    parts = [slice_atoms(phi, alpha, pts[lo:lo + B])
              for lo in range(0, len(pts), B)]
     for got, *blocks in zip(whole, *parts):
         assert np.array_equal(got, np.concatenate(blocks, axis=-1),
@@ -166,7 +167,7 @@ def test_degree_one_slices_take_the_quotient(alpha):
     for name, phi in degree_one_cases():
         pts = clark._zeta1_rule(phi, alpha, 1024)[0][:, None] \
             if phi.dim == 2 else np.stack([z1.ravel(), z2.ravel()], axis=-1)
-        roots, _, den, _ = _slice_atoms(phi, alpha, pts)
+        roots, _, den, _ = slice_atoms(phi, alpha, pts)
         rows = slice_coeffs(phi.level_coeffs(alpha), pts)
         rowmax = np.max(np.abs(rows), axis=0)
         polished = companion_roots(rows)
@@ -183,7 +184,7 @@ def test_degree_one_slices_take_the_quotient(alpha):
     # an empty atom, a zero slice or a degree drop, keeps den = NaN
     fav = catalog.simple_singular_rif()
     for a, z1 in ((-1.0 + 0.0j, 1.0), (ALPHA, (1.0 - ALPHA) / 2.0)):
-        roots, num, den, _ = _slice_atoms(fav, a, np.array([[z1]]))
+        roots, num, den, _ = slice_atoms(fav, a, np.array([[z1]]))
         assert np.isnan(roots).all() and np.isnan(num).all() \
             and np.isnan(den).all()
 
@@ -220,7 +221,7 @@ def test_shared_scale_matches_solver_and_polish(name, alpha, extra,
     # value bit for bit
     phi = getattr(catalog, name)()
     pts = np.append(np.exp(2j * np.pi * np.arange(256) / 256), extra)[:, None]
-    roots, num, den, zero_rows = _slice_atoms(phi, alpha, pts)
+    roots, num, den, zero_rows = slice_atoms(phi, alpha, pts)
     hcoef = phi.level_coeffs(alpha)
     rows = slice_coeffs(hcoef, pts)
     rowmax = np.max(np.abs(rows), axis=0)

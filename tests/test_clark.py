@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import slice_atoms
 from rifclark import catalog, clark, contact, embedding, levelset, polydisk
 from rifclark.errors import MassGapExceeded, MassNotOne, MeasureMismatch
 from rifclark.poly import slice_coeffs
@@ -324,7 +325,7 @@ def test_uniform_base_is_the_shared_read_only_grid(corpus, name, alpha, N):
     with pytest.raises(ValueError):
         m.base[0, 0] = 1.0
     # atoms and weights are the slice kernel's over that grid
-    roots, num, den, _ = levelset._slice_atoms(phi, m.alpha, grid[:, None])
+    roots, num, den, _ = slice_atoms(phi, m.alpha, grid[:, None])
     weights = num / den * np.full(N, 1.0 / N)
     empty = np.isnan(roots)
     roots[empty], weights[empty] = 1.0, 0.0
@@ -1048,7 +1049,7 @@ def test_build_keeps_blank_roots_as_empty_atoms(squared, monkeypatch):
     alpha, N = np.exp(0.7j), 1024
     full = clark.build_measure(squared, alpha, N)
     cols = [0, N // 2]
-    _, _, den, _ = levelset._slice_atoms(squared, alpha, full.base[cols])
+    _, _, den, _ = slice_atoms(squared, alpha, full.base[cols])
     p_rows = slice_coeffs(squared.den.coeffs, full.base[cols])
     rounding = 4.0 * np.finfo(float).eps * np.sum(np.abs(p_rows), axis=0)
     assert np.all(full.weights[:, cols] <= rounding / (den * N))

@@ -251,17 +251,70 @@ def test_levelset_writes_branch_csvs(fav_json, tmp_path, capsys):
 
 @pytest.mark.parametrize("t", ["-0.94", "0.935"])
 def test_levelset_labels_squared_near_minus_one(tmp_path, capsys, t):
-    # the two branches of squared move further between the 256 nodes than
-    # the gap between them, which no matching by distance can label
+    # the two branches of squared move further between the 256 grid points
+    # than the gap between them, which no matching by distance can label;
+    # the rule clusters nodes at the poles there, and each file holds a row
+    # per node of the measure's base
+    phi = catalog.squared_singular_rif()
     poly = tmp_path / "squared.json"
-    poly.write_text(poly_to_json(catalog.squared_singular_rif().den))
+    poly.write_text(poly_to_json(phi.den))
     rc = main(["levelset", "--poly", str(poly), "--alpha", f"exp:{t}",
                "--grid", "256", "--out", str(tmp_path / "br.csv")])
     assert rc == 0
+    rows = len(clark.build_measure(phi, parse_alpha(f"exp:{t}"), 256).base)
+    assert rows > 256
     for j in (0, 1):
         assert len((tmp_path / f"br_{j}.csv").read_text().splitlines()) \
-            == 256 + 2
+            == rows + 2
     capsys.readouterr()
+
+
+def test_levelset_reads_a_clustered_build(tmp_path, capsys):
+    # squared at exp:0.995 clusters its zeta1 nodes at two poles of
+    # h(., 0): every row is a unimodular level point of nonnegative Clark
+    # weight, and the rows' weights times the rule's quadrature weights sum
+    # to the measure's mass
+    phi = catalog.squared_singular_rif()
+    alpha = parse_alpha("exp:0.995")
+    poly = tmp_path / "squared.json"
+    poly.write_text(poly_to_json(phi.den))
+    assert main(["levelset", "--poly", str(poly), "--alpha", "exp:0.995",
+                 "--grid", "256", "--out", str(tmp_path / "br.csv")]) == 0
+    capsys.readouterr()
+    m = clark.build_measure(phi, alpha, 256)
+    zeta1, quad, lines = clark._zeta1_rule(phi, alpha, 256)
+    assert len(zeta1) == 3 * 256 and not lines
+    angle = np.angle(zeta1) % (2 * np.pi)
+    order = np.argsort(angle)
+    scale = np.max(np.abs(phi.level_coeffs(alpha)))
+    total = sum(ln.constant for ln in m.lines)
+    for j in (0, 1):
+        text = (tmp_path / f"br_{j}.csv").read_text().splitlines()
+        assert f"N={len(m.base)} branch={j}" in text[0]
+        theta, re, im, weight = np.loadtxt(text[2:], delimiter=",").T
+        assert np.array_equal(theta, angle[order])
+        zeta2 = re + 1j * im
+        assert np.max(np.abs(np.abs(zeta2) - 1.0)) <= 1e-8
+        res = phi.num(np.exp(1j * theta), zeta2) \
+            - alpha * phi.den(np.exp(1j * theta), zeta2)
+        assert np.max(np.abs(res)) <= 1e-8 * scale
+        assert np.min(weight) >= 0.0
+        total += quad[order] @ weight
+    assert abs(total / clark.total_mass(m) - 1.0) <= 1e-12
+
+
+def test_levelset_refuses_where_analyze_refuses(fav_json, tmp_path, capsys):
+    # fav 1e-6 off alpha0 = -1 at N = 1024 misses the mass guard: the
+    # labeled branches are read off the same build, so both subcommands
+    # give the same typed refusal and write nothing
+    errors = []
+    for command, out in (("analyze", "m.json"), ("levelset", "br.csv")):
+        assert main([command, "--poly", fav_json, "--alpha", "exp:1.000001",
+                     "--grid", "1024", "--out", str(tmp_path / out)]) == 1
+        errors.append(json.loads(capsys.readouterr().out)["error"])
+    assert errors[0] == errors[1]
+    assert errors[0]["type"] == "MassGapExceeded"
+    assert not list(tmp_path.glob("m.json")) + list(tmp_path.glob("br_*"))
 
 
 def test_reconstruct_round_trip(fav_json, tmp_path, capsys):

@@ -4,6 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from conftest import slice_atoms
 from rifclark import catalog, clark, contact, levelset
 from rifclark.errors import FitDegenerate, NonConvergent
 from rifclark.poly import PolyMD, Rif
@@ -75,8 +76,7 @@ def test_slice_atom_weights_follow_the_series(name, alphas, k_lo, k_hi):
         fit = contact.weight_vanish_order(phi, alpha, SING)
         for side in (1, -1):
             zeta1 = np.exp(1j * side * delta)
-            roots, num, den, _ = levelset._slice_atoms(phi, alpha,
-                                                       zeta1[:, None])
+            roots, num, den, _ = slice_atoms(phi, alpha, zeta1[:, None])
             at = (np.argmin(np.abs(roots - 1.0), axis=0),
                   np.arange(len(delta)))
             ratio = num[at] / den[at] \

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import slice_atoms
 from rifclark import (catalog, clark, contact, embedding, levelset, poly,
                       polydisk)
 from rifclark.cli import main
-from rifclark.errors import (IdenticallyZeroSlice, MassGapExceeded,
-                             PhaseLabelFailure)
+from rifclark.errors import MassGapExceeded, PhaseLabelFailure
 from rifclark.poly import PolyMD, Rif, poly_to_json
 from rifclark.util import grid_shift, unit_circle_points
 
@@ -150,10 +150,11 @@ def test_trace_branches_refuses_a_zero_slice_left_on_the_grid(fav,
                                                               monkeypatch):
     # with no vertical line reported the grid is not shifted, and at
     # alpha = -1 its node zeta1 = 1 lies on fav's line, where h's slice
-    # vanishes exactly
-    monkeypatch.setattr(levelset, "_lines",
+    # vanishes exactly: the line's mass, half of it, is missing, and the
+    # build's guard refuses before any label is read
+    monkeypatch.setattr(clark, "_lines",
                         lambda hcoef, pcoef, axis=1: (np.empty(0), []))
-    with pytest.raises(IdenticallyZeroSlice):
+    with pytest.raises(MassGapExceeded, match="relative 0.508"):
         levelset.trace_branches(fav, -1.0, 64)
 
 
@@ -225,31 +226,33 @@ def test_zero_column_roots_need_no_trim():
 def test_trace_branches_seeks_vertical_lines_only(fav, monkeypatch):
     # fav at alpha = -1 has a line on each axis; the grid shift needs only
     # the vertical one, whose slices vanish
-    axes, lines = [], levelset._lines
+    axes, lines = [], clark._lines
 
     def spy(h, p, axis=1):
         axes.append(axis)
         return lines(h, p, axis)
 
-    monkeypatch.setattr(levelset, "_lines", spy)
+    monkeypatch.setattr(clark, "_lines", spy)
     levelset.trace_branches(fav, -1.0, 256)
     assert axes == [1]
 
 
 def test_trace_branches_solves_once_at_a_line(fav, squared, monkeypatch):
     # the vertical lines are found before the solve, so a grid that would
-    # hit one is shifted first and solved once
-    calls, atoms = [], levelset._slice_atoms
+    # hit one is shifted first and solved once: the build's own solve, of
+    # every node
+    calls, atoms = [], clark._atom_blocks
 
-    def spy(*args):
-        calls.append(args)
-        return atoms(*args)
+    def spy(hcoef, pcoef, pts, *out):
+        calls.append(len(pts))
+        return atoms(hcoef, pcoef, pts, *out)
 
-    monkeypatch.setattr(levelset, "_slice_atoms", spy)
+    monkeypatch.setattr(clark, "_atom_blocks", spy)
+    monkeypatch.setattr(levelset, "_atom_blocks", spy)
     for phi in (fav, squared):
         calls.clear()
         levelset.trace_branches(phi, -1.0, 256)
-        assert len(calls) == 1
+        assert calls == [256]
 
 
 def test_trace_branches_shifts_off_a_line_between_nodes():
@@ -476,9 +479,10 @@ def test_blaschke_node_rule_near_exceptional(fav, squared):
     order = np.argsort(np.round(k) % N, kind="stable")
     assert np.allclose(quad[order].reshape(N, 3).sum(axis=1), 1.0 / N,
                        rtol=1e-12, atol=0.0)
-    # labeled branches stay on the uniform grid
-    assert [br.grid_n for br in levelset.trace_branches(squared, alpha, N)] \
-        == [N, N]
+    # labeled branches take every node, in order of angle
+    for br in levelset.trace_branches(squared, alpha, N):
+        assert br.grid_n == len(m.base) == 3 * N
+        assert np.array_equal(br.theta, np.sort(np.angle(zeta1) % (2 * np.pi)))
     # far from -1 the poles are resolved and the rule is the uniform grid
     N = 65536
     uniform = 2 * np.pi * np.arange(N) / N
@@ -580,14 +584,19 @@ def test_traced_branches_are_unimodular_level_points(t):
 @pytest.mark.parametrize("t", [-0.94, 0.935, 0.985, -0.985, 0.995, -0.995])
 def test_coarse_grid_labels_equal_fine_grid_labels(squared, t):
     # near alpha = -1 the two branches of squared move further between
-    # coarse nodes than the gap between them; phase labels do not depend
-    # on the grid, so N = 256 labels every shared node as N = 65536 does
+    # coarse grid points than the gap between them; phase labels do not
+    # depend on the grid, so N = 256 labels every shared node as N = 65536
+    # does.  Both rules cluster at the same two poles, and N's grid in
+    # w = B(zeta1) is every 256th point of the fine one's, so every coarse
+    # node is a fine node bit for bit
     alpha = np.exp(1j * np.pi * t)
-    coarse = np.array([br.values for br in
-                       levelset.trace_branches(squared, alpha, 256)])
-    fine = np.array([br.values for br in
-                     levelset.trace_branches(squared, alpha, 65536)])
-    fine = fine[:, ::256]
+    coarse, fine = (levelset.trace_branches(squared, alpha, N)
+                    for N in (256, 65536))
+    _, at_c, at_f = np.intersect1d(coarse[0].theta, fine[0].theta,
+                                   return_indices=True)
+    assert len(at_c) == coarse[0].grid_n == 3 * 256
+    coarse = np.array([br.values[at_c] for br in coarse])
+    fine = np.array([br.values[at_f] for br in fine])
     assert np.array_equal(coarse, fine) or np.array_equal(coarse, fine[::-1])
 
 
@@ -659,8 +668,8 @@ def test_measure_path_traces_no_branch(corpus, monkeypatch):
                 < 1e-8, (name, alpha)
         assert max(embedding.conj_rational(phi, np.exp(0.7j)).max_residual) \
             < 1e-10
-        roots, _, _, _ = levelset._slice_atoms(phi, np.exp(0.7j),
-                                               np.array([[np.exp(0.4j)]]))
+        roots, _, _, _ = slice_atoms(phi, np.exp(0.7j),
+                                     np.array([[np.exp(0.4j)]]))
         assert not np.isnan(roots).all()
     phi = catalog.tridisk_rif(4.0)
     m = polydisk.build_measure_d(phi, np.exp(0.9j), 32)

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import slice_atoms
 from rifclark import catalog, clark, poly, polydisk
 from rifclark.errors import (CertificateTooLarge, DegreeNotAttained,
                              ZeroPolynomial)
-from rifclark.levelset import _slice_atoms
 from rifclark.poly import (PolyMD, Rif, companion_roots, derivative_coeffs,
                            eval_poly, poly_from_json, poly_to_json, reflect,
                            slice_coeffs, stability_check, taylor_shift)
@@ -433,7 +433,7 @@ def test_slice_rows_chain_matches_slice_atoms(name):
     zeta = np.exp(2j * np.pi * np.arange(n) / n)
     roots = companion_roots(slice_coeffs(phi.level_coeffs(alpha),
                                          zeta[:, None]))
-    polished = _slice_atoms(phi, alpha, zeta[:, None])[0]
+    polished = slice_atoms(phi, alpha, zeta[:, None])[0]
     assert roots.shape == polished.shape == (phi.degrees[1], n)
     assert np.max(np.abs(roots - polished)) <= 1e-12
 

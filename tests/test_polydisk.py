@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import slice_atoms
 from rifclark import (catalog, clark, contact, embedding, levelset, poly,
                       polydisk)
 from rifclark.errors import (MassGapExceeded, SingularDenominator,
@@ -534,14 +535,14 @@ def weight_parts(phi, alpha, *zeta):
     """Numerator |p| and denominator |d/dz_d (q - alpha p)| of the Clark
     weight at level-set points given by one coordinate array per variable,
     from the full coefficient tensors: the oracle for the slice rows of
-    ``levelset._slice_atoms``."""
+    ``conftest.slice_atoms``."""
     hd = derivative_coeffs(phi.level_coeffs(alpha), phi.dim)
     return (np.abs(_eval_tensor(phi.den.coeffs, zeta)),
             np.abs(_eval_tensor(hd, zeta)))
 
 
 def _kernel_against_weight_parts(phi, alpha, pts):
-    roots, num, den, _ = levelset._slice_atoms(phi, alpha, pts)
+    roots, num, den, _ = slice_atoms(phi, alpha, pts)
     ref_num, ref_den = weight_parts(phi, alpha, *pts.T, roots)
     keep = ~np.isnan(roots)
     assert keep.any()
@@ -613,7 +614,7 @@ def test_factored_derivative_is_the_horner_derivative(corpus, name, alpha):
     # root of its row to 16 eps of the row's scale
     phi = catalog.random_rif(2, 3, 1) if name == "cubic" else corpus[name]
     zeta1, _, _ = clark._zeta1_rule(phi, alpha, 4096)
-    roots, _, den, _ = levelset._slice_atoms(phi, alpha, zeta1[:, None])
+    roots, _, den, _ = slice_atoms(phi, alpha, zeta1[:, None])
     rows = slice_coeffs(phi.level_coeffs(alpha), zeta1[:, None])
     drows = rows[1:] * np.arange(1, len(rows))[:, None]
     live = ~np.isnan(roots)
