@@ -221,7 +221,7 @@ def _zeta1_rule(phi, alpha, grid_n):
     a = 1.0 / np.conj(poles[grid_n * np.log(np.abs(poles)) < _POLE_RESOLVE])
     b_tau = [ln.tau * np.prod((ln.tau - a) / (1.0 - np.conj(a) * ln.tau))
              for ln in lines]  # B(tau) of each line
-    w = _zeta1_grid(np.angle(b_tau), grid_n)[1]  # B(zeta1) at the nodes
+    w = _zeta1_grid(np.angle(b_tau), grid_n)  # B(zeta1) at the nodes
     quad = np.broadcast_to(1.0 / grid_n, grid_n)  # read-only, no copy
     if not len(a):
         return w, quad, lines

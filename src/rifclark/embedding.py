@@ -57,39 +57,42 @@ def gram_isometry_check(phi: Rif, alpha: complex, points,
                         measure: ClarkMeasure) -> GramReport:
     """Compare kernel inner products in the model space and in L^2(sigma).
 
-    ``gram_embedded[i][j]`` integrates the embedded kernels at w_i and
-    w_j against the measure, and ``max_abs_error`` is its largest gap to
-    the model Gram (1 - conj(phi(w_i)) phi(w_j)) C_{w_i}(w_j), formed
-    here and not kept.  For an exact embedding the two agree; the gap
-    measures quadrature error.  ValueError unless ``phi`` (degrees and
-    denominator coefficients, exactly) and ``alpha`` are the measure's.
+    ``points`` are kernel points w of ``phi.dim`` coordinates, each in
+    the open unit disk; ``gram_embedded[i][j]`` integrates the embedded
+    kernels at w_i and w_j against the measure, and ``max_abs_error`` is
+    its largest gap to the model Gram (1 - conj(phi(w_i)) phi(w_j))
+    C_{w_i}(w_j), formed here and not kept, with C_a(b) the Szego kernel,
+    the product over coordinates k of 1 / (1 - conj(a_k) b_k).  For an
+    exact embedding the two agree; the gap measures quadrature error.
+    ValueError unless ``phi`` (degrees and denominator coefficients,
+    exactly) and ``alpha`` are the measure's.
     """
-    w = _polydisk_points(points, 2, "Gram isometry check")
+    w = _polydisk_points(points, measure.phi.dim, "Gram isometry check")
     # a NaN alpha fails the test too
     if not abs(complex(alpha) - complex(measure.alpha)) <= CIRCLE_TOL:
         raise ValueError("alpha does not match the measure")
     if phi.degrees != measure.phi.degrees or not np.array_equal(
             phi.den.coeffs, measure.phi.den.coeffs):
         raise ValueError("phi does not match the measure")
-    if measure.phi.dim != 2:
-        raise ValueError(
-            "gram_isometry_check expects a two-variable inner function")
     M = len(w)
-    phw = phi(w[:, 0], w[:, 1])
-    cw = 1.0 / ((1.0 - np.conj(w[:, 0])[:, None] * w[None, :, 0])
-                * (1.0 - np.conj(w[:, 1])[:, None] * w[None, :, 1]))
-    model = (1.0 - np.conj(phw)[:, None] * phw[None, :]) * cw
+    phw = phi(*w.T)
+    cw = 1.0  # a running product: np.prod rounds two variables otherwise
+    for wk in w.T:
+        cw = cw * (1.0 - np.conj(wk)[:, None] * wk)
+    model = (1.0 - np.conj(phw)[:, None] * phw[None, :]) * (1.0 / cw)
 
     prefac = 1.0 - complex(measure.alpha) * np.conj(phw)
-    # the embedded kernel at w_a is prefac_a / (D_a1(zeta1) D_a2(zeta2)),
-    # D_at(z) = 1 - conj(w_at) z: D_a1 once per base node, one reciprocal,
-    # prefactors out of the sum, in place (a fresh temporary cost as much)
-    c1, c2 = -np.conj(w[:, 0]), -np.conj(w[:, 1])
+    # the embedded kernel at w_a is prefac_a / prod_k D_ak(zeta_k),
+    # D_ak(z) = 1 - conj(w_ak) z: the base factors once per base node, one
+    # reciprocal, prefactors out of the sum, in place (a fresh temporary
+    # cost as much)
+    c = -np.conj(w)
     embedded = np.zeros((M, M), dtype=complex)
     for base, atoms, wq in _fiber_blocks(measure):
-        F = np.multiply.outer(c2, atoms)
+        F = np.multiply.outer(c[:, -1], atoms)
         F += 1.0
-        F *= 1.0 + np.multiply.outer(c1, base[:, 0])[:, None]
+        for ck, zeta in zip(c.T, base.T):
+            F *= 1.0 + np.multiply.outer(ck, zeta)[:, None]
         F = np.reciprocal(F, out=F).reshape(M, -1)
         Fc = np.conj(F)
         F *= wq.reshape(-1)

@@ -262,17 +262,17 @@ def _phase_labels(phi: Rif, alpha: complex, zeta1, roots):
 
 
 def _zeta1_grid(angles, grid_n):
-    """(s, points) of the uniform zeta1 grid e^{i (2 pi k / N + s)}, k < N,
-    off the vertical lines at ``angles``: s = ``util.grid_shift`` of them
-    (half a step past one line); with none, s = 0 and the points are the
-    shared table ``util.unit_roots(N)``.  ``clark._zeta1_rule`` takes it
-    in w = B(zeta1), and ``trace_branches`` its s, the angles of the
-    unclustered nodes."""
+    """The uniform zeta1 grid e^{i (2 pi k / N + s)}, k < N, off the
+    vertical lines at ``angles``: s = ``util.grid_shift`` of them (half a
+    step past one line); with none, s = 0 and the points are the shared
+    table ``util.unit_roots(N)``.  ``clark._zeta1_rule`` takes it in
+    w = B(zeta1); ``trace_branches`` forms the same s from the lines for
+    the angles of the unclustered nodes."""
     zeta1 = unit_roots(grid_n)  # ValueError for grid_n < 1
     if not len(angles):
-        return 0.0, zeta1
-    s = grid_shift(angles, grid_n)
-    return s, unit_circle_points(TWO_PI * np.arange(grid_n) / grid_n + s)
+        return zeta1
+    return unit_circle_points(TWO_PI * np.arange(grid_n) / grid_n
+                              + grid_shift(angles, grid_n))
 
 
 def trace_branches(phi: Rif, alpha: complex,
@@ -285,7 +285,8 @@ def trace_branches(phi: Rif, alpha: complex,
     branch of its phase label (``_phase_labels``), weighted by its Clark
     weight |p| / |d/dz2 h|: the measure's weight over the node's
     quadrature weight.  Unclustered, theta is the grid 2 pi k / N + s off
-    the vertical lines, in its own order (s from ``_zeta1_grid``);
+    the vertical lines, in its own order (s = ``util.grid_shift`` of
+    their angles, 0 without lines: ``_zeta1_grid``'s);
     clustered, it is the angle in [0, 2 pi) of every node of the rule, in
     increasing order.  Branch 0 holds the root of least argument at the
     first node.  Every branch carries alpha projected by
@@ -302,7 +303,8 @@ def trace_branches(phi: Rif, alpha: complex,
     # unclustered, the grid keeps its order and angles: s may pass a step,
     # and a sort by angle would move the last node to the front
     if len(zeta1) == grid_n:
-        s = _zeta1_grid([np.angle(ln.tau) for ln in lines], grid_n)[0]
+        s = grid_shift([np.angle(ln.tau) for ln in lines], grid_n) \
+            if lines else 0.0
         theta, order = TWO_PI * np.arange(grid_n) / grid_n + s, slice(None)
     else:
         theta = np.angle(zeta1) % TWO_PI

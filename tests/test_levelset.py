@@ -255,6 +255,21 @@ def test_trace_branches_solves_once_at_a_line(fav, squared, monkeypatch):
         assert calls == [256]
 
 
+def test_trace_branches_forms_the_shifted_grid_once(squared, monkeypatch):
+    # squared at -1 has vertical lines, so the grid is shifted off them:
+    # the build forms its nodes, and the labeled angles take only the
+    # shift, not a second grid of N points
+    calls, points = [], levelset.unit_circle_points
+
+    def spy(theta):
+        calls.append(len(theta))
+        return points(theta)
+
+    monkeypatch.setattr(levelset, "unit_circle_points", spy)
+    levelset.trace_branches(squared, -1.0, 4096)
+    assert calls == [4096]
+
+
 def test_trace_branches_shifts_off_a_line_between_nodes():
     # at this draw's alpha0 the vertical line misses the uniform grid
     # (its nearest node 0.12 pi / N away), so no slice vanishes; the grid

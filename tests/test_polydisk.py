@@ -332,18 +332,34 @@ def test_build_measure_d_mass_several_sheets(k):
                - clark.expected_mass(phi, alpha)) < 1e-10
 
 
-def test_gram_and_density_refuse_tridisk_measures():
-    # the paper's two-variable unitarity theorem is their subject; they
-    # would integrate the (zeta1, zeta2) marginal and return numbers
+def test_tridisk_measures_refuse_density_and_two_coordinate_gram_points():
+    # the paper's two-variable unitarity theorem is density_distance's
+    # subject, so it refuses a tridisk measure; the Gram check takes one,
+    # with points of three coordinates
     phi = sheets_rif(3.5, 2)
     alpha = np.exp(0.7j)
     m = polydisk.build_measure_d(phi, alpha, 16)
     with pytest.raises(ValueError, match="density_distance needs a "
                                          "two-variable measure"):
         embedding.density_distance(m, 2)
-    with pytest.raises(ValueError, match="gram_isometry_check expects a "
-                                         "two-variable inner function"):
+    with pytest.raises(ValueError, match="Gram isometry check needs points "
+                                         "of 3 coordinates"):
         embedding.gram_isometry_check(phi, alpha, [(0.1, 0.2)], m)
+
+
+@pytest.mark.parametrize("s, alpha", [(3.6, np.exp(0.9j)), (4.0, 1j)])
+def test_tridisk_gram_isometry(s, alpha):
+    # the model Gram in three variables, one Szego factor per coordinate,
+    # against the measure's sum: the 128-point rule is exact to rounding
+    # for kernels within radius 0.5 (6.7e-16 and 8.4e-14 here)
+    phi = catalog.tridisk_rif(s)
+    m = polydisk.build_measure_d(phi, alpha, 128)
+    rng = np.random.default_rng(5)
+    w = 0.5 * np.sqrt(rng.uniform(size=(6, 3))) * np.exp(
+        2j * np.pi * rng.uniform(size=(6, 3)))
+    rep = embedding.gram_isometry_check(phi, alpha, w, m)
+    assert rep.gram_embedded.shape == (6, 6)
+    assert rep.max_abs_error <= 1e-12
 
 
 def _five_tridisk_builds():
