@@ -19,12 +19,12 @@ the zeta1 nodes: the uniform grid shifted off every line
 zeta1-marginal, with lines or without, its preimages under a Blaschke
 product B, the grid taken in w = B(zeta1): that product's Clark atoms,
 from the same kernel.  A horizontal line T x {tau} is the atom
-zeta2 = tau of every slice.  ``levelset.trace_branches`` runs the rule
-and the build body (``_fibered``) as the two-variable build does and
-labels the atoms.  On the tridisk the base is a tensor grid, through the
-same build body, and every integrator here takes both through one body:
-it walks blocks of base nodes, forms each base column's factor once per
-node, adds a line term.
+zeta2 = tau of every slice.  The two-variable build (``_build2``: the
+rule, then the build body ``_fibered`` under the exact-mass guard) is
+the one ``levelset.trace_branches`` labels.  On the tridisk the base is
+a tensor grid, through the same build body, and every integrator here
+takes both through one body: it walks blocks of base nodes, forms each
+base column's factor once per node, adds a line term.
 """
 
 from __future__ import annotations
@@ -132,20 +132,20 @@ class ClarkMeasure:
 def build_measure(phi: Rif, alpha: complex,
                   grid_n: int | None = None) -> ClarkMeasure:
     """sigma_alpha of a RIF in two or three variables from ``grid_n``
-    angles per base coordinate (DEFAULT_GRID[phi.dim] if None): the zeta1
-    rule (``_zeta1_rule``) in two, in three the tensor grid of the shared
-    N-th roots of unity, each pair of weight 1 / N**2, if ``Rif.certificate``
-    keeps a margin above UNIMODULAR_TOL (else UnstableDenominator).  The
-    build body (``_fibered``) raises MassGapExceeded."""
+    angles per base coordinate (DEFAULT_GRID[phi.dim] if None): in two
+    the zeta1 rule (``_build2``, the one home of the two-variable recipe,
+    whose atoms ``levelset.trace_branches`` labels), in three the tensor
+    grid of the shared N-th roots of unity, each pair of weight 1 / N**2,
+    if ``Rif.certificate`` keeps a margin above UNIMODULAR_TOL (else
+    UnstableDenominator).  The build body (``_fibered``) raises
+    MassGapExceeded."""
     if phi.dim not in DEFAULT_GRID:
         raise ValueError(f"build_measure handles two or three variables, "
                          f"not {phi.dim}")
     alpha = _unimodular_alpha(alpha)
     N = DEFAULT_GRID[phi.dim] if grid_n is None else grid_n
     if phi.dim == 2:
-        zeta1, quad, lines = _zeta1_rule(phi, alpha, N)
-        return _fibered(phi, alpha, N, zeta1[:, None], quad, lines,
-                        expected_mass(phi, alpha))
+        return _build2(phi, alpha, N)[0]
     zg = unit_roots(N)
     if not phi.certificate - 1.0 > UNIMODULAR_TOL:  # NaN fails too
         raise UnstableDenominator(
@@ -156,6 +156,17 @@ def build_measure(phi: Rif, alpha: complex,
     pts[..., 0], pts[..., 1] = zg[:, None], zg
     return _fibered(phi, alpha, N, pts.reshape(N * N, 2),
                     np.broadcast_to(1.0 / (N * N), N * N), [], None)
+
+
+def _build2(phi, alpha, grid_n):
+    """(measure, quad): the two-variable build of ``build_measure`` at
+    unimodular ``alpha``, the zeta1 rule (``_zeta1_rule``) and the build
+    body (``_fibered``) guarded by the exact mass (``expected_mass``),
+    with the rule's weights ``quad`` of the nodes ``measure.base[:, 0]``.
+    ``levelset.trace_branches`` labels its atoms."""
+    zeta1, quad, lines = _zeta1_rule(phi, alpha, grid_n)
+    return _fibered(phi, alpha, grid_n, zeta1[:, None], quad, lines,
+                    expected_mass(phi, alpha)), quad
 
 
 def _fibered(phi, alpha, grid_n, base, quad, lines, expected):
@@ -170,7 +181,7 @@ def _fibered(phi, alpha, grid_n, base, quad, lines, expected):
     atoms = np.empty((phi.degrees[-1], len(base)), dtype=complex)
     weights = np.empty(atoms.shape)
     mass = 0.0  # the rule's sum of the slice masses, if expected is None
-    for b, den, _, full, h0, p0 in _atom_blocks(
+    for b, den, full, h0, p0 in _atom_blocks(
             phi.level_coeffs(alpha), phi._den_full, base, atoms, weights):
         roots, w = atoms[:, b], weights[:, b]
         np.divide(w, den, out=w)

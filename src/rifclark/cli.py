@@ -417,8 +417,10 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except (RifclarkError, ValueError, OSError) as exc:
-        print(canonical_json({"error": {"type": type(exc).__name__,
+    except (RifclarkError, ValueError, OSError, MemoryError) as exc:
+        # numpy refuses a grid too large to allocate with a private subclass
+        kind = MemoryError if isinstance(exc, MemoryError) else type(exc)
+        print(canonical_json({"error": {"type": kind.__name__,
                                         "message": str(exc)}}))
         return 1
 

@@ -14,14 +14,14 @@ product whose argument rises monotonically by 2 pi n, so a root's branch
 label is the count j in arg b = arg alpha + 2 pi j, taken from the phase
 of phi(zeta1, w_ref) lifted along a path (``_phase_labels``); no root is
 matched to its neighbours.  ``trace_branches`` labels the atoms of the
-measure's own build, for the outputs where labels are the point, such as
-the CSV export.  The module locates the boundary singularities of phi,
-the common torus zeros of p and p~, from the zeros of one resultant on
-the circle (``find_singularities``), and it decides the line components
-at those points: a line {tau1} x T passes through torus zeros of p,
-where its slice of h is (alpha0 - alpha) p(tau1, .), so each root tau1
-of h(., 0) on the circle is tested there, once, with one tolerance
-(``_lines``).
+measure's own build (``clark._build2``), for the outputs where labels
+are the point, such as the CSV export.  The module locates the boundary
+singularities of phi, the common torus zeros of p and p~, from the
+zeros of one resultant on the circle (``find_singularities``), and it
+decides the line components at those points: a line {tau1} x T passes
+through torus zeros of p, where its slice of h is
+(alpha0 - alpha) p(tau1, .), so each root tau1 of h(., 0) on the circle
+is tested there, once, with one tolerance (``_lines``).
 """
 
 from __future__ import annotations
@@ -157,20 +157,20 @@ def _atom_blocks(hcoef, pcoef, pts, roots, num):
     = |p| for p the tensor ``pcoef`` of hcoef's shape: one contraction
     gives both rows.  ``roots`` is root-major: row r is one contiguous
     array over the slices, and column i holds slice i's roots in its
-    first rows and NaN after them (a degree drop, or a zero slice).  Yields
-    each block as (b, den, zero, full, h0, p0): its slice of columns,
-    |d/dz_d h| at its roots in a block-sized scratch the next block
-    overwrites, its zero-slice flags, whether every slice kept full degree
-    (no empty atom, so no NaN to look for), and the slices' h and p at
-    z_d = 0, their constant rows (views of the rows the block formed, valid
-    until the next block).  So a builder forms its weights and its mass
-    guard block by block and holds nothing of size m beyond what it
-    returns.  Both weight
-    parts come from one-variable rows in z_d, and one pass of |rows| serves
-    the zero-slice, degree-drop and Newton-guard tests.  A closed-form root
-    takes den = |h'| from the solver, from what its formula holds
-    (``poly._solve_columns``); only eigenvalue roots are Newton-polished
-    (``_newton_polish`` gives their den).
+    first rows and NaN after them (a degree drop, or a zero slice: one
+    whose h row has every coefficient below ZERO_SLICE_REL_TOL times the
+    largest of ``hcoef``).  Yields each block as (b, den, full, h0, p0):
+    its slice of columns, |d/dz_d h| at its roots in a block-sized scratch
+    the next block overwrites, whether every slice kept full degree (no
+    empty atom, so no NaN to look for), and the slices' h and p at
+    z_d = 0, their constant rows (views of the rows the block formed,
+    valid until the next block).  So a builder forms its weights and its
+    mass guard block by block and holds nothing of size m beyond what it
+    returns.  Both weight parts come from one-variable rows in z_d, and
+    one pass of |rows| serves the zero-slice, degree-drop and Newton-guard
+    tests.  A closed-form root takes den = |h'| from the solver, from what
+    its formula holds (``poly._solve_columns``); only eigenvalue roots are
+    Newton-polished (``_newton_polish`` gives their den).
     """
     k, m = hcoef.shape[-1] - 1, len(pts)
     coef = np.concatenate([hcoef, pcoef], -1)
@@ -182,8 +182,8 @@ def _atom_blocks(hcoef, pcoef, pts, roots, num):
         h, size = rows[:k + 1], np.abs(rows[:k + 1])
         r, den = roots[:, b], scratch[:, :h.shape[1]]
         rowmax = np.max(size, axis=0)
-        zero = rowmax < zero_tol
-        rowmax[zero] = np.inf  # a zero slice drops every coefficient: no root
+        # a zero slice drops every coefficient: no root
+        rowmax[rowmax < zero_tol] = np.inf
         eig, full = _poly._solve_columns(h, size, rowmax, r, den)
         if eig.size:  # eigenvalue roots: polished, h' from the last step
             w = r[:, eig]
@@ -191,7 +191,7 @@ def _atom_blocks(hcoef, pcoef, pts, roots, num):
             r[:, eig], den[:, eig] = w, np.abs(dh)
         p = rows[k + 1:]
         np.abs(_polyval_rows(p[:, None], r), out=num[:, b])
-        yield b, den, zero, full, h[0], p[0]
+        yield b, den, full, h[0], p[0]
 
 
 def _newton_polish(rows, rowmax, values):
@@ -265,9 +265,9 @@ def _zeta1_grid(angles, grid_n):
     """The uniform zeta1 grid e^{i (2 pi k / N + s)}, k < N, off the
     vertical lines at ``angles``: s = ``util.grid_shift`` of them (half a
     step past one line); with none, s = 0 and the points are the shared
-    table ``util.unit_roots(N)``.  ``clark._zeta1_rule`` takes it in
-    w = B(zeta1); ``trace_branches`` forms the same s from the lines for
-    the angles of the unclustered nodes."""
+    table ``util.unit_roots(N)``.  The zeta1 rule of ``clark._build2``
+    takes it in w = B(zeta1); ``trace_branches`` forms the same s from the
+    lines for the angles of the unclustered nodes."""
     zeta1 = unit_roots(grid_n)  # ValueError for grid_n < 1
     if not len(angles):
         return zeta1
@@ -279,12 +279,13 @@ def trace_branches(phi: Rif, alpha: complex,
                    grid_n: int = 4096) -> list[Branch]:
     """Label the graph components of the level set at unimodular alpha.
 
-    The atoms of the measure's own build, ``clark._zeta1_rule`` and then
-    the guarded build body ``clark._fibered`` as ``clark.build_measure``
-    runs them (so MassGapExceeded wherever the build refuses), each in the
-    branch of its phase label (``_phase_labels``), weighted by its Clark
-    weight |p| / |d/dz2 h|: the measure's weight over the node's
-    quadrature weight.  Unclustered, theta is the grid 2 pi k / N + s off
+    The atoms of the measure's own build, ``clark._build2``, the one
+    ``clark.build_measure`` returns in two variables (so MassGapExceeded
+    wherever the build refuses), over its zeta1 nodes ``base[:, 0]``,
+    each in the branch of its phase label (``_phase_labels``), weighted
+    by its Clark weight |p| / |d/dz2 h|: the measure's weight over the
+    rule's quadrature weight of the node, which ``_build2`` returns with
+    the measure.  Unclustered, theta is the grid 2 pi k / N + s off
     the vertical lines, in its own order (s = ``util.grid_shift`` of
     their angles, 0 without lines: ``_zeta1_grid``'s);
     clustered, it is the angle in [0, 2 pi) of every node of the rule, in
@@ -297,20 +298,18 @@ def trace_branches(phi: Rif, alpha: complex,
     if phi.dim != 2:
         raise ValueError("trace_branches expects a two-variable inner function")
     alpha = _unimodular_alpha(alpha)
-    zeta1, quad, lines = clark._zeta1_rule(phi, alpha, grid_n)
-    m = clark._fibered(phi, alpha, grid_n, zeta1[:, None], quad, lines,
-                       clark.expected_mass(phi, alpha))
+    m, quad = clark._build2(phi, alpha, grid_n)
     # unclustered, the grid keeps its order and angles: s may pass a step,
     # and a sort by angle would move the last node to the front
-    if len(zeta1) == grid_n:
-        s = grid_shift([np.angle(ln.tau) for ln in lines], grid_n) \
-            if lines else 0.0
+    if len(m.base) == grid_n:
+        s = grid_shift([np.angle(ln.tau) for ln in m.lines], grid_n) \
+            if m.lines else 0.0
         theta, order = TWO_PI * np.arange(grid_n) / grid_n + s, slice(None)
     else:
-        theta = np.angle(zeta1) % TWO_PI
+        theta = np.angle(m.base[:, 0]) % TWO_PI
         order = np.argsort(theta)
         theta = theta[order]
-    zeta1, roots = zeta1[order], m.atoms[:, order]
+    zeta1, roots = m.base[order, 0], m.atoms[:, order]
     weights = (m.weights / quad)[:, order]
     labels = _phase_labels(phi, alpha, zeta1, roots)
     labels = (labels - labels[np.argmin(np.angle(roots[:, 0])), 0]) \

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import settings
 
 from rifclark import catalog, levelset
+from rifclark.poly import slice_coeffs
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
@@ -36,17 +37,20 @@ def slice_atoms(phi, alpha, pts):
     """Every root of h(zeta', .) over frozen points ``pts`` (m, d-1) with
     its weight parts: (roots, num, den, zero_rows), the blocks of
     ``levelset._atom_blocks`` collected.  ``roots`` (k, m) is root-major
-    as the kernel writes it (NaN after a degree drop or in a zero slice,
-    flagged in ``zero_rows``), ``num`` and ``den`` are |p| and
-    |d/dz_d h| there; ValueError for an alpha off the circle."""
+    as the kernel writes it (NaN after a degree drop or in a zero slice),
+    ``num`` and ``den`` are |p| and |d/dz_d h| there, and ``zero_rows``
+    flags the zero slices by the kernel's documented rule: every
+    coefficient of the h row below ZERO_SLICE_REL_TOL times the largest
+    of h.  ValueError for an alpha off the circle."""
     k, m = phi.degrees[-1], len(pts)
     roots = np.empty((k, m), dtype=complex)
     num, den = np.empty((k, m)), np.empty((k, m))
-    zero_rows = np.empty(m, dtype=bool)
     h = phi.level_coeffs(levelset._unimodular_alpha(alpha))
-    for b, block_den, zero, *_ in levelset._atom_blocks(
+    for b, block_den, *_ in levelset._atom_blocks(
             h, phi._den_full, pts, roots, num):
-        den[:, b], zero_rows[b] = block_den, zero
+        den[:, b] = block_den
+    zero_rows = np.max(np.abs(slice_coeffs(h, pts)), axis=0) \
+        < levelset.ZERO_SLICE_REL_TOL * np.max(np.abs(h))
     return roots, num, den, zero_rows
 
 

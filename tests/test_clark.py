@@ -1028,12 +1028,11 @@ def _blank_roots(monkeypatch, N):
     atom_blocks = clark._atom_blocks
 
     def blank(hcoef, pcoef, pts, roots, num):
-        for b, den, zero, _, *at0 in atom_blocks(hcoef, pcoef, pts, roots,
-                                                 num):
+        for b, den, _, *at0 in atom_blocks(hcoef, pcoef, pts, roots, num):
             roots[1, 0] = np.nan
             roots[:, N // 2] = np.nan
             # the block now holds empty atoms
-            yield b, den, zero, False, *at0
+            yield b, den, False, *at0
 
     monkeypatch.setattr(clark, "_atom_blocks", blank)
 

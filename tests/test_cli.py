@@ -317,6 +317,26 @@ def test_levelset_refuses_where_analyze_refuses(fav_json, tmp_path, capsys):
     assert not list(tmp_path.glob("m.json")) + list(tmp_path.glob("br_*"))
 
 
+def test_a_grid_too_large_to_allocate_gives_error_json(fav_json, tmp_path,
+                                                       capsys):
+    # no address space holds 10**15 grid points, so numpy refuses the grid
+    # before allocating anything: analyze, and verify of a file edited to
+    # that grid, give the one-line error and write nothing
+    big, out = 10 ** 15, tmp_path / "big.json"
+    assert main(["analyze", "--poly", fav_json, "--alpha", "i",
+                 "--grid", str(big), "--out", str(out)]) == 1
+    assert _error_type(capsys) == "MemoryError" and not out.exists()
+    mpath = tmp_path / "m.json"
+    assert main(["analyze", "--poly", fav_json, "--alpha", "i",
+                 "--grid", "64", "--out", str(mpath)]) == 0
+    capsys.readouterr()
+    obj = json.loads(mpath.read_text())
+    obj["grid_n"] = big
+    mpath.write_text(json.dumps(obj))
+    assert main(["verify", "--measure", str(mpath), "--out", str(out)]) == 1
+    assert _error_type(capsys) == "MemoryError" and not out.exists()
+
+
 def test_reconstruct_round_trip(fav_json, tmp_path, capsys):
     mpath = str(tmp_path / "m.json")
     main(["analyze", "--poly", fav_json, "--alpha", "1",

@@ -512,26 +512,50 @@ def test_blaschke_node_rule_near_exceptional(fav, squared):
         assert m.atoms.shape == (phi.degrees[1], N)
 
 
-@pytest.mark.parametrize("name, alpha", [
-    ("contact_four", np.exp(1j * np.pi * (1 + 1e-4))),
-    ("contact_four", np.exp(1j * np.pi * (1 - 1e-4))),
-    ("fav", -1.0), ("squared", -1.0)],
-    ids=["contact_four_plus", "contact_four_minus", "fav", "squared"])
-def test_labeled_branches_lie_on_the_measure_nodes(name, alpha):
+@pytest.mark.parametrize("name, alpha, nodes", [
+    ("contact_four", np.exp(1j * np.pi * (1 + 1e-4)), 1024),
+    ("contact_four", np.exp(1j * np.pi * (1 - 1e-4)), 1024),
+    ("fav", -1.0, 1024), ("squared", -1.0, 1024),
+    ("fav", np.exp(1j * np.pi * 1.01), 2048),
+    ("squared", np.exp(1j * np.pi * 0.995), 3072)],
+    ids=["contact_four_plus", "contact_four_minus", "fav", "squared",
+         "fav_clustered", "squared_clustered"])
+def test_labeled_branches_lie_on_the_measure_nodes(name, alpha, nodes):
     # one grid off the vertical lines (levelset._zeta1_grid): where the
     # zeta1 rule does not cluster, the labeled branches sample the
     # measure's own base nodes bit for bit, a line at tau != 1 included
-    # (contact_four next to -1: one line at e^{+-1.57e-4 i})
+    # (contact_four next to -1: one line at e^{+-1.57e-4 i}); where it
+    # clusters, they take the nodes sorted by angle.  At every node the
+    # branch values are a permutation of the measure's atoms there, and
+    # their weights the same permutation of the measure's weights over the
+    # rule's, bit for bit
     phi = {"contact_four": catalog.contact_four_rif,
            "fav": catalog.simple_singular_rif,
            "squared": catalog.squared_singular_rif}[name]()
     N = 1024
     m = clark.build_measure(phi, alpha, N)
-    assert m.lines and len(m.base) == N
+    clustered = nodes > N
+    assert len(m.base) == nodes and bool(m.lines) != clustered
     if name == "contact_four":
         assert [ln.tau != 1.0 for ln in m.lines] == [True]
-    for br in levelset.trace_branches(phi, alpha, N):
-        assert np.array_equal(unit_circle_points(br.theta), m.base[:, 0])
+    theta = np.angle(m.base[:, 0]) % (2 * np.pi)
+    order = np.argsort(theta) if clustered else np.arange(N)
+    branches = levelset.trace_branches(phi, alpha, N)
+    for br in branches:
+        if clustered:
+            assert np.array_equal(br.theta, theta[order])
+        else:
+            assert np.array_equal(unit_circle_points(br.theta), m.base[:, 0])
+    quad = clark._zeta1_rule(phi, alpha, N)[1]
+    got = np.array([br.values for br in branches])
+    want = m.atoms[:, order]
+    by_got, by_want = np.argsort(got, axis=0), np.argsort(want, axis=0)
+    assert np.array_equal(np.take_along_axis(got, by_got, 0),
+                          np.take_along_axis(want, by_want, 0))
+    weights = np.array([br.weights for br in branches])
+    assert np.array_equal(np.take_along_axis(weights, by_got, 0),
+                          np.take_along_axis((m.weights / quad)[:, order],
+                                             by_want, 0))
 
 
 def test_trace_branches_projects_alpha_onto_the_circle(squared):

@@ -49,6 +49,19 @@ def test_degree_not_attained_rejected():
         PolyMD(c)
 
 
+@pytest.mark.parametrize("degrees", [None, (2, 1)])
+def test_rif_refuses_a_coordinate_factor_through_the_reflection(degrees):
+    # p = z1 (2 - z2) is a valid PolyMD, but its reflection is 2 z2 - 1 at
+    # (1, 1) and z1 (2 z2 - 1) at (2, 1): neither attains the declared
+    # degree in z1, and only the validation in reflect says so
+    p = PolyMD([[0, 0], [2, -1]])
+    assert p.degrees == (1, 1)
+    n1 = (degrees or p.degrees)[0]
+    with pytest.raises(DegreeNotAttained,
+                       match=f"declared degree {n1} in variable 1 "):
+        Rif(p, degrees)
+
+
 def test_reflection_of_fav_denominator():
     # reflection of 2 - z1 - z2 at degrees (1,1) is 2 z1 z2 - z1 - z2
     q = reflect(P_FAV)

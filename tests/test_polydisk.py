@@ -497,10 +497,9 @@ def test_build_measure_d_mass_guard_raises_on_lost_roots(monkeypatch):
     atom_blocks = clark._atom_blocks
 
     def drop_last_root(hcoef, pcoef, pts, roots, num):
-        for b, den, zero, full, *at0 in atom_blocks(hcoef, pcoef, pts, roots,
-                                                    num):
+        for b, den, full, *at0 in atom_blocks(hcoef, pcoef, pts, roots, num):
             num[-1, b] = 0.0  # the last root of each slice carries no mass
-            yield b, den, zero, full, *at0
+            yield b, den, full, *at0
 
     monkeypatch.setattr(clark, "_atom_blocks", drop_last_root)
     with pytest.raises(MassGapExceeded):
@@ -514,10 +513,9 @@ def test_build_measure_d_refuses_a_block_with_empty_atoms(monkeypatch):
     atom_blocks = clark._atom_blocks
 
     def drop_a_root(hcoef, pcoef, pts, roots, num):
-        for b, den, zero, _, *at0 in atom_blocks(hcoef, pcoef, pts, roots,
-                                                 num):
+        for b, den, _, *at0 in atom_blocks(hcoef, pcoef, pts, roots, num):
             roots[-1, b.start] = np.nan
-            yield b, den, zero, False, *at0
+            yield b, den, False, *at0
 
     monkeypatch.setattr(clark, "_atom_blocks", drop_a_root)
     with pytest.raises(MassGapExceeded):
