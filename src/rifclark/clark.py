@@ -9,13 +9,13 @@ alpha in two variables, uniform pieces on full lines.
 A ClarkMeasure is one fibered quadrature rule: base nodes zeta', each
 stored once, the atoms |p| / |d/dz_d h| of the slice phi(zeta', .) over
 each (sigma_alpha is the zeta'-average of the slice Clark measures), all
-from one kernel (``levelset._atom_blocks``), plus the vertical lines
+from one kernel (``poly._atom_blocks``), plus the vertical lines
 {tau} x T, each carrying the constant 1/|d phi/d z1| times arc length.
 Each line stands for the uniform grid_n-point rule on it; the Poisson,
 moment and Gram sums take that rule's value in closed form and only
 ``integrate`` enumerates its nodes.  One rule (``_zeta1_rule``) places
-the zeta1 nodes: the uniform grid shifted off every line
-(``levelset._zeta1_grid``), and wherever it would miss the poles of the
+the zeta1 nodes: the uniform grid shifted off every line (by
+``util.grid_shift``), and wherever it would miss the poles of the
 zeta1-marginal, with lines or without, its preimages under a Blaschke
 product B, the grid taken in w = B(zeta1): that product's Clark atoms,
 from the same kernel.  A horizontal line T x {tau} is the atom
@@ -37,16 +37,10 @@ import numpy as np
 from . import poly as _poly
 from .errors import (MassGapExceeded, MassNotOne, MeasureMismatch,
                      UnstableDenominator)
-from .levelset import (
-    UNIMODULAR_TOL,
-    LineComponent,
-    _atom_blocks,
-    _lines,
-    _unimodular_alpha,
-    _zeta1_grid,
-)
-from .poly import Rif
-from .util import canonical_json, unit_circle_points, unit_roots
+from .levelset import UNIMODULAR_TOL, LineComponent, _lines
+from .poly import Rif, _atom_blocks
+from .util import (TWO_PI, canonical_json, grid_shift, unimodular_alpha,
+                   unit_circle_points, unit_roots)
 
 __all__ = [
     "ClarkMeasure", "build_measure",
@@ -142,7 +136,7 @@ def build_measure(phi: Rif, alpha: complex,
     if phi.dim not in DEFAULT_GRID:
         raise ValueError(f"build_measure handles two or three variables, "
                          f"not {phi.dim}")
-    alpha = _unimodular_alpha(alpha)
+    alpha = unimodular_alpha(alpha)
     N = DEFAULT_GRID[phi.dim] if grid_n is None else grid_n
     if phi.dim == 2:
         return _build2(phi, alpha, N)[0]
@@ -218,9 +212,9 @@ def _zeta1_rule(phi, alpha, grid_n):
     B(z) = z prod (z - a) / (1 - conj(a) z).  The nodes are the preimages
     under B of w_k = e^{i (2 pi k / N + s)}, s = ``util.grid_shift`` off
     every line's B(tau) (no node on a line, where the slice is identically
-    zero; ``levelset._zeta1_grid``), or without lines of the N-th roots
-    of unity: the slice kernel's root-major atoms
-    (``levelset._atom_blocks``) of h(w, z) = z prod (z - a) - w p(z),
+    zero), or without lines of the N-th roots of unity: the slice
+    kernel's root-major atoms (``poly._atom_blocks``) of
+    h(w, z) = z prod (z - a) - w p(z),
     p = prod (1 - conj(a) z), put on the circle by angle, each of weight
     |p| / (N |d/dz h|) = 1 / (N |B'|): by Aleksandrov's disintegration the
     Clark measures of B average to arc length.  Without such roots B(z) = z.
@@ -232,7 +226,10 @@ def _zeta1_rule(phi, alpha, grid_n):
     a = 1.0 / np.conj(poles[grid_n * np.log(np.abs(poles)) < _POLE_RESOLVE])
     b_tau = [ln.tau * np.prod((ln.tau - a) / (1.0 - np.conj(a) * ln.tau))
              for ln in lines]  # B(tau) of each line
-    w = _zeta1_grid(np.angle(b_tau), grid_n)  # B(zeta1) at the nodes
+    w = unit_roots(grid_n)  # B(zeta1) at the nodes; ValueError for N < 1
+    if lines:  # shifted off every line's B(tau)
+        w = unit_circle_points(TWO_PI * np.arange(grid_n) / grid_n
+                               + grid_shift(np.angle(b_tau), grid_n))
     quad = np.broadcast_to(1.0 / grid_n, grid_n)  # read-only, no copy
     if not len(a):
         return w, quad, lines
@@ -298,7 +295,7 @@ def expected_mass(phi: Rif, alpha: complex) -> float:
     with phi(0) the ratio of the constant coefficients of q and p;
     ValueError for alpha off the circle."""
     v = complex(phi.num.coeffs.flat[0] / phi.den.coeffs.flat[0])
-    return (1.0 - abs(v) ** 2) / abs(_unimodular_alpha(alpha) - v) ** 2
+    return (1.0 - abs(v) ** 2) / abs(unimodular_alpha(alpha) - v) ** 2
 
 
 def _origin_masses(alpha: complex, h0, p0):
@@ -503,7 +500,7 @@ def exact_moments(phi: Rif, alpha: complex, max_degree: int) -> np.ndarray:
     D = max_degree
     if D < 0:
         raise ValueError(f"moment degree must be non-negative, got {D}")
-    alpha = _unimodular_alpha(alpha)
+    alpha = unimodular_alpha(alpha)
     h = phi.level_coeffs(alpha)  # q - alpha p at phi.degrees
     q = np.zeros((D + 1,) * phi.dim, dtype=complex)
     M = np.zeros_like(q)

@@ -23,6 +23,9 @@ import sys
 
 # largest grid of tridisk --build: the builder solves grid**2 slices
 BUILD_GRID_CAP = 256
+# rows of tridisk --surface formatted per write: the text of a grid of
+# 4096 (16.8M rows, a file of about 1 GB) is never held whole
+SURFACE_CHUNK = 65536
 # verify redraws points z with |phi(z) - alpha| at or below this, where the
 # Poisson quotient exceeds 1e6 times its numerator
 DRAW_ALPHA_DIST = 1e-3
@@ -260,10 +263,13 @@ def cmd_tridisk(args) -> int:
         did = True
     if args.surface:
         rows = polydisk.level_surface_rows(s, alpha, args.grid)
-        lines = [f"# s={s:.17g} alpha={alpha.real:.17g}{alpha.imag:+.17g}j "
-                 f"surface N={args.grid}", "theta1,theta2,arg_psi"]
-        lines += [f"{r[0]:.17g},{r[1]:.17g},{r[2]:.17g}" for r in rows]
-        _write(args.out, "\n".join(lines))
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(f"# s={s:.17g} alpha={alpha.real:.17g}"
+                     f"{alpha.imag:+.17g}j surface N={args.grid}\n"
+                     "theta1,theta2,arg_psi\n")
+            for lo in range(0, len(rows), SURFACE_CHUNK):
+                fh.writelines(f"{t1:.17g},{t2:.17g},{a:.17g}\n" for t1, t2, a
+                              in rows[lo:lo + SURFACE_CHUNK].tolist())
         print(f"level surface samples: {len(rows)} wrote {args.out}")
         did = True
     if args.point:
@@ -352,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("levelset", help="trace level-set branches to CSV")
     add_poly(p)
     p.add_argument("--alpha", required=True)
-    p.add_argument("--grid", type=int, default=4096)
+    p.add_argument("--grid", type=int, default=None)
     p.add_argument("--out", default="branches.csv")
     p.set_defaults(func=cmd_levelset)
 

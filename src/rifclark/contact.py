@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitDegenerate, NonConvergent
-from .levelset import SINGULAR_TOL, UNIMODULAR_TOL, _unimodular_alpha
+from .levelset import SINGULAR_TOL, UNIMODULAR_TOL
 from .poly import Rif, taylor_shift
+from .util import unimodular_alpha
 
 # a series coefficient below this fraction of its scale is zero: on the
 # catalog and on 84 random singular draws at two alpha pairs, branch
@@ -83,7 +84,7 @@ def _branch_series(phi: Rif, alpha: complex, singularity):
     if abs(pcoef[0, 0]) > SINGULAR_TOL * phi.den.coefficient_scale():
         raise ValueError(f"p does not vanish at ({point[0]:.6g}, "
                          f"{point[1]:.6g}); it is not a singularity")
-    hcoef = phi.level_coeffs(_unimodular_alpha(alpha))
+    hcoef = phi.level_coeffs(unimodular_alpha(alpha))
     hs = taylor_shift(hcoef, point)
     h01 = hs[0, 1]
     if abs(h01) <= SINGULAR_TOL * np.sum(np.abs(hcoef)):

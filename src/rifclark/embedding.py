@@ -26,9 +26,9 @@ from . import poly as _poly
 from .clark import (ClarkMeasure, _fiber_blocks, _moment_tables,
                     _polydisk_points)
 from .errors import DenominatorVanishes
-from .levelset import _atom_blocks, _unimodular_alpha, detect_lines
-from .poly import DEGREE_DROP_REL_TOL, Rif, companion_roots
-from .util import CIRCLE_TOL, unit_roots
+from .levelset import detect_lines
+from .poly import DEGREE_DROP_REL_TOL, Rif, _atom_blocks, companion_roots
+from .util import CIRCLE_TOL, unimodular_alpha, unit_roots
 
 CONJ_GRID_N = 512  # zeta1 nodes of conj_rational's residual check
 # density_distance keeps Gram eigenvalues above this times the largest: on a
@@ -180,7 +180,7 @@ def conj_rational(phi: Rif, alpha: complex) -> ConjRational:
     """
     if phi.dim != 2:
         raise ValueError("conj_rational expects a two-variable inner function")
-    alpha = _unimodular_alpha(alpha)
+    alpha = unimodular_alpha(alpha)
     h = phi.level_coeffs(alpha)
     _check_denominators(h)
     r1, r2 = (-h[1:], h[:1]), (-h[:, 1:], h[:, :1])

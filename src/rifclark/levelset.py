@@ -6,22 +6,20 @@ polynomial h = q - alpha * p.  Away from finitely many exceptional alpha
 it is the union of n graphs zeta2 = g_j(zeta1) over the circle; at
 exceptional alpha whole lines { tau } x T or T x { tau } join in.
 
-``_atom_blocks`` is the one unlabeled kernel behind every Clark measure:
-all roots of h over a batch of frozen points, block by block, with the
-weight parts of each, and of the Clark atoms of a Blaschke product, the
-clustered zeta1 nodes.  Each slice phi(zeta1, .) is a finite Blaschke
-product whose argument rises monotonically by 2 pi n, so a root's branch
-label is the count j in arg b = arg alpha + 2 pi j, taken from the phase
-of phi(zeta1, w_ref) lifted along a path (``_phase_labels``); no root is
-matched to its neighbours.  ``trace_branches`` labels the atoms of the
-measure's own build (``clark._build2``), for the outputs where labels
-are the point, such as the CSV export.  The module locates the boundary
-singularities of phi, the common torus zeros of p and p~, from the
-zeros of one resultant on the circle (``find_singularities``), and it
-decides the line components at those points: a line {tau1} x T passes
-through torus zeros of p, where its slice of h is
-(alpha0 - alpha) p(tau1, .), so each root tau1 of h(., 0) on the circle
-is tested there, once, with one tolerance (``_lines``).
+Each slice phi(zeta1, .) is a finite Blaschke product whose argument
+rises monotonically by 2 pi n, so a root's branch label is the count j
+in arg b = arg alpha + 2 pi j, taken from the phase of phi(zeta1, w_ref)
+lifted along a path (``_phase_labels``); no root is matched to its
+neighbours.  ``trace_branches`` labels the atoms of the measure's own
+build (``clark._build2``, its slices solved by the kernel
+``poly._atom_blocks``), for the outputs where labels are the point, such
+as the CSV export.  The module locates the boundary singularities of
+phi, the common torus zeros of p and p~, from the zeros of one resultant
+on the circle (``find_singularities``), and it decides the line
+components at those points: a line {tau1} x T passes through torus
+zeros of p, where its slice of h is (alpha0 - alpha) p(tau1, .), so each
+root tau1 of h(., 0) on the circle is tested there, once, with one
+tolerance (``_lines``).
 """
 
 from __future__ import annotations
@@ -30,22 +28,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import poly as _poly
 from .errors import PhaseLabelFailure
 from .poly import (
     PolyMD,
     Rif,
     companion_roots,
     derivative_coeffs,
+    reflect,
     slice_coeffs,
+    _newton_polish,
     _polyval_rows,
 )
-from .util import (TWO_PI, angular_distance, grid_shift, on_circle,
-                   unit_circle_points, unit_roots)
+from .util import (TWO_PI, angular_distance, grid_shift, unimodular_alpha,
+                   unit_roots)
 
-# an h row below this times h's largest coefficient is a zero slice: the
-# slice contraction's rounding floor, a few hundred eps (Higham, ch. 3)
-ZERO_SLICE_REL_TOL = 1e-13
 # largest | |z| - 1 | of a computed root or limit read as on the circle:
 # about 70 times the sqrt(eps) by which rounding can split a double root
 UNIMODULAR_TOL = 1e-6
@@ -62,11 +58,6 @@ SINGULAR_TOL = 1e-10
 # find_singularities; the polish, not the seed, sets the accuracy
 SEED_BAND = 0.05
 POLISH_STEPS = 16  # secant steps of _polish_on_torus, at most
-NEWTON_ITERS = 3  # Newton steps per eigvals root, line seed or torus zero
-# |h'| at a root at or below this times its slice row's largest coefficient:
-# a (near) multiple root, which _newton_polish leaves where it is rather
-# than divide by rounding
-NEWTON_GUARD_REL_TOL = 1e-8
 # a secant polish of a torus zero whose last step in arg z1 exceeds this
 # has not converged, and the point keeps its seed
 POLISH_STEP_TOL = 1e-9
@@ -85,13 +76,6 @@ ANGLE_KEY_OFFSET, ANGLE_KEY_DIGITS = 1e-12, 9
 # reference circles zeta2 = w_ref of the phase labels, tried in order: a
 # circle through a singularity on the path (fav's zeta2 = 1) gives no phase
 _REF_CIRCLES = (np.exp(0.373j), np.exp(2.419j), np.exp(4.297j))
-# slices per block of _atom_blocks: every pass over a block (rows, roots,
-# Newton steps, weight parts) stays in a 2 MiB L2, and the heap keeps the
-# block temporaries from one build to the next.  In the benchmark's build
-# cycle (seed 1, one core) blocks of 4096 slices take no minor page fault
-# once the heap has grown, blocks of 8192 take 5,000-6,000 per cycle, and
-# the cycle runs 168 against 153 ops/s (median of 6 alternating runs).
-SLICE_BLOCK = 4096
 
 
 @dataclass
@@ -132,99 +116,8 @@ class LineComponent:
 
 
 # ---------------------------------------------------------------------------
-# slice atoms and branch labels
+# branch labels
 # ---------------------------------------------------------------------------
-
-def _unimodular_alpha(alpha) -> complex:
-    """``alpha`` projected onto the circle, alpha / |alpha| until |alpha|
-    is 1.0 exactly, so that projecting it again keeps its bits (a measure
-    file's rebuild needs that); ValueError off it (``util.on_circle``).
-    One division leaves |alpha| != 1.0 for about 1 in 20 inputs off the
-    circle; a second or third ended every case of 3e6 random draws."""
-    alpha = complex(alpha)
-    if not on_circle(alpha):
-        raise ValueError("alpha must be unimodular")
-    for _ in range(4):
-        alpha /= abs(alpha)
-        if abs(alpha) == 1.0:
-            break
-    return alpha
-
-
-def _atom_blocks(hcoef, pcoef, pts, roots, num):
-    """Solve the slices h(zeta', .) of the tensor ``hcoef`` over ``pts``
-    (m, d-1) SLICE_BLOCK at a time into ``roots`` and ``num`` (k, m), num
-    = |p| for p the tensor ``pcoef`` of hcoef's shape: one contraction
-    gives both rows.  ``roots`` is root-major: row r is one contiguous
-    array over the slices, and column i holds slice i's roots in its
-    first rows and NaN after them (a degree drop, or a zero slice: one
-    whose h row has every coefficient below ZERO_SLICE_REL_TOL times the
-    largest of ``hcoef``).  Yields each block as (b, den, full, h0, p0):
-    its slice of columns, |d/dz_d h| at its roots in a block-sized scratch
-    the next block overwrites, whether every slice kept full degree (no
-    empty atom, so no NaN to look for), and the slices' h and p at
-    z_d = 0, their constant rows (views of the rows the block formed,
-    valid until the next block).  So a builder forms its weights and its
-    mass guard block by block and holds nothing of size m beyond what it
-    returns.  Both weight parts come from one-variable rows in z_d, and
-    one pass of |rows| serves the zero-slice, degree-drop and Newton-guard
-    tests.  A closed-form root takes den = |h'| from the solver, from what
-    its formula holds (``poly._solve_columns``); only eigenvalue roots are
-    Newton-polished (``_newton_polish`` gives their den).
-    """
-    k, m = hcoef.shape[-1] - 1, len(pts)
-    coef = np.concatenate([hcoef, pcoef], -1)
-    scratch = np.empty((k, min(m, SLICE_BLOCK)))
-    zero_tol = ZERO_SLICE_REL_TOL * float(np.max(np.abs(hcoef)))
-    for lo in range(0, m, SLICE_BLOCK):
-        b = slice(lo, lo + SLICE_BLOCK)
-        rows = slice_coeffs(coef, pts[b])
-        h, size = rows[:k + 1], np.abs(rows[:k + 1])
-        r, den = roots[:, b], scratch[:, :h.shape[1]]
-        rowmax = np.max(size, axis=0)
-        # a zero slice drops every coefficient: no root
-        rowmax[rowmax < zero_tol] = np.inf
-        eig, full = _poly._solve_columns(h, size, rowmax, r, den)
-        if eig.size:  # eigenvalue roots: polished, h' from the last step
-            w = r[:, eig]
-            dh = _newton_polish(h[:, eig], rowmax[eig], w)
-            r[:, eig], den[:, eig] = w, np.abs(dh)
-        p = rows[k + 1:]
-        np.abs(_polyval_rows(p[:, None], r), out=num[:, b])
-        yield b, den, full, h[0], p[0]
-
-
-def _newton_polish(rows, rowmax, values):
-    """Newton-polish roots in place and return d/dz h at them.
-
-    ``values`` (k, m) holds k roots of each of the m slice ``rows``
-    (K+1, m), whose largest coefficient moduli are ``rowmax``.  Every
-    root takes one step; a root whose step moved it by more than
-    4 eps |w| is not yet at a root to rounding and takes the next, up to
-    NEWTON_ITERS steps: each pass runs on the roots still moving,
-    gathered.  A root with |h'| <= NEWTON_GUARD_REL_TOL rowmax is left
-    where it is, and NaN padding stays NaN.
-    The derivative returned is the one of each root's last step, or at
-    the final root for a root still moving after NEWTON_ITERS steps.
-    """
-    drows = rows[1:] * np.arange(1, len(rows))[:, None]
-    dh = np.empty_like(values)
-    b, i = np.indices(values.shape).reshape(2, -1)  # root row and slice
-    for _ in range(NEWTON_ITERS):
-        w = values[b, i]
-        step = _polyval_rows(rows[:, i], w)
-        fp = dh[b, i] = _polyval_rows(drows[:, i], w)
-        guard = np.abs(fp) > NEWTON_GUARD_REL_TOL * rowmax[i]
-        np.divide(step, fp, out=step, where=guard)
-        step[~guard] = 0.0
-        moved = np.abs(step) > 4.0 * np.finfo(float).eps * np.abs(w)
-        values[b, i] = w - step
-        b, i = b[moved], i[moved]
-        if not i.size:
-            return dh
-    dh[b, i] = _polyval_rows(drows[:, i], values[b, i])
-    return dh
-
 
 def _phase_labels(phi: Rif, alpha: complex, zeta1, roots):
     """Branch label in 0..k-1 of each slice root (k, m) over the closed
@@ -261,43 +154,31 @@ def _phase_labels(phi: Rif, alpha: complex, zeta1, roots):
     return (np.floor(lift / TWO_PI).astype(int) + 1 + rank) % len(roots)
 
 
-def _zeta1_grid(angles, grid_n):
-    """The uniform zeta1 grid e^{i (2 pi k / N + s)}, k < N, off the
-    vertical lines at ``angles``: s = ``util.grid_shift`` of them (half a
-    step past one line); with none, s = 0 and the points are the shared
-    table ``util.unit_roots(N)``.  The zeta1 rule of ``clark._build2``
-    takes it in w = B(zeta1); ``trace_branches`` forms the same s from the
-    lines for the angles of the unclustered nodes."""
-    zeta1 = unit_roots(grid_n)  # ValueError for grid_n < 1
-    if not len(angles):
-        return zeta1
-    return unit_circle_points(TWO_PI * np.arange(grid_n) / grid_n
-                              + grid_shift(angles, grid_n))
-
-
 def trace_branches(phi: Rif, alpha: complex,
-                   grid_n: int = 4096) -> list[Branch]:
+                   grid_n: int | None = None) -> list[Branch]:
     """Label the graph components of the level set at unimodular alpha.
 
-    The atoms of the measure's own build, ``clark._build2``, the one
-    ``clark.build_measure`` returns in two variables (so MassGapExceeded
-    wherever the build refuses), over its zeta1 nodes ``base[:, 0]``,
+    The atoms of the measure's own build, ``clark._build2`` at ``grid_n``
+    (``clark.DEFAULT_GRID[2]`` if None), the one ``clark.build_measure``
+    returns in two variables (so MassGapExceeded wherever the build
+    refuses), over its zeta1 nodes ``base[:, 0]``,
     each in the branch of its phase label (``_phase_labels``), weighted
     by its Clark weight |p| / |d/dz2 h|: the measure's weight over the
     rule's quadrature weight of the node, which ``_build2`` returns with
     the measure.  Unclustered, theta is the grid 2 pi k / N + s off
     the vertical lines, in its own order (s = ``util.grid_shift`` of
-    their angles, 0 without lines: ``_zeta1_grid``'s);
+    their angles, 0 without lines: ``clark._zeta1_rule``'s);
     clustered, it is the angle in [0, 2 pi) of every node of the rule, in
     increasing order.  Branch 0 holds the root of least argument at the
     first node.  Every branch carries alpha projected by
-    ``_unimodular_alpha``.
+    ``util.unimodular_alpha``.
     """
     from . import clark  # clark imports this module
 
     if phi.dim != 2:
         raise ValueError("trace_branches expects a two-variable inner function")
-    alpha = _unimodular_alpha(alpha)
+    alpha = unimodular_alpha(alpha)
+    grid_n = clark.DEFAULT_GRID[2] if grid_n is None else grid_n
     m, quad = clark._build2(phi, alpha, grid_n)
     # unclustered, the grid keeps its order and angles: s may pass a step,
     # and a sort by angle would move the last node to the front
@@ -336,7 +217,7 @@ def detect_lines(phi: Rif, alpha: complex) -> list[LineComponent]:
     """
     if phi.dim != 2:
         raise ValueError("detect_lines expects a two-variable inner function")
-    h, p = phi.level_coeffs(_unimodular_alpha(alpha)), phi.den.coeffs
+    h, p = phi.level_coeffs(unimodular_alpha(alpha)), phi.den.coeffs
     return _lines(h, p, 1)[1] + _lines(h.T, p.T, 2)[1]
 
 
@@ -495,7 +376,7 @@ def _resultant_coeffs(p: PolyMD):
     M = 2 * n1 * n2 + 1
     z1 = unit_roots(M)
     rows = (slice_coeffs(p.coeffs, z1[:, None]),
-            slice_coeffs(_poly.reflect(p).coeffs, z1[:, None]))
+            slice_coeffs(reflect(p).coeffs, z1[:, None]))
     syl = np.zeros((len(z1), 2 * n2, 2 * n2), dtype=complex)
     for k in range(n2):  # rows k and n2 + k: p's and p~'s, shifted by k
         syl[:, k, k:k + n2 + 1] = rows[0].T

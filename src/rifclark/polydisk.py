@@ -12,8 +12,7 @@ import numpy as np
 from .catalog import tridisk_rif, tridisk_s
 from .clark import _BLOCK_NODES, _poisson_lhs, build_measure, total_mass
 from .errors import SingularDenominator
-from .levelset import _unimodular_alpha
-from .util import TWO_PI, unit_circle_points, unit_roots
+from .util import TWO_PI, unimodular_alpha, unit_circle_points, unit_roots
 
 __all__ = [
     "build_measure_d", "total_mass_d",
@@ -70,7 +69,7 @@ def _family(s, alpha, zeta1, zeta2):
     """The level surface psi and the weight W of phi_s over (zeta1, zeta2),
     with their shared denominator formed and checked once; ValueError for
     s or alpha outside the family's range."""
-    s, a = tridisk_s(s), _unimodular_alpha(alpha)
+    s, a = tridisk_s(s), unimodular_alpha(alpha)
     z1 = np.asarray(zeta1, dtype=complex)
     z2 = np.asarray(zeta2, dtype=complex)
     den = s * z1 * z2 - z1 - z2 + a
@@ -173,7 +172,7 @@ def verify_poisson_d(s: float, alpha: complex, z,
     near that corner are re-averaged on an 8x-refined subgrid.
     """
     s = tridisk_s(s)
-    a = _unimodular_alpha(alpha)
+    a = unimodular_alpha(alpha)
     (z,), (lhs,) = _poisson_lhs(tridisk_rif(s), a, [z])
 
     N = grid_n

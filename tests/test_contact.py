@@ -8,7 +8,7 @@ from conftest import slice_atoms
 from rifclark import catalog, clark, contact, levelset
 from rifclark.errors import FitDegenerate, NonConvergent
 from rifclark.poly import PolyMD, Rif
-from rifclark.util import canonical_json
+from rifclark.util import canonical_json, unimodular_alpha
 
 SING = (1.0 + 0.0j, 1.0 + 0.0j)
 
@@ -180,7 +180,7 @@ def test_alpha0_is_on_the_circle(n1, n2, seed):
     assert abs(clark.total_mass(m) / clark.expected_mass(phi, alpha0)
                - 1.0) <= 4 * eps
     for alpha in (1.0 + 5e-10, alpha0 * (1.0 - 3e-10)):
-        assert abs(abs(levelset._unimodular_alpha(alpha)) - 1.0) <= 2 * eps
+        assert abs(abs(unimodular_alpha(alpha)) - 1.0) <= 2 * eps
 
 
 def test_nontangential_value_in_three_variables():

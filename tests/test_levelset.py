@@ -248,7 +248,6 @@ def test_trace_branches_solves_once_at_a_line(fav, squared, monkeypatch):
         return atoms(hcoef, pcoef, pts, *out)
 
     monkeypatch.setattr(clark, "_atom_blocks", spy)
-    monkeypatch.setattr(levelset, "_atom_blocks", spy)
     for phi in (fav, squared):
         calls.clear()
         levelset.trace_branches(phi, -1.0, 256)
@@ -259,13 +258,13 @@ def test_trace_branches_forms_the_shifted_grid_once(squared, monkeypatch):
     # squared at -1 has vertical lines, so the grid is shifted off them:
     # the build forms its nodes, and the labeled angles take only the
     # shift, not a second grid of N points
-    calls, points = [], levelset.unit_circle_points
+    calls, points = [], clark.unit_circle_points
 
     def spy(theta):
         calls.append(len(theta))
         return points(theta)
 
-    monkeypatch.setattr(levelset, "unit_circle_points", spy)
+    monkeypatch.setattr(clark, "unit_circle_points", spy)
     levelset.trace_branches(squared, -1.0, 4096)
     assert calls == [4096]
 
@@ -521,7 +520,7 @@ def test_blaschke_node_rule_near_exceptional(fav, squared):
     ids=["contact_four_plus", "contact_four_minus", "fav", "squared",
          "fav_clustered", "squared_clustered"])
 def test_labeled_branches_lie_on_the_measure_nodes(name, alpha, nodes):
-    # one grid off the vertical lines (levelset._zeta1_grid): where the
+    # one grid off the vertical lines (clark._zeta1_rule's): where the
     # zeta1 rule does not cluster, the labeled branches sample the
     # measure's own base nodes bit for bit, a line at tau != 1 included
     # (contact_four next to -1: one line at e^{+-1.57e-4 i}); where it

@@ -600,14 +600,14 @@ def test_generic_builds_make_no_newton_call(squared, monkeypatch):
     # generic alpha no slice takes a Newton step, on the bidisk or the
     # tridisk; product at alpha = -1 still polishes its eigenvalue column,
     # the double root at (1, 1)
-    polish = levelset._newton_polish
+    polish = poly._newton_polish
     calls = []
 
     def recorded(rows, rowmax, values):
         calls.append(values.shape)
         return polish(rows, rowmax, values)
 
-    monkeypatch.setattr(levelset, "_newton_polish", recorded)
+    monkeypatch.setattr(poly, "_newton_polish", recorded)
     alpha = np.exp(0.7j)
     clark.build_measure(squared, alpha, 4096)
     clark.build_measure(catalog.product_singular_rif(), alpha, 4096)
